@@ -465,6 +465,7 @@ let experiment_t15 () =
           ~absorb:(fun ~n:_ acc ~id:_ m ->
             acc || Refnet_bits.Bit_reader.read_bit (Core.Message.reader m))
           ~finish:(fun ~n:_ acc -> acc);
+      budget = None;
     }
   in
   let collision =

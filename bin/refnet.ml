@@ -905,8 +905,9 @@ let search_cmd =
 
 (* ---------- lint ---------- *)
 
-(* Thin wrapper over lib/lint — the same engine as the standalone
-   refnet_lint.exe, reachable from the shipped binary. *)
+(* Thin wrapper over lib/lint, and the CI lint gate: exits 0 on a clean
+   tree (or all findings baselined), 1 on any new finding, 2 when the
+   baseline file is unreadable. *)
 let lint paths json deep baseline =
   let paths = match paths with [] -> [ "lib"; "bin"; "bench"; "examples" ] | ps -> ps in
   (* lint: allow determinism -- lint wall-time for the report, not a model run *)
@@ -989,7 +990,7 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:
          "Statically enforce the model's invariants (view boundary, determinism, referee \
-          totality, span grammar, bit accounting — plus, with $(b,--deep), exception-escape \
+          totality, bit accounting — plus, with $(b,--deep), exception-escape \
           totality, parallel races and blocking-call reachability over the repo call graph); \
           exit 1 on any new finding")
     Term.(const lint $ paths $ json $ deep $ baseline)

@@ -57,6 +57,7 @@ type 'a t = {
   send : round:int -> node_state -> Message.t * node_state;
   receive : round:int -> broadcast:Message.t -> node_state -> node_state;
   referee : 'a referee;
+  audit : Bound_audit.budget option;
 }
 
 type transcript = {
@@ -79,14 +80,6 @@ let view_of src ~n i =
 let maybe_time metrics name f =
   match metrics with Some m -> Metrics.time m name f | None -> f ()
 
-let observe_source metrics src =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Counter.incr
-      (Metrics.Counter.counter m
-         (Metrics.series "refnet_source_runs_total" [ ("backend", Graph_source.backend src) ]))
-
 let query_total (c : View.counts) = c.id_reads + c.n_reads + c.deg_reads + c.neighbor_reads
 
 (* View audits accumulate across rounds (one view lives through the
@@ -102,9 +95,8 @@ let sub_counts (a : View.counts) (b : View.counts) : View.counts =
 
 (* Per-round spans are labelled [name[round=r]]; the [src=<backend>]
    decoration stays outermost — outside [round=] exactly as it sits
-   outside [parts=] for coalitions — so {!Bound_audit.classify_label}
-   peels src first, then the round, and every round audits under the
-   protocol's per-round budget. *)
+   outside [parts=] for coalitions.  Every round's done event carries
+   the protocol's per-round budget. *)
 let decorated base ~round ~src =
   let s =
     match round with None -> base | Some r -> Printf.sprintf "%s[round=%d]" base r
@@ -242,6 +234,7 @@ let run_core ?domains ?chunk ~trace ~metrics ~src (p : 'a t) source =
                n;
                max_bits = per_round_max.(round - 1);
                total_bits = per_round_total.(round - 1);
+               budget = p.audit;
              });
         Trace.emit trace (Trace.Span_end { label = rl; n })
       done;
@@ -250,7 +243,8 @@ let run_core ?domains ?chunk ~trace ~metrics ~src (p : 'a t) source =
   let t = finish_transcript ~rounds ~limit ~per_round_max ~per_round_total ~bcast ~faulted_ids:[] in
   observe_run metrics ~rounds t;
   Trace.emit trace
-    (Trace.Referee_done { label = outer; n; max_bits = t.max_bits; total_bits = t.total_bits });
+    (Trace.Referee_done
+       { label = outer; n; max_bits = t.max_bits; total_bits = t.total_bits; budget = p.audit });
   Trace.emit trace (Trace.Span_end { label = outer; n });
   (out, t)
 
@@ -258,7 +252,7 @@ let run ?domains ?chunk ?(trace = Trace.null) ?metrics (p : 'a t) g =
   run_core ?domains ?chunk ~trace ~metrics ~src:None p (Graph_source.of_graph g)
 
 let run_source ?domains ?chunk ?(trace = Trace.null) ?metrics (p : 'a t) source =
-  observe_source metrics source;
+  Simulator.observe_source metrics source;
   run_core ?domains ?chunk ~trace ~metrics ~src:(Some (Graph_source.backend source)) p source
 
 let run_faulty_core ?domains ~faults ~trace ~metrics ~src (p : 'a t) source =
@@ -337,6 +331,7 @@ let run_faulty_core ?domains ~faults ~trace ~metrics ~src (p : 'a t) source =
                n;
                max_bits = per_round_max.(round - 1);
                total_bits = per_round_total.(round - 1);
+               budget = p.audit;
              });
         Trace.emit trace (Trace.Span_end { label = rl; n })
       done;
@@ -348,7 +343,8 @@ let run_faulty_core ?domains ~faults ~trace ~metrics ~src (p : 'a t) source =
   in
   observe_run metrics ~rounds t;
   Trace.emit trace
-    (Trace.Referee_done { label = outer; n; max_bits = t.max_bits; total_bits = t.total_bits });
+    (Trace.Referee_done
+       { label = outer; n; max_bits = t.max_bits; total_bits = t.total_bits; budget = p.audit });
   Trace.emit trace (Trace.Span_end { label = outer; n });
   (out, t)
 
@@ -357,7 +353,7 @@ let run_faulty ?(faults = Faults.empty) ?domains ?(trace = Trace.null) ?metrics 
 
 let run_faulty_source ?(faults = Faults.empty) ?domains ?(trace = Trace.null) ?metrics (p : 'a t)
     source =
-  observe_source metrics source;
+  Simulator.observe_source metrics source;
   run_faulty_core ?domains ~faults ~trace ~metrics
     ~src:(Some (Graph_source.backend source))
     p source
@@ -468,6 +464,7 @@ let harden ?malformed ?on_fault (p : 'a t) =
     send = p.send;
     receive = p.receive;
     referee = harden_referee ?malformed ?on_fault p.referee;
+    audit = None;
   }
 
 (* ---------- embeddings ---------- *)
@@ -487,6 +484,7 @@ let of_one_round (p : 'a Protocol.t) : 'a t =
           r_broadcast = (fun ~n:_ ~round:_ f -> (f, Message.empty));
           r_finish = (fun ~n:_ f -> Protocol.finish f);
         };
+    audit = p.Protocol.budget;
   }
 
 module Adaptive_degeneracy = struct
@@ -566,5 +564,6 @@ module Adaptive_degeneracy = struct
                   | Some f -> Protocol.finish f
                   | None -> invalid_arg "bcc-adaptive-degeneracy: finish before round 2");
           };
+      audit = None;
     }
 end

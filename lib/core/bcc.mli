@@ -19,10 +19,9 @@
     {!Parallel} domain pool, the referee absorbs through a streaming
     per-round {!round_stream} (constant live messages under [?chunk]),
     and every round emits {!Trace} spans and {!Metrics}.  Per-round
-    spans are labelled [name[round=r]] — the decoration is peeled by
-    {!Bound_audit.classify_label} exactly like the engine's outermost
-    [[src=...]] token, so each round's bits audit against the
-    protocol's per-round budget in [refnet report].
+    spans are labelled [name[round=r]], and each round's done event
+    carries the protocol's {!t.audit} budget, so each round's bits
+    audit against the per-round theorem in [refnet report].
 
     Transcripts are bit-identical at every domain count, chunk size and
     {!Graph_source} backend presenting the same labelled graph. *)
@@ -101,6 +100,10 @@ type 'a t = {
   receive : round:int -> broadcast:Message.t -> node_state -> node_state;
       (** deliver the referee's broadcast after a round *)
   referee : 'a referee;
+  audit : Bound_audit.budget option;
+      (** the theorem budget each round's bits are audited under in
+          [refnet report] (the {!budget} field is the enforced
+          bandwidth contract); [None]: nothing to audit *)
 }
 
 type transcript = {
@@ -184,8 +187,8 @@ val harden_referee :
   'a Verdict.t referee
 
 (** [harden p] wraps the whole protocol: referee hardened as above,
-    name suffixed [+hardened] (which exempts it from the bound audit,
-    as for one-round protocols). *)
+    name suffixed [+hardened], audit budget dropped (a hardened run is
+    exempt from the bound audit, as for one-round protocols). *)
 val harden :
   ?malformed:(exn -> bool) ->
   ?on_fault:(Verdict.fault_report -> 'a option -> 'a Verdict.t) ->
@@ -195,7 +198,8 @@ val harden :
 (** [of_one_round p] embeds a one-round protocol: one round, unbounded
     budget, the streaming referee fed through {!Protocol.start} /
     {!Protocol.feed} / {!Protocol.finish} — no message vector is ever
-    materialized. *)
+    materialized.  The lifted protocol's budget becomes the audit
+    budget, so its one round audits under the one-round theorem. *)
 val of_one_round : 'a Protocol.t -> 'a t
 
 (** The two-round adaptive reconstruction: the one-round protocol of
@@ -216,6 +220,6 @@ module Adaptive_degeneracy : sig
 
   (** [protocol ()] reconstructs arbitrary graphs in two rounds with
       round-2 messages of [O(k_hat^2 log n)] bits (data-dependent, so
-      the budget is {!unbounded} and the label is audit-exempt). *)
+      the budget is {!unbounded} and there is no audit budget). *)
   val protocol : unit -> Graph.t option t
 end

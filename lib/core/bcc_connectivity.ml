@@ -41,6 +41,9 @@ let protocol ~rounds ~bandwidth () : bool option Bcc.t =
   {
     Bcc.name = Printf.sprintf "bcc-connectivity-%d" bandwidth;
     budget = { Bcc.rounds; bits_per_round = Bcc.log_budget ~c:bandwidth };
+    (* Every message is at most bandwidth * id_bits n bits — enforced at
+       send time — so the fitted constant is exactly 1. *)
+    audit = Some { Bound_audit.b_shape = K_log_n bandwidth; c_max = 1.0; n_min = 1 };
     init = Bcc.make_state;
     send =
       (fun ~round s ->

@@ -83,4 +83,9 @@ let connectivity ~(oracle : bool Protocol.t) ~left ~right : bool Protocol.t =
         class_connected left && class_connected right
       end
   in
-  { name = "delta-connectivity[" ^ oracle.name ^ "]"; local; referee = Protocol.batch global }
+  {
+    name = "delta-connectivity[" ^ oracle.name ^ "]";
+    local;
+    referee = Protocol.batch global;
+    budget = None;
+  }

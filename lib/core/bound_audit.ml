@@ -20,340 +20,23 @@ let shape_string s = Format.asprintf "%a" pp_shape s
 
 type budget = { b_shape : shape; c_max : float; n_min : int }
 
-(* ---------- label parsing ---------- *)
+(* Tag and parameter of a shape, as the jsonl "budget" object and the
+   flight recorder's done record spell it. *)
+let shape_tag = function
+  | Log_n -> ("log_n", 0)
+  | K_log_n k -> ("k_log_n", k)
+  | K2_log_n k -> ("k2_log_n", k)
+  | Log_sq -> ("log_sq", 0)
+  | Linear -> ("linear", 0)
 
-let has_substring s sub =
-  let ls = String.length s and lb = String.length sub in
-  let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
-  go 0
-
-let prefixed ~prefix s =
-  let lp = String.length prefix in
-  if String.length s >= lp && String.sub s 0 lp = prefix then
-    Some (String.sub s lp (String.length s - lp))
-  else None
-
-(* ["3-reconstruct..."] -> [Some 3] when the digits are followed by the
-   expected marker. *)
-let leading_int s =
-  let n = String.length s in
-  let rec stop i = if i < n && s.[i] >= '0' && s.[i] <= '9' then stop (i + 1) else i in
-  let i = stop 0 in
-  if i = 0 then None
-  else match int_of_string_opt (String.sub s 0 i) with
-    | Some k -> Some (k, String.sub s i (n - i))
-    | None -> None
-
-(* ["...[trace=<16hex>]"]: the serve layer tags every session span with
-   its 64-bit flight-recorder trace id, outside every other decoration —
-   peeled before [src=].  Budget-transparent: the same protocol sends
-   the same bits whoever asked for the run. *)
-let split_trace label =
-  let l = String.length label in
-  if l < 8 || label.[l - 1] <> ']' then None
-  else
-    let rec find i =
-      if i < 0 then None
-      else if String.sub label i 7 = "[trace=" then Some i
-      else find (i - 1)
-    in
-    match find (l - 8) with
-    | None -> None
-    | Some i ->
-      let tok = String.sub label (i + 7) (l - 1 - (i + 7)) in
-      let hex_ok c = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') in
-      if String.length tok = 16 && String.for_all hex_ok tok then
-        Some (String.sub label 0 i, tok)
-      else None
-
-(* ["...[src=<backend>]"]: the engine's *_source entry points append
-   the graph backend outermost — after [parts=] and the
-   +sealed/+hardened suffixes — so it is peeled first.  The token
-   charset is the backend names' ([a-z0-9:.-], possibly empty so
-   sprintf-format instantiation in the lint classifies). *)
-let src_token_ok tok =
-  String.for_all
-    (fun c -> (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = ':' || c = '.' || c = '-')
-    tok
-
-let split_src label =
-  let l = String.length label in
-  if l < 6 || label.[l - 1] <> ']' then None
-  else
-    let rec find i =
-      if i < 0 then None
-      else if String.sub label i 5 = "[src=" then Some i
-      else find (i - 1)
-    in
-    match find (l - 6) with
-    | None -> None
-    | Some i ->
-      let tok = String.sub label (i + 5) (l - 1 - (i + 5)) in
-      if src_token_ok tok then Some (String.sub label 0 i, tok) else None
-
-(* ["...[round=<r>]"]: {!Bcc} labels each round's span with the round
-   index, inside the [src=] decoration — peeled second, right after
-   [src=].  Rounds are 1-based, so [r >= 1]; budgets are
-   round-transparent (the per-round cap is the same every round). *)
-let split_round label =
-  let l = String.length label in
-  if l < 9 || label.[l - 1] <> ']' then None
-  else
-    let rec find i =
-      if i < 0 then None
-      else if String.sub label i 7 = "[round=" then Some i
-      else find (i - 1)
-    in
-    match find (l - 9) with
-    | None -> None
-    | Some i ->
-      let tok = String.sub label (i + 7) (l - 1 - (i + 7)) in
-      if tok <> "" && String.for_all (fun c -> c >= '0' && c <= '9') tok then
-        match int_of_string_opt tok with
-        | Some r when r >= 1 -> Some (String.sub label 0 i, r)
-        | _ -> None
-      else None
-
-(* ["...[parts=4]"] -> [Some 4]. *)
-let parts_of label =
-  match String.index_opt label '[' with
-  | None -> None
-  | Some i -> (
-    match prefixed ~prefix:"parts=" (String.sub label (i + 1) (String.length label - i - 1)) with
-    | Some rest -> (
-      match leading_int rest with Some (k, "]") -> Some k | _ -> None)
-    | None -> None)
-
-(* The constants are derived from the exact message layouts in the
-   protocol modules (DESIGN.md §10 walks through each derivation):
-
-   - forest: 4 * id_bits exactly (Bounds.forest_message_bits).
-   - degeneracy-k (fixed layout): (2 + k(k+3)/2) * id_bits, and
-     (2 + k(k+3)/2) / k^2 <= 4 for every k >= 1 (equality at k = 1).
-     The compact layout gamma-codes the power sums, which can exceed the
-     fixed layout on dense small graphs; 9 covers its worst framing
-     overhead.
-   - generalized degeneracy: (2 + k(k+3)) * id_bits <= 6 k^2 id_bits
-     (equality at k = 1).
-   - bounded-degree-d: (1 + d) * id_bits <= 2 d id_bits (equality at
-     d = 1).
-   - coalition with k parts: per_node_bound of Connectivity_parts —
-     roughly 2 * ceil((n-1)/(n/k)) * id_bits + a header, which peaks at
-     small n/uneven parts; 6 covers every partition the CLI can build
-     once n >= 4.
-   - sketch: rounds * levels * 93 bits with rounds ≈ log n + 2 and
-     levels ≈ 2 log n + 2 over a fixed 31-bit field, i.e. ≈ 186 log² n
-     plus lower-order terms; 256 absorbs the additive terms from n >= 8.
-   - full-information: exactly n bits (an incidence row). *)
-let budget_of_label label =
-  (* The session trace id is peeled outermost: observability tags never
-     change what the protocol sends. *)
-  let label = match split_trace label with Some (stem, _) -> stem | None -> label in
-  (* Backend decorations never change the budget: the same protocol on
-     the same graph sends the same bits whatever representation the
-     engine reads it from. *)
-  let label = match split_src label with Some (stem, _) -> stem | None -> label in
-  (* The round index is budget-transparent too: the BCC cap applies to
-     every round alike, so [p[round=r]] audits under [p]'s budget. *)
-  let label = match split_round label with Some (stem, _) -> stem | None -> label in
-  if has_substring label "+sealed" || has_substring label "+hardened" then None
-  else if label = "forest-reconstruct" || label = "forest-recognize" then
-    Some { b_shape = Log_n; c_max = 4.0; n_min = 1 }
-  else if label = "full-information" then Some { b_shape = Linear; c_max = 1.0; n_min = 1 }
-  else
-    match prefixed ~prefix:"bcc-connectivity-" label with
-    | Some rest -> (
-      (* Every message is at most bandwidth * id_bits n bits — enforced
-         at send time by {!Bcc.check_budget} — so the fitted constant
-         is exactly 1. *)
-      match leading_int rest with
-      | Some (c, "") when c >= 1 -> Some { b_shape = K_log_n c; c_max = 1.0; n_min = 1 }
-      | _ -> None)
-    | None -> (
-    match prefixed ~prefix:"degeneracy-" label with
-    | Some rest -> (
-      match leading_int rest with
-      | Some (k, "-reconstruct") -> Some { b_shape = K2_log_n k; c_max = 4.0; n_min = 1 }
-      | Some (k, "-reconstruct-compact") -> Some { b_shape = K2_log_n k; c_max = 9.0; n_min = 1 }
-      | _ -> None)
-    | None -> (
-      match prefixed ~prefix:"generalized-degeneracy-" label with
-      | Some rest -> (
-        match leading_int rest with
-        | Some (k, "-reconstruct") -> Some { b_shape = K2_log_n k; c_max = 6.0; n_min = 1 }
-        | _ -> None)
-      | None -> (
-        match prefixed ~prefix:"bounded-degree-" label with
-        | Some rest -> (
-          match leading_int rest with
-          | Some (d, "") -> Some { b_shape = K_log_n d; c_max = 2.0; n_min = 1 }
-          | _ -> None)
-        | None ->
-          if prefixed ~prefix:"coalition-connectivity" label <> None then
-            match parts_of label with
-            | Some k -> Some { b_shape = K_log_n k; c_max = 6.0; n_min = 4 }
-            | None -> None
-          else if prefixed ~prefix:"sketch-connectivity" label <> None then
-            Some { b_shape = Log_sq; c_max = 256.0; n_min = 8 }
-          else None)))
-
-(* ---------- grammar classification ---------- *)
-
-type label_class = Budgeted of budget | Exempt | Malformed of string
-
-let strip_suffix ~suffix s =
-  let ls = String.length s and lx = String.length suffix in
-  if ls >= lx && String.sub s (ls - lx) lx = suffix then Some (String.sub s 0 (ls - lx))
-  else None
-
-(* Validates the stem (decorations already peeled): either it belongs to
-   one of the budgeted families above and parses exactly, or it is
-   outside every budgeted family (no theorem to audit).  [Ok true] means
-   budgeted-family stem, [Ok false] means foreign, [Error] means a
-   near-miss spelling that would silently escape the audit. *)
-let check_stem stem =
-  if stem = "forest-reconstruct" || stem = "forest-recognize" || stem = "full-information" then
-    Ok true
-  else
-    match prefixed ~prefix:"generalized-degeneracy-" stem with
-    | Some rest -> (
-      match leading_int rest with
-      | Some (_, "-reconstruct") -> Ok true
-      | _ -> Error "must read generalized-degeneracy-<k>-reconstruct")
-    | None -> (
-      match prefixed ~prefix:"degeneracy-" stem with
-      | Some rest -> (
-        match leading_int rest with
-        | Some (_, "-reconstruct") | Some (_, "-reconstruct-compact") -> Ok true
-        | _ -> Error "must read degeneracy-<k>-reconstruct[-compact]")
-      | None -> (
-        match prefixed ~prefix:"bounded-degree-" stem with
-        | Some rest -> (
-          match leading_int rest with
-          | Some (_, "") -> Ok true
-          | _ -> Error "must read bounded-degree-<d>")
-        | None -> (
-          match prefixed ~prefix:"coalition-connectivity" stem with
-          | Some "" -> Ok true
-          | Some _ -> Error "coalition-connectivity takes only the [parts=<k>] decoration"
-          | None -> (
-            match prefixed ~prefix:"sketch-connectivity" stem with
-            | Some "" -> Ok true
-            | Some rest -> (
-              match prefixed ~prefix:"(seed=" rest with
-              | Some r -> (
-                match leading_int r with
-                | Some (_, ")") -> Ok true
-                | _ -> Error "sketch-connectivity seed must read (seed=<n>)")
-              | None -> Error "sketch-connectivity takes only the (seed=<n>) decoration")
-            | None -> (
-              match prefixed ~prefix:"forest-" stem with
-              | Some _ -> Error "unknown forest- label (forest-reconstruct / forest-recognize)"
-              | None -> (
-                match prefixed ~prefix:"bcc-connectivity-" stem with
-                | Some rest -> (
-                  match leading_int rest with
-                  | Some (c, "") when c >= 1 -> Ok true
-                  | _ -> Error "must read bcc-connectivity-<c> with c >= 1")
-                | None ->
-                  if stem = "bcc-adaptive-degeneracy" then Ok true
-                  else (
-                    match prefixed ~prefix:"bcc-" stem with
-                    | Some _ ->
-                      Error
-                        "unknown bcc- label (bcc-connectivity-<c> / bcc-adaptive-degeneracy)"
-                    | None -> Ok false)))))))
-
-let classify_label label =
-  if label = "" then Malformed "empty label"
-  else if String.exists (fun c -> Char.code c < 0x20) label then
-    Malformed "label contains control characters"
-  else begin
-    (* Peel the session trace id first — the serve layer tags it outside
-       every other decoration.  A leftover "[trace=" is a near-miss
-       (wrong placement, or not 16 lowercase hex digits). *)
-    let label =
-      match split_trace label with
-      | Some (stem, _) -> stem
-      | None -> label
-    in
-    if has_substring label "[trace=" then
-      Malformed "bad [trace=<id>] decoration (must be outermost, id is 16 lowercase hex digits)"
-    else begin
-    (* Peel the backend decoration next — the *_source engines append
-       it outside everything but the trace tag.  A label that contains
-       "[src=" but does not end in a well-formed "[src=<token>]" is a
-       near-miss that would dodge both the budget lookup and the
-       [parts=] parse below. *)
-    let label =
-      match split_src label with
-      | Some (stem, _) -> stem
-      | None -> label
-    in
-    if has_substring label "[src=" then
-      Malformed "bad [src=<backend>] decoration (must be outermost, token charset [a-z0-9:.-])"
-    else begin
-    (* Peel the round index next — {!Bcc} appends it just inside the
-       backend decoration.  A leftover "[round=" is a near-miss (wrong
-       placement, or a round below 1). *)
-    let label =
-      match split_round label with
-      | Some (stem, _) -> stem
-      | None -> label
-    in
-    if has_substring label "[round=" then
-      Malformed "bad [round=<r>] decoration (must sit just inside [src=], with r >= 1)"
-    else begin
-    (* Peel the coalition decoration next — {!Coalition.labelled}
-       appends it outside any +sealed/+hardened suffix. *)
-    let parts_error = ref None in
-    let parts, stem0 =
-      match String.index_opt label '[' with
-      | Some i when String.length label - i > 7 && String.sub label i 7 = "[parts=" -> (
-        let inner = String.sub label (i + 7) (String.length label - i - 7) in
-        match leading_int inner with
-        | Some (k, "]") when k >= 1 -> (Some k, String.sub label 0 i)
-        | _ ->
-          parts_error := Some "bad [parts=<k>] decoration";
-          (None, label))
-      | _ -> (None, label)
-    in
-    let rec peel stem decorated =
-      match strip_suffix ~suffix:"+hardened" stem with
-      | Some s -> peel s true
-      | None -> (
-        match strip_suffix ~suffix:"+sealed" stem with
-        | Some s -> peel s true
-        | None -> (stem, decorated))
-    in
-    let stem, decorated = peel stem0 false in
-    match !parts_error with
-    | Some msg -> Malformed msg
-    | None -> (
-      if String.contains stem '+' then Malformed "unknown +decoration (expected +hardened or +sealed)"
-      else
-        match check_stem stem with
-        | Error msg -> Malformed msg
-        | Ok false -> Exempt (* foreign families have no theorem to audit *)
-        | Ok true -> (
-          match parts with
-          | Some _ when stem <> "coalition-connectivity" ->
-            Malformed "only coalition-connectivity carries [parts=<k>]"
-          | _ ->
-            if decorated then Exempt (* hardened/sealed layouts opt out of the audit by design *)
-            else
-              let canonical =
-                match parts with
-                | Some k -> Printf.sprintf "%s[parts=%d]" stem k
-                | None -> stem
-              in
-              (match budget_of_label canonical with
-              | Some b -> Budgeted b
-              | None -> Exempt (* bare coalition-connectivity: parts arrive at run time *))))
-    end
-    end
-    end
-  end
+let shape_of_tag tag k =
+  match tag with
+  | "log_n" -> Some Log_n
+  | "k_log_n" -> Some (K_log_n k)
+  | "k2_log_n" -> Some (K2_log_n k)
+  | "log_sq" -> Some Log_sq
+  | "linear" -> Some Linear
+  | _ -> None
 
 (* ---------- auditing ---------- *)
 
@@ -394,11 +77,6 @@ let audit ~label budget observations =
     v_worst_n = !worst_n;
     v_passed = !audited = 0 || !c_fit <= budget.c_max +. 1e-9;
   }
-
-let audit_label label observations =
-  match budget_of_label label with
-  | None -> None
-  | Some b -> Some (audit ~label b observations)
 
 let pp_verdict fmt v =
   Format.fprintf fmt "%-44s %-10s c_max=%-6g c_fit=%-8.3f (worst n=%d, %d obs%s)  %s" v.v_label

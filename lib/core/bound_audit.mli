@@ -8,6 +8,9 @@
     [c_max · shape(n)], where [shape] is the theorem's growth law in
     units of [Bounds.id_bits n] and [c_max] a concrete constant derived
     from the implementation's exact message layout (see DESIGN.md §10).
+    Each protocol declares its own budget ({!Protocol.t}'s [budget]) and
+    the engine carries it, typed, on every [Referee_done] event; labels
+    are display strings and are never parsed.
     The audit also {e fits} the constant: [c_fit] is the largest
     observed [max_bits / shape(n)] over the sweep, so a protocol passes
     when [c_fit <= c_max] and the report shows how much headroom the
@@ -39,35 +42,12 @@ type budget = {
   n_min : int;  (** sizes below this are recorded but not audited *)
 }
 
-(** [budget_of_label label] recovers the budget from a protocol's span
-    label as it appears in traces — e.g. ["degeneracy-3-reconstruct"],
-    ["coalition-connectivity[parts=4]"], ["sketch-connectivity(seed=7)"].
-    [None] for labels without a quantitative theorem to audit
-    (hardened/sealed variants change the message layout, reductions are
-    deliberately non-frugal, unknown labels). *)
-val budget_of_label : string -> budget option
+(** [shape_tag s] is the wire spelling of [s]: a tag ([log_n],
+    [k_log_n], [k2_log_n], [log_sq], [linear]) and the shape's [k] (0
+    for shapes without one).  {!shape_of_tag} inverts it. *)
+val shape_tag : shape -> string * int
 
-(** Grammar-level classification of a span label.  [budget_of_label]
-    answers "does this label carry a budget?"; [classify_label]
-    additionally distinguishes labels that are {e deliberately}
-    unbudgeted from near-miss spellings that would silently escape the
-    audit — the property refnet-lint's span-grammar rule enforces on
-    label literals at build time. *)
-type label_class =
-  | Budgeted of budget
-      (** parses inside a budgeted family; round-trips: [classify_label l
-          = Budgeted b] iff [budget_of_label l = Some b] *)
-  | Exempt
-      (** grammatically fine but unaudited by design: [+hardened] /
-          [+sealed] layouts, bare ["coalition-connectivity"] (the
-          [[parts=k]] decoration arrives at run time), and labels outside
-          every budgeted family (reductions, oracles, demo protocols) *)
-  | Malformed of string
-      (** inside a budgeted family but fails its grammar (typo'd
-          decoration, missing [k], unknown [forest-] variant...) — the
-          label would silently skip its theorem's audit *)
-
-val classify_label : string -> label_class
+val shape_of_tag : string -> int -> shape option
 
 type observation = { o_n : int; o_max_bits : int }
 
@@ -85,10 +65,6 @@ type verdict = {
 (** [audit ~label budget observations] checks a sweep's observations
     against the budget. *)
 val audit : label:string -> budget -> observation list -> verdict
-
-(** [audit_label label observations] is [audit] with the budget looked
-    up from the label; [None] when the label has no budget. *)
-val audit_label : string -> observation list -> verdict option
 
 val pp_verdict : Format.formatter -> verdict -> unit
 

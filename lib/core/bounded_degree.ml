@@ -57,6 +57,8 @@ let reconstruct ~max_degree : Graph.t option Protocol.t =
     name = Printf.sprintf "bounded-degree-%d" max_degree;
     local;
     referee = Protocol.streaming ~init ~absorb ~finish;
+    (* (1 + d) * id_bits <= 2 d id_bits (equality at d = 1). *)
+    budget = Some { Bound_audit.b_shape = K_log_n max_degree; c_max = 2.0; n_min = 1 };
   }
 
 (* ---------- crash/corruption-tolerant variant ---------- *)
@@ -182,6 +184,7 @@ let hardened ~max_degree : Graph.t option Verdict.t Protocol.t =
     name = Printf.sprintf "bounded-degree-%d+sealed" max_degree;
     local = (fun v -> Message.seal ~n:(View.n v) ~id:(View.id v) (local_row ~max_degree v));
     referee = Protocol.streaming ~init ~absorb ~finish;
+    budget = None;
   }
 
 let full_information : Graph.t Protocol.t =
@@ -196,4 +199,10 @@ let full_information : Graph.t Protocol.t =
     b
   in
   let finish ~n:_ b = Graph.Builder.build b in
-  { name = "full-information"; local; referee = Protocol.streaming ~init ~absorb ~finish }
+  {
+    name = "full-information";
+    local;
+    referee = Protocol.streaming ~init ~absorb ~finish;
+    (* exactly n bits: an incidence row *)
+    budget = Some { Bound_audit.b_shape = Linear; c_max = 1.0; n_min = 1 };
+  }

@@ -6,6 +6,7 @@ type 'a t = {
   name : string;
   local : n:int -> view -> (int * Message.t) list;
   referee : 'a Protocol.referee;
+  budget : parts:int -> Bound_audit.budget option;
 }
 
 let partition_by_ranges ~n ~parts =
@@ -62,25 +63,13 @@ let collect (p : 'a t) src ~parts =
     parts;
   Array.map (function Some m -> m | None -> assert false) inbox (* lint: allow referee-totality -- the cover check above fills every slot *)
 
-(* Span and done events carry the part count in the label — the
-   coalition bound is O(k·log n) in the number of parts, so offline
-   analysis ({!Bound_audit}, [refnet report]) needs [k] recoverable
-   from the trace alone. *)
+(* Span and done labels show the part count, and the backend outermost
+   for source runs; the O(k·log n) budget itself travels typed on the
+   done event. *)
 let labelled p ~parts = Printf.sprintf "%s[parts=%d]" p.name (List.length parts)
 
-(* The backend decoration sits outside [parts=] — outermost — and is
-   peeled first by {!Bound_audit.classify_label}, so source-tagged
-   coalition runs audit under the same O(k log n) budget. *)
 let labelled_src p ~parts src =
   Printf.sprintf "%s[parts=%d][src=%s]" p.name (List.length parts) (Graph_source.backend src)
-
-let observe_source metrics src =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Counter.incr
-      (Metrics.Counter.counter m
-         (Metrics.series "refnet_source_runs_total" [ ("backend", Graph_source.backend src) ]))
 
 let observe_local metrics msgs =
   match metrics with
@@ -89,14 +78,6 @@ let observe_local metrics msgs =
     Metrics.Counter.add (Metrics.Counter.counter m "refnet_messages_total") (Array.length msgs);
     let bits = Metrics.Histogram.histogram m "refnet_message_bits" in
     Array.iter (fun msg -> Metrics.Histogram.observe bits (Message.bits msg)) msgs
-
-let observe_transcript metrics (t : Simulator.transcript) =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Counter.incr (Metrics.Counter.counter m "refnet_runs_total");
-    Metrics.Histogram.observe (Metrics.Histogram.histogram m "refnet_run_max_bits") t.max_bits;
-    Metrics.Counter.add (Metrics.Counter.counter m "refnet_run_bits_total") t.total_bits
 
 let maybe_time metrics name f =
   match metrics with Some m -> Metrics.time m name f | None -> f ()
@@ -111,18 +92,14 @@ let run_core ~trace ~metrics ~label (p : 'a t) src ~parts =
         Protocol.run_referee ~trace ?metrics p.referee ~n msgs)
   in
   let t = Simulator.transcript_of_messages msgs in
-  observe_transcript metrics t;
-  Trace.emit trace
-    (Trace.Referee_done
-       { label; n; max_bits = t.Simulator.max_bits; total_bits = t.Simulator.total_bits });
-  Trace.emit trace (Trace.Span_end { label; n });
+  Simulator.close_run ~trace ~metrics ~label ~budget:(p.budget ~parts:(List.length parts)) t;
   (out, t)
 
 let run ?(trace = Trace.null) ?metrics (p : 'a t) g ~parts =
   run_core ~trace ~metrics ~label:(labelled p ~parts) p (Graph_source.of_graph g) ~parts
 
 let run_source ?(trace = Trace.null) ?metrics (p : 'a t) src ~parts =
-  observe_source metrics src;
+  Simulator.observe_source metrics src;
   run_core ~trace ~metrics ~label:(labelled_src p ~parts src) p src ~parts
 
 let run_faulty_core ~faults ~trace ~metrics ~label (p : 'a t) src ~parts =
@@ -148,11 +125,7 @@ let run_faulty_core ~faults ~trace ~metrics ~label (p : 'a t) src ~parts =
       Simulator.faulted_ids = List.map fst injected
     }
   in
-  observe_transcript metrics t;
-  Trace.emit trace
-    (Trace.Referee_done
-       { label; n; max_bits = t.Simulator.max_bits; total_bits = t.Simulator.total_bits });
-  Trace.emit trace (Trace.Span_end { label; n });
+  Simulator.close_run ~trace ~metrics ~label ~budget:(p.budget ~parts:(List.length parts)) t;
   (out, t)
 
 let run_faulty ?(faults = Faults.empty) ?(trace = Trace.null) ?metrics (p : 'a t) g ~parts =
@@ -161,5 +134,5 @@ let run_faulty ?(faults = Faults.empty) ?(trace = Trace.null) ?metrics (p : 'a t
 
 let run_faulty_source ?(faults = Faults.empty) ?(trace = Trace.null) ?metrics (p : 'a t) src
     ~parts =
-  observe_source metrics src;
+  Simulator.observe_source metrics src;
   run_faulty_core ~faults ~trace ~metrics ~label:(labelled_src p ~parts src) p src ~parts

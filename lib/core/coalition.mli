@@ -25,6 +25,9 @@ type 'a t = {
       (** The referee still receives [n] individual messages, streamed
           in identifier order; {!Protocol.batch} keeps the array-style
           spelling available. *)
+  budget : parts:int -> Bound_audit.budget option;
+      (** the theorem budget of a run over [parts] coalitions, carried
+          on its [Referee_done] events ([None]: nothing to audit) *)
 }
 
 (** [partition_by_ranges ~n ~parts] splits [1..n] into [parts] contiguous
@@ -34,9 +37,9 @@ val partition_by_ranges : n:int -> parts:int -> int list list
 
 (** [run ?trace ?metrics p g ~parts] executes a coalition protocol over
     the given partition of the vertices; with a live [trace], span,
-    absorb and done events are emitted as in {!Simulator.run} — with the
-    part count baked into the span label as
-    ["name[parts=k]"], so the O(k·log n) coalition bound is auditable
+    absorb and done events are emitted as in {!Simulator.run} — the
+    span label reads ["name[parts=k]"] and the done event carries
+    [p.budget ~parts:k], so the O(k·log n) coalition bound is auditable
     from the trace alone.  [?metrics] records the same series as
     {!Simulator.run} (minus [refnet_view_queries] — coalition views are
     pooled, not per-node audited).
@@ -52,9 +55,8 @@ val run :
 
 (** [run_source p src ~parts] is {!run} over any {!Graph_source}
     backend.  The label gains the outermost [\[src=<backend>\]]
-    decoration (["name[parts=k][src=csr]"]) — peeled first by
-    {!Bound_audit.classify_label}, so backend-tagged coalition runs
-    audit under the same O(k·log n) budget — and counter
+    decoration (["name[parts=k][src=csr]"]) — backend-tagged coalition
+    runs carry the same O(k·log n) budget — and counter
     [refnet_source_runs_total\{backend="..."\}] is bumped when metrics
     are on. *)
 val run_source :

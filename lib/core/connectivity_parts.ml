@@ -64,7 +64,15 @@ let decide : bool Coalition.t =
     (uf, !ok)
   in
   let finish ~n (uf, ok) = ok && (n = 0 || Union_find.count uf <= 1) in
-  { name = "coalition-connectivity"; local; referee = Protocol.streaming ~init ~absorb ~finish }
+  {
+    name = "coalition-connectivity";
+    local;
+    referee = Protocol.streaming ~init ~absorb ~finish;
+    (* {!per_node_bound}: roughly 2 * ceil((n-1)/(n/k)) * id_bits plus a
+       header, which peaks at small n and uneven parts; 6 covers every
+       partition the CLI can build once n >= 4. *)
+    budget = (fun ~parts -> Some { Bound_audit.b_shape = K_log_n parts; c_max = 6.0; n_min = 4 });
+  }
 
 (* ---------- crash/corruption-tolerant variant ---------- *)
 
@@ -143,6 +151,7 @@ let hardened : bool Verdict.t Coalition.t =
     Coalition.name = "coalition-connectivity+sealed";
     local;
     referee = Protocol.streaming ~init ~absorb ~finish;
+    budget = (fun ~parts:_ -> None);
   }
 
 let per_node_bound ~n ~parts =

@@ -146,6 +146,18 @@ let reconstruct ?(decoder = newton_decoder) ?(layout = Fixed) ~k () :
       Protocol.streaming ~init
         ~absorb:(fun ~n st ~id msg -> absorb ~layout ~k ~n st ~id msg)
         ~finish:(fun ~n st -> finish ~decoder ~k ~n st);
+    (* Theorem 5.  The fixed layout is (2 + k(k+3)/2) * id_bits, and
+       (2 + k(k+3)/2) / k^2 <= 4 for every k >= 1 (equality at k = 1).
+       The compact layout gamma-codes the power sums, which can exceed
+       the fixed layout on dense small graphs; 9 covers its worst
+       framing overhead. *)
+    budget =
+      Some
+        {
+          Bound_audit.b_shape = K2_log_n k;
+          c_max = (match layout with Fixed -> 4.0 | Compact -> 9.0);
+          n_min = 1;
+        };
   }
 
 (* ---------- crash/corruption-tolerant variant ---------- *)
@@ -282,4 +294,5 @@ let hardened ?(decoder = newton_decoder) ?(layout = Fixed) ~k () :
       Protocol.streaming ~init:hinit
         ~absorb:(fun ~n st ~id msg -> habsorb ~layout ~k ~n st ~id msg)
         ~finish:(fun ~n st -> hfinish ~decoder ~k ~n st);
+    budget = None;
   }

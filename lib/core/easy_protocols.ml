@@ -21,6 +21,7 @@ let on_degrees name ~init ~step ~out : 'a Protocol.t =
         ~init:(fun ~n:_ -> init)
         ~absorb:(fun ~n acc ~id:_ msg -> step ~n acc (read_degree ~n msg))
         ~finish:(fun ~n:_ acc -> out acc);
+    budget = None;
   }
 
 let degree_sequence : int list Protocol.t =
@@ -79,4 +80,5 @@ let sum_of_ids_check : bool Protocol.t =
           let s = Codes.read_fixed r ~width:(2 * w) in
           (total_sums + s, weighted_degrees + (deg * id)))
         ~finish:(fun ~n:_ (total_sums, weighted_degrees) -> total_sums = weighted_degrees);
+    budget = None;
   }

@@ -3,7 +3,7 @@
 
    Layout of a dump:
 
-     magic "RFLIGHT1"                                      8 bytes
+     magic "RFLIGHT2"                                      8 bytes
      recorded (u64)  lifetime entries at dump time
      dropped  (u64)  overwritten-before-dump entries
      count    (u32)  records that follow
@@ -14,9 +14,12 @@
      seq (u64) | trace (u64) | tag (u8) | tag-specific fields
 
    Tags 1..7 mirror Trace.event constructor order; tag 8 is a Note.
-   Strings are u16-length-prefixed; all integers big-endian. *)
+   Strings are u16-length-prefixed; all integers big-endian.  Tag 7
+   ends in its budget: u8 0 for none, or u8 1 | shape tag (string) |
+   k u32 | c_max (IEEE double bits, u64) | n_min u32.  (RFLIGHT1 dumps
+   had no budget.) *)
 
-let magic = "RFLIGHT1"
+let magic = "RFLIGHT2"
 let max_record = 1 lsl 20
 let max_domains = 64
 let default_capacity = 4096
@@ -153,12 +156,21 @@ let encode_body e =
     put_u8 b 6;
     put_u32 b round;
     put_u32 b bits
-  | E_event (Trace.Referee_done { label; n; max_bits; total_bits }) ->
+  | E_event (Trace.Referee_done { label; n; max_bits; total_bits; budget }) -> (
     put_u8 b 7;
     put_str b label;
     put_u32 b n;
     put_u32 b max_bits;
-    put_u32 b total_bits
+    put_u32 b total_bits;
+    match budget with
+    | None -> put_u8 b 0
+    | Some { Bound_audit.b_shape; c_max; n_min } ->
+      let tag, k = Bound_audit.shape_tag b_shape in
+      put_u8 b 1;
+      put_str b tag;
+      put_u32 b k;
+      put_u64 b (Int64.bits_of_float c_max);
+      put_u32 b n_min)
   | E_note (code, detail) ->
     put_u8 b 8;
     put_str b code;
@@ -326,7 +338,20 @@ let decode_body body =
       let n = gu32 body pos in
       let max_bits = gu32 body pos in
       let total_bits = gu32 body pos in
-      event_item "done" (Trace.Referee_done { label; n; max_bits; total_bits })
+      let budget =
+        match gu8 body pos with
+        | 0 -> None
+        | 1 -> (
+          let tag = gstr body pos in
+          let k = gu32 body pos in
+          let c_max = Int64.float_of_bits (gu64 body pos) in
+          let n_min = gu32 body pos in
+          match Bound_audit.shape_of_tag tag k with
+          | Some b_shape -> Some { Bound_audit.b_shape; c_max; n_min }
+          | None -> raise (Bad (Printf.sprintf "unknown budget shape %S" tag)))
+        | f -> raise (Bad (Printf.sprintf "bad budget flag %d" f))
+      in
+      event_item "done" (Trace.Referee_done { label; n; max_bits; total_bits; budget })
     | 8 ->
       let code = gstr body pos in
       let detail = gstr body pos in

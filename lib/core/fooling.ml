@@ -16,6 +16,7 @@ let truncate ~budget (p : 'a Protocol.t) : 'a Protocol.t =
           let r = Message.reader m in
           Bit_reader.read_bitvec r ~len:limit
         end);
+    budget = None;
   }
 
 let vector_key ~n ~local g =

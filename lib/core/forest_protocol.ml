@@ -79,8 +79,17 @@ let decode_tables ~n deg sum =
 
 let finish ~n { deg; sum; bad } = if bad then None else decode_tables ~n deg sum
 
+(* The layout above is exactly 4 * id_bits (Bounds.forest_message_bits):
+   the §III.A claim at c = 4. *)
+let budget = Some { Bound_audit.b_shape = Log_n; c_max = 4.0; n_min = 1 }
+
 let reconstruct : Graph.t option Protocol.t =
-  { name = "forest-reconstruct"; local; referee = Protocol.streaming ~init ~absorb ~finish }
+  {
+    name = "forest-reconstruct";
+    local;
+    referee = Protocol.streaming ~init ~absorb ~finish;
+    budget;
+  }
 
 (* Same messages, same prune, no reconstruction: the recognizer's
    referee never allocates an incidence matrix, so its peak memory is
@@ -95,6 +104,7 @@ let recognize : bool Protocol.t =
       Protocol.streaming ~init ~absorb
         ~finish:(fun ~n { deg; sum; bad } ->
           (not bad) && prune_tables ~n ~on_edge:(fun _ _ -> ()) deg sum);
+    budget;
   }
 
 (* ---------- crash/corruption-tolerant variant ---------- *)
@@ -213,6 +223,7 @@ let hardened : Graph.t option Verdict.t Protocol.t =
     name = "forest-reconstruct+sealed";
     local = (fun v -> Message.seal ~n:(View.n v) ~id:(View.id v) (local v));
     referee = Protocol.streaming ~init:hinit ~absorb:habsorb ~finish:hfinish;
+    budget = None;
   }
 
 let hardened_message_bits n = message_bits n + Message.digest_bits

@@ -146,6 +146,8 @@ let reconstruct ?(decoder = Degeneracy_protocol.newton_decoder) ~k () :
       Protocol.streaming ~init
         ~absorb:(fun ~n st ~id msg -> absorb ~k ~n st ~id msg)
         ~finish:(fun ~n st -> finish ~decoder ~k ~n st);
+    (* (2 + k(k+3)) * id_bits <= 6 k^2 id_bits (equality at k = 1). *)
+    budget = Some { Bound_audit.b_shape = K2_log_n k; c_max = 6.0; n_min = 1 };
   }
 
 let recognize ?decoder k =

@@ -6,7 +6,12 @@ type ('s, 'a) stream = {
 
 type 'a referee = Referee : ('s, 'a) stream -> 'a referee
 
-type 'a t = { name : string; local : View.t -> Message.t; referee : 'a referee }
+type 'a t = {
+  name : string;
+  local : View.t -> Message.t;
+  referee : 'a referee;
+  budget : Bound_audit.budget option;
+}
 
 let streaming ~init ~absorb ~finish = Referee { init; absorb; finish }
 
@@ -90,7 +95,7 @@ let apply p ~n msgs = run_referee p.referee ~n msgs
 
 let map_referee f (Referee s) = Referee { s with finish = (fun ~n st -> f (s.finish ~n st)) }
 let map_output f p = { p with referee = map_referee f p.referee }
-let rename name p = { p with name }
+let rename name p = { p with name; budget = None }
 
 (* ---------- generic hardening ---------- *)
 
@@ -176,4 +181,5 @@ let harden ?malformed ?on_fault p =
     name = p.name ^ "+hardened";
     local = p.local;
     referee = harden_referee ?malformed ?on_fault p.referee;
+    budget = None;
   }

@@ -50,6 +50,11 @@ type 'a t = {
           view is the {e only} source of local knowledge; implementations
           must be pure — same view contents, same message. *)
   referee : 'a referee;  (** [Γ^g_n] as a streaming fold *)
+  budget : Bound_audit.budget option;
+      (** the theorem budget every run is audited under — declared by
+          the protocol's constructor next to its message layout, and
+          carried on the run's [Referee_done] events.  [None] when
+          there is no theorem to audit. *)
 }
 
 (** [streaming ~init ~absorb ~finish] packs a referee. *)
@@ -106,10 +111,13 @@ val apply : 'a t -> n:int -> Message.t array -> 'a
 (** [map_referee f r] maps over the finished output. *)
 val map_referee : ('a -> 'b) -> 'a referee -> 'b referee
 
-(** [map_output f p] is [p] with [f] applied to the referee's result. *)
+(** [map_output f p] is [p] with [f] applied to the referee's result;
+    the messages, and so the budget, are unchanged. *)
 val map_output : ('a -> 'b) -> 'a t -> 'b t
 
-(** [rename name p]. *)
+(** [rename name p] is [p] under a new name, with no budget: a renamed
+    protocol (a reduction oracle, a recognition decider) answers a
+    different question, so it leaves the audit. *)
 val rename : string -> 'a t -> 'a t
 
 (** [default_malformed e] classifies the exceptions a referee may raise
@@ -141,9 +149,9 @@ val harden_referee :
   'a Verdict.t referee
 
 (** [harden ?malformed ?on_fault p] is [p] with {!harden_referee}
-    applied and ["+hardened"] appended to the name.  The local function
-    is unchanged — hardening is purely referee-side, so it composes
-    with any protocol.  Note: without redundancy in the messages
+    applied, ["+hardened"] appended to the name and no budget.  The
+    local function is unchanged — hardening is purely referee-side, so
+    it composes with any protocol.  Note: without redundancy in the messages
     themselves (see {!Message.seal}), a hardened referee can only
     contain faults that {e break} parsing; a bit flip that yields
     another well-formed message is indistinguishable from honest input

@@ -207,4 +207,5 @@ let to_protocol ~n ~colors (w : witness) ~property : bool Protocol.t =
     name = Printf.sprintf "searched-protocol(n=%d,colors=%d)" n colors;
     local;
     referee = Protocol.batch global;
+    budget = None;
   }

@@ -72,7 +72,12 @@ let square ?metrics (oracle : bool Protocol.t) : Graph.t Protocol.t =
         done;
         Protocol.finish !feed)
   in
-  { name = "delta-square[" ^ oracle.name ^ "]"; local; referee = Protocol.batch global }
+  {
+    name = "delta-square[" ^ oracle.name ^ "]";
+    local;
+    referee = Protocol.batch global;
+    budget = None;
+  }
 
 (* Bundled messages: each part written as a gamma length prefix followed
    by the raw bits, so the referee can split the bundle.  The framing
@@ -120,7 +125,12 @@ let diameter ?metrics (oracle : bool Protocol.t) : Graph.t Protocol.t =
         done;
         Protocol.finish !feed)
   in
-  { name = "delta-diameter[" ^ oracle.name ^ "]"; local; referee = Protocol.batch global }
+  {
+    name = "delta-diameter[" ^ oracle.name ^ "]";
+    local;
+    referee = Protocol.batch global;
+    budget = None;
+  }
 
 let triangle ?metrics (oracle : bool Protocol.t) : Graph.t Protocol.t =
   let local v =
@@ -150,4 +160,9 @@ let triangle ?metrics (oracle : bool Protocol.t) : Graph.t Protocol.t =
                   ~neighbors:(Gadgets.triangle_fictitious ~n ~s ~t (n + 1))));
         Protocol.finish !feed)
   in
-  { name = "delta-triangle[" ^ oracle.name ^ "]"; local; referee = Protocol.batch global }
+  {
+    name = "delta-triangle[" ^ oracle.name ^ "]";
+    local;
+    referee = Protocol.batch global;
+    budget = None;
+  }

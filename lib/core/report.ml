@@ -1,9 +1,10 @@
-(* ---------- a parser for the flat JSON objects Trace.jsonl writes ----------
+(* ---------- a parser for the JSON objects Trace.jsonl writes ----------
 
-   One object per line, values are strings or integers, no nesting.
-   Hand-rolled so the analysis pipeline stays dependency-free. *)
+   One object per line; values are strings, integers, the done line's
+   budget (an object of strings and numbers, or null).  Hand-rolled so
+   the analysis pipeline stays dependency-free. *)
 
-type jvalue = S of string | I of int
+type jvalue = S of string | I of int | F of float | Null | O of (string * jvalue) list
 
 exception Parse of string
 
@@ -64,42 +65,60 @@ let parse_line line =
     go ();
     Buffer.contents b
   in
-  let parse_int () =
+  let parse_number () =
     let start = !pos in
+    let float = ref false in
     if peek () = Some '-' then advance ();
-    while (match peek () with Some ('0' .. '9') -> true | _ -> false) do
+    while
+      match peek () with
+      | Some ('0' .. '9') -> true
+      | Some ('.' | 'e' | 'E' | '+' | '-') -> float := true; true
+      | _ -> false
+    do
       advance ()
     done;
     if !pos = start then fail "expected a number";
-    match int_of_string_opt (String.sub line start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "number out of range"
+    let lit = String.sub line start (!pos - start) in
+    if !float then
+      match float_of_string_opt lit with Some v -> F v | None -> fail "bad number"
+    else match int_of_string_opt lit with Some v -> I v | None -> fail "number out of range"
+  in
+  let rec parse_value () =
+    match peek () with
+    | Some '"' -> S (parse_string ())
+    | Some '{' -> O (parse_object ())
+    | Some 'n' ->
+      if !pos + 4 <= n && String.sub line !pos 4 = "null" then (pos := !pos + 4; Null)
+      else fail "expected a value"
+    | _ -> parse_number ()
+  and parse_object () =
+    expect '{';
+    let fields = ref [] in
+    skip_ws ();
+    if peek () = Some '}' then advance ()
+    else begin
+      let rec members () =
+        skip_ws ();
+        let key = parse_string () in
+        skip_ws ();
+        expect ':';
+        skip_ws ();
+        fields := (key, parse_value ()) :: !fields;
+        skip_ws ();
+        match peek () with
+        | Some ',' -> advance (); members ()
+        | Some '}' -> advance ()
+        | _ -> fail "expected ',' or '}'"
+      in
+      members ()
+    end;
+    List.rev !fields
   in
   skip_ws ();
-  expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if peek () = Some '}' then advance ()
-  else begin
-    let rec members () =
-      skip_ws ();
-      let key = parse_string () in
-      skip_ws ();
-      expect ':';
-      skip_ws ();
-      let value = match peek () with Some '"' -> S (parse_string ()) | _ -> I (parse_int ()) in
-      fields := (key, value) :: !fields;
-      skip_ws ();
-      match peek () with
-      | Some ',' -> advance (); members ()
-      | Some '}' -> advance ()
-      | _ -> fail "expected ',' or '}'"
-    in
-    members ()
-  end;
+  let fields = parse_object () in
   skip_ws ();
   if !pos <> n then fail "trailing garbage";
-  List.rev !fields
+  fields
 
 let str fields key =
   match List.assoc_opt key fields with
@@ -110,6 +129,24 @@ let int_ fields key =
   match List.assoc_opt key fields with
   | Some (I v) -> v
   | _ -> raise (Parse (Printf.sprintf "missing integer field %S" key))
+
+let budget_of fields =
+  match List.assoc_opt "budget" fields with
+  | None ->
+    raise
+      (Parse "done line has no \"budget\" field (a pre-typed-budget trace: record it again)")
+  | Some Null -> None
+  | Some (O b) -> (
+    let c_max =
+      match List.assoc_opt "c_max" b with
+      | Some (F c) -> c
+      | Some (I c) -> float_of_int c
+      | _ -> raise (Parse "missing number field \"c_max\"")
+    in
+    match Bound_audit.shape_of_tag (str b "shape") (int_ b "k") with
+    | Some b_shape -> Some { Bound_audit.b_shape; c_max; n_min = int_ b "n_min" }
+    | None -> raise (Parse (Printf.sprintf "unknown budget shape %S" (str b "shape"))))
+  | Some _ -> raise (Parse "\"budget\" must be an object or null")
 
 (* ---------- aggregation ---------- *)
 
@@ -128,6 +165,7 @@ type proto = {
   faults : (string, int) Hashtbl.t; (* fault kind -> count *)
   mutable total_bits : int; (* summed over Referee_done events *)
   mutable obs : Bound_audit.observation list; (* reversed *)
+  mutable budget : Bound_audit.budget option option; (* None until the first done *)
 }
 
 type t = {
@@ -161,6 +199,7 @@ let proto t label =
         faults = Hashtbl.create 4;
         total_bits = 0;
         obs = [];
+        budget = None;
       }
     in
     Hashtbl.add t.protocols label p;
@@ -209,8 +248,15 @@ let ingest_fields t fields =
     Hashtbl.replace p.faults kind (1 + Option.value ~default:0 (Hashtbl.find_opt p.faults kind))
   | "done" ->
     (* Attributed to its own label, not the span stack: the done event
-       is the authoritative per-run record used for bound auditing. *)
-    let p = proto t (str fields "label") in
+       is the authoritative per-run record used for bound auditing, and
+       it carries the budget the run is audited under. *)
+    let label = str fields "label" in
+    let budget = budget_of fields in
+    let p = proto t label in
+    (match p.budget with
+    | Some b when b <> budget ->
+      raise (Parse (Printf.sprintf "label %S carries two different budgets" label))
+    | _ -> p.budget <- Some budget);
     let n = int_ fields "n" in
     p.runs <- p.runs + 1;
     if n < p.n_lo then p.n_lo <- n;
@@ -258,27 +304,15 @@ let sorted_protocols t =
 
 let verdicts t =
   List.filter_map
-    (fun (label, p) -> Bound_audit.audit_label label (List.rev p.obs))
+    (fun (label, p) ->
+      match p.budget with
+      | Some (Some b) -> Some (Bound_audit.audit ~label b (List.rev p.obs))
+      | Some None | None -> None)
     (sorted_protocols t)
 
 let violations t = List.filter (fun v -> not v.Bound_audit.v_passed) (verdicts t)
 
 (* ---------- rendering ---------- *)
-
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
 
 let sorted_faults p =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) p.faults []
@@ -310,7 +344,7 @@ let to_json t =
   List.iteri
     (fun i (label, p) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (json_string label);
+      Buffer.add_string b (Trace.json_string label);
       Buffer.add_string b
         (Printf.sprintf ":{\"absorbs\":%d,\"bits_buckets\":{" p.absorbs);
       let first = ref true in
@@ -330,7 +364,7 @@ let to_json t =
       List.iteri
         (fun j (k, v) ->
           if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Printf.sprintf "%s:%d" (json_string k) v))
+          Buffer.add_string b (Printf.sprintf "%s:%d" (Trace.json_string k) v))
         (sorted_faults p);
       Buffer.add_string b
         (Printf.sprintf

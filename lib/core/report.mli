@@ -11,8 +11,8 @@
 
     Events between a [Span_begin]/[Span_end] pair are attributed to the
     innermost open span's label; [Referee_done] events carry their own
-    label and contribute one bound-audit observation [(n, max_bits)]
-    each.  Message-bit histograms bucket with
+    label and the budget the run is audited under, and contribute one
+    bound-audit observation [(n, max_bits)] each.  Message-bit histograms bucket with
     {!Metrics.Histogram.bucket_index} (log₂ buckets), so the report and
     a live {!Metrics} snapshot bucket identically. *)
 
@@ -22,7 +22,10 @@ val create : unit -> t
 
 (** [ingest_line t line] parses and aggregates one JSONL trace line
     (empty/whitespace lines are ignored).
-    @raise Failure on a line that does not parse as a trace event. *)
+    @raise Failure on a line that does not parse as a trace event —
+    including a [done] line without a ["budget"] field (a trace written
+    before budgets were typed) and a [done] line whose budget differs
+    from an earlier one under the same label. *)
 val ingest_line : t -> string -> unit
 
 (** [ingest_event t ev] aggregates a live event — defined as
@@ -41,8 +44,8 @@ val ingest_file : t -> string -> unit
 (** [events t] is the number of events aggregated so far. *)
 val events : t -> int
 
-(** [verdicts t] audits every protocol label that has a budget
-    ({!Bound_audit.budget_of_label}), sorted by label. *)
+(** [verdicts t] audits every label whose done events carry a budget,
+    sorted by label. *)
 val verdicts : t -> Bound_audit.verdict list
 
 (** [violations t] is the failed subset of {!verdicts}. *)

@@ -8,16 +8,6 @@ type transcript = {
   faulted_ids : int list;
 }
 
-let transcript_of_messages msgs =
-  let message_bits = Array.map Message.bits msgs in
-  {
-    n = Array.length msgs;
-    message_bits;
-    max_bits = Array.fold_left max 0 message_bits;
-    total_bits = Array.fold_left ( + ) 0 message_bits;
-    faulted_ids = [];
-  }
-
 let transcript_of_bits message_bits =
   {
     n = Array.length message_bits;
@@ -27,11 +17,15 @@ let transcript_of_bits message_bits =
     faulted_ids = [];
   }
 
-let emit_node_events trace views msgs =
+let transcript_of_messages msgs = transcript_of_bits (Array.map Message.bits msgs)
+
+(* [msgs.(i)] is node [base + i + 1]'s message. *)
+let emit_node_events ?(base = 0) trace views msgs =
   Array.iteri
     (fun i msg ->
       Trace.emit trace
-        (Trace.Node_local { id = i + 1; bits = Message.bits msg; queries = View.audit views.(i) }))
+        (Trace.Node_local
+           { id = base + i + 1; bits = Message.bits msg; queries = View.audit views.(i) }))
     msgs
 
 let query_total (c : View.counts) = c.id_reads + c.n_reads + c.deg_reads + c.neighbor_reads
@@ -49,13 +43,20 @@ let observe_local metrics views msgs =
 let maybe_time metrics name f =
   match metrics with Some m -> Metrics.time m name f | None -> f ()
 
-let observe_transcript metrics t =
-  match metrics with
+(* The epilogue of every one-round run: transcript metrics, then the
+   done event carrying the protocol's typed budget, then the span's
+   close. *)
+let close_run ~trace ~metrics ~label ~budget t =
+  (match metrics with
   | None -> ()
   | Some m ->
     Metrics.Counter.incr (Metrics.Counter.counter m "refnet_runs_total");
     Metrics.Histogram.observe (Metrics.Histogram.histogram m "refnet_run_max_bits") t.max_bits;
-    Metrics.Counter.add (Metrics.Counter.counter m "refnet_run_bits_total") t.total_bits
+    Metrics.Counter.add (Metrics.Counter.counter m "refnet_run_bits_total") t.total_bits);
+  let n = t.n in
+  Trace.emit trace
+    (Trace.Referee_done { label; n; max_bits = t.max_bits; total_bits = t.total_bits; budget });
+  Trace.emit trace (Trace.Span_end { label; n })
 
 (* The engine-side view constructor: one view record per node, backed
    directly by the source's neighbour slice — zero per-node copies for
@@ -118,13 +119,7 @@ let run_chunked ?domains ~chunk ~trace ~metrics (p : 'a Protocol.t) src =
         maybe_time metrics "refnet_local_phase" (fun () ->
             Parallel.init ?domains ?metrics len (fun i -> p.local views.(i)))
       in
-      if not (Trace.is_null trace) then
-        Array.iteri
-          (fun i msg ->
-            Trace.emit trace
-              (Trace.Node_local
-                 { id = b + i + 1; bits = Message.bits msg; queries = View.audit views.(i) }))
-          msgs;
+      if not (Trace.is_null trace) then emit_node_events ~base:b trace views msgs;
       observe_local metrics views msgs;
       maybe_time metrics "refnet_referee_phase" (fun () ->
           for i = 0 to len - 1 do
@@ -158,17 +153,13 @@ let run_core ?domains ?chunk ~trace ~metrics ~label (p : 'a Protocol.t) src =
       in
       (out, transcript_of_messages msgs)
   in
-  observe_transcript metrics t;
-  Trace.emit trace
-    (Trace.Referee_done { label; n; max_bits = t.max_bits; total_bits = t.total_bits });
-  Trace.emit trace (Trace.Span_end { label; n });
+  close_run ~trace ~metrics ~label ~budget:p.budget t;
   (out, t)
 
 (* [src=<backend>] is appended outermost — outside [parts=] and the
-   +sealed/+hardened suffixes — and peeled first by
-   {!Bound_audit.classify_label}, so backend-tagged runs audit under the
-   same budget as their bare twins while staying distinguishable in
-   [refnet report]. *)
+   +sealed/+hardened suffixes — so backend-tagged runs stay
+   distinguishable in [refnet report]; they audit under the protocol's
+   own budget like their bare twins. *)
 let source_label (p : 'a Protocol.t) src = Printf.sprintf "%s[src=%s]" p.name (Graph_source.backend src)
 
 let observe_source metrics src =
@@ -214,10 +205,7 @@ let run_faulty_core ?domains ~faults ~trace ~metrics ~label (p : 'a Protocol.t) 
         Protocol.feed_deliveries ~trace ?metrics p.referee ~n deliveries)
   in
   let t = { (transcript_of_messages msgs) with faulted_ids = List.map fst injected } in
-  observe_transcript metrics t;
-  Trace.emit trace
-    (Trace.Referee_done { label; n; max_bits = t.max_bits; total_bits = t.total_bits });
-  Trace.emit trace (Trace.Span_end { label; n });
+  close_run ~trace ~metrics ~label ~budget:p.budget t;
   (out, t)
 
 let run_faulty ?(faults = Faults.empty) ?domains ?(trace = Trace.null) ?metrics
@@ -268,10 +256,7 @@ let run_async_core ?rng ?domains ~trace ~metrics ~label (p : 'a Protocol.t) src 
         Protocol.feed_deliveries ~trace ?metrics p.referee ~n deliveries)
   in
   let t = transcript_of_messages msgs in
-  observe_transcript metrics t;
-  Trace.emit trace
-    (Trace.Referee_done { label; n; max_bits = t.max_bits; total_bits = t.total_bits });
-  Trace.emit trace (Trace.Span_end { label; n });
+  close_run ~trace ~metrics ~label ~budget:p.budget t;
   (out, t)
 
 let run_async ?rng ?domains ?(trace = Trace.null) ?metrics (p : 'a Protocol.t) g =

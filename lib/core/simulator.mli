@@ -80,9 +80,9 @@ val run :
 
 (** [run_source ?chunk p src] is {!run} over any {!Graph_source}
     backend.  The span/done labels gain a [\[src=<backend>\]]
-    decoration (peeled by {!Bound_audit.classify_label} before budget
-    lookup, so backend-tagged runs audit under the bare label's
-    theorem), and counter
+    decoration (display only: the done events carry the protocol's
+    budget, so backend-tagged runs audit under the same theorem), and
+    counter
     [refnet_source_runs_total\{backend="..."\}] is bumped when metrics
     are on.
 
@@ -164,6 +164,24 @@ val run_async_source :
 (** [transcript_of_messages msgs] summarizes an externally-built message
     vector. *)
 val transcript_of_messages : Message.t array -> transcript
+
+(** [observe_source metrics src] bumps counter
+    [refnet_source_runs_total\{backend="..."\}] when metrics are on —
+    every [*_source] entry point, here and in {!Coalition} and {!Bcc}. *)
+val observe_source : Metrics.t option -> Refnet_graph.Graph_source.t -> unit
+
+(** [close_run ~trace ~metrics ~label ~budget t] is the epilogue every
+    one-round engine runs after its referee finishes: the transcript
+    metrics, then a [Referee_done] for [label] carrying [budget], then
+    the [Span_end] that closes [label]'s span.  Shared with
+    {!Coalition}. *)
+val close_run :
+  trace:Trace.sink ->
+  metrics:Metrics.t option ->
+  label:string ->
+  budget:Bound_audit.budget option ->
+  transcript ->
+  unit
 
 (** [is_frugal t ~c] checks [max_bits <= c * ceil(log2 (n + 1))] — the
     frugality test at a specific constant [c]. *)

@@ -94,7 +94,15 @@ let protocol ~seed ?rounds ?levels () : bool Protocol.t =
       Union_find.count uf = 1
     end
   in
-  { name; local; referee = Protocol.streaming ~init ~absorb ~finish }
+  {
+    name;
+    local;
+    referee = Protocol.streaming ~init ~absorb ~finish;
+    (* rounds * levels * 93 bits with rounds ~ log n + 2 and levels ~
+       2 log n + 2 over a fixed 31-bit field, i.e. ~ 186 log^2 n plus
+       lower-order terms; 256 absorbs the additive terms from n >= 8. *)
+    budget = Some { Bound_audit.b_shape = Log_sq; c_max = 256.0; n_min = 8 };
+  }
 
 let message_bits ~n ?rounds ?levels () =
   let r = match rounds with Some r -> r | None -> default_rounds n in
@@ -132,4 +140,5 @@ let hardened ~seed ?rounds ?levels () : bool Verdict.t Protocol.t =
     Protocol.name = plain.name ^ "+sealed";
     local = (fun v -> Message.seal ~n:(View.n v) ~id:(View.id v) (plain.local v));
     referee;
+    budget = None;
   }

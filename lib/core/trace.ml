@@ -5,7 +5,13 @@ type event =
   | Referee_absorb of { id : int; bits : int }
   | Fault_injected of { id : int; fault : Faults.fault }
   | Referee_broadcast of { round : int; bits : int }
-  | Referee_done of { label : string; n : int; max_bits : int; total_bits : int }
+  | Referee_done of {
+      label : string;
+      n : int;
+      max_bits : int;
+      total_bits : int;
+      budget : Bound_audit.budget option;
+    }
 
 type sink =
   | Null
@@ -36,14 +42,15 @@ let pp_event fmt = function
     Format.fprintf fmt "fault node=%d %s" id (Faults.fault_to_string fault)
   | Referee_broadcast { round; bits } ->
     Format.fprintf fmt "bcast round=%d bits=%d" round bits
-  | Referee_done { label; n; max_bits; total_bits } ->
+  | Referee_done { label; n; max_bits; total_bits; _ } ->
     Format.fprintf fmt "done  %-12s n=%d max=%d bits total=%d bits" label n max_bits total_bits
 
 let pretty fmt = Emit (fun ev -> Format.fprintf fmt "[trace] %a@." pp_event ev)
 
-(* Every field is a string, an int or an event tag — no escaping beyond
-   the label strings, which are protocol names (alphanumeric plus a few
-   punctuation characters).  Escape anyway, defensively. *)
+(* Every field is a string, an int, an event tag or the done line's
+   budget object — no escaping beyond the label strings, which are
+   protocol names (alphanumeric plus a few punctuation characters).
+   Escape anyway, defensively. *)
 let json_string s =
   let b = Buffer.create (String.length s + 2) in
   Buffer.add_char b '"';
@@ -58,6 +65,14 @@ let json_string s =
     s;
   Buffer.add_char b '"';
   Buffer.contents b
+
+(* The done line's "budget": {"shape":TAG,"k":K,"c_max":C,"n_min":N},
+   or null for a run with no theorem to audit.  %.17g round-trips. *)
+let budget_json = function
+  | None -> "null"
+  | Some { Bound_audit.b_shape; c_max; n_min } ->
+    let tag, k = Bound_audit.shape_tag b_shape in
+    Printf.sprintf {|{"shape":"%s","k":%d,"c_max":%.17g,"n_min":%d}|} tag k c_max n_min
 
 let json_body = function
   | Span_begin { label; n } ->
@@ -75,9 +90,10 @@ let json_body = function
       (json_string (Faults.fault_to_string fault))
   | Referee_broadcast { round; bits } ->
     Printf.sprintf {|{"event":"broadcast","round":%d,"bits":%d}|} round bits
-  | Referee_done { label; n; max_bits; total_bits } ->
-    Printf.sprintf {|{"event":"done","label":%s,"n":%d,"max_bits":%d,"total_bits":%d}|}
-      (json_string label) n max_bits total_bits
+  | Referee_done { label; n; max_bits; total_bits; budget } ->
+    Printf.sprintf
+      {|{"event":"done","label":%s,"n":%d,"max_bits":%d,"total_bits":%d,"budget":%s}|}
+      (json_string label) n max_bits total_bits (budget_json budget)
 
 (* The session id rides as an extra leading field: Report's parser
    tolerates fields it does not know, so tagged and untagged lines feed

@@ -33,7 +33,16 @@ type event =
       (** the {!Bcc} referee closed round [round] with a [bits]-bit
           broadcast heard by every node (absent after the final round,
           which ends in the decision instead) *)
-  | Referee_done of { label : string; n : int; max_bits : int; total_bits : int }
+  | Referee_done of {
+      label : string;
+      n : int;
+      max_bits : int;
+      total_bits : int;
+      budget : Bound_audit.budget option;
+          (** the theorem budget the run is audited under, as the
+              protocol declared it; [None] for runs with no theorem to
+              audit (hardened, sealed and renamed protocols) *)
+    }
 
 type sink =
   | Null

@@ -15,7 +15,7 @@
     gadget vertices — the paper's requirement that local functions be
     evaluable at {e any} pair [(i, N)], not only pairs arising from an
     input graph.  The [view-boundary] lint rule enforces this list
-    mechanically: [refnet-lint] flags any [View.make] outside these
+    mechanically: [refnet lint] flags any [View.make] outside these
     modules (the allowlist is [Lint.Policy.view_builders]) and any
     [Graph.*] access inside a protocol [local] function.
 

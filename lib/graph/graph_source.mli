@@ -25,8 +25,8 @@ val of_csr : Csr.t -> t
 val of_implicit : Implicit.t -> t
 
 (** [backend t] is the label token: ["materialized"], ["csr"], or
-    ["implicit:<family>"] — always within the [\[src=...\]] grammar
-    charset [a-z0-9:.-]. *)
+    ["implicit:<family>"] — shown as the [\[src=...\]] decoration of
+    source-run span labels. *)
 val backend : t -> string
 
 (** [describe t] is a human-readable spec including parameters. *)

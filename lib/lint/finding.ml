@@ -2,7 +2,6 @@ type rule =
   | View_boundary
   | Determinism
   | Referee_totality
-  | Span_grammar
   | Bit_accounting
   | Exn_escape
   | Parallel_race
@@ -12,7 +11,7 @@ type rule =
 
 let all_rules =
   [
-    View_boundary; Determinism; Referee_totality; Span_grammar; Bit_accounting;
+    View_boundary; Determinism; Referee_totality; Bit_accounting;
     Exn_escape; Parallel_race; Blocking_call; Stale_suppression; Parse_error;
   ]
 
@@ -20,7 +19,6 @@ let rule_name = function
   | View_boundary -> "view-boundary"
   | Determinism -> "determinism"
   | Referee_totality -> "referee-totality"
-  | Span_grammar -> "span-grammar"
   | Bit_accounting -> "bit-accounting"
   | Exn_escape -> "exn-escape"
   | Parallel_race -> "parallel-race"

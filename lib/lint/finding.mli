@@ -8,7 +8,7 @@
 
 type rule =
   | View_boundary
-      (** Definition 1: locals read a {!Core.View.t} and nothing else;
+      (** Definition 1: locals read a [View.t] and nothing else;
           [View.make] only in the engine/reduction modules of
           {!Lint.Policy.view_builders}. *)
   | Determinism
@@ -19,10 +19,6 @@ type rule =
       (** hardened referees must be total: no [failwith], [assert false]
           or partial stdlib ([List.hd], [List.nth], [Option.get],
           [Array.unsafe_get]) without a justified suppression. *)
-  | Span_grammar
-      (** span-label literals must classify cleanly under
-          {!Core.Bound_audit.classify_label} — a near-miss spelling
-          silently escapes the theorem audit. *)
   | Bit_accounting
       (** message bytes are constructed via [Message] / [lib/bits] only;
           raw [Bytes] / [Buffer] use is confined to the sanctioned byte

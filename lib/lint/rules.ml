@@ -131,77 +131,6 @@ let check_ident st loc lid =
             bit is accounted against the theorem budgets"
            m f)
 
-(* ---------- span-grammar ---------- *)
-
-(* Instantiates a format literal with placeholder arguments ("%d" -> 1,
-   "%s" -> "", ...) so sprintf-built labels can be classified too.
-   [None] when the format uses a conversion we do not model. *)
-let instantiate_format fmt =
-  let n = String.length fmt in
-  let b = Buffer.create n in
-  let exception Unmodelled in
-  let rec go i =
-    if i >= n then Some (Buffer.contents b)
-    else if fmt.[i] <> '%' then begin
-      Buffer.add_char b fmt.[i];
-      go (i + 1)
-    end
-    else begin
-      let j = ref (i + 1) in
-      while
-        !j < n && (match fmt.[!j] with '-' | '+' | ' ' | '#' | '0' .. '9' | '.' -> true | _ -> false)
-      do
-        incr j
-      done;
-      if !j >= n then None
-      else begin
-        (match fmt.[!j] with
-        | 'd' | 'i' | 'u' | 'x' | 'X' | 'o' -> Buffer.add_char b '1'
-        | 's' -> ()
-        | 'b' | 'B' -> Buffer.add_string b "true"
-        | 'c' -> Buffer.add_char b 'c'
-        | 'e' | 'f' | 'g' | 'F' -> Buffer.add_string b "1.0"
-        | '%' -> Buffer.add_char b '%'
-        | _ -> raise Unmodelled);
-        go (!j + 1)
-      end
-    end
-  in
-  try go 0 with Unmodelled -> None
-
-let check_label_string st loc ~display label =
-  match Core.Bound_audit.classify_label label with
-  | Core.Bound_audit.Budgeted _ | Core.Bound_audit.Exempt -> ()
-  | Core.Bound_audit.Malformed reason ->
-    emit st Finding.Span_grammar loc
-      (Printf.sprintf
-         "span label %S does not parse under Bound_audit's grammar (%s) and would silently \
-          escape the theorem audit"
-         display reason)
-
-(* A label-position expression: a literal, or sprintf applied to a
-   literal format.  Anything else (runtime concatenation) is out of
-   reach for a static pass and skipped. *)
-let check_label_expr st e =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_string (s, _, _)) ->
-    check_label_string st e.pexp_loc ~display:s s
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, (Asttypes.Nolabel, fmt) :: _)
-    when match last_two (flatten txt) with Some (_, "sprintf") -> true | _ -> false -> (
-    match fmt.pexp_desc with
-    | Pexp_constant (Pconst_string (s, _, _)) -> (
-      match instantiate_format s with
-      | Some inst -> check_label_string st fmt.pexp_loc ~display:s inst
-      | None -> ())
-    | _ -> ())
-  | _ -> ()
-
-let is_rename e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> (
-    match last_two (flatten txt) with Some ("Protocol", "rename") -> true | _ -> false)
-  | _ -> false
-
 (* ---------- the walk ---------- *)
 
 let last_component lid = match List.rev (flatten lid) with c :: _ -> Some c | [] -> None
@@ -223,14 +152,6 @@ let check ~file ast =
         ("assert false: referees must be total — make the case impossible by construction or \
           justify with "
         ^ allow_hint "referee-totality")
-    | Pexp_apply (f, (Asttypes.Nolabel, arg) :: _) when is_rename f -> check_label_expr st arg
-    | Pexp_record (fields, _) ->
-      List.iter
-        (fun ({ Location.txt; _ }, value) ->
-          match last_component txt with
-          | Some ("name" | "label") -> check_label_expr st value
-          | _ -> ())
-        fields
     | _ -> ());
     match e.pexp_desc with
     | Pexp_record (fields, base) ->
@@ -253,9 +174,6 @@ let check ~file ast =
     | Ppat_var { txt = "local" | "send" | "receive"; _ } ->
       it.pat it vb.pvb_pat;
       in_local_scope (fun () -> it.expr it vb.pvb_expr)
-    | Ppat_var { txt = "name" | "label"; _ } ->
-      check_label_expr st vb.pvb_expr;
-      iter.value_binding it vb
     | _ -> iter.value_binding it vb
   in
   let it = { iter with expr; value_binding } in

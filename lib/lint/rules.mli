@@ -1,4 +1,4 @@
-(** The five invariant rules, as one pass over a parsed implementation.
+(** The four invariant rules, as one pass over a parsed implementation.
 
     Rules work purely on the Parsetree — no typing environment — so
     module paths are matched syntactically ([View.make],

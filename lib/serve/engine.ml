@@ -46,6 +46,7 @@ type session = {
   s_conn : conn_id;
   s_trace : int64;
   s_label : string;
+  s_budget : Bound_audit.budget option;
   s_n : int;
   mutable state : sess_state;
   mutable pending : (int * Message.t) list; (* reversed arrival order *)
@@ -479,6 +480,7 @@ let handle_open t conn ~open_id ~protocol ~n ~trace:req_trace =
             s_conn = conn.cid;
             s_trace;
             s_label = p.Protocol.name;
+            s_budget = p.Protocol.budget;
             s_n = n;
             state = Sess { feed = Protocol.start p.Protocol.referee ~n; render };
             pending = [];
@@ -704,9 +706,8 @@ let emit_session_trace t s =
     (* the whole span is emitted contiguously from the engine thread at
        verdict time, so concurrent sessions never interleave events and
        Trace.balanced_spans holds for any serve trace.  The span label
-       carries the session trace id outermost ([Bound_audit] peels it
-       budget-transparently) and session-aware sinks also get it as a
-       leading "session_id" JSON field. *)
+       shows the session trace id outermost and session-aware sinks
+       also get it as a leading "session_id" JSON field. *)
     let label =
       if Int64.equal s.s_trace 0L then s.s_label
       else Printf.sprintf "%s[trace=%s]" s.s_label (Flight.hex_of_trace s.s_trace)
@@ -726,6 +727,7 @@ let emit_session_trace t s =
            n = s.s_n;
            max_bits = s.max_bits;
            total_bits = s.total_bits;
+           budget = s.s_budget;
          });
     emit (Trace.Span_end { label; n = s.s_n })
   end
@@ -765,6 +767,7 @@ let finish_session t s (cause : finish_cause) out =
              n = s.s_n;
              max_bits = s.max_bits;
              total_bits = s.total_bits;
+             budget = s.s_budget;
            });
       let status =
         match f.f_status with

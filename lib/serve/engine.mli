@@ -54,8 +54,8 @@ type t
     each [Hello] mints a fresh 64-bit id (returned in [Welcome]) that
     tags every span, absorb, credit stall and quarantine the
     connection's sessions produce — in jsonl traces (as a leading
-    ["session_id"] field and a ["[trace=<16hex>]"] label decoration,
-    both budget-transparent to {!Core.Bound_audit}), in [Verdict] /
+    ["session_id"] field and a ["[trace=<16hex>]"] label decoration;
+    done events carry the protocol's own budget), in [Verdict] /
     [Rejected] reply frames, and in the optional {!Core.Flight}
     recorder.  [flight] receives a real-time record of opens, absorbs
     and dispositions, so a session interrupted by a crash leaves

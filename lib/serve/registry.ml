@@ -76,6 +76,7 @@ let count_protocol : (int * int) Verdict.t Protocol.t =
               Verdict.Inconclusive
                 ("channel faults detected: " ^ Verdict.report_summary report))
         referee;
+    budget = None;
   }
 
 let render_count (nodes, degsum) =

@@ -2,7 +2,7 @@
    reconstruction (ported from the retired Multi_round module, same
    outputs), deterministic O(1)-round connectivity against oracles up to
    n = 10^5, budget enforcement, cross-backend/chunk/width transcript
-   equality, fault degradation, and the [round=] audit grammar. *)
+   equality, fault degradation, and the per-round budget audit. *)
 
 open Refnet_bits
 open Refnet_graph
@@ -239,6 +239,7 @@ let chatty () : unit Core.Bcc.t =
           r_broadcast = (fun ~n:_ ~round:_ () -> ((), Core.Message.empty));
           r_finish = (fun ~n:_ () -> ());
         };
+    audit = None;
   }
 
 (* A referee that breaks the cap with its own broadcast (id 0). *)
@@ -261,6 +262,7 @@ let shouty () : unit Core.Bcc.t =
               ((), Core.Message.of_writer w));
           r_finish = (fun ~n:_ () -> ());
         };
+    audit = None;
   }
 
 let test_budget_violation () =
@@ -296,6 +298,7 @@ let quiet_with budget : unit Core.Bcc.t =
           r_broadcast = (fun ~n:_ ~round:_ () -> ((), Core.Message.empty));
           r_finish = (fun ~n:_ () -> ());
         };
+    audit = None;
   }
 
 let contains_sub s sub =
@@ -468,19 +471,21 @@ let test_trace_round_spans () =
        (List.filter (function Core.Trace.Referee_broadcast _ -> true | _ -> false) events))
 
 let test_round_label_audit () =
-  (* The [round=] decoration peels like [src=]: per-round spans audit
-     under the protocol's per-round budget. *)
-  (match Core.Bound_audit.classify_label "bcc-connectivity-2[round=1]" with
-  | Core.Bound_audit.Budgeted { Core.Bound_audit.b_shape = Core.Bound_audit.K_log_n 2; _ } -> ()
-  | _ -> Alcotest.fail "expected a K_log_n 2 budget");
-  let obs ~bits = [ { Core.Bound_audit.o_n = 512; o_max_bits = bits } ] in
+  (* Each round's done event carries the protocol's per-round budget,
+     c = 1 at bandwidth 2: a round at the cap passes, one bit over fails. *)
+  let budget = (Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:2 ()).audit in
   let fit = 2 * Core.Bounds.id_bits 512 in
-  (match Core.Bound_audit.audit_label "bcc-connectivity-2[round=3][src=implicit:cycle]" (obs ~bits:fit) with
-  | Some v -> Alcotest.(check bool) "at the cap passes" true v.Core.Bound_audit.v_passed
-  | None -> Alcotest.fail "expected a budget");
-  match Core.Bound_audit.audit_label "bcc-connectivity-2[round=3]" (obs ~bits:(fit + 1)) with
-  | Some v -> Alcotest.(check bool) "over the cap fails" false v.Core.Bound_audit.v_passed
-  | None -> Alcotest.fail "expected a budget"
+  let passed bits =
+    let r = Core.Report.create () in
+    Core.Report.ingest_event r
+      (Core.Trace.Referee_done
+         { label = "bcc-connectivity-2[round=3]"; n = 512; max_bits = bits; total_bits = bits; budget });
+    match Core.Report.verdicts r with
+    | [ v ] -> v.Core.Bound_audit.v_passed
+    | _ -> Alcotest.fail "expected one audited round"
+  in
+  Alcotest.(check bool) "at the cap passes" true (passed fit);
+  Alcotest.(check bool) "over the cap fails" false (passed (fit + 1))
 
 let test_report_roundtrip () =
   (* A live BCC run rendered through the report's own line parser: every

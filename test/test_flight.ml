@@ -19,7 +19,7 @@ let ev_begin label n = Core.Trace.Span_begin { label; n }
 let ev_absorb id bits = Core.Trace.Referee_absorb { id; bits }
 
 let ev_done label n =
-  Core.Trace.Referee_done { label; n; max_bits = 7; total_bits = 7 * n }
+  Core.Trace.Referee_done { label; n; max_bits = 7; total_bits = 7 * n; budget = None }
 
 (* ---------- ring discipline ---------- *)
 
@@ -222,20 +222,28 @@ let test_open_traces_semantics () =
 
 (* ---------- label decoration vs the bound audit ---------- *)
 
+(* The serve layer's [trace=] tag is display only: record 7 carries the
+   typed budget, so a tagged run decoded from a dump audits exactly like
+   its bare twin. *)
 let test_trace_decoration_is_budget_transparent () =
+  let budget = (Core.Degeneracy_protocol.reconstruct ~k:3 ()).budget in
+  let audit label =
+    let f = Core.Flight.create () in
+    Core.Flight.record f ~trace:0xc0ffeeL (ev_begin label 64);
+    Core.Flight.record f ~trace:0xc0ffeeL
+      (Core.Trace.Referee_done { label; n = 64; max_bits = 300; total_bits = 9000; budget });
+    Core.Flight.record f ~trace:0xc0ffeeL (Core.Trace.Span_end { label; n = 64 });
+    let d = Core.Flight.decode (Core.Flight.dump f) in
+    Alcotest.(check int) "no findings" 0 (List.length d.Core.Flight.d_findings);
+    let r = Core.Report.create () in
+    List.iter (fun i -> Option.iter (Core.Report.ingest_line r) i.Core.Flight.i_line) d.d_items;
+    match Core.Report.verdicts r with
+    | [ v ] -> Core.Bound_audit.verdict_json { v with v_label = "" }
+    | vs -> Alcotest.failf "%s: expected one audited label, got %d" label (List.length vs)
+  in
   let bare = "degeneracy-3-reconstruct" in
-  let tagged = bare ^ "[trace=00c0ffee600dcafe]" in
-  (match (Core.Bound_audit.budget_of_label bare, Core.Bound_audit.budget_of_label tagged) with
-  | Some a, Some b ->
-    Alcotest.(check bool) "same budget through the tag" true (a = b)
-  | _ -> Alcotest.fail "both spellings must carry the theorem budget");
-  (match Core.Bound_audit.classify_label tagged with
-  | Core.Bound_audit.Budgeted _ -> ()
-  | _ -> Alcotest.fail "tagged label must classify Budgeted");
-  (* a malformed tag is a near-miss, not silently exempt *)
-  match Core.Bound_audit.classify_label (bare ^ "[trace=XYZ]") with
-  | Core.Bound_audit.Malformed _ -> ()
-  | _ -> Alcotest.fail "bad trace tag must be flagged Malformed"
+  Alcotest.(check string) "same audit through the tag" (audit bare)
+    (audit (bare ^ "[trace=00c0ffee600dcafe]"))
 
 (* ---------- engine integration: anomalies leave evidence ---------- *)
 

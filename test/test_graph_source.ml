@@ -293,47 +293,43 @@ let test_coalition_run_source_equivalence () =
 
 (* ---------- [src=] decorations under the bound audit ---------- *)
 
+(* The backend tag is display only: a source run's done events carry
+   the protocol's own budget, so the decorated label audits under
+   exactly the bare run's theorem, on every backend. *)
 let test_src_label_audit () =
-  let budgeted l =
-    match Core.Bound_audit.classify_label l with
-    | Core.Bound_audit.Budgeted b -> Some b
-    | _ -> None
+  let imp = Implicit.parse "regular:20:4:9" in
+  let g, sources = sources_of imp in
+  let audit_of run =
+    let r = Core.Report.create () in
+    run (Core.Report.sink r);
+    match Core.Report.verdicts r with
+    | [ v ] -> v
+    | vs -> Alcotest.failf "expected one audited label, got %d" (List.length vs)
   in
-  (* The decoration is budget-transparent: the decorated label carries
-     exactly the bare label's budget. *)
+  let same_audit what src (bare : Core.Bound_audit.verdict) (v : Core.Bound_audit.verdict) =
+    Alcotest.(check string)
+      (what ^ ": label")
+      (Printf.sprintf "%s[src=%s]" bare.v_label (Graph_source.backend src))
+      v.v_label;
+    Alcotest.(check string)
+      (what ^ ": same verdict")
+      (Core.Bound_audit.verdict_json { bare with v_label = v.v_label })
+      (Core.Bound_audit.verdict_json v)
+  in
+  let p = Core.Bounded_degree.reconstruct ~max_degree:4 in
+  let bare = audit_of (fun trace -> ignore (Core.Simulator.run ~trace p g)) in
+  let parts = Core.Coalition.partition_by_ranges ~n:(Graph.order g) ~parts:4 in
+  let coalition = Core.Connectivity_parts.decide in
+  let bare_coalition =
+    audit_of (fun trace -> ignore (Core.Coalition.run ~trace coalition g ~parts))
+  in
   List.iter
-    (fun (bare, decorated) ->
-      match (budgeted bare, budgeted decorated) with
-      | Some b, Some b' ->
-        Alcotest.(check bool) (decorated ^ ": same budget") true (b = b')
-      | _ -> Alcotest.failf "%s / %s: expected both budgeted" bare decorated)
-    [
-      ("forest-recognize", "forest-recognize[src=csr]");
-      ("forest-reconstruct", "forest-reconstruct[src=implicit:path]");
-      ("coalition-connectivity[parts=4]", "coalition-connectivity[parts=4][src=materialized]");
-      ("degeneracy-3-reconstruct", "degeneracy-3-reconstruct[src=implicit:degenerate]");
-    ];
-  (* Exempt stems stay exempt under decoration; the lint's sprintf
-     instantiation "%s[src=%s]" -> "[src=]" must classify, not trip. *)
-  List.iter
-    (fun l ->
-      match Core.Bound_audit.classify_label l with
-      | Core.Bound_audit.Exempt -> ()
-      | Core.Bound_audit.Budgeted _ -> Alcotest.failf "%s: expected Exempt, got Budgeted" l
-      | Core.Bound_audit.Malformed r -> Alcotest.failf "%s: expected Exempt, got Malformed %s" l r)
-    [ "[src=]"; "square-oracle[src=csr]"; "forest-reconstruct+sealed[src=implicit:path]" ];
-  (* Near-miss decorations must be caught, not silently skipped. *)
-  List.iter
-    (fun l ->
-      match Core.Bound_audit.classify_label l with
-      | Core.Bound_audit.Malformed _ -> ()
-      | _ -> Alcotest.failf "%s: expected Malformed" l)
-    [
-      "forest-recognize[src=csr]x";
-      "forest-recognize[src=CSR]";
-      "forest-recognize[src=csr][parts=4]";
-      "forest-recognize[src=a b]";
-    ]
+    (fun (bname, src) ->
+      same_audit bname src bare
+        (audit_of (fun trace -> ignore (Core.Simulator.run_source ~trace p src)));
+      same_audit (bname ^ " coalition") src bare_coalition
+        (audit_of (fun trace -> ignore (Core.Coalition.run_source ~trace coalition src ~parts))))
+    sources
 
 let () =
   Alcotest.run "graph_source"

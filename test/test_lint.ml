@@ -310,66 +310,6 @@ let baseline_malformed_is_an_error () =
       | Ok _ -> Alcotest.failf "expected Error on %s" doc)
     [ {|{"findings": 3}|}; {|[1, 2|}; {|{"version": 2}|}; "" ]
 
-(* ---------- label grammar round-trip ---------- *)
-
-let classify label = Core.Bound_audit.classify_label label
-
-let label_grammar () =
-  let budgeted l =
-    match classify l with
-    | Core.Bound_audit.Budgeted _ -> ()
-    | _ -> Alcotest.failf "%S should be budgeted" l
-  in
-  let exempt l =
-    match classify l with
-    | Core.Bound_audit.Exempt -> ()
-    | _ -> Alcotest.failf "%S should be exempt" l
-  in
-  let malformed l =
-    match classify l with
-    | Core.Bound_audit.Malformed _ -> ()
-    | _ -> Alcotest.failf "%S should be malformed" l
-  in
-  List.iter budgeted
-    [
-      "forest-reconstruct";
-      "degeneracy-3-reconstruct";
-      "degeneracy-2-reconstruct-compact";
-      "generalized-degeneracy-4-reconstruct";
-      "bounded-degree-5";
-      "coalition-connectivity[parts=2]";
-      "sketch-connectivity(seed=7)";
-      "full-information";
-      "bcc-connectivity-4";
-      "bcc-connectivity-4[round=2]";
-      "bcc-connectivity-4[round=3][src=implicit:cycle]";
-      "forest-reconstruct[round=1]";
-    ];
-  List.iter exempt
-    [
-      "my-experimental-protocol";
-      "forest-reconstruct+hardened";
-      "bounded-degree-3+sealed";
-      "coalition-connectivity";
-      "bcc-adaptive-degeneracy";
-      "bcc-connectivity-2+hardened[round=2]";
-    ];
-  List.iter malformed
-    [
-      "";
-      "degeneracy-reconstruct";
-      "bounded-degree-";
-      "forest-rebuild";
-      "coalition-connectivity[parts=0]";
-      "forest-reconstruct[parts=2]";
-      "degeneracy-3-reconstruct+glittered";
-      "bcc-connectivity-";
-      "bcc-frontier";
-      "[round=0]";
-      "bcc-connectivity-4[round=0]";
-      "bcc-connectivity-4[src=csr][round=2]";
-    ]
-
 let () =
   Alcotest.run "lint"
     [
@@ -383,8 +323,6 @@ let () =
           Alcotest.test_case "bad referee-totality" `Quick
             (bad "bad_referee_totality.ml" "referee-totality" 3);
           Alcotest.test_case "good referee-totality" `Quick (good "good_referee_totality.ml");
-          Alcotest.test_case "bad span-grammar" `Quick (bad "bad_span_grammar.ml" "span-grammar" 3);
-          Alcotest.test_case "good span-grammar" `Quick (good "good_span_grammar.ml");
           Alcotest.test_case "bad bit-accounting" `Quick
             (bad "bad_bit_accounting.ml" "bit-accounting" 2);
           Alcotest.test_case "good bit-accounting" `Quick (good "good_bit_accounting.ml");
@@ -439,5 +377,4 @@ let () =
           Alcotest.test_case "unreadable is an error" `Quick baseline_unreadable_is_an_error;
           Alcotest.test_case "malformed is an error" `Quick baseline_malformed_is_an_error;
         ] );
-      ("labels", [ Alcotest.test_case "classify_label" `Quick label_grammar ]);
     ]

@@ -286,32 +286,151 @@ let test_report_rejects_garbage () =
   in
   bad "not json";
   bad "{\"event\":\"span_begin\",\"label\":\"x\",\"n\":3} trailing";
-  bad "{\"event\":\"mystery\",\"n\":1}"
+  bad "{\"event\":\"mystery\",\"n\":1}";
+  (* A done line from before budgets were typed is refused by name, not
+     silently left unaudited. *)
+  (match
+     Core.Report.ingest_line r
+       {|{"event":"done","label":"forest-reconstruct","n":8,"max_bits":16,"total_bits":128}|}
+   with
+  | () -> Alcotest.fail "accepted a done line without a budget"
+  | exception Failure msg ->
+    let sub = "pre-typed-budget" in
+    let k = String.length sub in
+    let rec has i = i + k <= String.length msg && (String.sub msg i k = sub || has (i + 1)) in
+    Alcotest.(check bool) ("names the old schema: " ^ msg) true (has 0));
+  (* One label, two budgets: the audit would have no single theorem. *)
+  let forest = {|{"shape":"log_n","k":0,"c_max":4,"n_min":1}|} in
+  let line budget =
+    Printf.sprintf {|{"event":"done","label":"twice","n":8,"max_bits":16,"total_bits":128,"budget":%s}|}
+      budget
+  in
+  Core.Report.ingest_line r (line forest);
+  Core.Report.ingest_line r (line forest);
+  bad (line "null");
+  bad (line {|{"shape":"log_n","k":0,"c_max":5,"n_min":1}|});
+  bad (line {|{"shape":"log_m","k":0,"c_max":4,"n_min":1}|})
 
 (* ---------- bound audits ---------- *)
 
-let test_budget_of_label () =
-  let shape label =
-    match Core.Bound_audit.budget_of_label label with
-    | Some b -> Some b.Core.Bound_audit.b_shape
-    | None -> None
+module B = Core.Bound_audit
+
+let budget shape c_max n_min = Some { B.b_shape = shape; c_max; n_min }
+
+let budgets_of_done events =
+  List.filter_map (function Core.Trace.Referee_done { budget; _ } -> Some budget | _ -> None) events
+
+(* One table, three checks: every flagship constructor declares its
+   theorem budget; every hardened, sealed or renamed wrapper (and every
+   serve registry entry) declares none; and every engine entry point —
+   backend-tagged, per-round, serve-traced — carries the declared budget
+   on each of its done events. *)
+let test_typed_budgets () =
+  let budget_t =
+    Alcotest.testable
+      (fun fmt (b : B.budget) ->
+        Format.fprintf fmt "%a c_max=%g n_min=%d" B.pp_shape b.b_shape b.c_max b.n_min)
+      ( = )
   in
-  Alcotest.(check bool) "forest" true (shape "forest-reconstruct" = Some Core.Bound_audit.Log_n);
-  Alcotest.(check bool) "degeneracy k=3" true
-    (shape "degeneracy-3-reconstruct" = Some (Core.Bound_audit.K2_log_n 3));
-  Alcotest.(check bool) "bounded degree 4" true
-    (shape "bounded-degree-4" = Some (Core.Bound_audit.K_log_n 4));
-  Alcotest.(check bool) "coalition parts=4" true
-    (shape "coalition-connectivity[parts=4]" = Some (Core.Bound_audit.K_log_n 4));
-  Alcotest.(check bool) "sketch" true
-    (shape "sketch-connectivity(seed=7)" = Some Core.Bound_audit.Log_sq);
-  Alcotest.(check bool) "full information" true
-    (shape "full-information" = Some Core.Bound_audit.Linear);
-  Alcotest.(check bool) "hardened variants excluded" true
-    (shape "forest-recognize+hardened" = None);
-  Alcotest.(check bool) "sealed variants excluded" true
-    (shape "forest-reconstruct+sealed" = None);
-  Alcotest.(check bool) "unknown labels excluded" true (shape "delta-square" = None)
+  let check_budget what expected actual =
+    Alcotest.(check (option budget_t)) what expected actual
+  in
+  let g = Generators.grid 4 4 and degen = Core.Degeneracy_protocol.Compact in
+  let one_round =
+    [
+      ("forest-reconstruct", Core.Forest_protocol.reconstruct.budget, budget B.Log_n 4.0 1);
+      ("forest-recognize", Core.Forest_protocol.recognize.budget, budget B.Log_n 4.0 1);
+      ( "degeneracy k fixed",
+        (Core.Degeneracy_protocol.reconstruct ~k:3 ()).budget,
+        budget (B.K2_log_n 3) 4.0 1 );
+      ( "degeneracy k compact",
+        (Core.Degeneracy_protocol.reconstruct ~layout:degen ~k:3 ()).budget,
+        budget (B.K2_log_n 3) 9.0 1 );
+      ( "generalized",
+        (Core.Generalized_degeneracy.reconstruct ~k:2 ()).budget,
+        budget (B.K2_log_n 2) 6.0 1 );
+      ( "bounded-degree",
+        (Core.Bounded_degree.reconstruct ~max_degree:4).budget,
+        budget (B.K_log_n 4) 2.0 1 );
+      ("sketch", (Core.Sketch_connectivity.protocol ~seed:7 ()).budget, budget B.Log_sq 256.0 8);
+      ("full-information", Core.Bounded_degree.full_information.budget, budget B.Linear 1.0 1);
+      ( "map_output keeps it",
+        (Core.Protocol.map_output Option.is_some Core.Forest_protocol.reconstruct).budget,
+        budget B.Log_n 4.0 1 );
+      ( "coalition, 4 parts",
+        Core.Connectivity_parts.decide.budget ~parts:4,
+        budget (B.K_log_n 4) 6.0 4 );
+      ( "bcc-connectivity c=2",
+        (Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:2 ()).audit,
+        budget (B.K_log_n 2) 1.0 1 );
+      ( "of_one_round carries it",
+        (Core.Bcc.of_one_round Core.Forest_protocol.recognize).audit,
+        budget B.Log_n 4.0 1 );
+    ]
+  in
+  List.iter (fun (what, actual, expected) -> check_budget what expected actual) one_round;
+  let exempt =
+    [
+      ("harden", (Core.Protocol.harden Core.Forest_protocol.reconstruct).budget);
+      ("forest sealed", Core.Forest_protocol.hardened.budget);
+      ("degeneracy sealed", (Core.Degeneracy_protocol.hardened ~k:3 ()).budget);
+      ("bounded sealed", (Core.Bounded_degree.hardened ~max_degree:4).budget);
+      ("sketch sealed", (Core.Sketch_connectivity.hardened ~seed:7 ()).budget);
+      ("coalition sealed", Core.Connectivity_parts.hardened.budget ~parts:4);
+      ("bcc harden", (Core.Bcc.harden (Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:2 ())).audit);
+      ("bcc adaptive", (Core.Bcc.Adaptive_degeneracy.protocol ()).audit);
+      ("square-oracle", Core.Reduction.square_oracle.budget);
+      ("renamed decider", (Core.Recognition.degeneracy_at_most 3).budget);
+      ("generalized decider", (Core.Generalized_degeneracy.recognize 2).budget);
+      ("truncated", (Core.Fooling.truncate ~budget:1 Core.Forest_protocol.reconstruct).budget);
+    ]
+    @ List.map
+        (fun spec ->
+          match Serve.Registry.lookup ~spec ~n:8 with
+          | Ok (Serve.Registry.Entry { protocol; _ }) -> ("registry " ^ spec, protocol.budget)
+          | Error e -> Alcotest.failf "registry %s: %s" spec e)
+        [ "count"; "forest"; "degeneracy:2"; "bounded:3"; "sketch:7" ]
+  in
+  List.iter (fun (what, actual) -> check_budget what None actual) exempt;
+  (* Every done event of a run carries the protocol's own budget. *)
+  let all_carry what expected events =
+    let budgets = budgets_of_done events in
+    Alcotest.(check bool) (what ^ ": emits done events") true (budgets <> []);
+    List.iter (check_budget what expected) budgets
+  in
+  let traced run =
+    let sink, drain = Core.Trace.memory () in
+    run sink;
+    drain ()
+  in
+  let csr = Graph_source.of_csr (Csr.of_graph g) in
+  let p = Core.Degeneracy_protocol.reconstruct ~k:3 () in
+  all_carry "run_source" p.budget (traced (fun trace -> ignore (Core.Simulator.run_source ~trace p csr)));
+  all_carry "run_source chunked" p.budget
+    (traced (fun trace -> ignore (Core.Simulator.run_source ~chunk:5 ~trace p csr)));
+  all_carry "run_faulty_source" p.budget
+    (traced (fun trace -> ignore (Core.Simulator.run_faulty_source ~trace p csr)));
+  all_carry "run_async_source" p.budget
+    (traced (fun trace -> ignore (Core.Simulator.run_async_source ~trace p csr)));
+  let parts = Core.Coalition.partition_by_ranges ~n:16 ~parts:4 in
+  all_carry "coalition run_source"
+    (Core.Connectivity_parts.decide.budget ~parts:4)
+    (traced (fun trace ->
+         ignore (Core.Coalition.run_source ~trace Core.Connectivity_parts.decide csr ~parts)));
+  let bcc = Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:2 () in
+  all_carry "bcc per round" bcc.audit
+    (traced (fun trace -> ignore (Core.Bcc.run_source ~trace bcc csr)));
+  all_carry "of_one_round per round" Core.Forest_protocol.recognize.budget
+    (traced (fun trace ->
+         ignore (Core.Bcc.run ~trace (Core.Bcc.of_one_round Core.Forest_protocol.recognize) g)));
+  List.iter
+    (fun spec ->
+      all_carry ("serve-traced " ^ spec) None
+        (traced (fun trace ->
+             ignore
+               (Serve.Selftest.run ~trace
+                  { Serve.Selftest.default_cfg with sessions = 2; conns = 1; protocol = spec }))))
+    [ "count"; "forest"; "sketch:7" ]
 
 let test_shape_units () =
   let w n = Core.Bounds.id_bits n in
@@ -345,6 +464,40 @@ let test_audit_pass_and_fail () =
   let v = Core.Bound_audit.audit ~label:"x" budget [ obs 4 1000 ] in
   Alcotest.(check bool) "vacuous pass" true v.Core.Bound_audit.v_passed;
   Alcotest.(check int) "vacuous worst n" 0 v.Core.Bound_audit.v_worst_n
+
+(* The CI traced sweep ([refnet sweep --sizes 32,64,128 --seed 7], the
+   materialized branch with its default k = 3 and 4 parts), replayed in
+   process through the report.  The rows are the audit table captured
+   before budgets were typed, when the report still parsed them out of
+   span labels: typed budgets must audit exactly the same table. *)
+let test_golden_audit_table () =
+  let seed = 7 and k = 3 in
+  let r = Core.Report.create () in
+  let trace = Core.Report.sink r in
+  List.iter
+    (fun n ->
+      let rng = Random.State.make [| seed; n |] in
+      let run p g = ignore (Core.Simulator.run ~trace p g) in
+      run Core.Forest_protocol.reconstruct (Generators.random_tree rng n);
+      run (Core.Degeneracy_protocol.reconstruct ~k ()) (Generators.random_k_degenerate rng n ~k);
+      let side = max 2 (int_of_float (sqrt (float_of_int n))) in
+      run (Core.Bounded_degree.reconstruct ~max_degree:4) (Generators.grid side side);
+      let connected = Generators.random_connected rng n 0.15 in
+      ignore
+        (Core.Coalition.run ~trace Core.Connectivity_parts.decide connected
+           ~parts:(Core.Coalition.partition_by_ranges ~n ~parts:4));
+      run (Core.Sketch_connectivity.protocol ~seed ()) connected)
+    [ 32; 64; 128 ];
+  Alcotest.(check (list string))
+    "verdict rows"
+    [
+      {|{"c_fit":1.250000,"c_max":2,"label":"bounded-degree-4","observations":3,"passed":true,"shape":"4*log n","skipped":0,"worst_n":25}|};
+      {|{"c_fit":2.178571,"c_max":6,"label":"coalition-connectivity[parts=4]","observations":3,"passed":true,"shape":"4*log n","skipped":0,"worst_n":64}|};
+      {|{"c_fit":1.222222,"c_max":4,"label":"degeneracy-3-reconstruct","observations":3,"passed":true,"shape":"3^2*log n","skipped":0,"worst_n":32}|};
+      {|{"c_fit":4.000000,"c_max":4,"label":"forest-reconstruct","observations":3,"passed":true,"shape":"log n","skipped":0,"worst_n":32}|};
+      {|{"c_fit":217.000000,"c_max":256,"label":"sketch-connectivity(seed=7)","observations":3,"passed":true,"shape":"log^2 n","skipped":0,"worst_n":32}|};
+    ]
+    (List.map Core.Bound_audit.verdict_json (Core.Report.verdicts r))
 
 let test_report_audits_flagships () =
   (* A small sweep through the report pipeline: every flagship protocol
@@ -403,9 +556,10 @@ let () =
         ] );
       ( "bound audit",
         [
-          Alcotest.test_case "budgets from labels" `Quick test_budget_of_label;
+          Alcotest.test_case "typed budgets" `Quick test_typed_budgets;
           Alcotest.test_case "shape units" `Quick test_shape_units;
           Alcotest.test_case "pass and fail" `Quick test_audit_pass_and_fail;
           Alcotest.test_case "flagship sweep passes" `Quick test_report_audits_flagships;
+          Alcotest.test_case "golden audit table" `Quick test_golden_audit_table;
         ] );
     ]

@@ -52,6 +52,7 @@ let degree_sum_protocol : int Core.Protocol.t =
         ~absorb:(fun ~n acc ~id:_ m ->
           acc + Codes.read_fixed (Core.Message.reader m) ~width:(Core.Bounds.id_bits n))
         ~finish:(fun ~n:_ acc -> acc);
+    budget = None;
   }
 
 let test_simulator_run () =
@@ -128,6 +129,7 @@ let coalition_edge_count : int Core.Coalition.t =
           if Core.Message.bits m = 0 then acc
           else acc + Codes.read_fixed (Core.Message.reader m) ~width:(2 * Core.Bounds.id_bits n))
         ~finish:(fun ~n:_ acc -> acc);
+    budget = (fun ~parts:_ -> None);
   }
 
 let test_coalition_run () =
@@ -204,6 +206,7 @@ let prop_simulator_provides_sorted_neighbors =
               if List.sort_uniq compare neighbors <> neighbors then sorted_seen := false;
               Core.Message.empty);
           referee = Core.Protocol.batch (fun ~n:_ _ -> ());
+          budget = None;
         }
       in
       let () = fst (Core.Simulator.run probe g) in
