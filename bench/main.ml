@@ -730,7 +730,7 @@ let scaling_degeneracy () =
         let msgs = Core.Simulator.local_phase ~domains:d p g in
         if not (Array.for_all2 Core.Message.equal reference msgs) then identical := false;
         let out, t = Core.Simulator.run ~domains:d p g in
-        if out <> Some g || t.Core.Simulator.message_bits <> (Core.Simulator.transcript_of_messages reference).Core.Simulator.message_bits
+        if out <> Some g || t.Core.Simulator.message_bits <> Array.map Core.Message.bits reference
         then identical := false;
         let dt = time_best ~reps:3 (fun () -> Core.Simulator.run ~domains:d p g) in
         Printf.printf "  domains=%d  %8.1f ms\n%!" d (1000.0 *. dt);
@@ -921,17 +921,8 @@ let feed_time referee ~n msgs =
       Core.Protocol.finish !feed)
 
 let coalition_inbox (p : 'a Core.Coalition.t) g ~parts =
-  let n = Graph.order g in
-  let parts = Core.Coalition.partition_by_ranges ~n ~parts in
-  let inbox = Array.make n Core.Message.empty in
-  List.iter
-    (fun members ->
-      let view =
-        { Core.Coalition.members; neighborhoods = List.map (fun v -> (v, Graph.neighbors g v)) members }
-      in
-      List.iter (fun (id, m) -> inbox.(id - 1) <- m) (p.Core.Coalition.local ~n view))
-    parts;
-  inbox
+  Core.Coalition.collect p (Graph_source.of_graph g)
+    ~parts:(Core.Coalition.partition_by_ranges ~n:(Graph.order g) ~parts)
 
 let faults_overhead () =
   Printf.printf "\nF1: hardened-vs-plain referee absorb cost (clean channel, best of 5)\n";
@@ -948,7 +939,8 @@ let faults_overhead () =
   let hardened = Core.Forest_protocol.hardened in
   let plain_msgs = Core.Simulator.local_phase plain g in
   let hard_msgs = Core.Simulator.local_phase hardened g in
-  (match fst (Core.Simulator.run_faulty hardened g) with
+  let clean = Core.Simulator.Faulty Core.Faults.empty in
+  (match fst (Core.Simulator.run ~delivery:clean hardened g) with
   | Core.Verdict.Decided (Some h) when Graph.equal g h -> ()
   | _ -> failwith "F1: hardened forest referee not Decided on a clean channel");
   let forest =
@@ -963,7 +955,7 @@ let faults_overhead () =
   let chard_inbox = coalition_inbox chard g ~parts:4 in
   (match
      fst
-       (Core.Coalition.run_faulty chard g
+       (Core.Coalition.run ~delivery:clean chard g
           ~parts:(Core.Coalition.partition_by_ranges ~n ~parts:4))
    with
   | Core.Verdict.Decided true -> ()
@@ -983,7 +975,9 @@ let faults_degradation () =
   List.map
     (fun rate ->
       let faults = Core.Faults.random ~seed:11 ~n ~crash:rate () in
-      let verdict, t = Core.Simulator.run_faulty ~faults Core.Forest_protocol.hardened g in
+      let verdict, t =
+        Core.Simulator.run ~delivery:(Core.Simulator.Faulty faults) Core.Forest_protocol.hardened g
+      in
       let hits = List.length t.Core.Simulator.faulted_ids in
       let outcome, determined =
         match verdict with

@@ -403,8 +403,9 @@ let faults path proto k parts seed crash truncate flip flip_bits duplicate spoof
     | Some h -> Format.fprintf fmt "graph(n=%d, m=%d)" (Graph.order h) (Graph.size h)
     | None -> Format.pp_print_string fmt "rejected"
   in
+  let delivery = Core.Simulator.Faulty plan in
   with_observability trace metrics (fun sink m ->
-      let run p = Core.Simulator.run_faulty_source ~faults:plan ~trace:sink ?metrics:m p src in
+      let run p = Core.Simulator.run_source ~delivery ~trace:sink ?metrics:m p src in
       match proto with
       | `Forest -> report pp_graph (run Core.Forest_protocol.hardened)
       | `Degeneracy -> report pp_graph (run (Core.Degeneracy_protocol.hardened ~k ()))
@@ -413,7 +414,7 @@ let faults path proto k parts seed crash truncate flip flip_bits duplicate spoof
       | `Connectivity ->
         let partition = Core.Coalition.partition_by_ranges ~n ~parts in
         report Format.pp_print_bool
-          (Core.Coalition.run_faulty_source ~faults:plan ~trace:sink ?metrics:m
+          (Core.Coalition.run_source ~delivery ~trace:sink ?metrics:m
              Core.Connectivity_parts.hardened src ~parts:partition))
 
 let faults_cmd =
@@ -537,7 +538,8 @@ let bcc path source n_default rounds bandwidth adaptive chunk crash truncate see
         let plan = Core.Faults.random ~seed ~n ~crash ~truncate () in
         Format.printf "fault plan: %a@." Core.Faults.pp plan;
         let verdict, t =
-          Core.Bcc.run_faulty_source ~faults:plan ~trace:sink ?metrics:m
+          Core.Bcc.run_source ?chunk ~delivery:(Core.Simulator.Faulty plan) ~trace:sink
+            ?metrics:m
             (Core.Bcc_connectivity.hardened ~rounds ~bandwidth ())
             src
         in

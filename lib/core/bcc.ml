@@ -13,17 +13,16 @@ let budget ~rounds ~bits_per_round =
    validate [bits_per_round n] so a nonsensical cap surfaces as
    [Invalid_argument] naming the field instead of a confusing
    [Budget_exceeded] at send time. *)
-let check_budget_fields ~entry b ~n =
+let check_budget_fields b ~n =
   if b.rounds < 1 then
     invalid_arg
-      (Printf.sprintf "%s: budget field rounds is %d, must be at least 1" entry
-         b.rounds);
+      (Printf.sprintf "Bcc.run: budget field rounds is %d, must be at least 1" b.rounds);
   let limit = b.bits_per_round n in
   if limit < 1 then
     invalid_arg
       (Printf.sprintf
-         "%s: budget field bits_per_round yields %d at n = %d, must be at least 1"
-         entry limit n);
+         "Bcc.run: budget field bits_per_round yields %d at n = %d, must be at least 1"
+         limit n);
   limit
 
 let unbounded _ = max_int
@@ -71,17 +70,6 @@ type transcript = {
   faulted_ids : int list;
 }
 
-(* The engine-side view constructor, as in {!Simulator}: one view per
-   node, backed directly by the source's neighbour slice. *)
-let view_of src ~n i =
-  let nbrs, off, len = Graph_source.neighbors_slice src (i + 1) in
-  View.of_slice ~n ~id:(i + 1) nbrs ~off ~len
-
-let maybe_time metrics name f =
-  match metrics with Some m -> Metrics.time m name f | None -> f ()
-
-let query_total (c : View.counts) = c.id_reads + c.n_reads + c.deg_reads + c.neighbor_reads
-
 (* View audits accumulate across rounds (one view lives through the
    whole run), so per-round [Node_local] events report the delta since
    the previous snapshot. *)
@@ -106,173 +94,37 @@ let decorated base ~round ~src =
 let check_budget ~round ~id ~limit bits =
   if bits > limit then raise (Budget_exceeded { round; id; bits; limit })
 
-let finish_transcript ~rounds ~limit ~per_round_max ~per_round_total ~bcast ~faulted_ids =
-  {
-    rounds;
-    bits_limit = limit;
-    per_round_max_bits = per_round_max;
-    per_round_total_bits = per_round_total;
-    broadcast_bits = bcast;
-    max_bits = Array.fold_left max 0 per_round_max;
-    total_bits = Array.fold_left ( + ) 0 per_round_total;
-    faulted_ids;
-  }
-
-let observe_run metrics ~rounds (t : transcript) =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Counter.add (Metrics.Counter.counter m "refnet_bcc_rounds_total") rounds;
-    Metrics.Counter.incr (Metrics.Counter.counter m "refnet_runs_total");
-    Metrics.Histogram.observe (Metrics.Histogram.histogram m "refnet_run_max_bits") t.max_bits;
-    Metrics.Counter.add (Metrics.Counter.counter m "refnet_run_bits_total") t.total_bits
-
-let observe_broadcast metrics bits =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Histogram.observe (Metrics.Histogram.histogram m "refnet_bcc_broadcast_bits") bits
-
-(* Shared budget-check / stats / per-node observability step, applied in
-   identifier order on the submitting domain after each parallel send
-   batch — the transcript is bit-identical at any width and chunk, and
-   the first budget violation raised is deterministic. *)
-let account ~trace ~metrics ~quiet ~round ~limit ~per_round_max ~per_round_total ~prev
-    ~(states : node_state array) ~id bits =
-  check_budget ~round ~id ~limit bits;
-  if bits > per_round_max.(round - 1) then per_round_max.(round - 1) <- bits;
-  per_round_total.(round - 1) <- per_round_total.(round - 1) + bits;
-  if not quiet then begin
-    let now = View.audit states.(id - 1).view in
-    let delta = sub_counts now prev.(id - 1) in
-    if not (Trace.is_null trace) then
-      Trace.emit trace (Trace.Node_local { id; bits; queries = delta });
-    (match metrics with
-    | Some m ->
-      Metrics.Histogram.observe (Metrics.Histogram.histogram m "refnet_message_bits") bits;
-      Metrics.Histogram.observe
-        (Metrics.Histogram.histogram m "refnet_view_queries")
-        (query_total delta)
-    | None -> ());
-    prev.(id - 1) <- now
-  end
-
 let broadcast_phase ~trace ~metrics ~round ~limit ~bcast ~(states : node_state array) p r rst =
   let st, reply =
-    maybe_time metrics "refnet_referee_phase" (fun () -> r.r_broadcast ~n:(Array.length states) ~round !rst)
+    Simulator.maybe_time metrics "refnet_referee_phase" (fun () ->
+        r.r_broadcast ~n:(Array.length states) ~round !rst)
   in
   rst := st;
   let bits = Message.bits reply in
   check_budget ~round ~id:0 ~limit bits;
   bcast.(round - 1) <- bits;
   Trace.emit trace (Trace.Referee_broadcast { round; bits });
-  observe_broadcast metrics bits;
+  Option.iter
+    (fun m ->
+      Metrics.Histogram.observe (Metrics.Histogram.histogram m "refnet_bcc_broadcast_bits") bits)
+    metrics;
   for i = 0 to Array.length states - 1 do
     states.(i) <- p.receive ~round ~broadcast:reply states.(i)
   done
 
-let run_core ?domains ?chunk ~trace ~metrics ~src (p : 'a t) source =
+let run_core ?domains ?chunk ~delivery ~trace ~metrics ~src (p : 'a t) source =
   let n = Graph_source.order source in
-  let limit = check_budget_fields ~entry:"Bcc.run" p.budget ~n in
+  let limit = check_budget_fields p.budget ~n in
   let rounds = p.budget.rounds in
   let quiet = Trace.is_null trace && metrics = None in
   let outer = decorated p.name ~round:None ~src in
   Trace.emit trace (Trace.Span_begin { label = outer; n });
   let states =
-    maybe_time metrics "refnet_local_phase" (fun () ->
-        Parallel.init ?domains ?metrics n (fun i -> p.init (view_of source ~n i)))
+    Simulator.maybe_time metrics "refnet_local_phase" (fun () ->
+        Parallel.init ?domains ?metrics n (fun i -> p.init (Simulator.view_of source ~n i)))
   in
   let prev = if quiet then [||] else Array.map (fun s -> View.audit s.view) states in
-  let per_round_max = Array.make rounds 0 in
-  let per_round_total = Array.make rounds 0 in
-  let bcast = Array.make (max 0 (rounds - 1)) 0 in
-  let ck = match chunk with Some c when c >= 1 && c < n -> c | _ -> max n 1 in
-  let out =
-    match p.referee with
-    | Referee r ->
-      let rst = ref (r.r_init ~n) in
-      for round = 1 to rounds do
-        let rl = decorated p.name ~round:(Some round) ~src in
-        Trace.emit trace (Trace.Span_begin { label = rl; n });
-        (* Blocked schedule within the round: compute [ck] messages in
-           parallel, absorb them in identifier order, release them —
-           O(ck) live messages, bit-identical transcript at every chunk
-           size (same discipline as {!Simulator.run_chunked}). *)
-        let pos = ref 0 in
-        while !pos < n do
-          let b = !pos in
-          let len = min ck (n - b) in
-          let sent =
-            maybe_time metrics "refnet_local_phase" (fun () ->
-                Parallel.init ?domains ?metrics len (fun i -> p.send ~round states.(b + i)))
-          in
-          maybe_time metrics "refnet_referee_phase" (fun () ->
-              for i = 0 to len - 1 do
-                let id = b + i + 1 in
-                let msg, s = sent.(i) in
-                states.(b + i) <- s;
-                let bits = Message.bits msg in
-                account ~trace ~metrics ~quiet ~round ~limit ~per_round_max ~per_round_total
-                  ~prev ~states ~id bits;
-                rst := r.r_absorb ~n ~round !rst ~id msg;
-                if not (Trace.is_null trace) then
-                  Trace.emit trace (Trace.Referee_absorb { id; bits })
-              done);
-          (match metrics with
-          | Some m ->
-            Metrics.Counter.add (Metrics.Counter.counter m "refnet_messages_total") len;
-            Metrics.Counter.add (Metrics.Counter.counter m "refnet_absorbs_total") len
-          | None -> ());
-          pos := b + len
-        done;
-        if round < rounds then
-          broadcast_phase ~trace ~metrics ~round ~limit ~bcast ~states p r rst;
-        Trace.emit trace
-          (Trace.Referee_done
-             {
-               label = rl;
-               n;
-               max_bits = per_round_max.(round - 1);
-               total_bits = per_round_total.(round - 1);
-               budget = p.audit;
-             });
-        Trace.emit trace (Trace.Span_end { label = rl; n })
-      done;
-      maybe_time metrics "refnet_referee_phase" (fun () -> r.r_finish ~n !rst)
-  in
-  let t = finish_transcript ~rounds ~limit ~per_round_max ~per_round_total ~bcast ~faulted_ids:[] in
-  observe_run metrics ~rounds t;
-  Trace.emit trace
-    (Trace.Referee_done
-       { label = outer; n; max_bits = t.max_bits; total_bits = t.total_bits; budget = p.audit });
-  Trace.emit trace (Trace.Span_end { label = outer; n });
-  (out, t)
-
-let run ?domains ?chunk ?(trace = Trace.null) ?metrics (p : 'a t) g =
-  run_core ?domains ?chunk ~trace ~metrics ~src:None p (Graph_source.of_graph g)
-
-let run_source ?domains ?chunk ?(trace = Trace.null) ?metrics (p : 'a t) source =
-  Simulator.observe_source metrics source;
-  run_core ?domains ?chunk ~trace ~metrics ~src:(Some (Graph_source.backend source)) p source
-
-let run_faulty_core ?domains ~faults ~trace ~metrics ~src (p : 'a t) source =
-  (* The plan rewrites each round's uplink delivery schedule; message
-     {e production} — and with it the transcript and the budget check —
-     is untouched, so an empty plan is bit-identical to [run_core]'s
-     output and transcript.  A crashed id stays crashed: the plan is
-     re-applied every round.  Plans address the full vector, so this
-     entry point does not chunk. *)
-  let n = Graph_source.order source in
-  let limit = check_budget_fields ~entry:"Bcc.run_faulty" p.budget ~n in
-  let rounds = p.budget.rounds in
-  let quiet = Trace.is_null trace && metrics = None in
-  let outer = decorated p.name ~round:None ~src in
-  Trace.emit trace (Trace.Span_begin { label = outer; n });
-  let states =
-    maybe_time metrics "refnet_local_phase" (fun () ->
-        Parallel.init ?domains ?metrics n (fun i -> p.init (view_of source ~n i)))
-  in
-  let prev = if quiet then [||] else Array.map (fun s -> View.audit s.view) states in
+  let queries = Option.map (fun m -> Metrics.Histogram.histogram m "refnet_view_queries") metrics in
   let per_round_max = Array.make rounds 0 in
   let per_round_total = Array.make rounds 0 in
   let bcast = Array.make (max 0 (rounds - 1)) 0 in
@@ -284,44 +136,42 @@ let run_faulty_core ?domains ~faults ~trace ~metrics ~src (p : 'a t) source =
       for round = 1 to rounds do
         let rl = decorated p.name ~round:(Some round) ~src in
         Trace.emit trace (Trace.Span_begin { label = rl; n });
-        let sent =
-          maybe_time metrics "refnet_local_phase" (fun () ->
-              Parallel.init ?domains ?metrics n (fun i -> p.send ~round states.(i)))
-        in
-        let msgs = Array.make (max 1 n) Message.empty in
-        for i = 0 to n - 1 do
-          let msg, s = sent.(i) in
+        (* BCC's side of the shared uplink round: sends write states in
+           place, and accounting checks the budget — so the first
+           violation raised is the lowest offending id, at any width
+           and chunk — and keeps the per-round stats.  View audits
+           accumulate across rounds, so [Node_local] reports the delta
+           since the previous round. *)
+        let account i (msg, s) =
           states.(i) <- s;
-          msgs.(i) <- msg;
-          account ~trace ~metrics ~quiet ~round ~limit ~per_round_max ~per_round_total ~prev
-            ~states ~id:(i + 1) (Message.bits msg)
-        done;
-        let deliveries, injected = Faults.apply faults (if n = 0 then [||] else msgs) in
-        (match metrics with
-        | Some m when injected <> [] ->
-          Metrics.Counter.add
-            (Metrics.Counter.counter m "refnet_faults_injected_total")
-            (List.length injected)
-        | _ -> ());
-        if not (Trace.is_null trace) then
-          List.iter
-            (fun (id, fault) -> Trace.emit trace (Trace.Fault_injected { id; fault }))
-            injected;
-        faulted := List.rev_append (List.map fst injected) !faulted;
-        maybe_time metrics "refnet_referee_phase" (fun () ->
-            List.iter
-              (fun (id, msg) ->
-                rst := r.r_absorb ~n ~round !rst ~id msg;
-                if not (Trace.is_null trace) then
-                  Trace.emit trace (Trace.Referee_absorb { id; bits = Message.bits msg }))
-              deliveries);
-        (match metrics with
-        | Some m ->
-          Metrics.Counter.add (Metrics.Counter.counter m "refnet_messages_total") n;
-          Metrics.Counter.add
-            (Metrics.Counter.counter m "refnet_absorbs_total")
-            (List.length deliveries)
-        | None -> ());
+          let bits = Message.bits msg in
+          check_budget ~round ~id:(i + 1) ~limit bits;
+          if bits > per_round_max.(round - 1) then per_round_max.(round - 1) <- bits;
+          per_round_total.(round - 1) <- per_round_total.(round - 1) + bits;
+          if not quiet then begin
+            let now = View.audit s.view in
+            let delta = sub_counts now prev.(i) in
+            if not (Trace.is_null trace) then
+              Trace.emit trace (Trace.Node_local { id = i + 1; bits; queries = delta });
+            Option.iter
+              (fun h -> Metrics.Histogram.observe h (Simulator.query_total delta))
+              queries;
+            prev.(i) <- now
+          end
+        in
+        let senders =
+          {
+            Simulator.produce =
+              Simulator.in_parallel ?domains ?metrics (fun i -> p.send ~round states.(i));
+            message = fst;
+            account;
+          }
+        in
+        let hit =
+          Simulator.uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs:false ~n senders
+            ~absorb:(fun ~id msg -> rst := r.r_absorb ~n ~round !rst ~id msg)
+        in
+        faulted := List.rev_append hit !faulted;
         if round < rounds then
           broadcast_phase ~trace ~metrics ~round ~limit ~bcast ~states p r rst;
         Trace.emit trace
@@ -335,26 +185,34 @@ let run_faulty_core ?domains ~faults ~trace ~metrics ~src (p : 'a t) source =
              });
         Trace.emit trace (Trace.Span_end { label = rl; n })
       done;
-      maybe_time metrics "refnet_referee_phase" (fun () -> r.r_finish ~n !rst)
+      Simulator.maybe_time metrics "refnet_referee_phase" (fun () -> r.r_finish ~n !rst)
   in
-  let t =
-    finish_transcript ~rounds ~limit ~per_round_max ~per_round_total ~bcast
-      ~faulted_ids:(List.sort_uniq Stdlib.compare !faulted)
-  in
-  observe_run metrics ~rounds t;
-  Trace.emit trace
-    (Trace.Referee_done
-       { label = outer; n; max_bits = t.max_bits; total_bits = t.total_bits; budget = p.audit });
-  Trace.emit trace (Trace.Span_end { label = outer; n });
-  (out, t)
+  let max_bits = Array.fold_left max 0 per_round_max in
+  let total_bits = Array.fold_left ( + ) 0 per_round_total in
+  Option.iter
+    (fun m -> Metrics.Counter.add (Metrics.Counter.counter m "refnet_bcc_rounds_total") rounds)
+    metrics;
+  Simulator.close_run ~trace ~metrics ~label:outer ~budget:p.audit ~n ~max_bits ~total_bits;
+  ( out,
+    {
+      rounds;
+      bits_limit = limit;
+      per_round_max_bits = per_round_max;
+      per_round_total_bits = per_round_total;
+      broadcast_bits = bcast;
+      max_bits;
+      total_bits;
+      faulted_ids = List.sort_uniq Stdlib.compare !faulted;
+    } )
 
-let run_faulty ?(faults = Faults.empty) ?domains ?(trace = Trace.null) ?metrics (p : 'a t) g =
-  run_faulty_core ?domains ~faults ~trace ~metrics ~src:None p (Graph_source.of_graph g)
+let run ?domains ?chunk ?(delivery = Simulator.In_order) ?(trace = Trace.null) ?metrics (p : 'a t)
+    g =
+  run_core ?domains ?chunk ~delivery ~trace ~metrics ~src:None p (Graph_source.of_graph g)
 
-let run_faulty_source ?(faults = Faults.empty) ?domains ?(trace = Trace.null) ?metrics (p : 'a t)
-    source =
+let run_source ?domains ?chunk ?(delivery = Simulator.In_order) ?(trace = Trace.null) ?metrics
+    (p : 'a t) source =
   Simulator.observe_source metrics source;
-  run_faulty_core ?domains ~faults ~trace ~metrics
+  run_core ?domains ?chunk ~delivery ~trace ~metrics
     ~src:(Some (Graph_source.backend source))
     p source
 

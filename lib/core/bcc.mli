@@ -38,7 +38,7 @@ type budget = { rounds : int; bits_per_round : int -> int }
     here, at construction, rather than surfacing later.
     @raise Invalid_argument if [rounds < 1], naming the field.  The cap
     function can only be validated once [n] is known; {!run} and
-    {!run_faulty} reject [bits_per_round n < 1] at entry, before any
+    {!run_source} reject [bits_per_round n < 1] at entry, before any
     message is produced. *)
 val budget : rounds:int -> bits_per_round:(int -> int) -> budget
 
@@ -117,15 +117,24 @@ type transcript = {
   faulted_ids : int list;
 }
 
-(** [run p g] executes the rounds over the materialized graph.
+(** [run p g] executes the rounds over the materialized graph.  Each
+    round's uplink is a {!Simulator.uplink} round delivered per
+    [delivery] (default [In_order]).  A [Faulty] plan is re-applied to
+    every round's uplink (a crashed node stays crashed; the channel is
+    hit once per round, and [faulted_ids] is the union): message
+    production — and hence the transcript and the budget check —
+    measures what nodes {e sent}, the referee sees the post-fault
+    deliveries, and an empty plan is bit-identical to [In_order].
+    [Shuffled] draws fresh compute and arrival orders every round.
     @raise Invalid_argument if [p.budget.rounds < 1] or
     [p.budget.bits_per_round n < 1], naming the offending field —
     checked before any message is produced, never reported as a
-    spurious {!Budget_exceeded}.
+    spurious {!Budget_exceeded} — or if [chunk < 1].
     @raise Budget_exceeded when a message breaks the budget. *)
 val run :
   ?domains:int ->
   ?chunk:int ->
+  ?delivery:Simulator.delivery ->
   ?trace:Trace.sink ->
   ?metrics:Metrics.t ->
   'a t ->
@@ -139,31 +148,7 @@ val run :
 val run_source :
   ?domains:int ->
   ?chunk:int ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a t ->
-  Graph_source.t ->
-  'a * transcript
-
-(** [run_faulty ~faults p g] re-applies the fault plan to every round's
-    uplink (a crashed node stays crashed; the channel is hit once per
-    round).  Message production — and hence the transcript and the
-    budget check — measures what nodes {e sent}; the referee sees the
-    post-fault deliveries.  An empty plan is bit-identical to {!run}.
-    Fault plans address the full message vector, so this entry point
-    does not chunk. *)
-val run_faulty :
-  ?faults:Faults.plan ->
-  ?domains:int ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a t ->
-  Graph.t ->
-  'a * transcript
-
-val run_faulty_source :
-  ?faults:Faults.plan ->
-  ?domains:int ->
+  ?delivery:Simulator.delivery ->
   ?trace:Trace.sink ->
   ?metrics:Metrics.t ->
   'a t ->

@@ -22,8 +22,6 @@ let partition_by_ranges ~n ~parts =
   in
   go 1 1 []
 
-(* Shared local phase of [run]/[run_faulty]: validate the partition and
-   collect the full message vector, one slot per vertex. *)
 let collect (p : 'a t) src ~parts =
   let n = Graph_source.order src in
   (* [owner.(v-1)] is the 1-based index of the coalition holding [v]:
@@ -71,68 +69,27 @@ let labelled p ~parts = Printf.sprintf "%s[parts=%d]" p.name (List.length parts)
 let labelled_src p ~parts src =
   Printf.sprintf "%s[parts=%d][src=%s]" p.name (List.length parts) (Graph_source.backend src)
 
-let observe_local metrics msgs =
-  match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.Counter.add (Metrics.Counter.counter m "refnet_messages_total") (Array.length msgs);
-    let bits = Metrics.Histogram.histogram m "refnet_message_bits" in
-    Array.iter (fun msg -> Metrics.Histogram.observe bits (Message.bits msg)) msgs
-
-let maybe_time metrics name f =
-  match metrics with Some m -> Metrics.time m name f | None -> f ()
-
-let run_core ~trace ~metrics ~label (p : 'a t) src ~parts =
+let run_core ~delivery ~trace ~metrics ~label (p : 'a t) src ~parts =
   let n = Graph_source.order src in
   Trace.emit trace (Trace.Span_begin { label; n });
-  let msgs = maybe_time metrics "refnet_local_phase" (fun () -> collect p src ~parts) in
-  observe_local metrics msgs;
-  let out =
-    maybe_time metrics "refnet_referee_phase" (fun () ->
-        Protocol.run_referee ~trace ?metrics p.referee ~n msgs)
-  in
-  let t = Simulator.transcript_of_messages msgs in
-  Simulator.close_run ~trace ~metrics ~label ~budget:(p.budget ~parts:(List.length parts)) t;
-  (out, t)
-
-let run ?(trace = Trace.null) ?metrics (p : 'a t) g ~parts =
-  run_core ~trace ~metrics ~label:(labelled p ~parts) p (Graph_source.of_graph g) ~parts
-
-let run_source ?(trace = Trace.null) ?metrics (p : 'a t) src ~parts =
-  Simulator.observe_source metrics src;
-  run_core ~trace ~metrics ~label:(labelled_src p ~parts src) p src ~parts
-
-let run_faulty_core ~faults ~trace ~metrics ~label (p : 'a t) src ~parts =
-  let n = Graph_source.order src in
-  Trace.emit trace (Trace.Span_begin { label; n });
-  let msgs = maybe_time metrics "refnet_local_phase" (fun () -> collect p src ~parts) in
-  observe_local metrics msgs;
-  let deliveries, injected = Faults.apply faults msgs in
-  (match metrics with
-  | Some m when injected <> [] ->
-    Metrics.Counter.add
-      (Metrics.Counter.counter m "refnet_faults_injected_total")
-      (List.length injected)
-  | _ -> ());
-  if not (Trace.is_null trace) then
-    List.iter (fun (id, fault) -> Trace.emit trace (Trace.Fault_injected { id; fault })) injected;
-  let out =
-    maybe_time metrics "refnet_referee_phase" (fun () ->
-        Protocol.feed_deliveries ~trace ?metrics p.referee ~n deliveries)
-  in
-  let t =
-    { (Simulator.transcript_of_messages msgs) with
-      Simulator.faulted_ids = List.map fst injected
+  (* Coalitions pool their views, so the whole vector is produced at
+     once: never chunked, never split across the domain pool. *)
+  let pooled =
+    {
+      Simulator.produce = (fun ~order:_ ~base:_ ~len:_ -> collect p src ~parts);
+      message = Fun.id;
+      account = (fun _ _ -> ());
     }
   in
-  Simulator.close_run ~trace ~metrics ~label ~budget:(p.budget ~parts:(List.length parts)) t;
+  let out, t = Simulator.referee_round ~delivery ~trace ~metrics p.referee ~n pooled in
+  Simulator.close_run ~trace ~metrics ~label ~budget:(p.budget ~parts:(List.length parts)) ~n
+    ~max_bits:t.max_bits ~total_bits:t.total_bits;
   (out, t)
 
-let run_faulty ?(faults = Faults.empty) ?(trace = Trace.null) ?metrics (p : 'a t) g ~parts =
-  run_faulty_core ~faults ~trace ~metrics ~label:(labelled p ~parts) p (Graph_source.of_graph g)
-    ~parts
+let run ?(delivery = Simulator.In_order) ?(trace = Trace.null) ?metrics (p : 'a t) g ~parts =
+  run_core ~delivery ~trace ~metrics ~label:(labelled p ~parts) p (Graph_source.of_graph g) ~parts
 
-let run_faulty_source ?(faults = Faults.empty) ?(trace = Trace.null) ?metrics (p : 'a t) src
+let run_source ?(delivery = Simulator.In_order) ?(trace = Trace.null) ?metrics (p : 'a t) src
     ~parts =
   Simulator.observe_source metrics src;
-  run_faulty_core ~faults ~trace ~metrics ~label:(labelled_src p ~parts src) p src ~parts
+  run_core ~delivery ~trace ~metrics ~label:(labelled_src p ~parts src) p src ~parts

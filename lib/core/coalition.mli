@@ -23,8 +23,8 @@ type 'a t = {
           cover exactly the part's members. *)
   referee : 'a Protocol.referee;
       (** The referee still receives [n] individual messages, streamed
-          in identifier order; {!Protocol.batch} keeps the array-style
-          spelling available. *)
+          per the run's delivery schedule; {!Protocol.batch} keeps the
+          array-style spelling available. *)
   budget : parts:int -> Bound_audit.budget option;
       (** the theorem budget of a run over [parts] coalitions, carried
           on its [Referee_done] events ([None]: nothing to audit) *)
@@ -35,17 +35,28 @@ type 'a t = {
     @raise Invalid_argument if [parts < 1] or [parts > n]. *)
 val partition_by_ranges : n:int -> parts:int -> int list list
 
-(** [run ?trace ?metrics p g ~parts] executes a coalition protocol over
-    the given partition of the vertices; with a live [trace], span,
-    absorb and done events are emitted as in {!Simulator.run} — the
-    span label reads ["name[parts=k]"] and the done event carries
-    [p.budget ~parts:k], so the O(k·log n) coalition bound is auditable
-    from the trace alone.  [?metrics] records the same series as
-    {!Simulator.run} (minus [refnet_view_queries] — coalition views are
-    pooled, not per-node audited).
+(** [collect p src ~parts] is the pooled local phase: each part's
+    local function over its members' joint view, gathered into the
+    full message vector (node [i]'s message at index [i - 1]).
+    @raise Invalid_argument as {!run} does. *)
+val collect : 'a t -> Refnet_graph.Graph_source.t -> parts:int list list -> Message.t array
+
+(** [run ?delivery ?trace ?metrics p g ~parts] executes a coalition
+    protocol over the given partition of the vertices; the pooled local
+    phase produces the whole message vector, which reaches the referee
+    per [delivery] (default [In_order]; see {!Simulator.delivery} — a
+    [Faulty] plan hits per-member messages after they are computed
+    honestly, and an empty plan is bit-identical to [In_order]).  With
+    a live [trace], span, absorb and done events are emitted as in
+    {!Simulator.run} — the span label reads ["name[parts=k]"] and the
+    done event carries [p.budget ~parts:k], so the O(k·log n) coalition
+    bound is auditable from the trace alone.  [?metrics] records the
+    same series as {!Simulator.run} (minus [refnet_view_queries] —
+    coalition views are pooled, not per-node audited).
     @raise Invalid_argument if [parts] does not partition [1..n] or the
     local function mislabels a message. *)
 val run :
+  ?delivery:Simulator.delivery ->
   ?trace:Trace.sink ->
   ?metrics:Metrics.t ->
   'a t ->
@@ -60,33 +71,7 @@ val run :
     [refnet_source_runs_total\{backend="..."\}] is bumped when metrics
     are on. *)
 val run_source :
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a t ->
-  Refnet_graph.Graph_source.t ->
-  parts:int list list ->
-  'a * Simulator.transcript
-
-(** [run_faulty ?faults ?trace ?metrics p g ~parts] is {!run} with a fault plan
-    applied between the pooled local phase and the referee, exactly as
-    in {!Simulator.run_faulty}: per-member messages are computed
-    honestly, then the channel applies [faults] ({!Faults.apply}),
-    [Fault_injected] events fire per in-scope plan entry, and the
-    transcript's [faulted_ids] records the hit ids.  An empty plan is
-    bit-identical to {!run}. *)
-val run_faulty :
-  ?faults:Faults.plan ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a t ->
-  Refnet_graph.Graph.t ->
-  parts:int list list ->
-  'a * Simulator.transcript
-
-(** [run_faulty_source] is {!run_faulty} over any backend, with the
-    [\[src=...\]] label decoration of {!run_source}. *)
-val run_faulty_source :
-  ?faults:Faults.plan ->
+  ?delivery:Simulator.delivery ->
   ?trace:Trace.sink ->
   ?metrics:Metrics.t ->
   'a t ->

@@ -6,7 +6,7 @@
     in O(k²·log n) bits per node, the coalition protocol in O(k·log n) —
     so the engine surfaces exact bit and time accounting as first-class
     telemetry instead of burying it in per-run transcripts.  Every
-    engine entry point ({!Simulator}, {!Coalition}, {!Protocol.run_referee},
+    engine entry point ({!Simulator}, {!Coalition}, {!Bcc},
     {!Parallel}) takes an optional registry; when absent the
     instrumented branches are never entered, so an unobserved run pays
     nothing (the [bench/main.exe metrics] microbench asserts this).
@@ -20,8 +20,8 @@
     clock must be safe to call from any domain.
 
     {b Sampling.} Per-absorb latency is expensive to clock one message
-    at a time, so the engine observes every 64th absorb (see
-    {!Protocol.run_referee}); all other instrumentation is exact.
+    at a time, so the engine observes every 64th absorb of an
+    unchunked one-round run (see {!Simulator.uplink}); all other instrumentation is exact.
 
     {b Thread-safety.} The registry itself is {e not} thread-safe:
     metrics are recorded from the submitting domain only, after each

@@ -34,61 +34,12 @@ let start (Referee s) ~n = Feed (s, n, s.init ~n)
 let feed (Feed (s, n, st)) ~id msg = Feed (s, n, s.absorb ~n st ~id msg)
 let finish (Feed (s, n, st)) = s.finish ~n st
 
-(* Absorb latency is sampled (every 64th absorb) rather than clocked
-   per message: two clock reads per absorb would dominate the referees'
-   O(1) per-message work and defeat the <5%-overhead budget the metrics
-   microbench asserts.  Counters are bumped once per fold, not per
-   message, for the same reason. *)
-let absorb_sample_mask = 63
-
-let observe_absorbs metrics ~n = Metrics.Counter.add (Metrics.Counter.counter metrics "refnet_absorbs_total") n
-
-let sampled_absorb metrics hist s ~n st ~id msg i =
-  if i land absorb_sample_mask = 0 then begin
-    let t0 = Metrics.now metrics in
-    let st = s.absorb ~n st ~id msg in
-    let ns = int_of_float ((Metrics.now metrics -. t0) *. 1e9) in
-    Metrics.Histogram.observe hist (if ns < 0 then 0 else ns);
-    st
-  end
-  else s.absorb ~n st ~id msg
-
-let run_referee ?(trace = Trace.null) ?metrics (Referee s) ~n msgs =
+let run_referee (Referee s) ~n msgs =
   if Array.length msgs <> n then invalid_arg "Protocol.run_referee: wrong message count";
   let st = ref (s.init ~n) in
-  (match metrics with
-  | None ->
-    for i = 0 to n - 1 do
-      st := s.absorb ~n !st ~id:(i + 1) msgs.(i);
-      if not (Trace.is_null trace) then
-        Trace.emit trace (Trace.Referee_absorb { id = i + 1; bits = Message.bits msgs.(i) })
-    done
-  | Some m ->
-    let hist = Metrics.Histogram.histogram m "refnet_absorb_ns" in
-    for i = 0 to n - 1 do
-      st := sampled_absorb m hist s ~n !st ~id:(i + 1) msgs.(i) i;
-      if not (Trace.is_null trace) then
-        Trace.emit trace (Trace.Referee_absorb { id = i + 1; bits = Message.bits msgs.(i) })
-    done;
-    observe_absorbs m ~n);
-  s.finish ~n !st
-
-let feed_deliveries ?(trace = Trace.null) ?metrics (Referee s) ~n deliveries =
-  let st = ref (s.init ~n) in
-  let hist =
-    match metrics with Some m -> Some (Metrics.Histogram.histogram m "refnet_absorb_ns") | None -> None
-  in
-  let count = ref 0 in
-  List.iter
-    (fun (id, msg) ->
-      (match (metrics, hist) with
-      | Some m, Some h -> st := sampled_absorb m h s ~n !st ~id msg !count
-      | _ -> st := s.absorb ~n !st ~id msg);
-      incr count;
-      if not (Trace.is_null trace) then
-        Trace.emit trace (Trace.Referee_absorb { id; bits = Message.bits msg }))
-    deliveries;
-  (match metrics with Some m -> observe_absorbs m ~n:!count | None -> ());
+  for i = 0 to n - 1 do
+    st := s.absorb ~n !st ~id:(i + 1) msgs.(i)
+  done;
   s.finish ~n !st
 
 let apply p ~n msgs = run_referee p.referee ~n msgs

@@ -23,7 +23,7 @@
     Referee contract: [absorb] must be insensitive to arrival order —
     for any permutation π of [1..n], folding the messages in order π
     must [finish] to the same output as identifier order (the simulator
-    checks this under {!Simulator.run_async}).  [init]/[absorb]/[finish]
+    checks this under [Shuffled] delivery, {!Simulator.delivery}).  [init]/[absorb]/[finish]
     must not mutate anything outside the state they thread.
 
     The output type is a parameter: reconstruction protocols produce
@@ -83,25 +83,11 @@ val feed : 'a feed -> id:int -> Message.t -> 'a feed
 (** [finish f] closes the fold into the output. *)
 val finish : 'a feed -> 'a
 
-(** [run_referee ?trace ?metrics r ~n msgs] folds a full message vector
-    in identifier order, emitting one [Referee_absorb] event per
-    message.  With [?metrics], bumps counter [refnet_absorbs_total] once
-    per fold and samples absorb latency into histogram
-    [refnet_absorb_ns] on every 64th absorb (clocking each one would
-    swamp the referees' O(1) per-message work).
+(** [run_referee r ~n msgs] folds a full message vector in identifier
+    order.  The engines' instrumented, schedule-aware fold is
+    {!Simulator.uplink}.
     @raise Invalid_argument if [Array.length msgs <> n]. *)
-val run_referee : ?trace:Trace.sink -> ?metrics:Metrics.t -> 'a referee -> n:int -> Message.t array -> 'a
-
-(** [feed_deliveries ?trace ?metrics r ~n deliveries] folds an explicit
-    delivery list — [(sender id, message)] pairs in arrival order, which
-    need not be identifier order and may (under channel faults) repeat,
-    skip, or forge sender ids.  Instrumentation matches {!run_referee};
-    [refnet_absorbs_total] counts actual deliveries, not [n].  This is
-    the engine's single feeding loop for faulty and asynchronous runs
-    ({!Simulator.run_faulty}, {!Simulator.run_async},
-    {!Coalition.run_faulty}). *)
-val feed_deliveries :
-  ?trace:Trace.sink -> ?metrics:Metrics.t -> 'a referee -> n:int -> (int * Message.t) list -> 'a
+val run_referee : 'a referee -> n:int -> Message.t array -> 'a
 
 (** [apply p ~n msgs] is [run_referee p.referee ~n msgs] — the old
     array-style global, for tests and harnesses that fabricate message

@@ -18,7 +18,7 @@
     [refnet_local_phase] / [refnet_referee_phase] around the two
     phases (plus the {!Parallel} pool timers); histogram
     [refnet_run_max_bits] and counter [refnet_run_bits_total] from the
-    transcript; and (under {!run_faulty}) counter
+    transcript; and (under [Faulty] delivery) counter
     [refnet_faults_injected_total].  Like trace events, metrics are
     recorded from the calling domain only.  When absent, the
     uninstrumented fast path runs. *)
@@ -29,11 +29,31 @@ type transcript = {
   max_bits : int;
   total_bits : int;
   faulted_ids : int list;
-      (** sender ids the channel hit during this run ({!run_faulty});
-          [[]] for fault-free entry points.  Message lengths always
+      (** sender ids the channel hit during this run ([Faulty]
+          delivery); [[]] otherwise.  Message lengths always
           measure what nodes {e sent}, pre-fault — frugality is a
           property of the protocol, not of the channel. *)
 }
+
+(** How the referee receives a round's messages.
+    - [In_order]: in identifier order; the only schedule that honours
+      [?chunk].
+    - [Faulty plan]: nodes compute honestly, then the channel crashes,
+      truncates, flips, duplicates or re-addresses individual messages
+      per [plan] ({!Faults.apply}).  One [Fault_injected] event fires
+      per in-scope plan entry, after the local phase and before any
+      absorb; the transcript records the hit ids in [faulted_ids].  An
+      empty plan is bit-identical to [In_order] — same output, same
+      transcript, same event stream — at any pool width.
+    - [Shuffled rng]: local functions run in one random order and the
+      referee absorbs in another (two permutations drawn from [rng], in
+      that sequence) — a check that nothing in a protocol depends on
+      scheduling (the paper notes one-round protocols tolerate
+      asynchrony).  [Referee_absorb] events fire in arrival order.
+
+    [Faulty] and [Shuffled] address the whole message vector, so they
+    run unchunked whatever [?chunk] says. *)
+type delivery = In_order | Faulty of Faults.plan | Shuffled of Random.State.t
 
 (** [local_phase ?domains ?trace p g] runs every node's local function,
     fanned out across the {!Parallel} domain pool ([?domains] selects
@@ -65,13 +85,14 @@ val local_phase_source :
   Refnet_graph.Graph_source.t ->
   Message.t array
 
-(** [run ?domains ?trace p g] executes both phases; returns the
-    referee's output and the transcript.  The referee absorbs messages
-    in identifier order.  The transcript is byte-identical whatever
-    [domains] is — parallelism is an execution detail, never observable
-    in the model. *)
+(** [run ?domains ?delivery ?trace p g] executes both phases; returns
+    the referee's output and the transcript.  The referee absorbs
+    messages per [delivery] (default [In_order]).  The transcript is
+    byte-identical whatever [domains] is — parallelism is an execution
+    detail, never observable in the model. *)
 val run :
   ?domains:int ->
+  ?delivery:delivery ->
   ?trace:Trace.sink ->
   ?metrics:Metrics.t ->
   'a Protocol.t ->
@@ -94,93 +115,115 @@ val run :
     frontier-sized footprint.  Output and transcript are bit-identical
     for every chunk size; only trace-event interleaving and the
     per-absorb latency sampling (skipped when chunked) differ.  Default:
-    unchunked (the historical two-phase schedule). *)
+    unchunked.
+    @raise Invalid_argument if [chunk < 1], naming the field. *)
 val run_source :
   ?domains:int ->
   ?chunk:int ->
+  ?delivery:delivery ->
   ?trace:Trace.sink ->
   ?metrics:Metrics.t ->
   'a Protocol.t ->
   Refnet_graph.Graph_source.t ->
   'a * transcript
 
-(** [run_faulty ?faults ?domains ?trace p g] is [run] with a
-    deterministic fault plan applied between the two phases: nodes
-    compute honestly, then the channel crashes, truncates, flips,
-    duplicates or re-addresses individual messages per [faults] (see
-    {!Faults.apply}).  One [Fault_injected] event fires per in-scope
-    plan entry, after the local phase and before any absorb; the
-    transcript records the hit ids in [faulted_ids].  With an empty
-    plan the run is bit-identical to [run] — same output, same
-    transcript, same event stream — at any [domains] width. *)
-val run_faulty :
-  ?faults:Faults.plan ->
+(** {1 The uplink round}
+
+    Every engine — this one, {!Coalition} and each round of {!Bcc} —
+    runs its node-to-referee round through {!uplink}: produce a block
+    of messages in parallel, account for the block in identifier
+    order, deliver it per the schedule, absorb, emit [Referee_absorb].
+    Engines supply only what differs, as a {!producer}. *)
+
+(** An engine's side of an uplink round, over per-node items ['x]
+    (a message, or a message with the node's next state).
+    [produce ~order ~base ~len] computes the items of nodes
+    [base + 1 .. base + len], in the 0-based index [order] when one is
+    given (only under [Shuffled], with [base = 0] and [len = n]).
+    [message x] is the message item [x] carries.  [account i x] runs on
+    the submitting domain, in identifier order, for node [i + 1], after
+    its block is produced and before any of it is delivered. *)
+type 'x producer = {
+  produce : order:int array option -> base:int -> len:int -> 'x array;
+  message : 'x -> Message.t;
+  account : int -> 'x -> unit;
+}
+
+(** [uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs ~n e
+    ~absorb] executes one uplink round of [n] nodes.  Per block (all
+    [n] nodes unless [In_order] with [chunk < n]) it produces and
+    accounts under timer [refnet_local_phase], then delivers under
+    timer [refnet_referee_phase], calling [absorb] and emitting
+    [Referee_absorb] per delivery.  With [sample_absorbs], an unchunked
+    round samples every 64th absorb into [refnet_absorb_ns].  Returns
+    the ids a [Faulty] plan hit ([[]] otherwise).
+    @raise Invalid_argument if [chunk < 1], naming the field. *)
+val uplink :
+  ?chunk:int ->
+  delivery:delivery ->
+  trace:Trace.sink ->
+  metrics:Metrics.t option ->
+  sample_absorbs:bool ->
+  n:int ->
+  'x producer ->
+  absorb:(id:int -> Message.t -> unit) ->
+  int list
+
+(** [in_parallel ?domains ?metrics f] is the per-node producer over the
+    {!Parallel} pool: item [i] is [f i] (0-based), computed in [order]
+    when one is given, landing in its own slot either way. *)
+val in_parallel :
   ?domains:int ->
-  ?trace:Trace.sink ->
   ?metrics:Metrics.t ->
-  'a Protocol.t ->
-  Refnet_graph.Graph.t ->
+  (int -> 'x) ->
+  order:int array option ->
+  base:int ->
+  len:int ->
+  'x array
+
+(** [referee_round ?chunk ~delivery ~trace ~metrics r ~n e] is one
+    {!uplink} round into the one-round referee [r], with absorb
+    sampling: the referee's output and the round's transcript.  The
+    span and its {!close_run} stay with the caller. *)
+val referee_round :
+  ?chunk:int ->
+  delivery:delivery ->
+  trace:Trace.sink ->
+  metrics:Metrics.t option ->
+  'a Protocol.referee ->
+  n:int ->
+  'x producer ->
   'a * transcript
 
-(** [run_faulty_source] is {!run_faulty} over any backend, with the
-    [\[src=...\]] label decoration of {!run_source}.  Fault plans
-    address the full message vector, so this entry point never
-    chunks. *)
-val run_faulty_source :
-  ?faults:Faults.plan ->
-  ?domains:int ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a Protocol.t ->
-  Refnet_graph.Graph_source.t ->
-  'a * transcript
+(** [view_of src ~n i] is node [i + 1]'s view, backed directly by the
+    source's neighbour slice — the only place views of real nodes are
+    built. *)
+val view_of : Refnet_graph.Graph_source.t -> n:int -> int -> View.t
 
-(** [run_async ?rng ?domains ?trace p g] is [run] but evaluates local
-    functions in a random order and delivers messages to the streaming
-    referee in {e another} random arrival order — a check that nothing
-    in a protocol depends on scheduling, including the referee's absorb
-    order (the paper notes one-round protocols tolerate asynchrony).
-    [Referee_absorb] trace events fire in arrival order. *)
-val run_async :
-  ?rng:Random.State.t ->
-  ?domains:int ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a Protocol.t ->
-  Refnet_graph.Graph.t ->
-  'a * transcript
+(** [maybe_time metrics name f] is [f ()], timed under [name] when
+    metrics are on. *)
+val maybe_time : Metrics.t option -> string -> (unit -> 'a) -> 'a
 
-(** [run_async_source] is {!run_async} over any backend, with the
-    [\[src=...\]] label decoration of {!run_source}. *)
-val run_async_source :
-  ?rng:Random.State.t ->
-  ?domains:int ->
-  ?trace:Trace.sink ->
-  ?metrics:Metrics.t ->
-  'a Protocol.t ->
-  Refnet_graph.Graph_source.t ->
-  'a * transcript
-
-(** [transcript_of_messages msgs] summarizes an externally-built message
-    vector. *)
-val transcript_of_messages : Message.t array -> transcript
+(** [query_total c] sums a view audit's reads. *)
+val query_total : View.counts -> int
 
 (** [observe_source metrics src] bumps counter
     [refnet_source_runs_total\{backend="..."\}] when metrics are on —
     every [*_source] entry point, here and in {!Coalition} and {!Bcc}. *)
 val observe_source : Metrics.t option -> Refnet_graph.Graph_source.t -> unit
 
-(** [close_run ~trace ~metrics ~label ~budget t] is the epilogue every
-    one-round engine runs after its referee finishes: the transcript
-    metrics, then a [Referee_done] for [label] carrying [budget], then
-    the [Span_end] that closes [label]'s span.  Shared with
-    {!Coalition}. *)
+(** [close_run ~trace ~metrics ~label ~budget ~n ~max_bits ~total_bits]
+    is the epilogue every engine runs after its referee finishes: the
+    run metrics, then a [Referee_done] for [label] carrying [budget],
+    then the [Span_end] that closes [label]'s span. *)
 val close_run :
   trace:Trace.sink ->
   metrics:Metrics.t option ->
   label:string ->
   budget:Bound_audit.budget option ->
-  transcript ->
+  n:int ->
+  max_bits:int ->
+  total_bits:int ->
   unit
 
 (** [is_frugal t ~c] checks [max_bits <= c * ceil(log2 (n + 1))] — the

@@ -4,7 +4,7 @@
     around each phase, one [Node_local] per node (with its exact message
     length and its {!View} audit), one [Referee_absorb] per message the
     streaming referee consumes — in {e arrival} order, which under
-    {!Simulator.run_async} is the randomized delivery order — and a
+    [Shuffled] delivery ({!Simulator.delivery}) is randomized — and a
     final [Referee_done] with the transcript summary.
 
     Sinks are pluggable and cost nothing when disabled: {!null} is a
@@ -25,10 +25,10 @@ type event =
   | Referee_absorb of { id : int; bits : int }
       (** the referee consumed node [id]'s message, in arrival order *)
   | Fault_injected of { id : int; fault : Faults.fault }
-      (** the channel hit node [id]'s message ({!Simulator.run_faulty} /
-          {!Coalition.run_faulty}); emitted once per in-scope plan
+      (** the channel hit node [id]'s message ([Faulty] delivery,
+          {!Simulator.delivery}); emitted once per in-scope plan
           entry, after the local phase and before any absorb — under
-          {!Bcc.run_faulty}, once per plan entry {e per round} *)
+          {!Bcc.run}, once per plan entry {e per round} *)
   | Referee_broadcast of { round : int; bits : int }
       (** the {!Bcc} referee closed round [round] with a [bits]-bit
           broadcast heard by every node (absent after the final round,

@@ -3,8 +3,8 @@
    The contract under test is the one the hardened protocols advertise:
    under ANY fault plan they never return a wrong [Decided] — corruption
    is either detected (Degraded/Inconclusive) or absent (Decided equals
-   the fault-free answer) — and an empty plan leaves [run_faulty]
-   bit-identical to [run]. *)
+   the fault-free answer) — and an empty plan leaves [Faulty]
+   delivery bit-identical to [In_order]. *)
 
 open Refnet_graph
 
@@ -99,7 +99,8 @@ let test_empty_plan_bit_identical () =
         Core.Simulator.run ~domains ~trace:sink_a Core.Forest_protocol.reconstruct g
       in
       let out_b, t_b =
-        Core.Simulator.run_faulty ~faults:Core.Faults.empty ~domains ~trace:sink_b
+        Core.Simulator.run ~delivery:(Core.Simulator.Faulty Core.Faults.empty) ~domains
+          ~trace:sink_b
           Core.Forest_protocol.reconstruct g
       in
       Alcotest.(check bool) "same output" true (graph_opt_equal out_a out_b);
@@ -115,7 +116,7 @@ let test_empty_plan_coalition_identical () =
   let sink_b, events_b = Core.Trace.memory () in
   let out_a, t_a = Core.Coalition.run ~trace:sink_a Core.Connectivity_parts.decide g ~parts in
   let out_b, t_b =
-    Core.Coalition.run_faulty ~faults:Core.Faults.empty ~trace:sink_b
+    Core.Coalition.run ~delivery:(Core.Simulator.Faulty Core.Faults.empty) ~trace:sink_b
       Core.Connectivity_parts.decide g ~parts
   in
   Alcotest.(check bool) "same output" true (out_a = out_b);
@@ -133,9 +134,9 @@ let reconstruction_property name plain hardened make_graph =
     let n = Graph.order g in
     let clean, _ = Core.Simulator.run plain g in
     let faults = plan_for ~seed:trial ~n trial in
-    match Core.Simulator.run_faulty ~faults hardened g with
+    match Core.Simulator.run ~delivery:(Core.Simulator.Faulty faults) hardened g with
     | exception e ->
-      Alcotest.failf "%s trial %d: run_faulty raised %s" name trial (Printexc.to_string e)
+      Alcotest.failf "%s trial %d: faulty run raised %s" name trial (Printexc.to_string e)
     | verdict, t ->
       Alcotest.(check bool)
         (Printf.sprintf "%s trial %d: faulted_ids matches plan" name trial)
@@ -195,7 +196,9 @@ let test_crash_only_forest_exact () =
     let n = (trial mod 30) + 5 in
     let g = Generators.random_forest (Random.State.make [| 7 * trial |]) n ~trees:2 in
     let faults = Core.Faults.random ~seed:trial ~n ~crash:0.25 () in
-    let verdict, _ = Core.Simulator.run_faulty ~faults Core.Forest_protocol.hardened g in
+    let verdict, _ =
+      Core.Simulator.run ~delivery:(Core.Simulator.Faulty faults) Core.Forest_protocol.hardened g
+    in
     match verdict with
     | Core.Verdict.Decided out ->
       Alcotest.(check bool)
@@ -239,7 +242,8 @@ let test_coalition_crash_verdicts () =
     let parts = Core.Coalition.partition_by_ranges ~n ~parts:(min 3 n) in
     let faults = Core.Faults.random ~seed:(13 * trial) ~n ~crash:0.3 () in
     let verdict, _ =
-      Core.Coalition.run_faulty ~faults Core.Connectivity_parts.hardened g ~parts
+      Core.Coalition.run ~delivery:(Core.Simulator.Faulty faults) Core.Connectivity_parts.hardened g
+        ~parts
     in
     match verdict with
     | Core.Verdict.Decided b ->
@@ -270,7 +274,7 @@ let test_sketch_verdicts () =
     let plain = Core.Sketch_connectivity.protocol ~seed:17 () in
     let clean, _ = Core.Simulator.run plain g in
     let faults = Core.Faults.random ~seed:trial ~n ~flip:0.4 ~flip_bits:3 () in
-    (match Core.Simulator.run_faulty ~faults hardened g with
+    (match Core.Simulator.run ~delivery:(Core.Simulator.Faulty faults) hardened g with
     | Core.Verdict.Decided b, _ ->
       Alcotest.(check bool)
         (Printf.sprintf "trial %d: Decided equals plain" trial)
@@ -282,7 +286,7 @@ let test_sketch_verdicts () =
       Alcotest.failf "trial %d: sketches admit no sound partial verdict" trial
     | Core.Verdict.Inconclusive _, _ -> ());
     (* And with no faults the hardened wrapper is transparent. *)
-    match Core.Simulator.run_faulty hardened g with
+    match Core.Simulator.run ~delivery:(Core.Simulator.Faulty Core.Faults.empty) hardened g with
     | Core.Verdict.Decided b, _ ->
       Alcotest.(check bool) (Printf.sprintf "trial %d: clean Decided" trial) clean b
     | (Core.Verdict.Degraded _ | Core.Verdict.Inconclusive _), _ ->
@@ -302,7 +306,7 @@ let test_harden_generic_wrapper () =
   | Core.Verdict.Decided (Some h), _ -> Alcotest.(check bool) "clean" true (Graph.equal g h)
   | _ -> Alcotest.fail "clean run must be Decided Some");
   let faults = Core.Faults.of_list [ (4, Core.Faults.Crash) ] in
-  match Core.Simulator.run_faulty ~faults p g with
+  match Core.Simulator.run ~delivery:(Core.Simulator.Faulty faults) p g with
   | Core.Verdict.Inconclusive _, _ -> ()
   | Core.Verdict.Decided _, _ -> Alcotest.fail "crash must not stay Decided"
   | Core.Verdict.Degraded _, _ -> Alcotest.fail "default on_fault is Inconclusive"
@@ -313,7 +317,10 @@ let test_trace_fault_events () =
     Core.Faults.of_list [ (2, Core.Faults.Crash); (5, Core.Faults.Flip [ 3; 9 ]) ]
   in
   let sink, events = Core.Trace.memory () in
-  let _ = Core.Simulator.run_faulty ~faults ~trace:sink Core.Forest_protocol.hardened g in
+  let _ =
+    Core.Simulator.run ~delivery:(Core.Simulator.Faulty faults) ~trace:sink
+      Core.Forest_protocol.hardened g
+  in
   let fault_events =
     List.filter_map
       (function Core.Trace.Fault_injected { id; fault } -> Some (id, fault) | _ -> None)

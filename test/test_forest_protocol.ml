@@ -76,7 +76,10 @@ let prop_async_stable =
     (fun (n, seed) ->
       let rng = Random.State.make [| seed |] in
       let g = Generators.random_tree rng n in
-      let out, _ = Core.Simulator.run_async ~rng Core.Forest_protocol.reconstruct g in
+      let out, _ =
+        Core.Simulator.run ~delivery:(Core.Simulator.Shuffled rng)
+          Core.Forest_protocol.reconstruct g
+      in
       out = Some g)
 
 let () =

@@ -262,16 +262,17 @@ let test_run_source_equivalence () =
         ])
     [ "path:23"; "grid:4x5"; "regular:16:4:7"; "degenerate:21:3:5" ]
 
-let test_run_faulty_source_clean_channel () =
+let test_faulty_delivery_clean_channel () =
   let imp = Implicit.parse "path:19" in
   let _, sources = sources_of imp in
   List.iter
     (fun (bname, src) ->
       let reference = Core.Simulator.run_source Core.Forest_protocol.recognize src in
       transcript_eq
-        (bname ^ ": run_faulty_source, empty plan")
+        (bname ^ ": faulty delivery, empty plan")
         reference
-        (Core.Simulator.run_faulty_source Core.Forest_protocol.recognize src))
+        (Core.Simulator.run_source ~delivery:(Core.Simulator.Faulty Core.Faults.empty)
+           Core.Forest_protocol.recognize src))
     sources
 
 let test_coalition_run_source_equivalence () =
@@ -356,8 +357,8 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "run_source across backends" `Quick test_run_source_equivalence;
-          Alcotest.test_case "run_faulty_source clean channel" `Quick
-            test_run_faulty_source_clean_channel;
+          Alcotest.test_case "faulty delivery clean channel" `Quick
+            test_faulty_delivery_clean_channel;
           Alcotest.test_case "coalition run_source" `Quick test_coalition_run_source_equivalence;
         ] );
       ( "labels",

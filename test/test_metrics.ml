@@ -157,8 +157,8 @@ let snapshot_json_at_width ~domains g =
   let m = Core.Metrics.create ~clock:(fun () -> 0.) () in
   let _ = Core.Simulator.run ~domains ~metrics:m (Core.Degeneracy_protocol.reconstruct ~k:2 ()) g in
   let _ =
-    Core.Simulator.run_faulty ~domains ~metrics:m
-      ~faults:(Core.Faults.of_list [ (1, Core.Faults.Crash) ])
+    Core.Simulator.run ~domains ~metrics:m
+      ~delivery:(Core.Simulator.Faulty (Core.Faults.of_list [ (1, Core.Faults.Crash) ]))
       Core.Forest_protocol.hardened g
   in
   Core.Metrics.to_json (Core.Metrics.snapshot m)
@@ -218,9 +218,11 @@ let traced_runs trace =
   let _ = Core.Simulator.run ~trace Core.Forest_protocol.reconstruct tree in
   let _ = Core.Simulator.run ~trace (Core.Degeneracy_protocol.reconstruct ~k:3 ()) g in
   let _ =
-    Core.Simulator.run_faulty ~trace
-      ~faults:(Core.Faults.of_list
-                 [ (1, Core.Faults.Crash); (2, Core.Faults.Duplicate); (3, Core.Faults.Flip [ 0 ]) ])
+    Core.Simulator.run ~trace
+      ~delivery:
+        (Core.Simulator.Faulty
+           (Core.Faults.of_list
+              [ (1, Core.Faults.Crash); (2, Core.Faults.Duplicate); (3, Core.Faults.Flip [ 0 ]) ]))
       Core.Forest_protocol.hardened g
   in
   let _ =
@@ -408,10 +410,11 @@ let test_typed_budgets () =
   all_carry "run_source" p.budget (traced (fun trace -> ignore (Core.Simulator.run_source ~trace p csr)));
   all_carry "run_source chunked" p.budget
     (traced (fun trace -> ignore (Core.Simulator.run_source ~chunk:5 ~trace p csr)));
-  all_carry "run_faulty_source" p.budget
-    (traced (fun trace -> ignore (Core.Simulator.run_faulty_source ~trace p csr)));
-  all_carry "run_async_source" p.budget
-    (traced (fun trace -> ignore (Core.Simulator.run_async_source ~trace p csr)));
+  let run_with delivery trace = ignore (Core.Simulator.run_source ~delivery ~trace p csr) in
+  all_carry "run_source faulty" p.budget
+    (traced (run_with (Core.Simulator.Faulty Core.Faults.empty)));
+  all_carry "run_source shuffled" p.budget
+    (traced (run_with (Core.Simulator.Shuffled (Random.State.make [| 0x5eed |]))));
   let parts = Core.Coalition.partition_by_ranges ~n:16 ~parts:4 in
   all_carry "coalition run_source"
     (Core.Connectivity_parts.decide.budget ~parts:4)

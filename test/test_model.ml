@@ -66,7 +66,11 @@ let test_simulator_run () =
 let test_simulator_async_agrees () =
   let g = Generators.grid 3 4 in
   let out1, _ = Core.Simulator.run degree_sum_protocol g in
-  let out2, _ = Core.Simulator.run_async ~rng:(Random.State.make [| 9 |]) degree_sum_protocol g in
+  let out2, _ =
+    Core.Simulator.run
+      ~delivery:(Core.Simulator.Shuffled (Random.State.make [| 9 |]))
+      degree_sum_protocol g
+  in
   Alcotest.(check int) "same output" out1 out2
 
 let test_frugality_checks () =
@@ -219,7 +223,9 @@ let prop_async_equals_sync =
       let rng = Random.State.make [| seed; n |] in
       let g = Generators.gnp rng n 0.3 in
       let o1, _ = Core.Simulator.run degree_sum_protocol g in
-      let o2, _ = Core.Simulator.run_async ~rng degree_sum_protocol g in
+      let o2, _ =
+        Core.Simulator.run ~delivery:(Core.Simulator.Shuffled rng) degree_sum_protocol g
+      in
       o1 = o2)
 
 let () =

@@ -97,7 +97,11 @@ let check_deterministic name (p : 'a Core.Protocol.t) eq g =
     widths;
   (* The async simulator computes in a scrambled order (and across the
      pool) yet must reassemble the very same message vector. *)
-  let out_async, tr_async = Core.Simulator.run_async ~domains:4 p g in
+  let out_async, tr_async =
+    Core.Simulator.run ~domains:4
+      ~delivery:(Core.Simulator.Shuffled (Random.State.make [| 0x5eed |]))
+      p g
+  in
   Alcotest.(check bool) (name ^ ": async output") true (eq out1 out_async);
   Alcotest.(check bool) (name ^ ": async transcript") true (transcript_equal tr1 tr_async)
 

@@ -88,13 +88,15 @@ let test_reduction_order_insensitive () =
   check_order_insensitive "square-oracle" Core.Reduction.square_oracle ( = ) g
 
 let prop_async_arrival_matches_sync =
-  QCheck2.Test.make ~name:"run_async (shuffled arrivals) agrees with run" ~count:40
+  QCheck2.Test.make ~name:"shuffled delivery agrees with in-order" ~count:40
     QCheck2.Gen.(pair (int_range 1 16) int)
     (fun (n, seed) ->
       let rng = Random.State.make [| seed; n |] in
       let g = Generators.gnp rng n 0.35 in
       let sync, ts = Core.Simulator.run Core.Forest_protocol.recognize g in
-      let async, ta = Core.Simulator.run_async ~rng Core.Forest_protocol.recognize g in
+      let async, ta =
+        Core.Simulator.run ~delivery:(Core.Simulator.Shuffled rng) Core.Forest_protocol.recognize g
+      in
       sync = async && ts.Core.Simulator.message_bits = ta.Core.Simulator.message_bits)
 
 (* ------------------------------------------------------------------ *)
@@ -244,8 +246,10 @@ let test_trace_event_stream () =
 let test_trace_async_absorbs_every_id_once () =
   let g = Generators.grid 3 3 in
   let sink, events = Core.Trace.memory () in
-  let _ = Core.Simulator.run_async ~rng:(Random.State.make [| 42 |]) ~trace:sink
-      Core.Forest_protocol.recognize g
+  let _ =
+    Core.Simulator.run
+      ~delivery:(Core.Simulator.Shuffled (Random.State.make [| 42 |]))
+      ~trace:sink Core.Forest_protocol.recognize g
   in
   let ids =
     List.filter_map
@@ -281,19 +285,23 @@ let test_trace_balanced_spans () =
       (List.exists (function Core.Trace.Span_begin _ -> true | _ -> false) evs)
   in
   check "run" (fun trace -> ignore (Core.Simulator.run ~trace Core.Forest_protocol.recognize g));
-  check "run_faulty" (fun trace ->
-      ignore (Core.Simulator.run_faulty ~faults ~trace Core.Forest_protocol.hardened g));
-  check "run_async" (fun trace ->
+  check "run faulty" (fun trace ->
       ignore
-        (Core.Simulator.run_async ~rng:(Random.State.make [| 7 |]) ~trace
-           Core.Forest_protocol.recognize g));
+        (Core.Simulator.run ~delivery:(Core.Simulator.Faulty faults) ~trace
+           Core.Forest_protocol.hardened g));
+  check "run shuffled" (fun trace ->
+      ignore
+        (Core.Simulator.run
+           ~delivery:(Core.Simulator.Shuffled (Random.State.make [| 7 |]))
+           ~trace Core.Forest_protocol.recognize g));
   check "coalition run" (fun trace ->
       ignore
         (Core.Coalition.run ~trace Core.Connectivity_parts.decide g
            ~parts:(Core.Coalition.partition_by_ranges ~n:12 ~parts:3)));
-  check "coalition run_faulty" (fun trace ->
+  check "coalition run faulty" (fun trace ->
       ignore
-        (Core.Coalition.run_faulty ~faults ~trace Core.Connectivity_parts.hardened g
+        (Core.Coalition.run ~delivery:(Core.Simulator.Faulty faults) ~trace
+           Core.Connectivity_parts.hardened g
            ~parts:(Core.Coalition.partition_by_ranges ~n:12 ~parts:3)));
   (* The checker itself rejects mismatched and dangling spans. *)
   let b l = Core.Trace.Span_begin { label = l; n = 1 }
@@ -332,6 +340,95 @@ let test_trace_jsonl_lines () =
             (String.length line > 1 && line.[0] = '{' && line.[String.length line - 1] = '}'))
         lines)
 
+(* ------------------------------------------------------------------ *)
+(* Delivery matrix: every engine through the one uplink core           *)
+(* ------------------------------------------------------------------ *)
+
+(* One engine run: the delivery schedule, chunk and pool width vary;
+   output and transcript must not. *)
+type 'a engine =
+  ?chunk:int ->
+  delivery:Core.Simulator.delivery ->
+  domains:int ->
+  trace:Core.Trace.sink ->
+  unit ->
+  'a
+
+let check_delivery_matrix (type a) name (run : a engine) =
+  let reference = run ~delivery:Core.Simulator.In_order ~domains:1 ~trace:Core.Trace.null () in
+  let cases =
+    [
+      ("in order", None, fun () -> Core.Simulator.In_order);
+      ("in order chunk 1", Some 1, fun () -> Core.Simulator.In_order);
+      ("in order chunk 5", Some 5, fun () -> Core.Simulator.In_order);
+      ("faulty empty", None, fun () -> Core.Simulator.Faulty Core.Faults.empty);
+      ("shuffled", None, fun () -> Core.Simulator.Shuffled (Random.State.make [| 0x5eed; 3 |]));
+    ]
+  in
+  let events delivery domains =
+    let sink, drain = Core.Trace.memory () in
+    ignore (run ~delivery ~domains ~trace:sink ());
+    drain ()
+  in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun (label, chunk, delivery) ->
+          let got = run ?chunk ~delivery:(delivery ()) ~domains ~trace:Core.Trace.null () in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s, width %d: output and transcript" name label domains)
+            true (got = reference))
+        cases;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, width %d: empty plan, same events" name domains)
+        true
+        (events Core.Simulator.In_order domains
+        = events (Core.Simulator.Faulty Core.Faults.empty) domains))
+    [ 1; 4 ]
+
+let test_delivery_matrix () =
+  let g = Generators.random_tree (Random.State.make [| 41 |]) 23 in
+  let src = Graph_source.of_graph g in
+  let parts = Core.Coalition.partition_by_ranges ~n:(Graph.order g) ~parts:3 in
+  check_delivery_matrix "simulator forest" (fun ?chunk ~delivery ~domains ~trace () ->
+      Core.Simulator.run_source ?chunk ~delivery ~domains ~trace Core.Forest_protocol.recognize
+        src);
+  (* Coalitions pool their views: no chunk, no pool width to vary. *)
+  check_delivery_matrix "coalition connectivity" (fun ?chunk:_ ~delivery ~domains:_ ~trace () ->
+      Core.Coalition.run_source ~delivery ~trace Core.Connectivity_parts.decide src ~parts);
+  check_delivery_matrix "bcc one-round forest" (fun ?chunk ~delivery ~domains ~trace () ->
+      Core.Bcc.run_source ?chunk ~delivery ~domains ~trace
+        (Core.Bcc.of_one_round Core.Forest_protocol.recognize)
+        src);
+  check_delivery_matrix "bcc connectivity" (fun ?chunk ~delivery ~domains ~trace () ->
+      Core.Bcc.run_source ?chunk ~delivery ~domains ~trace
+        (Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:2 ())
+        src)
+
+let test_chunk_rejected () =
+  let src = Graph_source.of_graph (Generators.cycle 8) in
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument msg ->
+      let has_chunk =
+        let k = String.length "chunk" in
+        let rec go i = i + k <= String.length msg && (String.sub msg i k = "chunk" || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) (Printf.sprintf "%s: %S names the field" name msg) true has_chunk
+  in
+  List.iter
+    (fun chunk ->
+      rejects (Printf.sprintf "simulator chunk %d" chunk) (fun () ->
+          ignore (Core.Simulator.run_source ~chunk Core.Forest_protocol.recognize src));
+      rejects (Printf.sprintf "bcc chunk %d" chunk) (fun () ->
+          ignore
+            (Core.Bcc.run_source ~chunk
+               (Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:2 ())
+               src)))
+    [ 0; -1 ]
+
 let () =
   Alcotest.run "streaming"
     [
@@ -362,6 +459,11 @@ let () =
           Alcotest.test_case "balanced spans on every entry point" `Quick
             test_trace_balanced_spans;
           Alcotest.test_case "jsonl lines" `Quick test_trace_jsonl_lines;
+        ] );
+      ( "delivery",
+        [
+          Alcotest.test_case "matrix" `Quick test_delivery_matrix;
+          Alcotest.test_case "chunk below 1 rejected" `Quick test_chunk_rejected;
         ] );
       ( "framing",
         List.map QCheck_alcotest.to_alcotest
