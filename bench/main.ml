@@ -20,8 +20,10 @@
                          BENCH_refnet.json
      main.exe bcc        broadcast congested clique: connectivity rounds-vs-bits
                          sweep over the implicit families with oracle-checked
-                         verdicts, one-round anchors, and engine transcript
-                         equivalence, written to BENCH_refnet.json
+                         verdicts, one-round anchors, engine transcript
+                         equivalence, and one million-node run's time,
+                         allocation and peak heap, written to BENCH_bcc.json
+                         (the million-node rows accumulate across runs)
      main.exe serve      referee daemon campaign (D1): clean session
                          throughput, then a chaos sweep with rising faulty
                          fractions gated on zero lies / zero quarantine
@@ -1490,11 +1492,101 @@ let bcc_equivalence () =
       (spec, n, !identical))
     [ "path:512"; "cycle:512"; "grid:16x32"; "regular:512:4:7"; "degenerate:512:3:5" ]
 
-let write_bcc_json sweep anchors equiv =
-  let oc = open_out "BENCH_refnet.json" in
+(* B4: the engine's memory at a million nodes — one connectivity run on
+   the bcc-regular-1m circulant, on one domain so the allocation count
+   covers the whole run.  It runs before B1-B3, so the process's peak
+   heap is its own. *)
+type bcc_memory_row = {
+  bm_seconds : float;
+  bm_alloc_bytes_per_node : float;
+  bm_top_heap_bytes : int;
+  bm_total_bits : int;
+}
+
+let bcc_memory_spec = "implicit:regular:1000000:4:1"
+
+let bcc_memory () =
+  Printf.printf "\nB4: engine memory — one connectivity run on %s, bandwidth 2, one domain\n\n"
+    bcc_memory_spec;
+  let src = Graph_source.parse bcc_memory_spec in
+  let n = Graph_source.order src in
+  let bandwidth = 2 in
+  let rounds = Core.Bcc_connectivity.rounds_for ~bandwidth ~max_degree:(Graph_source.degree src 1) in
+  let offsets = List.map (fun v -> v - 1) (Graph_source.neighbors src 1) in
+  let oracle = Core.Bcc_connectivity.circulant_connected ~n offsets in
+  Gc.compact ();
+  let a0 = Gc.allocated_bytes () in
+  let (verdict, t), dt =
+    wall (fun () ->
+        Core.Bcc.run_source ~domains:1 (Core.Bcc_connectivity.protocol ~rounds ~bandwidth ()) src)
+  in
+  let row =
+    {
+      bm_seconds = dt;
+      bm_alloc_bytes_per_node = (Gc.allocated_bytes () -. a0) /. float_of_int n;
+      bm_top_heap_bytes = top_heap_bytes ();
+      bm_total_bits = t.Core.Bcc.total_bits;
+    }
+  in
+  Printf.printf "  %.2f s  %.1f B/node alloc  top-heap %.1f MB  total %d bits\n" row.bm_seconds
+    row.bm_alloc_bytes_per_node
+    (float_of_int row.bm_top_heap_bytes /. 1048576.0)
+    row.bm_total_bits;
+  if verdict <> Some oracle then failwith "bcc: wrong verdict on the million-node circulant";
+  row
+
+(* The commit of the measured library: HEAD, suffixed [-dirty] when
+   [lib/] or [bin/] differ from it; "unknown" outside a git checkout. *)
+let source_commit () =
+  let read cmd =
+    let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+    let line = try Some (input_line ic) with End_of_file -> None in
+    (line, Unix.close_process_in ic)
+  in
+  match read "git rev-parse --short HEAD" with
+  | Some head, Unix.WEXITED 0 -> (
+    match read "git diff --quiet HEAD -- lib bin" with
+    | _, Unix.WEXITED 0 -> head
+    | _ -> head ^ "-dirty")
+  | _ -> "unknown"
+
+let host_json () =
+  Printf.sprintf "{\"nproc\": %d, \"ocaml\": \"%s\", \"commit\": \"%s\"}"
+    (Domain.recommended_domain_count ()) Sys.ocaml_version (source_commit ())
+
+(* B4 rows accumulate: each is one line starting with [b4_prefix], and
+   the rows of an earlier BENCH_bcc.json are kept ahead of the new one,
+   so runs at two commits leave both rows in the file. *)
+let b4_prefix = "    {\"host\": "
+
+let earlier_b4_rows file =
+  match In_channel.with_open_text file In_channel.input_all with
+  | exception Sys_error _ -> []
+  | text ->
+    String.split_on_char '\n' text
+    |> List.filter (String.starts_with ~prefix:b4_prefix)
+    |> List.map (fun row ->
+           if String.ends_with ~suffix:"," row then String.sub row 0 (String.length row - 1)
+           else row)
+
+let write_bcc_json sweep anchors equiv memory =
+  let file = "BENCH_bcc.json" in
+  let host = host_json () in
+  let b4 =
+    earlier_b4_rows file
+    @ [
+        Printf.sprintf
+          "%s%s, \"source\": \"%s\", \"domains\": 1, \"seconds\": %.3f, \
+           \"alloc_bytes_per_node\": %.1f, \"top_heap_bytes\": %d, \"total_bits\": %d}"
+          b4_prefix host bcc_memory_spec memory.bm_seconds memory.bm_alloc_bytes_per_node
+          memory.bm_top_heap_bytes memory.bm_total_bits;
+      ]
+  in
+  let oc = open_out file in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"bench\": \"refnet-bcc\",\n";
   Printf.fprintf oc "  \"unix_time\": %.0f,\n" (Unix.time ());
+  Printf.fprintf oc "  \"host\": %s,\n" host;
   Printf.fprintf oc "  \"connectivity_sweep\": [\n";
   List.iteri
     (fun i r ->
@@ -1521,17 +1613,19 @@ let write_bcc_json sweep anchors equiv =
         spec n same
         (if i = List.length equiv - 1 then "" else ","))
     equiv;
-  Printf.fprintf oc "  ]\n";
+  Printf.fprintf oc "  ],\n";
+  Printf.fprintf oc "  \"engine_memory\": [\n%s\n  ]\n" (String.concat ",\n" b4);
   Printf.fprintf oc "}\n";
   close_out oc;
-  Printf.printf "\nwrote BENCH_refnet.json\n"
+  Printf.printf "\nwrote %s\n" file
 
 let bcc_bench () =
-  section "B1-B3" "Broadcast congested clique: rounds-vs-bits sweep and engine equivalence";
+  section "B1-B4" "Broadcast congested clique: rounds-vs-bits sweep, engine equivalence and memory";
+  let memory = bcc_memory () in
   let sweep = bcc_sweep () in
   let anchors = bcc_anchors () in
   let equiv = bcc_equivalence () in
-  write_bcc_json sweep anchors equiv
+  write_bcc_json sweep anchors equiv memory
 
 let tables () =
   experiment_f1 ();

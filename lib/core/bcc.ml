@@ -70,9 +70,11 @@ type transcript = {
   faulted_ids : int list;
 }
 
-(* View audits accumulate across rounds (one view lives through the
-   whole run), so per-round [Node_local] events report the delta since
-   the previous snapshot. *)
+(* A view lives for one round, so a round's [Node_local] is its view's
+   audit — except in round 1, whose view [init] read first: that round
+   reports the delta since [init]. *)
+let no_reads = { View.id_reads = 0; n_reads = 0; deg_reads = 0; neighbor_reads = 0 }
+
 let sub_counts (a : View.counts) (b : View.counts) : View.counts =
   {
     id_reads = a.id_reads - b.id_reads;
@@ -94,10 +96,11 @@ let decorated base ~round ~src =
 let check_budget ~round ~id ~limit bits =
   if bits > limit then raise (Budget_exceeded { round; id; bits; limit })
 
-let broadcast_phase ~trace ~metrics ~round ~limit ~bcast ~(states : node_state array) p r rst =
+(* The referee's reply closing [round]: budget-checked, recorded and
+   observed.  Nodes hear it lazily, in their next send. *)
+let broadcast_phase ~trace ~metrics ~n ~round ~limit ~bcast r rst =
   let st, reply =
-    Simulator.maybe_time metrics "refnet_referee_phase" (fun () ->
-        r.r_broadcast ~n:(Array.length states) ~round !rst)
+    Simulator.maybe_time metrics "refnet_referee_phase" (fun () -> r.r_broadcast ~n ~round !rst)
   in
   rst := st;
   let bits = Message.bits reply in
@@ -108,9 +111,15 @@ let broadcast_phase ~trace ~metrics ~round ~limit ~bcast ~(states : node_state a
     (fun m ->
       Metrics.Histogram.observe (Metrics.Histogram.histogram m "refnet_bcc_broadcast_bits") bits)
     metrics;
-  for i = 0 to Array.length states - 1 do
-    states.(i) <- p.receive ~round ~broadcast:reply states.(i)
-  done
+  reply
+
+(* A stash that is exactly the broadcast history (most recent first) —
+   what a node that only [push_extra]s every broadcast holds — is
+   stored as the engine's one copy of it, not as a per-node list. *)
+let share ~history extra =
+  match (extra, history) with
+  | m :: rest, m' :: rest' when m == m' && rest == rest' -> history
+  | _ -> extra
 
 let run_core ?domains ?chunk ~delivery ~trace ~metrics ~src (p : 'a t) source =
   let n = Graph_source.order source in
@@ -119,11 +128,11 @@ let run_core ?domains ?chunk ~delivery ~trace ~metrics ~src (p : 'a t) source =
   let quiet = Trace.is_null trace && metrics = None in
   let outer = decorated p.name ~round:None ~src in
   Trace.emit trace (Trace.Span_begin { label = outer; n });
-  let states =
-    Simulator.maybe_time metrics "refnet_local_phase" (fun () ->
-        Parallel.init ?domains ?metrics n (fun i -> p.init (Simulator.view_of source ~n i)))
-  in
-  let prev = if quiet then [||] else Array.map (fun s -> View.audit s.view) states in
+  (* Between rounds a node is its stash and nothing else: the view is
+     rebuilt from the source at its next send, and the referee's
+     replies are delivered just before it, on the same pool domain. *)
+  let extras = Array.make n [] in
+  let history = ref [] in
   let queries = Option.map (fun m -> Metrics.Histogram.histogram m "refnet_view_queries") metrics in
   let per_round_max = Array.make rounds 0 in
   let per_round_total = Array.make rounds 0 in
@@ -136,34 +145,48 @@ let run_core ?domains ?chunk ~delivery ~trace ~metrics ~src (p : 'a t) source =
       for round = 1 to rounds do
         let rl = decorated p.name ~round:(Some round) ~src in
         Trace.emit trace (Trace.Span_begin { label = rl; n });
-        (* BCC's side of the shared uplink round: sends write states in
-           place, and accounting checks the budget — so the first
-           violation raised is the lowest offending id, at any width
-           and chunk — and keeps the per-round stats.  View audits
-           accumulate across rounds, so [Node_local] reports the delta
-           since the previous round. *)
-        let account i (msg, s) =
-          states.(i) <- s;
+        let heard = !history in
+        (* Node [i]'s turn, on a pool domain: round 1 (the only one
+           with no reply yet) starts it with [init], later rounds hand
+           it the previous reply, so [receive]'s reads count in the
+           round that follows it. *)
+        let send i =
+          let v = Simulator.view_of source ~n i in
+          let s, before =
+            match heard with
+            | [] ->
+              let s = p.init v in
+              (s, if quiet then no_reads else View.audit s.view)
+            | reply :: _ ->
+              let s = { view = v; extra = extras.(i) } in
+              (p.receive ~round:(round - 1) ~broadcast:reply s, no_reads)
+          in
+          let msg, s = p.send ~round s in
+          let delta = if quiet then no_reads else sub_counts (View.audit s.view) before in
+          (msg, share ~history:heard s.extra, delta)
+        in
+        (* Accounting runs in identifier order on the submitting
+           domain: it checks the budget — so the first violation raised
+           is the lowest offending id, at any width and chunk — and
+           keeps the per-round stats. *)
+        let account i (msg, extra, delta) =
+          extras.(i) <- extra;
           let bits = Message.bits msg in
           check_budget ~round ~id:(i + 1) ~limit bits;
           if bits > per_round_max.(round - 1) then per_round_max.(round - 1) <- bits;
           per_round_total.(round - 1) <- per_round_total.(round - 1) + bits;
           if not quiet then begin
-            let now = View.audit s.view in
-            let delta = sub_counts now prev.(i) in
             if not (Trace.is_null trace) then
               Trace.emit trace (Trace.Node_local { id = i + 1; bits; queries = delta });
             Option.iter
               (fun h -> Metrics.Histogram.observe h (Simulator.query_total delta))
-              queries;
-            prev.(i) <- now
+              queries
           end
         in
         let senders =
           {
-            Simulator.produce =
-              Simulator.in_parallel ?domains ?metrics (fun i -> p.send ~round states.(i));
-            message = fst;
+            Simulator.produce = Simulator.in_parallel ?domains ?metrics send;
+            message = (fun (msg, _, _) -> msg);
             account;
           }
         in
@@ -173,7 +196,7 @@ let run_core ?domains ?chunk ~delivery ~trace ~metrics ~src (p : 'a t) source =
         in
         faulted := List.rev_append hit !faulted;
         if round < rounds then
-          broadcast_phase ~trace ~metrics ~round ~limit ~bcast ~states p r rst;
+          history := broadcast_phase ~trace ~metrics ~n ~round ~limit ~bcast r rst :: !history;
         Trace.emit trace
           (Trace.Referee_done
              {

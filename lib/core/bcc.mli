@@ -13,12 +13,14 @@
     send time ({!Budget_exceeded}), so a protocol's rounds-vs-bits
     claim is checked on every run rather than asserted in a comment.
 
-    The engine is re-based on the full execution stack: node inits
-    consume {!View.t} slices built from {!Graph_source} backends
-    (materialized / CSR / implicit), send phases fan across the
-    {!Parallel} domain pool, the referee absorbs through a streaming
-    per-round {!round_stream} (constant live messages under [?chunk]),
-    and every round emits {!Trace} spans and {!Metrics}.  Per-round
+    The engine is re-based on the full execution stack.  Each round,
+    every node's {!View.t} is rebuilt from a {!Graph_source} backend
+    (materialized / CSR / implicit), and its [init] (round 1) or
+    [receive] (later rounds), then its [send], run on the {!Parallel}
+    domain pool; between rounds a node is one stash pointer.  The
+    referee absorbs through a streaming per-round {!round_stream}
+    (constant live messages under [?chunk]), and every round emits
+    {!Trace} spans and {!Metrics}.  Per-round
     spans are labelled [name[round=r]], and each round's done event
     carries the protocol's {!t.audit} budget, so each round's bits
     audit against the per-round theorem in [refnet report].
@@ -58,9 +60,12 @@ val log_budget : c:int -> int -> int
 exception Budget_exceeded of { round : int; id : int; bits : int; limit : int }
 
 type node_state
-(** Opaque per-node memory between rounds: the node's {!View.t} (built
-    once by the engine, straight from the backend's neighbour slice —
-    no [int list] copy) plus a message stash. *)
+(** Opaque per-node state: the node's {!View.t} plus a message stash.
+    Only the stash persists between rounds.  The engine builds a fresh
+    view for every round, straight from the backend's neighbour slice
+    (no [int list] copy), and wraps it with the stash before the node's
+    [receive] and [send].  A stash that is exactly the broadcasts so
+    far, most recent first, is stored once for all nodes. *)
 
 val make_state : View.t -> node_state
 (** [make_state view] is the fresh state around an engine-built view
@@ -94,11 +99,17 @@ type 'a referee = Referee : ('s, 'a) round_stream -> 'a referee
 type 'a t = {
   name : string;
   budget : budget;
-  init : View.t -> node_state;  (** initial state from the node's view *)
+  init : View.t -> node_state;
+      (** initial state from the node's view; runs on a pool domain
+          just before the node's round-1 [send] *)
   send : round:int -> node_state -> Message.t * node_state;
-      (** per-round message; must fit the budget *)
+      (** per-round message; must fit the budget.  Only the returned
+          state's stash is kept for the next round. *)
   receive : round:int -> broadcast:Message.t -> node_state -> node_state;
-      (** deliver the referee's broadcast after a round *)
+      (** deliver the referee's broadcast closing round [round]; runs
+          on a pool domain just before the node's next [send] (round
+          [round + 1]), never after the last round.  Its view reads
+          count in that next round's [Node_local] event. *)
   referee : 'a referee;
   audit : Bound_audit.budget option;
       (** the theorem budget each round's bits are audited under in

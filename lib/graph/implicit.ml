@@ -144,6 +144,32 @@ let back_picks ~k ~seed u o =
 let check t v name =
   if v < 1 || v > t.n then invalid_arg ("Implicit." ^ name ^ ": vertex out of range")
 
+(* The circulant neighbours [v +- o] (and the antipode), increasing: one
+   array, sorted by insertion — the degree is small, and the engines ask
+   for one vertex's row per node and round.  The offsets lie in
+   [1 .. (n - 1) / 2] and the antipode above it, so the entries are
+   distinct. *)
+let regular_neighbors t v =
+  let n = t.n and offs = t.reg_offsets in
+  let pairs = Array.length offs in
+  let out = Array.make ((2 * pairs) + if t.reg_half then 1 else 0) 0 in
+  let v0 = v - 1 in
+  for k = 0 to pairs - 1 do
+    out.(2 * k) <- 1 + ((v0 - offs.(k) + n) mod n);
+    out.((2 * k) + 1) <- 1 + ((v0 + offs.(k)) mod n)
+  done;
+  if t.reg_half then out.(2 * pairs) <- 1 + ((v0 + (n / 2)) mod n);
+  for i = 1 to Array.length out - 1 do
+    let x = out.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && out.(!j) > x do
+      out.(!j + 1) <- out.(!j);
+      decr j
+    done;
+    out.(!j + 1) <- x
+  done;
+  out
+
 let iter_neighbors t v f =
   check t v "iter_neighbors";
   let n = t.n in
@@ -189,24 +215,7 @@ let iter_neighbors t v f =
     for b = 0 to d - 1 do
       if v0 land (1 lsl b) = 0 then f (v0 + (1 lsl b) + 1)
     done
-  | Regular _ ->
-    let offs = t.reg_offsets in
-    let count = (2 * Array.length offs) + if t.reg_half then 1 else 0 in
-    let out = Array.make count 0 in
-    let idx = ref 0 in
-    let v0 = v - 1 in
-    Array.iter
-      (fun o ->
-        out.(!idx) <- (((v0 - o) mod n) + n) mod n;
-        out.(!idx + 1) <- (v0 + o) mod n;
-        idx := !idx + 2)
-      offs;
-    if t.reg_half then begin
-      out.(!idx) <- (v0 + (n / 2)) mod n;
-      incr idx
-    end;
-    Array.sort compare out;
-    Array.iter (fun u -> f (u + 1)) out
+  | Regular _ -> Array.iter f (regular_neighbors t v)
   | Degenerate { k; seed; _ } ->
     let back = back_offsets ~k ~seed v in
     for i = Array.length back - 1 downto 0 do
@@ -264,13 +273,17 @@ let fold_neighbors t v init f =
   !acc
 
 let neighbors_array t v =
-  let d = degree t v in
-  let out = Array.make d 0 in
-  let idx = ref 0 in
-  iter_neighbors t v (fun u ->
-      out.(!idx) <- u;
-      incr idx);
-  out
+  match t.fam with
+  | Regular _ ->
+    check t v "neighbors_array";
+    regular_neighbors t v
+  | _ ->
+    let out = Array.make (degree t v) 0 in
+    let idx = ref 0 in
+    iter_neighbors t v (fun u ->
+        out.(!idx) <- u;
+        incr idx);
+    out
 
 let neighbors t v = Array.to_list (neighbors_array t v)
 

@@ -388,6 +388,126 @@ let test_transcript_equality () =
       Alcotest.check transcript_eq backend t0 t)
     sources
 
+(* ---------- node-state semantics ---------- *)
+
+(* A probe that reads one view field per callback and ships its stash:
+   [init] reads [deg] and stashes a marker carrying it, [receive] reads
+   [n] and stashes the broadcast (checking it is the reply to the round
+   it is told), [send] reads [id] and sends it ahead of the stash, most
+   recent first.  The referee records what every node sent in every
+   round and broadcasts [100 + round]. *)
+let probe_width = 16
+
+let probe_encode values =
+  let w = Bit_writer.create () in
+  List.iter (Codes.write_fixed w ~width:probe_width) values;
+  Core.Message.of_writer w
+
+let probe_decode msg =
+  let r = Core.Message.reader msg in
+  List.init (Core.Message.bits msg / probe_width) (fun _ -> Codes.read_fixed r ~width:probe_width)
+
+let probe ~rounds : int list array array Core.Bcc.t =
+  {
+    Core.Bcc.name = "bcc-test-probe";
+    budget = Core.Bcc.budget ~rounds ~bits_per_round:Core.Bcc.unbounded;
+    init =
+      (fun v -> Core.Bcc.push_extra (Core.Bcc.make_state v) (probe_encode [ Core.View.deg v ]));
+    send =
+      (fun ~round:_ s ->
+        let id = Core.View.id (Core.Bcc.state_view s) in
+        (probe_encode (id :: List.concat_map probe_decode (Core.Bcc.state_extra s)), s));
+    receive =
+      (fun ~round ~broadcast s ->
+        ignore (Core.View.n (Core.Bcc.state_view s) : int);
+        if probe_decode broadcast <> [ 100 + round ] then
+          invalid_arg "bcc-test-probe: broadcast delivered under the wrong round";
+        Core.Bcc.push_extra s broadcast);
+    referee =
+      Core.Bcc.Referee
+        {
+          r_init = (fun ~n -> Array.init rounds (fun _ -> Array.make n []));
+          r_absorb =
+            (fun ~n:_ ~round seen ~id msg ->
+              seen.(round - 1).(id - 1) <- probe_decode msg;
+              seen);
+          r_broadcast = (fun ~n:_ ~round seen -> (seen, probe_encode [ 100 + round ]));
+          r_finish = (fun ~n:_ seen -> seen);
+        };
+    audit = None;
+  }
+
+let test_node_state_semantics () =
+  let rounds = 3 in
+  let fam = Implicit.parse "grid:3x4" in
+  let n = Implicit.order fam in
+  let p = probe ~rounds in
+  (* Round r: the node's id, then the broadcasts of rounds r-1 .. 1,
+     then the marker [init] stashed. *)
+  let expected_out =
+    Array.init rounds (fun r ->
+        Array.init n (fun i ->
+            ((i + 1) :: List.init r (fun k -> 100 + r - k)) @ [ Implicit.degree fam (i + 1) ]))
+  in
+  (* [init]'s read is not round 1's; [receive]'s lands in the next
+     round's [Node_local]. *)
+  let expected_locals =
+    List.concat
+      (List.init rounds (fun r ->
+           List.init n (fun i ->
+               ( i + 1,
+                 probe_width * (r + 2),
+                 { Core.View.id_reads = 1; n_reads = (if r = 0 then 0 else 1); deg_reads = 0;
+                   neighbor_reads = 0 } ))))
+  in
+  let locals events =
+    List.filter_map
+      (function
+        | Core.Trace.Node_local { id; bits; queries } -> Some (id, bits, queries) | _ -> None)
+      events
+  in
+  let sources =
+    [
+      ("implicit", Graph_source.of_implicit fam);
+      ("materialized", Graph_source.of_graph (Implicit.materialize fam));
+      ("csr", Graph_source.of_csr (Graph_source.to_csr (Graph_source.of_implicit fam)));
+    ]
+  in
+  let _, reference = Core.Bcc.run_source p (List.assoc "implicit" sources) in
+  let deliveries =
+    [
+      ("in order", fun () -> Core.Simulator.In_order);
+      ("faulty empty", fun () -> Core.Simulator.Faulty Core.Faults.empty);
+      ("shuffled", fun () -> Core.Simulator.Shuffled (Random.State.make [| 0x5eed; 16 |]));
+    ]
+  in
+  List.iter
+    (fun (backend, src) ->
+      List.iter
+        (fun (label, delivery) ->
+          List.iter
+            (fun chunk ->
+              List.iter
+                (fun domains ->
+                  let tag =
+                    Printf.sprintf "%s %s chunk=%s width %d" backend label
+                      (match chunk with None -> "none" | Some c -> string_of_int c)
+                      domains
+                  in
+                  let sink, drain = Core.Trace.memory () in
+                  let out, t =
+                    Core.Bcc.run_source ?chunk ~delivery:(delivery ()) ~domains ~trace:sink p src
+                  in
+                  Alcotest.(check bool) (tag ^ ": stashes, most recent first") true
+                    (out = expected_out);
+                  Alcotest.check transcript_eq (tag ^ ": transcript") reference t;
+                  Alcotest.(check bool) (tag ^ ": per-round query deltas") true
+                    (locals (drain ()) = expected_locals))
+                [ 1; 4 ])
+            [ None; Some 1; Some 5 ])
+        deliveries)
+    sources
+
 (* ---------- faults and hardening ---------- *)
 
 let test_empty_plan_bit_identical () =
@@ -573,6 +693,7 @@ let () =
           Alcotest.test_case "budget constructor validates" `Quick test_budget_constructor;
           Alcotest.test_case "budget validated at entry" `Quick test_budget_validated_at_entry;
           Alcotest.test_case "transcript equality" `Quick test_transcript_equality;
+          Alcotest.test_case "node-state semantics" `Quick test_node_state_semantics;
         ] );
       ( "faults",
         [

@@ -86,6 +86,47 @@ let test_regular_family () =
   expect_invalid "d >= n" (fun () ->
       Implicit.make (Implicit.Regular { n = 4; d = 4; seed = 1 }))
 
+(* The circulant rows the engines rebuild every round: sorted, in the
+   order [iter_neighbors] visits them, and equal to the CSR and
+   materialized rows — at sizes small enough that [v - o] and [v + o]
+   wrap, for even and odd degree. *)
+let test_regular_rows () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun d ->
+          if d < n && n * d mod 2 = 0 then
+            List.iter
+              (fun seed ->
+                let t = Implicit.make (Implicit.Regular { n; d; seed }) in
+                let csr = Graph_source.to_csr (Graph_source.of_implicit t) in
+                let g = Implicit.materialize t in
+                for v = 1 to n do
+                  let tag what = Printf.sprintf "regular:%d:%d:%d row %d %s" n d seed v what in
+                  let row = Implicit.neighbors_array t v in
+                  let visited = ref [] in
+                  Implicit.iter_neighbors t v (fun u -> visited := u :: !visited);
+                  Alcotest.(check int) (tag "length") d (Array.length row);
+                  Array.iteri
+                    (fun i u ->
+                      if i > 0 && row.(i - 1) >= u then
+                        Alcotest.failf "%s: not increasing" (tag "order"))
+                    row;
+                  Alcotest.(check (list int)) (tag "= iter_neighbors") (List.rev !visited)
+                    (Array.to_list row);
+                  let arr, off, len = Csr.neighbors_slice csr v in
+                  Alcotest.(check (array int)) (tag "= csr") (Array.sub arr off len) row;
+                  Alcotest.(check (array int)) (tag "= materialized") (Graph.neighbors_row g v) row
+                done;
+                List.iter
+                  (fun v ->
+                    expect_invalid (Printf.sprintf "regular:%d:%d row %d" n d v) (fun () ->
+                        Implicit.neighbors_array t v))
+                  [ 0; n + 1 ])
+              [ 1; 7 ])
+        [ 1; 2; 3; 4; n - 1 ])
+    [ 5; 6; 7; 8; 64 ]
+
 let test_degenerate_family () =
   List.iter
     (fun (n, k, seed) ->
@@ -340,6 +381,7 @@ let () =
           Alcotest.test_case "materialized twins" `Quick test_implicit_twins;
           Alcotest.test_case "oracles vs twins" `Quick test_implicit_oracles;
           Alcotest.test_case "regular family" `Quick test_regular_family;
+          Alcotest.test_case "regular rows" `Quick test_regular_rows;
           Alcotest.test_case "degenerate family" `Quick test_degenerate_family;
           Alcotest.test_case "parse errors" `Quick test_implicit_parse_errors;
           Alcotest.test_case "parse_family sizes" `Quick test_parse_family_sizes;
