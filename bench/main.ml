@@ -3,34 +3,25 @@
    EXPERIMENTS.md for paper-vs-measured commentary).
 
    Usage:
-     main.exe            run every experiment table + timing benches
+     main.exe            the tables, the timing benches and the faults,
+                         metrics and bcc campaigns
      main.exe tables     only the experiment tables (fast)
      main.exe timings    only the Bechamel timing benches
-     main.exe scaling    multicore scaling: sequential vs 2/4/8 domains,
-                         results written to BENCH_refnet.json
-     main.exe faults     fault campaign: hardened-vs-plain absorb cost and
-                         crash-rate degradation, written to BENCH_refnet.json
-     main.exe metrics    metrics-overhead microbench: unobserved runs pay
-                         nothing, live registries stay under 5%, written to
-                         BENCH_refnet.json
-     main.exe graphsource  Graph_source campaign: backend transcript
-                         equivalence at n = 512, then forest recognition on
-                         an implicit path at n = 10^3..10^6 with a chunked
-                         referee feed, peak-heap gated, written to
-                         BENCH_refnet.json
-     main.exe bcc        broadcast congested clique: connectivity rounds-vs-bits
-                         sweep over the implicit families with oracle-checked
-                         verdicts, one-round anchors, engine transcript
-                         equivalence, and one million-node run's time,
-                         allocation and peak heap, written to BENCH_bcc.json
-                         (the million-node rows accumulate across runs)
-     main.exe serve      referee daemon campaign (D1): clean session
-                         throughput, then a chaos sweep with rising faulty
-                         fractions gated on zero lies / zero quarantine
-                         escapes, written to BENCH_refnet.json
+     main.exe faults     fault campaign (F1/F2): hardened-vs-plain absorb
+                         cost and crash-rate degradation
+     main.exe metrics    metrics-overhead microbench (M1): unobserved runs
+                         pay nothing, live registries stay under 5%
+     main.exe bcc        broadcast congested clique (B1/B2/B4): connectivity
+                         rounds-vs-bits sweep over the implicit families with
+                         oracle-checked verdicts, one-round anchors, and one
+                         million-node run's time, allocation and peak heap
      main.exe flight     flight-recorder overhead (D2): the chaos selftest
                          with rings on vs off, median-of-ratios overhead
-                         gated under 5%, written to BENCH_refnet.json *)
+                         gated under 5%
+
+   A campaign appends its rows, one JSON object per line, to
+   BENCH_<campaign>.jsonl; earlier rows are kept.  The tables and the
+   timing benches only print. *)
 
 open Refnet_graph
 
@@ -695,232 +686,104 @@ let timing_benches () =
         results)
     tests
 
+
 (* ------------------------------------------------------------------ *)
-(* S1/S2: multicore scaling of the simulation engine                    *)
+(* Campaign output: one append-only row file per campaign               *)
 (* ------------------------------------------------------------------ *)
 
-let widths = [ 1; 2; 4; 8 ]
+type json = Int of int | Float of float | Str of string | Bool of bool | Obj of (string * json) list
+
+let rec json_to_string = function
+  | Int i -> string_of_int i
+  | Float f -> if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+  | Str s -> Core.Trace.json_string s
+  | Bool b -> string_of_bool b
+  | Obj fields ->
+    let field (key, v) = Core.Trace.json_string key ^ ": " ^ json_to_string v in
+    "{" ^ String.concat ", " (List.map field fields) ^ "}"
+
+(* The commit of the measured library: HEAD, suffixed [-dirty] when
+   [lib/] or [bin/] differ from it; "unknown" outside a git checkout. *)
+let source_commit () =
+  let read cmd =
+    let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+    let line = try Some (input_line ic) with End_of_file -> None in
+    (line, Unix.close_process_in ic)
+  in
+  match read "git rev-parse --short HEAD" with
+  | Some head, Unix.WEXITED 0 -> (
+    match read "git diff --quiet HEAD -- lib bin" with
+    | _, Unix.WEXITED 0 -> head
+    | _ -> head ^ "-dirty")
+  | _ -> "unknown"
+
+let host_json () =
+  Obj
+    [
+      ("nproc", Int (Domain.recommended_domain_count ()));
+      ("ocaml", Str Sys.ocaml_version);
+      ("commit", Str (source_commit ()));
+    ]
+
+(* [append_rows ~campaign rows] appends each [(table, fields)] row to
+   BENCH_<campaign>.jsonl as one JSON object line, led by the campaign,
+   the table, the time and the host.  The file is never read back or
+   rewritten, so runs at two commits leave both runs' rows. *)
+let append_rows ~campaign rows =
+  let file = Printf.sprintf "BENCH_%s.jsonl" campaign in
+  let stamp = [ ("unix_time", Int (int_of_float (Unix.time ()))); ("host", host_json ()) ] in
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_creat; Open_text ] 0o644 file
+    (fun oc ->
+      List.iter
+        (fun (table, fields) ->
+          let row = ("campaign", Str campaign) :: ("table", Str table) :: (stamp @ fields) in
+          Out_channel.output_string oc (json_to_string (Obj row) ^ "\n"))
+        rows);
+  Printf.printf "\nappended %d rows to %s\n" (List.length rows) file
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Best of [reps] timed runs (first call outside the timer warms the
-   pool and the code paths). *)
-let time_best ~reps f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let _, dt = wall f in
-    if dt < !best then best := dt
+(* Overhead timing for the 5% budgets (M1, D2).  The host is noisy
+   (shared cores, frequency drift), so best-of times taken in separate
+   blocks are unreliable: two variants running the same code drift
+   apart by several percent.  Instead each round runs every variant
+   back-to-back, and a variant's overhead is the median over rounds of
+   its time divided by the baseline's (variant 0) in the same round:
+   drift within a round hits both sides of a ratio, and the median
+   discards the rounds a noise spike hit only one side of.  Each run
+   returns its own seconds; the result is, per variant, the best time
+   and that median ratio. *)
+let interleaved_rounds runs =
+  let rounds = 15 in
+  Array.iter (fun run -> ignore (run ())) runs;
+  let times = Array.map (fun _ -> Array.make rounds 0.) runs in
+  for round = 0 to rounds - 1 do
+    Array.iteri (fun i run -> times.(i).(round) <- run ()) runs
   done;
-  !best
-
-type scaling_row = { workload : string; params : (string * string) list; times : (int * float) list; identical : bool }
-
-let scaling_degeneracy () =
-  let n = 1024 and k = 5 in
-  Printf.printf "\nS1: degeneracy reconstruction (T1/T2-style), n=%d, k=%d\n" n k;
-  let g = Generators.random_k_degenerate (rng ()) n ~k in
-  let p = Core.Degeneracy_protocol.reconstruct ~k () in
-  let reference = Core.Simulator.local_phase ~domains:1 p g in
-  let identical = ref true in
-  let times =
-    List.map
-      (fun d ->
-        let msgs = Core.Simulator.local_phase ~domains:d p g in
-        if not (Array.for_all2 Core.Message.equal reference msgs) then identical := false;
-        let out, t = Core.Simulator.run ~domains:d p g in
-        if out <> Some g || t.Core.Simulator.message_bits <> Array.map Core.Message.bits reference
-        then identical := false;
-        let dt = time_best ~reps:3 (fun () -> Core.Simulator.run ~domains:d p g) in
-        Printf.printf "  domains=%d  %8.1f ms\n%!" d (1000.0 *. dt);
-        (d, dt))
-      widths
-  in
-  let t1 = List.assoc 1 times in
-  List.iter (fun (d, dt) -> if d > 1 then Printf.printf "  (x%d vs sequential: %.2fx)\n" d (t1 /. dt)) times;
-  Printf.printf "  transcripts byte-identical across widths: %b\n" !identical;
-  { workload = "degeneracy-reconstruction"; params = [ ("n", string_of_int n); ("k", string_of_int k) ]; times; identical = !identical }
-
-let scaling_gadget_sweep () =
-  let n = 64 in
-  Printf.printf "\nS2: diameter-gadget O(n^2) sweep (Theorem 2), n=%d\n" n;
-  let g = Generators.gnp (rng ()) n 0.3 in
-  let pairs = ref [] in
-  for s = n downto 1 do
-    for t = n downto s + 1 do
-      pairs := (s, t) :: !pairs
-    done
-  done;
-  let pairs = Array.of_list !pairs in
-  let sweep d =
-    (* One pre-sized incremental builder per domain; verdicts land by
-       pair index, so the vector is width-independent. *)
-    Core.Parallel.map_array_ctx ~domains:d
-      (fun () -> Core.Gadgets.Batch.diameter g)
-      (fun batch (s, t) ->
-        Distance.diameter_at_most (Core.Gadgets.Batch.instantiate batch ~s ~t) 3)
-      pairs
-  in
-  let reference = sweep 1 in
-  let identical = ref true in
-  let times =
-    List.map
-      (fun d ->
-        if sweep d <> reference then identical := false;
-        let dt = time_best ~reps:3 (fun () -> sweep d) in
-        Printf.printf "  domains=%d  %8.1f ms\n%!" d (1000.0 *. dt);
-        (d, dt))
-      widths
-  in
-  let t1 = List.assoc 1 times in
-  List.iter (fun (d, dt) -> if d > 1 then Printf.printf "  (x%d vs sequential: %.2fx)\n" d (t1 /. dt)) times;
-  (* Cross-check the incremental builder against the from-scratch gadget
-     on a sample of pairs. *)
-  let batch = Core.Gadgets.Batch.diameter g in
-  Array.iteri
-    (fun i (s, t) ->
-      if i mod 97 = 0 && not (Graph.equal (Core.Gadgets.Batch.instantiate batch ~s ~t) (Core.Gadgets.diameter g s t))
-      then identical := false)
-    pairs;
-  Printf.printf "  verdict vectors identical across widths: %b\n" !identical;
-  { workload = "diameter-gadget-sweep"; params = [ ("n", string_of_int n); ("pairs", string_of_int (Array.length pairs)) ]; times; identical = !identical }
-
-(* ------------------------------------------------------------------ *)
-(* S3: streaming referees keep O(1) allocation per absorbed message     *)
-(* ------------------------------------------------------------------ *)
-
-type alloc_row = { referee_name : string; small_n : int; big_n : int; small_bytes : float; big_bytes : float }
-
-(* Bytes allocated per [Protocol.feed] across a full n-message stream,
-   measured with [Gc.allocated_bytes] deltas.  The state itself is
-   allocated once at [Protocol.start]; what must not grow with [n] is
-   the per-absorb cost. *)
-let bytes_per_absorb referee ~n msgs ~check =
-  let feed = ref (Core.Protocol.start referee ~n) in
-  let before = Gc.allocated_bytes () in
-  Array.iteri (fun i m -> feed := Core.Protocol.feed !feed ~id:(i + 1) m) msgs;
-  let after = Gc.allocated_bytes () in
-  check (Core.Protocol.finish !feed);
-  (after -. before) /. float_of_int n
-
-let forest_absorb_bytes n =
-  let g = Generators.random_tree (rng ()) n in
-  let msgs = Core.Simulator.local_phase Core.Forest_protocol.reconstruct g in
-  bytes_per_absorb Core.Forest_protocol.reconstruct.Core.Protocol.referee ~n msgs
-    ~check:(fun out ->
-      match out with
-      | Some h when Graph.equal g h -> ()
-      | _ -> failwith "S3: forest referee failed to reconstruct after the timed feed")
-
-let coalition_absorb_bytes n =
-  let g = Generators.random_tree (rng ()) n in
-  let parts = Core.Coalition.partition_by_ranges ~n ~parts:4 in
-  let inbox = Array.make n Core.Message.empty in
-  List.iter
-    (fun members ->
-      let view =
-        { Core.Coalition.members; neighborhoods = List.map (fun v -> (v, Graph.neighbors g v)) members }
-      in
-      List.iter
-        (fun (id, m) -> inbox.(id - 1) <- m)
-        (Core.Connectivity_parts.decide.Core.Coalition.local ~n view))
-    parts;
-  bytes_per_absorb Core.Connectivity_parts.decide.Core.Coalition.referee ~n inbox
-    ~check:(fun ok -> if not ok then failwith "S3: coalition referee rejected a connected tree")
-
-let scaling_allocation () =
-  Printf.printf "\nS3: streaming-referee allocation per absorb (Gc.allocated_bytes deltas)\n";
-  let small_n = 512 and big_n = 4096 in
-  let measure name per =
-    ignore (per small_n);
-    (* warm-up: one full stream outside the comparison *)
-    let small_bytes = per small_n and big_bytes = per big_n in
-    let ratio = big_bytes /. small_bytes in
-    let ok = ratio < 2.0 && big_bytes < 2048.0 in
-    Printf.printf "  %-24s n=%d: %7.1f B/absorb   n=%d: %7.1f B/absorb   ratio %.2f  %s\n"
-      name small_n small_bytes big_n big_bytes ratio
-      (if ok then "O(1) ok" else "NOT O(1)");
-    if not ok then
-      failwith (name ^ ": streaming referee allocates super-constant bytes per absorb");
-    { referee_name = name; small_n; big_n; small_bytes; big_bytes }
-  in
-  let forest = measure "forest-reconstruct" forest_absorb_bytes in
-  let coalition = measure "coalition-connectivity" coalition_absorb_bytes in
-  [ forest; coalition ]
-
-let write_scaling_json rows alloc_rows =
-  let oc = open_out "BENCH_refnet.json" in
-  let t1 row = List.assoc 1 row.times in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"refnet-scaling\",\n";
-  Printf.fprintf oc "  \"unix_time\": %.0f,\n" (Unix.time ());
-  Printf.fprintf oc "  \"recommended_domains\": %d,\n" (Domain.recommended_domain_count ());
-  Printf.fprintf oc "  \"default_pool_width\": %d,\n" (Core.Parallel.domain_count ());
-  Printf.fprintf oc "  \"workloads\": [\n";
-  List.iteri
-    (fun i row ->
-      Printf.fprintf oc "    {\n      \"name\": \"%s\",\n" row.workload;
-      List.iter (fun (key, v) -> Printf.fprintf oc "      \"%s\": %s,\n" key v) row.params;
-      Printf.fprintf oc "      \"identical_outputs\": %b,\n" row.identical;
-      Printf.fprintf oc "      \"runs\": [\n";
-      List.iteri
-        (fun j (d, dt) ->
-          Printf.fprintf oc "        {\"domains\": %d, \"seconds\": %.6f, \"speedup\": %.3f}%s\n" d dt
-            (t1 row /. dt)
-            (if j = List.length row.times - 1 then "" else ","))
-        row.times;
-      Printf.fprintf oc "      ]\n    }%s\n" (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"streaming_alloc_bytes_per_absorb\": [\n";
-  List.iteri
-    (fun i a ->
-      Printf.fprintf oc
-        "    {\"referee\": \"%s\", \"n_small\": %d, \"bytes_small\": %.1f, \"n_big\": %d, \"bytes_big\": %.1f, \"ratio\": %.3f}%s\n"
-        a.referee_name a.small_n a.small_bytes a.big_n a.big_bytes
-        (a.big_bytes /. a.small_bytes)
-        (if i = List.length alloc_rows - 1 then "" else ","))
-    alloc_rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\nwrote BENCH_refnet.json\n"
-
-let scaling () =
-  section "S1-S3" "Multicore scaling and streaming-referee allocation";
-  Printf.printf "(host reports %d recommended domain(s); speedups track physical cores)\n"
-    (Domain.recommended_domain_count ());
-  let s1 = scaling_degeneracy () in
-  let s2 = scaling_gadget_sweep () in
-  let s3 = scaling_allocation () in
-  write_scaling_json [ s1; s2 ] s3
+  Array.map
+    (fun t ->
+      let ratios = Array.map2 ( /. ) t times.(0) in
+      Array.sort compare ratios;
+      (Array.fold_left Float.min infinity t, ratios.(rounds / 2)))
+    times
 
 (* ------------------------------------------------------------------ *)
 (* F-bench: fault campaign — hardening overhead and crash degradation  *)
 (* ------------------------------------------------------------------ *)
 
-type fault_overhead_row = {
-  fo_name : string;
-  fo_n : int;
-  fo_plain_ns : float;
-  fo_hardened_ns : float;
-}
-
-type fault_degrade_row = {
-  fd_rate : float;
-  fd_hits : int;
-  fd_outcome : string;
-  fd_determined : int;
-}
-
-(* Seconds for one full feed of [msgs] into a fresh referee, best of 5. *)
+(* Seconds for one full feed of [msgs] into a fresh referee, best of 5
+   (one untimed feed first warms the code paths). *)
 let feed_time referee ~n msgs =
-  time_best ~reps:5 (fun () ->
-      let feed = ref (Core.Protocol.start referee ~n) in
-      Array.iteri (fun i m -> feed := Core.Protocol.feed !feed ~id:(i + 1) m) msgs;
-      Core.Protocol.finish !feed)
+  let run () =
+    let feed = ref (Core.Protocol.start referee ~n) in
+    Array.iteri (fun i m -> feed := Core.Protocol.feed !feed ~id:(i + 1) m) msgs;
+    Core.Protocol.finish !feed
+  in
+  ignore (run ());
+  List.fold_left Float.min infinity (List.init 5 (fun _ -> snd (wall run)))
 
 let coalition_inbox (p : 'a Core.Coalition.t) g ~parts =
   Core.Coalition.collect p (Graph_source.of_graph g)
@@ -932,7 +795,14 @@ let faults_overhead () =
     let per t = 1e9 *. t /. float_of_int n in
     Printf.printf "  %-24s n=%d  plain %7.1f ns/absorb   hardened %7.1f ns/absorb   x%.2f\n"
       name n (per plain_t) (per hardened_t) (hardened_t /. plain_t);
-    { fo_name = name; fo_n = n; fo_plain_ns = per plain_t; fo_hardened_ns = per hardened_t }
+    ( "hardening_overhead_ns_per_absorb",
+      [
+        ("protocol", Str name);
+        ("n", Int n);
+        ("plain_ns", Float (per plain_t));
+        ("hardened_ns", Float (per hardened_t));
+        ("ratio", Float (hardened_t /. plain_t));
+      ] )
   in
   (* Forest reconstruction over a random tree. *)
   let n = 2048 in
@@ -998,56 +868,24 @@ let faults_degradation () =
       in
       Printf.printf "  crash=%.2f  hits=%3d  %-12s determined %d/%d nodes\n" rate hits
         outcome determined n;
-      { fd_rate = rate; fd_hits = hits; fd_outcome = outcome; fd_determined = determined })
+      ( "crash_degradation_forest_n512",
+        [
+          ("crash_rate", Float rate);
+          ("faults_hit", Int hits);
+          ("outcome", Str outcome);
+          ("determined_nodes", Int determined);
+        ] ))
     [ 0.0; 0.05; 0.1; 0.2; 0.4 ]
-
-let write_faults_json overhead sweep =
-  let oc = open_out "BENCH_refnet.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"refnet-faults\",\n";
-  Printf.fprintf oc "  \"unix_time\": %.0f,\n" (Unix.time ());
-  Printf.fprintf oc "  \"hardening_overhead_ns_per_absorb\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"protocol\": \"%s\", \"n\": %d, \"plain_ns\": %.1f, \"hardened_ns\": %.1f, \"ratio\": %.3f}%s\n"
-        r.fo_name r.fo_n r.fo_plain_ns r.fo_hardened_ns
-        (r.fo_hardened_ns /. r.fo_plain_ns)
-        (if i = List.length overhead - 1 then "" else ","))
-    overhead;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"crash_degradation_forest_n512\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"crash_rate\": %.2f, \"faults_hit\": %d, \"outcome\": \"%s\", \"determined_nodes\": %d}%s\n"
-        r.fd_rate r.fd_hits r.fd_outcome r.fd_determined
-        (if i = List.length sweep - 1 then "" else ","))
-    sweep;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\nwrote BENCH_refnet.json\n"
 
 let faults () =
   section "F1-F2" "Fault campaign: hardening overhead and detect-or-degrade sweep";
   let overhead = faults_overhead () in
   let sweep = faults_degradation () in
-  write_faults_json overhead sweep
+  append_rows ~campaign:"faults" (overhead @ sweep)
 
 (* ------------------------------------------------------------------ *)
 (* M1: metrics-overhead microbench                                      *)
 (* ------------------------------------------------------------------ *)
-
-type metrics_row = {
-  mr_name : string;
-  mr_n : int;
-  mr_plain_ns : float;  (** ns per run, no registry (the default fast path) *)
-  mr_null_ns : float;  (** ns per run with an explicit Trace.null sink *)
-  mr_live_ns : float;  (** ns per run with a live registry recording *)
-  mr_overhead : float;  (** min over rounds of per-round live/plain *)
-  mr_null_ratio : float;  (** same for null/plain — the noise control, ~1.0 *)
-  mr_alloc_delta : float;  (** bytes per run: explicit-null minus plain *)
-}
 
 let alloc_per_run ~reps f =
   ignore (f ());
@@ -1061,64 +899,39 @@ let metrics_workload name n (plain : ?trace:Core.Trace.sink -> unit -> unit) liv
   let per t = 1e9 *. t /. float_of_int n in
   let null = fun () -> plain ~trace:Core.Trace.null () in
   let plain = fun () -> plain ?trace:None () in
-  (* The host is noisy (shared cores, frequency drift), so absolute
-     best-of times across variants are unreliable: plain and null are
-     the same code path yet drift apart by several percent when timed
-     in separate blocks.  Instead, each round times all three variants
-     back-to-back and the overhead estimate is the {e median} of the
-     per-round ratios live/plain — drift within a round hits both sides
-     of a ratio, and the median discards the rounds a noise spike hit
-     only one side of. *)
-  ignore (plain ());
-  ignore (null ());
-  ignore (live ());
-  let rounds = 15 in
-  let plain_t = ref infinity and null_t = ref infinity and live_t = ref infinity in
-  let null_ratios = Array.make rounds 0. and live_ratios = Array.make rounds 0. in
-  for round = 0 to rounds - 1 do
-    let _, pt = wall plain in
-    let _, nt = wall null in
-    let _, lt = wall live in
-    if pt < !plain_t then plain_t := pt;
-    if nt < !null_t then null_t := nt;
-    if lt < !live_t then live_t := lt;
-    null_ratios.(round) <- nt /. pt;
-    live_ratios.(round) <- lt /. pt
-  done;
-  let median a =
-    let a = Array.copy a in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let null_ratio = ref (median null_ratios) and live_ratio = ref (median live_ratios) in
-  let plain_t = !plain_t and null_t = !null_t and live_t = !live_t in
+  let seconds f () = snd (wall f) in
+  let timed = interleaved_rounds [| seconds plain; seconds null; seconds live |] in
+  let plain_t, _ = timed.(0) and null_t, null_ratio = timed.(1) and live_t, overhead = timed.(2) in
   let reps = 20 in
   (* An unobserved run must not even allocate differently: passing the
      Null sink explicitly takes the same branch as passing nothing. *)
   let alloc_delta = alloc_per_run ~reps null -. alloc_per_run ~reps plain in
-  let overhead = !live_ratio in
   Printf.printf
     "  %-24s n=%d  plain %7.1f ns/node   null %7.1f ns/node   live %7.1f ns/node   overhead %.3fx (null control %.3fx)  null-alloc-delta %+.1f B\n"
-    name n (per plain_t) (per null_t) (per live_t) overhead !null_ratio alloc_delta;
+    name n (per plain_t) (per null_t) (per live_t) overhead null_ratio alloc_delta;
   if overhead > 1.05 then
     failwith (name ^ ": live metrics overhead exceeds the 5% budget");
   if Float.abs alloc_delta > 64.0 then
     failwith (name ^ ": the Null sink is not allocation-free");
-  {
-    mr_name = name;
-    mr_n = n;
-    mr_plain_ns = per plain_t;
-    mr_null_ns = per null_t;
-    mr_live_ns = per live_t;
-    mr_overhead = overhead;
-    mr_null_ratio = !null_ratio;
-    mr_alloc_delta = alloc_delta;
-  }
+  ( "overhead",
+    [
+      ("name", Str name);
+      ("n", Int n);
+      ("overhead_budget", Float 1.05);
+      ("plain_ns_per_node", Float (per plain_t));
+      ("null_ns_per_node", Float (per null_t));
+      ("live_ns_per_node", Float (per live_t));
+      ("live_overhead", Float overhead);
+      ("null_control_ratio", Float null_ratio);
+      ("null_alloc_delta_bytes", Float alloc_delta);
+    ] )
 
-let metrics_overhead () =
+let metrics_bench () =
+  section "M1" "Metrics overhead: unobserved runs pay nothing, live stays under 5%";
   Printf.printf
-    "\nM1: per-run cost of observability (best of 5; live = registry recording\n\
-    \    every series Simulator documents, sampled absorb latency included)\n";
+    "\nM1: per-run cost of observability (median of 15 interleaved rounds; live =\n\
+    \    registry recording every series Simulator documents, sampled absorb\n\
+    \    latency included)\n";
   let r = rng () in
   (* Forest reconstruction: cheap local phase, stream-dominated — the
      worst case for per-absorb instrumentation. *)
@@ -1143,214 +956,10 @@ let metrics_overhead () =
         let m = Core.Metrics.create () in
         ignore (Core.Simulator.run ~domains:1 ~metrics:m p g))
   in
-  [ forest; degeneracy ]
-
-let write_metrics_json rows =
-  let oc = open_out "BENCH_refnet.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"refnet-metrics\",\n";
-  Printf.fprintf oc "  \"unix_time\": %.0f,\n" (Unix.time ());
-  Printf.fprintf oc "  \"overhead_budget\": 1.05,\n";
-  Printf.fprintf oc "  \"workloads\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"n\": %d, \"plain_ns_per_node\": %.1f, \"null_ns_per_node\": %.1f, \"live_ns_per_node\": %.1f, \"live_overhead\": %.3f, \"null_control_ratio\": %.3f, \"null_alloc_delta_bytes\": %.1f}%s\n"
-        r.mr_name r.mr_n r.mr_plain_ns r.mr_null_ns r.mr_live_ns r.mr_overhead r.mr_null_ratio
-        r.mr_alloc_delta
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\nwrote BENCH_refnet.json\n"
-
-let metrics_bench () =
-  section "M1" "Metrics overhead: unobserved runs pay nothing, live stays under 5%";
-  write_metrics_json (metrics_overhead ())
+  append_rows ~campaign:"metrics" [ forest; degeneracy ]
 
 (* ------------------------------------------------------------------ *)
-(* G1/G2: Graph_source campaign — backend equivalence, then the        *)
-(* million-node frontier run                                           *)
-(* ------------------------------------------------------------------ *)
-
-type gs_equiv_row = { ge_family : string; ge_n : int; ge_identical : bool }
-
-type gs_scale_row = {
-  gs_n : int;
-  gs_backend : string;
-  gs_chunk : int option;
-  gs_seconds : float;
-  gs_ns_per_node : float;
-  gs_alloc_bytes_per_node : float;
-  gs_top_heap_bytes : int;  (** absolute process peak after the run *)
-  gs_max_bits : int;
-  gs_matches_implicit : bool;
-      (** twin transcript bit-identical to the implicit run at this n *)
-}
-
-(* The whole-process high-water mark: the one number the incidence
-   matrix cannot hide behind (at n = 10^6 it alone would be ~125 GB). *)
-let top_heap_bytes () = 8 * (Gc.stat ()).Gc.top_heap_words
-
-let gs_same (o1, (t1 : Core.Simulator.transcript)) (o2, (t2 : Core.Simulator.transcript)) =
-  o1 = o2 && t1.Core.Simulator.message_bits = t2.Core.Simulator.message_bits
-
-let graphsource_equivalence () =
-  Printf.printf
-    "\nG1: backend equivalence — forest recognition transcripts must be bit-identical\n\
-    \    on materialized / CSR / implicit, at every chunk size and pool width\n";
-  let p = Core.Forest_protocol.recognize in
-  List.map
-    (fun spec ->
-      let imp = Implicit.parse spec in
-      let g = Implicit.materialize imp in
-      let n = Graph.order g in
-      let reference = Core.Simulator.run p g in
-      let identical = ref true in
-      let check run = if not (gs_same reference (run ())) then identical := false in
-      List.iter
-        (fun (_, src) ->
-          check (fun () -> Core.Simulator.run_source p src);
-          List.iter
-            (fun chunk -> check (fun () -> Core.Simulator.run_source ~chunk p src))
-            [ 1; 7; 64; n ];
-          check (fun () -> Core.Simulator.run_source ~domains:4 p src))
-        [
-          ("materialized", Graph_source.of_graph g);
-          ("csr", Graph_source.of_csr (Csr.of_graph g));
-          ("implicit", Graph_source.of_implicit imp);
-        ];
-      Printf.printf "  %-22s n=%4d  transcripts identical: %b\n" spec n !identical;
-      if not !identical then failwith ("graphsource: backend divergence on " ^ spec);
-      { ge_family = spec; ge_n = n; ge_identical = !identical })
-    [
-      "path:512"; "cycle:512"; "star:512"; "grid:16x32"; "hypercube:9";
-      "regular:512:4:7"; "degenerate:512:3:5";
-    ]
-
-(* Peak-heap budget for the n = 10^6 implicit run: the referee tables
-   (2 x 8 MB), the transcript (8 MB), the chunk of in-flight messages
-   and GC slack — far under the 125 GB incidence matrix or even the
-   ~60 MB full message vector an unchunked schedule would hold live. *)
-let gs_heap_budget = 256 * 1024 * 1024
-
-let graphsource_scaling () =
-  Printf.printf
-    "\nG2: forest recognition on implicit paths, chunked referee feed (chunk = 65536)\n";
-  let p = Core.Forest_protocol.recognize in
-  let chunk = 65536 in
-  let rows = ref [] in
-  let timed ~n ~backend ~chunk ~reps run =
-    Gc.compact ();
-    let a0 = Gc.allocated_bytes () in
-    let (ok, t), dt = wall run in
-    let alloc = (Gc.allocated_bytes () -. a0) /. float_of_int n in
-    let dt = ref dt in
-    for _ = 2 to reps do
-      let _, d = wall run in
-      if d < !dt then dt := d
-    done;
-    if not ok then failwith "graphsource: a path was not recognized as a forest";
-    ( t,
-      {
-        gs_n = n;
-        gs_backend = backend;
-        gs_chunk = chunk;
-        gs_seconds = !dt;
-        gs_ns_per_node = 1e9 *. !dt /. float_of_int n;
-        gs_alloc_bytes_per_node = alloc;
-        gs_top_heap_bytes = top_heap_bytes ();
-        gs_max_bits = t.Core.Simulator.max_bits;
-        gs_matches_implicit = true;
-      } )
-  in
-  let report r =
-    Printf.printf
-      "  n=%8d  %-13s %s  %8.1f ns/node  %7.1f B/node alloc  top-heap %5.1f MB  twin-identical %b\n"
-      r.gs_n r.gs_backend
-      (match r.gs_chunk with Some c -> Printf.sprintf "chunk=%-6d" c | None -> "unchunked   ")
-      r.gs_ns_per_node r.gs_alloc_bytes_per_node
-      (float_of_int r.gs_top_heap_bytes /. 1048576.0)
-      r.gs_matches_implicit;
-    rows := r :: !rows
-  in
-  List.iter
-    (fun n ->
-      let reps = if n >= 1_000_000 then 1 else 3 in
-      let imp = Implicit.parse (Printf.sprintf "path:%d" n) in
-      let src = Graph_source.of_implicit imp in
-      let t_imp, row =
-        timed ~n ~backend:"implicit:path" ~chunk:(Some chunk) ~reps (fun () ->
-            Core.Simulator.run_source ~chunk p src)
-      in
-      report row;
-      let twin backend mk =
-        let s = mk () in
-        let t2, row =
-          timed ~n ~backend ~chunk:None ~reps (fun () -> Core.Simulator.run_source p s)
-        in
-        let matches = t2.Core.Simulator.message_bits = t_imp.Core.Simulator.message_bits in
-        report { row with gs_matches_implicit = matches };
-        if not matches then
-          failwith (Printf.sprintf "graphsource: %s transcript diverges at n=%d" backend n)
-      in
-      (* CSR holds 2m+n+1 words — fine well past 10^5; the incidence
-         matrix is n^2 bits, so the materialized twin stops at 10^4. *)
-      if n <= 100_000 then twin "csr" (fun () -> Graph_source.of_csr (Graph_source.to_csr src));
-      if n <= 10_000 then
-        twin "materialized" (fun () -> Graph_source.of_graph (Graph_source.materialize src)))
-    [ 1_000; 10_000; 100_000; 1_000_000 ];
-  let rows = List.rev !rows in
-  let peak = top_heap_bytes () in
-  Printf.printf "  peak heap across the campaign: %.1f MB (budget %d MB)  %s\n"
-    (float_of_int peak /. 1048576.0)
-    (gs_heap_budget / 1048576)
-    (if peak < gs_heap_budget then "O(frontier) ok" else "OVER BUDGET");
-  if peak >= gs_heap_budget then
-    failwith "graphsource: million-node campaign exceeded the peak-heap budget";
-  (rows, peak)
-
-let write_graphsource_json equiv rows peak =
-  let oc = open_out "BENCH_refnet.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"refnet-graphsource\",\n";
-  Printf.fprintf oc "  \"unix_time\": %.0f,\n" (Unix.time ());
-  Printf.fprintf oc "  \"equivalence\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc "    {\"family\": \"%s\", \"n\": %d, \"identical_transcripts\": %b}%s\n"
-        r.ge_family r.ge_n r.ge_identical
-        (if i = List.length equiv - 1 then "" else ","))
-    equiv;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"forest_recognition_scaling\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"n\": %d, \"backend\": \"%s\", \"chunk\": %s, \"seconds\": %.6f, \
-         \"ns_per_node\": %.1f, \"alloc_bytes_per_node\": %.1f, \"top_heap_bytes\": %d, \
-         \"max_bits\": %d, \"transcript_matches_implicit\": %b}%s\n"
-        r.gs_n r.gs_backend
-        (match r.gs_chunk with Some c -> string_of_int c | None -> "null")
-        r.gs_seconds r.gs_ns_per_node r.gs_alloc_bytes_per_node r.gs_top_heap_bytes r.gs_max_bits
-        r.gs_matches_implicit
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"peak_heap_bytes\": %d,\n" peak;
-  Printf.fprintf oc "  \"peak_heap_budget_bytes\": %d\n" gs_heap_budget;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "\nwrote BENCH_refnet.json\n"
-
-let graphsource () =
-  section "G1-G2" "Graph_source: backend equivalence and the million-node frontier run";
-  let equiv = graphsource_equivalence () in
-  let rows, peak = graphsource_scaling () in
-  write_graphsource_json equiv rows peak
-
-(* ------------------------------------------------------------------ *)
-(* B1-B3: broadcast congested clique — rounds vs bits                   *)
+(* B1, B2, B4: broadcast congested clique — rounds vs bits, memory      *)
 (* ------------------------------------------------------------------ *)
 
 (* The paper's one-round model needs Theta(n / log n)-bit messages for
@@ -1358,19 +967,6 @@ let graphsource () =
    escape route the closing question points at: a constant number of
    rounds at c * id_bits n bits per round decides it outright.  Every
    verdict is checked against the materialized oracle. *)
-
-type bcc_row = {
-  bc_family : string;
-  bc_n : int;
-  bc_bandwidth : int;
-  bc_rounds_budget : int;
-  bc_rounds_used : int;
-  bc_bits_limit : int;
-  bc_max_bits : int;
-  bc_total_bits : int;
-  bc_connected : bool;
-  bc_ok : bool;
-}
 
 (* The deciding round: the last one that carried uplink bits — every
    later round is free-wheeling after the referee's resolved flag. *)
@@ -1406,27 +1002,27 @@ let bcc_sweep () =
                   src
               in
               let ok = verdict = Some oracle in
-              let row =
-                {
-                  bc_family = spec;
-                  bc_n = n;
-                  bc_bandwidth = bandwidth;
-                  bc_rounds_budget = rounds;
-                  bc_rounds_used = bcc_rounds_used t;
-                  bc_bits_limit = t.Core.Bcc.bits_limit;
-                  bc_max_bits = t.Core.Bcc.max_bits;
-                  bc_total_bits = t.Core.Bcc.total_bits;
-                  bc_connected = oracle;
-                  bc_ok = ok;
-                }
-              in
+              let used = bcc_rounds_used t in
               Printf.printf "  %-14s %6d %3d %7d %6d %10d %9d %11d %3b\n" spec n bandwidth
-                t.Core.Bcc.bits_limit rounds row.bc_rounds_used row.bc_max_bits row.bc_total_bits
-                ok;
+                t.Core.Bcc.bits_limit rounds used t.Core.Bcc.max_bits t.Core.Bcc.total_bits ok;
               if not ok then
                 failwith
                   (Printf.sprintf "bcc: wrong verdict on %s n=%d bandwidth=%d" spec n bandwidth);
-              rows := row :: !rows)
+              rows :=
+                ( "connectivity_sweep",
+                  [
+                    ("family", Str spec);
+                    ("n", Int n);
+                    ("bandwidth", Int bandwidth);
+                    ("bits_per_round", Int t.Core.Bcc.bits_limit);
+                    ("rounds_budget", Int rounds);
+                    ("rounds_used", Int used);
+                    ("max_bits", Int t.Core.Bcc.max_bits);
+                    ("total_bits", Int t.Core.Bcc.total_bits);
+                    ("connected", Bool oracle);
+                    ("verdict_ok", Bool ok);
+                  ] )
+                :: !rows)
             [ 1; 2; 4; 8 ])
         [ 512; 2048; 8192 ])
     [ "path"; "cycle"; "star"; "grid"; "hypercube"; "regular:4:7"; "degenerate:3:5" ];
@@ -1445,7 +1041,9 @@ let bcc_anchors () =
       let g = Implicit.materialize (Implicit.parse_family "cycle" n) in
       let anchor label out_bits =
         Printf.printf "  %-22s %6d %10d\n" label n out_bits;
-        rows := (label, n, out_bits) :: !rows
+        rows :=
+          ("one_round_anchors", [ ("protocol", Str label); ("n", Int n); ("max_bits", Int out_bits) ])
+          :: !rows
       in
       let h, t_full = Core.Simulator.run Core.Bounded_degree.full_information g in
       if not (Connectivity.is_connected h) then failwith "bcc: full-information oracle diverged";
@@ -1462,53 +1060,15 @@ let bcc_anchors () =
     [ 512; 2048; 8192 ];
   List.rev !rows
 
-(* Transcript equivalence of the engine itself: same labelled graph
-   through all three backends, chunked and unchunked, one and four
-   domains — byte-for-byte equal transcripts. *)
-let bcc_equivalence () =
-  Printf.printf
-    "\nB3: engine equivalence — connectivity transcripts across backends, chunks, widths\n\n";
-  List.map
-    (fun spec ->
-      let imp = Implicit.parse spec in
-      let g = Implicit.materialize imp in
-      let n = Graph.order g in
-      let p = Core.Bcc_connectivity.protocol ~rounds:4 ~bandwidth:2 () in
-      let reference = Core.Bcc.run p g in
-      let identical = ref true in
-      let check run = if run () <> reference then identical := false in
-      List.iter
-        (fun src ->
-          check (fun () -> Core.Bcc.run_source p src);
-          List.iter (fun chunk -> check (fun () -> Core.Bcc.run_source ~chunk p src)) [ 1; 7; n ];
-          check (fun () -> Core.Bcc.run_source ~domains:4 p src))
-        [
-          Graph_source.of_graph g;
-          Graph_source.of_csr (Csr.of_graph g);
-          Graph_source.of_implicit imp;
-        ];
-      Printf.printf "  %-22s n=%4d  transcripts identical: %b\n" spec n !identical;
-      if not !identical then failwith ("bcc: backend divergence on " ^ spec);
-      (spec, n, !identical))
-    [ "path:512"; "cycle:512"; "grid:16x32"; "regular:512:4:7"; "degenerate:512:3:5" ]
-
 (* B4: the engine's memory at a million nodes — one connectivity run on
    the bcc-regular-1m circulant, on one domain so the allocation count
-   covers the whole run.  It runs before B1-B3, so the process's peak
-   heap is its own. *)
-type bcc_memory_row = {
-  bm_seconds : float;
-  bm_alloc_bytes_per_node : float;
-  bm_top_heap_bytes : int;
-  bm_total_bits : int;
-}
-
-let bcc_memory_spec = "implicit:regular:1000000:4:1"
-
+   covers the whole run.  It runs before B1 and B2, so the process's
+   peak heap is its own. *)
 let bcc_memory () =
+  let spec = "implicit:regular:1000000:4:1" in
   Printf.printf "\nB4: engine memory — one connectivity run on %s, bandwidth 2, one domain\n\n"
-    bcc_memory_spec;
-  let src = Graph_source.parse bcc_memory_spec in
+    spec;
+  let src = Graph_source.parse spec in
   let n = Graph_source.order src in
   let bandwidth = 2 in
   let rounds = Core.Bcc_connectivity.rounds_for ~bandwidth ~max_degree:(Graph_source.degree src 1) in
@@ -1516,116 +1076,34 @@ let bcc_memory () =
   let oracle = Core.Bcc_connectivity.circulant_connected ~n offsets in
   Gc.compact ();
   let a0 = Gc.allocated_bytes () in
-  let (verdict, t), dt =
+  let (verdict, t), seconds =
     wall (fun () ->
         Core.Bcc.run_source ~domains:1 (Core.Bcc_connectivity.protocol ~rounds ~bandwidth ()) src)
   in
-  let row =
-    {
-      bm_seconds = dt;
-      bm_alloc_bytes_per_node = (Gc.allocated_bytes () -. a0) /. float_of_int n;
-      bm_top_heap_bytes = top_heap_bytes ();
-      bm_total_bits = t.Core.Bcc.total_bits;
-    }
-  in
-  Printf.printf "  %.2f s  %.1f B/node alloc  top-heap %.1f MB  total %d bits\n" row.bm_seconds
-    row.bm_alloc_bytes_per_node
-    (float_of_int row.bm_top_heap_bytes /. 1048576.0)
-    row.bm_total_bits;
+  let alloc_per_node = (Gc.allocated_bytes () -. a0) /. float_of_int n in
+  (* The whole-process high-water mark. *)
+  let top_heap_bytes = 8 * (Gc.stat ()).Gc.top_heap_words in
+  Printf.printf "  %.2f s  %.1f B/node alloc  top-heap %.1f MB  total %d bits\n" seconds
+    alloc_per_node
+    (float_of_int top_heap_bytes /. 1048576.0)
+    t.Core.Bcc.total_bits;
   if verdict <> Some oracle then failwith "bcc: wrong verdict on the million-node circulant";
-  row
-
-(* The commit of the measured library: HEAD, suffixed [-dirty] when
-   [lib/] or [bin/] differ from it; "unknown" outside a git checkout. *)
-let source_commit () =
-  let read cmd =
-    let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
-    let line = try Some (input_line ic) with End_of_file -> None in
-    (line, Unix.close_process_in ic)
-  in
-  match read "git rev-parse --short HEAD" with
-  | Some head, Unix.WEXITED 0 -> (
-    match read "git diff --quiet HEAD -- lib bin" with
-    | _, Unix.WEXITED 0 -> head
-    | _ -> head ^ "-dirty")
-  | _ -> "unknown"
-
-let host_json () =
-  Printf.sprintf "{\"nproc\": %d, \"ocaml\": \"%s\", \"commit\": \"%s\"}"
-    (Domain.recommended_domain_count ()) Sys.ocaml_version (source_commit ())
-
-(* B4 rows accumulate: each is one line starting with [b4_prefix], and
-   the rows of an earlier BENCH_bcc.json are kept ahead of the new one,
-   so runs at two commits leave both rows in the file. *)
-let b4_prefix = "    {\"host\": "
-
-let earlier_b4_rows file =
-  match In_channel.with_open_text file In_channel.input_all with
-  | exception Sys_error _ -> []
-  | text ->
-    String.split_on_char '\n' text
-    |> List.filter (String.starts_with ~prefix:b4_prefix)
-    |> List.map (fun row ->
-           if String.ends_with ~suffix:"," row then String.sub row 0 (String.length row - 1)
-           else row)
-
-let write_bcc_json sweep anchors equiv memory =
-  let file = "BENCH_bcc.json" in
-  let host = host_json () in
-  let b4 =
-    earlier_b4_rows file
-    @ [
-        Printf.sprintf
-          "%s%s, \"source\": \"%s\", \"domains\": 1, \"seconds\": %.3f, \
-           \"alloc_bytes_per_node\": %.1f, \"top_heap_bytes\": %d, \"total_bits\": %d}"
-          b4_prefix host bcc_memory_spec memory.bm_seconds memory.bm_alloc_bytes_per_node
-          memory.bm_top_heap_bytes memory.bm_total_bits;
-      ]
-  in
-  let oc = open_out file in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"refnet-bcc\",\n";
-  Printf.fprintf oc "  \"unix_time\": %.0f,\n" (Unix.time ());
-  Printf.fprintf oc "  \"host\": %s,\n" host;
-  Printf.fprintf oc "  \"connectivity_sweep\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    {\"family\": \"%s\", \"n\": %d, \"bandwidth\": %d, \"bits_per_round\": %d, \
-         \"rounds_budget\": %d, \"rounds_used\": %d, \"max_bits\": %d, \"total_bits\": %d, \
-         \"connected\": %b, \"verdict_ok\": %b}%s\n"
-        r.bc_family r.bc_n r.bc_bandwidth r.bc_bits_limit r.bc_rounds_budget r.bc_rounds_used
-        r.bc_max_bits r.bc_total_bits r.bc_connected r.bc_ok
-        (if i = List.length sweep - 1 then "" else ","))
-    sweep;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"one_round_anchors\": [\n";
-  List.iteri
-    (fun i (label, n, bits) ->
-      Printf.fprintf oc "    {\"protocol\": \"%s\", \"n\": %d, \"max_bits\": %d}%s\n" label n bits
-        (if i = List.length anchors - 1 then "" else ","))
-    anchors;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"equivalence\": [\n";
-  List.iteri
-    (fun i (spec, n, same) ->
-      Printf.fprintf oc "    {\"family\": \"%s\", \"n\": %d, \"identical_transcripts\": %b}%s\n"
-        spec n same
-        (if i = List.length equiv - 1 then "" else ","))
-    equiv;
-  Printf.fprintf oc "  ],\n";
-  Printf.fprintf oc "  \"engine_memory\": [\n%s\n  ]\n" (String.concat ",\n" b4);
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "\nwrote %s\n" file
+  ( "engine_memory",
+    [
+      ("source", Str spec);
+      ("domains", Int 1);
+      ("seconds", Float seconds);
+      ("alloc_bytes_per_node", Float alloc_per_node);
+      ("top_heap_bytes", Int top_heap_bytes);
+      ("total_bits", Int t.Core.Bcc.total_bits);
+    ] )
 
 let bcc_bench () =
-  section "B1-B4" "Broadcast congested clique: rounds-vs-bits sweep, engine equivalence and memory";
+  section "B1-B4" "Broadcast congested clique: rounds-vs-bits sweep, anchors and engine memory";
   let memory = bcc_memory () in
   let sweep = bcc_sweep () in
   let anchors = bcc_anchors () in
-  let equiv = bcc_equivalence () in
-  write_bcc_json sweep anchors equiv memory
+  append_rows ~campaign:"bcc" ((memory :: sweep) @ anchors)
 
 let tables () =
   experiment_f1 ();
@@ -1647,164 +1125,73 @@ let tables () =
   experiment_t18 ();
   experiment_t19 ()
 
-(* ---------- D1: the serve daemon under load and chaos ---------- *)
-
-(* The whole campaign runs through the in-process selftest: the same
-   byte path a socket client exercises, minus the kernel, so rates are
-   engine rates, not loopback rates.  Each run re-checks the robustness
-   gates (no wrong Decided, no quarantine escapes, no unterminated
-   sessions); a violated gate aborts the bench loudly. *)
-let serve_run ~sessions ~faulty =
-  let cfg =
-    { Serve.Selftest.default_cfg with sessions; conns = 64; faulty }
-  in
-  let o = Serve.Selftest.run cfg in
-  (match Serve.Selftest.passed o with
-  | Ok () -> ()
-  | Error e -> failwith (Printf.sprintf "D1: selftest gate violated: %s" e));
-  o
-
-let serve_clean () =
-  Printf.printf "\n-- D1a: clean throughput (protocol=count, n=8) --\n%!";
-  let o = serve_run ~sessions:20_000 ~faulty:0.0 in
-  Printf.printf "  %d sessions in %.2fs  ->  %.0f sessions/s (all decided: %b)\n"
-    o.Serve.Selftest.o_sessions o.Serve.Selftest.o_wall_s o.Serve.Selftest.o_rate
-    (o.Serve.Selftest.o_decided = o.Serve.Selftest.o_sessions);
-  o
-
-let serve_chaos_sweep () =
-  Printf.printf "\n-- D1b: chaos sweep (rising faulty fraction) --\n%!";
-  List.map
-    (fun faulty ->
-      let o = serve_run ~sessions:8_000 ~faulty in
-      Printf.printf
-        "  faulty=%.2f  decided=%d degraded=%d inconclusive=%d aborted=%d  \
-         quarantines=%d timeouts=%d+%d  %.0f/s\n%!"
-        faulty o.Serve.Selftest.o_decided o.Serve.Selftest.o_degraded
-        o.Serve.Selftest.o_inconclusive o.Serve.Selftest.o_aborted
-        o.Serve.Selftest.o_quarantines o.Serve.Selftest.o_timeouts_idle
-        o.Serve.Selftest.o_timeouts_deadline o.Serve.Selftest.o_rate;
-      (faulty, o))
-    [ 0.0; 0.05; 0.1; 0.2; 0.3 ]
-
-let write_serve_json clean sweep =
-  let oc = open_out "BENCH_refnet.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"refnet-serve\",\n";
-  Printf.fprintf oc "  \"unix_time\": %.0f,\n" (Unix.time ());
-  Printf.fprintf oc "  \"clean_throughput\": {\"protocol\": \"%s\", \"n\": %d, \"sessions\": %d, \"wall_s\": %.3f, \"sessions_per_s\": %.0f},\n"
-    clean.Serve.Selftest.o_protocol clean.Serve.Selftest.o_n
-    clean.Serve.Selftest.o_sessions clean.Serve.Selftest.o_wall_s
-    clean.Serve.Selftest.o_rate;
-  Printf.fprintf oc "  \"chaos_sweep\": [\n";
-  List.iteri
-    (fun i (faulty, o) ->
-      Printf.fprintf oc
-        "    {\"faulty\": %.2f, \"sessions\": %d, \"decided\": %d, \"degraded\": %d, \
-         \"inconclusive\": %d, \"aborted\": %d, \"quarantines\": %d, \
-         \"quarantine_escapes\": %d, \"timeouts_idle\": %d, \"timeouts_deadline\": %d, \
-         \"wrong_decided\": %d, \"sessions_per_s\": %.0f}%s\n"
-        faulty o.Serve.Selftest.o_sessions o.Serve.Selftest.o_decided
-        o.Serve.Selftest.o_degraded o.Serve.Selftest.o_inconclusive
-        o.Serve.Selftest.o_aborted o.Serve.Selftest.o_quarantines
-        o.Serve.Selftest.o_escapes o.Serve.Selftest.o_timeouts_idle
-        o.Serve.Selftest.o_timeouts_deadline o.Serve.Selftest.o_wrong_decided
-        o.Serve.Selftest.o_rate
-        (if i = List.length sweep - 1 then "" else ","))
-    sweep;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "\nwrote BENCH_refnet.json\n"
-
-let serve_bench () =
-  section "D1" "Referee daemon: session throughput and chaos degradation";
-  let clean = serve_clean () in
-  let sweep = serve_chaos_sweep () in
-  write_serve_json clean sweep
-
 (* ---------- D2: flight-recorder overhead ---------- *)
 
-(* Rings on vs rings off under the same chaos mix, timed back-to-back
-   per round.  The gate compares the best-of-rounds times: noise on a
-   shared host only ever makes a run slower, so the minima are the two
-   clean measurements.  The recorder must cost < 5% or operators will
-   switch it off exactly when the evidence matters. *)
+(* Rings on vs rings off under the same chaos mix, interleaved per
+   round.  The recorder must cost < 5% or operators will switch it off
+   exactly when the evidence matters. *)
 let flight_bench () =
   section "D2" "Flight recorder: ring cost under chaos must stay under 5%";
   let sessions = 16_000 and faulty = 0.2 in
   let cfg = { Serve.Selftest.default_cfg with sessions; conns = 64; faulty } in
   let fl = Core.Flight.create ~capacity:(1 lsl 16) () in
+  let last_on = ref None in
   let gate o =
     match Serve.Selftest.passed o with
-    | Ok () -> o
+    | Ok () -> o.Serve.Selftest.o_wall_s
     | Error e -> failwith ("D2: selftest gate violated: " ^ e)
   in
   let off () = gate (Serve.Selftest.run cfg) in
   let on () =
     Core.Flight.reset fl;
-    gate (Serve.Selftest.run ~flight:fl cfg)
+    let o = Serve.Selftest.run ~flight:fl cfg in
+    last_on := Some o;
+    gate o
   in
-  (* warm both variants before timing *)
-  ignore (off ());
-  ignore (on ());
-  let rounds = 5 in
-  let off_best = ref infinity and on_best = ref infinity in
-  let last_on = ref None in
-  for round = 0 to rounds - 1 do
-    let o_off = off () in
-    let o_on = on () in
-    last_on := Some o_on;
-    let t_off = o_off.Serve.Selftest.o_wall_s and t_on = o_on.Serve.Selftest.o_wall_s in
-    if t_off < !off_best then off_best := t_off;
-    if t_on < !on_best then on_best := t_on;
-    Printf.printf "  round %d: off %.3fs  on %.3fs  ratio %.3f\n%!" (round + 1) t_off t_on
-      (t_on /. t_off)
-  done;
-  let overhead = !on_best /. !off_best in
+  let timed = interleaved_rounds [| off; on |] in
+  let off_best, _ = timed.(0) and on_best, overhead = timed.(1) in
   let o_on = match !last_on with Some o -> o | None -> failwith "D2: no timed run" in
   let dump_bytes = String.length (Core.Flight.dump fl) in
   Printf.printf
-    "  sessions=%d faulty=%.2f  best off %.3fs  on %.3fs  best-of overhead %.3fx  \
+    "  sessions=%d faulty=%.2f  best off %.3fs  on %.3fs  median overhead %.3fx  \
      recorded=%d dropped=%d dump=%d B\n"
-    sessions faulty !off_best !on_best overhead o_on.Serve.Selftest.o_flight_recorded
+    sessions faulty off_best on_best overhead o_on.Serve.Selftest.o_flight_recorded
     o_on.Serve.Selftest.o_flight_dropped dump_bytes;
   if overhead > 1.05 then failwith "D2: flight recorder overhead exceeds the 5% budget";
-  let oc = open_out "BENCH_refnet.json" in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"bench\": \"refnet-flight\",\n";
-  Printf.fprintf oc "  \"unix_time\": %.0f,\n" (Unix.time ());
-  Printf.fprintf oc "  \"overhead_budget\": 1.05,\n";
-  Printf.fprintf oc "  \"sessions\": %d,\n" sessions;
-  Printf.fprintf oc "  \"faulty\": %.2f,\n" faulty;
-  Printf.fprintf oc "  \"off_best_s\": %.4f,\n" !off_best;
-  Printf.fprintf oc "  \"on_best_s\": %.4f,\n" !on_best;
-  Printf.fprintf oc "  \"best_of_overhead\": %.4f,\n" overhead;
-  Printf.fprintf oc "  \"flight_recorded\": %d,\n" o_on.Serve.Selftest.o_flight_recorded;
-  Printf.fprintf oc "  \"flight_dropped\": %d,\n" o_on.Serve.Selftest.o_flight_dropped;
-  Printf.fprintf oc "  \"flight_findings\": %d,\n" o_on.Serve.Selftest.o_flight_findings;
-  Printf.fprintf oc "  \"dump_bytes\": %d\n" dump_bytes;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "\nwrote BENCH_refnet.json\n"
+  append_rows ~campaign:"flight"
+    [
+      ( "overhead",
+        [
+          ("overhead_budget", Float 1.05);
+          ("sessions", Int sessions);
+          ("faulty", Float faulty);
+          ("off_best_s", Float off_best);
+          ("on_best_s", Float on_best);
+          ("median_overhead", Float overhead);
+          ("flight_recorded", Int o_on.Serve.Selftest.o_flight_recorded);
+          ("flight_dropped", Int o_on.Serve.Selftest.o_flight_dropped);
+          ("flight_findings", Int o_on.Serve.Selftest.o_flight_findings);
+          ("dump_bytes", Int dump_bytes);
+        ] );
+    ]
 
 let () =
   let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
   (match mode with
   | "tables" -> tables ()
   | "timings" -> timing_benches ()
-  | "scaling" -> scaling ()
   | "faults" -> faults ()
   | "metrics" -> metrics_bench ()
-  | "graphsource" -> graphsource ()
   | "bcc" -> bcc_bench ()
-  | "serve" -> serve_bench ()
   | "flight" -> flight_bench ()
-  | _ ->
+  | "all" ->
     tables ();
     timing_benches ();
-    scaling ();
     faults ();
     metrics_bench ();
-    graphsource ();
-    bcc_bench ());
+    bcc_bench ()
+  | other ->
+    Printf.eprintf "main.exe: unknown experiment %S (tables|timings|faults|metrics|bcc|flight)\n"
+      other;
+    exit 2);
   Printf.printf "\n%s\nAll experiments completed.\n" line

@@ -351,33 +351,42 @@ let test_budget_validated_at_entry () =
 
 let transcript_eq = Alcotest.testable (fun fmt (_ : Core.Bcc.transcript) -> Format.fprintf fmt "<transcript>") ( = )
 
+let transcript_sources spec =
+  let fam = Implicit.parse spec in
+  [
+    ("implicit", Graph_source.of_implicit fam);
+    ("materialized", Graph_source.of_graph (Implicit.materialize fam));
+    ("csr", Graph_source.of_csr (Graph_source.to_csr (Graph_source.of_implicit fam)));
+  ]
+
 let test_transcript_equality () =
   (* Same labelled graph through all three backends, every chunk size, a
      wider domain pool: bit-identical transcript, same output. *)
-  let fam = Implicit.parse "cycle:96" in
-  let sources =
-    [
-      ("implicit", Graph_source.of_implicit fam);
-      ("materialized", Graph_source.of_graph (Implicit.materialize fam));
-      ("csr", Graph_source.of_csr (Graph_source.to_csr (Graph_source.of_implicit fam)));
-    ]
+  let check_family spec p =
+    let sources = transcript_sources spec in
+    let implicit = List.assoc "implicit" sources in
+    let base_out, base_t = Core.Bcc.run_source p implicit in
+    List.iter
+      (fun (backend, src) ->
+        List.iter
+          (fun chunk ->
+            List.iter
+              (fun domains ->
+                let out, t = Core.Bcc.run_source ~domains ~chunk p src in
+                let tag = Printf.sprintf "%s %s chunk=%d domains=%d" spec backend chunk domains in
+                Alcotest.check bool_opt tag base_out out;
+                Alcotest.check transcript_eq tag base_t t)
+              [ 1; 4 ])
+          [ 1; 7; 64; Graph_source.order implicit ])
+      sources;
+    base_out
   in
-  let p = Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:1 () in
-  let base_out, base_t = Core.Bcc.run_source p (List.assoc "implicit" sources) in
-  Alcotest.check bool_opt "baseline decides" (Some true) base_out;
+  Alcotest.check bool_opt "baseline decides" (Some true)
+    (check_family "cycle:96" (Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:1 ()));
   List.iter
-    (fun (backend, src) ->
-      List.iter
-        (fun chunk ->
-          List.iter
-            (fun domains ->
-              let out, t = Core.Bcc.run_source ~domains ~chunk p src in
-              let tag = Printf.sprintf "%s chunk=%d domains=%d" backend chunk domains in
-              Alcotest.check bool_opt tag base_out out;
-              Alcotest.check transcript_eq tag base_t t)
-            [ 1; 4 ])
-        [ 1; 7; 64; 96 ])
-    sources;
+    (fun spec -> ignore (check_family spec (Core.Bcc_connectivity.protocol ~rounds:4 ~bandwidth:2 ())))
+    [ "path:40"; "grid:5x8"; "regular:40:4:7"; "degenerate:40:3:5" ];
+  let sources = transcript_sources "cycle:96" in
   (* Same discipline for the adaptive protocol. *)
   let q = Core.Bcc.Adaptive_degeneracy.protocol () in
   let out0, t0 = Core.Bcc.run_source q (List.assoc "implicit" sources) in

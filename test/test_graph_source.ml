@@ -301,7 +301,10 @@ let test_run_source_equivalence () =
               in
               (out = Graph_source.size src, t) );
         ])
-    [ "path:23"; "grid:4x5"; "regular:16:4:7"; "degenerate:21:3:5" ]
+    [
+      "path:23"; "cycle:24"; "star:17"; "grid:4x5"; "hypercube:4"; "regular:16:4:7";
+      "degenerate:21:3:5";
+    ]
 
 let test_faulty_delivery_clean_channel () =
   let imp = Implicit.parse "path:19" in
@@ -332,6 +335,18 @@ let test_coalition_run_source_equivalence () =
             (Core.Coalition.run_source Core.Connectivity_parts.decide src ~parts:partition))
         sources)
     [ 1; 4; 7 ]
+
+(* The million-node frontier run.  The 256 MB peak-heap budget covers
+   the referee tables (2 x 8 MB), the transcript (8 MB), one chunk of
+   in-flight messages and GC slack: far under the ~125 GB incidence
+   matrix a materialized path would need. *)
+let test_million_node_peak_heap () =
+  let src = Graph_source.parse "implicit:path:1000000" in
+  let ok, _ = Core.Simulator.run_source ~chunk:65536 Core.Forest_protocol.recognize src in
+  Alcotest.(check bool) "a path is a forest" true ok;
+  let peak = 8 * (Gc.stat ()).Gc.top_heap_words in
+  if peak >= 256 * 1024 * 1024 then
+    Alcotest.failf "peak heap %.1f MB is over the 256 MB budget" (float_of_int peak /. 1048576.0)
 
 (* ---------- [src=] decorations under the bound audit ---------- *)
 
@@ -402,6 +417,7 @@ let () =
           Alcotest.test_case "faulty delivery clean channel" `Quick
             test_faulty_delivery_clean_channel;
           Alcotest.test_case "coalition run_source" `Quick test_coalition_run_source_equivalence;
+          Alcotest.test_case "million-node peak heap" `Quick test_million_node_peak_heap;
         ] );
       ( "labels",
         [ Alcotest.test_case "[src=] under the audit" `Quick test_src_label_audit ] );

@@ -608,18 +608,20 @@ let test_selftest_clean () =
   Alcotest.(check int) "all decided" 300 o.Serve.Selftest.o_decided
 
 let test_selftest_chaos () =
-  let cfg =
-    { Serve.Selftest.default_cfg with sessions = 400; conns = 16; faulty = 0.25 }
-  in
-  let o = Serve.Selftest.run cfg in
-  (match Serve.Selftest.passed o with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "chaos selftest failed: %s" e);
-  Alcotest.(check bool) "chaos actually hit" true
-    (o.Serve.Selftest.o_quarantines > 0
-    || o.Serve.Selftest.o_timeouts_idle > 0
-    || o.Serve.Selftest.o_aborted > 0);
-  Alcotest.(check int) "no lies under chaos" 0 o.Serve.Selftest.o_wrong_decided
+  List.iter
+    (fun faulty ->
+      let cfg = { Serve.Selftest.default_cfg with sessions = 400; conns = 16; faulty } in
+      let o = Serve.Selftest.run cfg in
+      (match Serve.Selftest.passed o with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "chaos selftest failed at faulty=%.2f: %s" faulty e);
+      let tag = Printf.sprintf "faulty=%.2f" faulty in
+      Alcotest.(check bool) (tag ^ ": chaos actually hit") true
+        (o.Serve.Selftest.o_quarantines > 0
+        || o.Serve.Selftest.o_timeouts_idle > 0
+        || o.Serve.Selftest.o_aborted > 0);
+      Alcotest.(check int) (tag ^ ": no lies under chaos") 0 o.Serve.Selftest.o_wrong_decided)
+    [ 0.05; 0.25; 0.3 ]
 
 let () =
   Alcotest.run "serve"

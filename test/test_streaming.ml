@@ -115,6 +115,44 @@ let test_feed_equals_apply () =
   Alcotest.(check bool) "feed = apply" (Core.Protocol.apply p ~n msgs)
     (Core.Protocol.finish !feed)
 
+(* Bytes allocated per [Protocol.feed] across a full n-message stream.
+   The state is allocated once at [Protocol.start]; what must not grow
+   with [n] is the per-absorb cost. *)
+let bytes_per_absorb referee ~n msgs =
+  let feed = ref (Core.Protocol.start referee ~n) in
+  let before = Gc.allocated_bytes () in
+  Array.iteri (fun i m -> feed := Core.Protocol.feed !feed ~id:(i + 1) m) msgs;
+  let after = Gc.allocated_bytes () in
+  ((after -. before) /. float_of_int n, Core.Protocol.finish !feed)
+
+let test_absorb_allocation_constant () =
+  let tree n = Generators.random_tree (Random.State.make [| 0xbeef; n |]) n in
+  let forest n =
+    let g = tree n in
+    let p = Core.Forest_protocol.reconstruct in
+    let bytes, out = bytes_per_absorb p.Core.Protocol.referee ~n (Core.Simulator.local_phase p g) in
+    Alcotest.(check bool) "forest referee reconstructs" true
+      (match out with Some h -> Graph.equal g h | None -> false);
+    bytes
+  in
+  let coalition n =
+    let p = Core.Connectivity_parts.decide in
+    let inbox =
+      Core.Coalition.collect p (Graph_source.of_graph (tree n))
+        ~parts:(Core.Coalition.partition_by_ranges ~n ~parts:4)
+    in
+    let bytes, ok = bytes_per_absorb p.Core.Coalition.referee ~n inbox in
+    Alcotest.(check bool) "coalition referee accepts a tree" true ok;
+    bytes
+  in
+  List.iter
+    (fun (name, per) ->
+      ignore (per 512);
+      let small = per 512 and big = per 4096 in
+      if not (big /. small < 2.0 && big < 2048.0) then
+        Alcotest.failf "%s: %.1f B/absorb at n=512 vs %.1f at n=4096 is not O(1)" name small big)
+    [ ("forest-reconstruct", forest); ("coalition-connectivity", coalition) ]
+
 let test_run_referee_guards_length () =
   Alcotest.check_raises "wrong message count"
     (Invalid_argument "Protocol.run_referee: wrong message count") (fun () ->
@@ -442,6 +480,7 @@ let () =
         [
           Alcotest.test_case "feed equals apply" `Quick test_feed_equals_apply;
           Alcotest.test_case "length guard" `Quick test_run_referee_guards_length;
+          Alcotest.test_case "O(1) allocation per absorb" `Quick test_absorb_allocation_constant;
         ] );
       ( "view",
         [
