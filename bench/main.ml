@@ -18,6 +18,9 @@
      main.exe flight     flight-recorder overhead (D2): the chaos selftest
                          with rings on vs off, median-of-ratios overhead
                          gated under 5%
+     main.exe record     reads the stdout of [python3 perfbench/run.py]
+                         on stdin and appends it as one BENCH_perf row;
+                         exits 2 on input of any other shape
 
    A campaign appends its rows, one JSON object per line, to
    BENCH_<campaign>.jsonl; earlier rows are kept.  The tables and the
@@ -691,9 +694,16 @@ let timing_benches () =
 (* Campaign output: one append-only row file per campaign               *)
 (* ------------------------------------------------------------------ *)
 
-type json = Int of int | Float of float | Str of string | Bool of bool | Obj of (string * json) list
+type json =
+  | Int of int
+  | Float of float
+  | Str of string
+  | Bool of bool
+  | Null
+  | Obj of (string * json) list
 
 let rec json_to_string = function
+  | Null -> "null"
   | Int i -> string_of_int i
   | Float f -> if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
   | Str s -> Core.Trace.json_string s
@@ -740,6 +750,84 @@ let append_rows ~campaign rows =
           Out_channel.output_string oc (json_to_string (Obj row) ^ "\n"))
         rows);
   Printf.printf "\nappended %d rows to %s\n" (List.length rows) file
+
+(* ------------------------------------------------------------------ *)
+(* record: one perfbench result as a BENCH_perf row                     *)
+(* ------------------------------------------------------------------ *)
+
+exception Bad_input of string
+
+let rec json_of_report = function
+  | Core.Report.S s -> Str s
+  | I i -> Int i
+  | F f -> Float f
+  | B b -> Bool b
+  | Null -> Null
+  | O fields -> Obj (List.map (fun (k, v) -> (k, json_of_report v)) fields)
+
+(* [fields_of ~what line spec] parses the JSON object [line] and keeps
+   the key of every [(key, ok)] of [spec], checking its value with [ok]. *)
+let fields_of ~what line spec =
+  let fields =
+    try Core.Report.parse_line line
+    with Core.Report.Parse msg -> raise (Bad_input (Printf.sprintf "%s: %s" what msg))
+  in
+  List.map
+    (fun (key, ok) ->
+      match List.assoc_opt key fields with
+      | Some v when ok v -> (key, json_of_report v)
+      | Some _ -> raise (Bad_input (Printf.sprintf "%s: %S has the wrong type" what key))
+      | None -> raise (Bad_input (Printf.sprintf "%s: no %S" what key)))
+    spec
+
+let is_str = function Core.Report.S _ -> true | _ -> false
+let is_int = function Core.Report.I _ -> true | _ -> false
+
+(* [record ()] reads the stdout of [python3 perfbench/run.py] on stdin
+   and appends one row to BENCH_perf.jsonl.  The table is the workload;
+   the row's host is the recording checkout's, as for every campaign,
+   and perfbench's own host block, run parameters and result ride
+   along.  Exits 2 on input of any other shape. *)
+let record () =
+  let lines =
+    In_channel.input_all stdin |> String.split_on_char '\n' |> List.filter (fun l -> String.trim l <> "")
+  in
+  let after prefix =
+    match List.find_opt (String.starts_with ~prefix) lines with
+    | Some l -> String.sub l (String.length prefix) (String.length l - String.length prefix)
+    | None -> raise (Bad_input (Printf.sprintf "no %S line" prefix))
+  in
+  match
+    let host =
+      fields_of ~what:"host" (after "host: ")
+        [ ("nproc", is_int); ("ocaml", is_str); ("commit", is_str); ("pool_width", is_str) ]
+    in
+    let run =
+      fields_of ~what:"run" (after "run: ")
+        [
+          ("workload", is_str);
+          ("seed", is_int);
+          ("seconds", function Core.Report.I _ | F _ -> true | _ -> false);
+          ("trace", is_int);
+        ]
+    in
+    let result =
+      fields_of ~what:"result"
+        (match List.rev lines with last :: _ -> last | [] -> "")
+        [
+          ("correct", function Core.Report.B _ -> true | _ -> false);
+          ("attempted", is_int);
+          ("failed", is_int);
+          ("metrics", function Core.Report.O _ -> true | _ -> false);
+        ]
+    in
+    let workload = match run with (_, Str w) :: _ -> w | _ -> "" in
+    (workload, [ ("perf_host", Obj host); ("run", Obj run) ] @ result)
+  with
+  | table, fields -> append_rows ~campaign:"perf" [ (table, fields) ]
+  | exception Bad_input msg ->
+    Printf.eprintf "main.exe record: %s\n" msg;
+    exit 2
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -1184,6 +1272,9 @@ let () =
   | "metrics" -> metrics_bench ()
   | "bcc" -> bcc_bench ()
   | "flight" -> flight_bench ()
+  | "record" ->
+    record ();
+    exit 0
   | "all" ->
     tables ();
     timing_benches ();
@@ -1191,7 +1282,7 @@ let () =
     metrics_bench ();
     bcc_bench ()
   | other ->
-    Printf.eprintf "main.exe: unknown experiment %S (tables|timings|faults|metrics|bcc|flight)\n"
+    Printf.eprintf "main.exe: unknown experiment %S (tables|timings|faults|metrics|bcc|flight|record)\n"
       other;
     exit 2);
   Printf.printf "\n%s\nAll experiments completed.\n" line

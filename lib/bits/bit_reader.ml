@@ -17,17 +17,13 @@ let read_bit r =
 let read_bits r ~width =
   if width < 0 || width > 62 then invalid_arg "Bit_reader.read_bits: bad width";
   if remaining r < width then raise Exhausted;
-  let acc = ref 0 in
-  for _ = 1 to width do
-    acc := (!acc lsl 1) lor (if read_bit r then 1 else 0)
-  done;
-  !acc
+  let v = Bitvec.get_bits r.bits ~pos:r.pos ~width in
+  r.pos <- r.pos + width;
+  v
 
 let read_bitvec r ~len =
   if len < 0 then invalid_arg "Bit_reader.read_bitvec: negative length";
   if remaining r < len then raise Exhausted;
-  let v = Bitvec.create len in
-  for i = 0 to len - 1 do
-    if read_bit r then Bitvec.set v i
-  done;
+  let v = Bitvec.sub r.bits ~pos:r.pos ~len in
+  r.pos <- r.pos + len;
   v

@@ -1,24 +1,23 @@
-type t = { mutable buf : Bytes.t; mutable len : int }
+(* The stream is a growable bit vector [buf] whose first [len] bits are
+   the contents; every append is a word or blit operation on it. *)
+type t = { mutable buf : Bitvec.t; mutable len : int }
 
-let create () = { buf = Bytes.make 16 '\000'; len = 0 }
+let create () = { buf = Bitvec.create 128; len = 0 }
 
 let length w = w.len
 
 let ensure w extra =
-  let needed = (w.len + extra + 7) / 8 in
-  if needed > Bytes.length w.buf then begin
-    let cap = max needed (2 * Bytes.length w.buf) in
-    let buf = Bytes.make cap '\000' in
-    Bytes.blit w.buf 0 buf 0 (Bytes.length w.buf);
+  let needed = w.len + extra in
+  let cap = Bitvec.length w.buf in
+  if needed > cap then begin
+    let buf = Bitvec.create (max needed (2 * cap)) in
+    Bitvec.blit ~src:w.buf ~src_pos:0 ~dst:buf ~dst_pos:0 ~len:w.len;
     w.buf <- buf
   end
 
 let add_bit w b =
   ensure w 1;
-  if b then begin
-    let i = w.len in
-    Bytes.set w.buf (i / 8) (Char.chr (Char.code (Bytes.get w.buf (i / 8)) lor (1 lsl (i mod 8))))
-  end;
+  Bitvec.assign w.buf w.len b;
   w.len <- w.len + 1
 
 let add_bits w ~value ~width =
@@ -26,26 +25,21 @@ let add_bits w ~value ~width =
   if value < 0 then invalid_arg "Bit_writer.add_bits: negative value";
   if width < 62 && value lsr width <> 0 then
     invalid_arg "Bit_writer.add_bits: value does not fit";
-  for i = width - 1 downto 0 do
-    add_bit w (value land (1 lsl i) <> 0)
-  done
+  ensure w width;
+  Bitvec.set_bits w.buf ~pos:w.len ~width value;
+  w.len <- w.len + width
 
 let add_bitvec w v =
-  for i = 0 to Bitvec.length v - 1 do
-    add_bit w (Bitvec.get v i)
-  done
-
-let get_bit w i = Char.code (Bytes.get w.buf (i / 8)) land (1 lsl (i mod 8)) <> 0
+  let len = Bitvec.length v in
+  ensure w len;
+  Bitvec.blit ~src:v ~src_pos:0 ~dst:w.buf ~dst_pos:w.len ~len;
+  w.len <- w.len + len
 
 let append w w' =
-  ensure w w'.len;
-  for i = 0 to w'.len - 1 do
-    add_bit w (get_bit w' i)
-  done
+  let len = w'.len in
+  ensure w len;
+  (* [ensure] may have replaced [w.buf], which is [w'.buf] when [w == w'] *)
+  Bitvec.blit ~src:w'.buf ~src_pos:0 ~dst:w.buf ~dst_pos:w.len ~len;
+  w.len <- w.len + len
 
-let contents w =
-  let v = Bitvec.create w.len in
-  for i = 0 to w.len - 1 do
-    if get_bit w i then Bitvec.set v i
-  done;
-  v
+let contents w = Bitvec.sub w.buf ~pos:0 ~len:w.len

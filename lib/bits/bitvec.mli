@@ -4,7 +4,14 @@
     [length - 1].  In this library bit vectors mainly represent incidence
     vectors of vertex sets: bit [i - 1] is set when vertex [i] belongs to
     the set (vertices are numbered from 1, as in the paper).  The structure
-    is mutable; all mutating operations are in-place. *)
+    is mutable; all mutating operations are in-place.
+
+    {b Layout.}  The bits are packed MSB-first: bit [i] is
+    [0x80 lsr (i mod 8)] of byte [i / 8], so a vector's bytes are its
+    wire form ({!to_packed}) and a message is stored as the bytes it is
+    sent as.  The pad bits past [length v] in the last byte are always
+    clear; every operation keeps them so, and {!of_packed} clears the
+    ones it is given. *)
 
 type t
 
@@ -75,6 +82,46 @@ val is_empty : t -> bool
 
 (** [subset u v] is true when every set bit of [u] is set in [v]. *)
 val subset : t -> t -> bool
+
+(** {1 Word-level access}
+
+    Ranges of up to 62 bits read and written as one integer, first bit
+    most significant, with at most two 64-bit loads or stores each. *)
+
+(** [get_bits v ~pos ~width] is bits [pos .. pos + width - 1] of [v]
+    as an integer, bit [pos] most significant.
+    @raise Invalid_argument if [width] is outside [0 .. 62] or the range
+    is out of bounds. *)
+val get_bits : t -> pos:int -> width:int -> int
+
+(** [set_bits v ~pos ~width x] overwrites bits [pos .. pos + width - 1]
+    of [v] with the [width] low bits of [x], most significant first.
+    @raise Invalid_argument if [width] is outside [0 .. 62], the range
+    is out of bounds, [x < 0] or [x] does not fit in [width] bits. *)
+val set_bits : t -> pos:int -> width:int -> int -> unit
+
+(** [blit ~src ~src_pos ~dst ~dst_pos ~len] overwrites [len] bits of
+    [dst] from [dst_pos] with the bits of [src] from [src_pos]: one byte
+    blit when both positions are multiples of 8, a shifted word copy
+    otherwise.  When [src == dst] the two ranges must not overlap.
+    @raise Invalid_argument if either range is out of bounds. *)
+val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
+
+(** [sub v ~pos ~len] is a fresh vector of bits [pos .. pos + len - 1].
+    @raise Invalid_argument if the range is out of bounds. *)
+val sub : t -> pos:int -> len:int -> t
+
+(** {1 Packed bytes} *)
+
+(** [to_packed v] is a copy of the [(length v + 7) / 8] bytes of [v]
+    in the layout above: MSB-first, pad bits clear. *)
+val to_packed : t -> string
+
+(** [of_packed ?off ~len s] is the [len]-bit vector packed MSB-first in
+    the [(len + 7) / 8] bytes of [s] from [off] (default [0]).  The
+    bytes are copied, and pad bits set in [s] are cleared.
+    @raise Invalid_argument if [len < 0] or [s] holds too few bytes. *)
+val of_packed : ?off:int -> len:int -> string -> t
 
 (** [pp] prints the vector as a ['0'/'1'] string, bit 0 leftmost. *)
 val pp : Format.formatter -> t -> unit

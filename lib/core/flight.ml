@@ -89,17 +89,6 @@ let trace_of_hex s =
 
 (* ---------- binary encoding ---------- *)
 
-(* Same FNV-1a as Wire.fnv32; duplicated because core cannot depend on
-   the serve transport. *)
-let fnv32 s =
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 16777619 land 0xFFFFFFFF)
-    s;
-  !h
-
 let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
 
 let put_u16 b v =
@@ -204,7 +193,7 @@ let dump t =
     (fun e ->
       let body = encode_body e in
       put_u32 b (String.length body);
-      put_u32 b (fnv32 body);
+      put_u32 b (Refnet_bits.Fnv.string body);
       Buffer.add_string b body)
     entries;
   Buffer.contents b
@@ -411,7 +400,7 @@ let decode s =
         else begin
           let body = String.sub s !pos len in
           pos := !pos + len;
-          if fnv32 body <> digest then flag frame_off "record digest mismatch"
+          if Refnet_bits.Fnv.string body <> digest then flag frame_off "record digest mismatch"
           else
             match decode_body body with
             | item ->

@@ -47,49 +47,30 @@ let unbundle ~count msg =
 
 let digest_bits = 32
 
-let fnv_prime = 16777619
-let fnv_mask = 0xffffffff
-
-let fnv_byte h b = ((h lxor b) * fnv_prime) land fnv_mask
-
-let fnv_int h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    h := fnv_byte !h ((v lsr (8 * i)) land 0xff)
-  done;
-  !h
-
+(* FNV-1a over n, id and length (8 little-endian bytes each), then the
+   payload's packed bytes, the last partial byte folded right-aligned:
+   the seal layout test/seal_wire.golden pins. *)
 let digest ~n ~id payload =
-  let h = ref 0x811c9dc5 in
-  h := fnv_int !h n;
-  h := fnv_int !h id;
-  h := fnv_int !h (Bitvec.length payload);
-  let acc = ref 0 and filled = ref 0 in
-  for i = 0 to Bitvec.length payload - 1 do
-    acc := (!acc lsl 1) lor (if Bitvec.get payload i then 1 else 0);
-    incr filled;
-    if !filled = 8 then begin
-      h := fnv_byte !h !acc;
-      acc := 0;
-      filled := 0
-    end
-  done;
-  if !filled > 0 then h := fnv_byte !h !acc;
-  !h
+  let len = Bitvec.length payload in
+  let h = Fnv.fold_int (Fnv.fold_int (Fnv.fold_int Fnv.offset n) id) len in
+  let packed = Bytes.unsafe_of_string (Bitvec.to_packed payload) in
+  let whole = len / 8 and tail = len mod 8 in
+  let h = Fnv.bytes ~h packed ~off:0 ~len:whole in
+  if tail = 0 then h else Fnv.fold_byte h (Char.code (Bytes.get packed whole) lsr (8 - tail))
 
 let seal ~n ~id payload =
-  let w = Bit_writer.create () in
-  Bit_writer.add_bitvec w payload;
-  Codes.write_fixed w ~width:digest_bits (digest ~n ~id payload);
-  Bit_writer.contents w
+  let len = Bitvec.length payload in
+  let sealed = Bitvec.create (len + digest_bits) in
+  Bitvec.blit ~src:payload ~src_pos:0 ~dst:sealed ~dst_pos:0 ~len;
+  Bitvec.set_bits sealed ~pos:len ~width:digest_bits (digest ~n ~id payload);
+  sealed
 
 let unseal ~n ~id sealed =
   let len = Bitvec.length sealed - digest_bits in
   if len < 0 then None
   else begin
-    let r = Bit_reader.of_bitvec sealed in
-    let payload = Bit_reader.read_bitvec r ~len in
-    let tag = Bit_reader.read_bits r ~width:digest_bits in
+    let payload = Bitvec.sub sealed ~pos:0 ~len in
+    let tag = Bitvec.get_bits sealed ~pos:len ~width:digest_bits in
     if tag = digest ~n ~id payload then Some payload else None
   end
 

@@ -2,9 +2,10 @@
 
    One object per line; values are strings, integers, the done line's
    budget (an object of strings and numbers, or null).  Hand-rolled so
-   the analysis pipeline stays dependency-free. *)
+   the analysis pipeline stays dependency-free.  Booleans are read too,
+   for the perfbench result line [bench/main.exe record] parses. *)
 
-type jvalue = S of string | I of int | F of float | Null | O of (string * jvalue) list
+type jvalue = S of string | I of int | F of float | B of bool | Null | O of (string * jvalue) list
 
 exception Parse of string
 
@@ -87,8 +88,12 @@ let parse_line line =
     match peek () with
     | Some '"' -> S (parse_string ())
     | Some '{' -> O (parse_object ())
-    | Some 'n' ->
-      if !pos + 4 <= n && String.sub line !pos 4 = "null" then (pos := !pos + 4; Null)
+    | Some ('n' | 't' | 'f') ->
+      let word w = !pos + String.length w <= n && String.sub line !pos (String.length w) = w in
+      let take w v = pos := !pos + String.length w; v in
+      if word "null" then take "null" Null
+      else if word "true" then take "true" (B true)
+      else if word "false" then take "false" (B false)
       else fail "expected a value"
     | _ -> parse_number ()
   and parse_object () =

@@ -20,6 +20,18 @@ type t
 
 val create : unit -> t
 
+(** {1 The line parser} *)
+
+(** A JSON value as {!parse_line} reads it (no arrays). *)
+type jvalue = S of string | I of int | F of float | B of bool | Null | O of (string * jvalue) list
+
+exception Parse of string
+
+(** [parse_line line] is the fields of the one JSON object on [line],
+    in order.  Numbers with a fraction or exponent are [F], others [I].
+    @raise Parse on anything else, with the column. *)
+val parse_line : string -> (string * jvalue) list
+
 (** [ingest_line t line] parses and aggregates one JSONL trace line
     (empty/whitespace lines are ignored).
     @raise Failure on a line that does not parse as a trace event —

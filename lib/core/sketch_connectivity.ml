@@ -35,11 +35,23 @@ let protocol ~seed ?rounds ?levels () : bool Protocol.t =
     let l = match levels with Some l -> l | None -> default_levels n in
     (max 1 r, max 1 l)
   in
+  (* [local] runs once per view, on every domain of the pool, and the
+     views of a run share [n]: keep the templates of the last [n] seen.
+     The cache is one atomic cell holding an immutable pair, so racing
+     domains at worst build equal templates twice. *)
+  let cached = Atomic.make None in
+  let local_templates n =
+    match Atomic.get cached with
+    | Some (n', ts) when n' = n -> ts
+    | _ ->
+      let r, l = params n in
+      let ts = templates ~seed ~rounds:r ~levels:l in
+      Atomic.set cached (Some (n, ts));
+      ts
+  in
   let local view =
-    let n = View.n view in
     let id = View.id view in
-    let r, l = params n in
-    let ts = templates ~seed ~rounds:r ~levels:l in
+    let ts = local_templates (View.n view) in
     let w = Bit_writer.create () in
     Array.iter
       (fun template ->
@@ -53,17 +65,19 @@ let protocol ~seed ?rounds ?levels () : bool Protocol.t =
     Message.of_writer w
   in
   (* Streaming referee: the per-node sampler banks are the state — one
-     bank parsed per absorb — and the Borůvka phases run at finish, once
-     all banks are in (component structure is inherently global). *)
-  let init ~n = Array.make n [||] in
-  let absorb ~n banks ~id msg =
+     bank parsed per absorb, against templates built once per session —
+     and the Borůvka phases run at finish, once all banks are in
+     (component structure is inherently global). *)
+  let init ~n =
     let r, l = params n in
-    let ts = templates ~seed ~rounds:r ~levels:l in
+    (templates ~seed ~rounds:r ~levels:l, Array.make n [||])
+  in
+  let absorb ~n:_ ((ts, banks) as st) ~id msg =
     let reader = Message.reader msg in
     banks.(id - 1) <- Array.map (fun template -> L0_sampler.read reader ~template) ts;
-    banks
+    st
   in
-  let finish ~n banks =
+  let finish ~n (_, banks) =
     if n = 0 then true
     else begin
       let r, _l = params n in

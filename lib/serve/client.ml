@@ -26,6 +26,7 @@ let connect spec =
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
   match Unix.connect fd (Daemon.sockaddr_of_listen spec) with
   | () ->
+      Daemon.set_nodelay spec fd;
       Ok
         {
           fd;

@@ -71,6 +71,15 @@ let sockaddr_of_listen = function
       Unix.ADDR_INET (addr, port)
   | Unix_sock path -> Unix.ADDR_UNIX path
 
+(* Sessions are chains of small frames, each waiting on the last.
+   Nagle's algorithm holds a small frame while an earlier one is
+   unacknowledged, and the peer delays that ACK (~40 ms on Linux), so
+   every TCP session end sets TCP_NODELAY.  Unix sockets have no Nagle. *)
+let set_nodelay spec fd =
+  match spec with
+  | Tcp _ -> ( try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
+  | Unix_sock _ -> ()
+
 let open_listener spec =
   let domain =
     match spec with Tcp _ -> Unix.PF_INET | Unix_sock _ -> Unix.PF_UNIX
@@ -380,6 +389,7 @@ let run opts =
                     match Unix.accept listener with
                     | client_fd, _ -> (
                         Unix.set_nonblock client_fd;
+                        set_nodelay opts.listen client_fd;
                         match Engine.open_conn engine with
                         | Ok cid ->
                             Hashtbl.replace conns client_fd

@@ -19,6 +19,13 @@ val listen_to_string : listen -> string
     {!Client}). *)
 val sockaddr_of_listen : listen -> Unix.sockaddr
 
+(** [set_nodelay l fd] sets [TCP_NODELAY] on a connected socket when [l]
+    is a [Tcp] address, and does nothing for Unix sockets.  Both ends of
+    a session call it (the daemon at [accept], {!Client.connect}): a
+    session is a chain of small frames, and Nagle's algorithm would hold
+    each one for the peer's delayed ACK. *)
+val set_nodelay : listen -> Unix.file_descr -> unit
+
 type opts = {
   listen : listen;
   metrics_listen : listen option;

@@ -18,14 +18,8 @@ let render_graph g =
   let n = Graph.order g in
   if n <= graph6_render_max then "graph:" ^ Gio.to_graph6 g
   else begin
-    let h = ref (Wire.fnv32 (string_of_int n)) in
-    let mix v =
-      h := !h lxor v;
-      h := !h * 16777619 land 0xFFFFFFFF
-    in
-    Graph.iter_edges g (fun u v ->
-        mix u;
-        mix v);
+    let h = ref (Refnet_bits.Fnv.string (string_of_int n)) in
+    Graph.iter_edges g (fun u v -> h := Refnet_bits.Fnv.fold_int (Refnet_bits.Fnv.fold_int !h u) v);
     Printf.sprintf "graph-summary:n=%d;m=%d;fnv=%08x" n (Graph.size g) !h
   end
 

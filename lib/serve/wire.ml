@@ -7,21 +7,6 @@ let magic = 0xF5
 let header_bytes = 10
 let default_max_frame = 1 lsl 20
 
-(* Same FNV-1a construction as Message.seal, but over bytes instead of
-   bit chunks: transport-layer error detection, not authentication. *)
-let fnv_offset = 0x811c9dc5
-let fnv_prime = 16777619
-let mask32 = 0xFFFFFFFF
-
-let fnv32 s =
-  let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * fnv_prime land mask32)
-    s;
-  !h
-
 let put_u32 b v =
   Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
   Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
@@ -35,7 +20,7 @@ let encode ~kind payload =
   Buffer.add_char b (Char.chr magic);
   Buffer.add_char b (Char.chr kind);
   put_u32 b (String.length payload);
-  put_u32 b (fnv32 payload);
+  put_u32 b (Refnet_bits.Fnv.string payload);
   Buffer.add_string b payload;
   Buffer.contents b
 
@@ -116,14 +101,12 @@ let next d =
                  d.max_frame)
           else if buffered d < header_bytes + len then Awaiting
           else begin
-            let payload =
-              Bytes.sub_string d.buf (d.start + header_bytes) len
-            in
-            if fnv32 payload <> digest then
+            let off = d.start + header_bytes in
+            if Refnet_bits.Fnv.bytes d.buf ~off ~len <> digest then
               poison d "payload digest mismatch"
             else begin
-              d.start <- d.start + header_bytes + len;
-              Frame { kind; payload }
+              d.start <- off + len;
+              Frame { kind; payload = Bytes.sub_string d.buf off len }
             end
           end
         end
@@ -152,21 +135,8 @@ module Put = struct
     Buffer.add_string b s
 
   let bits b m =
-    let len = Core.Message.bits m in
-    u32 b len;
-    let r = Core.Message.reader m in
-    let acc = ref 0 and nacc = ref 0 in
-    for _ = 1 to len do
-      acc :=
-        (!acc lsl 1) lor (if Refnet_bits.Bit_reader.read_bit r then 1 else 0);
-      incr nacc;
-      if !nacc = 8 then begin
-        Buffer.add_char b (Char.chr !acc);
-        acc := 0;
-        nacc := 0
-      end
-    done;
-    if !nacc > 0 then Buffer.add_char b (Char.chr (!acc lsl (8 - !nacc)))
+    u32 b (Core.Message.bits m);
+    Buffer.add_string b (Refnet_bits.Bitvec.to_packed m)
 
   let contents = Buffer.contents
 end
@@ -223,14 +193,8 @@ module Get = struct
     (* the declared bit length is attacker-controlled: [take] rejects it
        against the bytes actually present, so a hostile header cannot
        force a huge allocation (frames are already size-capped) *)
-    let nbytes = (len + 7) / 8 in
-    let* off = take g nbytes in
-    let w = Refnet_bits.Bit_writer.create () in
-    for i = 0 to len - 1 do
-      let c = Char.code g.s.[off + (i / 8)] in
-      Refnet_bits.Bit_writer.add_bit w (c land (0x80 lsr (i mod 8)) <> 0)
-    done;
-    Ok (Core.Message.of_writer w)
+    let* off = take g ((len + 7) / 8) in
+    Ok (Refnet_bits.Bitvec.of_packed ~off ~len g.s)
 
   let finished g = g.pos = String.length g.s
 end

@@ -11,8 +11,8 @@
       10      len   payload bytes
     v}
 
-    The digest is the same error-{e detecting} FNV-1a construction as
-    {!Core.Message.seal}, applied at the transport layer: a flipped or
+    The digest is {!Refnet_bits.Fnv}, the error-{e detecting} FNV-1a
+    that {!Core.Message.seal} also uses, applied at the transport layer: a flipped or
     truncated byte anywhere in a frame is caught before the payload is
     even parsed, so the daemon can quarantine the connection instead of
     feeding garbage to a session.  It is not a MAC.
@@ -25,9 +25,6 @@
 
 val magic : int
 val header_bytes : int
-
-(** [fnv32 s] is the FNV-1a 32-bit digest of [s]. *)
-val fnv32 : string -> int
 
 (** [encode ~kind payload] is the full frame as bytes-in-a-string.
     @raise Invalid_argument if [kind] is outside [0..255]. *)

@@ -10,9 +10,11 @@ let levels t = Array.length t.sketches
 
 let update t ~index ~delta =
   let l = Hash.level t.hash index ~max_level:(levels t - 1) in
+  (* every level shares [z]: one power for all of them *)
+  let pow = if index < 0 then Field.zero else Field.pow (Field.of_int t.z) index in
   let sketches =
     Array.mapi
-      (fun j s -> if j <= l then One_sparse.update s ~index ~delta else s)
+      (fun j s -> if j <= l then One_sparse.update_pow s ~index ~delta ~pow else s)
       t.sketches
   in
   { t with sketches }

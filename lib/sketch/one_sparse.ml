@@ -4,15 +4,17 @@ type t = { z : int; s0 : Field.t; s1 : Field.t; s2 : Field.t }
 
 let create ~z = { z = Field.of_int z; s0 = Field.zero; s1 = Field.zero; s2 = Field.zero }
 
-let update t ~index ~delta =
+let update_pow t ~index ~delta ~pow =
   if index < 0 then invalid_arg "One_sparse.update: negative index";
   let d = Field.of_int delta in
   {
     t with
     s0 = Field.add t.s0 d;
     s1 = Field.add t.s1 (Field.mul d (Field.of_int index));
-    s2 = Field.add t.s2 (Field.mul d (Field.pow t.z index));
+    s2 = Field.add t.s2 (Field.mul d pow);
   }
+
+let update t ~index ~delta = update_pow t ~index ~delta ~pow:(Field.pow t.z index)
 
 let combine a b =
   if a.z <> b.z then invalid_arg "One_sparse.combine: mismatched evaluation points";

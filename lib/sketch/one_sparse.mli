@@ -25,6 +25,12 @@ val create : z:int -> t
     @raise Invalid_argument on negative index. *)
 val update : t -> index:int -> delta:int -> t
 
+(** [update_pow t ~index ~delta ~pow] is [update t ~index ~delta] for a
+    caller that already holds [pow = z^index]: the sketches of one
+    {!L0_sampler} share [z], so it raises [z] to [index] once for all
+    its levels. *)
+val update_pow : t -> index:int -> delta:int -> pow:Field.t -> t
+
 (** [combine a b] is the sketch of the summed vectors.
     @raise Invalid_argument if the evaluation points differ. *)
 val combine : t -> t -> t

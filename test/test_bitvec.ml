@@ -92,6 +92,62 @@ let test_equal_compare () =
 let test_to_string () =
   Alcotest.(check string) "render" "0101" (Bitvec.to_string (Bitvec.of_list 4 [ 1; 3 ]))
 
+(* ---------- packed bytes and word-level access ---------- *)
+
+let test_packed_layout () =
+  (* bit i is 0x80 lsr (i mod 8) of byte i / 8 *)
+  let v = Bitvec.of_list 11 [ 0; 7; 8; 10 ] in
+  Alcotest.(check string) "MSB-first bytes" "\x81\xa0" (Bitvec.to_packed v);
+  check_int "empty vector, no bytes" 0 (String.length (Bitvec.to_packed (Bitvec.create 0)));
+  let w = Bitvec.of_packed ~len:11 "\x81\xbf" in
+  check "pad bits cleared" true (Bitvec.equal v w);
+  Alcotest.(check string) "cleared on the way out" "\x81\xa0" (Bitvec.to_packed w);
+  let u = Bitvec.of_packed ~off:1 ~len:4 "\xff\x5f" in
+  Alcotest.(check string) "offset" "0101" (Bitvec.to_string u);
+  Alcotest.check_raises "too few bytes" (Invalid_argument "Bitvec.of_packed: not enough bytes")
+    (fun () -> ignore (Bitvec.of_packed ~len:9 "\x00"))
+
+let test_get_set_bits () =
+  let v = Bitvec.create 140 in
+  Bitvec.set_bits v ~pos:5 ~width:62 max_int;
+  check_int "62 ones" 62 (Bitvec.popcount v);
+  check_int "read back" max_int (Bitvec.get_bits v ~pos:5 ~width:62);
+  check "before" false (Bitvec.get v 4);
+  check "after" false (Bitvec.get v 67);
+  Bitvec.set_bits v ~pos:130 ~width:10 0b1000000001;
+  check "tail first" true (Bitvec.get v 130);
+  check "tail last" true (Bitvec.get v 139);
+  check_int "tail value" 0b1000000001 (Bitvec.get_bits v ~pos:130 ~width:10);
+  Bitvec.set_bits v ~pos:5 ~width:3 0;
+  check_int "overwrite" (max_int lsr 3) (Bitvec.get_bits v ~pos:5 ~width:62);
+  Alcotest.check_raises "out of range" (Invalid_argument "Bitvec.get_bits: range out of bounds")
+    (fun () -> ignore (Bitvec.get_bits v ~pos:100 ~width:41))
+
+(* [blit] and [sub] agree with a per-bit copy at every alignment pair. *)
+let test_blit_alignments () =
+  let rng = Random.State.make [| 0xb117 |] in
+  let src = Bitvec.create 200 in
+  for i = 0 to 199 do
+    if Random.State.bool rng then Bitvec.set src i
+  done;
+  for src_pos = 0 to 9 do
+    for dst_pos = 0 to 9 do
+      List.iter
+        (fun len ->
+          let dst = Bitvec.complement (Bitvec.create 190) in
+          let expect = Bitvec.copy dst in
+          for k = 0 to len - 1 do
+            Bitvec.assign expect (dst_pos + k) (Bitvec.get src (src_pos + k))
+          done;
+          Bitvec.blit ~src ~src_pos ~dst ~dst_pos ~len;
+          check (Printf.sprintf "blit %d->%d len %d" src_pos dst_pos len) true (Bitvec.equal expect dst);
+          Alcotest.(check string) "sub"
+            (String.sub (Bitvec.to_string src) src_pos len)
+            (Bitvec.to_string (Bitvec.sub src ~pos:src_pos ~len)))
+        [ 0; 1; 7; 8; 9; 55; 56; 57; 63; 64; 65; 130; 180 ]
+    done
+  done
+
 let bit_list_gen =
   QCheck2.Gen.(
     bind (int_range 1 64) (fun n ->
@@ -132,6 +188,12 @@ let () =
           Alcotest.test_case "copy independent" `Quick test_copy_independent;
           Alcotest.test_case "equal/compare" `Quick test_equal_compare;
           Alcotest.test_case "to_string" `Quick test_to_string;
+        ] );
+      ( "packed",
+        [
+          Alcotest.test_case "layout and pad bits" `Quick test_packed_layout;
+          Alcotest.test_case "get/set bits" `Quick test_get_set_bits;
+          Alcotest.test_case "blit at every alignment" `Quick test_blit_alignments;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

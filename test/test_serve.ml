@@ -187,6 +187,87 @@ let test_wire_digest_trips () =
   | Serve.Wire.Corrupt _ -> ()
   | _ -> Alcotest.fail "digest mismatch not detected"
 
+(* Seals and wire payloads are byte-identical to the ones recorded
+   before the bit layer went word-level (see seal_wire.golden). *)
+let golden_payload len =
+  let s = ref ((len * 7919) + 1) in
+  let w = Refnet_bits.Bit_writer.create () in
+  for _ = 1 to len do
+    s := ((!s * 1103515245) + 12345) land 0x7fffffff;
+    Refnet_bits.Bit_writer.add_bit w ((!s lsr 16) land 1 = 1)
+  done;
+  Core.Message.of_writer w
+
+let hex_of_bits m =
+  let s = Refnet_bits.Bitvec.to_string m in
+  String.concat ""
+    (List.init ((String.length s + 7) / 8) (fun b ->
+         let byte = ref 0 in
+         for k = 0 to 7 do
+           let i = (8 * b) + k in
+           byte := (!byte lsl 1) lor if i < String.length s && s.[i] = '1' then 1 else 0
+         done;
+         Printf.sprintf "%02x" !byte))
+
+let hex_of_string s =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let test_seal_wire_golden () =
+  let lines =
+    In_channel.with_open_text "seal_wire.golden" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  Alcotest.(check int) "golden lengths" 10 (List.length lines);
+  List.iter
+    (fun line ->
+      Scanf.sscanf line "%d %d %d %s %s" (fun len n id seal put ->
+          let p = golden_payload len in
+          let sealed = Core.Message.seal ~n ~id p in
+          Alcotest.(check string) (Printf.sprintf "seal bits, len %d" len) seal (hex_of_bits sealed);
+          let b = Serve.Wire.Put.create () in
+          Serve.Wire.Put.bits b p;
+          Alcotest.(check string)
+            (Printf.sprintf "Put.bits bytes, len %d" len)
+            put
+            (hex_of_string (Serve.Wire.Put.contents b));
+          match Core.Message.unseal ~n ~id sealed with
+          | Some q -> Alcotest.(check bool) "unseal" true (Core.Message.equal p q)
+          | None -> Alcotest.failf "len %d: seal did not verify" len))
+    lines
+
+(* A peer may send a Msg whose last payload byte has its pad bits set.
+   The decoded message ignores them: it equals the clean one, and its
+   seal still verifies. *)
+let test_msg_pad_bits_cleared () =
+  let n = 16 and id = 4 in
+  let clean =
+    let w = Refnet_bits.Bit_writer.create () in
+    Refnet_bits.Codes.write_fixed w ~width:11 0b10110011101;
+    Core.Message.seal ~n ~id (Core.Message.of_writer w)
+  in
+  Alcotest.(check int) "pad bits exist" 3 (Core.Message.bits clean mod 8);
+  let framed = Serve.Frame.encode_client (Serve.Frame.Msg { session = 2; node = id; payload = clean }) in
+  let d = Serve.Wire.decoder () in
+  Serve.Wire.push d (Bytes.of_string framed) ~off:0 ~len:(String.length framed);
+  match Serve.Wire.next d with
+  | Serve.Wire.Frame { kind; payload } -> (
+    let dirty = Bytes.of_string payload in
+    let last = Bytes.length dirty - 1 in
+    Bytes.set dirty last (Char.chr (Char.code (Bytes.get dirty last) lor 0x1f));
+    let reframed = Serve.Wire.encode ~kind (Bytes.to_string dirty) in
+    let d = Serve.Wire.decoder () in
+    Serve.Wire.push d (Bytes.of_string reframed) ~off:0 ~len:(String.length reframed);
+    match Serve.Wire.next d with
+    | Serve.Wire.Frame { kind; payload } -> (
+      match Serve.Frame.decode_client ~kind payload with
+      | Ok (Serve.Frame.Msg { payload = m; _ }) ->
+        Alcotest.(check bool) "equal to the clean message" true (Core.Message.equal clean m);
+        Alcotest.(check bool) "seal verifies" true (Core.Message.unseal ~n ~id m <> None)
+      | _ -> Alcotest.fail "dirty Msg did not decode")
+    | _ -> Alcotest.fail "dirty Msg did not frame")
+  | _ -> Alcotest.fail "clean Msg did not frame"
+
 (* ---------- registry ---------- *)
 
 let test_registry_specs () =
@@ -630,6 +711,8 @@ let () =
         [
           Alcotest.test_case "frame roundtrips" `Quick test_frame_roundtrips;
           Alcotest.test_case "digest trips on flip" `Quick test_wire_digest_trips;
+          Alcotest.test_case "seal and wire golden" `Quick test_seal_wire_golden;
+          Alcotest.test_case "msg pad bits cleared" `Quick test_msg_pad_bits_cleared;
         ] );
       ( "registry",
         [
