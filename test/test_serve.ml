@@ -678,6 +678,227 @@ let test_version_mismatch_quarantines () =
   | fs -> Alcotest.failf "mismatch got [%s]" (String.concat "; " (List.map pp_server fs)));
   Alcotest.(check bool) "closing" true (Serve.Engine.wants_close engine p.c)
 
+(* ---------- engine golden ---------- *)
+
+(* One scripted exchange over seven connections on a virtual clock that
+   walks every client frame kind through every engine outcome: each
+   typed reject, each quarantine cause, idle and deadline timeouts, a
+   client abort, late frames, a degraded finish, Bye and a vanished
+   peer with live sessions, and a drain.  One tick has five dirty
+   sessions, so the fold runs on the pool.  Everything observable is
+   rendered to lines and pinned by serve_engine.golden: each
+   connection's output bytes, the stats, the refnet_serve_* counters,
+   the flight dump and the jsonl trace. *)
+let engine_golden_lines ~domains =
+  let clock = ref 100.0 in
+  let cfg =
+    {
+      Serve.Engine.default_config with
+      max_sessions = 7;
+      max_sessions_per_conn = 4;
+      session_credit = 4;
+      idle_timeout_s = 1.0;
+      deadline_s = 3.0;
+      retry_after_ms = 77;
+      domains = Some domains;
+    }
+  in
+  let metrics = Core.Metrics.create ~clock:(fun () -> 0.) () in
+  let flight = Core.Flight.create () in
+  let trace_buf = Buffer.create 4096 in
+  let sink =
+    Core.Trace.Emit_session
+      (fun session ev ->
+        Buffer.add_string trace_buf (Core.Trace.json_of_event ?session ev);
+        Buffer.add_char trace_buf '\n')
+  in
+  let engine =
+    Serve.Engine.create ~clock:(fun () -> !clock) ~trace:sink ~metrics ~flight cfg
+  in
+  let outs = ref [] in
+  let conn name =
+    let p = connect engine in
+    outs := (name, p.c, Buffer.create 256) :: !outs;
+    p
+  in
+  let collect () =
+    List.iter
+      (fun (_, c, b) -> Buffer.add_string b (Serve.Engine.take_output engine c))
+      !outs
+  in
+  let tick () =
+    Serve.Engine.tick engine;
+    collect ()
+  in
+  let send p f =
+    feed engine p f;
+    collect ()
+  in
+  let hello p = send p (Serve.Frame.Hello { version = Serve.Frame.version }) in
+  let open_ ?(trace = 0L) p open_id protocol n =
+    send p (Serve.Frame.Open { open_id; protocol; n; trace })
+  in
+  let msgs_of spec g =
+    match Serve.Registry.lookup ~spec ~n:(Graph.order g) with
+    | Ok (Serve.Registry.Entry { protocol; _ }) -> count_msgs protocol g
+    | Error e -> Alcotest.failf "lookup: %s" e
+  in
+  let c4 = msgs_of "count" (Generators.path 4) in
+  let c8 = msgs_of "count" (Generators.path 8) in
+  let f5 = msgs_of "forest" (Generators.random_tree (Random.State.make [| 5 |]) 5) in
+  let msg p session msgs node =
+    send p (Serve.Frame.Msg { session; node; payload = msgs.(node - 1) })
+  in
+  let finish p session = send p (Serve.Frame.Finish { session }) in
+  let a = conn "A" and b = conn "B" and c = conn "C" and d = conn "D" in
+  let e = conn "E" and f = conn "F" and g = conn "G" in
+  List.iter hello [ a; b; c; d ];
+  send e (Serve.Frame.Hello { version = Serve.Frame.version + 1 });
+  send a (Serve.Frame.Ping { token = 7 });
+  (* admission: sessions 1-4 on A, 5-6 on B, 7 on C fill the cap of 7 *)
+  for i = 1 to 4 do
+    open_ a i "count" 4
+  done;
+  open_ a 5 "count" 4 (* Session_limit *);
+  open_ b 6 "nosuch" 4 (* Unknown_protocol *);
+  open_ b 7 "count" 0 (* Bad_n *);
+  open_ b 8 "forest" 5;
+  open_ b 9 "count" 4;
+  open_ c 10 "count" 4;
+  open_ d 11 "count" 4 (* Overloaded *);
+  let doomed = 0x00c0ffee600dcafeL in
+  Serve.Engine.load_evidence engine [ (doomed, "mid-flight: golden") ];
+  open_ ~trace:doomed d 12 "count" 4 (* Evidence *);
+  tick ();
+  (* five dirty sessions in one tick *)
+  List.iter (msg a 1 c4) [ 1; 2; 3; 4 ];
+  finish a 1;
+  List.iter (msg a 2 c4) [ 1; 2; 3; 4 ];
+  finish a 2;
+  List.iter (msg a 3 c4) [ 1; 2; 3 ];
+  List.iter (msg a 4 c4) [ 1; 2 ];
+  List.iter (msg b 5 f5) [ 1; 2; 3 ];
+  tick ();
+  (* late frames: gone sessions, and a session already finishing *)
+  msg a 1 c4 1;
+  finish a 2;
+  msg a 3 c4 4;
+  finish a 3;
+  msg a 3 c4 4;
+  finish a 3;
+  (* session 5 finishes with node 5 missing *)
+  msg b 5 f5 4;
+  finish b 5;
+  send b (Serve.Frame.Abort { session = 6 });
+  send b (Serve.Frame.Abort { session = 6 });
+  (* C touches A's session: C is quarantined and its session 7 torn down *)
+  msg c 4 c4 3;
+  tick ();
+  (* credit overrun on D, wire corruption on F, an unknown kind on G *)
+  open_ d 13 "count" 8;
+  List.iter (msg d 8 c8) [ 1; 2; 3; 4; 5 ];
+  hello f;
+  open_ f 14 "count" 4;
+  feed_raw engine f "\xde\xad\xbe\xef not a frame at all";
+  collect ();
+  hello g;
+  open_ g 15 "count" 4;
+  feed_raw engine g (Serve.Wire.encode ~kind:0x7e "");
+  collect ();
+  tick ();
+  (* session 4 has been quiet since its two messages *)
+  clock := !clock +. 1.5;
+  tick ();
+  (* session 11 keeps trickling, so its deadline fires, not idle *)
+  open_ b 16 "count" 8;
+  tick ();
+  for node = 1 to 5 do
+    clock := !clock +. 0.7;
+    msg b 11 c8 node;
+    tick ()
+  done;
+  (* drain: in-flight session 12 decides, new opens are refused *)
+  open_ a 17 "count" 4;
+  open_ b 18 "count" 4;
+  open_ a 19 "count" 4;
+  tick ();
+  Serve.Engine.begin_drain engine;
+  open_ a 20 "count" 4 (* Draining *);
+  List.iter (msg a 12 c4) [ 1; 2; 3; 4 ];
+  finish a 12;
+  tick ();
+  (* Bye abandons B's session 13; A vanishes with session 14 live *)
+  send b Serve.Frame.Bye;
+  Serve.Engine.close_conn engine a.c;
+  tick ();
+  let out_lines =
+    List.rev_map
+      (fun (name, _, buf) ->
+        Printf.sprintf "out %s %s" name (hex_of_string (Buffer.contents buf)))
+      !outs
+  in
+  let s = Serve.Engine.stats engine in
+  let stat_lines =
+    List.map
+      (fun (k, v) -> Printf.sprintf "stat %s %d" k v)
+      Serve.Engine.
+        [
+          ("conns_opened", s.conns_opened);
+          ("sessions_opened", s.sessions_opened);
+          ("decided", s.decided);
+          ("degraded", s.degraded);
+          ("inconclusive", s.inconclusive);
+          ("aborted", s.aborted);
+          ("sheds", s.sheds);
+          ("drain_rejections", s.drain_rejections);
+          ("rej_unknown_protocol", s.rej_unknown_protocol);
+          ("rej_bad_n", s.rej_bad_n);
+          ("rej_session_limit", s.rej_session_limit);
+          ("rej_evidence", s.rej_evidence);
+          ("quarantines", s.quarantines);
+          ("quarantine_escapes", s.quarantine_escapes);
+          ("late_frames", s.late_frames);
+          ("timeouts_idle", s.timeouts_idle);
+          ("timeouts_deadline", s.timeouts_deadline);
+          ("frames", s.frames);
+          ("bytes_in", s.bytes_in);
+          ("live_sessions", s.live_sessions);
+        ]
+  in
+  let prefix = "refnet_serve_" in
+  let counter_lines =
+    List.filter_map
+      (fun (name, v) ->
+        if String.length name >= String.length prefix
+           && String.sub name 0 (String.length prefix) = prefix
+        then Some (Printf.sprintf "counter %s %d" name v)
+        else None)
+      (Core.Metrics.snapshot metrics).Core.Metrics.counters
+  in
+  let trace_lines =
+    Buffer.contents trace_buf
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l -> "trace " ^ l)
+  in
+  out_lines @ stat_lines @ counter_lines
+  @ [ "flight " ^ hex_of_string (Core.Flight.dump flight) ]
+  @ trace_lines
+
+let test_engine_golden () =
+  let golden =
+    In_channel.with_open_text "serve_engine.golden" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  List.iter
+    (fun domains ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "engine transcript at domains=%d" domains)
+        golden
+        (engine_golden_lines ~domains))
+    [ 1; 4 ]
+
 (* ---------- selftest campaign ---------- *)
 
 let test_selftest_clean () =
@@ -735,6 +956,7 @@ let () =
           Alcotest.test_case "ping pong and bye" `Quick test_ping_pong_and_bye;
           Alcotest.test_case "version mismatch quarantines" `Quick
             test_version_mismatch_quarantines;
+          Alcotest.test_case "engine golden" `Quick test_engine_golden;
         ] );
       ( "tracing",
         [
