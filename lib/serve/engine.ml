@@ -11,7 +11,6 @@ type config = {
   idle_timeout_s : float;
   retry_after_ms : int;
   domains : int option;
-  par_threshold : int;
 }
 
 let default_config =
@@ -26,8 +25,11 @@ let default_config =
     idle_timeout_s = 10.;
     retry_after_ms = 250;
     domains = None;
-    par_threshold = 4;
   }
+
+(* Ticks with fewer dirty sessions than this fold inline: below it the
+   pool's fork and join cost more than the referee work they spread. *)
+let par_threshold = 4
 
 type conn_id = int
 
@@ -50,10 +52,9 @@ type session = {
   s_n : int;
   mutable state : sess_state;
   mutable pending : (int * Message.t) list; (* reversed arrival order *)
-  mutable pending_count : int;
   mutable window : int; (* Msg frames the client may still send *)
   mutable finish_cause : finish_cause option;
-  mutable dirty : bool;
+  mutable dirty : bool; (* already listed in [t.dirty_sids] *)
   mutable absorb_log : (int * int) list; (* (id, bits), reversed; traced *)
   mutable max_bits : int;
   mutable total_bits : int;
@@ -92,9 +93,10 @@ type stats = {
   frames : int;
   bytes_in : int;
   live_sessions : int;
-  queued_msgs : int;
 }
 
+(* The engine's only counters: the [refnet_serve_*] series, read back
+   by [stats]. *)
 type instruments = {
   i_sessions : Metrics.Counter.counter;
   i_decided : Metrics.Counter.counter;
@@ -120,7 +122,10 @@ type t = {
   clock : unit -> float;
   trace : Trace.sink;
   metrics : Metrics.t option;
-  inst : instruments option;
+      (* the caller's registry: the pool and the per-trace anomaly
+         series report here only, so an unobserved engine pays nothing
+         for them *)
+  inst : instruments; (* in [metrics], or a private registry *)
   flight : Flight.t option;
   evidence : (int64, string) Hashtbl.t;
       (* trace ids found mid-flight in boot-scanned crash dumps; a
@@ -132,29 +137,7 @@ type t = {
   mutable next_cid : int;
   mutable next_sid : int;
   mutable dirty_sids : int list;
-  mutable live_sessions : int;
-  mutable queued_msgs : int;
   mutable is_draining : bool;
-  (* counters (also mirrored into [inst] when metrics are attached) *)
-  mutable n_conns_opened : int;
-  mutable n_sessions : int;
-  mutable n_decided : int;
-  mutable n_degraded : int;
-  mutable n_inconclusive : int;
-  mutable n_aborted : int;
-  mutable n_sheds : int;
-  mutable n_drain_rej : int;
-  mutable n_rej_unknown : int;
-  mutable n_rej_bad_n : int;
-  mutable n_rej_session_limit : int;
-  mutable n_rej_evidence : int;
-  mutable n_quarantines : int;
-  mutable n_escapes : int;
-  mutable n_late : int;
-  mutable n_timeout_idle : int;
-  mutable n_timeout_deadline : int;
-  mutable n_frames : int;
-  mutable n_bytes : int;
 }
 
 let make_instruments m =
@@ -214,12 +197,15 @@ let mix64 z =
 
 let create ?clock ?(trace = Trace.null) ?metrics ?flight cfg =
   let clock = match clock with Some c -> c | None -> Unix.gettimeofday in
+  let registry =
+    match metrics with Some m -> m | None -> Metrics.create ()
+  in
   {
     cfg;
     clock;
     trace;
     metrics;
-    inst = Option.map make_instruments metrics;
+    inst = make_instruments registry;
     flight;
     evidence = Hashtbl.create 16;
     trace_seed = mix64 (Int64.of_float (clock () *. 1e6));
@@ -229,31 +215,10 @@ let create ?clock ?(trace = Trace.null) ?metrics ?flight cfg =
     next_cid = 1;
     next_sid = 1;
     dirty_sids = [];
-    live_sessions = 0;
-    queued_msgs = 0;
     is_draining = false;
-    n_conns_opened = 0;
-    n_sessions = 0;
-    n_decided = 0;
-    n_degraded = 0;
-    n_inconclusive = 0;
-    n_aborted = 0;
-    n_sheds = 0;
-    n_drain_rej = 0;
-    n_rej_unknown = 0;
-    n_rej_bad_n = 0;
-    n_rej_session_limit = 0;
-    n_rej_evidence = 0;
-    n_quarantines = 0;
-    n_escapes = 0;
-    n_late = 0;
-    n_timeout_idle = 0;
-    n_timeout_deadline = 0;
-    n_frames = 0;
-    n_bytes = 0;
   }
 
-let bump t f = match t.inst with None -> () | Some i -> Metrics.Counter.incr (f i)
+let bump t f = Metrics.Counter.incr (f t.inst)
 
 (* ---------- session tracing + flight recording ---------- *)
 
@@ -290,73 +255,86 @@ let load_evidence t entries =
 
 let evidence_count t = Hashtbl.length t.evidence
 
-(* ---------- output ---------- *)
+(* ---------- session teardown ---------- *)
 
+let conn_of t s = Hashtbl.find_opt t.conns s.s_conn
+
+(* Every session leaves the table here: after its verdict, or [abort]ed
+   without one. *)
+let retire t s =
+  Hashtbl.remove t.sessions s.sid;
+  match conn_of t s with
+  | None -> ()
+  | Some c -> c.c_sessions <- List.filter (fun sid -> sid <> s.sid) c.c_sessions
+
+let abort t s =
+  if Hashtbl.mem t.sessions s.sid then begin
+    retire t s;
+    bump t (fun i -> i.i_aborts)
+  end
+
+let abort_conn t conn =
+  List.iter
+    (fun sid -> Option.iter (abort t) (Hashtbl.find_opt t.sessions sid))
+    conn.c_sessions
+
+(* ---------- output and quarantine ---------- *)
+
+(* The one quarantine path: count it, record it, tear the connection's
+   sessions down and close with a typed error.  The error goes out even
+   when the egress buffer has no room left for it: the unread output is
+   dropped instead. *)
+let quarantine t conn code detail =
+  if not conn.quarantined then begin
+    conn.quarantined <- true;
+    bump t (fun i -> i.i_quarantines);
+    anomaly t ~kind:"quarantine" ~trace:conn.c_trace;
+    fl_note t ~trace:conn.c_trace ~code:"quarantine"
+      ~detail:(Frame.error_code_to_string code ^ ": " ^ detail);
+    abort_conn t conn;
+    if not conn.close_after_flush then begin
+      let bytes = Frame.encode_server (Frame.Error { code; detail }) in
+      if Buffer.length conn.out + String.length bytes > t.cfg.max_output_bytes
+      then Buffer.clear conn.out;
+      Buffer.add_string conn.out bytes
+    end;
+    conn.close_after_flush <- true
+  end
+
+(* A peer whose egress buffer would pass [max_output_bytes] is not
+   reading: it is quarantined as a slow consumer, and the output it
+   never read is dropped first. *)
 let send t conn frame =
   if not conn.close_after_flush then begin
     let bytes = Frame.encode_server frame in
     if Buffer.length conn.out + String.length bytes > t.cfg.max_output_bytes
     then begin
-      (* slow consumer: the peer is not reading.  Drop the buffered
-         output (it will never be read) and close with a terse error
-         that fits whatever room the transport still has. *)
       Buffer.clear conn.out;
-      Buffer.add_string conn.out
-        (Frame.encode_server
-           (Frame.Error { code = Frame.Slow_consumer; detail = "egress full" }));
-      conn.quarantined <- true;
-      conn.close_after_flush <- true;
-      t.n_quarantines <- t.n_quarantines + 1;
-      bump t (fun i -> i.i_quarantines)
+      quarantine t conn Frame.Slow_consumer "egress full"
     end
     else Buffer.add_string conn.out bytes
   end
 
-(* ---------- session teardown ---------- *)
-
-let remove_session t s =
-  if Hashtbl.mem t.sessions s.sid then begin
-    Hashtbl.remove t.sessions s.sid;
-    t.live_sessions <- t.live_sessions - 1;
-    t.queued_msgs <- t.queued_msgs - s.pending_count;
-    s.pending <- [];
-    s.pending_count <- 0;
-    (match Hashtbl.find_opt t.conns s.s_conn with
-    | None -> ()
-    | Some c -> c.c_sessions <- List.filter (fun sid -> sid <> s.sid) c.c_sessions)
-  end
-
-let abort_session t s =
-  remove_session t s;
-  t.n_aborted <- t.n_aborted + 1;
-  bump t (fun i -> i.i_aborts)
-
-let abort_conn_sessions t conn =
-  List.iter
-    (fun sid ->
-      match Hashtbl.find_opt t.sessions sid with
-      | Some s ->
-          Hashtbl.remove t.sessions sid;
-          t.live_sessions <- t.live_sessions - 1;
-          t.queued_msgs <- t.queued_msgs - s.pending_count;
-          t.n_aborted <- t.n_aborted + 1;
-          bump t (fun i -> i.i_aborts)
-      | None -> ())
-    conn.c_sessions;
-  conn.c_sessions <- []
-
-let quarantine t conn code detail =
-  if not conn.quarantined then begin
-    t.n_quarantines <- t.n_quarantines + 1;
-    bump t (fun i -> i.i_quarantines);
-    anomaly t ~kind:"quarantine" ~trace:conn.c_trace;
-    fl_note t ~trace:conn.c_trace ~code:"quarantine"
-      ~detail:(Frame.error_code_to_string code ^ ": " ^ detail);
-    abort_conn_sessions t conn;
-    send t conn (Frame.Error { code; detail });
-    conn.quarantined <- true;
-    conn.close_after_flush <- true
-  end
+(* The one Verdict builder, for referee verdicts and client aborts. *)
+let verdict_frame s ~timeout (v : string Verdict.t) =
+  let status, payload, (r : Verdict.fault_report) =
+    match v with
+    | Verdict.Decided p -> (Frame.Decided, p, Verdict.empty_report)
+    | Verdict.Degraded (p, r) -> (Frame.Degraded, p, r)
+    | Verdict.Inconclusive reason -> (Frame.Inconclusive, reason, Verdict.empty_report)
+  in
+  Frame.Verdict
+    {
+      session = s.sid;
+      status;
+      timeout;
+      payload;
+      missing = List.length r.missing;
+      malformed = List.length r.malformed;
+      duplicated = List.length r.duplicated;
+      undetermined = List.length r.undetermined;
+      trace = s.s_trace;
+    }
 
 (* ---------- connection lifecycle ---------- *)
 
@@ -367,7 +345,6 @@ let open_conn t =
   else begin
     let cid = t.next_cid in
     t.next_cid <- cid + 1;
-    t.n_conns_opened <- t.n_conns_opened + 1;
     Hashtbl.replace t.conns cid
       {
         cid;
@@ -385,7 +362,7 @@ let close_conn t cid =
   match Hashtbl.find_opt t.conns cid with
   | None -> ()
   | Some conn ->
-      abort_conn_sessions t conn;
+      abort_conn t conn;
       Hashtbl.remove t.conns cid
 
 let take_output t cid =
@@ -418,21 +395,11 @@ let mark_dirty t s =
 let reject t conn ~open_id ?(trace = 0L) ?(detail = "") reason =
   let trace = if Int64.equal trace 0L then conn.c_trace else trace in
   (match reason with
-  | Frame.Overloaded ->
-      t.n_sheds <- t.n_sheds + 1;
-      bump t (fun i -> i.i_sheds)
-  | Frame.Draining ->
-      t.n_drain_rej <- t.n_drain_rej + 1;
-      bump t (fun i -> i.i_drains)
-  | Frame.Unknown_protocol -> t.n_rej_unknown <- t.n_rej_unknown + 1
-  | Frame.Bad_n -> t.n_rej_bad_n <- t.n_rej_bad_n + 1
-  | Frame.Session_limit -> t.n_rej_session_limit <- t.n_rej_session_limit + 1
-  | Frame.Evidence ->
-      t.n_rej_evidence <- t.n_rej_evidence + 1;
-      anomaly t ~kind:"evidence_reject" ~trace);
-  (match t.inst with
-  | None -> ()
-  | Some i -> Metrics.Counter.incr (i.i_reject reason));
+  | Frame.Overloaded -> bump t (fun i -> i.i_sheds)
+  | Frame.Draining -> bump t (fun i -> i.i_drains)
+  | Frame.Evidence -> anomaly t ~kind:"evidence_reject" ~trace
+  | Frame.Unknown_protocol | Frame.Bad_n | Frame.Session_limit -> ());
+  bump t (fun i -> i.i_reject reason);
   let code = match reason with Frame.Evidence -> "evidence" | _ -> "reject" in
   let note_detail =
     if detail = "" then Frame.reject_reason_to_string reason else detail
@@ -453,7 +420,7 @@ let handle_open t conn ~open_id ~protocol ~n ~trace:req_trace =
       reject t conn ~open_id ~trace:req_trace ~detail:summary Frame.Evidence
   | None ->
   if t.is_draining then reject t conn ~open_id Frame.Draining
-  else if t.live_sessions >= t.cfg.max_sessions then
+  else if Hashtbl.length t.sessions >= t.cfg.max_sessions then
     reject t conn ~open_id Frame.Overloaded
   else if List.length conn.c_sessions >= t.cfg.max_sessions_per_conn then
     reject t conn ~open_id Frame.Session_limit
@@ -484,7 +451,6 @@ let handle_open t conn ~open_id ~protocol ~n ~trace:req_trace =
             s_n = n;
             state = Sess { feed = Protocol.start p.Protocol.referee ~n; render };
             pending = [];
-            pending_count = 0;
             window = t.cfg.session_credit;
             finish_cause = None;
             dirty = false;
@@ -497,8 +463,6 @@ let handle_open t conn ~open_id ~protocol ~n ~trace:req_trace =
         in
         Hashtbl.replace t.sessions sid s;
         conn.c_sessions <- sid :: conn.c_sessions;
-        t.live_sessions <- t.live_sessions + 1;
-        t.n_sessions <- t.n_sessions + 1;
         bump t (fun i -> i.i_sessions);
         fl_note t ~trace:s_trace ~code:"open"
           ~detail:(Printf.sprintf "%s n=%d sid=%d" s.s_label n sid);
@@ -506,15 +470,18 @@ let handle_open t conn ~open_id ~protocol ~n ~trace:req_trace =
         send t conn
           (Frame.Opened { open_id; session = sid; credit = t.cfg.session_credit })
 
-let find_session t conn sid =
-  match Hashtbl.find_opt t.sessions sid with
-  | Some s when s.s_conn = conn.cid -> `Mine s
-  | Some _ -> `Foreign
-  | None -> `Gone
+let late t = bump t (fun i -> i.i_late)
 
-let late t =
-  t.n_late <- t.n_late + 1;
-  bump t (fun i -> i.i_late)
+(* The one session lookup for Msg, Finish and Abort: a frame for a
+   session that is gone (it raced a server-side verdict) is late, one
+   for another connection's session is a protocol violation. *)
+let with_session t conn sid f =
+  match Hashtbl.find_opt t.sessions sid with
+  | None -> late t
+  | Some s when s.s_conn <> conn.cid ->
+      quarantine t conn Frame.Protocol_violation
+        (Printf.sprintf "session %d belongs to another connection" sid)
+  | Some s -> f s
 
 let handle_frame t conn frame =
   match frame with
@@ -530,84 +497,54 @@ let handle_frame t conn frame =
   | Frame.Ping { token } -> send t conn (Frame.Pong { token })
   | Frame.Bye ->
       (* a graceful goodbye still abandons its open sessions *)
-      abort_conn_sessions t conn;
+      abort_conn t conn;
       conn.close_after_flush <- true
   | Frame.Open { open_id; protocol; n; trace } ->
       handle_open t conn ~open_id ~protocol ~n ~trace
-  | Frame.Msg { session; node; payload } -> (
-      match find_session t conn session with
-      | `Gone -> late t (* races with a server-side timeout verdict *)
-      | `Foreign ->
-          quarantine t conn Frame.Protocol_violation
-            (Printf.sprintf "session %d belongs to another connection" session)
-      | `Mine s ->
+  | Frame.Msg { session; node; payload } ->
+      with_session t conn session (fun s ->
           if s.finish_cause <> None then late t
           else if s.window = 0 then begin
-            fl_note t ~trace:s.s_trace ~code:"credit"
-              ~detail:(Printf.sprintf "session %d exceeded its credit window" session);
-            quarantine t conn Frame.Credit_exceeded
-              (Printf.sprintf "session %d exceeded its credit window" session)
+            let detail =
+              Printf.sprintf "session %d exceeded its credit window" session
+            in
+            fl_note t ~trace:s.s_trace ~code:"credit" ~detail;
+            quarantine t conn Frame.Credit_exceeded detail
           end
           else begin
+            let b = Message.bits payload in
             s.window <- s.window - 1;
             s.pending <- (node, payload) :: s.pending;
-            s.pending_count <- s.pending_count + 1;
-            t.queued_msgs <- t.queued_msgs + 1;
             if not (Trace.is_null t.trace) then
-              s.absorb_log <- (node, Message.bits payload) :: s.absorb_log;
-            fl_event t ~trace:s.s_trace
-              (Trace.Referee_absorb { id = node; bits = Message.bits payload });
-            let b = Message.bits payload in
+              s.absorb_log <- (node, b) :: s.absorb_log;
+            fl_event t ~trace:s.s_trace (Trace.Referee_absorb { id = node; bits = b });
             if b > s.max_bits then s.max_bits <- b;
             s.total_bits <- s.total_bits + b;
             s.last_activity <- t.clock ();
             mark_dirty t s
           end)
-  | Frame.Finish { session } -> (
-      match find_session t conn session with
-      | `Gone -> late t
-      | `Foreign ->
-          quarantine t conn Frame.Protocol_violation
-            (Printf.sprintf "session %d belongs to another connection" session)
-      | `Mine s ->
+  | Frame.Finish { session } ->
+      with_session t conn session (fun s ->
           if s.finish_cause = None then begin
             s.finish_cause <- Some Client_finish;
             s.last_activity <- t.clock ();
             mark_dirty t s
           end
           else late t)
-  | Frame.Abort { session } -> (
-      match find_session t conn session with
-      | `Gone -> late t
-      | `Foreign ->
-          quarantine t conn Frame.Protocol_violation
-            (Printf.sprintf "session %d belongs to another connection" session)
-      | `Mine s ->
+  | Frame.Abort { session } ->
+      with_session t conn session (fun s ->
           send t conn
-            (Frame.Verdict
-               {
-                 session = s.sid;
-                 status = Frame.Inconclusive;
-                 timeout = Frame.No_timeout;
-                 payload = "aborted by client";
-                 missing = 0;
-                 malformed = 0;
-                 duplicated = 0;
-                 undetermined = 0;
-                 trace = s.s_trace;
-               });
+            (verdict_frame s ~timeout:Frame.No_timeout
+               (Verdict.Inconclusive "aborted by client"));
           fl_note t ~trace:s.s_trace ~code:"verdict" ~detail:"aborted by client";
-          abort_session t s)
+          abort t s)
 
 let feed_bytes t cid b ~off ~len =
   match Hashtbl.find_opt t.conns cid with
   | None -> ()
   | Some conn ->
       if not conn.quarantined then begin
-        t.n_bytes <- t.n_bytes + len;
-        (match t.inst with
-        | None -> ()
-        | Some i -> Metrics.Counter.add i.i_bytes len);
+        Metrics.Counter.add t.inst.i_bytes len;
         Wire.push conn.decoder b ~off ~len;
         let continue = ref true in
         while !continue do
@@ -617,7 +554,6 @@ let feed_bytes t cid b ~off ~len =
               quarantine t conn Frame.Corrupt_frame detail;
               continue := false
           | Wire.Frame { kind; payload } -> (
-              t.n_frames <- t.n_frames + 1;
               bump t (fun i -> i.i_frames);
               match Frame.decode_client ~kind payload with
               | Error detail ->
@@ -628,17 +564,16 @@ let feed_bytes t cid b ~off ~len =
                      kill the daemon — count it and quarantine instead *)
                   try handle_frame t conn frame
                   with e ->
-                    t.n_escapes <- t.n_escapes + 1;
                     bump t (fun i -> i.i_escapes);
                     quarantine t conn Frame.Internal (Printexc.to_string e)))
-        done;
-        if conn.quarantined || conn.close_after_flush then ()
+        done
       end
 
 (* ---------- tick: timeouts + session work on the pool ---------- *)
 
+(* An immutable snapshot of one session's batch: the only thing a pool
+   task sees. *)
 type work_item = {
-  w_sid : int;
   w_state : sess_state;
   w_msgs : (int * Message.t) array; (* arrival order *)
   w_finish : finish_cause option;
@@ -646,14 +581,7 @@ type work_item = {
 
 type work_out =
   | Advanced of sess_state
-  | Finished of {
-      f_status : Frame.status;
-      f_payload : string;
-      f_missing : int;
-      f_malformed : int;
-      f_duplicated : int;
-      f_undetermined : int;
-    }
+  | Finished of finish_cause * string Verdict.t
   | Crashed of string
 
 let run_item it =
@@ -667,38 +595,7 @@ let run_item it =
         in
         match it.w_finish with
         | None -> Advanced (Sess { feed; render })
-        | Some _ -> (
-            match Protocol.finish feed with
-            | Verdict.Decided a ->
-                Finished
-                  {
-                    f_status = Frame.Decided;
-                    f_payload = render a;
-                    f_missing = 0;
-                    f_malformed = 0;
-                    f_duplicated = 0;
-                    f_undetermined = 0;
-                  }
-            | Verdict.Degraded (a, r) ->
-                Finished
-                  {
-                    f_status = Frame.Degraded;
-                    f_payload = render a;
-                    f_missing = List.length r.Verdict.missing;
-                    f_malformed = List.length r.Verdict.malformed;
-                    f_duplicated = List.length r.Verdict.duplicated;
-                    f_undetermined = List.length r.Verdict.undetermined;
-                  }
-            | Verdict.Inconclusive reason ->
-                Finished
-                  {
-                    f_status = Frame.Inconclusive;
-                    f_payload = reason;
-                    f_missing = 0;
-                    f_malformed = 0;
-                    f_duplicated = 0;
-                    f_undetermined = 0;
-                  })
+        | Some cause -> Finished (cause, Verdict.map render (Protocol.finish feed))
       with e -> Crashed (Printexc.to_string e))
 
 let emit_session_trace t s =
@@ -732,72 +629,41 @@ let emit_session_trace t s =
     emit (Trace.Span_end { label; n = s.s_n })
   end
 
-let finish_session t s (cause : finish_cause) out =
-  (match Hashtbl.find_opt t.conns s.s_conn with
-  | None -> ()
-  | Some conn ->
-      let timeout =
-        match cause with
-        | Client_finish -> Frame.No_timeout
-        | Idle_expire -> Frame.Idle_timeout
-        | Deadline_expire -> Frame.Deadline_timeout
-      in
-      (match out with
-      | Finished f ->
-          send t conn
-            (Frame.Verdict
-               {
-                 session = s.sid;
-                 status = f.f_status;
-                 timeout;
-                 payload = f.f_payload;
-                 missing = f.f_missing;
-                 malformed = f.f_malformed;
-                 duplicated = f.f_duplicated;
-                 undetermined = f.f_undetermined;
-                 trace = s.s_trace;
-               })
-      | Advanced _ | Crashed _ -> ()));
-  (match out with
-  | Finished f ->
-      fl_event t ~trace:s.s_trace
-        (Trace.Referee_done
-           {
-             label = s.s_label;
-             n = s.s_n;
-             max_bits = s.max_bits;
-             total_bits = s.total_bits;
-             budget = s.s_budget;
-           });
-      let status =
-        match f.f_status with
-        | Frame.Decided -> "decided"
-        | Frame.Degraded -> "degraded"
-        | Frame.Inconclusive -> "inconclusive"
-      in
-      fl_note t ~trace:s.s_trace ~code:"verdict" ~detail:status
-  | Advanced _ | Crashed _ -> ());
-  (match out with
-  | Finished { f_status = Frame.Decided; _ } ->
-      t.n_decided <- t.n_decided + 1;
-      bump t (fun i -> i.i_decided)
-  | Finished { f_status = Frame.Degraded; _ } ->
-      t.n_degraded <- t.n_degraded + 1;
-      bump t (fun i -> i.i_degraded)
-  | Finished { f_status = Frame.Inconclusive; _ } ->
-      t.n_inconclusive <- t.n_inconclusive + 1;
-      bump t (fun i -> i.i_inconclusive)
-  | Advanced _ | Crashed _ -> ());
-  (match cause with
-  | Client_finish -> ()
-  | Idle_expire ->
-      t.n_timeout_idle <- t.n_timeout_idle + 1;
-      bump t (fun i -> i.i_timeout_idle)
-  | Deadline_expire ->
-      t.n_timeout_deadline <- t.n_timeout_deadline + 1;
-      bump t (fun i -> i.i_timeout_deadline));
-  emit_session_trace t s;
-  remove_session t s
+let finish_session t s cause v =
+  let timeout =
+    match cause with
+    | Client_finish -> Frame.No_timeout
+    | Idle_expire -> Frame.Idle_timeout
+    | Deadline_expire -> Frame.Deadline_timeout
+  in
+  Option.iter (fun conn -> send t conn (verdict_frame s ~timeout v)) (conn_of t s);
+  (* a verdict that overflowed the egress buffer quarantined the
+     connection and aborted the session instead *)
+  if Hashtbl.mem t.sessions s.sid then begin
+    fl_event t ~trace:s.s_trace
+      (Trace.Referee_done
+         {
+           label = s.s_label;
+           n = s.s_n;
+           max_bits = s.max_bits;
+           total_bits = s.total_bits;
+           budget = s.s_budget;
+         });
+    let status, counter =
+      match v with
+      | Verdict.Decided _ -> ("decided", fun i -> i.i_decided)
+      | Verdict.Degraded _ -> ("degraded", fun i -> i.i_degraded)
+      | Verdict.Inconclusive _ -> ("inconclusive", fun i -> i.i_inconclusive)
+    in
+    fl_note t ~trace:s.s_trace ~code:"verdict" ~detail:status;
+    bump t counter;
+    (match cause with
+    | Client_finish -> ()
+    | Idle_expire -> bump t (fun i -> i.i_timeout_idle)
+    | Deadline_expire -> bump t (fun i -> i.i_timeout_deadline));
+    emit_session_trace t s;
+    retire t s
+  end
 
 let tick_body t =
   let now = t.clock () in
@@ -814,77 +680,61 @@ let tick_body t =
           mark_dirty t s
         end)
     t.sessions;
-  (* 2. collect dirty sessions in a deterministic order *)
-  if t.dirty_sids <> [] then begin
-    let sids = List.sort_uniq compare t.dirty_sids in
-    t.dirty_sids <- [];
-    let items =
-      List.filter_map
-        (fun sid ->
-          match Hashtbl.find_opt t.sessions sid with
-          | None -> None
-          | Some s ->
-              s.dirty <- false;
-              let msgs = Array.of_list (List.rev s.pending) in
-              t.queued_msgs <- t.queued_msgs - s.pending_count;
-              s.pending <- [];
-              s.pending_count <- 0;
-              Some
-                ( s,
-                  {
-                    w_sid = sid;
-                    w_state = s.state;
-                    w_msgs = msgs;
-                    w_finish = s.finish_cause;
-                  } ))
-        sids
-    in
-    let arr = Array.of_list (List.map snd items) in
-    (* 3. fold each session's batch as one task: one domain absorbs a
-       session's messages in arrival order, so the transcript is
-       bit-identical to a sequential run at any pool width *)
-    let outs =
-      if Array.length arr < t.cfg.par_threshold then Array.map run_item arr
-      else
-        Parallel.map_array ?domains:t.cfg.domains ?metrics:t.metrics run_item
-          arr
-    in
-    (* 4. apply results in session order on the engine thread *)
-    List.iteri
-      (fun idx (s, item) ->
+  (* 2. collect dirty sessions in a deterministic order; [mark_dirty]
+     listed each one once *)
+  let live =
+    Array.of_list
+      (List.filter_map (Hashtbl.find_opt t.sessions)
+         (List.sort compare t.dirty_sids))
+  in
+  t.dirty_sids <- [];
+  let backlog = ref 0 in
+  let items =
+    Array.map
+      (fun s ->
+        s.dirty <- false;
+        let msgs = Array.of_list (List.rev s.pending) in
+        s.pending <- [];
+        backlog := !backlog + Array.length msgs;
+        { w_state = s.state; w_msgs = msgs; w_finish = s.finish_cause })
+      live
+  in
+  (* 3. fold each session's batch as one task: one domain absorbs a
+     session's messages in arrival order, so the transcript is
+     bit-identical to a sequential run at any pool width *)
+  let outs =
+    if Array.length items < par_threshold then Array.map run_item items
+    else
+      Parallel.map_array ?domains:t.cfg.domains ?metrics:t.metrics run_item
+        items
+  in
+  (* 4. apply results in session order on the engine thread; a session
+     an earlier result quarantined away is skipped *)
+  Array.iteri
+    (fun idx s ->
+      if Hashtbl.mem t.sessions s.sid then
         match outs.(idx) with
         | Advanced st ->
             s.state <- st;
-            let absorbed = Array.length item.w_msgs in
+            let absorbed = Array.length items.(idx).w_msgs in
             if absorbed > 0 then begin
               s.window <- s.window + absorbed;
-              match Hashtbl.find_opt t.conns s.s_conn with
-              | None -> ()
-              | Some conn ->
-                  send t conn
-                    (Frame.Credit { session = s.sid; credit = absorbed })
+              Option.iter
+                (fun conn ->
+                  send t conn (Frame.Credit { session = s.sid; credit = absorbed }))
+                (conn_of t s)
             end
-        | Finished _ as out -> (
-            match s.finish_cause with
-            | Some cause -> finish_session t s cause out
-            | None -> finish_session t s Client_finish out)
-        | Crashed detail -> (
+        | Finished (cause, v) -> finish_session t s cause v
+        | Crashed detail ->
             (* a referee exception escaped the hardened combinators:
                tear the whole connection down as poisoned *)
-            remove_session t s;
-            t.n_aborted <- t.n_aborted + 1;
-            bump t (fun i -> i.i_aborts);
-            match Hashtbl.find_opt t.conns s.s_conn with
-            | None -> ()
-            | Some conn -> quarantine t conn Frame.Internal detail))
-      items
-  end;
-  (* 5. refresh gauges *)
-  match t.inst with
-  | None -> ()
-  | Some i ->
-      Metrics.Gauge.set i.i_live (float_of_int t.live_sessions);
-      Metrics.Gauge.set i.i_queue (float_of_int t.queued_msgs)
+            Option.iter
+              (fun conn -> quarantine t conn Frame.Internal detail)
+              (conn_of t s))
+    live;
+  (* 5. refresh gauges: the queue depth is the backlog this tick absorbed *)
+  Metrics.Gauge.set t.inst.i_live (float_of_int (Hashtbl.length t.sessions));
+  Metrics.Gauge.set t.inst.i_queue (float_of_int !backlog)
 
 let tick t =
   try tick_body t
@@ -892,34 +742,34 @@ let tick t =
     (* must never happen: tick is the daemon's heartbeat.  Swallow,
        count, and let the selftest/CI gate on the counter. *)
     ignore (Printexc.to_string e);
-    t.n_escapes <- t.n_escapes + 1;
     bump t (fun i -> i.i_escapes)
 
 let begin_drain t = t.is_draining <- true
 let draining t = t.is_draining
-let idle t = t.live_sessions = 0 && t.queued_msgs = 0
+let idle t = Hashtbl.length t.sessions = 0
 
 let stats t =
+  let v f = Metrics.Counter.value (f t.inst) in
+  let rej reason = v (fun i -> i.i_reject reason) in
   {
-    conns_opened = t.n_conns_opened;
-    sessions_opened = t.n_sessions;
-    decided = t.n_decided;
-    degraded = t.n_degraded;
-    inconclusive = t.n_inconclusive;
-    aborted = t.n_aborted;
-    sheds = t.n_sheds;
-    drain_rejections = t.n_drain_rej;
-    rej_unknown_protocol = t.n_rej_unknown;
-    rej_bad_n = t.n_rej_bad_n;
-    rej_session_limit = t.n_rej_session_limit;
-    rej_evidence = t.n_rej_evidence;
-    quarantines = t.n_quarantines;
-    quarantine_escapes = t.n_escapes;
-    late_frames = t.n_late;
-    timeouts_idle = t.n_timeout_idle;
-    timeouts_deadline = t.n_timeout_deadline;
-    frames = t.n_frames;
-    bytes_in = t.n_bytes;
-    live_sessions = t.live_sessions;
-    queued_msgs = t.queued_msgs;
+    conns_opened = t.next_cid - 1;
+    sessions_opened = v (fun i -> i.i_sessions);
+    decided = v (fun i -> i.i_decided);
+    degraded = v (fun i -> i.i_degraded);
+    inconclusive = v (fun i -> i.i_inconclusive);
+    aborted = v (fun i -> i.i_aborts);
+    sheds = v (fun i -> i.i_sheds);
+    drain_rejections = v (fun i -> i.i_drains);
+    rej_unknown_protocol = rej Frame.Unknown_protocol;
+    rej_bad_n = rej Frame.Bad_n;
+    rej_session_limit = rej Frame.Session_limit;
+    rej_evidence = rej Frame.Evidence;
+    quarantines = v (fun i -> i.i_quarantines);
+    quarantine_escapes = v (fun i -> i.i_escapes);
+    late_frames = v (fun i -> i.i_late);
+    timeouts_idle = v (fun i -> i.i_timeout_idle);
+    timeouts_deadline = v (fun i -> i.i_timeout_deadline);
+    frames = v (fun i -> i.i_frames);
+    bytes_in = v (fun i -> i.i_bytes);
+    live_sessions = Hashtbl.length t.sessions;
   }

@@ -19,10 +19,13 @@
     being zero.
 
     Sharding: each {!tick} collects the sessions with queued input and
-    folds every session's batch as one task on the {!Core.Parallel}
-    pool.  A session's messages are absorbed by exactly one domain in
-    arrival order, so transcripts are bit-identical to a sequential
-    run; which sessions share a domain never matters. *)
+    folds every session's batch as one task.  The fold runs on the
+    {!Core.Parallel} pool only when at least 4 sessions are dirty in
+    the tick; below that the pool's fork and join cost more than the
+    referee work they would spread, so the batches fold inline.  A
+    session's messages are absorbed by exactly one domain in arrival
+    order, so transcripts are bit-identical to a sequential run; which
+    sessions share a domain never matters. *)
 
 type config = {
   max_sessions : int;  (** global admission cap on live sessions *)
@@ -39,8 +42,6 @@ type config = {
   idle_timeout_s : float;  (** max quiet gap before a forced verdict *)
   retry_after_ms : int;  (** suggestion carried in [Overloaded] sheds *)
   domains : int option;  (** [Parallel] pool width override *)
-  par_threshold : int;
-      (** batches smaller than this fold inline instead of on the pool *)
 }
 
 val default_config : config
@@ -114,12 +115,20 @@ val begin_drain : t -> unit
 
 val draining : t -> bool
 
-(** [idle t] — no live sessions and no queued work (drain is complete
-    once this holds and the transport has flushed). *)
+(** [idle t] — no live sessions, hence no queued work (drain is
+    complete once this holds and the transport has flushed). *)
 val idle : t -> bool
 
-(** Monotonic counters and live gauges, mirrored into the optional
-    {!Core.Metrics} registry under [refnet_serve_*]. *)
+(** Monotonic counters, read from the engine's [refnet_serve_*]
+    {!Core.Metrics} counters: those of the registry passed to {!create},
+    or of a private registry when none was.  [conns_opened] and
+    [live_sessions] are read off the engine's own tables.
+
+    The registry also holds two gauges that {!tick} refreshes:
+    [refnet_serve_sessions_live] is the live session count after the
+    tick, and [refnet_serve_queue_depth] is the backlog the tick
+    absorbed — the number of [Msg] frames queued since the previous
+    tick. *)
 type stats = {
   conns_opened : int;
   sessions_opened : int;
@@ -147,7 +156,6 @@ type stats = {
   frames : int;
   bytes_in : int;
   live_sessions : int;
-  queued_msgs : int;
 }
 
 val stats : t -> stats

@@ -26,16 +26,7 @@ type outcome = {
   o_protocol : string;
   o_n : int;
   o_sessions : int;
-  o_decided : int;
-  o_degraded : int;
-  o_inconclusive : int;
-  o_aborted : int;
-  o_quarantines : int;
-  o_escapes : int;
-  o_sheds : int;
-  o_timeouts_idle : int;
-  o_timeouts_deadline : int;
-  o_late_frames : int;
+  o_stats : Engine.stats;
   o_wrong_decided : int;
   o_clean_anomalies : int;
   o_unterminated : int;
@@ -487,16 +478,7 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
         o_protocol = cfg.protocol;
         o_n = cfg.n;
         o_sessions = counters.c_terminal;
-        o_decided = s.Engine.decided;
-        o_degraded = s.Engine.degraded;
-        o_inconclusive = s.Engine.inconclusive;
-        o_aborted = s.Engine.aborted;
-        o_quarantines = s.Engine.quarantines;
-        o_escapes = s.Engine.quarantine_escapes;
-        o_sheds = s.Engine.sheds;
-        o_timeouts_idle = s.Engine.timeouts_idle;
-        o_timeouts_deadline = s.Engine.timeouts_deadline;
-        o_late_frames = s.Engine.late_frames;
+        o_stats = s;
         o_wrong_decided = counters.c_wrong;
         o_clean_anomalies = counters.c_clean_anomaly;
         o_unterminated = unterminated;
@@ -513,8 +495,9 @@ let passed ?min_rate o =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   if o.o_wrong_decided > 0 then
     fail "%d Decided verdicts contradicted ground truth" o.o_wrong_decided
-  else if o.o_escapes > 0 then
-    fail "%d exceptions escaped to the engine shell" o.o_escapes
+  else if o.o_stats.quarantine_escapes > 0 then
+    fail "%d exceptions escaped to the engine shell"
+      o.o_stats.quarantine_escapes
   else if o.o_clean_anomalies > 0 then
     fail "%d fault-free sessions did not decide correctly" o.o_clean_anomalies
   else if o.o_unterminated > 0 then
@@ -530,6 +513,7 @@ let passed ?min_rate o =
     | _ -> Ok ()
 
 let to_json o =
+  let st = o.o_stats in
   Printf.sprintf
     "{\"protocol\": %S, \"n\": %d, \"sessions\": %d, \"decided\": %d, \
      \"degraded\": %d, \"inconclusive\": %d, \"aborted\": %d, \
@@ -539,13 +523,14 @@ let to_json o =
      \"flight_recorded\": %d, \"flight_dropped\": %d, \
      \"flight_findings\": %d, \"flight_missing\": %d, \
      \"faulty\": %.3f, \"wall_s\": %.6f, \"rate_per_s\": %.1f}"
-    o.o_protocol o.o_n o.o_sessions o.o_decided o.o_degraded o.o_inconclusive
-    o.o_aborted o.o_quarantines o.o_escapes o.o_sheds o.o_timeouts_idle
-    o.o_timeouts_deadline o.o_late_frames o.o_wrong_decided o.o_clean_anomalies
+    o.o_protocol o.o_n o.o_sessions st.decided st.degraded st.inconclusive
+    st.aborted st.quarantines st.quarantine_escapes st.sheds st.timeouts_idle
+    st.timeouts_deadline st.late_frames o.o_wrong_decided o.o_clean_anomalies
     o.o_unterminated o.o_flight_recorded o.o_flight_dropped o.o_flight_findings
     o.o_flight_missing o.o_faulty o.o_wall_s o.o_rate
 
 let pp ppf o =
+  let st = o.o_stats in
   Format.fprintf ppf
     "@[<v>protocol %s n=%d: %d sessions in %.2fs (%.0f/s)@,\
      verdicts: %d decided, %d degraded, %d inconclusive; %d aborted@,\
@@ -554,8 +539,8 @@ let pp ppf o =
      invariants: %d wrong decided, %d clean anomalies, %d unterminated, %d \
      escapes@,\
      flight: %d recorded, %d dropped, %d findings, %d missing@]"
-    o.o_protocol o.o_n o.o_sessions o.o_wall_s o.o_rate o.o_decided o.o_degraded
-    o.o_inconclusive o.o_aborted (o.o_faulty *. 100.) o.o_quarantines o.o_sheds
-    o.o_timeouts_idle o.o_timeouts_deadline o.o_late_frames o.o_wrong_decided
-    o.o_clean_anomalies o.o_unterminated o.o_escapes o.o_flight_recorded
+    o.o_protocol o.o_n o.o_sessions o.o_wall_s o.o_rate st.decided st.degraded
+    st.inconclusive st.aborted (o.o_faulty *. 100.) st.quarantines st.sheds
+    st.timeouts_idle st.timeouts_deadline st.late_frames o.o_wrong_decided
+    o.o_clean_anomalies o.o_unterminated st.quarantine_escapes o.o_flight_recorded
     o.o_flight_dropped o.o_flight_findings o.o_flight_missing

@@ -46,16 +46,7 @@ type outcome = {
   o_protocol : string;
   o_n : int;
   o_sessions : int;  (** sessions that reached a terminal state *)
-  o_decided : int;
-  o_degraded : int;
-  o_inconclusive : int;
-  o_aborted : int;
-  o_quarantines : int;
-  o_escapes : int;
-  o_sheds : int;
-  o_timeouts_idle : int;
-  o_timeouts_deadline : int;
-  o_late_frames : int;
+  o_stats : Engine.stats;  (** the engine's counters after the run *)
   o_wrong_decided : int;  (** [Decided] payloads that contradicted
                               ground truth — must be zero *)
   o_clean_anomalies : int;

@@ -678,6 +678,70 @@ let test_version_mismatch_quarantines () =
   | fs -> Alcotest.failf "mismatch got [%s]" (String.concat "; " (List.map pp_server fs)));
   Alcotest.(check bool) "closing" true (Serve.Engine.wants_close engine p.c)
 
+(* A peer that never reads its output is quarantined like any other:
+   its sessions are torn down at once (no idle-timeout verdict later),
+   the anomaly series and the flight note are recorded, and the buffer
+   holds only the Slow_consumer error. *)
+let test_slow_consumer_quarantines () =
+  let clock = ref 0.0 in
+  let metrics = Core.Metrics.create ~clock:(fun () -> 0.) () in
+  let flight = Core.Flight.create () in
+  let cfg = { Serve.Engine.default_config with max_output_bytes = 256 } in
+  let engine = Serve.Engine.create ~clock:(fun () -> !clock) ~metrics ~flight cfg in
+  let p = connect engine in
+  let trace = hello_trace engine p in
+  feed engine p (Serve.Frame.Open { open_id = 1; protocol = "count"; n = 4; trace = 0L });
+  Serve.Engine.tick engine;
+  ignore (recv engine p);
+  for token = 1 to 64 do
+    feed engine p (Serve.Frame.Ping { token })
+  done;
+  Serve.Engine.tick engine;
+  (match recv engine p with
+  | [ Serve.Frame.Error { code = Serve.Frame.Slow_consumer; _ } ] -> ()
+  | fs -> Alcotest.failf "slow consumer got [%s]" (String.concat "; " (List.map pp_server fs)));
+  let s = Serve.Engine.stats engine in
+  Alcotest.(check int) "one quarantine" 1 s.Serve.Engine.quarantines;
+  Alcotest.(check int) "session torn down" 0 s.Serve.Engine.live_sessions;
+  Alcotest.(check int) "session aborted" 1 s.Serve.Engine.aborted;
+  let anomaly =
+    Core.Metrics.series "refnet_serve_anomaly_total"
+      [ ("kind", "quarantine"); ("trace_id", Core.Flight.hex_of_trace trace) ]
+  in
+  Alcotest.(check (option int)) "quarantine anomaly series" (Some 1)
+    (List.assoc_opt anomaly (Core.Metrics.snapshot metrics).Core.Metrics.counters);
+  let notes =
+    List.filter_map
+      (fun it -> it.Core.Flight.i_note)
+      (Core.Flight.decode (Core.Flight.dump flight)).Core.Flight.d_items
+  in
+  Alcotest.(check bool) "flight quarantine note" true
+    (List.exists (fun (code, _) -> code = "quarantine") notes);
+  (* no verdict was ever sent, so none may be counted later *)
+  clock := !clock +. 60.;
+  Serve.Engine.tick engine;
+  let s = Serve.Engine.stats engine in
+  Alcotest.(check int) "no late degraded verdict" 0 s.Serve.Engine.degraded;
+  Alcotest.(check int) "no idle timeout" 0 s.Serve.Engine.timeouts_idle
+
+(* refnet_serve_queue_depth reports the backlog the last tick absorbed. *)
+let test_queue_depth_gauge () =
+  let clock = ref 0.0 in
+  let metrics = Core.Metrics.create ~clock:(fun () -> 0.) () in
+  let engine =
+    Serve.Engine.create ~clock:(fun () -> !clock) ~metrics Serve.Engine.default_config
+  in
+  let p = connect engine in
+  let session, _ = open_session engine p ~protocol:"count" ~n:8 in
+  for node = 1 to 5 do
+    feed engine p (Serve.Frame.Msg { session; node; payload = Core.Message.empty })
+  done;
+  Serve.Engine.tick engine;
+  let depth = Core.Metrics.Gauge.gauge metrics "refnet_serve_queue_depth" in
+  Alcotest.(check (float 0.)) "backlog absorbed by the tick" 5. (Core.Metrics.Gauge.value depth);
+  Serve.Engine.tick engine;
+  Alcotest.(check (float 0.)) "nothing queued" 0. (Core.Metrics.Gauge.value depth)
+
 (* ---------- engine golden ---------- *)
 
 (* One scripted exchange over seven connections on a virtual clock that
@@ -907,7 +971,7 @@ let test_selftest_clean () =
   (match Serve.Selftest.passed o with
   | Ok () -> ()
   | Error e -> Alcotest.failf "clean selftest failed: %s" e);
-  Alcotest.(check int) "all decided" 300 o.Serve.Selftest.o_decided
+  Alcotest.(check int) "all decided" 300 o.Serve.Selftest.o_stats.Serve.Engine.decided
 
 let test_selftest_chaos () =
   List.iter
@@ -919,9 +983,10 @@ let test_selftest_chaos () =
       | Error e -> Alcotest.failf "chaos selftest failed at faulty=%.2f: %s" faulty e);
       let tag = Printf.sprintf "faulty=%.2f" faulty in
       Alcotest.(check bool) (tag ^ ": chaos actually hit") true
-        (o.Serve.Selftest.o_quarantines > 0
-        || o.Serve.Selftest.o_timeouts_idle > 0
-        || o.Serve.Selftest.o_aborted > 0);
+        (let s = o.Serve.Selftest.o_stats in
+         s.Serve.Engine.quarantines > 0
+         || s.Serve.Engine.timeouts_idle > 0
+         || s.Serve.Engine.aborted > 0);
       Alcotest.(check int) (tag ^ ": no lies under chaos") 0 o.Serve.Selftest.o_wrong_decided)
     [ 0.05; 0.25; 0.3 ]
 
@@ -956,6 +1021,8 @@ let () =
           Alcotest.test_case "ping pong and bye" `Quick test_ping_pong_and_bye;
           Alcotest.test_case "version mismatch quarantines" `Quick
             test_version_mismatch_quarantines;
+          Alcotest.test_case "slow consumer quarantines" `Quick test_slow_consumer_quarantines;
+          Alcotest.test_case "queue depth gauge" `Quick test_queue_depth_gauge;
           Alcotest.test_case "engine golden" `Quick test_engine_golden;
         ] );
       ( "tracing",
