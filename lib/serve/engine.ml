@@ -218,7 +218,7 @@ let create ?clock ?(trace = Trace.null) ?metrics ?flight cfg =
     is_draining = false;
   }
 
-let bump t f = Metrics.Counter.incr (f t.inst)
+let count = Metrics.Counter.incr
 
 (* ---------- session tracing + flight recording ---------- *)
 
@@ -270,7 +270,7 @@ let retire t s =
 let abort t s =
   if Hashtbl.mem t.sessions s.sid then begin
     retire t s;
-    bump t (fun i -> i.i_aborts)
+    count t.inst.i_aborts
   end
 
 let abort_conn t conn =
@@ -287,7 +287,7 @@ let abort_conn t conn =
 let quarantine t conn code detail =
   if not conn.quarantined then begin
     conn.quarantined <- true;
-    bump t (fun i -> i.i_quarantines);
+    count t.inst.i_quarantines;
     anomaly t ~kind:"quarantine" ~trace:conn.c_trace;
     fl_note t ~trace:conn.c_trace ~code:"quarantine"
       ~detail:(Frame.error_code_to_string code ^ ": " ^ detail);
@@ -395,11 +395,11 @@ let mark_dirty t s =
 let reject t conn ~open_id ?(trace = 0L) ?(detail = "") reason =
   let trace = if Int64.equal trace 0L then conn.c_trace else trace in
   (match reason with
-  | Frame.Overloaded -> bump t (fun i -> i.i_sheds)
-  | Frame.Draining -> bump t (fun i -> i.i_drains)
+  | Frame.Overloaded -> count t.inst.i_sheds
+  | Frame.Draining -> count t.inst.i_drains
   | Frame.Evidence -> anomaly t ~kind:"evidence_reject" ~trace
   | Frame.Unknown_protocol | Frame.Bad_n | Frame.Session_limit -> ());
-  bump t (fun i -> i.i_reject reason);
+  count (t.inst.i_reject reason);
   let code = match reason with Frame.Evidence -> "evidence" | _ -> "reject" in
   let note_detail =
     if detail = "" then Frame.reject_reason_to_string reason else detail
@@ -463,14 +463,14 @@ let handle_open t conn ~open_id ~protocol ~n ~trace:req_trace =
         in
         Hashtbl.replace t.sessions sid s;
         conn.c_sessions <- sid :: conn.c_sessions;
-        bump t (fun i -> i.i_sessions);
+        count t.inst.i_sessions;
         fl_note t ~trace:s_trace ~code:"open"
           ~detail:(Printf.sprintf "%s n=%d sid=%d" s.s_label n sid);
         fl_event t ~trace:s_trace (Trace.Span_begin { label = s.s_label; n });
         send t conn
           (Frame.Opened { open_id; session = sid; credit = t.cfg.session_credit })
 
-let late t = bump t (fun i -> i.i_late)
+let late t = count t.inst.i_late
 
 (* The one session lookup for Msg, Finish and Abort: a frame for a
    session that is gone (it raced a server-side verdict) is late, one
@@ -554,7 +554,7 @@ let feed_bytes t cid b ~off ~len =
               quarantine t conn Frame.Corrupt_frame detail;
               continue := false
           | Wire.Frame { kind; payload } -> (
-              bump t (fun i -> i.i_frames);
+              count t.inst.i_frames;
               match Frame.decode_client ~kind payload with
               | Error detail ->
                   quarantine t conn Frame.Corrupt_frame detail;
@@ -564,7 +564,7 @@ let feed_bytes t cid b ~off ~len =
                      kill the daemon — count it and quarantine instead *)
                   try handle_frame t conn frame
                   with e ->
-                    bump t (fun i -> i.i_escapes);
+                    count t.inst.i_escapes;
                     quarantine t conn Frame.Internal (Printexc.to_string e)))
         done
       end
@@ -651,16 +651,16 @@ let finish_session t s cause v =
          });
     let status, counter =
       match v with
-      | Verdict.Decided _ -> ("decided", fun i -> i.i_decided)
-      | Verdict.Degraded _ -> ("degraded", fun i -> i.i_degraded)
-      | Verdict.Inconclusive _ -> ("inconclusive", fun i -> i.i_inconclusive)
+      | Verdict.Decided _ -> ("decided", t.inst.i_decided)
+      | Verdict.Degraded _ -> ("degraded", t.inst.i_degraded)
+      | Verdict.Inconclusive _ -> ("inconclusive", t.inst.i_inconclusive)
     in
     fl_note t ~trace:s.s_trace ~code:"verdict" ~detail:status;
-    bump t counter;
+    count counter;
     (match cause with
     | Client_finish -> ()
-    | Idle_expire -> bump t (fun i -> i.i_timeout_idle)
-    | Deadline_expire -> bump t (fun i -> i.i_timeout_deadline));
+    | Idle_expire -> count t.inst.i_timeout_idle
+    | Deadline_expire -> count t.inst.i_timeout_deadline);
     emit_session_trace t s;
     retire t s
   end
@@ -742,34 +742,33 @@ let tick t =
     (* must never happen: tick is the daemon's heartbeat.  Swallow,
        count, and let the selftest/CI gate on the counter. *)
     ignore (Printexc.to_string e);
-    bump t (fun i -> i.i_escapes)
+    count t.inst.i_escapes
 
 let begin_drain t = t.is_draining <- true
 let draining t = t.is_draining
 let idle t = Hashtbl.length t.sessions = 0
 
 let stats t =
-  let v f = Metrics.Counter.value (f t.inst) in
-  let rej reason = v (fun i -> i.i_reject reason) in
+  let v = Metrics.Counter.value and i = t.inst in
   {
     conns_opened = t.next_cid - 1;
-    sessions_opened = v (fun i -> i.i_sessions);
-    decided = v (fun i -> i.i_decided);
-    degraded = v (fun i -> i.i_degraded);
-    inconclusive = v (fun i -> i.i_inconclusive);
-    aborted = v (fun i -> i.i_aborts);
-    sheds = v (fun i -> i.i_sheds);
-    drain_rejections = v (fun i -> i.i_drains);
-    rej_unknown_protocol = rej Frame.Unknown_protocol;
-    rej_bad_n = rej Frame.Bad_n;
-    rej_session_limit = rej Frame.Session_limit;
-    rej_evidence = rej Frame.Evidence;
-    quarantines = v (fun i -> i.i_quarantines);
-    quarantine_escapes = v (fun i -> i.i_escapes);
-    late_frames = v (fun i -> i.i_late);
-    timeouts_idle = v (fun i -> i.i_timeout_idle);
-    timeouts_deadline = v (fun i -> i.i_timeout_deadline);
-    frames = v (fun i -> i.i_frames);
-    bytes_in = v (fun i -> i.i_bytes);
+    sessions_opened = v i.i_sessions;
+    decided = v i.i_decided;
+    degraded = v i.i_degraded;
+    inconclusive = v i.i_inconclusive;
+    aborted = v i.i_aborts;
+    sheds = v i.i_sheds;
+    drain_rejections = v i.i_drains;
+    rej_unknown_protocol = v (i.i_reject Frame.Unknown_protocol);
+    rej_bad_n = v (i.i_reject Frame.Bad_n);
+    rej_session_limit = v (i.i_reject Frame.Session_limit);
+    rej_evidence = v (i.i_reject Frame.Evidence);
+    quarantines = v i.i_quarantines;
+    quarantine_escapes = v i.i_escapes;
+    late_frames = v i.i_late;
+    timeouts_idle = v i.i_timeout_idle;
+    timeouts_deadline = v i.i_timeout_deadline;
+    frames = v i.i_frames;
+    bytes_in = v i.i_bytes;
     live_sessions = Hashtbl.length t.sessions;
   }

@@ -724,6 +724,40 @@ let test_slow_consumer_quarantines () =
   Alcotest.(check int) "no late degraded verdict" 0 s.Serve.Engine.degraded;
   Alcotest.(check int) "no idle timeout" 0 s.Serve.Engine.timeouts_idle
 
+(* A verdict that does not fit the egress buffer is never delivered: the
+   connection is quarantined as a slow consumer and the session counts
+   as aborted, not decided. *)
+let test_undeliverable_verdict_aborts () =
+  let clock = ref 0.0 in
+  let cfg = { Serve.Engine.default_config with max_output_bytes = 48 } in
+  let engine = engine_with ~cfg clock in
+  let p = connect engine in
+  ignore (hello_trace engine p);
+  feed engine p (Serve.Frame.Open { open_id = 1; protocol = "count"; n = 4; trace = 0L });
+  Serve.Engine.tick engine;
+  let session =
+    match recv engine p with
+    | [ Serve.Frame.Opened { session; _ } ] -> session
+    | fs -> Alcotest.failf "open got [%s]" (String.concat "; " (List.map pp_server fs))
+  in
+  let (Serve.Registry.Entry { protocol; _ }) =
+    match Serve.Registry.lookup ~spec:"count" ~n:4 with
+    | Ok e -> e
+    | Error e -> Alcotest.failf "lookup: %s" e
+  in
+  Array.iteri
+    (fun i m -> feed engine p (Serve.Frame.Msg { session; node = i + 1; payload = m }))
+    (count_msgs protocol (Generators.path 4));
+  feed engine p (Serve.Frame.Finish { session });
+  Serve.Engine.tick engine;
+  (match recv engine p with
+  | [ Serve.Frame.Error { code = Serve.Frame.Slow_consumer; _ } ] -> ()
+  | fs -> Alcotest.failf "overflowing verdict got [%s]" (String.concat "; " (List.map pp_server fs)));
+  let s = Serve.Engine.stats engine in
+  Alcotest.(check int) "not decided" 0 s.Serve.Engine.decided;
+  Alcotest.(check int) "aborted" 1 s.Serve.Engine.aborted;
+  Alcotest.(check int) "one quarantine" 1 s.Serve.Engine.quarantines
+
 (* refnet_serve_queue_depth reports the backlog the last tick absorbed. *)
 let test_queue_depth_gauge () =
   let clock = ref 0.0 in
@@ -1022,6 +1056,8 @@ let () =
           Alcotest.test_case "version mismatch quarantines" `Quick
             test_version_mismatch_quarantines;
           Alcotest.test_case "slow consumer quarantines" `Quick test_slow_consumer_quarantines;
+          Alcotest.test_case "undeliverable verdict aborts" `Quick
+            test_undeliverable_verdict_aborts;
           Alcotest.test_case "queue depth gauge" `Quick test_queue_depth_gauge;
           Alcotest.test_case "engine golden" `Quick test_engine_golden;
         ] );
