@@ -637,8 +637,8 @@ let finish_session t s cause v =
     | Deadline_expire -> Frame.Deadline_timeout
   in
   Option.iter (fun conn -> send t conn (verdict_frame s ~timeout v)) (conn_of t s);
-  (* a verdict that overflowed the egress buffer quarantined the
-     connection and aborted the session instead *)
+  (* the session is gone when this tick quarantined its connection, the
+     verdict's own overflow included: it was aborted, not decided *)
   if Hashtbl.mem t.sessions s.sid then begin
     fl_event t ~trace:s.s_trace
       (Trace.Referee_done
@@ -708,29 +708,27 @@ let tick_body t =
       Parallel.map_array ?domains:t.cfg.domains ?metrics:t.metrics run_item
         items
   in
-  (* 4. apply results in session order on the engine thread; a session
-     an earlier result quarantined away is skipped *)
+  (* 4. apply results in session order on the engine thread *)
   Array.iteri
     (fun idx s ->
-      if Hashtbl.mem t.sessions s.sid then
-        match outs.(idx) with
-        | Advanced st ->
-            s.state <- st;
-            let absorbed = Array.length items.(idx).w_msgs in
-            if absorbed > 0 then begin
-              s.window <- s.window + absorbed;
-              Option.iter
-                (fun conn ->
-                  send t conn (Frame.Credit { session = s.sid; credit = absorbed }))
-                (conn_of t s)
-            end
-        | Finished (cause, v) -> finish_session t s cause v
-        | Crashed detail ->
-            (* a referee exception escaped the hardened combinators:
-               tear the whole connection down as poisoned *)
+      match outs.(idx) with
+      | Advanced st ->
+          s.state <- st;
+          let absorbed = Array.length items.(idx).w_msgs in
+          if absorbed > 0 then begin
+            s.window <- s.window + absorbed;
             Option.iter
-              (fun conn -> quarantine t conn Frame.Internal detail)
-              (conn_of t s))
+              (fun conn ->
+                send t conn (Frame.Credit { session = s.sid; credit = absorbed }))
+              (conn_of t s)
+          end
+      | Finished (cause, v) -> finish_session t s cause v
+      | Crashed detail ->
+          (* a referee exception escaped the hardened combinators:
+             tear the whole connection down as poisoned *)
+          Option.iter
+            (fun conn -> quarantine t conn Frame.Internal detail)
+            (conn_of t s))
     live;
   (* 5. refresh gauges: the queue depth is the backlog this tick absorbed *)
   Metrics.Gauge.set t.inst.i_live (float_of_int (Hashtbl.length t.sessions));
