@@ -21,6 +21,12 @@
      main.exe record     reads the stdout of [python3 perfbench/run.py]
                          on stdin and appends it as one BENCH_perf row;
                          exits 2 on input of any other shape
+     main.exe compare OLD NEW
+                         compares two BENCH_perf row sets (FILE, or
+                         FILE@COMMIT for one host commit's rows) by the
+                         median of each BENCHMARK.json end-to-end metric
+                         per workload; exits 1 on a regression past the
+                         metric's bound, 2 on unreadable input
 
    A campaign appends its rows, one JSON object per line, to
    BENCH_<campaign>.jsonl; earlier rows are kept.  The tables and the
@@ -764,6 +770,7 @@ let rec json_of_report = function
   | B b -> Bool b
   | Null -> Null
   | O fields -> Obj (List.map (fun (k, v) -> (k, json_of_report v)) fields)
+  | A _ -> raise (Bad_input "arrays are not recorded")
 
 (* [fields_of ~what line spec] parses the JSON object [line] and keeps
    the key of every [(key, ok)] of [spec], checking its value with [ok]. *)
@@ -828,6 +835,128 @@ let record () =
   | exception Bad_input msg ->
     Printf.eprintf "main.exe record: %s\n" msg;
     exit 2
+
+(* ------------------------------------------------------------------ *)
+(* compare: two BENCH_perf row sets, median per workload and metric     *)
+(* ------------------------------------------------------------------ *)
+
+let number = function Core.Report.I i -> Some (float_of_int i) | F f -> Some f | _ -> None
+let num key fields = Option.bind (List.assoc_opt key fields) number
+
+let rec field path fields =
+  match path with
+  | [] -> None
+  | [ key ] -> List.assoc_opt key fields
+  | key :: rest -> (
+    match List.assoc_opt key fields with Some (Core.Report.O o) -> field rest o | _ -> None)
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let k = Array.length a in
+  if k mod 2 = 1 then a.(k / 2) else (a.((k / 2) - 1) +. a.(k / 2)) /. 2.
+
+(* The end-to-end metrics of BENCHMARK.json (read only), as
+   [(name, higher_is_better, bound)]. *)
+let end_to_end_bounds () =
+  let fields =
+    try Core.Report.parse_line (In_channel.with_open_text "BENCHMARK.json" In_channel.input_all)
+    with
+    | Sys_error msg -> raise (Bad_input msg)
+    | Core.Report.Parse msg -> raise (Bad_input ("BENCHMARK.json: " ^ msg))
+  in
+  match List.assoc_opt "end_to_end" fields with
+  | Some (Core.Report.A metrics) ->
+    List.map
+      (function
+        | Core.Report.O m -> (
+          match (List.assoc_opt "name" m, List.assoc_opt "better" m, num "bound" m) with
+          | Some (S name), Some (S better), Some bound -> (name, better = "higher", bound)
+          | _ -> raise (Bad_input "BENCHMARK.json: an end_to_end metric lacks name, better or bound"))
+        | _ -> raise (Bad_input "BENCHMARK.json: end_to_end holds a non-object"))
+      metrics
+  | _ -> raise (Bad_input "BENCHMARK.json: no end_to_end list")
+
+(* [perf_rows spec] is the untraced rows of [spec] -- FILE, or FILE@COMMIT
+   for only the rows whose [host.commit] is COMMIT -- grouped by
+   workload, each row as its parsed fields. *)
+let perf_rows spec =
+  let file, commit =
+    match String.rindex_opt spec '@' with
+    | Some i -> (String.sub spec 0 i, Some (String.sub spec (i + 1) (String.length spec - i - 1)))
+    | None -> (spec, None)
+  in
+  let lines =
+    try In_channel.with_open_text file In_channel.input_all |> String.split_on_char '\n'
+    with Sys_error msg -> raise (Bad_input msg)
+  in
+  let groups = Hashtbl.create 8 in
+  List.iteri
+    (fun i line ->
+      if String.trim line <> "" then begin
+        let row =
+          try Core.Report.parse_line line
+          with Core.Report.Parse msg -> raise (Bad_input (Printf.sprintf "%s:%d: %s" file (i + 1) msg))
+        in
+        let wanted =
+          (match commit with None -> true | Some c -> field [ "host"; "commit" ] row = Some (S c))
+          && field [ "run"; "trace" ] row = Some (I 0)
+        in
+        match List.assoc_opt "table" row with
+        | Some (S table) when wanted ->
+          let earlier = Option.value ~default:[] (Hashtbl.find_opt groups table) in
+          Hashtbl.replace groups table (row :: earlier)
+        | _ -> ()
+      end)
+    lines;
+  if Hashtbl.length groups = 0 then raise (Bad_input (spec ^ ": no untraced rows"));
+  groups
+
+(* A row's value of an end-to-end metric, or of [failed_share] (the
+   share of its attempted operations that failed). *)
+let row_value row = function
+  | "failed_share" -> (
+    match (num "failed" row, num "attempted" row) with
+    | Some f, Some a when a > 0. -> Some (f /. a)
+    | _ -> None)
+  | metric -> Option.bind (field [ "metrics"; metric; "value" ] row) number
+
+(* [compare_rows old_spec new_spec] prints, per workload both sets ran,
+   each end-to-end metric's median in OLD and NEW, and flags a
+   regression when NEW is worse by more than the metric's bound, or
+   fails a larger share of its operations.  Exits 1 on any regression;
+   raises [Bad_input] on input it cannot read. *)
+let compare_rows old_spec new_spec =
+  let metrics = end_to_end_bounds () @ [ ("failed_share", false, 0.) ] in
+  let old_rows = perf_rows old_spec and new_rows = perf_rows new_spec in
+  let workloads =
+    Hashtbl.fold (fun w _ acc -> if Hashtbl.mem new_rows w then w :: acc else acc) old_rows []
+    |> List.sort String.compare
+  in
+  if workloads = [] then raise (Bad_input "the two row sets share no workload");
+  let regressions = ref 0 in
+  Printf.printf "%-18s %-16s %5s %12s %12s %8s  %s\n" "workload" "metric" "rows" "old" "new" "change"
+    "verdict";
+  List.iter
+    (fun w ->
+      let olds = Hashtbl.find old_rows w and news = Hashtbl.find new_rows w in
+      let rows = Printf.sprintf "%d/%d" (List.length olds) (List.length news) in
+      List.iter
+        (fun (metric, higher, bound) ->
+          let values rows = List.filter_map (fun row -> row_value row metric) rows in
+          match (values olds, values news) with
+          | [], _ | _, [] -> ()
+          | vo, vn ->
+            let o = median vo and n = median vn in
+            let worse = if higher then n < o *. (1. -. bound) else n > o *. (1. +. bound) in
+            if worse then incr regressions;
+            Printf.printf "%-18s %-16s %5s %12.4g %12.4g %+7.1f%%  %s\n" w metric rows o n
+              (if o = 0. then 0. else 100. *. ((n /. o) -. 1.))
+              (if worse then "REGRESSION" else "ok"))
+        metrics)
+    workloads;
+  Printf.printf "\n%d regression(s) over %d workload(s)\n" !regressions (List.length workloads);
+  if !regressions > 0 then exit 1
 
 let wall f =
   let t0 = Unix.gettimeofday () in
@@ -1275,6 +1404,12 @@ let () =
   | "record" ->
     record ();
     exit 0
+  | "compare" when Array.length Sys.argv = 4 -> (
+    match compare_rows Sys.argv.(2) Sys.argv.(3) with
+    | () -> exit 0
+    | exception Bad_input msg ->
+      Printf.eprintf "main.exe compare: %s\n" msg;
+      exit 2)
   | "all" ->
     tables ();
     timing_benches ();
@@ -1282,7 +1417,9 @@ let () =
     metrics_bench ();
     bcc_bench ()
   | other ->
-    Printf.eprintf "main.exe: unknown experiment %S (tables|timings|faults|metrics|bcc|flight|record)\n"
+    Printf.eprintf
+      "main.exe: unknown experiment %S \
+       (tables|timings|faults|metrics|bcc|flight|record|compare OLD NEW)\n"
       other;
     exit 2);
   Printf.printf "\n%s\nAll experiments completed.\n" line

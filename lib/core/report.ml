@@ -3,9 +3,18 @@
    One object per line; values are strings, integers, the done line's
    budget (an object of strings and numbers, or null).  Hand-rolled so
    the analysis pipeline stays dependency-free.  Booleans are read too,
-   for the perfbench result line [bench/main.exe record] parses. *)
+   for the perfbench result line [bench/main.exe record] parses, and
+   arrays and newlines, for the BENCHMARK.json [bench/main.exe compare]
+   reads. *)
 
-type jvalue = S of string | I of int | F of float | B of bool | Null | O of (string * jvalue) list
+type jvalue =
+  | S of string
+  | I of int
+  | F of float
+  | B of bool
+  | Null
+  | O of (string * jvalue) list
+  | A of jvalue list
 
 exception Parse of string
 
@@ -21,7 +30,7 @@ let parse_line line =
     | _ -> fail (Printf.sprintf "expected '%c'" c)
   in
   let skip_ws () =
-    while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t' || line.[!pos] = '\r') do
+    while !pos < n && String.contains " \t\r\n" line.[!pos] do
       advance ()
     done
   in
@@ -88,6 +97,7 @@ let parse_line line =
     match peek () with
     | Some '"' -> S (parse_string ())
     | Some '{' -> O (parse_object ())
+    | Some '[' -> A (parse_array ())
     | Some ('n' | 't' | 'f') ->
       let word w = !pos + String.length w <= n && String.sub line !pos (String.length w) = w in
       let take w v = pos := !pos + String.length w; v in
@@ -118,6 +128,24 @@ let parse_line line =
       members ()
     end;
     List.rev !fields
+  and parse_array () =
+    expect '[';
+    let items = ref [] in
+    skip_ws ();
+    if peek () = Some ']' then advance ()
+    else begin
+      let rec elements () =
+        skip_ws ();
+        items := parse_value () :: !items;
+        skip_ws ();
+        match peek () with
+        | Some ',' -> advance (); elements ()
+        | Some ']' -> advance ()
+        | _ -> fail "expected ',' or ']'"
+      in
+      elements ()
+    end;
+    List.rev !items
   in
   skip_ws ();
   let fields = parse_object () in

@@ -22,13 +22,21 @@ val create : unit -> t
 
 (** {1 The line parser} *)
 
-(** A JSON value as {!parse_line} reads it (no arrays). *)
-type jvalue = S of string | I of int | F of float | B of bool | Null | O of (string * jvalue) list
+(** A JSON value as {!parse_line} reads it. *)
+type jvalue =
+  | S of string
+  | I of int
+  | F of float
+  | B of bool
+  | Null
+  | O of (string * jvalue) list
+  | A of jvalue list
 
 exception Parse of string
 
 (** [parse_line line] is the fields of the one JSON object on [line],
-    in order.  Numbers with a fraction or exponent are [F], others [I].
+    in order; newlines count as whitespace, so a whole JSON file parses
+    too.  Numbers with a fraction or exponent are [F], others [I].
     @raise Parse on anything else, with the column. *)
 val parse_line : string -> (string * jvalue) list
 

@@ -27,7 +27,13 @@ type verdict = {
 
 (** [run_session c ?trace ~protocol ~n msgs] opens a session, streams
     the [(node, message)] list under backpressure, finishes, and waits
-    for the verdict.  [trace] (default [0L]) is echoed in the [Open]
+    for the verdict.  Frames after [Open] travel in flights: they are
+    encoded into one buffer and written with one [write] when the
+    credit window reaches 0 (just before waiting for [Credit]), when
+    1 KB is queued, and with [Finish] at the end.  A flight never holds
+    more [Msg] frames than the window allows, and a verdict that
+    arrives while the client waits for credit ends the session early.
+    [trace] (default [0L]) is echoed in the [Open]
     frame: [0L] adopts the connection's minted id; a non-zero id is a
     resume attempt, which a restarted daemon holding crash-dump
     evidence for that id refuses with the evidence summary.  Any

@@ -117,8 +117,9 @@ let write_metrics_file m path =
 
 (* Answer one Prometheus scrape.  Scrapers send a full GET immediately,
    so a short blocking read-then-respond on the event loop is fine; the
-   receive timeout bounds the damage a stalled scraper can do. *)
-let answer_scrape metrics fd =
+   receive timeout bounds the damage a stalled scraper can do.
+   [refresh] brings the runtime gauges up to date first. *)
+let answer_scrape ~refresh metrics fd =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
@@ -129,7 +130,9 @@ let answer_scrape metrics fd =
        with Unix.Unix_error _ -> ());
       let body =
         match metrics with
-        | Some m -> Metrics.to_prometheus (Metrics.snapshot m)
+        | Some m ->
+            refresh ();
+            Metrics.to_prometheus (Metrics.snapshot m)
         | None -> "# metrics disabled\n"
       in
       let resp =
@@ -148,8 +151,8 @@ let answer_scrape metrics fd =
 type sconn = {
   fd : Unix.file_descr;
   cid : Engine.conn_id;
-  mutable pending : string; (* bytes accepted from the engine, unsent *)
-  mutable sent : int;
+  mutable pending : string; (* output taken from the engine ... *)
+  mutable sent : int; (* ... and how much of it is written *)
 }
 
 (* ---------- flight recorder plumbing ---------- *)
@@ -215,8 +218,16 @@ let run opts =
                 (try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ());
                 Some (Flight.create ?capacity:opts.flight_capacity (), dir)
           in
+          (* the flight heartbeat reads the engine's anomaly counters
+             off the registry it reports to, so a recording daemon
+             keeps one even when nothing scrapes it *)
+          let registry =
+            match (opts.metrics, flight) with
+            | None, Some _ -> Some (Metrics.create ())
+            | m, _ -> m
+          in
           let engine =
-            Engine.create ?metrics:opts.metrics ~trace:opts.trace
+            Engine.create ?metrics:registry ~trace:opts.trace
               ?flight:(Option.map fst flight) opts.engine_cfg
           in
           (* refuse-with-evidence: sessions a previous incarnation left
@@ -259,7 +270,6 @@ let run opts =
             end
           in
           if flight <> None then at_exit final_dump;
-          let last_anomalies = ref 0 in
           let flight_gauges =
             match (opts.metrics, flight) with
             | Some m, Some _ ->
@@ -278,6 +288,8 @@ let run opts =
                     Metrics.Gauge.gauge m "refnet_gc_major_words",
                     Metrics.Gauge.gauge m "refnet_gc_heap_words" )
           in
+          (* runtime gauges are refreshed when they are read: on a
+             scrape and at exit, not on every wakeup *)
           let refresh_runtime_gauges () =
             (match gc_gauges with
             | None -> ()
@@ -297,20 +309,33 @@ let run opts =
              (poison frame, credit violation), an inconclusive verdict
              or an evidence refusal — so the rings reach disk while the
              story they tell is still fresh *)
-          let flight_heartbeat () =
-            match flight with
-            | None -> ()
-            | Some _ ->
-                let s = Engine.stats engine in
-                let anomalies =
-                  s.Engine.quarantines + s.Engine.inconclusive
-                  + s.Engine.rej_evidence
+          let flight_heartbeat =
+            match (flight, registry) with
+            | Some _, Some m ->
+                let c labels name =
+                  Metrics.Counter.counter m (Metrics.series name labels)
                 in
-                if !dump_requested || anomalies > !last_anomalies then begin
-                  dump_requested := false;
-                  last_anomalies := anomalies;
-                  write_dump ()
-                end
+                let quarantines = c [] "refnet_serve_quarantines_total"
+                and inconclusive =
+                  c [ ("outcome", "inconclusive") ] "refnet_serve_verdicts_total"
+                and evidence =
+                  c
+                    [ ("reason", Frame.reject_reason_to_string Frame.Evidence) ]
+                    "refnet_serve_rejects_total"
+                in
+                let last_anomalies = ref 0 in
+                fun () ->
+                  let anomalies =
+                    Metrics.Counter.value quarantines
+                    + Metrics.Counter.value inconclusive
+                    + Metrics.Counter.value evidence
+                  in
+                  if !dump_requested || anomalies > !last_anomalies then begin
+                    dump_requested := false;
+                    last_anomalies := anomalies;
+                    write_dump ()
+                  end
+            | _ -> ignore
           in
           let conns : (Unix.file_descr, sconn) Hashtbl.t = Hashtbl.create 64 in
           let started = Unix.gettimeofday () in
@@ -322,27 +347,42 @@ let run opts =
             Engine.close_conn engine sc.cid;
             try Unix.close sc.fd with Unix.Unix_error _ -> ()
           in
-          let pump_out sc =
-            let fresh = Engine.take_output engine sc.cid in
-            if fresh <> "" then
-              sc.pending <-
-                (if sc.sent = 0 then sc.pending ^ fresh
-                 else
-                   String.sub sc.pending sc.sent
-                     (String.length sc.pending - sc.sent)
-                   ^ fresh);
-            if fresh <> "" && sc.sent > 0 then sc.sent <- 0;
-            if sc.sent < String.length sc.pending then begin
-              match
-                Unix.write_substring sc.fd sc.pending sc.sent
-                  (String.length sc.pending - sc.sent)
-              with
-              | n -> sc.sent <- sc.sent + n
-              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                ->
-                  ()
-              | exception Unix.Unix_error _ -> drop sc
-            end
+          (* take the listener's whole backlog, until EAGAIN or the
+             engine refuses a connection *)
+          let rec accept_all () =
+            match Unix.accept listener with
+            | client_fd, _ -> (
+                Unix.set_nonblock client_fd;
+                set_nodelay opts.listen client_fd;
+                match Engine.open_conn engine with
+                | Ok cid ->
+                    Hashtbl.replace conns client_fd
+                      { fd = client_fd; cid; pending = ""; sent = 0 };
+                    accept_all ()
+                | Error _ -> ( try Unix.close client_fd with Unix.Unix_error _ -> ()))
+            | exception Unix.Unix_error _ -> ()
+          in
+          (* Output is taken from the engine only once the previous take
+             is written out, so nothing is copied twice and a slow
+             reader's backlog stays in the engine, where
+             [max_output_bytes] quarantines it.  [false] when the socket
+             failed. *)
+          let rec pump_out sc =
+            if sc.sent = String.length sc.pending then begin
+              sc.pending <- Engine.take_output engine sc.cid;
+              sc.sent <- 0
+            end;
+            sc.sent = String.length sc.pending
+            ||
+            match
+              Unix.single_write_substring sc.fd sc.pending sc.sent
+                (String.length sc.pending - sc.sent)
+            with
+            | n ->
+                sc.sent <- sc.sent + n;
+                pump_out sc
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
+            | exception Unix.Unix_error _ -> false
           in
           let flushed sc = sc.sent >= String.length sc.pending in
           let finished = ref false in
@@ -385,27 +425,12 @@ let run opts =
               in
               List.iter
                 (fun fd ->
-                  if fd = listener then begin
-                    match Unix.accept listener with
-                    | client_fd, _ -> (
-                        Unix.set_nonblock client_fd;
-                        set_nodelay opts.listen client_fd;
-                        match Engine.open_conn engine with
-                        | Ok cid ->
-                            Hashtbl.replace conns client_fd
-                              { fd = client_fd; cid; pending = ""; sent = 0 }
-                        | Error _ -> (
-                            try Unix.close client_fd
-                            with Unix.Unix_error _ -> ()))
-                    | exception
-                        Unix.Unix_error
-                          ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                        ()
-                    | exception Unix.Unix_error _ -> ()
-                  end
+                  if fd = listener then accept_all ()
                   else if Some fd = metrics_listener then begin
                     match Unix.accept fd with
-                    | scrape_fd, _ -> answer_scrape opts.metrics scrape_fd
+                    | scrape_fd, _ ->
+                        answer_scrape ~refresh:refresh_runtime_gauges opts.metrics
+                          scrape_fd
                     | exception Unix.Unix_error _ -> ()
                   end
                   else
@@ -424,13 +449,13 @@ let run opts =
               ignore writable;
               Engine.tick engine;
               flight_heartbeat ();
-              refresh_runtime_gauges ();
               let to_drop = ref [] in
               Hashtbl.iter
                 (fun _ sc ->
-                  pump_out sc;
-                  if flushed sc && Engine.wants_close engine sc.cid then
-                    to_drop := sc :: !to_drop)
+                  if
+                    (not (pump_out sc))
+                    || (flushed sc && Engine.wants_close engine sc.cid)
+                  then to_drop := sc :: !to_drop)
                 conns;
               List.iter drop !to_drop;
               if
@@ -452,6 +477,7 @@ let run opts =
               try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
           | Tcp _ -> ());
           final_dump ();
+          refresh_runtime_gauges ();
           (match (opts.metrics, opts.metrics_file) with
           | Some m, Some path -> write_metrics_file m path
           | _ -> ());

@@ -48,7 +48,8 @@ type opts = {
           [Rejected {reason = Evidence}] with the summary.  With
           metrics attached, [refnet_flight_recorded_total],
           [refnet_flight_drops_total], [refnet_flight_occupancy] and
-          [refnet_gc_*] gauges refresh every tick. *)
+          [refnet_gc_*] gauges are refreshed when they are read: on
+          each scrape and at exit. *)
   flight_capacity : int option;  (** per-domain ring entries *)
   tick_interval_s : float;
   max_run_s : float option;

@@ -1024,6 +1024,214 @@ let test_selftest_chaos () =
       Alcotest.(check int) (tag ^ ": no lies under chaos") 0 o.Serve.Selftest.o_wrong_decided)
     [ 0.05; 0.25; 0.3 ]
 
+(* ---------- over a real socket ---------- *)
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun name -> remove_tree (Filename.concat path name)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [with_daemon ?flight ?max_output_bytes ~metrics ~credit f] runs
+   [Daemon.run] in its own domain on Unix sockets in a fresh temp dir,
+   calls [f listen dir] once a client can connect, then stops the
+   daemon with SIGTERM and checks it exits 0.  [max_run_s] is only a
+   backstop. *)
+let with_daemon ?(flight = false)
+    ?(max_output_bytes = Serve.Engine.default_config.max_output_bytes) ~metrics ~credit f =
+  let dir = Filename.temp_dir "refnet-serve" "" in
+  let listen = Serve.Daemon.Unix_sock (Filename.concat dir "serve.sock") in
+  let opts =
+    {
+      (Serve.Daemon.default_opts ~listen) with
+      Serve.Daemon.metrics_listen =
+        Some (Serve.Daemon.Unix_sock (Filename.concat dir "metrics.sock"));
+      metrics;
+      engine_cfg =
+        {
+          Serve.Engine.default_config with
+          session_credit = credit;
+          max_output_bytes;
+          domains = Some 1;
+        };
+      flight_dir = (if flight then Some (Filename.concat dir "flight") else None);
+      max_run_s = Some 60.;
+    }
+  in
+  let daemon = Domain.spawn (fun () -> Serve.Daemon.run opts) in
+  let rec await_listener tries =
+    match Serve.Client.connect listen with
+    | Ok c -> Serve.Client.close c
+    | Error e ->
+      if tries = 0 then begin
+        (* no SIGTERM: a daemon that never listened has no handler for it *)
+        ignore (Domain.join daemon);
+        Alcotest.failf "daemon never listened: %s" e
+      end;
+      Unix.sleepf 0.01;
+      await_listener (tries - 1)
+  in
+  let stop () =
+    Unix.kill (Unix.getpid ()) Sys.sigterm;
+    Domain.join daemon
+  in
+  await_listener 500;
+  match f listen dir with
+  | result ->
+    Alcotest.(check int) "daemon exit code" 0 (stop ());
+    remove_tree dir;
+    result
+  | exception e ->
+    ignore (stop ());
+    remove_tree dir;
+    raise e
+
+(* One Prometheus scrape of the metrics socket, as [name -> value]. *)
+let scrape dir =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_UNIX (Filename.concat dir "metrics.sock"));
+      let req = "GET /metrics HTTP/1.0\r\n\r\n" in
+      ignore (Unix.write_substring fd req 0 (String.length req));
+      let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | k ->
+          Buffer.add_subbytes buf chunk 0 k;
+          drain ()
+      in
+      drain ();
+      String.split_on_char '\n' (Buffer.contents buf)
+      |> List.filter_map (fun line ->
+             match String.rindex_opt line ' ' with
+             | Some i when line <> "" && line.[0] <> '#' ->
+               Option.map
+                 (fun v -> (String.sub line 0 i, v))
+                 (float_of_string_opt (String.sub line (i + 1) (String.length line - i - 1)))
+             | _ -> None))
+
+(* Sessions below, at, one over and many times the credit window, and
+   one sketch session of 1.7 KB frames, all on one connection: the
+   client's flights must respect the window and every verdict must
+   equal the offline referee's. *)
+let test_socket_sessions () =
+  let credit = 4 in
+  with_daemon ~metrics:(Some (Core.Metrics.create ())) ~credit (fun listen dir ->
+      let c =
+        match Serve.Client.connect listen with
+        | Ok c -> c
+        | Error e -> Alcotest.failf "connect: %s" e
+      in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close c)
+        (fun () ->
+          (match Serve.Client.handshake c with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "handshake: %s" e);
+          let rng = Random.State.make [| 20 |] in
+          List.iter
+            (fun (spec, g) ->
+              let n = Graph.order g in
+              let tag = Printf.sprintf "%s n=%d" spec n in
+              match Serve.Registry.lookup ~spec ~n with
+              | Error e -> Alcotest.failf "lookup %s: %s" tag e
+              | Ok (Serve.Registry.Entry { protocol; render }) -> (
+                let msgs = count_msgs protocol g in
+                let expected =
+                  match Core.Protocol.apply protocol ~n msgs with
+                  | Core.Verdict.Decided x -> render x
+                  | _ -> Alcotest.failf "%s: clean offline run must decide" tag
+                in
+                let deliveries = Array.to_list (Array.mapi (fun i m -> (i + 1, m)) msgs) in
+                match Serve.Client.run_session c ~protocol:spec ~n deliveries with
+                | Ok v ->
+                  Alcotest.(check bool)
+                    (tag ^ " decided") true
+                    (v.Serve.Client.status = Serve.Frame.Decided);
+                  Alcotest.(check string) (tag ^ " payload") expected v.Serve.Client.payload
+                | Error e -> Alcotest.failf "%s: %s" tag e))
+            [
+              ("count", Generators.random_tree rng 3);
+              ("count", Generators.cycle 4);
+              ("count", Generators.random_tree rng 5);
+              ("count", Generators.random_tree rng 64);
+              ("sketch:7", Generators.cycle 16);
+            ]);
+      let m = scrape dir in
+      List.iter
+        (fun (series, want) ->
+          Alcotest.(check (option (float 0.))) series (Some want) (List.assoc_opt series m))
+        [
+          ("refnet_serve_verdicts_total{outcome=\"decided\"}", 5.);
+          ("refnet_serve_quarantines_total", 0.);
+          ("refnet_serve_late_frames_total", 0.);
+          ("refnet_serve_quarantine_escapes_total", 0.);
+        ];
+      (* refreshed by the scrape itself, not by the event loop *)
+      Alcotest.(check bool) "gc heap gauge refreshed" true
+        (match List.assoc_opt "refnet_gc_heap_words" m with Some w -> w > 0. | None -> false))
+
+(* A peer that pings and never reads is quarantined as a slow consumer
+   once its unread replies pass [max_output_bytes]: the daemon leaves
+   them in the engine instead of buffering them without bound. *)
+let test_socket_slow_consumer () =
+  with_daemon ~max_output_bytes:(1 lsl 18) ~metrics:(Some (Core.Metrics.create ())) ~credit:4
+    (fun listen dir ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Serve.Daemon.sockaddr_of_listen listen);
+          let pings =
+            Serve.Frame.encode_client (Serve.Frame.Hello { version = Serve.Frame.version })
+            :: List.init 1000 (fun token -> Serve.Frame.encode_client (Serve.Frame.Ping { token }))
+            |> String.concat ""
+          in
+          let quarantines () =
+            List.assoc_opt "refnet_serve_quarantines_total" (scrape dir) = Some 1.
+          in
+          let rec flood rounds =
+            if not (quarantines ()) then begin
+              if rounds = 0 then Alcotest.fail "a peer that never reads was not quarantined";
+              (* the daemon closes a quarantined peer: writes then fail *)
+              (try ignore (Unix.write_substring fd pings 0 (String.length pings))
+               with Unix.Unix_error _ -> ());
+              flood (rounds - 1)
+            end
+          in
+          flood 400))
+
+(* A recording daemon with no metrics registry still dumps its flight
+   rings as soon as a hostile connection is quarantined. *)
+let test_socket_quarantine_dumps () =
+  with_daemon ~flight:true ~metrics:None ~credit:4 (fun listen dir ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Serve.Daemon.sockaddr_of_listen listen);
+          let junk = String.make 64 '\xff' in
+          ignore (Unix.write_substring fd junk 0 (String.length junk));
+          let flight_dir = Filename.concat dir "flight" in
+          let rec await_dump tries =
+            let dumps =
+              try
+                Sys.readdir flight_dir |> Array.to_list
+                |> List.filter (fun f -> Filename.check_suffix f ".flight")
+              with Sys_error _ -> []
+            in
+            if dumps = [] then begin
+              if tries = 0 then Alcotest.fail "no flight dump after a quarantine";
+              Unix.sleepf 0.01;
+              await_dump (tries - 1)
+            end
+          in
+          await_dump 500))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1067,6 +1275,12 @@ let () =
             test_welcome_mints_distinct_traces;
           Alcotest.test_case "verdict carries conn trace" `Quick test_verdict_carries_conn_trace;
           Alcotest.test_case "evidence rejection" `Quick test_evidence_rejection;
+        ] );
+      ( "socket",
+        [
+          Alcotest.test_case "sessions equal offline referee" `Quick test_socket_sessions;
+          Alcotest.test_case "slow consumer quarantined" `Quick test_socket_slow_consumer;
+          Alcotest.test_case "quarantine dumps flight" `Quick test_socket_quarantine_dumps;
         ] );
       ( "selftest",
         [
