@@ -1024,6 +1024,51 @@ let test_selftest_chaos () =
       Alcotest.(check int) (tag ^ ": no lies under chaos") 0 o.Serve.Selftest.o_wrong_decided)
     [ 0.05; 0.25; 0.3 ]
 
+(* The selftest's whole outcome, pinned: its JSON minus the wall-clock
+   fields, plus the engine's frame, byte, connection and session counts.
+   Every figure depends on which bytes reached [Engine.feed_bytes] before
+   each tick, so a change to how the selftest builds or paces its client
+   frames shows here.  Each run must print the same line at pool widths
+   1 and 4.  Credit 3 breaks count sessions into several flights. *)
+let test_selftest_transcript () =
+  List.iter
+    (fun (protocol, n, sessions, conns, faulty, seed, credit, want) ->
+      List.iter
+        (fun domains ->
+          let cfg =
+            { Serve.Selftest.default_cfg with protocol; n; sessions; conns; faulty; seed }
+          in
+          let engine_cfg =
+            {
+              Serve.Selftest.default_engine_cfg with
+              Serve.Engine.session_credit = credit;
+              domains = Some domains;
+            }
+          in
+          let flight = Core.Flight.create ~capacity:65536 () in
+          let o = Serve.Selftest.run ~flight ~engine_cfg cfg in
+          let s = o.Serve.Selftest.o_stats in
+          let got =
+            Printf.sprintf "%s frames=%d bytes_in=%d conns=%d sessions=%d"
+              (Serve.Selftest.to_json { o with o_wall_s = 0.; o_rate = 0. })
+              s.Serve.Engine.frames s.bytes_in s.conns_opened s.sessions_opened
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s n=%d credit=%d width %d" protocol n credit domains)
+            want got)
+        [ 1; 4 ])
+    [
+      ("count", 8, 600, 16, 0.2, 7, 256,
+        {|{"protocol": "count", "n": 8, "sessions": 600, "decided": 486, "degraded": 47, "inconclusive": 0, "aborted": 67, "quarantines": 25, "quarantine_escapes": 0, "sheds": 0, "timeouts_idle": 23, "timeouts_deadline": 0, "late_frames": 0, "wrong_decided": 0, "clean_anomalies": 0, "unterminated": 0, "flight_recorded": 6641, "flight_dropped": 0, "flight_findings": 0, "flight_missing": 0, "faulty": 0.200, "wall_s": 0.000000, "rate_per_s": 0.0}|}
+        ^ " frames=5542 bytes_in=146260 conns=82 sessions=600");
+      ("count", 8, 600, 16, 0.3, 11, 3,
+        {|{"protocol": "count", "n": 8, "sessions": 600, "decided": 428, "degraded": 63, "inconclusive": 0, "aborted": 109, "quarantines": 45, "quarantine_escapes": 0, "sheds": 0, "timeouts_idle": 37, "timeouts_deadline": 0, "late_frames": 0, "wrong_decided": 0, "clean_anomalies": 0, "unterminated": 0, "flight_recorded": 6313, "flight_dropped": 0, "flight_findings": 0, "flight_missing": 0, "faulty": 0.300, "wall_s": 0.000000, "rate_per_s": 0.0}|}
+        ^ " frames=5264 bytes_in=139557 conns=124 sessions=600");
+      ("sketch:7", 32, 120, 8, 0.3, 7, 256,
+        {|{"protocol": "sketch:7", "n": 32, "sessions": 120, "decided": 78, "degraded": 0, "inconclusive": 17, "aborted": 25, "quarantines": 14, "quarantine_escapes": 0, "sheds": 0, "timeouts_idle": 9, "timeouts_deadline": 0, "late_frames": 0, "wrong_decided": 0, "clean_anomalies": 0, "unterminated": 0, "flight_recorded": 3667, "flight_dropped": 0, "flight_findings": 0, "flight_missing": 0, "faulty": 0.300, "wall_s": 0.000000, "rate_per_s": 0.0}|}
+        ^ " frames=3461 bytes_in=3219461 conns=32 sessions=120");
+    ]
+
 (* ---------- over a real socket ---------- *)
 
 let rec remove_tree path =
@@ -1286,5 +1331,6 @@ let () =
         [
           Alcotest.test_case "clean campaign" `Quick test_selftest_clean;
           Alcotest.test_case "chaos campaign" `Quick test_selftest_chaos;
+          Alcotest.test_case "selftest transcript" `Quick test_selftest_transcript;
         ] );
     ]
