@@ -1132,12 +1132,15 @@ let with_daemon ?(flight = false)
     remove_tree dir;
     raise e
 
-(* One Prometheus scrape of the metrics socket, as [name -> value]. *)
+(* One Prometheus scrape of the metrics socket, as [name -> value].  A
+   daemon that stopped answering fails the read after 10 s instead of
+   hanging the test. *)
 let scrape dir =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
       Unix.connect fd (Unix.ADDR_UNIX (Filename.concat dir "metrics.sock"));
       let req = "GET /metrics HTTP/1.0\r\n\r\n" in
       ignore (Unix.write_substring fd req 0 (String.length req));
@@ -1277,6 +1280,69 @@ let test_socket_quarantine_dumps () =
           in
           await_dump 500))
 
+(* More idle connects than [select] can watch (FD_SETSIZE, 1024) must
+   not take the daemon down.  Client and daemon share this process's fd
+   table, so the daemon's accepted fds pass 1024 about halfway through
+   the flood.  A connection opened before the flood still decides, the
+   daemon counts the connections it could not take as sheds, and a
+   connection opened after the flood closes decides too. *)
+let test_socket_fd_flood () =
+  with_daemon ~metrics:(Some (Core.Metrics.create ())) ~credit:4 (fun listen dir ->
+      let client () =
+        match Serve.Client.connect listen with
+        | Error e -> Alcotest.failf "connect: %s" e
+        | Ok c -> (
+          match Serve.Client.handshake c with
+          | Ok () -> c
+          | Error e -> Alcotest.failf "handshake: %s" e)
+      in
+      let decide tag c =
+        let g = Generators.cycle 8 in
+        match Serve.Registry.lookup ~spec:"count" ~n:8 with
+        | Error e -> Alcotest.failf "lookup: %s" e
+        | Ok (Serve.Registry.Entry { protocol; render }) -> (
+          let msgs = count_msgs protocol g in
+          let expected =
+            match Core.Protocol.apply protocol ~n:8 msgs with
+            | Core.Verdict.Decided x -> render x
+            | _ -> Alcotest.fail "clean offline run must decide"
+          in
+          let deliveries = Array.to_list (Array.mapi (fun i m -> (i + 1, m)) msgs) in
+          match Serve.Client.run_session c ~protocol:"count" ~n:8 deliveries with
+          | Ok v -> Alcotest.(check string) (tag ^ " payload") expected v.Serve.Client.payload
+          | Error e -> Alcotest.failf "%s: %s" tag e)
+      in
+      let honest = client () in
+      let addr = Serve.Daemon.sockaddr_of_listen listen in
+      (* non-blocking, so a daemon that stopped accepting fails the test
+         once the listen backlog is full instead of hanging it *)
+      let rec idle_connect tries =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.set_nonblock fd;
+        match Unix.connect fd addr with
+        | () -> fd
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Unix.close fd;
+          if tries = 0 then Alcotest.fail "the daemon stopped accepting during the flood";
+          Unix.sleepf 0.01;
+          idle_connect (tries - 1)
+      in
+      let flood = List.init 1100 (fun _ -> idle_connect 300) in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close flood)
+        (fun () ->
+          (* the second scrape is answered only after a [select] over
+             every fd the daemon kept *)
+          ignore (scrape dir);
+          let sheds = List.assoc_opt "refnet_serve_sheds_total" (scrape dir) in
+          Alcotest.(check bool) "unwatchable connections shed" true
+            (match sheds with Some k -> k > 0. | None -> false);
+          decide "opened before the flood" honest);
+      let late = client () in
+      decide "opened after the flood" late;
+      Serve.Client.close late;
+      Serve.Client.close honest)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1326,6 +1392,7 @@ let () =
           Alcotest.test_case "sessions equal offline referee" `Quick test_socket_sessions;
           Alcotest.test_case "slow consumer quarantined" `Quick test_socket_slow_consumer;
           Alcotest.test_case "quarantine dumps flight" `Quick test_socket_quarantine_dumps;
+          Alcotest.test_case "fd flood past FD_SETSIZE" `Quick test_socket_fd_flood;
         ] );
       ( "selftest",
         [
