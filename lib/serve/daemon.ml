@@ -80,6 +80,10 @@ let set_nodelay spec fd =
   | Tcp _ -> ( try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ())
   | Unix_sock _ -> ()
 
+(* FD_SETSIZE: [Unix.select] fails with EINVAL on any fd from here up.
+   A [Unix.file_descr] is the fd number on Unix. *)
+let selectable (fd : Unix.file_descr) = (Obj.magic fd : int) < 1024
+
 let open_listener spec =
   let domain =
     match spec with Tcp _ -> Unix.PF_INET | Unix_sock _ -> Unix.PF_UNIX
@@ -348,18 +352,30 @@ let run opts =
             try Unix.close sc.fd with Unix.Unix_error _ -> ()
           in
           (* take the listener's whole backlog, until EAGAIN or the
-             engine refuses a connection *)
+             engine refuses a connection.  [select] fails on an fd of
+             FD_SETSIZE or more, so such a connection is shed before
+             it reaches the engine. *)
           let rec accept_all () =
             match Unix.accept listener with
             | client_fd, _ -> (
-                Unix.set_nonblock client_fd;
-                set_nodelay opts.listen client_fd;
-                match Engine.open_conn engine with
-                | Ok cid ->
-                    Hashtbl.replace conns client_fd
-                      { fd = client_fd; cid; pending = ""; sent = 0 };
-                    accept_all ()
-                | Error _ -> ( try Unix.close client_fd with Unix.Unix_error _ -> ()))
+                let shed () =
+                  Engine.shed_conn engine;
+                  try Unix.close client_fd with Unix.Unix_error _ -> ()
+                in
+                if not (selectable client_fd) then begin
+                  shed ();
+                  accept_all ()
+                end
+                else begin
+                  Unix.set_nonblock client_fd;
+                  set_nodelay opts.listen client_fd;
+                  match Engine.open_conn engine with
+                  | Ok cid ->
+                      Hashtbl.replace conns client_fd
+                        { fd = client_fd; cid; pending = ""; sent = 0 };
+                      accept_all ()
+                  | Error _ -> shed ()
+                end)
             | exception Unix.Unix_error _ -> ()
           in
           (* Output is taken from the engine only once the previous take

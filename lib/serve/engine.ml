@@ -358,6 +358,10 @@ let open_conn t =
     Ok cid
   end
 
+let shed_conn t =
+  count t.inst.i_sheds;
+  count (t.inst.i_reject Frame.Overloaded)
+
 let close_conn t cid =
   match Hashtbl.find_opt t.conns cid with
   | None -> ()

@@ -85,6 +85,10 @@ type conn_id = int
     (connection cap). *)
 val open_conn : t -> (conn_id, string) result
 
+(** [shed_conn t] counts a connection the transport closed without
+    admitting it, as an [Overloaded] shed. *)
+val shed_conn : t -> unit
+
 (** [feed_bytes t c b ~off ~len] pushes received bytes.  Complete frames
     are handled immediately (handshake, opens, queueing); session work
     is deferred to {!tick}.  Never raises on hostile input.  Unknown or
@@ -137,7 +141,9 @@ type stats = {
   inconclusive : int;
   aborted : int;  (** sessions ended without a verdict (peer vanished)
                       or by explicit client [Abort] *)
-  sheds : int;  (** admission rejections with [Overloaded] *)
+  sheds : int;
+      (** admission rejections with [Overloaded], and connections the
+          transport shed ({!shed_conn}) *)
   drain_rejections : int;
   rej_unknown_protocol : int;
   rej_bad_n : int;
