@@ -11,10 +11,9 @@
                          cost and crash-rate degradation
      main.exe metrics    metrics-overhead microbench (M1): unobserved runs
                          pay nothing, live registries stay under 5%
-     main.exe bcc        broadcast congested clique (B1/B2/B4): connectivity
+     main.exe bcc        broadcast congested clique (B1/B2): connectivity
                          rounds-vs-bits sweep over the implicit families with
-                         oracle-checked verdicts, one-round anchors, and one
-                         million-node run's time, allocation and peak heap
+                         oracle-checked verdicts, and one-round anchors
      main.exe flight     flight-recorder overhead (D2): the chaos selftest
                          with rings on vs off, median-of-ratios overhead
                          gated under 5%
@@ -1176,7 +1175,7 @@ let metrics_bench () =
   append_rows ~campaign:"metrics" [ forest; degeneracy ]
 
 (* ------------------------------------------------------------------ *)
-(* B1, B2, B4: broadcast congested clique — rounds vs bits, memory      *)
+(* B1, B2: broadcast congested clique — rounds vs bits                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The paper's one-round model needs Theta(n / log n)-bit messages for
@@ -1277,50 +1276,11 @@ let bcc_anchors () =
     [ 512; 2048; 8192 ];
   List.rev !rows
 
-(* B4: the engine's memory at a million nodes — one connectivity run on
-   the bcc-regular-1m circulant, on one domain so the allocation count
-   covers the whole run.  It runs before B1 and B2, so the process's
-   peak heap is its own. *)
-let bcc_memory () =
-  let spec = "implicit:regular:1000000:4:1" in
-  Printf.printf "\nB4: engine memory — one connectivity run on %s, bandwidth 2, one domain\n\n"
-    spec;
-  let src = Graph_source.parse spec in
-  let n = Graph_source.order src in
-  let bandwidth = 2 in
-  let rounds = Core.Bcc_connectivity.rounds_for ~bandwidth ~max_degree:(Graph_source.degree src 1) in
-  let offsets = List.map (fun v -> v - 1) (Graph_source.neighbors src 1) in
-  let oracle = Core.Bcc_connectivity.circulant_connected ~n offsets in
-  Gc.compact ();
-  let a0 = Gc.allocated_bytes () in
-  let (verdict, t), seconds =
-    wall (fun () ->
-        Core.Bcc.run_source ~domains:1 (Core.Bcc_connectivity.protocol ~rounds ~bandwidth ()) src)
-  in
-  let alloc_per_node = (Gc.allocated_bytes () -. a0) /. float_of_int n in
-  (* The whole-process high-water mark. *)
-  let top_heap_bytes = 8 * (Gc.stat ()).Gc.top_heap_words in
-  Printf.printf "  %.2f s  %.1f B/node alloc  top-heap %.1f MB  total %d bits\n" seconds
-    alloc_per_node
-    (float_of_int top_heap_bytes /. 1048576.0)
-    t.Core.Bcc.total_bits;
-  if verdict <> Some oracle then failwith "bcc: wrong verdict on the million-node circulant";
-  ( "engine_memory",
-    [
-      ("source", Str spec);
-      ("domains", Int 1);
-      ("seconds", Float seconds);
-      ("alloc_bytes_per_node", Float alloc_per_node);
-      ("top_heap_bytes", Int top_heap_bytes);
-      ("total_bits", Int t.Core.Bcc.total_bits);
-    ] )
-
 let bcc_bench () =
-  section "B1-B4" "Broadcast congested clique: rounds-vs-bits sweep, anchors and engine memory";
-  let memory = bcc_memory () in
+  section "B1-B2" "Broadcast congested clique: rounds-vs-bits sweep and anchors";
   let sweep = bcc_sweep () in
   let anchors = bcc_anchors () in
-  append_rows ~campaign:"bcc" ((memory :: sweep) @ anchors)
+  append_rows ~campaign:"bcc" (sweep @ anchors)
 
 let tables () =
   experiment_f1 ();

@@ -212,7 +212,13 @@ let test_circulant_oracle () =
   Alcotest.(check bool) "gcd 1" true (Core.Bcc_connectivity.circulant_connected ~n:10 [ 3 ]);
   Alcotest.(check bool) "gcd 2" false (Core.Bcc_connectivity.circulant_connected ~n:10 [ 2; 4 ]);
   Alcotest.(check bool) "no offsets" false (Core.Bcc_connectivity.circulant_connected ~n:5 []);
-  Alcotest.(check bool) "trivial" true (Core.Bcc_connectivity.circulant_connected ~n:1 [])
+  Alcotest.(check bool) "trivial" true (Core.Bcc_connectivity.circulant_connected ~n:1 []);
+  (* CI runs [refnet bcc] on this million-node family under a 640 MB
+     cap and needs exit 0 ("connected"); the oracle agrees. *)
+  let src = Graph_source.parse "implicit:regular:1000000:4:1" in
+  let offsets = List.map (fun nb -> nb - 1) (Graph_source.neighbors src 1) in
+  Alcotest.(check bool) "regular:1000000:4:1" true
+    (Core.Bcc_connectivity.circulant_connected ~n:1_000_000 offsets)
 
 (* ---------- budget enforcement ---------- *)
 
