@@ -1,12 +1,3 @@
-type t = {
-  fd : Unix.file_descr;
-  decoder : Wire.decoder;
-  rbuf : Bytes.t;
-  flight : Buffer.t; (* encoded frames not yet written *)
-  mutable next_open_id : int;
-  mutable conn_trace : int64;
-}
-
 type verdict = {
   status : Frame.status;
   timeout : Frame.timeout_kind;
@@ -16,6 +7,123 @@ type verdict = {
   duplicated : int;
   undetermined : int;
   trace : int64;
+}
+
+let server_error code detail =
+  Error
+    (Printf.sprintf "server error %s: %s" (Frame.error_code_to_string code) detail)
+
+module Session = struct
+  type stage =
+    | Unsent
+    | Opening
+    | Streaming of int (* the server's session id *)
+    | Finished of int (* Finish handed out; waiting for the verdict *)
+    | Ended
+
+  type t = {
+    open_id : int;
+    protocol : string;
+    n : int;
+    trace : int64;
+    mutable rest : (int * Core.Message.t) list; (* not yet in a flight *)
+    mutable window : int;
+    mutable stage : stage;
+    out : Buffer.t;
+  }
+
+  (* See client.mli for the flight rule.  The cap keeps large frames
+     leaving one at a time, so the daemon absorbs while the client
+     encodes: without it, serve-sketch-n128 (1.7 KB frames) lost a
+     fifth of its sessions/s. *)
+  let flight_cap = 1024
+
+  let start ~open_id ?(trace = 0L) ~protocol ~n msgs =
+    {
+      open_id;
+      protocol;
+      n;
+      trace;
+      rest = msgs;
+      window = 0;
+      stage = Unsent;
+      out = Buffer.create flight_cap;
+    }
+
+  let flight t =
+    match t.stage with
+    | Unsent ->
+        t.stage <- Opening;
+        Some
+          (Frame.encode_client
+             (Frame.Open
+                { open_id = t.open_id; protocol = t.protocol; n = t.n; trace = t.trace }))
+    | Opening | Finished _ | Ended -> None
+    | Streaming session ->
+        let rec fill () =
+          if Buffer.length t.out < flight_cap then
+            match t.rest with
+            | [] ->
+                Buffer.add_string t.out (Frame.encode_client (Frame.Finish { session }));
+                t.stage <- Finished session
+            | (node, payload) :: tl when t.window > 0 ->
+                Buffer.add_string t.out
+                  (Frame.encode_client (Frame.Msg { session; node; payload }));
+                t.rest <- tl;
+                t.window <- t.window - 1;
+                fill ()
+            | _ :: _ -> ()
+        in
+        fill ();
+        if Buffer.length t.out = 0 then None
+        else begin
+          let s = Buffer.contents t.out in
+          Buffer.clear t.out;
+          Some s
+        end
+
+  let recv t frame =
+    let ended r =
+      t.stage <- Ended;
+      Some r
+    in
+    match (t.stage, frame) with
+    | Ended, _ -> None
+    | _, Frame.Error { code; detail } -> ended (server_error code detail)
+    | (Unsent | Opening), Frame.Opened { open_id; session; credit }
+      when open_id = t.open_id ->
+        t.stage <- Streaming session;
+        t.window <- credit;
+        None
+    | (Unsent | Opening), Frame.Rejected { reason; retry_after_ms; detail; _ } ->
+        ended
+          (Error
+             (Printf.sprintf "rejected: %s (retry after %d ms)%s"
+                (Frame.reject_reason_to_string reason)
+                retry_after_ms
+                (if detail = "" then "" else ": " ^ detail)))
+    | (Unsent | Opening), _ -> ended (Error "expected Opened")
+    | (Streaming s | Finished s), Frame.Credit { session; credit } when session = s ->
+        t.window <- t.window + credit;
+        None
+    | ( (Streaming s | Finished s),
+        Frame.Verdict
+          { session; status; timeout; payload; missing; malformed; duplicated;
+            undetermined; trace } )
+      when session = s ->
+        ended
+          (Ok
+             { status; timeout; payload; missing; malformed; duplicated;
+               undetermined; trace })
+    | (Streaming _ | Finished _), _ -> ended (Error "unexpected frame mid-session")
+end
+
+type t = {
+  fd : Unix.file_descr;
+  decoder : Wire.decoder;
+  rbuf : Bytes.t;
+  mutable next_open_id : int;
+  mutable conn_trace : int64;
 }
 
 let connect spec =
@@ -33,7 +141,6 @@ let connect spec =
           fd;
           decoder = Wire.decoder ();
           rbuf = Bytes.create 65536;
-          flight = Buffer.create 1024;
           next_open_id = 1;
           conn_trace = 0L;
         }
@@ -58,28 +165,6 @@ let send_all c s =
   in
   go 0
 
-(* A session's frames travel in flights: each frame is encoded into
-   [c.flight], and the flight is written with one [write] when the
-   credit window closes (just before blocking for [Credit]), when
-   [flight_cap] bytes are queued, and with [Finish].  A count session
-   at n=8 is two writes instead of ten.  The cap keeps large frames
-   leaving one at a time, so the daemon absorbs while the client
-   encodes: without it, serve-sketch-n128 (1.7 KB frames) lost a fifth
-   of its sessions/s. *)
-let flight_cap = 1024
-
-let flush c =
-  if Buffer.length c.flight = 0 then Ok ()
-  else begin
-    let s = Buffer.contents c.flight in
-    Buffer.clear c.flight;
-    send_all c s
-  end
-
-let queue c frame =
-  Buffer.add_string c.flight (Frame.encode_client frame);
-  if Buffer.length c.flight >= flight_cap then flush c else Ok ()
-
 let rec recv_frame c =
   match Wire.next c.decoder with
   | Wire.Frame { kind; payload } -> Frame.decode_server ~kind payload
@@ -102,85 +187,22 @@ let handshake c =
   | Frame.Welcome { trace; _ } ->
       c.conn_trace <- trace;
       Ok ()
-  | Frame.Error { code; detail } ->
-      Error
-        (Printf.sprintf "server error %s: %s"
-           (Frame.error_code_to_string code)
-           detail)
+  | Frame.Error { code; detail } -> server_error code detail
   | _ -> Error "expected Welcome"
 
 let conn_trace c = c.conn_trace
 
-let run_session c ?(trace = 0L) ~protocol ~n msgs =
+let run_session c ?trace ~protocol ~n msgs =
   let open_id = c.next_open_id in
   c.next_open_id <- open_id + 1;
-  let* () =
-    send_all c (Frame.encode_client (Frame.Open { open_id; protocol; n; trace }))
+  let s = Session.start ~open_id ?trace ~protocol ~n msgs in
+  let rec go () =
+    match Session.flight s with
+    | Some bytes ->
+        let* () = send_all c bytes in
+        go ()
+    | None -> (
+        let* frame = recv_frame c in
+        match Session.recv s frame with Some r -> r | None -> go ())
   in
-  let* opened = recv_frame c in
-  let* session, credit =
-    match opened with
-    | Frame.Opened { open_id = oid; session; credit } when oid = open_id ->
-        Ok (session, credit)
-    | Frame.Rejected { reason; retry_after_ms; detail; _ } ->
-        Error
-          (Printf.sprintf "rejected: %s (retry after %d ms)%s"
-             (Frame.reject_reason_to_string reason)
-             retry_after_ms
-             (if detail = "" then "" else ": " ^ detail))
-    | Frame.Error { code; detail } ->
-        Error
-          (Printf.sprintf "server error %s: %s"
-             (Frame.error_code_to_string code)
-             detail)
-    | _ -> Error "expected Opened"
-  in
-  (* stream messages in flights under the credit window, then finish
-     and wait.  A verdict can arrive early (server-side timeout
-     mid-stream): stop sending and return it. *)
-  let window = ref credit in
-  let next_event () =
-    let* frame = recv_frame c in
-    match frame with
-    | Frame.Credit { session = sid; credit } when sid = session ->
-        window := !window + credit;
-        Ok None
-    | Frame.Verdict
-        { session = sid; status; timeout; payload; missing; malformed;
-          duplicated; undetermined; trace }
-      when sid = session ->
-        Ok
-          (Some
-             { status; timeout; payload; missing; malformed; duplicated;
-               undetermined; trace })
-    | Frame.Error { code; detail } ->
-        Error
-          (Printf.sprintf "server error %s: %s"
-             (Frame.error_code_to_string code)
-             detail)
-    | _ -> Error "unexpected frame mid-session"
-  in
-  let rec send_msgs rest =
-    match rest with
-    | [] -> Ok None
-    | (node, payload) :: tl ->
-        if !window = 0 then
-          let* () = flush c in
-          let* v = next_event () in
-          match v with Some _ -> Ok v | None -> send_msgs rest
-        else
-          let* () = queue c (Frame.Msg { session; node; payload }) in
-          window := !window - 1;
-          send_msgs tl
-  in
-  let* early = send_msgs msgs in
-  match early with
-  | Some v -> Ok v
-  | None ->
-      let* () = queue c (Frame.Finish { session }) in
-      let* () = flush c in
-      let rec await () =
-        let* v = next_event () in
-        match v with Some v -> Ok v | None -> await ()
-      in
-      await ()
+  go ()

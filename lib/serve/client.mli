@@ -1,18 +1,8 @@
-(** A minimal blocking client for the serve protocol — enough for the
-    CI probe ([refnet serve --probe]) and integration tests.  It speaks
-    the handshake, opens one session at a time, respects the credit
-    window, and returns the typed verdict. *)
-
-type t
-
-val connect : Daemon.listen -> (t, string) result
-
-(** [handshake c] sends [Hello] and waits for [Welcome], capturing the
-    session trace id the server minted for this connection. *)
-val handshake : t -> (unit, string) result
-
-(** The trace id from [Welcome]; [0L] before {!handshake}. *)
-val conn_trace : t -> int64
+(** The client side of the serve protocol.  {!Session} is the session
+    logic with no I/O; the blocking socket client below — enough for
+    the CI probe ([refnet serve --probe]), the benchmark harness and
+    integration tests — is a read/write loop around it, and
+    {!Selftest} drives the same machine in-process. *)
 
 type verdict = {
   status : Frame.status;
@@ -25,19 +15,67 @@ type verdict = {
   trace : int64;  (** the session trace id the verdict ran under *)
 }
 
-(** [run_session c ?trace ~protocol ~n msgs] opens a session, streams
-    the [(node, message)] list under backpressure, finishes, and waits
-    for the verdict.  Frames after [Open] travel in flights: they are
-    encoded into one buffer and written with one [write] when the
-    credit window reaches 0 (just before waiting for [Credit]), when
-    1 KB is queued, and with [Finish] at the end.  A flight never holds
-    more [Msg] frames than the window allows, and a verdict that
-    arrives while the client waits for credit ends the session early.
-    [trace] (default [0L]) is echoed in the [Open]
-    frame: [0L] adopts the connection's minted id; a non-zero id is a
-    resume attempt, which a restarted daemon holding crash-dump
-    evidence for that id refuses with the evidence summary.  Any
-    rejection, server error or transport failure comes back as
+(** One session, from [Open] to the verdict, as a sans-IO machine.  A
+    driver alternates two calls: it writes every flight {!flight} hands
+    out, and when there is none it reads one server frame and gives it
+    to {!recv}, until {!recv} returns the end of the session.
+
+    {b Flights.}  [Open] travels alone: the session id and the credit
+    window come back in [Opened].  After it, frames are encoded into
+    one buffer, and a flight is handed out when the credit window
+    reaches 0, when 1 KB is queued, and with [Finish] at the end.  A
+    count session at n=8 is two writes: [Open], then 8 [Msg] and
+    [Finish].  A flight never holds more [Msg] frames than the window
+    allows; 1.7 KB sketch frames leave one per flight, so the daemon
+    absorbs while the client encodes. *)
+module Session : sig
+  type t
+
+  (** [start ~open_id ?trace ~protocol ~n msgs] is a session that will
+      open with the correlation token [open_id] and stream the
+      [(node, message)] list.  [trace] (default [0L]) is echoed in the
+      [Open] frame: [0L] adopts the connection's minted id; a non-zero
+      id is a resume attempt, which a restarted daemon holding
+      crash-dump evidence for that id refuses with the evidence
+      summary. *)
+  val start :
+    open_id:int ->
+    ?trace:int64 ->
+    protocol:string ->
+    n:int ->
+    (int * Core.Message.t) list ->
+    t
+
+  (** [flight s] is the next flight of wire bytes to write, or [None]
+      when the session waits for a server frame ([Opened], [Credit] or
+      the verdict) or has ended. *)
+  val flight : t -> string option
+
+  (** [recv s frame] takes one server frame.  [None]: the session goes
+      on.  [Some (Ok v)]: the verdict, which may arrive while the
+      client still waits for credit (a server-side timeout), and then
+      ends the session early.  [Some (Error e)]: [Rejected] (["rejected:
+      REASON (retry after MS ms)"], plus [": DETAIL"] when the server
+      sent one), [Error] (["server error CODE: DETAIL"]), or a frame
+      for another open or session (["expected Opened"], ["unexpected
+      frame mid-session"]).  Frames after the end are ignored. *)
+  val recv : t -> Frame.server -> (verdict, string) result option
+end
+
+type t
+
+val connect : Daemon.listen -> (t, string) result
+
+(** [handshake c] sends [Hello] and waits for [Welcome], capturing the
+    session trace id the server minted for this connection. *)
+val handshake : t -> (unit, string) result
+
+(** The trace id from [Welcome]; [0L] before {!handshake}. *)
+val conn_trace : t -> int64
+
+(** [run_session c ?trace ~protocol ~n msgs] runs one {!Session} over
+    the connection, one session at a time, and returns its verdict.
+    Any rejection, server error or transport failure comes back as
     [Error]. *)
 val run_session :
   t ->

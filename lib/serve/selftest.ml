@@ -96,40 +96,21 @@ let behaviour_of st faulty =
     | 3 -> Corrupt_byte
     | _ -> Stall
 
-(* ---------- worker state machine ---------- *)
-
-type phase =
-  | Idle
-  | Opening
-  | Streaming of { sent : int; window : int }
-  | Stalled
-  | Awaiting
+(* ---------- jobs: one client session each ---------- *)
 
 type job = {
-  j_index : int; (* global session index *)
   j_behaviour : behaviour;
   j_template : template;
-  j_deliveries : (int * Message.t) array; (* what this client will send *)
-  j_finish : bool; (* send Finish after the stream *)
-  j_cut : int; (* for Crash_mid/Truncate_frame: drop after this many *)
+  j_session : Client.Session.t;
+  mutable j_frames : int; (* frames let through so far, the Open included *)
 }
 
-type worker = {
-  w_id : int;
-  mutable w_conn : Engine.conn_id option;
-  mutable w_decoder : Wire.decoder;
-  mutable w_session : int; (* server session id, -1 when none *)
-  mutable w_phase : phase;
-  mutable w_job : job option;
-  mutable w_done : bool;
-}
-
-type counters = {
-  mutable c_terminal : int;
-  mutable c_wrong : int;
-  mutable c_clean_anomaly : int;
-  mutable c_verdicts : int;
-  mutable c_aborted_jobs : int;
+(* One client connection; it runs its jobs one after another. *)
+type lane = {
+  mutable l_conn : Engine.conn_id option;
+  mutable l_decoder : Wire.decoder;
+  mutable l_job : job option;
+  mutable l_done : bool; (* no job left to take *)
 }
 
 let tick_dt = 0.002
@@ -146,73 +127,67 @@ let job_for cfg templates index =
   let st = Random.State.make [| cfg.seed; (2 * index) + 1 |] in
   let b = behaviour_of st cfg.faulty in
   let t = templates.(index mod Array.length templates) in
-  let in_order = Array.mapi (fun j m -> (j + 1, m)) t.t_msgs in
-  let total = Array.length in_order in
-  match b with
-  | Clean ->
-      {
-        j_index = index;
-        j_behaviour = b;
-        j_template = t;
-        j_deliveries = in_order;
-        j_finish = true;
-        j_cut = max_int;
-      }
-  | Node_faults ->
-      let plan =
-        Faults.random
-          ~seed:(cfg.seed lxor (index * 2654435761))
-          ~n:total ~crash:0.3 ~truncate:0.15 ~flip:0.1 ~duplicate:0.1
-          ~spoof:0.05 ()
+  let msgs =
+    match b with
+    | Node_faults ->
+        let plan =
+          Faults.random
+            ~seed:(cfg.seed lxor (index * 2654435761))
+            ~n:(Array.length t.t_msgs) ~crash:0.3 ~truncate:0.15 ~flip:0.1
+            ~duplicate:0.1 ~spoof:0.05 ()
+        in
+        fst (Faults.apply plan t.t_msgs)
+    | _ -> List.mapi (fun j m -> (j + 1, m)) (Array.to_list t.t_msgs)
+  in
+  {
+    j_behaviour = b;
+    j_template = t;
+    j_session =
+      Client.Session.start ~open_id:index ~protocol:cfg.protocol ~n:cfg.n msgs;
+    j_frames = 0;
+  }
+
+(* How many frames job [j]'s behaviour lets through: all of them, or,
+   for Crash_mid, Truncate_frame, Corrupt_byte and Stall, the Open and
+   the first half of the Msg frames. *)
+let frame_limit j =
+  match j.j_behaviour with
+  | Clean | Node_faults -> max_int
+  | Crash_mid | Truncate_frame | Corrupt_byte | Stall ->
+      1 + max 1 (Array.length j.j_template.t_msgs / 2)
+
+(* [let_through j flight] is what job [j]'s behaviour lets through of
+   one flight of its session's output, and whether the behaviour's cut
+   falls inside that flight.  At the cut, Truncate_frame keeps only the
+   first half of the last frame, and Corrupt_byte flips a bit in its
+   payload, so the header parses but the digest check fires.  Frames
+   are walked by the length in their wire header. *)
+let let_through j flight =
+  let limit = frame_limit j in
+  let rec walk off =
+    if limit = max_int || off >= String.length flight then (flight, false)
+    else begin
+      let len =
+        Wire.header_bytes + Int32.to_int (String.get_int32_be flight (off + 2))
       in
-      let deliveries, _ = Faults.apply plan t.t_msgs in
-      {
-        j_index = index;
-        j_behaviour = b;
-        j_template = t;
-        j_deliveries = Array.of_list deliveries;
-        j_finish = true;
-        j_cut = max_int;
-      }
-  | Crash_mid | Truncate_frame ->
-      {
-        j_index = index;
-        j_behaviour = b;
-        j_template = t;
-        j_deliveries = in_order;
-        j_finish = false;
-        j_cut = max 1 (total / 2);
-      }
-  | Corrupt_byte ->
-      {
-        j_index = index;
-        j_behaviour = b;
-        j_template = t;
-        j_deliveries = in_order;
-        j_finish = false;
-        j_cut = max 1 (total / 2);
-      }
-  | Stall ->
-      {
-        j_index = index;
-        j_behaviour = b;
-        j_template = t;
-        j_deliveries = in_order;
-        j_finish = false;
-        j_cut = max 1 (total / 2);
-      }
+      j.j_frames <- j.j_frames + 1;
+      if j.j_frames < limit then walk (off + len)
+      else
+        match j.j_behaviour with
+        | Truncate_frame -> (String.sub flight 0 (off + (len / 2)), true)
+        | Corrupt_byte ->
+            let b = Bytes.sub (Bytes.unsafe_of_string flight) 0 (off + len) in
+            let i = off + min (len - 1) (Wire.header_bytes + 2) in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+            (Bytes.unsafe_to_string b, true)
+        | _ -> (String.sub flight 0 (off + len), true)
+    end
+  in
+  walk 0
 
 let feed_str engine cid s =
   Engine.feed_bytes engine cid (Bytes.unsafe_of_string s) ~off:0
     ~len:(String.length s)
-
-let corrupt_frame s =
-  (* flip a bit inside the payload region so the header parses but the
-     digest check fires *)
-  let b = Bytes.of_string s in
-  let i = min (Bytes.length b - 1) (Wire.header_bytes + 2) in
-  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
-  Bytes.to_string b
 
 let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg)
     cfg =
@@ -227,199 +202,112 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
           ~trace ?metrics ?flight engine_cfg
       in
       let next_job = ref 0 in
-      let counters =
-        {
-          c_terminal = 0;
-          c_wrong = 0;
-          c_clean_anomaly = 0;
-          c_verdicts = 0;
-          c_aborted_jobs = 0;
-        }
+      let terminal = ref 0 and wrong = ref 0 and clean_anomalies = ref 0 in
+      let lanes =
+        Array.init cfg.conns (fun _ ->
+            { l_conn = None; l_decoder = Wire.decoder (); l_job = None; l_done = false })
       in
-      let workers =
-        Array.init cfg.conns (fun w_id ->
-            {
-              w_id;
-              w_conn = None;
-              w_decoder = Wire.decoder ();
-              w_session = -1;
-              w_phase = Idle;
-              w_job = None;
-              w_done = false;
-            })
+      (* [job_terminal l v] ends the lane's job; [v] is [None] when its
+         session ended without a verdict.  A clean session must end
+         [Decided] with the template's answer. *)
+      let job_terminal l (v : Client.verdict option) =
+        match l.l_job with
+        | None -> ()
+        | Some j ->
+            l.l_job <- None;
+            incr terminal;
+            let right =
+              match v with
+              | Some { status = Frame.Decided; payload; _ } ->
+                  Some (payload = j.j_template.t_expected)
+              | _ -> None
+            in
+            if right = Some false then incr wrong;
+            if j.j_behaviour = Clean && right <> Some true then incr clean_anomalies
       in
-      let job_terminal w ~verdict ~payload =
-        (match (w.w_job, verdict) with
-        | Some j, Some status -> (
-            counters.c_verdicts <- counters.c_verdicts + 1;
-            (match status with
-            | Frame.Decided ->
-                if payload <> j.j_template.t_expected then
-                  counters.c_wrong <- counters.c_wrong + 1
-            | Frame.Degraded | Frame.Inconclusive -> ());
-            match j.j_behaviour with
-            | Clean ->
-                if status <> Frame.Decided || payload <> j.j_template.t_expected
-                then counters.c_clean_anomaly <- counters.c_clean_anomaly + 1
-            | _ -> ())
-        | Some j, None -> (
-            counters.c_aborted_jobs <- counters.c_aborted_jobs + 1;
-            (* a clean session must never end without a verdict *)
-            match j.j_behaviour with
-            | Clean -> counters.c_clean_anomaly <- counters.c_clean_anomaly + 1
-            | _ -> ())
-        | None, _ -> ());
-        if w.w_job <> None then counters.c_terminal <- counters.c_terminal + 1;
-        w.w_job <- None;
-        w.w_session <- -1;
-        w.w_phase <- Idle
-      in
-      let drop_conn w =
-        (match w.w_conn with
+      let drop_conn l =
+        (match l.l_conn with
         | Some cid -> Engine.close_conn engine cid
         | None -> ());
-        w.w_conn <- None;
-        w.w_decoder <- Wire.decoder ()
+        l.l_conn <- None;
+        l.l_decoder <- Wire.decoder ()
       in
-      let handle_server_frames w =
-        match w.w_conn with
+      let handle_server_frames l =
+        match l.l_conn with
         | None -> ()
         | Some cid ->
             let out = Engine.take_output engine cid in
             if out <> "" then
-              Wire.push w.w_decoder (Bytes.unsafe_of_string out) ~off:0
+              Wire.push l.l_decoder (Bytes.unsafe_of_string out) ~off:0
                 ~len:(String.length out);
-            let continue = ref true in
-            while !continue do
-              match Wire.next w.w_decoder with
-              | Wire.Awaiting -> continue := false
+            let rec go () =
+              match Wire.next l.l_decoder with
+              | Wire.Awaiting -> ()
               | Wire.Corrupt _ ->
                   (* a server must never emit corrupt bytes; surface as
                      an anomaly by dropping the conn (job -> aborted) *)
-                  job_terminal w ~verdict:None ~payload:"";
-                  drop_conn w;
-                  continue := false
+                  job_terminal l None;
+                  drop_conn l
               | Wire.Frame { kind; payload } -> (
                   match Frame.decode_server ~kind payload with
                   | Error _ ->
-                      job_terminal w ~verdict:None ~payload:"";
-                      drop_conn w;
-                      continue := false
-                  | Ok (Frame.Welcome _) | Ok (Frame.Pong _) -> ()
-                  | Ok (Frame.Opened { session; credit; _ }) ->
-                      if w.w_phase = Opening then begin
-                        w.w_session <- session;
-                        w.w_phase <- Streaming { sent = 0; window = credit }
-                      end
-                  | Ok (Frame.Credit { session; credit }) ->
-                      if session = w.w_session then begin
-                        match w.w_phase with
-                        | Streaming { sent; window } ->
-                            w.w_phase <-
-                              Streaming { sent; window = window + credit }
-                        | _ -> ()
-                      end
-                  | Ok (Frame.Verdict { session; status; payload; _ }) ->
-                      if session = w.w_session then
-                        job_terminal w ~verdict:(Some status) ~payload
-                  | Ok (Frame.Rejected _) ->
-                      (* admission said no: job ends typed; retry not
-                         modelled, the shed counter carries the signal *)
-                      job_terminal w ~verdict:None ~payload:""
-                  | Ok (Frame.Error _) ->
-                      (* typed quarantine: the conn is dead *)
-                      job_terminal w ~verdict:None ~payload:"";
-                      drop_conn w;
-                      continue := false)
-            done
+                      job_terminal l None;
+                      drop_conn l
+                  | Ok (Frame.Welcome _ | Frame.Pong _) -> go ()
+                  | Ok frame -> (
+                      (match l.l_job with
+                      | None -> ()
+                      | Some j -> (
+                          (* a Rejected job is not retried: the shed
+                             counter carries the signal *)
+                          match Client.Session.recv j.j_session frame with
+                          | None -> ()
+                          | Some r -> job_terminal l (Result.to_option r)));
+                      match frame with
+                      | Frame.Error _ -> drop_conn l (* typed quarantine *)
+                      | _ -> go ()))
+            in
+            go ()
       in
-      let step_worker w =
-        (match w.w_phase with
-        | Idle ->
-            if w.w_job = None && !next_job < cfg.sessions then begin
-              w.w_job <- Some (job_for cfg templates !next_job);
-              incr next_job
-            end;
-            if w.w_job = None then w.w_done <- true
-            else begin
-              (match w.w_conn with
-              | Some _ -> ()
-              | None -> (
-                  match Engine.open_conn engine with
-                  | Ok cid ->
-                      w.w_conn <- Some cid;
-                      w.w_decoder <- Wire.decoder ();
-                      feed_str engine cid
-                        (Frame.encode_client
-                           (Frame.Hello { version = Frame.version }))
-                  | Error _ -> ()));
-              match (w.w_conn, w.w_job) with
-              | Some cid, Some j ->
+      (* Feed the session's flights through its behaviour until the
+         session waits for the server or the behaviour's cut: Crash_mid
+         and Truncate_frame then drop the connection, Corrupt_byte
+         waits for its Error and Stall for its idle timeout. *)
+      let rec pump l cid j =
+        match Client.Session.flight j.j_session with
+        | None -> ()
+        | Some flight -> (
+            let bytes, cut = let_through j flight in
+            feed_str engine cid bytes;
+            if not cut then pump l cid j
+            else
+              match j.j_behaviour with
+              | Crash_mid | Truncate_frame ->
+                  drop_conn l;
+                  job_terminal l None
+              | _ -> ())
+      in
+      let step l =
+        if l.l_job = None && !next_job < cfg.sessions then begin
+          l.l_job <- Some (job_for cfg templates !next_job);
+          incr next_job
+        end;
+        (match l.l_job with
+        | None -> l.l_done <- true
+        | Some j -> (
+            if l.l_conn = None then begin
+              match Engine.open_conn engine with
+              | Ok cid ->
+                  l.l_conn <- Some cid;
+                  l.l_decoder <- Wire.decoder ();
                   feed_str engine cid
-                    (Frame.encode_client
-                       (Frame.Open
-                          {
-                            open_id = j.j_index;
-                            protocol = cfg.protocol;
-                            n = cfg.n;
-                            trace = 0L;
-                          }));
-                  w.w_phase <- Opening
-              | _ -> ()
-            end
-        | Opening -> ()
-        | Stalled -> ()
-        | Awaiting -> ()
-        | Streaming { sent; window } -> (
-            match (w.w_conn, w.w_job) with
-            | Some cid, Some j ->
-                let total = Array.length j.j_deliveries in
-                let stop = min total j.j_cut in
-                let sent = ref sent and window = ref window in
-                let cut = ref false in
-                while (not !cut) && !sent < stop && !window > 0 do
-                  let node, payload = j.j_deliveries.(!sent) in
-                  let frame =
-                    Frame.encode_client
-                      (Frame.Msg { session = w.w_session; node; payload })
-                  in
-                  (match j.j_behaviour with
-                  | Corrupt_byte when !sent = stop - 1 ->
-                      feed_str engine cid (corrupt_frame frame);
-                      cut := true
-                  | Truncate_frame when !sent = stop - 1 ->
-                      feed_str engine cid
-                        (String.sub frame 0 (String.length frame / 2));
-                      drop_conn w;
-                      cut := true
-                  | _ -> feed_str engine cid frame);
-                  incr sent;
-                  decr window
-                done;
-                if !cut then begin
-                  match j.j_behaviour with
-                  | Truncate_frame -> job_terminal w ~verdict:None ~payload:""
-                  | _ -> w.w_phase <- Awaiting (* corrupt: await Error *)
-                end
-                else if !sent >= stop then
-                  (match j.j_behaviour with
-                  | Crash_mid ->
-                      drop_conn w;
-                      job_terminal w ~verdict:None ~payload:""
-                  | Stall -> w.w_phase <- Stalled (* idle timeout resolves *)
-                  | _ ->
-                      if j.j_finish then begin
-                        feed_str engine cid
-                          (Frame.encode_client
-                             (Frame.Finish { session = w.w_session }));
-                        w.w_phase <- Awaiting
-                      end
-                      else w.w_phase <- Awaiting)
-                else w.w_phase <- Streaming { sent = !sent; window = !window }
-            | _ ->
-                (* connection evaporated mid-stream *)
-                job_terminal w ~verdict:None ~payload:""));
-        handle_server_frames w
+                    (Frame.encode_client (Frame.Hello { version = Frame.version }))
+              | Error _ -> ()
+            end;
+            match l.l_conn with
+            | Some cid when j.j_frames < frame_limit j -> pump l cid j
+            | _ -> ()));
+        handle_server_frames l
       in
       let t0 = Unix.gettimeofday () in
       let settle = ref 0 in
@@ -428,11 +316,11 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
            job is handed out, with slack *)
         int_of_float ((engine_cfg.Engine.deadline_s /. tick_dt) *. 4.0) + 1000
       in
-      let all_done () = Array.for_all (fun w -> w.w_done) workers in
+      let all_done () = Array.for_all (fun l -> l.l_done) lanes in
       while (not (all_done ())) && !settle < max_settle do
-        Array.iter (fun w -> if not w.w_done then step_worker w) workers;
+        Array.iter (fun l -> if not l.l_done then step l) lanes;
         Engine.tick engine;
-        Array.iter (fun w -> if not w.w_done then handle_server_frames w) workers;
+        Array.iter (fun l -> if not l.l_done then handle_server_frames l) lanes;
         vnow := !vnow +. tick_dt;
         if !next_job >= cfg.sessions then incr settle
       done;
@@ -440,8 +328,8 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
       (* anything still in flight after settling is unterminated *)
       let unterminated =
         Array.fold_left
-          (fun acc w -> if w.w_job <> None then acc + 1 else acc)
-          0 workers
+          (fun acc l -> if l.l_job <> None then acc + 1 else acc)
+          0 lanes
       in
       let s = Engine.stats engine in
       let wall = if wall <= 0. then 1e-9 else wall in
@@ -477,10 +365,10 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
       {
         o_protocol = cfg.protocol;
         o_n = cfg.n;
-        o_sessions = counters.c_terminal;
+        o_sessions = !terminal;
         o_stats = s;
-        o_wrong_decided = counters.c_wrong;
-        o_clean_anomalies = counters.c_clean_anomaly;
+        o_wrong_decided = !wrong;
+        o_clean_anomalies = !clean_anomalies;
         o_unterminated = unterminated;
         o_flight_recorded = fl_recorded;
         o_flight_dropped = fl_dropped;
@@ -488,7 +376,7 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
         o_flight_missing = fl_missing;
         o_faulty = cfg.faulty;
         o_wall_s = wall;
-        o_rate = float_of_int counters.c_terminal /. wall;
+        o_rate = float_of_int !terminal /. wall;
       }
 
 let passed ?min_rate o =

@@ -1,24 +1,27 @@
 (** In-process load generator + chaos campaign for the serve engine.
 
-    The generator drives {!Engine} through the {e real} byte path —
-    frames are encoded to wire bytes, pushed through [feed_bytes], and
-    server frames are decoded back from [take_output] — so the selftest
-    exercises exactly what a socket client exercises, minus the kernel.
+    Each client session is a {!Client.Session}, the machine the socket
+    client runs: its flights are pushed through [Engine.feed_bytes] and
+    server frames are decoded back from [take_output], so the selftest
+    exercises exactly the bytes a socket client sends, minus the kernel.
     The engine runs on an injected {e virtual} clock, so timeout paths
     fire deterministically; only the throughput measurement uses the
-    wall clock.
+    wall clock.  Each tick, every connection feeds what its session
+    has to send, then the engine ticks, then the connections read.
 
     Chaos mode gives a configurable fraction of sessions a hostile
-    behaviour, reusing {!Core.Faults} plans for in-model channel faults
-    and adding client-level ones:
-    - [`Node_faults] — deliveries mangled by a seeded
-      crash/truncate/flip/duplicate/spoof plan
-    - [`Crash_mid] — connection dropped mid-stream
-    - [`Truncate_frame] — connection dropped inside a frame boundary
-    - [`Corrupt_byte] — a payload byte flipped, tripping the frame
-      digest and the quarantine path
-    - [`Stall] — messages stop and the client never finishes; the
-      session must resolve by idle timeout
+    behaviour.  [`Node_faults] mangles the session's input with a
+    seeded {!Core.Faults} crash/truncate/flip/duplicate/spoof plan; the
+    other four transform the machine's output bytes, letting through
+    the [Open] and the first half of the [Msg] frames and then:
+    - [`Crash_mid] — the connection drops
+    - [`Truncate_frame] — only the first half of the last frame goes
+      out, then the connection drops
+    - [`Corrupt_byte] — one bit of the last frame's payload flips
+      (byte [Wire.header_bytes + 2]), tripping the frame digest and the
+      quarantine path
+    - [`Stall] — nothing more goes out; the session must resolve by
+      idle timeout
 
     Soundness bookkeeping: every [Decided] payload is compared against
     the template's fault-free rendering (string equality) — one mismatch
@@ -27,7 +30,7 @@
 
 type cfg = {
   sessions : int;
-  conns : int;  (** concurrent client workers *)
+  conns : int;  (** concurrent client connections *)
   n : int;  (** nodes per session *)
   protocol : string;  (** a {!Registry} spec *)
   faulty : float;  (** fraction of sessions given a chaos behaviour *)

@@ -997,6 +997,171 @@ let test_engine_golden () =
         (engine_golden_lines ~domains))
     [ 1; 4 ]
 
+(* ---------- client session machine, no socket ---------- *)
+
+module Session = Serve.Client.Session
+
+let deliveries spec g =
+  let n = Graph.order g in
+  match Serve.Registry.lookup ~spec ~n with
+  | Error e -> Alcotest.failf "lookup %s: %s" spec e
+  | Ok (Serve.Registry.Entry { protocol; _ }) ->
+    Array.to_list (Array.mapi (fun i m -> (i + 1, m)) (count_msgs protocol g))
+
+(* Every flight the machine hands out before it waits for the server,
+   each as a string of frame letters: O(pen), M(sg), F(inish). *)
+let flights s =
+  let letters flight =
+    let d = Serve.Wire.decoder () in
+    Serve.Wire.push d (Bytes.of_string flight) ~off:0 ~len:(String.length flight);
+    let rec go acc =
+      match Serve.Wire.next d with
+      | Serve.Wire.Awaiting -> String.concat "" (List.rev acc)
+      | Serve.Wire.Corrupt e -> Alcotest.failf "corrupt flight: %s" e
+      | Serve.Wire.Frame { kind; payload } -> (
+        match Serve.Frame.decode_client ~kind payload with
+        | Ok (Serve.Frame.Open _) -> go ("O" :: acc)
+        | Ok (Serve.Frame.Msg { session = 5; _ }) -> go ("M" :: acc)
+        | Ok (Serve.Frame.Finish { session = 5 }) -> go ("F" :: acc)
+        | Ok f -> Alcotest.failf "unexpected client frame %a" Serve.Frame.pp_client f
+        | Error e -> Alcotest.failf "undecodable flight: %s" e)
+    in
+    go []
+  in
+  let rec all () =
+    match Session.flight s with Some f -> letters f :: all () | None -> []
+  in
+  all ()
+
+let goes_on what r =
+  match r with
+  | None -> ()
+  | Some (Ok _) -> Alcotest.failf "%s ended the session with a verdict" what
+  | Some (Error e) -> Alcotest.failf "%s ended the session: %s" what e
+
+(* A session at [credit], past its Open and Opened (session id 5). *)
+let opened_session ~credit msgs =
+  let s = Session.start ~open_id:1 ~protocol:"count" ~n:(List.length msgs) msgs in
+  Alcotest.(check (list string)) "Open travels alone" [ "O" ] (flights s);
+  goes_on "Opened" (Session.recv s (Serve.Frame.Opened { open_id = 1; session = 5; credit }));
+  s
+
+let credit s k = goes_on "Credit" (Session.recv s (Serve.Frame.Credit { session = 5; credit = k }))
+
+let test_session_two_flights () =
+  List.iter
+    (fun c ->
+      let s = opened_session ~credit:c (deliveries "count" (Generators.cycle 8)) in
+      Alcotest.(check (list string))
+        (Printf.sprintf "credit %d: 8 Msg and Finish in one flight" c)
+        [ "MMMMMMMMF" ] (flights s);
+      Alcotest.(check (list string)) "then it waits" [] (flights s))
+    [ 9; 256 ]
+
+let test_session_window_breaks_flights () =
+  let s = opened_session ~credit:4 (deliveries "count" (Generators.cycle 8)) in
+  Alcotest.(check (list string)) "window 4" [ "MMMM" ] (flights s);
+  credit s 1;
+  Alcotest.(check (list string)) "one more credit" [ "M" ] (flights s);
+  credit s 2;
+  Alcotest.(check (list string)) "two more" [ "MM" ] (flights s);
+  credit s 4;
+  Alcotest.(check (list string)) "the last Msg, then Finish without credit" [ "MF" ]
+    (flights s)
+
+let test_session_large_frames_one_per_flight () =
+  let msgs = deliveries "sketch:7" (Generators.cycle 128) in
+  let s = opened_session ~credit:256 msgs in
+  Alcotest.(check (list string))
+    "one 1.7 KB Msg per flight, then Finish"
+    (List.init 128 (fun _ -> "M") @ [ "F" ])
+    (flights s)
+
+let test_session_early_verdict () =
+  let s = opened_session ~credit:4 (deliveries "count" (Generators.cycle 8)) in
+  Alcotest.(check (list string)) "window 4" [ "MMMM" ] (flights s);
+  (match
+     Session.recv s
+       (Serve.Frame.Verdict
+          {
+            session = 5;
+            status = Serve.Frame.Degraded;
+            timeout = Serve.Frame.Deadline_timeout;
+            payload = "p";
+            missing = 4;
+            malformed = 0;
+            duplicated = 0;
+            undetermined = 0;
+            trace = 9L;
+          })
+   with
+  | Some (Ok v) ->
+    Alcotest.(check bool) "deadline verdict" true
+      (v.Serve.Client.timeout = Serve.Frame.Deadline_timeout && v.Serve.Client.missing = 4)
+  | _ -> Alcotest.fail "a verdict while waiting for credit must end the session");
+  credit s 4;
+  Alcotest.(check (list string)) "nothing after the end" [] (flights s)
+
+let test_session_error_strings () =
+  let msgs = deliveries "count" (Generators.cycle 8) in
+  let ends ~opened frame =
+    let s =
+      if opened then opened_session ~credit:4 msgs
+      else begin
+        let s = Session.start ~open_id:1 ~protocol:"count" ~n:8 msgs in
+        ignore (flights s);
+        s
+      end
+    in
+    match Session.recv s frame with
+    | Some (Error e) -> e
+    | Some (Ok _) -> "verdict"
+    | None -> "goes on"
+  in
+  let rejected detail =
+    Serve.Frame.Rejected
+      { open_id = 1; reason = Serve.Frame.Overloaded; retry_after_ms = 250; trace = 0L; detail }
+  in
+  let error = Serve.Frame.Error { code = Serve.Frame.Corrupt_frame; detail = "bad digest" } in
+  let verdict session =
+    Serve.Frame.Verdict
+      {
+        session;
+        status = Serve.Frame.Decided;
+        timeout = Serve.Frame.No_timeout;
+        payload = "";
+        missing = 0;
+        malformed = 0;
+        duplicated = 0;
+        undetermined = 0;
+        trace = 0L;
+      }
+  in
+  List.iter
+    (fun (tag, opened, frame, want) ->
+      Alcotest.(check string) tag want (ends ~opened frame))
+    [
+      ("rejected", false, rejected "", "rejected: overloaded (retry after 250 ms)");
+      ( "rejected with evidence",
+        false,
+        rejected "mid-flight",
+        "rejected: overloaded (retry after 250 ms): mid-flight" );
+      ("error before Opened", false, error, "server error corrupt-frame: bad digest");
+      ("error mid-session", true, error, "server error corrupt-frame: bad digest");
+      ( "another open's Opened",
+        false,
+        Serve.Frame.Opened { open_id = 2; session = 5; credit = 4 },
+        "expected Opened" );
+      ( "another session's Credit",
+        true,
+        Serve.Frame.Credit { session = 6; credit = 1 },
+        "unexpected frame mid-session" );
+      ("another session's Verdict", true, verdict 6, "unexpected frame mid-session");
+      ("Welcome mid-session", true, Serve.Frame.Welcome { version = 2; trace = 0L },
+        "unexpected frame mid-session");
+      ("own Verdict", true, verdict 5, "verdict");
+    ]
+
 (* ---------- selftest campaign ---------- *)
 
 let test_selftest_clean () =
@@ -1386,6 +1551,15 @@ let () =
             test_welcome_mints_distinct_traces;
           Alcotest.test_case "verdict carries conn trace" `Quick test_verdict_carries_conn_trace;
           Alcotest.test_case "evidence rejection" `Quick test_evidence_rejection;
+        ] );
+      ( "client session",
+        [
+          Alcotest.test_case "count n=8 is two flights" `Quick test_session_two_flights;
+          Alcotest.test_case "window breaks flights" `Quick test_session_window_breaks_flights;
+          Alcotest.test_case "large frames one per flight" `Quick
+            test_session_large_frames_one_per_flight;
+          Alcotest.test_case "early verdict" `Quick test_session_early_verdict;
+          Alcotest.test_case "error strings" `Quick test_session_error_strings;
         ] );
       ( "socket",
         [
