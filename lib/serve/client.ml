@@ -15,21 +15,17 @@ let server_error code detail =
 
 module Session = struct
   type stage =
-    | Unsent
     | Opening
     | Streaming of int (* the server's session id *)
-    | Finished of int (* Finish handed out; waiting for the verdict *)
+    | Finished of int (* Finish queued; waiting for the verdict *)
     | Ended
 
   type t = {
     open_id : int;
-    protocol : string;
-    n : int;
-    trace : int64;
-    mutable rest : (int * Core.Message.t) list; (* not yet in a flight *)
+    mutable rest : (int * Core.Message.t) list; (* not yet queued *)
     mutable window : int;
     mutable stage : stage;
-    out : Buffer.t;
+    out : Buffer.t; (* the flight being built *)
   }
 
   (* See client.mli for the flight rule.  The cap keeps large frames
@@ -39,26 +35,13 @@ module Session = struct
   let flight_cap = 1024
 
   let start ~open_id ?(trace = 0L) ~protocol ~n msgs =
-    {
-      open_id;
-      protocol;
-      n;
-      trace;
-      rest = msgs;
-      window = 0;
-      stage = Unsent;
-      out = Buffer.create flight_cap;
-    }
+    let out = Buffer.create flight_cap in
+    Buffer.add_string out
+      (Frame.encode_client (Frame.Open { open_id; protocol; n; trace }));
+    { open_id; rest = msgs; window = 0; stage = Opening; out }
 
   let flight t =
-    match t.stage with
-    | Unsent ->
-        t.stage <- Opening;
-        Some
-          (Frame.encode_client
-             (Frame.Open
-                { open_id = t.open_id; protocol = t.protocol; n = t.n; trace = t.trace }))
-    | Opening | Finished _ | Ended -> None
+    (match t.stage with
     | Streaming session ->
         let rec fill () =
           if Buffer.length t.out < flight_cap then
@@ -74,35 +57,37 @@ module Session = struct
                 fill ()
             | _ :: _ -> ()
         in
-        fill ();
-        if Buffer.length t.out = 0 then None
-        else begin
-          let s = Buffer.contents t.out in
-          Buffer.clear t.out;
-          Some s
-        end
+        fill ()
+    | Opening | Finished _ | Ended -> ());
+    if Buffer.length t.out = 0 then None
+    else begin
+      let s = Buffer.contents t.out in
+      Buffer.clear t.out;
+      Some s
+    end
 
   let recv t frame =
     let ended r =
       t.stage <- Ended;
+      Buffer.clear t.out;
       Some r
     in
     match (t.stage, frame) with
     | Ended, _ -> None
     | _, Frame.Error { code; detail } -> ended (server_error code detail)
-    | (Unsent | Opening), Frame.Opened { open_id; session; credit }
+    | Opening, Frame.Opened { open_id; session; credit }
       when open_id = t.open_id ->
         t.stage <- Streaming session;
         t.window <- credit;
         None
-    | (Unsent | Opening), Frame.Rejected { reason; retry_after_ms; detail; _ } ->
+    | Opening, Frame.Rejected { reason; retry_after_ms; detail; _ } ->
         ended
           (Error
              (Printf.sprintf "rejected: %s (retry after %d ms)%s"
                 (Frame.reject_reason_to_string reason)
                 retry_after_ms
                 (if detail = "" then "" else ": " ^ detail)))
-    | (Unsent | Opening), _ -> ended (Error "expected Opened")
+    | Opening, _ -> ended (Error "expected Opened")
     | (Streaming s | Finished s), Frame.Credit { session; credit } when session = s ->
         t.window <- t.window + credit;
         None
@@ -123,27 +108,14 @@ type t = {
   decoder : Wire.decoder;
   rbuf : Bytes.t;
   mutable next_open_id : int;
-  mutable conn_trace : int64;
 }
 
 let connect spec =
-  let domain =
-    match spec with
-    | Daemon.Tcp _ -> Unix.PF_INET
-    | Daemon.Unix_sock _ -> Unix.PF_UNIX
-  in
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  let fd = Daemon.socket spec in
   match Unix.connect fd (Daemon.sockaddr_of_listen spec) with
   | () ->
       Daemon.set_nodelay spec fd;
-      Ok
-        {
-          fd;
-          decoder = Wire.decoder ();
-          rbuf = Bytes.create 65536;
-          next_open_id = 1;
-          conn_trace = 0L;
-        }
+      Ok { fd; decoder = Wire.decoder (); rbuf = Bytes.create 65536; next_open_id = 1 }
   | exception Unix.Unix_error (err, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error
@@ -184,13 +156,9 @@ let handshake c =
   let* () = send_all c (Frame.encode_client (Frame.Hello { version = Frame.version })) in
   let* frame = recv_frame c in
   match frame with
-  | Frame.Welcome { trace; _ } ->
-      c.conn_trace <- trace;
-      Ok ()
+  | Frame.Welcome _ -> Ok ()
   | Frame.Error { code; detail } -> server_error code detail
   | _ -> Error "expected Welcome"
-
-let conn_trace c = c.conn_trace
 
 let run_session c ?trace ~protocol ~n msgs =
   let open_id = c.next_open_id in

@@ -84,16 +84,18 @@ let set_nodelay spec fd =
    A [Unix.file_descr] is the fd number on Unix. *)
 let selectable (fd : Unix.file_descr) = (Obj.magic fd : int) < 1024
 
+let socket spec =
+  Unix.socket
+    (match spec with Tcp _ -> Unix.PF_INET | Unix_sock _ -> Unix.PF_UNIX)
+    Unix.SOCK_STREAM 0
+
 let open_listener spec =
-  let domain =
-    match spec with Tcp _ -> Unix.PF_INET | Unix_sock _ -> Unix.PF_UNIX
-  in
   (match spec with
   | Unix_sock path when Sys.file_exists path -> (
       (* a stale socket file from a previous crash-only exit *)
       try Unix.unlink path with Unix.Unix_error _ -> ())
   | _ -> ());
-  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  let fd = socket spec in
   (try
      (match spec with
      | Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
@@ -351,32 +353,25 @@ let run opts =
             Engine.close_conn engine sc.cid;
             try Unix.close sc.fd with Unix.Unix_error _ -> ()
           in
-          (* take the listener's whole backlog, until EAGAIN or the
-             engine refuses a connection.  [select] fails on an fd of
-             FD_SETSIZE or more, so such a connection is shed before
-             it reaches the engine. *)
+          (* take the listener's whole backlog, until EAGAIN.  A
+             connection the engine refuses, or whose fd [select] cannot
+             watch, is closed and counted as a shed. *)
           let rec accept_all () =
             match Unix.accept listener with
-            | client_fd, _ -> (
-                let shed () =
-                  Engine.shed_conn engine;
-                  try Unix.close client_fd with Unix.Unix_error _ -> ()
-                in
-                if not (selectable client_fd) then begin
-                  shed ();
-                  accept_all ()
-                end
-                else begin
-                  Unix.set_nonblock client_fd;
-                  set_nodelay opts.listen client_fd;
-                  match Engine.open_conn engine with
-                  | Ok cid ->
-                      Hashtbl.replace conns client_fd
-                        { fd = client_fd; cid; pending = ""; sent = 0 };
-                      accept_all ()
-                  | Error _ -> shed ()
-                end)
             | exception Unix.Unix_error _ -> ()
+            | fd, _ ->
+                (match
+                   if selectable fd then Engine.open_conn engine
+                   else Error "fd past FD_SETSIZE"
+                 with
+                | Ok cid ->
+                    Unix.set_nonblock fd;
+                    set_nodelay opts.listen fd;
+                    Hashtbl.replace conns fd { fd; cid; pending = ""; sent = 0 }
+                | Error _ -> (
+                    Engine.shed_conn engine;
+                    try Unix.close fd with Unix.Unix_error _ -> ()));
+                accept_all ()
           in
           (* Output is taken from the engine only once the previous take
              is written out, so nothing is copied twice and a slow

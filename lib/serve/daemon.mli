@@ -5,7 +5,9 @@
     - [0] — clean shutdown: SIGTERM/SIGINT received, admission stopped,
       in-flight sessions finished or timed out, sinks flushed.
     - [1] — could not start (address in use, bad listen spec).
-    The daemon never exits for anything a client does. *)
+    The daemon never exits for anything a client does.  A connection
+    past the engine's cap, or whose fd [select] cannot watch (1024 and
+    up), is closed at accept and counted as a shed. *)
 
 type listen = Tcp of string * int | Unix_sock of string
 
@@ -14,6 +16,9 @@ type listen = Tcp of string * int | Unix_sock of string
 val parse_listen : string -> (listen, string) result
 
 val listen_to_string : listen -> string
+
+(** [socket l] is a fresh stream socket of [l]'s address family. *)
+val socket : listen -> Unix.file_descr
 
 (** [sockaddr_of_listen l] resolves the bind/connect address (used by
     {!Client}). *)

@@ -59,15 +59,8 @@ let build_templates entry cfg =
             else Generators.random_tree st cfg.n
           in
           let msgs = Simulator.local_phase p g in
-          let feed =
-            Array.to_list msgs
-            |> List.mapi (fun j m -> (j + 1, m))
-            |> List.fold_left
-                 (fun f (id, m) -> Protocol.feed f ~id m)
-                 (Protocol.start p.Protocol.referee ~n:cfg.n)
-          in
           let expected =
-            match Protocol.finish feed with
+            match Protocol.apply p ~n:cfg.n msgs with
             | Verdict.Decided a -> render a
             | Verdict.Degraded _ | Verdict.Inconclusive _ ->
                 (* a clean in-order feed must decide; registry entries
