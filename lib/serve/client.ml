@@ -115,7 +115,13 @@ let connect spec =
   match Unix.connect fd (Daemon.sockaddr_of_listen spec) with
   | () ->
       Daemon.set_nodelay spec fd;
-      Ok { fd; decoder = Wire.decoder (); rbuf = Bytes.create 65536; next_open_id = 1 }
+      Ok
+        {
+          fd;
+          decoder = Wire.decoder ();
+          rbuf = Bytes.create 65536;
+          next_open_id = 1;
+        }
   | exception Unix.Unix_error (err, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error
