@@ -103,7 +103,6 @@ type lane = {
   mutable l_conn : Engine.conn_id option;
   mutable l_decoder : Wire.decoder;
   mutable l_job : job option;
-  mutable l_done : bool; (* no job left to take *)
 }
 
 let tick_dt = 0.002
@@ -198,7 +197,7 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
       let terminal = ref 0 and wrong = ref 0 and clean_anomalies = ref 0 in
       let lanes =
         Array.init cfg.conns (fun _ ->
-            { l_conn = None; l_decoder = Wire.decoder (); l_job = None; l_done = false })
+            { l_conn = None; l_decoder = Wire.decoder (); l_job = None })
       in
       (* [job_terminal l v] ends the lane's job; [v] is [None] when its
          session ended without a verdict.  A clean session must end
@@ -286,7 +285,7 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
           incr next_job
         end;
         (match l.l_job with
-        | None -> l.l_done <- true
+        | None -> ()
         | Some j -> (
             if l.l_conn = None then begin
               match Engine.open_conn engine with
@@ -309,11 +308,12 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
            job is handed out, with slack *)
         int_of_float ((engine_cfg.Engine.deadline_s /. tick_dt) *. 4.0) + 1000
       in
-      let all_done () = Array.for_all (fun l -> l.l_done) lanes in
-      while (not (all_done ())) && !settle < max_settle do
-        Array.iter (fun l -> if not l.l_done then step l) lanes;
+      (* a lane is done once it has no job and none is left to take *)
+      let busy l = l.l_job <> None || !next_job < cfg.sessions in
+      while Array.exists busy lanes && !settle < max_settle do
+        Array.iter (fun l -> if busy l then step l) lanes;
         Engine.tick engine;
-        Array.iter (fun l -> if not l.l_done then handle_server_frames l) lanes;
+        Array.iter (fun l -> if busy l then handle_server_frames l) lanes;
         vnow := !vnow +. tick_dt;
         if !next_job >= cfg.sessions then incr settle
       done;
