@@ -308,7 +308,6 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
            job is handed out, with slack *)
         int_of_float ((engine_cfg.Engine.deadline_s /. tick_dt) *. 4.0) + 1000
       in
-      (* a lane is done once it has no job and none is left to take *)
       let busy l = l.l_job <> None || !next_job < cfg.sessions in
       while Array.exists busy lanes && !settle < max_settle do
         Array.iter (fun l -> if busy l then step l) lanes;
