@@ -32,6 +32,7 @@
    timing benches only print. *)
 
 open Refnet_graph
+open Refnet_json
 
 let rng () = Random.State.make [| 0xbeef; 0xcafe |]
 
@@ -699,22 +700,15 @@ let timing_benches () =
 (* Campaign output: one append-only row file per campaign               *)
 (* ------------------------------------------------------------------ *)
 
-type json =
-  | Int of int
-  | Float of float
-  | Str of string
-  | Bool of bool
-  | Null
-  | Obj of (string * json) list
-
 let rec json_to_string = function
-  | Null -> "null"
+  | Json.Null -> "null"
   | Int i -> string_of_int i
   | Float f -> if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-  | Str s -> Core.Trace.json_string s
+  | Str s -> Json.string s
   | Bool b -> string_of_bool b
+  | Arr items -> "[" ^ String.concat ", " (List.map json_to_string items) ^ "]"
   | Obj fields ->
-    let field (key, v) = Core.Trace.json_string key ^ ": " ^ json_to_string v in
+    let field (key, v) = Json.string key ^ ": " ^ json_to_string v in
     "{" ^ String.concat ", " (List.map field fields) ^ "}"
 
 (* The commit of the measured library: HEAD, suffixed [-dirty] when
@@ -733,12 +727,13 @@ let source_commit () =
   | _ -> "unknown"
 
 let host_json () =
-  Obj
-    [
-      ("nproc", Int (Domain.recommended_domain_count ()));
-      ("ocaml", Str Sys.ocaml_version);
-      ("commit", Str (source_commit ()));
-    ]
+  Json.(
+    Obj
+      [
+        ("nproc", Int (Domain.recommended_domain_count ()));
+        ("ocaml", Str Sys.ocaml_version);
+        ("commit", Str (source_commit ()));
+      ])
 
 (* [append_rows ~campaign rows] appends each [(table, fields)] row to
    BENCH_<campaign>.jsonl as one JSON object line, led by the campaign,
@@ -746,13 +741,13 @@ let host_json () =
    rewritten, so runs at two commits leave both runs' rows. *)
 let append_rows ~campaign rows =
   let file = Printf.sprintf "BENCH_%s.jsonl" campaign in
-  let stamp = [ ("unix_time", Int (int_of_float (Unix.time ()))); ("host", host_json ()) ] in
+  let stamp = [ ("unix_time", Json.Int (int_of_float (Unix.time ()))); ("host", host_json ()) ] in
   Out_channel.with_open_gen [ Open_wronly; Open_append; Open_creat; Open_text ] 0o644 file
     (fun oc ->
       List.iter
         (fun (table, fields) ->
-          let row = ("campaign", Str campaign) :: ("table", Str table) :: (stamp @ fields) in
-          Out_channel.output_string oc (json_to_string (Obj row) ^ "\n"))
+          let row = Json.[ ("campaign", Str campaign); ("table", Str table) ] @ stamp @ fields in
+          Out_channel.output_string oc (json_to_string (Json.Obj row) ^ "\n"))
         rows);
   Printf.printf "\nappended %d rows to %s\n" (List.length rows) file
 
@@ -762,32 +757,22 @@ let append_rows ~campaign rows =
 
 exception Bad_input of string
 
-let rec json_of_report = function
-  | Core.Report.S s -> Str s
-  | I i -> Int i
-  | F f -> Float f
-  | B b -> Bool b
-  | Null -> Null
-  | O fields -> Obj (List.map (fun (k, v) -> (k, json_of_report v)) fields)
-  | A _ -> raise (Bad_input "arrays are not recorded")
-
 (* [fields_of ~what line spec] parses the JSON object [line] and keeps
    the key of every [(key, ok)] of [spec], checking its value with [ok]. *)
 let fields_of ~what line spec =
   let fields =
-    try Core.Report.parse_line line
-    with Core.Report.Parse msg -> raise (Bad_input (Printf.sprintf "%s: %s" what msg))
+    try Json.parse line with Json.Error msg -> raise (Bad_input (Printf.sprintf "%s: %s" what msg))
   in
   List.map
     (fun (key, ok) ->
       match List.assoc_opt key fields with
-      | Some v when ok v -> (key, json_of_report v)
+      | Some v when ok v -> (key, v)
       | Some _ -> raise (Bad_input (Printf.sprintf "%s: %S has the wrong type" what key))
       | None -> raise (Bad_input (Printf.sprintf "%s: no %S" what key)))
     spec
 
-let is_str = function Core.Report.S _ -> true | _ -> false
-let is_int = function Core.Report.I _ -> true | _ -> false
+let is_str = function Json.Str _ -> true | _ -> false
+let is_int = function Json.Int _ -> true | _ -> false
 
 (* [record ()] reads the stdout of [python3 perfbench/run.py] on stdin
    and appends one row to BENCH_perf.jsonl.  The table is the workload;
@@ -813,7 +798,7 @@ let record () =
         [
           ("workload", is_str);
           ("seed", is_int);
-          ("seconds", function Core.Report.I _ | F _ -> true | _ -> false);
+          ("seconds", function Json.Int _ | Float _ -> true | _ -> false);
           ("trace", is_int);
         ]
     in
@@ -821,14 +806,14 @@ let record () =
       fields_of ~what:"result"
         (match List.rev lines with last :: _ -> last | [] -> "")
         [
-          ("correct", function Core.Report.B _ -> true | _ -> false);
+          ("correct", function Json.Bool _ -> true | _ -> false);
           ("attempted", is_int);
           ("failed", is_int);
-          ("metrics", function Core.Report.O _ -> true | _ -> false);
+          ("metrics", function Json.Obj _ -> true | _ -> false);
         ]
     in
-    let workload = match run with (_, Str w) :: _ -> w | _ -> "" in
-    (workload, [ ("perf_host", Obj host); ("run", Obj run) ] @ result)
+    let workload = match run with (_, Json.Str w) :: _ -> w | _ -> "" in
+    (workload, [ ("perf_host", Json.Obj host); ("run", Json.Obj run) ] @ result)
   with
   | table, fields -> append_rows ~campaign:"perf" [ (table, fields) ]
   | exception Bad_input msg ->
@@ -839,7 +824,7 @@ let record () =
 (* compare: two BENCH_perf row sets, median per workload and metric     *)
 (* ------------------------------------------------------------------ *)
 
-let number = function Core.Report.I i -> Some (float_of_int i) | F f -> Some f | _ -> None
+let number = function Json.Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None
 let num key fields = Option.bind (List.assoc_opt key fields) number
 
 let rec field path fields =
@@ -847,7 +832,7 @@ let rec field path fields =
   | [] -> None
   | [ key ] -> List.assoc_opt key fields
   | key :: rest -> (
-    match List.assoc_opt key fields with Some (Core.Report.O o) -> field rest o | _ -> None)
+    match List.assoc_opt key fields with Some (Json.Obj o) -> field rest o | _ -> None)
 
 let median xs =
   let a = Array.of_list xs in
@@ -859,18 +844,17 @@ let median xs =
    [(name, higher_is_better, bound)]. *)
 let end_to_end_bounds () =
   let fields =
-    try Core.Report.parse_line (In_channel.with_open_text "BENCHMARK.json" In_channel.input_all)
-    with
+    try Json.parse (In_channel.with_open_text "BENCHMARK.json" In_channel.input_all) with
     | Sys_error msg -> raise (Bad_input msg)
-    | Core.Report.Parse msg -> raise (Bad_input ("BENCHMARK.json: " ^ msg))
+    | Json.Error msg -> raise (Bad_input ("BENCHMARK.json: " ^ msg))
   in
   match List.assoc_opt "end_to_end" fields with
-  | Some (Core.Report.A metrics) ->
+  | Some (Json.Arr metrics) ->
     List.map
       (function
-        | Core.Report.O m -> (
+        | Json.Obj m -> (
           match (List.assoc_opt "name" m, List.assoc_opt "better" m, num "bound" m) with
-          | Some (S name), Some (S better), Some bound -> (name, better = "higher", bound)
+          | Some (Json.Str name), Some (Str better), Some bound -> (name, better = "higher", bound)
           | _ -> raise (Bad_input "BENCHMARK.json: an end_to_end metric lacks name, better or bound"))
         | _ -> raise (Bad_input "BENCHMARK.json: end_to_end holds a non-object"))
       metrics
@@ -894,15 +878,15 @@ let perf_rows spec =
     (fun i line ->
       if String.trim line <> "" then begin
         let row =
-          try Core.Report.parse_line line
-          with Core.Report.Parse msg -> raise (Bad_input (Printf.sprintf "%s:%d: %s" file (i + 1) msg))
+          try Json.parse line
+          with Json.Error msg -> raise (Bad_input (Printf.sprintf "%s:%d: %s" file (i + 1) msg))
         in
         let wanted =
-          (match commit with None -> true | Some c -> field [ "host"; "commit" ] row = Some (S c))
-          && field [ "run"; "trace" ] row = Some (I 0)
+          (match commit with None -> true | Some c -> field [ "host"; "commit" ] row = Some (Json.Str c))
+          && field [ "run"; "trace" ] row = Some (Json.Int 0)
         in
         match List.assoc_opt "table" row with
-        | Some (S table) when wanted ->
+        | Some (Json.Str table) when wanted ->
           let earlier = Option.value ~default:[] (Hashtbl.find_opt groups table) in
           Hashtbl.replace groups table (row :: earlier)
         | _ -> ()
@@ -1012,7 +996,7 @@ let faults_overhead () =
     Printf.printf "  %-24s n=%d  plain %7.1f ns/absorb   hardened %7.1f ns/absorb   x%.2f\n"
       name n (per plain_t) (per hardened_t) (hardened_t /. plain_t);
     ( "hardening_overhead_ns_per_absorb",
-      [
+      Json.[
         ("protocol", Str name);
         ("n", Int n);
         ("plain_ns", Float (per plain_t));
@@ -1085,7 +1069,7 @@ let faults_degradation () =
       Printf.printf "  crash=%.2f  hits=%3d  %-12s determined %d/%d nodes\n" rate hits
         outcome determined n;
       ( "crash_degradation_forest_n512",
-        [
+        Json.[
           ("crash_rate", Float rate);
           ("faults_hit", Int hits);
           ("outcome", Str outcome);
@@ -1130,7 +1114,7 @@ let metrics_workload name n (plain : ?trace:Core.Trace.sink -> unit -> unit) liv
   if Float.abs alloc_delta > 64.0 then
     failwith (name ^ ": the Null sink is not allocation-free");
   ( "overhead",
-    [
+    Json.[
       ("name", Str name);
       ("n", Int n);
       ("overhead_budget", Float 1.05);
@@ -1226,7 +1210,7 @@ let bcc_sweep () =
                   (Printf.sprintf "bcc: wrong verdict on %s n=%d bandwidth=%d" spec n bandwidth);
               rows :=
                 ( "connectivity_sweep",
-                  [
+                  Json.[
                     ("family", Str spec);
                     ("n", Int n);
                     ("bandwidth", Int bandwidth);
@@ -1258,7 +1242,7 @@ let bcc_anchors () =
       let anchor label out_bits =
         Printf.printf "  %-22s %6d %10d\n" label n out_bits;
         rows :=
-          ("one_round_anchors", [ ("protocol", Str label); ("n", Int n); ("max_bits", Int out_bits) ])
+          ("one_round_anchors", Json.[ ("protocol", Str label); ("n", Int n); ("max_bits", Int out_bits) ])
           :: !rows
       in
       let h, t_full = Core.Simulator.run Core.Bounded_degree.full_information g in
@@ -1338,7 +1322,7 @@ let flight_bench () =
   append_rows ~campaign:"flight"
     [
       ( "overhead",
-        [
+        Json.[
           ("overhead_budget", Float 1.05);
           ("sessions", Int sessions);
           ("faulty", Float faulty);

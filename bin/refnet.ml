@@ -59,15 +59,6 @@ let metrics_arg =
           "Record a metrics snapshot of the run into $(docv): Prometheus text exposition if the \
            name ends in .prom, canonical JSON otherwise.")
 
-let write_metrics file m =
-  let snap = Core.Metrics.snapshot m in
-  let data =
-    if Filename.check_suffix file ".prom" then Core.Metrics.to_prometheus snap
-    else Core.Metrics.to_json snap ^ "\n"
-  in
-  let oc = open_out file in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc data)
-
 (* Combines the trace sink with an optional metrics registry.  Several
    subcommands [exit] with a verdict code from inside [f], which skips
    Fun.protect's finalizer — the at_exit hook makes sure the snapshot
@@ -81,7 +72,7 @@ let with_observability trace metrics_file f =
     let flush_metrics () =
       if not !written then begin
         written := true;
-        write_metrics file m
+        Core.Metrics.write_file m file
       end
     in
     at_exit flush_metrics;
@@ -796,9 +787,9 @@ let flight dumps json_out =
       String.concat ", "
         (List.map
            (fun (trace, summary) ->
-             Printf.sprintf "{\"trace\": \"%s\", \"summary\": %S}"
+             Printf.sprintf "{\"trace\": \"%s\", \"summary\": %s}"
                (Core.Flight.hex_of_trace trace)
-               summary)
+               (Refnet_json.Json.string summary))
            open_sessions)
     in
     Printf.printf

@@ -315,7 +315,7 @@ let decode_body body =
         i_line =
           Some
             (Printf.sprintf {|{"session_id":"%s","event":"fault","id":%d,"fault":%s}|}
-               (hex_of_trace trace) id (Trace.json_string fault));
+               (hex_of_trace trace) id (Refnet_json.Json.string fault));
         i_note = None;
       }
     | 6 ->

@@ -4,6 +4,8 @@
    there is no locking; determinism of a snapshot reduces to determinism
    of the instrumented run plus the injected clock. *)
 
+open Refnet_json
+
 let domain_slots = 64 (* matches Parallel.width_cap *)
 
 type counter = { mutable c_value : int }
@@ -255,21 +257,6 @@ let snapshot t =
 
 (* ---------- JSON export ---------- *)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let json_float f =
   (* %.9g never prints a partial float as an integer-looking "nan". *)
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
@@ -288,16 +275,16 @@ let to_json s =
   in
   Buffer.add_string b "{\"counters\":";
   obj
-    (fun (name, v) -> Buffer.add_string b (Printf.sprintf "%s:%d" (json_string name) v))
+    (fun (name, v) -> Buffer.add_string b (Printf.sprintf "%s:%d" (Json.string name) v))
     s.counters;
   Buffer.add_string b ",\"gauges\":";
   obj
-    (fun (name, v) -> Buffer.add_string b (Printf.sprintf "%s:%s" (json_string name) (json_float v)))
+    (fun (name, v) -> Buffer.add_string b (Printf.sprintf "%s:%s" (Json.string name) (json_float v)))
     s.gauges;
   Buffer.add_string b ",\"histograms\":";
   obj
     (fun (name, h) ->
-      Buffer.add_string b (json_string name);
+      Buffer.add_string b (Json.string name);
       Buffer.add_string b
         (Printf.sprintf ":{\"count\":%d,\"sum\":%d,\"max\":%d,\"p50\":%d,\"p90\":%d,\"p99\":%d,\"buckets\":{"
            h.h_count h.h_sum h.h_max (snapshot_quantile h 0.5) (snapshot_quantile h 0.9)
@@ -312,7 +299,7 @@ let to_json s =
   Buffer.add_string b ",\"timers\":";
   obj
     (fun (name, tm) ->
-      Buffer.add_string b (json_string name);
+      Buffer.add_string b (Json.string name);
       Buffer.add_string b
         (Printf.sprintf ":{\"count\":%d,\"total_seconds\":%s,\"by_domain\":{" tm.t_count
            (json_float tm.t_total));
@@ -419,6 +406,16 @@ let to_prometheus s =
         (Printf.sprintf "%s_spans_total%s %d\n" base (label_set labels "") tm.t_count))
     s.timers;
   Buffer.contents b
+
+let write_file m path =
+  let snap = snapshot m in
+  let data =
+    if Filename.check_suffix path ".prom" then to_prometheus snap else to_json snap ^ "\n"
+  in
+  (* close, not the wrapper's close_noerr, so a failed flush raises *)
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc data;
+      Out_channel.close oc)
 
 let pp_snapshot fmt s =
   List.iter (fun (name, v) -> Format.fprintf fmt "counter   %-48s %d@." name v) s.counters;

@@ -187,4 +187,11 @@ val to_json : snapshot -> string
     [{domain="i"}] breakdowns. *)
 val to_prometheus : snapshot -> string
 
+(** [write_file m path] writes a snapshot of [m] to [path]: Prometheus
+    text if the name ends in [.prom], {!to_json} and a newline
+    otherwise.  The CLI's [--metrics] and the daemon's shutdown
+    snapshot both write through it.
+    @raise Sys_error if [path] cannot be written. *)
+val write_file : t -> string -> unit
+
 val pp_snapshot : Format.formatter -> snapshot -> unit

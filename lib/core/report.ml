@@ -1,185 +1,38 @@
-(* ---------- a parser for the JSON objects Trace.jsonl writes ----------
+open Refnet_json
 
-   One object per line; values are strings, integers, the done line's
-   budget (an object of strings and numbers, or null).  Hand-rolled so
-   the analysis pipeline stays dependency-free.  Booleans are read too,
-   for the perfbench result line [bench/main.exe record] parses, and
-   arrays and newlines, for the BENCHMARK.json [bench/main.exe compare]
-   reads. *)
+(* ---------- reading trace lines ----------
 
-type jvalue =
-  | S of string
-  | I of int
-  | F of float
-  | B of bool
-  | Null
-  | O of (string * jvalue) list
-  | A of jvalue list
+   Each line is one object, read by {!Json.parse}; a field of the wrong
+   type or an event this aggregator does not know is a [Json.Error] too,
+   so [ingest_line] turns every kind of bad line into one [Failure]. *)
 
-exception Parse of string
-
-let parse_line line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Parse (Printf.sprintf "%s at column %d" msg (!pos + 1))) in
-  let peek () = if !pos < n then Some line.[!pos] else None in
-  let advance () = incr pos in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let skip_ws () =
-    while !pos < n && String.contains " \t\r\n" line.[!pos] do
-      advance ()
-    done
-  in
-  let hex c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> fail "bad \\u escape"
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char b '"'; advance ()
-        | Some '\\' -> Buffer.add_char b '\\'; advance ()
-        | Some '/' -> Buffer.add_char b '/'; advance ()
-        | Some 'n' -> Buffer.add_char b '\n'; advance ()
-        | Some 't' -> Buffer.add_char b '\t'; advance ()
-        | Some 'r' -> Buffer.add_char b '\r'; advance ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let code =
-            (hex line.[!pos] lsl 12) lor (hex line.[!pos + 1] lsl 8)
-            lor (hex line.[!pos + 2] lsl 4) lor hex line.[!pos + 3]
-          in
-          pos := !pos + 4;
-          (* The writer only \u-escapes control characters, which are
-             single bytes; anything else round-trips as UTF-8 already. *)
-          if code < 0x80 then Buffer.add_char b (Char.chr code) else fail "non-ASCII \\u escape"
-        | _ -> fail "bad escape");
-        go ()
-      | Some c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let float = ref false in
-    if peek () = Some '-' then advance ();
-    while
-      match peek () with
-      | Some ('0' .. '9') -> true
-      | Some ('.' | 'e' | 'E' | '+' | '-') -> float := true; true
-      | _ -> false
-    do
-      advance ()
-    done;
-    if !pos = start then fail "expected a number";
-    let lit = String.sub line start (!pos - start) in
-    if !float then
-      match float_of_string_opt lit with Some v -> F v | None -> fail "bad number"
-    else match int_of_string_opt lit with Some v -> I v | None -> fail "number out of range"
-  in
-  let rec parse_value () =
-    match peek () with
-    | Some '"' -> S (parse_string ())
-    | Some '{' -> O (parse_object ())
-    | Some '[' -> A (parse_array ())
-    | Some ('n' | 't' | 'f') ->
-      let word w = !pos + String.length w <= n && String.sub line !pos (String.length w) = w in
-      let take w v = pos := !pos + String.length w; v in
-      if word "null" then take "null" Null
-      else if word "true" then take "true" (B true)
-      else if word "false" then take "false" (B false)
-      else fail "expected a value"
-    | _ -> parse_number ()
-  and parse_object () =
-    expect '{';
-    let fields = ref [] in
-    skip_ws ();
-    if peek () = Some '}' then advance ()
-    else begin
-      let rec members () =
-        skip_ws ();
-        let key = parse_string () in
-        skip_ws ();
-        expect ':';
-        skip_ws ();
-        fields := (key, parse_value ()) :: !fields;
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance (); members ()
-        | Some '}' -> advance ()
-        | _ -> fail "expected ',' or '}'"
-      in
-      members ()
-    end;
-    List.rev !fields
-  and parse_array () =
-    expect '[';
-    let items = ref [] in
-    skip_ws ();
-    if peek () = Some ']' then advance ()
-    else begin
-      let rec elements () =
-        skip_ws ();
-        items := parse_value () :: !items;
-        skip_ws ();
-        match peek () with
-        | Some ',' -> advance (); elements ()
-        | Some ']' -> advance ()
-        | _ -> fail "expected ',' or ']'"
-      in
-      elements ()
-    end;
-    List.rev !items
-  in
-  skip_ws ();
-  let fields = parse_object () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  fields
+let bad msg = raise (Json.Error msg)
 
 let str fields key =
   match List.assoc_opt key fields with
-  | Some (S s) -> s
-  | _ -> raise (Parse (Printf.sprintf "missing string field %S" key))
+  | Some (Json.Str s) -> s
+  | _ -> bad (Printf.sprintf "missing string field %S" key)
 
 let int_ fields key =
   match List.assoc_opt key fields with
-  | Some (I v) -> v
-  | _ -> raise (Parse (Printf.sprintf "missing integer field %S" key))
+  | Some (Json.Int v) -> v
+  | _ -> bad (Printf.sprintf "missing integer field %S" key)
 
 let budget_of fields =
   match List.assoc_opt "budget" fields with
-  | None ->
-    raise
-      (Parse "done line has no \"budget\" field (a pre-typed-budget trace: record it again)")
-  | Some Null -> None
-  | Some (O b) -> (
+  | None -> bad "done line has no \"budget\" field (a pre-typed-budget trace: record it again)"
+  | Some Json.Null -> None
+  | Some (Json.Obj b) -> (
     let c_max =
       match List.assoc_opt "c_max" b with
-      | Some (F c) -> c
-      | Some (I c) -> float_of_int c
-      | _ -> raise (Parse "missing number field \"c_max\"")
+      | Some (Json.Float c) -> c
+      | Some (Json.Int c) -> float_of_int c
+      | _ -> bad "missing number field \"c_max\""
     in
     match Bound_audit.shape_of_tag (str b "shape") (int_ b "k") with
     | Some b_shape -> Some { Bound_audit.b_shape; c_max; n_min = int_ b "n_min" }
-    | None -> raise (Parse (Printf.sprintf "unknown budget shape %S" (str b "shape"))))
-  | Some _ -> raise (Parse "\"budget\" must be an object or null")
+    | None -> bad (Printf.sprintf "unknown budget shape %S" (str b "shape")))
+  | Some _ -> bad "\"budget\" must be an object or null"
 
 (* ---------- aggregation ---------- *)
 
@@ -251,7 +104,7 @@ let ingest_fields t fields =
   | "span_end" -> (
     match t.stack with
     | _ :: rest -> t.stack <- rest
-    | [] -> raise (Parse "span_end without an open span"))
+    | [] -> bad "span_end without an open span")
   | "local" ->
     let p = proto t (current_label t) in
     let bits = int_ fields "bits" in
@@ -288,7 +141,7 @@ let ingest_fields t fields =
     let p = proto t label in
     (match p.budget with
     | Some b when b <> budget ->
-      raise (Parse (Printf.sprintf "label %S carries two different budgets" label))
+      bad (Printf.sprintf "label %S carries two different budgets" label)
     | _ -> p.budget <- Some budget);
     let n = int_ fields "n" in
     p.runs <- p.runs + 1;
@@ -296,20 +149,15 @@ let ingest_fields t fields =
     if n > p.n_hi then p.n_hi <- n;
     p.total_bits <- p.total_bits + int_ fields "total_bits";
     p.obs <- { Bound_audit.o_n = n; o_max_bits = int_ fields "max_bits" } :: p.obs
-  | other -> raise (Parse (Printf.sprintf "unknown event %S" other)));
+  | other -> bad (Printf.sprintf "unknown event %S" other));
   t.n_events <- t.n_events + 1
 
 let is_blank line = String.for_all (fun c -> c = ' ' || c = '\t' || c = '\r') line
 
 let ingest_line t line =
   if not (is_blank line) then
-    match parse_line line with
-    | fields -> (
-      (* ingest_fields can itself reject a well-formed object (unknown
-         event tag, missing field) — surface that as Failure too. *)
-      try ingest_fields t fields
-      with Parse msg -> failwith (Printf.sprintf "bad trace line (%s): %s" msg line)) (* lint: allow referee-totality -- documented ingest contract: bad lines raise Failure *)
-    | exception Parse msg -> failwith (Printf.sprintf "bad trace line (%s): %s" msg line) (* lint: allow referee-totality -- documented ingest contract: bad lines raise Failure *)
+    try ingest_fields t (Json.parse line)
+    with Json.Error msg -> failwith (Printf.sprintf "bad trace line (%s): %s" msg line) (* lint: allow referee-totality -- documented ingest contract: bad lines raise Failure *)
 
 let ingest_event t ev = ingest_line t (Trace.json_of_event ev)
 let sink t = Trace.make (fun ev -> ingest_event t ev)
@@ -377,7 +225,7 @@ let to_json t =
   List.iteri
     (fun i (label, p) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Trace.json_string label);
+      Buffer.add_string b (Json.string label);
       Buffer.add_string b
         (Printf.sprintf ":{\"absorbs\":%d,\"bits_buckets\":{" p.absorbs);
       let first = ref true in
@@ -397,7 +245,7 @@ let to_json t =
       List.iteri
         (fun j (k, v) ->
           if j > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (Printf.sprintf "%s:%d" (Trace.json_string k) v))
+          Buffer.add_string b (Printf.sprintf "%s:%d" (Json.string k) v))
         (sorted_faults p);
       Buffer.add_string b
         (Printf.sprintf

@@ -3,11 +3,13 @@
     bound-audit verdicts.
 
     The aggregator consumes {!Trace} events one at a time.  The offline
-    path parses the JSONL lines {!Trace.jsonl} wrote; the live path
-    ({!ingest_event}) renders each event through {!Trace.json_of_event}
-    and feeds the same line parser — the two paths are the same code by
-    construction, which is what makes [refnet report] reproduce a live
-    run's aggregates byte-for-byte (tested in [test_metrics]).
+    path reads the JSONL lines {!Trace.jsonl} wrote with
+    {!Refnet_json.Json.parse}, the one JSON reader of the repo; the live
+    path ({!ingest_event}) renders each event through
+    {!Trace.json_of_event} and feeds the same line reader — the two
+    paths are the same code by construction, which is what makes
+    [refnet report] reproduce a live run's aggregates byte-for-byte
+    (tested in [test_metrics]).
 
     Events between a [Span_begin]/[Span_end] pair are attributed to the
     innermost open span's label; [Referee_done] events carry their own
@@ -19,26 +21,6 @@
 type t
 
 val create : unit -> t
-
-(** {1 The line parser} *)
-
-(** A JSON value as {!parse_line} reads it. *)
-type jvalue =
-  | S of string
-  | I of int
-  | F of float
-  | B of bool
-  | Null
-  | O of (string * jvalue) list
-  | A of jvalue list
-
-exception Parse of string
-
-(** [parse_line line] is the fields of the one JSON object on [line],
-    in order; newlines count as whitespace, so a whole JSON file parses
-    too.  Numbers with a fraction or exponent are [F], others [I].
-    @raise Parse on anything else, with the column. *)
-val parse_line : string -> (string * jvalue) list
 
 (** [ingest_line t line] parses and aggregates one JSONL trace line
     (empty/whitespace lines are ignored).

@@ -1,3 +1,5 @@
+open Refnet_json
+
 type event =
   | Span_begin of { label : string; n : int }
   | Span_end of { label : string; n : int }
@@ -47,25 +49,6 @@ let pp_event fmt = function
 
 let pretty fmt = Emit (fun ev -> Format.fprintf fmt "[trace] %a@." pp_event ev)
 
-(* Every field is a string, an int, an event tag or the done line's
-   budget object — no escaping beyond the label strings, which are
-   protocol names (alphanumeric plus a few punctuation characters).
-   Escape anyway, defensively. *)
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 (* The done line's "budget": {"shape":TAG,"k":K,"c_max":C,"n_min":N},
    or null for a run with no theorem to audit.  %.17g round-trips. *)
 let budget_json = function
@@ -76,9 +59,9 @@ let budget_json = function
 
 let json_body = function
   | Span_begin { label; n } ->
-    Printf.sprintf {|{"event":"span_begin","label":%s,"n":%d}|} (json_string label) n
+    Printf.sprintf {|{"event":"span_begin","label":%s,"n":%d}|} (Json.string label) n
   | Span_end { label; n } ->
-    Printf.sprintf {|{"event":"span_end","label":%s,"n":%d}|} (json_string label) n
+    Printf.sprintf {|{"event":"span_end","label":%s,"n":%d}|} (Json.string label) n
   | Node_local { id; bits; queries = q } ->
     Printf.sprintf
       {|{"event":"local","id":%d,"bits":%d,"id_reads":%d,"n_reads":%d,"deg_reads":%d,"neighbor_reads":%d}|}
@@ -87,17 +70,17 @@ let json_body = function
     Printf.sprintf {|{"event":"absorb","id":%d,"bits":%d}|} id bits
   | Fault_injected { id; fault } ->
     Printf.sprintf {|{"event":"fault","id":%d,"fault":%s}|} id
-      (json_string (Faults.fault_to_string fault))
+      (Json.string (Faults.fault_to_string fault))
   | Referee_broadcast { round; bits } ->
     Printf.sprintf {|{"event":"broadcast","round":%d,"bits":%d}|} round bits
   | Referee_done { label; n; max_bits; total_bits; budget } ->
     Printf.sprintf
       {|{"event":"done","label":%s,"n":%d,"max_bits":%d,"total_bits":%d,"budget":%s}|}
-      (json_string label) n max_bits total_bits (budget_json budget)
+      (Json.string label) n max_bits total_bits (budget_json budget)
 
-(* The session id rides as an extra leading field: Report's parser
-   tolerates fields it does not know, so tagged and untagged lines feed
-   the same pipeline. *)
+(* The session id rides as an extra leading field: Report tolerates
+   fields it does not know, so tagged and untagged lines feed the same
+   pipeline. *)
 let json_of_event ?session ev =
   let base = json_body ev in
   match session with

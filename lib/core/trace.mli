@@ -98,7 +98,3 @@ val pp_event : Format.formatter -> event -> unit
     hex digits) leads the object — an {e extra} field, so
     {!Report.ingest_line} accepts tagged and untagged lines alike. *)
 val json_of_event : ?session:int64 -> event -> string
-
-(** Defensive JSON string escaper shared with the decoders
-    ({!Flight}). *)
-val json_string : string -> string

@@ -5,197 +5,25 @@
 
    Keys are [(rule, file, message)] as a multiset: line-insensitive, so
    unrelated edits that shift a known finding do not break CI, but a
-   second occurrence of the same defect in the same file does.
+   second occurrence of the same defect in the same file does. *)
 
-   The parser below is a deliberately small recursive-descent JSON
-   reader — enough for reports this linter wrote itself (and for
-   hand-edited baselines), not a general-purpose library. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let string_body () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some 'n' -> Buffer.add_char b '\n'; advance (); go ()
-        | Some 't' -> Buffer.add_char b '\t'; advance (); go ()
-        | Some 'r' -> Buffer.add_char b '\r'; advance (); go ()
-        | Some 'b' -> Buffer.add_char b '\b'; advance (); go ()
-        | Some 'f' -> Buffer.add_char b '\012'; advance (); go ()
-        | Some ('"' | '\\' | '/') ->
-          Buffer.add_char b s.[!pos];
-          advance ();
-          go ()
-        | Some 'u' ->
-          (* \uXXXX: decode the code point as UTF-8; surrogate pairs are
-             out of scope for reports this linter writes (it emits raw
-             UTF-8, escaping only the JSON metacharacters) *)
-          if !pos + 4 >= n then fail "truncated \\u escape";
-          let hex = String.sub s (!pos + 1) 4 in
-          let code =
-            try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-          in
-          (if code < 0x80 then Buffer.add_char b (Char.chr code)
-           else if code < 0x800 then begin
-             Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-             Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-           end
-           else begin
-             Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-             Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-             Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-           end);
-          pos := !pos + 5;
-          go ()
-        | _ -> fail "bad escape")
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (string_body ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = string_body () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((k, v) :: acc)
-          | _ -> fail "expected , or } in object"
-        in
-        Obj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "expected , or ] in array"
-        in
-        Arr (elements [])
-      end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> number ()
-  in
-  try
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then Error (Printf.sprintf "trailing bytes at offset %d" !pos)
-    else Ok v
-  with Bad msg -> Error msg
-
-let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-
-let str_member k o = match member k o with Some (Str s) -> Some s | _ -> None
+open Refnet_json
 
 (* [of_report src] extracts the [(rule, file, message)] multiset from a
    schema-v1-or-v2 report document. *)
 let of_report src =
-  match parse src with
-  | Error e -> Error ("baseline is not valid JSON: " ^ e)
-  | Ok doc -> (
-    match member "findings" doc with
-    | Some (Arr items) -> (
-      try
-        Ok
-          (List.map
-             (fun item ->
-               match
-                 (str_member "rule" item, str_member "file" item, str_member "message" item)
-               with
-               | Some r, Some f, Some m -> (r, f, m)
-               | _ -> raise Exit)
-             items)
+  let finding = function
+    | Json.Obj item ->
+      let field k = match List.assoc_opt k item with Some (Json.Str s) -> s | _ -> raise Exit in
+      (field "rule", field "file", field "message")
+    | _ -> raise Exit
+  in
+  match Json.parse src with
+  | exception Json.Error e -> Error ("baseline is not valid JSON: " ^ e)
+  | doc -> (
+    match List.assoc_opt "findings" doc with
+    | Some (Json.Arr items) -> (
+      try Ok (List.map finding items)
       with Exit -> Error "baseline finding lacks rule/file/message")
     | _ -> Error "baseline has no \"findings\" array")
 

@@ -6,18 +6,6 @@
     so edits that merely shift a known finding do not trip CI, while a
     genuinely new occurrence (or a second copy of a known one) does. *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-(** Minimal strict JSON parser (sufficient for reports this linter
-    writes and for hand-edited baselines). *)
-val parse : string -> (json, string) result
-
 (** Extract the baseline multiset from a report document. *)
 val of_report : string -> ((string * string * string) list, string) result
 

@@ -1,3 +1,5 @@
+open Refnet_json
+
 type rule =
   | View_boundary
   | Determinism
@@ -58,29 +60,14 @@ let to_string f =
            (fun s -> Printf.sprintf "\n    %s:%d: %s (%s)" s.s_file s.s_line s.s_fn s.s_note)
            steps)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let step_to_json s =
-  Printf.sprintf {|{"file":%s,"fn":%s,"line":%d,"note":%s}|} (json_string s.s_file)
-    (json_string s.s_fn) s.s_line (json_string s.s_note)
+  Printf.sprintf {|{"file":%s,"fn":%s,"line":%d,"note":%s}|} (Json.string s.s_file)
+    (Json.string s.s_fn) s.s_line (Json.string s.s_note)
 
 let to_json f =
   Printf.sprintf {|{"col":%d,"file":%s,"line":%d,"message":%s,"rule":%s,"trace":[%s]}|} f.col
-    (json_string f.file) f.line (json_string f.message)
-    (json_string (rule_name f.rule))
+    (Json.string f.file) f.line (Json.string f.message)
+    (Json.string (rule_name f.rule))
     (String.concat "," (List.map step_to_json f.trace))
 
 (* Schema v2 (frozen): {"findings":[...],"version":2} with optional

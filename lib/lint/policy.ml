@@ -100,13 +100,14 @@ let bytes_ok =
     "lib/bits/" (* the sanctioned bit layer *);
     "lib/bigint/" (* limb storage for Nat *);
     "lib/algebra/power_sum.ml" (* memo-table scratch *);
+    "lib/json/" (* the JSON reader's and escaper's string buffers *);
     "lib/graph/gio.ml" (* graph6 / edge-list codecs *);
     "lib/graph/treewidth.ml" (* bitset DP tables *);
     "lib/core/message.ml" (* the message layer itself *);
     "lib/core/trace.ml" (* JSONL rendering *);
     "lib/core/flight.ml" (* flight-record binary codec: dump framing and
                             JSONL re-rendering, not message bits *);
-    "lib/core/report.ml" (* JSON parsing/rendering *);
+    "lib/core/report.ml" (* report JSON rendering *);
     "lib/core/metrics.ml" (* exposition formats *);
     "lib/core/fooling.ml" (* transcript fingerprints, not messages *);
     "lib/lint/" (* the linter's own string rendering *);

@@ -110,17 +110,6 @@ let open_listener spec =
        (Printf.sprintf "cannot listen on %s: %s" (listen_to_string spec)
           (Unix.error_message err)))
 
-let write_metrics_file m path =
-  let snap = Metrics.snapshot m in
-  let text =
-    if Filename.check_suffix path ".prom" then Metrics.to_prometheus snap
-    else Metrics.to_json snap
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc text)
-
 (* Answer one Prometheus scrape.  Scrapers send a full GET immediately,
    so a short blocking read-then-respond on the event loop is fine; the
    receive timeout bounds the damage a stalled scraper can do.
@@ -397,7 +386,6 @@ let run opts =
           in
           let flushed sc = sc.sent >= String.length sc.pending in
           let finished = ref false in
-          let exit_code = ref 0 in
           while not !finished do
             let now = Unix.gettimeofday () in
             (match opts.max_run_s with
@@ -490,10 +478,10 @@ let run opts =
           final_dump ();
           refresh_runtime_gauges ();
           (match (opts.metrics, opts.metrics_file) with
-          | Some m, Some path -> write_metrics_file m path
+          | Some m, Some path -> Metrics.write_file m path
           | _ -> ());
           (match old_usr1 with
           | Some behaviour -> Sys.set_signal Sys.sigusr1 behaviour
           | None -> ());
           restore ();
-          !exit_code)
+          0)

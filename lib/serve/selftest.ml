@@ -395,7 +395,7 @@ let passed ?min_rate o =
 let to_json o =
   let st = o.o_stats in
   Printf.sprintf
-    "{\"protocol\": %S, \"n\": %d, \"sessions\": %d, \"decided\": %d, \
+    "{\"protocol\": %s, \"n\": %d, \"sessions\": %d, \"decided\": %d, \
      \"degraded\": %d, \"inconclusive\": %d, \"aborted\": %d, \
      \"quarantines\": %d, \"quarantine_escapes\": %d, \"sheds\": %d, \
      \"timeouts_idle\": %d, \"timeouts_deadline\": %d, \"late_frames\": %d, \
@@ -403,8 +403,9 @@ let to_json o =
      \"flight_recorded\": %d, \"flight_dropped\": %d, \
      \"flight_findings\": %d, \"flight_missing\": %d, \
      \"faulty\": %.3f, \"wall_s\": %.6f, \"rate_per_s\": %.1f}"
-    o.o_protocol o.o_n o.o_sessions st.decided st.degraded st.inconclusive
-    st.aborted st.quarantines st.quarantine_escapes st.sheds st.timeouts_idle
+    (Refnet_json.Json.string o.o_protocol)
+    o.o_n o.o_sessions st.decided st.degraded st.inconclusive st.aborted
+    st.quarantines st.quarantine_escapes st.sheds st.timeouts_idle
     st.timeouts_deadline st.late_frames o.o_wrong_decided o.o_clean_anomalies
     o.o_unterminated o.o_flight_recorded o.o_flight_dropped o.o_flight_findings
     o.o_flight_missing o.o_faulty o.o_wall_s o.o_rate

@@ -276,25 +276,6 @@ let test_report_roundtrip () =
   Alcotest.(check bool) "fault kinds counted" true
     (has "\"crash\":1" && has "\"duplicate\":1" && has "\"flip\":1")
 
-(* Arrays and newlines, as in BENCHMARK.json, parse too. *)
-let test_parse_arrays () =
-  let module R = Core.Report in
-  let fields =
-    R.parse_line "{\n  \"a\": [1, 2.5, \"x\", [], {\"k\": [null, true]}],\n  \"b\": [ ]\n}\n"
-  in
-  Alcotest.(check bool) "nested arrays" true
-    (fields
-    = [
-        ("a", R.A [ R.I 1; R.F 2.5; R.S "x"; R.A []; R.O [ ("k", R.A [ R.Null; R.B true ]) ] ]);
-        ("b", R.A []);
-      ]);
-  List.iter
-    (fun line ->
-      match R.parse_line line with
-      | _ -> Alcotest.failf "accepted %S" line
-      | exception R.Parse _ -> ())
-    [ "[1, 2]"; "{\"a\": [1,}"; "{\"a\": [1 2]}"; "{\"a\": [1" ]
-
 let test_report_rejects_garbage () =
   let r = Core.Report.create () in
   Core.Report.ingest_line r "";
@@ -575,7 +556,6 @@ let () =
         [
           Alcotest.test_case "offline replay equals live" `Quick test_report_roundtrip;
           Alcotest.test_case "rejects malformed lines" `Quick test_report_rejects_garbage;
-          Alcotest.test_case "parses arrays" `Quick test_parse_arrays;
         ] );
       ( "bound audit",
         [
