@@ -108,6 +108,27 @@ let get_bits v ~pos ~width =
   check_range v ~pos ~len:width "get_bits";
   if width = 0 then 0 else extract v.bytes ~pos ~width
 
+let unpack v ~pos ~width dst ~off ~count =
+  check_width width "unpack";
+  if count < 0 || off < 0 || off > Array.length dst - count then
+    invalid_arg "Bitvec.unpack: destination out of bounds";
+  check_range v ~pos ~len:(width * count) "unpack";
+  if width > 0 then begin
+    (* [extract]'s one-load case inline: a field that starts 8 bytes or
+       more before the end and fits the loaded word *)
+    let b = v.bytes in
+    let last = Bytes.length b - 8 in
+    for k = 0 to count - 1 do
+      let at = pos + (k * width) in
+      let byte = at lsr 3 and sh = at land 7 in
+      Array.unsafe_set dst (off + k)
+        (if byte <= last && sh + width <= 64 then
+           Int64.to_int
+             (Int64.shift_right_logical (Int64.shift_left (Bytes.get_int64_be b byte) sh) (64 - width))
+         else extract b ~pos:at ~width)
+    done
+  end
+
 let set_bits v ~pos ~width value =
   check_width width "set_bits";
   check_range v ~pos ~len:width "set_bits";
@@ -146,6 +167,12 @@ let sub v ~pos ~len =
   r
 
 let to_packed v = Bytes.to_string v.bytes
+
+let fnv ?h v ~len =
+  check_range v ~pos:0 ~len "fnv";
+  let whole = len lsr 3 and tail = len land 7 in
+  let h = Fnv.bytes ?h v.bytes ~off:0 ~len:whole in
+  if tail = 0 then h else Fnv.fold_byte h (Char.code (Bytes.get v.bytes whole) lsr (8 - tail))
 
 let of_packed ?(off = 0) ~len s =
   if len < 0 then invalid_arg "Bitvec.of_packed: negative length";

@@ -94,6 +94,14 @@ val subset : t -> t -> bool
     is out of bounds. *)
 val get_bits : t -> pos:int -> width:int -> int
 
+(** [unpack v ~pos ~width dst ~off ~count] stores the [count]
+    consecutive [width]-bit fields of [v] from bit [pos] in [dst.(off)
+    .. dst.(off + count - 1)]: field [k] is [get_bits v ~pos:(pos + k *
+    width) ~width], with one range check for the whole run.
+    @raise Invalid_argument if [width] is outside [0 .. 62] or either
+    range is out of bounds. *)
+val unpack : t -> pos:int -> width:int -> int array -> off:int -> count:int -> unit
+
 (** [set_bits v ~pos ~width x] overwrites bits [pos .. pos + width - 1]
     of [v] with the [width] low bits of [x], most significant first.
     @raise Invalid_argument if [width] is outside [0 .. 62], the range
@@ -116,6 +124,13 @@ val sub : t -> pos:int -> len:int -> t
 (** [to_packed v] is a copy of the [(length v + 7) / 8] bytes of [v]
     in the layout above: MSB-first, pad bits clear. *)
 val to_packed : t -> string
+
+(** [fnv ?h v ~len] folds the first [len] bits of [v] into [h] with
+    {!Fnv.bytes}, reading [v] in place: the [len / 8] whole bytes, then
+    the last partial byte, if any, right-aligned (its [len mod 8] bits
+    as a number).
+    @raise Invalid_argument if [len] is negative or past [length v]. *)
+val fnv : ?h:int -> t -> len:int -> int
 
 (** [of_packed ?off ~len s] is the [len]-bit vector packed MSB-first in
     the [(len + 7) / 8] bytes of [s] from [off] (default [0]).  The

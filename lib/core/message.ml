@@ -48,31 +48,26 @@ let unbundle ~count msg =
 let digest_bits = 32
 
 (* FNV-1a over n, id and length (8 little-endian bytes each), then the
-   payload's packed bytes, the last partial byte folded right-aligned:
-   the seal layout test/seal_wire.golden pins. *)
-let digest ~n ~id payload =
-  let len = Bitvec.length payload in
-  let h = Fnv.fold_int (Fnv.fold_int (Fnv.fold_int Fnv.offset n) id) len in
-  let packed = Bytes.unsafe_of_string (Bitvec.to_packed payload) in
-  let whole = len / 8 and tail = len mod 8 in
-  let h = Fnv.bytes ~h packed ~off:0 ~len:whole in
-  if tail = 0 then h else Fnv.fold_byte h (Char.code (Bytes.get packed whole) lsr (8 - tail))
+   first [len] bits of [v]'s packed bytes, the last partial byte folded
+   right-aligned: the seal layout test/seal_wire.golden pins. *)
+let digest ~n ~id v ~len =
+  Bitvec.fnv ~h:(Fnv.fold_int (Fnv.fold_int (Fnv.fold_int Fnv.offset n) id) len) v ~len
 
 let seal ~n ~id payload =
   let len = Bitvec.length payload in
   let sealed = Bitvec.create (len + digest_bits) in
   Bitvec.blit ~src:payload ~src_pos:0 ~dst:sealed ~dst_pos:0 ~len;
-  Bitvec.set_bits sealed ~pos:len ~width:digest_bits (digest ~n ~id payload);
+  Bitvec.set_bits sealed ~pos:len ~width:digest_bits (digest ~n ~id payload ~len);
   sealed
 
+(* The payload is the sealed vector's prefix, so the digest is taken
+   over [sealed] itself and the payload copied only when it matches. *)
 let unseal ~n ~id sealed =
   let len = Bitvec.length sealed - digest_bits in
   if len < 0 then None
-  else begin
-    let payload = Bitvec.sub sealed ~pos:0 ~len in
-    let tag = Bitvec.get_bits sealed ~pos:len ~width:digest_bits in
-    if tag = digest ~n ~id payload then Some payload else None
-  end
+  else if Bitvec.get_bits sealed ~pos:len ~width:digest_bits = digest ~n ~id sealed ~len then
+    Some (Bitvec.sub sealed ~pos:0 ~len)
+  else None
 
 let equal = Bitvec.equal
 

@@ -52,57 +52,73 @@ let protocol ~seed ?rounds ?levels () : bool Protocol.t =
   let local view =
     let id = View.id view in
     let ts = local_templates (View.n view) in
-    let w = Bit_writer.create () in
-    Array.iter
-      (fun template ->
-        let sampler =
-          View.fold_neighbors view template (fun acc u ->
-              L0_sampler.update acc ~index:(edge_index ~u ~v:id)
-                ~delta:(if id < u then 1 else -1))
-        in
-        L0_sampler.write w sampler)
+    let run = 3 * L0_sampler.levels ts.(0) in
+    (* the bank is per call: domains share only the immutable templates *)
+    let bank = Array.make (Array.length ts * run) Field.zero in
+    Array.iteri
+      (fun round template ->
+        View.iter_neighbors view (fun u ->
+            L0_sampler.add template bank ~off:(round * run) ~index:(edge_index ~u ~v:id)
+              ~delta:(if id < u then 1 else -1)))
       ts;
-    Message.of_writer w
+    let m = Bitvec.create (Array.length bank * Field.bits) in
+    Array.iteri (fun k x -> Bitvec.set_bits m ~pos:(k * Field.bits) ~width:Field.bits x) bank;
+    m
   in
-  (* Streaming referee: the per-node sampler banks are the state — one
-     bank parsed per absorb, against templates built once per session —
-     and the Borůvka phases run at finish, once all banks are in
-     (component structure is inherently global). *)
+  (* Streaming referee: the state is the messages themselves, kept as
+     their bytes; the Borůvka phases run at finish, once all banks are
+     in (component structure is inherently global), and each phase
+     reads only its own round's column of every bank. *)
   let init ~n =
     let r, l = params n in
-    (templates ~seed ~rounds:r ~levels:l, Array.make n [||])
+    (templates ~seed ~rounds:r ~levels:l, Array.make n Message.empty)
   in
-  let absorb ~n:_ ((ts, banks) as st) ~id msg =
-    let reader = Message.reader msg in
-    banks.(id - 1) <- Array.map (fun template -> L0_sampler.read reader ~template) ts;
+  let absorb ~n ((_, banks) as st) ~id msg =
+    (* a short bank raises what reading it field by field would *)
+    let r, l = params n in
+    if Message.bits msg < r * L0_sampler.bits ~levels:l then raise Bit_reader.Exhausted;
+    banks.(id - 1) <- msg;
     st
   in
-  let finish ~n (_, banks) =
+  let finish ~n (ts, banks) =
     if n = 0 then true
     else begin
-      let r, _l = params n in
+      let r, l = params n in
+      let run = 3 * l in
       let uf = Union_find.create n in
+      (* sums.(root * run ..) is the summed column of a component whose
+         root is [root]; a sum starts as its first member's fields as
+         read, the way [L0_sampler.combine] folded onto the first one *)
+      let sums = Array.make (n * run) Field.zero and column = Array.make run Field.zero in
+      let started = Array.make n false in
       (* Borůvka phases: one fresh sampler bank column per phase. *)
       for round = 0 to r - 1 do
         if Union_find.count uf > 1 then begin
-          (* Sum this round's samplers per current component. *)
-          let sums = Hashtbl.create 16 in
-          for v = 1 to n do
-            let root = Union_find.find uf (v - 1) in
-            let s = banks.(v - 1).(round) in
-            match Hashtbl.find_opt sums root with
-            | None -> Hashtbl.replace sums root s
-            | Some acc -> Hashtbl.replace sums root (L0_sampler.combine acc s)
+          Array.fill started 0 n false;
+          let pos = round * run * Field.bits in
+          for v = 0 to n - 1 do
+            let root = Union_find.find uf v in
+            let off = root * run in
+            if started.(root) then begin
+              Bitvec.unpack banks.(v) ~pos ~width:Field.bits column ~off:0 ~count:run;
+              for k = 0 to run - 1 do
+                sums.(off + k) <- Field.add sums.(off + k) column.(k)
+              done
+            end
+            else begin
+              started.(root) <- true;
+              Bitvec.unpack banks.(v) ~pos ~width:Field.bits sums ~off ~count:run
+            end
           done;
           (* Sample an outgoing edge per component and merge. *)
-          Hashtbl.iter
-            (fun _root sampler ->
-              match L0_sampler.sample sampler with
+          for root = 0 to n - 1 do
+            if started.(root) then
+              match L0_sampler.sample_fields ts.(round) sums ~off:(root * run) with
               | Some (idx, value) when value = 1 || value = -1 ->
                 let u, v = edge_of_index idx in
                 if u >= 1 && v <= n then ignore (Union_find.union uf (u - 1) (v - 1))
-              | Some _ | None -> ())
-            sums
+              | Some _ | None -> ()
+          done
         end
       done;
       Union_find.count uf = 1

@@ -32,6 +32,14 @@
     phases, [2 ceil(log2 n) + 2] sampler levels). *)
 val protocol : seed:int -> ?rounds:int -> ?levels:int -> unit -> bool Protocol.t
 
+(** [templates ~seed ~rounds ~levels] are the samplers every node
+    derives from the public seed, one per Borůvka phase: the hash and
+    fingerprint point of each round's column of a bank.  A bank is the
+    [rounds] samplers' fields ({!Refnet_sketch.L0_sampler.write} order),
+    [31] bits each, round 0 first. *)
+val templates :
+  seed:int -> rounds:int -> levels:int -> Refnet_sketch.L0_sampler.t array
+
 (** [message_bits ~n ?rounds ?levels ()] — exact serialized size. *)
 val message_bits : n:int -> ?rounds:int -> ?levels:int -> unit -> int
 

@@ -2,6 +2,8 @@ type t = int
 
 let p = (1 lsl 31) - 1
 
+let bits = 31
+
 let of_int v =
   let r = v mod p in
   if r < 0 then r + p else r
@@ -9,16 +11,25 @@ let of_int v =
 let zero = 0
 let one = 1
 
-let add a b =
-  let s = a + b in
-  if s >= p then s - p else s
+(* [s - p], plus [p] back when that is negative: the sign bit
+   ([asr 62] is [-1] or [0]) selects it without a branch, which random
+   field values would mispredict half the time. *)
+let reduce s =
+  let s = s - p in
+  s + ((s asr 62) land p)
+
+let add a b = reduce (a + b)
 
 let sub a b = if a >= b then a - b else a + p - b
 
 let neg a = if a = 0 then 0 else p - a
 
-(* a, b < 2^31 so a * b < 2^62 fits. *)
-let mul a b = a * b mod p
+(* a, b <= p so m = a * b < 2^62 fits.  2^31 = 1 (mod p) folds the
+   high bits onto the low ones: (m land p) + (m lsr 31) < 2p, since
+   m lsr 31 <= p - 1 when m <= p^2, so one subtraction reduces it. *)
+let mul a b =
+  let m = a * b in
+  reduce ((m land p) + (m lsr 31))
 
 let pow b e =
   if e < 0 then invalid_arg "Field.pow: negative exponent";

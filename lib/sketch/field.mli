@@ -9,6 +9,10 @@ type t = int
 
 val p : int
 
+(** [bits] is [31], the width of an element on the wire: every element
+    and also [p] itself fit. *)
+val bits : int
+
 (** [of_int v] reduces an arbitrary native integer (possibly negative). *)
 val of_int : int -> t
 
@@ -17,6 +21,9 @@ val one : t
 val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t
+
+(** [mul a b] for [a, b] in [0 .. p] (so the non-canonical [p] too) is
+    [a * b mod p], canonical. *)
 val mul : t -> t -> t
 
 (** [pow b e] for [e >= 0]. *)

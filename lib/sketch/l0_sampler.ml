@@ -24,17 +24,34 @@ let combine a b =
     invalid_arg "L0_sampler.combine: samplers from different seed positions";
   { a with sketches = Array.map2 One_sparse.combine a.sketches b.sketches }
 
-let sample t =
-  (* Prefer sparser (higher) levels: scan from the top. *)
+(* Prefer sparser (higher) levels: scan from the top. *)
+let scan ~levels recover =
   let rec go j =
-    if j < 0 then None
-    else begin
-      match One_sparse.recover t.sketches.(j) with
-      | Some hit -> Some hit
-      | None -> go (j - 1)
-    end
+    if j < 0 then None else match recover j with Some _ as hit -> hit | None -> go (j - 1)
   in
-  go (levels t - 1)
+  go (levels - 1)
+
+let sample t = scan ~levels:(levels t) (fun j -> One_sparse.recover t.sketches.(j))
+
+(* ---------- flat banks ---------- *)
+
+let add t bank ~off ~index ~delta =
+  if index < 0 then invalid_arg "L0_sampler.add: negative index";
+  let l = Hash.level t.hash index ~max_level:(levels t - 1) in
+  let d = Field.of_int delta in
+  let di = Field.mul d (Field.of_int index) in
+  let dz = Field.mul d (Field.pow t.z index) in
+  for j = 0 to l do
+    let k = off + (3 * j) in
+    bank.(k) <- Field.add bank.(k) d;
+    bank.(k + 1) <- Field.add bank.(k + 1) di;
+    bank.(k + 2) <- Field.add bank.(k + 2) dz
+  done
+
+let sample_fields t fields ~off =
+  scan ~levels:(levels t) (fun j ->
+      let k = off + (3 * j) in
+      One_sparse.recover_fields ~z:t.z fields.(k) fields.(k + 1) fields.(k + 2))
 
 let write w t = Array.iter (fun s -> One_sparse.write w s) t.sketches
 

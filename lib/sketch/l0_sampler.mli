@@ -45,3 +45,22 @@ val write : Refnet_bits.Bit_writer.t -> t -> unit
 val read : Refnet_bits.Bit_reader.t -> template:t -> t
 
 val bits : levels:int -> int
+
+(** {1 Flat banks}
+
+    A sampler's state is also its [3 * levels] field values: [s0], [s1],
+    [s2] of level 0, then of level 1, and so on — the order {!write}
+    sends them in.  A bank of several samplers holds these runs back to
+    back in one [int array], updated in place; by linearity its runs
+    equal the records {!update} would build. *)
+
+(** [add t bank ~off ~index ~delta] is {!update} of [t] on the run of
+    [bank] that starts at [off], in place; [z^index] is raised once and
+    shared by all the levels it updates.
+    @raise Invalid_argument on a negative index. *)
+val add : t -> int array -> off:int -> index:int -> delta:int -> unit
+
+(** [sample_fields t fields ~off] is {!sample} of the sampler with
+    [t]'s parameters whose run of [fields] starts at [off].  The values
+    are taken as they are, the non-canonical [p] included. *)
+val sample_fields : t -> int array -> off:int -> (int * int) option

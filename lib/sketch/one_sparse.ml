@@ -20,31 +20,29 @@ let combine a b =
   if a.z <> b.z then invalid_arg "One_sparse.combine: mismatched evaluation points";
   { a with s0 = Field.add a.s0 b.s0; s1 = Field.add a.s1 b.s1; s2 = Field.add a.s2 b.s2 }
 
-let is_zero t = t.s0 = Field.zero && t.s1 = Field.zero && t.s2 = Field.zero
-
 (* Map a field element to the symmetric range. *)
 let symmetric v = if v > (Field.p - 1) / 2 then v - Field.p else v
 
-let recover t =
-  if is_zero t then None
-  else if t.s0 = Field.zero then None
+let recover_fields ~z s0 s1 s2 =
+  if s0 = Field.zero then None
   else begin
     (* Candidate index i = s1 / s0; fingerprint check s2 = s0 * z^i. *)
     (* lint: allow exn-escape -- s0 <> zero was checked above; inv's raise is its own domain guard *)
-    let i = Field.mul t.s1 (Field.inv t.s0) in
-    if Field.equal t.s2 (Field.mul t.s0 (Field.pow t.z i)) then Some (i, symmetric t.s0)
-    else None
+    let i = Field.mul s1 (Field.inv s0) in
+    if Field.equal s2 (Field.mul s0 (Field.pow z i)) then Some (i, symmetric s0) else None
   end
 
-let bits = 3 * 31
+let recover t = recover_fields ~z:t.z t.s0 t.s1 t.s2
+
+let bits = 3 * Field.bits
 
 let write w t =
-  Codes.write_fixed w ~width:31 t.s0;
-  Codes.write_fixed w ~width:31 t.s1;
-  Codes.write_fixed w ~width:31 t.s2
+  Codes.write_fixed w ~width:Field.bits t.s0;
+  Codes.write_fixed w ~width:Field.bits t.s1;
+  Codes.write_fixed w ~width:Field.bits t.s2
 
 let read r ~z =
-  let s0 = Codes.read_fixed r ~width:31 in
-  let s1 = Codes.read_fixed r ~width:31 in
-  let s2 = Codes.read_fixed r ~width:31 in
+  let s0 = Codes.read_fixed r ~width:Field.bits in
+  let s1 = Codes.read_fixed r ~width:Field.bits in
+  let s2 = Codes.read_fixed r ~width:Field.bits in
   { z = Field.of_int z; s0; s1; s2 }

@@ -35,15 +35,17 @@ val update_pow : t -> index:int -> delta:int -> pow:Field.t -> t
     @raise Invalid_argument if the evaluation points differ. *)
 val combine : t -> t -> t
 
-(** [is_zero t] — true when the sketch is identically zero (the vector
-    is zero, or an improbable fingerprint collision). *)
-val is_zero : t -> bool
-
 (** [recover t] is [Some (index, value)] when the sketch passes the
     1-sparse fingerprint test, [None] otherwise.  Values are returned
     in the symmetric range [-(p-1)/2 .. (p-1)/2] (edge vectors only ever
     hold ±1 and small sums). *)
 val recover : t -> (int * int) option
+
+(** [recover_fields ~z s0 s1 s2] is {!recover} of the sketch with
+    evaluation point [z] and these three fields, for a caller that keeps
+    sketches as raw field values: {!recover} is this function on a
+    record's fields.  The fields are taken as they are, [p] included. *)
+val recover_fields : z:Field.t -> Field.t -> Field.t -> Field.t -> (int * int) option
 
 (** Serialization: exactly [3 * 31] bits. *)
 val write : Refnet_bits.Bit_writer.t -> t -> unit

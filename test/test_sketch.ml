@@ -17,6 +17,15 @@ let test_field_inverse () =
     [ 1; 2; 12345; Field.p - 1 ];
   Alcotest.check_raises "zero" Division_by_zero (fun () -> ignore (Field.inv 0))
 
+let prop_field_mul_is_mod =
+  (* the Mersenne fold against the division it replaced, on [0, p]:
+     the non-canonical p and the corners near it included *)
+  let corners = [ 0; 1; 2; Field.p - 2; Field.p - 1; Field.p; 1 lsl 30; (1 lsl 30) + 1 ] in
+  let elt = QCheck2.Gen.(oneof [ oneofl corners; int_range 0 Field.p ]) in
+  QCheck2.Test.make ~name:"Field.mul a b = a * b mod p on [0, p]" ~count:2000
+    QCheck2.Gen.(pair elt elt)
+    (fun (a, b) -> Field.mul a b = a * b mod Field.p)
+
 let test_hash_deterministic () =
   let f1 = Hash.seed_family ~seed:99 ~count:5 in
   let f2 = Hash.seed_family ~seed:99 ~count:5 in
@@ -197,6 +206,7 @@ let () =
         [
           Alcotest.test_case "axioms" `Quick test_field_axioms;
           Alcotest.test_case "inverse" `Quick test_field_inverse;
+          QCheck_alcotest.to_alcotest prop_field_mul_is_mod;
         ] );
       ( "hash",
         [

@@ -1,4 +1,5 @@
 open Refnet_graph
+open Refnet_sketch
 
 let decide ?(seed = 4242) g =
   fst (Core.Simulator.run (Core.Sketch_connectivity.protocol ~seed ()) g)
@@ -111,6 +112,132 @@ let prop_rounds_monotone =
       in
       (not (run 3)) || run 8)
 
+(* ---------- differential: the column referee against the record fold ---------- *)
+
+(* The record-based referee, kept as the oracle: every bank parsed into
+   [L0_sampler] records, each component's samplers combined onto its
+   first member's, one sample per component. *)
+let oracle_verdict ~seed ~rounds ~levels ~n msgs =
+  let ts = Core.Sketch_connectivity.templates ~seed ~rounds ~levels in
+  let banks =
+    Array.map
+      (fun m ->
+        let r = Core.Message.reader m in
+        Array.map (fun template -> L0_sampler.read r ~template) ts)
+      msgs
+  in
+  let uf = Union_find.create n in
+  for round = 0 to rounds - 1 do
+    if Union_find.count uf > 1 then begin
+      let sums = Hashtbl.create 16 in
+      for v = 1 to n do
+        let root = Union_find.find uf (v - 1) in
+        let s = banks.(v - 1).(round) in
+        match Hashtbl.find_opt sums root with
+        | None -> Hashtbl.replace sums root s
+        | Some acc -> Hashtbl.replace sums root (L0_sampler.combine acc s)
+      done;
+      Hashtbl.iter
+        (fun _ sampler ->
+          match L0_sampler.sample sampler with
+          | Some (idx, value) when value = 1 || value = -1 ->
+            let u, v = Core.Sketch_connectivity.edge_of_index idx in
+            if u >= 1 && v <= n then ignore (Union_find.union uf (u - 1) (v - 1))
+          | Some _ | None -> ())
+        sums
+    end
+  done;
+  Union_find.count uf = 1
+
+(* A node's bank built from records: one sampler per round, updated
+   edge by edge, written field by field. *)
+let oracle_bank ~seed ~rounds ~levels g id =
+  let w = Refnet_bits.Bit_writer.create () in
+  Array.iter
+    (fun template ->
+      let s =
+        List.fold_left
+          (fun acc u ->
+            L0_sampler.update acc
+              ~index:(Core.Sketch_connectivity.edge_index ~u ~v:id)
+              ~delta:(if id < u then 1 else -1))
+          template (Graph.neighbors g id)
+      in
+      L0_sampler.write w s)
+    (Core.Sketch_connectivity.templates ~seed ~rounds ~levels);
+  Core.Message.of_writer w
+
+let column_verdict ~seed ~rounds ~levels ~n msgs =
+  let p = Core.Sketch_connectivity.protocol ~seed ~rounds ~levels () in
+  Core.Protocol.run_referee p.referee ~n msgs
+
+let gen_case =
+  QCheck2.Gen.(
+    tup5 (int_range 1 64) (int_range 0 10) (int_range 0 10_000) (int_range 1 8) (int_range 1 14))
+
+let case_graph (n, p10, seed, _, _) =
+  let rng = Random.State.make [| seed; n; p10 |] in
+  (* sparse enough that many graphs are disconnected *)
+  Generators.gnp rng n (float_of_int p10 /. (10.0 *. float_of_int (max 1 (n / 4))))
+
+let prop_graphs_match_oracle =
+  QCheck2.Test.make ~name:"random graphs: same bits and verdict as the record fold" ~count:150
+    gen_case (fun ((n, _, seed, rounds, levels) as case) ->
+      let g = case_graph case in
+      let msgs =
+        Core.Simulator.local_phase (Core.Sketch_connectivity.protocol ~seed ~rounds ~levels ()) g
+      in
+      Array.iteri
+        (fun i m ->
+          if not (Core.Message.equal m (oracle_bank ~seed ~rounds ~levels g (i + 1))) then
+            QCheck2.Test.fail_reportf "node %d's bank differs from the record-built one" (i + 1))
+        msgs;
+      column_verdict ~seed ~rounds ~levels ~n msgs = oracle_verdict ~seed ~rounds ~levels ~n msgs)
+
+(* Honest banks with fields overwritten by 0 or by p = 2^31 - 1, the one
+   31-bit value that is not a canonical field element: the column sums
+   must keep it exactly where the record fold kept it. *)
+let prop_byte_banks_match_oracle =
+  QCheck2.Test.make ~name:"byte banks with 0 and p fields: same verdict as the record fold"
+    ~count:300
+    QCheck2.Gen.(pair gen_case (int_range 1 6))
+    (fun (((n, _, seed, rounds, levels) as case), q) ->
+      let g = case_graph case in
+      let msgs =
+        Core.Simulator.local_phase (Core.Sketch_connectivity.protocol ~seed ~rounds ~levels ()) g
+      in
+      let rng = Random.State.make [| seed; q |] in
+      let fields = rounds * levels * 3 in
+      Array.iter
+        (fun m ->
+          for k = 0 to fields - 1 do
+            if Random.State.int rng 8 < q then
+              Refnet_bits.Bitvec.set_bits m ~pos:(k * Field.bits) ~width:Field.bits
+                (if Random.State.bool rng then 0 else Field.p)
+          done)
+        msgs;
+      column_verdict ~seed ~rounds ~levels ~n msgs = oracle_verdict ~seed ~rounds ~levels ~n msgs)
+
+let test_short_bank_raises () =
+  let seed = 3 and rounds = 4 and levels = 6 and n = 5 in
+  let bits = Core.Sketch_connectivity.message_bits ~n ~rounds ~levels () in
+  let p = Core.Sketch_connectivity.protocol ~seed ~rounds ~levels () in
+  List.iter
+    (fun len ->
+      let m = Refnet_bits.Bitvec.create len in
+      let raised f = match f () with _ -> false | exception Refnet_bits.Bit_reader.Exhausted -> true in
+      Alcotest.(check bool)
+        (Printf.sprintf "oracle parse raises at %d bits" len)
+        true
+        (raised (fun () -> oracle_verdict ~seed ~rounds ~levels ~n:1 [| m |]));
+      Alcotest.(check bool)
+        (Printf.sprintf "absorb raises at %d bits" len)
+        true
+        (raised (fun () -> Core.Protocol.feed (Core.Protocol.start p.referee ~n) ~id:2 m)))
+    [ 0; 1; bits - 93; bits - 1 ];
+  (* a full-size bank is taken *)
+  ignore (Core.Protocol.feed (Core.Protocol.start p.referee ~n) ~id:2 (Refnet_bits.Bitvec.create bits))
+
 let () =
   Alcotest.run "sketch_connectivity"
     [
@@ -131,4 +258,8 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_matches_truth_mostly; prop_rounds_monotone ]
       );
+      ( "record oracle",
+        Alcotest.test_case "short banks raise in absorb" `Quick test_short_bank_raises
+        :: List.map QCheck_alcotest.to_alcotest
+             [ prop_graphs_match_oracle; prop_byte_banks_match_oracle ] );
     ]
