@@ -167,6 +167,7 @@ let sub v ~pos ~len =
   r
 
 let to_packed v = Bytes.to_string v.bytes
+let blit_packed v dst pos = Bytes.blit v.bytes 0 dst pos (Bytes.length v.bytes)
 
 let fnv ?h v ~len =
   check_range v ~pos:0 ~len "fnv";

@@ -125,6 +125,11 @@ val sub : t -> pos:int -> len:int -> t
     in the layout above: MSB-first, pad bits clear. *)
 val to_packed : t -> string
 
+(** [blit_packed v dst pos] writes the bytes {!to_packed} returns into
+    [dst] from [pos], without the intermediate string.
+    @raise Invalid_argument if they do not fit. *)
+val blit_packed : t -> Bytes.t -> int -> unit
+
 (** [fnv ?h v ~len] folds the first [len] bits of [v] into [h] with
     {!Fnv.bytes}, reading [v] in place: the [len / 8] whole bytes, then
     the last partial byte, if any, right-aligned (its [len mod 8] bits

@@ -7,17 +7,17 @@
      recorded (u64)  lifetime entries at dump time
      dropped  (u64)  overwritten-before-dump entries
      count    (u32)  records that follow
-     records, each:  len (u32) | fnv1a32(body) (u32) | body
+     records, each a Byte_io record:  len (u32) | fnv1a32(body) (u32) | body
 
    Record body:
 
      seq (u64) | trace (u64) | tag (u8) | tag-specific fields
 
    Tags 1..7 mirror Trace.event constructor order; tag 8 is a Note.
-   Strings are u16-length-prefixed; all integers big-endian.  Tag 7
-   ends in its budget: u8 0 for none, or u8 1 | shape tag (string) |
-   k u32 | c_max (IEEE double bits, u64) | n_min u32.  (RFLIGHT1 dumps
-   had no budget.) *)
+   Strings are u16-length-prefixed, cut to 65535 bytes; all integers
+   big-endian.  Tag 7 ends in its budget: u8 0 for none, or u8 1 |
+   shape tag (string) | k u32 | c_max (IEEE double bits, u64) | n_min
+   u32.  (RFLIGHT1 dumps had no budget.) *)
 
 let magic = "RFLIGHT2"
 let max_record = 1 lsl 20
@@ -89,82 +89,65 @@ let trace_of_hex s =
 
 (* ---------- binary encoding ---------- *)
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xFF))
+module W = Refnet_bits.Byte_io.Writer
+module R = Refnet_bits.Byte_io.Reader
 
-let put_u16 b v =
-  put_u8 b (v lsr 8);
-  put_u8 b v
+(* Flight strings are cut to what a u16 length can say, not refused:
+   evidence is kept even when a detail runs long. *)
+let put_str w s = W.str w (if String.length s > 0xFFFF then String.sub s 0 0xFFFF else s)
+let put_int w v = W.u64 w (Int64.of_int v)
 
-let put_u32 b v =
-  put_u16 b (v lsr 16);
-  put_u16 b v
-
-let put_u64i b v =
-  put_u32 b (v lsr 32);
-  put_u32 b v
-
-let put_u64 b v =
-  put_u32 b (Int64.to_int (Int64.shift_right_logical v 32) land 0xFFFFFFFF);
-  put_u32 b (Int64.to_int v land 0xFFFFFFFF)
-
-let put_str b s =
-  let s = if String.length s > 0xFFFF then String.sub s 0 0xFFFF else s in
-  put_u16 b (String.length s);
-  Buffer.add_string b s
-
-let encode_body e =
-  let b = Buffer.create 64 in
-  put_u64i b e.e_seq;
-  put_u64 b e.e_trace;
-  (match e.e_ev with
+let encode_body w e =
+  put_int w e.e_seq;
+  W.u64 w e.e_trace;
+  match e.e_ev with
   | E_event (Trace.Span_begin { label; n }) ->
-    put_u8 b 1;
-    put_str b label;
-    put_u32 b n
+    W.u8 w 1;
+    put_str w label;
+    W.u32 w n
   | E_event (Trace.Span_end { label; n }) ->
-    put_u8 b 2;
-    put_str b label;
-    put_u32 b n
+    W.u8 w 2;
+    put_str w label;
+    W.u32 w n
   | E_event (Trace.Node_local { id; bits; queries = q }) ->
-    put_u8 b 3;
-    put_u32 b id;
-    put_u32 b bits;
-    put_u32 b q.View.id_reads;
-    put_u32 b q.View.n_reads;
-    put_u32 b q.View.deg_reads;
-    put_u32 b q.View.neighbor_reads
+    W.u8 w 3;
+    W.u32 w id;
+    W.u32 w bits;
+    W.u32 w q.View.id_reads;
+    W.u32 w q.View.n_reads;
+    W.u32 w q.View.deg_reads;
+    W.u32 w q.View.neighbor_reads
   | E_event (Trace.Referee_absorb { id; bits }) ->
-    put_u8 b 4;
-    put_u32 b id;
-    put_u32 b bits
+    W.u8 w 4;
+    W.u32 w id;
+    W.u32 w bits
   | E_event (Trace.Fault_injected { id; fault }) ->
-    put_u8 b 5;
-    put_u32 b id;
-    put_str b (Faults.fault_to_string fault)
+    W.u8 w 5;
+    W.u32 w id;
+    put_str w (Faults.fault_to_string fault)
   | E_event (Trace.Referee_broadcast { round; bits }) ->
-    put_u8 b 6;
-    put_u32 b round;
-    put_u32 b bits
+    W.u8 w 6;
+    W.u32 w round;
+    W.u32 w bits
   | E_event (Trace.Referee_done { label; n; max_bits; total_bits; budget }) -> (
-    put_u8 b 7;
-    put_str b label;
-    put_u32 b n;
-    put_u32 b max_bits;
-    put_u32 b total_bits;
+    W.u8 w 7;
+    put_str w label;
+    W.u32 w n;
+    W.u32 w max_bits;
+    W.u32 w total_bits;
     match budget with
-    | None -> put_u8 b 0
+    | None -> W.u8 w 0
     | Some { Bound_audit.b_shape; c_max; n_min } ->
       let tag, k = Bound_audit.shape_tag b_shape in
-      put_u8 b 1;
-      put_str b tag;
-      put_u32 b k;
-      put_u64 b (Int64.bits_of_float c_max);
-      put_u32 b n_min)
+      W.u8 w 1;
+      put_str w tag;
+      W.u32 w k;
+      W.u64 w (Int64.bits_of_float c_max);
+      W.u32 w n_min)
   | E_note (code, detail) ->
-    put_u8 b 8;
-    put_str b code;
-    put_str b detail);
-  Buffer.contents b
+    W.u8 w 8;
+    put_str w code;
+    put_str w detail
 
 let dump t =
   let entries =
@@ -184,19 +167,13 @@ let dump t =
   let entries =
     List.sort (fun a b -> compare a.e_seq b.e_seq) entries
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  put_u64i b (recorded t);
-  put_u64i b (dropped t);
-  put_u32 b (List.length entries);
-  List.iter
-    (fun e ->
-      let body = encode_body e in
-      put_u32 b (String.length body);
-      put_u32 b (Refnet_bits.Fnv.string body);
-      Buffer.add_string b body)
-    entries;
-  Buffer.contents b
+  let w = W.create 4096 in
+  W.raw w magic;
+  put_int w (recorded t);
+  put_int w (dropped t);
+  W.u32 w (List.length entries);
+  List.iter (fun e -> W.record w (fun w -> encode_body w e)) entries;
+  W.take w
 
 let dump_to_file t path =
   match open_out_bin path with
@@ -225,51 +202,15 @@ type decoded = {
   d_findings : finding list;
 }
 
-exception Bad of string
+let fail = Refnet_bits.Byte_io.failf
+let get_int r = Int64.to_int (R.u64 r)
 
-let need s pos n =
-  if !pos + n > String.length s then
-    raise (Bad (Printf.sprintf "truncated: need %d bytes at offset %d" n !pos))
-
-let gu8 s pos =
-  need s pos 1;
-  let v = Char.code s.[!pos] in
-  pos := !pos + 1;
-  v
-
-let gu16 s pos =
-  let hi = gu8 s pos in
-  (hi lsl 8) lor gu8 s pos
-
-let gu32 s pos =
-  let hi = gu16 s pos in
-  (hi lsl 16) lor gu16 s pos
-
-let gu64i s pos =
-  let hi = gu32 s pos in
-  (hi lsl 32) lor gu32 s pos
-
-let gu64 s pos =
-  let hi = gu32 s pos in
-  let lo = gu32 s pos in
-  Int64.logor
-    (Int64.shift_left (Int64.of_int hi) 32)
-    (Int64.of_int lo)
-
-let gstr s pos =
-  let len = gu16 s pos in
-  need s pos len;
-  let v = String.sub s !pos len in
-  pos := !pos + len;
-  v
-
-(* A record body, already digest-checked.  Raises [Bad] on malformed
-   contents; the caller turns that into a finding. *)
-let decode_body body =
-  let pos = ref 0 in
-  let seq = gu64i body pos in
-  let trace = gu64 body pos in
-  let tag = gu8 body pos in
+(* A record body, already digest-checked.  Raises [Malformed] on
+   malformed contents; the caller turns that into a finding. *)
+let decode_body r =
+  let seq = get_int r in
+  let trace = R.u64 r in
+  let tag = R.u8 r in
   let session = trace in
   let event_item kind ev =
     {
@@ -283,31 +224,31 @@ let decode_body body =
   let item =
     match tag with
     | 1 ->
-      let label = gstr body pos in
-      let n = gu32 body pos in
+      let label = R.str r in
+      let n = R.u32 r in
       event_item "span_begin" (Trace.Span_begin { label; n })
     | 2 ->
-      let label = gstr body pos in
-      let n = gu32 body pos in
+      let label = R.str r in
+      let n = R.u32 r in
       event_item "span_end" (Trace.Span_end { label; n })
     | 3 ->
-      let id = gu32 body pos in
-      let bits = gu32 body pos in
-      let id_reads = gu32 body pos in
-      let n_reads = gu32 body pos in
-      let deg_reads = gu32 body pos in
-      let neighbor_reads = gu32 body pos in
+      let id = R.u32 r in
+      let bits = R.u32 r in
+      let id_reads = R.u32 r in
+      let n_reads = R.u32 r in
+      let deg_reads = R.u32 r in
+      let neighbor_reads = R.u32 r in
       let queries = { View.id_reads; n_reads; deg_reads; neighbor_reads } in
       event_item "local" (Trace.Node_local { id; bits; queries })
     | 4 ->
-      let id = gu32 body pos in
-      let bits = gu32 body pos in
+      let id = R.u32 r in
+      let bits = R.u32 r in
       event_item "absorb" (Trace.Referee_absorb { id; bits })
     | 5 ->
       (* no parser back to Faults.fault exists; render the line with
          the fault's string form, matching Trace.json_of_event *)
-      let id = gu32 body pos in
-      let fault = gstr body pos in
+      let id = R.u32 r in
+      let fault = R.str r in
       {
         i_seq = seq;
         i_trace = trace;
@@ -319,31 +260,31 @@ let decode_body body =
         i_note = None;
       }
     | 6 ->
-      let round = gu32 body pos in
-      let bits = gu32 body pos in
+      let round = R.u32 r in
+      let bits = R.u32 r in
       event_item "broadcast" (Trace.Referee_broadcast { round; bits })
     | 7 ->
-      let label = gstr body pos in
-      let n = gu32 body pos in
-      let max_bits = gu32 body pos in
-      let total_bits = gu32 body pos in
+      let label = R.str r in
+      let n = R.u32 r in
+      let max_bits = R.u32 r in
+      let total_bits = R.u32 r in
       let budget =
-        match gu8 body pos with
+        match R.u8 r with
         | 0 -> None
         | 1 -> (
-          let tag = gstr body pos in
-          let k = gu32 body pos in
-          let c_max = Int64.float_of_bits (gu64 body pos) in
-          let n_min = gu32 body pos in
+          let tag = R.str r in
+          let k = R.u32 r in
+          let c_max = Int64.float_of_bits (R.u64 r) in
+          let n_min = R.u32 r in
           match Bound_audit.shape_of_tag tag k with
           | Some b_shape -> Some { Bound_audit.b_shape; c_max; n_min }
-          | None -> raise (Bad (Printf.sprintf "unknown budget shape %S" tag)))
-        | f -> raise (Bad (Printf.sprintf "bad budget flag %d" f))
+          | None -> fail "unknown budget shape %S" tag)
+        | f -> fail "bad budget flag %d" f
       in
       event_item "done" (Trace.Referee_done { label; n; max_bits; total_bits; budget })
     | 8 ->
-      let code = gstr body pos in
-      let detail = gstr body pos in
+      let code = R.str r in
+      let detail = R.str r in
       {
         i_seq = seq;
         i_trace = trace;
@@ -351,62 +292,60 @@ let decode_body body =
         i_line = None;
         i_note = Some (code, detail);
       }
-    | t -> raise (Bad (Printf.sprintf "unknown record tag %d" t))
+    | t -> fail "unknown record tag %d" t
   in
-  if !pos <> String.length body then
-    raise (Bad (Printf.sprintf "trailing bytes in record body at %d" !pos));
+  if R.remaining r > 0 then fail "trailing bytes in record body at %d" (R.pos r);
   item
 
 let decode s =
   let findings = ref [] in
   let flag off reason = findings := { f_offset = off; f_reason = reason } :: !findings in
   let header_len = String.length magic + 8 + 8 + 4 in
+  let r = R.of_string s in
   if String.length s < header_len then begin
     flag 0 (Printf.sprintf "truncated header: %d bytes, need %d" (String.length s) header_len);
     { d_recorded = 0; d_dropped = 0; d_items = []; d_findings = List.rev !findings }
   end
-  else if String.sub s 0 (String.length magic) <> magic then begin
+  else if R.raw r (String.length magic) <> magic then begin
     flag 0 "bad magic: not a .flight file";
     { d_recorded = 0; d_dropped = 0; d_items = []; d_findings = List.rev !findings }
   end
   else begin
-    let pos = ref (String.length magic) in
-    let d_recorded = gu64i s pos in
-    let d_dropped = gu64i s pos in
-    let count = gu32 s pos in
+    let d_recorded = get_int r in
+    let d_dropped = get_int r in
+    let count = R.u32 r in
     let items = ref [] in
     let parsed = ref 0 in
     let stop = ref false in
-    while (not !stop) && !pos < String.length s do
-      let frame_off = !pos in
-      if String.length s - !pos < 8 then begin
+    while (not !stop) && R.remaining r > 0 do
+      let frame_off = R.pos r in
+      if R.remaining r < 8 then begin
         flag frame_off
-          (Printf.sprintf "truncated record header: %d trailing bytes" (String.length s - !pos));
+          (Printf.sprintf "truncated record header: %d trailing bytes" (R.remaining r));
         stop := true
       end
       else begin
-        let len = gu32 s pos in
-        let digest = gu32 s pos in
+        let len = R.u32 r in
+        let digest = R.u32 r in
         if len > max_record then begin
           flag frame_off (Printf.sprintf "declared record length %d exceeds limit %d" len max_record);
           stop := true
         end
-        else if !pos + len > String.length s then begin
+        else if R.remaining r < len then begin
           flag frame_off
             (Printf.sprintf "truncated record body: declared %d, %d available" len
-               (String.length s - !pos));
+               (R.remaining r));
           stop := true
         end
         else begin
-          let body = String.sub s !pos len in
-          pos := !pos + len;
-          if Refnet_bits.Fnv.string body <> digest then flag frame_off "record digest mismatch"
+          let body = R.sub r len in
+          if R.fnv body <> digest then flag frame_off "record digest mismatch"
           else
             match decode_body body with
             | item ->
               items := item :: !items;
               incr parsed
-            | exception Bad reason -> flag frame_off reason
+            | exception Refnet_bits.Byte_io.Malformed reason -> flag frame_off reason
         end
       end
     done;

@@ -105,8 +105,6 @@ let bytes_ok =
     "lib/graph/treewidth.ml" (* bitset DP tables *);
     "lib/core/message.ml" (* the message layer itself *);
     "lib/core/trace.ml" (* JSONL rendering *);
-    "lib/core/flight.ml" (* flight-record binary codec: dump framing and
-                            JSONL re-rendering, not message bits *);
     "lib/core/report.ml" (* report JSON rendering *);
     "lib/core/metrics.ml" (* exposition formats *);
     "lib/core/fooling.ml" (* transcript fingerprints, not messages *);

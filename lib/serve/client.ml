@@ -14,6 +14,8 @@ let server_error code detail =
     (Printf.sprintf "server error %s: %s" (Frame.error_code_to_string code) detail)
 
 module Session = struct
+  module W = Refnet_bits.Byte_io.Writer
+
   type stage =
     | Opening
     | Streaming of int (* the server's session id *)
@@ -25,7 +27,7 @@ module Session = struct
     mutable rest : (int * Core.Message.t) list; (* not yet queued *)
     mutable window : int;
     mutable stage : stage;
-    out : Buffer.t; (* the flight being built *)
+    out : W.t; (* the flight being built, frames encoded in place *)
   }
 
   (* See client.mli for the flight rule.  The cap keeps large frames
@@ -35,23 +37,21 @@ module Session = struct
   let flight_cap = 1024
 
   let start ~open_id ?(trace = 0L) ~protocol ~n msgs =
-    let out = Buffer.create flight_cap in
-    Buffer.add_string out
-      (Frame.encode_client (Frame.Open { open_id; protocol; n; trace }));
+    let out = W.create flight_cap in
+    Frame.write_client out (Frame.Open { open_id; protocol; n; trace });
     { open_id; rest = msgs; window = 0; stage = Opening; out }
 
   let flight t =
     (match t.stage with
     | Streaming session ->
         let rec fill () =
-          if Buffer.length t.out < flight_cap then
+          if W.length t.out < flight_cap then
             match t.rest with
             | [] ->
-                Buffer.add_string t.out (Frame.encode_client (Frame.Finish { session }));
+                Frame.write_client t.out (Frame.Finish { session });
                 t.stage <- Finished session
             | (node, payload) :: tl when t.window > 0 ->
-                Buffer.add_string t.out
-                  (Frame.encode_client (Frame.Msg { session; node; payload }));
+                Frame.write_client t.out (Frame.Msg { session; node; payload });
                 t.rest <- tl;
                 t.window <- t.window - 1;
                 fill ()
@@ -59,17 +59,12 @@ module Session = struct
         in
         fill ()
     | Opening | Finished _ | Ended -> ());
-    if Buffer.length t.out = 0 then None
-    else begin
-      let s = Buffer.contents t.out in
-      Buffer.clear t.out;
-      Some s
-    end
+    if W.length t.out = 0 then None else Some (W.take t.out)
 
   let recv t frame =
     let ended r =
       t.stage <- Ended;
-      Buffer.clear t.out;
+      W.truncate t.out 0;
       Some r
     in
     match (t.stage, frame) with

@@ -1,4 +1,5 @@
 open Core
+module W = Refnet_bits.Byte_io.Writer
 
 type config = {
   max_sessions : int;
@@ -65,7 +66,7 @@ type session = {
 type conn = {
   cid : conn_id;
   decoder : Wire.decoder;
-  out : Buffer.t;
+  out : W.t; (* egress: frames are encoded straight into it *)
   mutable c_trace : int64; (* minted at Hello; 0L before the handshake *)
   mutable c_sessions : int list;
   mutable quarantined : bool;
@@ -148,18 +149,13 @@ let make_instruments m =
   let timeout kind =
     c (Metrics.series "refnet_serve_timeouts_total" [ ("kind", kind) ])
   in
-  let rej reason =
-    c
-      (Metrics.series "refnet_serve_rejects_total"
-         [ ("reason", Frame.reject_reason_to_string reason) ])
+  (* pre-create every reason's series so a clean run still exports them at 0 *)
+  let rejects =
+    List.map
+      (fun (reason, _, name) ->
+        (reason, c (Metrics.series "refnet_serve_rejects_total" [ ("reason", name) ])))
+      Frame.reject_table
   in
-  (* pre-create all six series so a clean run still exports them at 0 *)
-  let r_overloaded = rej Frame.Overloaded in
-  let r_draining = rej Frame.Draining in
-  let r_unknown = rej Frame.Unknown_protocol in
-  let r_bad_n = rej Frame.Bad_n in
-  let r_session_limit = rej Frame.Session_limit in
-  let r_evidence = rej Frame.Evidence in
   {
     i_sessions = c "refnet_serve_sessions_total";
     i_decided = verdict "decided";
@@ -177,14 +173,7 @@ let make_instruments m =
     i_bytes = c "refnet_serve_bytes_total";
     i_live = Metrics.Gauge.gauge m "refnet_serve_sessions_live";
     i_queue = Metrics.Gauge.gauge m "refnet_serve_queue_depth";
-    i_reject =
-      (function
-      | Frame.Overloaded -> r_overloaded
-      | Frame.Draining -> r_draining
-      | Frame.Unknown_protocol -> r_unknown
-      | Frame.Bad_n -> r_bad_n
-      | Frame.Session_limit -> r_session_limit
-      | Frame.Evidence -> r_evidence);
+    i_reject = (fun reason -> List.assoc reason rejects);
   }
 
 (* splitmix64 finalizer: seeds and advances the trace-id sequence.
@@ -293,10 +282,14 @@ let quarantine t conn code detail =
       ~detail:(Frame.error_code_to_string code ^ ": " ^ detail);
     abort_conn t conn;
     if not conn.close_after_flush then begin
-      let bytes = Frame.encode_server (Frame.Error { code; detail }) in
-      if Buffer.length conn.out + String.length bytes > t.cfg.max_output_bytes
-      then Buffer.clear conn.out;
-      Buffer.add_string conn.out bytes
+      let error = Frame.Error { code; detail } in
+      let unread = W.length conn.out in
+      Frame.write_server conn.out error;
+      (* no room: drop the unread output and send the error alone *)
+      if W.length conn.out > t.cfg.max_output_bytes && unread > 0 then begin
+        W.truncate conn.out 0;
+        Frame.write_server conn.out error
+      end
     end;
     conn.close_after_flush <- true
   end
@@ -306,13 +299,11 @@ let quarantine t conn code detail =
    never read is dropped first. *)
 let send t conn frame =
   if not conn.close_after_flush then begin
-    let bytes = Frame.encode_server frame in
-    if Buffer.length conn.out + String.length bytes > t.cfg.max_output_bytes
-    then begin
-      Buffer.clear conn.out;
+    Frame.write_server conn.out frame;
+    if W.length conn.out > t.cfg.max_output_bytes then begin
+      W.truncate conn.out 0;
       quarantine t conn Frame.Slow_consumer "egress full"
     end
-    else Buffer.add_string conn.out bytes
   end
 
 (* The one Verdict builder, for referee verdicts and client aborts. *)
@@ -349,7 +340,7 @@ let open_conn t =
       {
         cid;
         decoder = Wire.decoder ~max_frame:t.cfg.max_frame_bytes ();
-        out = Buffer.create 256;
+        out = W.create 256;
         c_trace = 0L;
         c_sessions = [];
         quarantined = false;
@@ -373,17 +364,12 @@ let take_output t cid =
   match Hashtbl.find_opt t.conns cid with
   | None -> ""
   | Some conn ->
-      if Buffer.length conn.out = 0 then ""
-      else begin
-        let s = Buffer.contents conn.out in
-        Buffer.clear conn.out;
-        s
-      end
+      if W.length conn.out = 0 then "" else W.take conn.out
 
 let wants_close t cid =
   match Hashtbl.find_opt t.conns cid with
   | None -> true
-  | Some conn -> conn.close_after_flush && Buffer.length conn.out = 0
+  | Some conn -> conn.close_after_flush && W.length conn.out = 0
 
 (* ---------- frame handling ---------- *)
 

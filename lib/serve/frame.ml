@@ -77,223 +77,187 @@ let k_pong = 0x87
 
 (* ---------- enums ---------- *)
 
-let reject_code = function
-  | Overloaded -> 1
-  | Draining -> 2
-  | Unknown_protocol -> 3
-  | Bad_n -> 4
-  | Session_limit -> 5
-  | Evidence -> 6
+module W = Refnet_bits.Byte_io.Writer
+module R = Refnet_bits.Byte_io.Reader
 
-let reject_of_code = function
-  | 1 -> Ok Overloaded
-  | 2 -> Ok Draining
-  | 3 -> Ok Unknown_protocol
-  | 4 -> Ok Bad_n
-  | 5 -> Ok Session_limit
-  | 6 -> Ok Evidence
-  | c -> Error (Printf.sprintf "unknown reject reason %d" c)
+(* Each wire enum is one table of constructor, code and name. *)
+let reject_table =
+  [
+    (Overloaded, 1, "overloaded");
+    (Draining, 2, "draining");
+    (Unknown_protocol, 3, "unknown-protocol");
+    (Bad_n, 4, "bad-n");
+    (Session_limit, 5, "session-limit");
+    (Evidence, 6, "evidence");
+  ]
 
-let reject_reason_to_string = function
-  | Overloaded -> "overloaded"
-  | Draining -> "draining"
-  | Unknown_protocol -> "unknown-protocol"
-  | Bad_n -> "bad-n"
-  | Session_limit -> "session-limit"
-  | Evidence -> "evidence"
+let error_table =
+  [
+    (Protocol_violation, 1, "protocol-violation");
+    (Corrupt_frame, 2, "corrupt-frame");
+    (Credit_exceeded, 3, "credit-exceeded");
+    (Slow_consumer, 4, "slow-consumer");
+    (Internal, 5, "internal");
+  ]
 
-let error_code_int = function
-  | Protocol_violation -> 1
-  | Corrupt_frame -> 2
-  | Credit_exceeded -> 3
-  | Slow_consumer -> 4
-  | Internal -> 5
+let status_table =
+  [ (Decided, 0, "decided"); (Degraded, 1, "degraded"); (Inconclusive, 2, "inconclusive") ]
 
-let error_of_code = function
-  | 1 -> Ok Protocol_violation
-  | 2 -> Ok Corrupt_frame
-  | 3 -> Ok Credit_exceeded
-  | 4 -> Ok Slow_consumer
-  | 5 -> Ok Internal
-  | c -> Error (Printf.sprintf "unknown error code %d" c)
+let timeout_table =
+  [ (No_timeout, 0, "none"); (Idle_timeout, 1, "idle"); (Deadline_timeout, 2, "deadline") ]
 
-let error_code_to_string = function
-  | Protocol_violation -> "protocol-violation"
-  | Corrupt_frame -> "corrupt-frame"
-  | Credit_exceeded -> "credit-exceeded"
-  | Slow_consumer -> "slow-consumer"
-  | Internal -> "internal"
+let entry table v = List.find (fun (c, _, _) -> c = v) table
+let name table v = match entry table v with _, _, n -> n
+let put table w v = match entry table v with _, k, _ -> W.u8 w k
 
-let status_code = function Decided -> 0 | Degraded -> 1 | Inconclusive -> 2
+let get what table r =
+  let k = R.u8 r in
+  match List.find_opt (fun (_, k', _) -> k' = k) table with
+  | Some (c, _, _) -> c
+  | None -> Refnet_bits.Byte_io.failf "unknown %s %d" what k
 
-let status_of_code = function
-  | 0 -> Ok Decided
-  | 1 -> Ok Degraded
-  | 2 -> Ok Inconclusive
-  | c -> Error (Printf.sprintf "unknown verdict status %d" c)
-
-let timeout_code = function
-  | No_timeout -> 0
-  | Idle_timeout -> 1
-  | Deadline_timeout -> 2
-
-let timeout_of_code = function
-  | 0 -> Ok No_timeout
-  | 1 -> Ok Idle_timeout
-  | 2 -> Ok Deadline_timeout
-  | c -> Error (Printf.sprintf "unknown timeout kind %d" c)
+let reject_reason_to_string = name reject_table
+let error_code_to_string = name error_table
 
 (* ---------- encoding ---------- *)
 
-let framed kind fill =
-  let p = Wire.Put.create () in
-  fill p;
-  Wire.encode ~kind (Wire.Put.contents p)
-
-let encode_client = function
-  | Hello { version } -> framed k_hello (fun p -> Wire.Put.u16 p version)
+let write_client w = function
+  | Hello { version } -> Wire.frame w ~kind:k_hello (fun w -> W.u16 w version)
   | Open { open_id; protocol; n; trace } ->
-      framed k_open (fun p ->
-          Wire.Put.u32 p open_id;
-          Wire.Put.str p protocol;
-          Wire.Put.u32 p n;
-          Wire.Put.u64 p trace)
+      Wire.frame w ~kind:k_open (fun w ->
+          W.u32 w open_id;
+          W.str w protocol;
+          W.u32 w n;
+          W.u64 w trace)
   | Msg { session; node; payload } ->
-      framed k_msg (fun p ->
-          Wire.Put.u32 p session;
-          Wire.Put.u32 p node;
-          Wire.Put.bits p payload)
-  | Finish { session } -> framed k_finish (fun p -> Wire.Put.u32 p session)
-  | Abort { session } -> framed k_abort (fun p -> Wire.Put.u32 p session)
-  | Ping { token } -> framed k_ping (fun p -> Wire.Put.u32 p token)
-  | Bye -> framed k_bye (fun _ -> ())
+      Wire.frame w ~kind:k_msg (fun w ->
+          W.u32 w session;
+          W.u32 w node;
+          W.bits w payload)
+  | Finish { session } -> Wire.frame w ~kind:k_finish (fun w -> W.u32 w session)
+  | Abort { session } -> Wire.frame w ~kind:k_abort (fun w -> W.u32 w session)
+  | Ping { token } -> Wire.frame w ~kind:k_ping (fun w -> W.u32 w token)
+  | Bye -> Wire.frame w ~kind:k_bye ignore
 
-let encode_server = function
+let write_server w = function
   | Welcome { version; trace } ->
-      framed k_welcome (fun p ->
-          Wire.Put.u16 p version;
-          Wire.Put.u64 p trace)
+      Wire.frame w ~kind:k_welcome (fun w ->
+          W.u16 w version;
+          W.u64 w trace)
   | Opened { open_id; session; credit } ->
-      framed k_opened (fun p ->
-          Wire.Put.u32 p open_id;
-          Wire.Put.u32 p session;
-          Wire.Put.u32 p credit)
+      Wire.frame w ~kind:k_opened (fun w ->
+          W.u32 w open_id;
+          W.u32 w session;
+          W.u32 w credit)
   | Credit { session; credit } ->
-      framed k_credit (fun p ->
-          Wire.Put.u32 p session;
-          Wire.Put.u32 p credit)
-  | Verdict
-      { session; status; timeout; payload; missing; malformed; duplicated;
-        undetermined; trace } ->
-      framed k_verdict (fun p ->
-          Wire.Put.u32 p session;
-          Wire.Put.u8 p (status_code status);
-          Wire.Put.u8 p (timeout_code timeout);
-          Wire.Put.str p payload;
-          Wire.Put.u32 p missing;
-          Wire.Put.u32 p malformed;
-          Wire.Put.u32 p duplicated;
-          Wire.Put.u32 p undetermined;
-          Wire.Put.u64 p trace)
+      Wire.frame w ~kind:k_credit (fun w ->
+          W.u32 w session;
+          W.u32 w credit)
+  | Verdict v ->
+      Wire.frame w ~kind:k_verdict (fun w ->
+          W.u32 w v.session;
+          put status_table w v.status;
+          put timeout_table w v.timeout;
+          W.str w v.payload;
+          W.u32 w v.missing;
+          W.u32 w v.malformed;
+          W.u32 w v.duplicated;
+          W.u32 w v.undetermined;
+          W.u64 w v.trace)
   | Rejected { open_id; reason; retry_after_ms; trace; detail } ->
-      framed k_rejected (fun p ->
-          Wire.Put.u32 p open_id;
-          Wire.Put.u8 p (reject_code reason);
-          Wire.Put.u32 p retry_after_ms;
-          Wire.Put.u64 p trace;
-          Wire.Put.str p detail)
+      Wire.frame w ~kind:k_rejected (fun w ->
+          W.u32 w open_id;
+          put reject_table w reason;
+          W.u32 w retry_after_ms;
+          W.u64 w trace;
+          W.str w detail)
   | Error { code; detail } ->
-      framed k_error (fun p ->
-          Wire.Put.u8 p (error_code_int code);
-          Wire.Put.str p detail)
-  | Pong { token } -> framed k_pong (fun p -> Wire.Put.u32 p token)
+      Wire.frame w ~kind:k_error (fun w ->
+          put error_table w code;
+          W.str w detail)
+  | Pong { token } -> Wire.frame w ~kind:k_pong (fun w -> W.u32 w token)
+
+let encoded write frame =
+  let w = W.create 64 in
+  write w frame;
+  W.take w
+
+let encode_client = encoded write_client
+let encode_server = encoded write_server
 
 (* ---------- decoding ---------- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let closed g r =
-  let* v = r in
-  if Wire.Get.finished g then Ok v else Error "trailing bytes in frame payload"
+(* Fields are bound with sequential lets: OCaml leaves the evaluation
+   order of record fields unspecified. *)
+let decoded payload read =
+  let r = R.of_string payload in
+  match read r with
+  | v -> if R.remaining r = 0 then Ok v else Error "trailing bytes in frame payload"
+  | exception Refnet_bits.Byte_io.Malformed reason -> Error reason
 
 let decode_client ~kind payload =
-  let g = Wire.Get.create payload in
-  closed g
-    (if kind = k_hello then
-       let* version = Wire.Get.u16 g in
-       Ok (Hello { version })
-     else if kind = k_open then
-       let* open_id = Wire.Get.u32 g in
-       let* protocol = Wire.Get.str g in
-       let* n = Wire.Get.u32 g in
-       let* trace = Wire.Get.u64 g in
-       Ok (Open { open_id; protocol; n; trace })
-     else if kind = k_msg then
-       let* session = Wire.Get.u32 g in
-       let* node = Wire.Get.u32 g in
-       let* payload = Wire.Get.bits g in
-       Ok (Msg { session; node; payload })
-     else if kind = k_finish then
-       let* session = Wire.Get.u32 g in
-       Ok (Finish { session })
-     else if kind = k_abort then
-       let* session = Wire.Get.u32 g in
-       Ok (Abort { session })
-     else if kind = k_ping then
-       let* token = Wire.Get.u32 g in
-       Ok (Ping { token })
-     else if kind = k_bye then Ok Bye
-     else Error (Printf.sprintf "unknown client frame kind 0x%02X" kind))
+  decoded payload (fun r ->
+      if kind = k_hello then
+        let version = R.u16 r in
+        Hello { version }
+      else if kind = k_open then
+        let open_id = R.u32 r in
+        let protocol = R.str r in
+        let n = R.u32 r in
+        let trace = R.u64 r in
+        Open { open_id; protocol; n; trace }
+      else if kind = k_msg then
+        let session = R.u32 r in
+        let node = R.u32 r in
+        let payload = R.bits r in
+        Msg { session; node; payload }
+      else if kind = k_finish then Finish { session = R.u32 r }
+      else if kind = k_abort then Abort { session = R.u32 r }
+      else if kind = k_ping then Ping { token = R.u32 r }
+      else if kind = k_bye then Bye
+      else Refnet_bits.Byte_io.failf "unknown client frame kind 0x%02X" kind)
 
 let decode_server ~kind payload =
-  let g = Wire.Get.create payload in
-  closed g
-    (if kind = k_welcome then
-       let* version = Wire.Get.u16 g in
-       let* trace = Wire.Get.u64 g in
-       Ok (Welcome { version; trace })
-     else if kind = k_opened then
-       let* open_id = Wire.Get.u32 g in
-       let* session = Wire.Get.u32 g in
-       let* credit = Wire.Get.u32 g in
-       Ok (Opened { open_id; session; credit })
-     else if kind = k_credit then
-       let* session = Wire.Get.u32 g in
-       let* credit = Wire.Get.u32 g in
-       Ok (Credit { session; credit })
-     else if kind = k_verdict then
-       let* session = Wire.Get.u32 g in
-       let* s = Wire.Get.u8 g in
-       let* status = status_of_code s in
-       let* t = Wire.Get.u8 g in
-       let* timeout = timeout_of_code t in
-       let* payload = Wire.Get.str g in
-       let* missing = Wire.Get.u32 g in
-       let* malformed = Wire.Get.u32 g in
-       let* duplicated = Wire.Get.u32 g in
-       let* undetermined = Wire.Get.u32 g in
-       let* trace = Wire.Get.u64 g in
-       Ok
-         (Verdict
-            { session; status; timeout; payload; missing; malformed;
-              duplicated; undetermined; trace })
-     else if kind = k_rejected then
-       let* open_id = Wire.Get.u32 g in
-       let* r = Wire.Get.u8 g in
-       let* reason = reject_of_code r in
-       let* retry_after_ms = Wire.Get.u32 g in
-       let* trace = Wire.Get.u64 g in
-       let* detail = Wire.Get.str g in
-       Ok (Rejected { open_id; reason; retry_after_ms; trace; detail })
-     else if kind = k_error then
-       let* c = Wire.Get.u8 g in
-       let* code = error_of_code c in
-       let* detail = Wire.Get.str g in
-       Ok (Error { code; detail })
-     else if kind = k_pong then
-       let* token = Wire.Get.u32 g in
-       Ok (Pong { token })
-     else Error (Printf.sprintf "unknown server frame kind 0x%02X" kind))
+  decoded payload (fun r ->
+      if kind = k_welcome then
+        let version = R.u16 r in
+        let trace = R.u64 r in
+        Welcome { version; trace }
+      else if kind = k_opened then
+        let open_id = R.u32 r in
+        let session = R.u32 r in
+        let credit = R.u32 r in
+        Opened { open_id; session; credit }
+      else if kind = k_credit then
+        let session = R.u32 r in
+        let credit = R.u32 r in
+        Credit { session; credit }
+      else if kind = k_verdict then
+        let session = R.u32 r in
+        let status = get "verdict status" status_table r in
+        let timeout = get "timeout kind" timeout_table r in
+        let payload = R.str r in
+        let missing = R.u32 r in
+        let malformed = R.u32 r in
+        let duplicated = R.u32 r in
+        let undetermined = R.u32 r in
+        let trace = R.u64 r in
+        Verdict
+          { session; status; timeout; payload; missing; malformed; duplicated;
+            undetermined; trace }
+      else if kind = k_rejected then
+        let open_id = R.u32 r in
+        let reason = get "reject reason" reject_table r in
+        let retry_after_ms = R.u32 r in
+        let trace = R.u64 r in
+        let detail = R.str r in
+        Rejected { open_id; reason; retry_after_ms; trace; detail }
+      else if kind = k_error then
+        let code = get "error code" error_table r in
+        let detail = R.str r in
+        Error { code; detail }
+      else if kind = k_pong then Pong { token = R.u32 r }
+      else Refnet_bits.Byte_io.failf "unknown server frame kind 0x%02X" kind)
 
 (* ---------- printers ---------- *)
 
@@ -317,11 +281,7 @@ let pp_server ppf = function
   | Credit { session; credit } ->
       Format.fprintf ppf "credit s%d +%d" session credit
   | Verdict { session; status; payload; _ } ->
-      Format.fprintf ppf "verdict s%d %s %s" session
-        (match status with
-        | Decided -> "decided"
-        | Degraded -> "degraded"
-        | Inconclusive -> "inconclusive")
+      Format.fprintf ppf "verdict s%d %s %s" session (name status_table status)
         payload
   | Rejected { open_id; reason; retry_after_ms; trace; detail } ->
       Format.fprintf ppf "rejected #%d %s retry=%dms trace=%016Lx%s" open_id

@@ -84,8 +84,17 @@ type server =
 
 val version : int
 
+(** [write_client w f] appends the full wire bytes of [f] (header and
+    payload) to [w].
+    @raise Invalid_argument if a string field is longer than 65535
+    bytes; [w] is left as it was. *)
+val write_client : Refnet_bits.Byte_io.Writer.t -> client -> unit
+
+val write_server : Refnet_bits.Byte_io.Writer.t -> server -> unit
+
+(** [encode_client f] is the full wire bytes of [f], as {!write_client}
+    writes them. *)
 val encode_client : client -> string
-(** Full wire bytes (header + payload). *)
 
 val encode_server : server -> string
 
@@ -94,5 +103,9 @@ val decode_server : kind:int -> string -> (server, string) result
 
 val pp_client : Format.formatter -> client -> unit
 val pp_server : Format.formatter -> server -> unit
+
+(** Every reject reason, with its wire code and its name. *)
+val reject_table : (reject_reason * int * string) list
+
 val reject_reason_to_string : reject_reason -> string
 val error_code_to_string : error_code -> string

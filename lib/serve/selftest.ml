@@ -156,14 +156,17 @@ let frame_limit j =
    are walked by the length in their wire header. *)
 let let_through j flight =
   let limit = frame_limit j in
-  let rec walk off =
-    if limit = max_int || off >= String.length flight then (flight, false)
+  let r = Refnet_bits.Byte_io.Reader.of_string flight in
+  let rec walk () =
+    let open Refnet_bits.Byte_io.Reader in
+    if limit = max_int || remaining r = 0 then (flight, false)
     else begin
-      let len =
-        Wire.header_bytes + Int32.to_int (String.get_int32_be flight (off + 2))
-      in
+      let off = pos r in
+      skip r 2 (* magic and kind *);
+      skip r (4 + u32 r) (* digest and payload *);
+      let len = pos r - off in
       j.j_frames <- j.j_frames + 1;
-      if j.j_frames < limit then walk (off + len)
+      if j.j_frames < limit then walk ()
       else
         match j.j_behaviour with
         | Truncate_frame -> (String.sub flight 0 (off + (len / 2)), true)
@@ -175,7 +178,7 @@ let let_through j flight =
         | _ -> (String.sub flight 0 (off + len), true)
     end
   in
-  walk 0
+  walk ()
 
 let feed_str engine cid s =
   Engine.feed_bytes engine cid (Bytes.unsafe_of_string s) ~off:0

@@ -17,14 +17,27 @@
     even parsed, so the daemon can quarantine the connection instead of
     feeding garbage to a session.  It is not a MAC.
 
+    Everything after the kind byte is one {!Refnet_bits.Byte_io}
+    record, the layout flight dumps use too, and payload fields are
+    written and read with the same codec.
+
     Decoding never raises: the incremental {!decoder} returns a typed
-    {!step}, and the payload cursor ({!Get}) folds every failure into
-    [Error].  This is the invariant the frame fuzzer in [test_fuzz]
-    locks down — arbitrary bytes produce [`Frame]/[`Awaiting]/[`Corrupt],
+    {!step}, and {!Frame} folds every payload failure into [Error].
+    This is the invariant the frame fuzzer in [test_fuzz] locks down — arbitrary bytes produce [`Frame]/[`Awaiting]/[`Corrupt],
     never an exception. *)
 
 val magic : int
 val header_bytes : int
+
+(** [frame w ~kind payload] appends one frame to [w]: the header, then
+    whatever [payload w] writes.  If [payload] raises, [w] is left as it
+    was and the exception goes on.
+    @raise Invalid_argument if [kind] is outside [0..255]. *)
+val frame :
+  Refnet_bits.Byte_io.Writer.t ->
+  kind:int ->
+  (Refnet_bits.Byte_io.Writer.t -> unit) ->
+  unit
 
 (** [encode ~kind payload] is the full frame as bytes-in-a-string.
     @raise Invalid_argument if [kind] is outside [0..255]. *)
@@ -56,46 +69,3 @@ type step =
     decoder sticks: every further [next] returns the same error. *)
 val next : decoder -> step
 
-(** Payload field writers (byte-aligned, big-endian). *)
-module Put : sig
-  type t
-
-  val create : unit -> t
-  val u8 : t -> int -> unit
-  val u16 : t -> int -> unit
-  val u32 : t -> int -> unit
-
-  (** [u64 p v] writes all 64 bits big-endian — session trace ids
-      travel whole. *)
-  val u64 : t -> int64 -> unit
-
-  (** [str p s] writes a 16-bit length then the bytes.
-      @raise Invalid_argument if [String.length s > 65535]. *)
-  val str : t -> string -> unit
-
-  (** [bits p m] writes a message as a 32-bit bit-length followed by the
-      bits packed most-significant-first into [ceil(len/8)] bytes — the
-      exact bit string round-trips, preserving the model's "messages are
-      genuine bit strings" accounting across the wire. *)
-  val bits : t -> Core.Message.t -> unit
-
-  val contents : t -> string
-end
-
-(** Payload field readers.  Every reader returns [Error _] on truncation
-    or an out-of-range value instead of raising. *)
-module Get : sig
-  type t
-
-  val create : string -> t
-  val u8 : t -> (int, string) result
-  val u16 : t -> (int, string) result
-  val u32 : t -> (int, string) result
-  val u64 : t -> (int64, string) result
-  val str : t -> (string, string) result
-  val bits : t -> (Core.Message.t, string) result
-
-  (** [finished g] — all payload bytes consumed (trailing junk in a
-      frame is a decode error at the {!Frame} layer). *)
-  val finished : t -> bool
-end

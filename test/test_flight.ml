@@ -179,6 +179,69 @@ let test_garbage_decodes_totally () =
     ignore (List.length d.Core.Flight.d_items + List.length d.Core.Flight.d_findings)
   done
 
+(* Records whose digests hold but whose bodies are random bytes: the
+   body reader itself must stay total.  Every tag byte 0..255 comes up,
+   with bodies from empty to well past a full header. *)
+let test_random_bodies_decode_totally () =
+  let module W = Refnet_bits.Byte_io.Writer in
+  let rng = Random.State.make [| 131 |] in
+  let per_tag = 4 in
+  let records = 256 * per_tag in
+  let w = W.create 4096 in
+  W.raw w "RFLIGHT2";
+  W.u64 w (Int64.of_int records);
+  W.u64 w 0L;
+  W.u32 w records;
+  let offsets = ref [] and unknown = ref [] in
+  for tag = 0 to 255 do
+    for _ = 1 to per_tag do
+      offsets := W.length w :: !offsets;
+      if tag = 0 || tag > 8 then unknown := W.length w :: !unknown;
+      W.record w (fun w ->
+          (* seq and trace, then the tag, then a random tail *)
+          for _ = 1 to 16 do
+            W.u8 w (Random.State.int rng 256)
+          done;
+          W.u8 w tag;
+          for _ = 1 to Random.State.int rng 48 do
+            W.u8 w (Random.State.int rng 256)
+          done)
+    done
+  done;
+  let dump = W.take w in
+  let d =
+    match Core.Flight.decode dump with
+    | d -> d
+    | exception e -> Alcotest.failf "decode raised %s" (Printexc.to_string e)
+  in
+  let items = List.length d.Core.Flight.d_items in
+  let at_records =
+    List.filter
+      (fun f -> List.mem f.Core.Flight.f_offset !offsets)
+      d.Core.Flight.d_findings
+  in
+  Alcotest.(check int) "every record is an item or a finding" records
+    (items + List.length at_records);
+  Alcotest.(check bool) "unknown tags are findings" true
+    (List.for_all
+       (fun off -> List.exists (fun f -> f.Core.Flight.f_offset = off) at_records)
+       !unknown);
+  Alcotest.(check int) "the count mismatch is the only other finding"
+    (if items = records then 0 else 1)
+    (List.length d.Core.Flight.d_findings - List.length at_records)
+
+(* Flight strings are cut to what a u16 length can say, never refused. *)
+let test_long_note_is_cut () =
+  let f = Core.Flight.create () in
+  let detail = String.init 70_000 (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  Core.Flight.note f ~trace:5L ~code:"long" ~detail;
+  let d = Core.Flight.decode (Core.Flight.dump f) in
+  Alcotest.(check int) "no findings" 0 (List.length d.Core.Flight.d_findings);
+  match d.Core.Flight.d_items with
+  | [ { Core.Flight.i_note = Some ("long", got); _ } ] ->
+    Alcotest.(check string) "detail keeps its first 65535 bytes" (String.sub detail 0 65535) got
+  | _ -> Alcotest.fail "expected the one note"
+
 (* ---------- trace ids ---------- *)
 
 let test_hex_roundtrip () =
@@ -305,6 +368,9 @@ let () =
           Alcotest.test_case "corruption becomes findings" `Quick
             test_corrupt_bytes_become_findings;
           Alcotest.test_case "garbage decodes totally" `Quick test_garbage_decodes_totally;
+          Alcotest.test_case "random bodies decode totally" `Quick
+            test_random_bodies_decode_totally;
+          Alcotest.test_case "long note is cut" `Quick test_long_note_is_cut;
           Alcotest.test_case "hex trace roundtrip" `Quick test_hex_roundtrip;
         ] );
       ( "determinism",

@@ -187,6 +187,55 @@ let test_wire_digest_trips () =
   | Serve.Wire.Corrupt _ -> ()
   | _ -> Alcotest.fail "digest mismatch not detected"
 
+(* Frame strings are u16-length-prefixed: one byte more is refused
+   before anything is written. *)
+let test_frame_long_string_refused () =
+  let error detail = Serve.Frame.Error { code = Serve.Frame.Internal; detail } in
+  roundtrip_server (error (String.make 65535 'x'));
+  (match Serve.Frame.encode_server (error (String.make 65536 'x')) with
+  | _ -> Alcotest.fail "65536-byte detail encoded"
+  | exception Invalid_argument _ -> ());
+  let w = Refnet_bits.Byte_io.Writer.create 0 in
+  Serve.Frame.write_server w (Serve.Frame.Pong { token = 1 });
+  let before = Refnet_bits.Byte_io.Writer.length w in
+  (match Serve.Frame.write_server w (error (String.make 65536 'x')) with
+  | () -> Alcotest.fail "65536-byte detail written"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "writer left as it was" before (Refnet_bits.Byte_io.Writer.length w)
+
+(* Decode errors travel in Error frames, so their wording is pinned. *)
+let test_frame_decode_errors () =
+  let open_payload =
+    (* the Open frame's payload: what follows its 10-byte header *)
+    let s =
+      Serve.Frame.encode_client
+        (Serve.Frame.Open { open_id = 1; protocol = "count"; n = 8; trace = -1L })
+    in
+    String.sub s Serve.Wire.header_bytes (String.length s - Serve.Wire.header_bytes)
+  in
+  let client kind payload =
+    match Serve.Frame.decode_client ~kind payload with Ok _ -> "ok" | Error e -> e
+  in
+  let server kind payload =
+    match Serve.Frame.decode_server ~kind payload with Ok _ -> "ok" | Error e -> e
+  in
+  List.iter
+    (fun (want, got) -> Alcotest.(check string) want want got)
+    [
+      ("ok", client 0x02 open_payload);
+      ( "payload truncated: need 4 bytes at offset 15",
+        client 0x02 (String.sub open_payload 0 17) );
+      ( "payload truncated: need 4 bytes at offset 19",
+        client 0x02 (String.sub open_payload 0 20) );
+      ("trailing bytes in frame payload", client 0x02 (open_payload ^ "\000"));
+      ("unknown client frame kind 0x7E", client 0x7e "");
+      ("unknown server frame kind 0x01", server 0x01 "");
+      ("unknown error code 9", server 0x86 "\009\000\000");
+      ("unknown reject reason 0", server 0x85 "\000\000\000\001\000");
+      ("unknown verdict status 3", server 0x84 "\000\000\000\001\003");
+      ("unknown timeout kind 7", server 0x84 "\000\000\000\001\000\007");
+    ]
+
 (* Seals and wire payloads are byte-identical to the ones recorded
    before the bit layer went word-level (see seal_wire.golden). *)
 let golden_payload len =
@@ -225,12 +274,12 @@ let test_seal_wire_golden () =
           let p = golden_payload len in
           let sealed = Core.Message.seal ~n ~id p in
           Alcotest.(check string) (Printf.sprintf "seal bits, len %d" len) seal (hex_of_bits sealed);
-          let b = Serve.Wire.Put.create () in
-          Serve.Wire.Put.bits b p;
+          let w = Refnet_bits.Byte_io.Writer.create 0 in
+          Refnet_bits.Byte_io.Writer.bits w p;
           Alcotest.(check string)
-            (Printf.sprintf "Put.bits bytes, len %d" len)
+            (Printf.sprintf "Writer.bits bytes, len %d" len)
             put
-            (hex_of_string (Serve.Wire.Put.contents b));
+            (hex_of_string (Refnet_bits.Byte_io.Writer.take w));
           match Core.Message.unseal ~n ~id sealed with
           | Some q -> Alcotest.(check bool) "unseal" true (Core.Message.equal p q)
           | None -> Alcotest.failf "len %d: seal did not verify" len))
@@ -1515,6 +1564,8 @@ let () =
         [
           Alcotest.test_case "frame roundtrips" `Quick test_frame_roundtrips;
           Alcotest.test_case "digest trips on flip" `Quick test_wire_digest_trips;
+          Alcotest.test_case "long strings refused" `Quick test_frame_long_string_refused;
+          Alcotest.test_case "decode error strings" `Quick test_frame_decode_errors;
           Alcotest.test_case "seal and wire golden" `Quick test_seal_wire_golden;
           Alcotest.test_case "msg pad bits cleared" `Quick test_msg_pad_bits_cleared;
         ] );
