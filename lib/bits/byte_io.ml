@@ -9,7 +9,15 @@ module Writer = struct
     w.len <- n
 
   let take w =
-    let s = Bytes.sub_string w.buf 0 w.len in
+    let s =
+      if w.len = Bytes.length w.buf then begin
+        (* a full buffer is handed over whole; the next write grows a new one *)
+        let s = Bytes.unsafe_to_string w.buf in
+        w.buf <- Bytes.empty;
+        s
+      end
+      else Bytes.sub_string w.buf 0 w.len
+    in
     w.len <- 0;
     s
 

@@ -19,7 +19,10 @@ module Writer : sig
       @raise Invalid_argument if [n] is negative or past [length w]. *)
   val truncate : t -> int -> unit
 
-  (** [take w] is a copy of the bytes written; [w] is then empty. *)
+  (** [take w] is the bytes written; [w] is then empty.  They are
+      copied out unless they fill [w]'s buffer exactly, which is then
+      handed over whole: a writer {!create}d at the exact size of what
+      it will hold allocates its bytes once. *)
   val take : t -> string
 
   (** [u8], [u16] and [u32] write the low 8, 16 and 32 bits of an

@@ -62,11 +62,13 @@ let seal ~n ~id payload =
 
 (* The payload is the sealed vector's prefix, so the digest is taken
    over [sealed] itself and the payload copied only when it matches. *)
-let unseal ~n ~id sealed =
+let verify ~n ~id sealed =
   let len = Bitvec.length sealed - digest_bits in
-  if len < 0 then None
-  else if Bitvec.get_bits sealed ~pos:len ~width:digest_bits = digest ~n ~id sealed ~len then
-    Some (Bitvec.sub sealed ~pos:0 ~len)
+  len >= 0 && Bitvec.get_bits sealed ~pos:len ~width:digest_bits = digest ~n ~id sealed ~len
+
+let unseal ~n ~id sealed =
+  if verify ~n ~id sealed then
+    Some (Bitvec.sub sealed ~pos:0 ~len:(Bitvec.length sealed - digest_bits))
   else None
 
 let equal = Bitvec.equal

@@ -72,5 +72,12 @@ val seal : n:int -> id:int -> t -> t
     digest disagrees. *)
 val unseal : n:int -> id:int -> t -> t option
 
+(** [verify ~n ~id m] is [unseal ~n ~id m <> None], without the copy.
+    A referee that keeps [m] itself must then read only its first
+    [bits m - digest_bits] bits, and must check the exact length first:
+    a short message would otherwise read into the digest bits instead
+    of running out. *)
+val verify : n:int -> id:int -> t -> bool
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -147,8 +147,9 @@ let hardened ~seed ?rounds ?levels () : bool Verdict.t Protocol.t =
      edges to cancel, so there is no sound partial answer: the generic
      {!Protocol.harden_referee} wrapper — Decided on a clean channel,
      Inconclusive otherwise — is exactly the right policy.  The adapter
-     underneath authenticates each bank and pins its exact size before
-     the sampler parser ever sees it. *)
+     underneath pins each bank's exact size, then authenticates it and
+     stores it sealed: finish reads columns only from the payload
+     prefix, so the digest bits are never read and never copied off. *)
   let referee =
     match plain.referee with
     | Protocol.Referee s ->
@@ -158,12 +159,10 @@ let hardened ~seed ?rounds ?levels () : bool Verdict.t Protocol.t =
              s with
              absorb =
                (fun ~n st ~id msg ->
-                 match Message.unseal ~n ~id msg with
-                 | None -> raise Message.Malformed
-                 | Some payload ->
-                   if Message.bits payload <> message_bits ~n ?rounds ?levels () then
-                     raise Message.Malformed;
-                   s.absorb ~n st ~id payload);
+                 if Message.bits msg <> message_bits ~n ?rounds ?levels () + Message.digest_bits
+                    || not (Message.verify ~n ~id msg)
+                 then raise Message.Malformed;
+                 s.absorb ~n st ~id msg);
            })
   in
   {

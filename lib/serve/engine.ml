@@ -536,16 +536,18 @@ let feed_bytes t cid b ~off ~len =
       if not conn.quarantined then begin
         Metrics.Counter.add t.inst.i_bytes len;
         Wire.push conn.decoder b ~off ~len;
+        (* frames are decoded in place; nothing below keeps the view,
+           which the next push may overwrite *)
         let continue = ref true in
         while !continue do
-          match Wire.next conn.decoder with
+          match Wire.next_view conn.decoder with
           | Wire.Awaiting -> continue := false
           | Wire.Corrupt detail ->
               quarantine t conn Frame.Corrupt_frame detail;
               continue := false
           | Wire.Frame { kind; payload } -> (
               count t.inst.i_frames;
-              match Frame.decode_client ~kind payload with
+              match Frame.decode_client_view ~kind payload with
               | Error detail ->
                   quarantine t conn Frame.Corrupt_frame detail;
                   continue := false

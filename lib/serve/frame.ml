@@ -177,48 +177,59 @@ let write_server w = function
           W.str w detail)
   | Pong { token } -> Wire.frame w ~kind:k_pong (fun w -> W.u32 w token)
 
-let encoded write frame =
-  let w = W.create 64 in
+(* [size] is the exact frame size where it is worth knowing: [take]
+   hands a writer filled to its size over without a copy. *)
+let encoded write ~size frame =
+  let w = W.create size in
   write w frame;
   W.take w
 
-let encode_client = encoded write_client
-let encode_server = encoded write_server
+let encode_client = function
+  | Msg { payload; _ } as f ->
+      (* session, node and bit length, then the packed bits *)
+      let body = 12 + ((Core.Message.bits payload + 7) / 8) in
+      encoded write_client ~size:(Wire.header_bytes + body) f
+  | f -> encoded write_client ~size:64 f
+
+let encode_server = encoded write_server ~size:64
 
 (* ---------- decoding ---------- *)
 
 (* Fields are bound with sequential lets: OCaml leaves the evaluation
    order of record fields unspecified. *)
-let decoded payload read =
-  let r = R.of_string payload in
+let decoded r read =
   match read r with
   | v -> if R.remaining r = 0 then Ok v else Error "trailing bytes in frame payload"
   | exception Refnet_bits.Byte_io.Malformed reason -> Error reason
 
-let decode_client ~kind payload =
-  decoded payload (fun r ->
-      if kind = k_hello then
-        let version = R.u16 r in
-        Hello { version }
-      else if kind = k_open then
-        let open_id = R.u32 r in
-        let protocol = R.str r in
-        let n = R.u32 r in
-        let trace = R.u64 r in
-        Open { open_id; protocol; n; trace }
-      else if kind = k_msg then
-        let session = R.u32 r in
-        let node = R.u32 r in
-        let payload = R.bits r in
-        Msg { session; node; payload }
-      else if kind = k_finish then Finish { session = R.u32 r }
-      else if kind = k_abort then Abort { session = R.u32 r }
-      else if kind = k_ping then Ping { token = R.u32 r }
-      else if kind = k_bye then Bye
-      else Refnet_bits.Byte_io.failf "unknown client frame kind 0x%02X" kind)
+let read_client ~kind r =
+  if kind = k_hello then
+    let version = R.u16 r in
+    Hello { version }
+  else if kind = k_open then
+    let open_id = R.u32 r in
+    let protocol = R.str r in
+    let n = R.u32 r in
+    let trace = R.u64 r in
+    Open { open_id; protocol; n; trace }
+  else if kind = k_msg then
+    let session = R.u32 r in
+    let node = R.u32 r in
+    let payload = R.bits r in
+    Msg { session; node; payload }
+  else if kind = k_finish then Finish { session = R.u32 r }
+  else if kind = k_abort then Abort { session = R.u32 r }
+  else if kind = k_ping then Ping { token = R.u32 r }
+  else if kind = k_bye then Bye
+  else Refnet_bits.Byte_io.failf "unknown client frame kind 0x%02X" kind
+
+let decode_client ~kind payload = decoded (R.of_string payload) (read_client ~kind)
+
+let decode_client_view ~kind (v : Wire.view) =
+  decoded (R.of_bytes v.buf ~off:v.off ~len:v.len) (read_client ~kind)
 
 let decode_server ~kind payload =
-  decoded payload (fun r ->
+  decoded (R.of_string payload) (fun r ->
       if kind = k_welcome then
         let version = R.u16 r in
         let trace = R.u64 r in

@@ -99,6 +99,12 @@ val encode_client : client -> string
 val encode_server : server -> string
 
 val decode_client : kind:int -> string -> (client, string) result
+
+(** [decode_client_view ~kind v] is {!decode_client} read in place from
+    a {!Wire.next_view} payload.  Nothing in the result shares [v]'s
+    buffer: a [Msg] payload is copied out of it once, so the frame may
+    outlive the view. *)
+val decode_client_view : kind:int -> Wire.view -> (client, string) result
 val decode_server : kind:int -> string -> (server, string) result
 
 val pp_client : Format.formatter -> client -> unit

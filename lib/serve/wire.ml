@@ -31,10 +31,14 @@ let encode ~kind payload =
   frame w ~kind (fun w -> W.raw w payload);
   W.take w
 
-type step =
-  | Frame of { kind : int; payload : string }
+type view = { buf : Bytes.t; off : int; len : int }
+
+type 'p next =
+  | Frame of { kind : int; payload : 'p }
   | Awaiting
   | Corrupt of string
+
+type step = string next
 
 type decoder = {
   mutable buf : Bytes.t;
@@ -79,7 +83,7 @@ let poison d msg =
   d.fill <- 0;
   Corrupt msg
 
-let next d =
+let next_view d =
   match d.poisoned with
   | Some msg -> Corrupt msg
   | None ->
@@ -98,12 +102,19 @@ let next d =
                  d.max_frame)
           else if R.remaining r < len then Awaiting
           else begin
-            let body = R.sub r len in
-            if R.fnv body <> digest then poison d "payload digest mismatch"
+            let off = d.start + header_bytes in
+            if Refnet_bits.Fnv.bytes d.buf ~off ~len <> digest then
+              poison d "payload digest mismatch"
             else begin
-              d.start <- d.start + header_bytes + len;
-              Frame { kind; payload = R.raw body len }
+              d.start <- off + len;
+              Frame { kind; payload = { buf = d.buf; off; len } }
             end
           end
         end
       end
+
+let next d =
+  match next_view d with
+  | Frame { kind; payload = v } ->
+      Frame { kind; payload = Bytes.sub_string v.buf v.off v.len }
+  | (Awaiting | Corrupt _) as step -> step

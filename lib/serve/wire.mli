@@ -57,15 +57,28 @@ val push : decoder -> bytes -> off:int -> len:int -> unit
 (** [buffered d] is the number of bytes held but not yet decoded. *)
 val buffered : decoder -> int
 
-type step =
-  | Frame of { kind : int; payload : string }
+(** What {!next} and {!next_view} return. *)
+type 'p next =
+  | Frame of { kind : int; payload : 'p }
   | Awaiting  (** not enough bytes yet — read more *)
   | Corrupt of string
       (** bad magic, oversized declared length, or digest mismatch.
           The stream cannot be resynchronized; the connection must be
           quarantined. *)
 
-(** [next d] extracts the next complete frame.  After [Corrupt] the
-    decoder sticks: every further [next] returns the same error. *)
+type step = string next
+
+(** [next d] extracts the next complete frame, its payload copied out.
+    After [Corrupt] the decoder sticks: every further [next] returns
+    the same error. *)
 val next : decoder -> step
 
+(** A frame's payload where it lies: [len] bytes of [buf] from [off]. *)
+type view = { buf : Bytes.t; off : int; len : int }
+
+(** [next_view d] is {!next} without the copy: the payload is a view of
+    [d]'s own buffer.  {b Lifetime}: the view is valid until the next
+    {!push} on [d], which may move or overwrite those bytes; further
+    [next_view] calls leave it intact.  Whatever outlives the frame must
+    be copied out of the view before that [push]. *)
+val next_view : decoder -> view next

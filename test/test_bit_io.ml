@@ -281,6 +281,57 @@ let test_fnv_vectors () =
     (Fnv.bytes ~h:(Fnv.bytes b ~off:2 ~len:3) b ~off:5 ~len:3);
   Alcotest.(check int) "fold_byte" 0xe40c292c (Fnv.fold_byte Fnv.offset (Char.code 'a'))
 
+(* The byte-at-a-time FNV-1a-32 loop, masked at every step: the oracle
+   for the unboxed kernel, which masks once at the end. *)
+let fnv_reference h b ~off ~len =
+  let h = ref h in
+  for i = off to off + len - 1 do
+    h := ((!h lxor Char.code (Bytes.get b i)) * 16777619) land 0xffffffff
+  done;
+  !h
+
+let fold_int_reference h v =
+  let h = ref h in
+  for i = 0 to 7 do
+    h := ((!h lxor ((v lsr (8 * i)) land 0xff)) * 16777619) land 0xffffffff
+  done;
+  !h
+
+(* seeds across [0, 2^32), the ends included *)
+let gen_seed = QCheck2.Gen.(oneof [ pure 0; pure 0xFFFFFFFF; pure Fnv.offset; int_range 0 0xFFFFFFFF ])
+
+let prop_fnv_kernel =
+  QCheck2.Test.make ~name:"kernel equals the byte loop" ~count:500
+    ~print:(fun (h, off, b) -> Printf.sprintf "h=%#x off=%d len=%d" h off (String.length b - off))
+    QCheck2.Gen.(
+      triple gen_seed (int_range 0 7)
+        (int_range 0 4096 >>= fun len -> string_size ~gen:char (pure (len + 7))))
+    (fun (h, off, s) ->
+      let b = Bytes.of_string s in
+      let len = Bytes.length b - 7 in
+      Fnv.bytes ~h b ~off ~len = fnv_reference h b ~off ~len
+      && Fnv.bytes b ~off ~len = fnv_reference Fnv.offset b ~off ~len)
+
+let prop_fold_int_kernel =
+  QCheck2.Test.make ~name:"fold_int equals the byte loop" ~count:1000
+    QCheck2.Gen.(pair gen_seed (oneof [ int; pure min_int; pure max_int; pure (-1) ]))
+    (fun (h, v) -> Fnv.fold_int h v = fold_int_reference h v)
+
+(* Words allocated by [f ()]; [Gc.minor_words] counts the minor heap
+   as it fills. *)
+let words_allocated f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_fnv_allocates_nothing () =
+  let b = Bytes.make 4096 'z' in
+  let nothing = words_allocated (fun () -> 0) in
+  Alcotest.(check (float 0.)) "Fnv.bytes" nothing
+    (words_allocated (fun () -> Fnv.bytes b ~off:3 ~len:4000));
+  Alcotest.(check (float 0.)) "Fnv.fold_int" nothing
+    (words_allocated (fun () -> Fnv.fold_int 0xFFFFFFFF (-1)))
+
 let test_bits_needed () =
   Alcotest.(check int) "0" 0 (Codes.bits_needed 0);
   Alcotest.(check int) "1" 1 (Codes.bits_needed 1);
@@ -389,7 +440,13 @@ let () =
           Alcotest.test_case "every alignment" `Quick test_oracle_alignments;
           Alcotest.test_case "width 62" `Quick test_width_62;
         ] );
-      ("fnv", [ Alcotest.test_case "standard vectors" `Quick test_fnv_vectors ]);
+      ( "fnv",
+        [
+          Alcotest.test_case "standard vectors" `Quick test_fnv_vectors;
+          Alcotest.test_case "allocates nothing" `Quick test_fnv_allocates_nothing;
+          QCheck_alcotest.to_alcotest prop_fnv_kernel;
+          QCheck_alcotest.to_alcotest prop_fold_int_kernel;
+        ] );
       ( "codes",
         [
           Alcotest.test_case "bits_needed" `Quick test_bits_needed;

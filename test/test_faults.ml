@@ -87,6 +87,42 @@ let test_seal_detects_any_single_flip () =
     | Some _ -> Alcotest.failf "single flip at bit %d went undetected" i
   done
 
+(* [verify] is [unseal]'s check without the copy: they agree on every
+   single-bit flip of short sealed messages, under the right and a wrong
+   sender, and on vectors too short to hold a digest. *)
+let test_verify_agrees_with_unseal () =
+  let open Refnet_bits in
+  let rng = Random.State.make [| 0x5ea1 |] in
+  let random_vec len =
+    let v = Bitvec.create len in
+    for i = 0 to len - 1 do
+      Bitvec.assign v i (Random.State.bool rng)
+    done;
+    v
+  in
+  let agree what ~n ~id m =
+    Alcotest.(check bool) what
+      (Core.Message.unseal ~n ~id m <> None)
+      (Core.Message.verify ~n ~id m)
+  in
+  for len = 0 to 40 do
+    let sealed = Core.Message.seal ~n:16 ~id:7 (random_vec len) in
+    agree "intact" ~n:16 ~id:7 sealed;
+    Alcotest.(check bool) "intact verifies" true (Core.Message.verify ~n:16 ~id:7 sealed);
+    agree "wrong sender" ~n:16 ~id:8 sealed;
+    agree "wrong n" ~n:17 ~id:7 sealed;
+    for i = 0 to Bitvec.length sealed - 1 do
+      let tampered = Bitvec.copy sealed in
+      Bitvec.assign tampered i (not (Bitvec.get tampered i));
+      agree (Printf.sprintf "flip %d of %d" i (Bitvec.length sealed)) ~n:16 ~id:7 tampered
+    done
+  done;
+  for len = 0 to 31 do
+    let v = random_vec len in
+    agree (Printf.sprintf "%d-bit vector" len) ~n:16 ~id:7 v;
+    Alcotest.(check bool) "too short" false (Core.Message.verify ~n:16 ~id:7 v)
+  done
+
 (* ---------- empty plan == run, bit for bit ---------- *)
 
 let test_empty_plan_bit_identical () =
@@ -348,7 +384,10 @@ let () =
           Alcotest.test_case "apply scope" `Quick test_apply_scope;
         ] );
       ( "seals",
-        [ Alcotest.test_case "single flips detected" `Quick test_seal_detects_any_single_flip ] );
+        [
+          Alcotest.test_case "single flips detected" `Quick test_seal_detects_any_single_flip;
+          Alcotest.test_case "verify agrees with unseal" `Quick test_verify_agrees_with_unseal;
+        ] );
       ( "empty plan identity",
         [
           Alcotest.test_case "simulator" `Quick test_empty_plan_bit_identical;

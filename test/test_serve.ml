@@ -1211,6 +1211,154 @@ let test_session_error_strings () =
       ("own Verdict", true, verdict 5, "verdict");
     ]
 
+(* ---------- receive path: views, copies and allocation ---------- *)
+
+let sketch_deliveries ~n = deliveries "sketch:7" (Generators.random_tree (Random.State.make [| 27; n |]) n)
+
+let encode_all frames = String.concat "" (List.map Serve.Frame.encode_client frames)
+
+(* Bytes allocated by [f ()] on this domain.  The window starts on an
+   empty minor heap, so no promotion of older data lands in it.  Minor
+   words come from [Gc.minor_words], which counts the words still in the
+   minor heap; on OCaml 5.1 [Gc.quick_stat] misses them until the next
+   collection and [Gc.allocated_bytes] counts an eighth of them.  The
+   counters' major words less the promoted ones are what went straight
+   to the major heap. *)
+let allocated f =
+  Gc.minor ();
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  (r, words *. float_of_int (Sys.word_size / 8))
+
+let test_encode_client_allocation () =
+  let msgs = sketch_deliveries ~n:128 in
+  let frames =
+    Array.of_list (List.map (fun (node, payload) -> Serve.Frame.Msg { session = 1; node; payload }) msgs)
+  in
+  let encoded, bytes = allocated (fun () -> Array.map Serve.Frame.encode_client frames) in
+  let returned = Array.fold_left (fun acc s -> acc + String.length s) 0 encoded in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f B allocated for %d B of frames (bound 1.2x)" bytes returned)
+    true
+    (bytes <= 1.2 *. float_of_int returned)
+
+(* Two Msg frames arrive in one push and are decoded in place; the next
+   push first compacts the decoder buffer (a partial frame is left at a
+   non-zero offset) and then grows it past its 4 KiB start.  What the
+   frames decoded into must not change, and the engine, which absorbs
+   only at the next tick, must still reach the offline verdict. *)
+let test_views_never_alias () =
+  let n = 32 in
+  let msgs = sketch_deliveries ~n in
+  let msg (node, payload) = Serve.Frame.Msg { session = 1; node; payload } in
+  let first = encode_all (List.map msg (List.filteri (fun i _ -> i < 2) msgs)) in
+  let rest = encode_all (List.map msg (List.filteri (fun i _ -> i >= 2) msgs)) in
+  let cut = 100 in
+  let push d s = Serve.Wire.push d (Bytes.of_string s) ~off:0 ~len:(String.length s) in
+  let d = Serve.Wire.decoder () in
+  push d (first ^ String.sub rest 0 cut);
+  let decoded =
+    List.init 2 (fun _ ->
+        match Serve.Wire.next_view d with
+        | Serve.Wire.Frame { kind; payload } -> (
+          match Serve.Frame.decode_client_view ~kind payload with
+          | Ok (Serve.Frame.Msg { payload; _ }) -> payload
+          | _ -> Alcotest.fail "expected a Msg frame")
+        | _ -> Alcotest.fail "expected a frame")
+  in
+  let copies = List.map Refnet_bits.Bitvec.copy decoded in
+  Alcotest.(check bool) "rest awaits" true (Serve.Wire.next_view d = Serve.Wire.Awaiting);
+  Alcotest.(check bool) "rest outgrows the buffer" true (String.length rest > 8192);
+  push d (String.sub rest cut (String.length rest - cut));
+  List.iter2
+    (fun a b -> Alcotest.(check bool) "decoded payload unchanged" true (Core.Message.equal a b))
+    decoded copies;
+  (* the same byte stream through the engine *)
+  let clock = ref 0.0 in
+  let engine = engine_with clock in
+  let p = connect engine in
+  let session, credit = open_session engine p ~protocol:"sketch:7" ~n in
+  Alcotest.(check int) "session id" 1 session;
+  Alcotest.(check bool) "credit covers the session" true (credit >= n);
+  feed_raw engine p (first ^ String.sub rest 0 cut);
+  feed_raw engine p (String.sub rest cut (String.length rest - cut));
+  feed engine p (Serve.Frame.Finish { session });
+  let v, _ = await_verdict engine p ~session in
+  let (Serve.Registry.Entry { protocol; render }) =
+    match Serve.Registry.lookup ~spec:"sketch:7" ~n with Ok e -> e | Error e -> Alcotest.fail e
+  in
+  let expected =
+    match Core.Protocol.apply protocol ~n (Array.of_list (List.map snd msgs)) with
+    | Core.Verdict.Decided x -> render x
+    | _ -> Alcotest.fail "clean offline run must decide"
+  in
+  Alcotest.(check bool) "decided" true (v.status = Serve.Frame.Decided);
+  Alcotest.(check string) "offline verdict" expected v.payload
+
+(* Engine-side bytes per n=128 sketch session: [Client.Session] flights
+   fed to [feed_bytes], then [tick] and [take_output], each call counted
+   from an empty minor heap; decoding the server's frames and the client
+   machine are outside the windows. *)
+let test_engine_allocation_per_session () =
+  let n = 128 and sessions = 20 in
+  let msgs = sketch_deliveries ~n in
+  let clock = ref 0.0 in
+  let engine = engine_with clock in
+  let p = connect engine in
+  feed engine p (Serve.Frame.Hello { version = Serve.Frame.version });
+  Serve.Engine.tick engine;
+  ignore (recv engine p);
+  (* what a window costs by itself; the least of five, as one window
+     in a few dozen runs reads a one-off runtime count *)
+  let overhead = List.fold_left min infinity (List.init 5 (fun _ -> snd (allocated ignore))) in
+  let engine_side = ref 0.0 in
+  let engine_call f =
+    let r, bytes = allocated f in
+    engine_side := !engine_side +. (bytes -. overhead);
+    r
+  in
+  let run open_id =
+    let s = Session.start ~open_id ~protocol:"sketch:7" ~n msgs in
+    let rec go budget =
+      if budget = 0 then Alcotest.fail "no verdict within budget";
+      match Session.flight s with
+      | Some f ->
+        let b = Bytes.unsafe_of_string f in
+        engine_call (fun () -> Serve.Engine.feed_bytes engine p.c b ~off:0 ~len:(Bytes.length b));
+        go budget
+      | None -> (
+        let out = engine_call (fun () -> Serve.Engine.tick engine; Serve.Engine.take_output engine p.c) in
+        Serve.Wire.push p.d (Bytes.unsafe_of_string out) ~off:0 ~len:(String.length out);
+        let rec frames () =
+          match Serve.Wire.next p.d with
+          | Serve.Wire.Frame { kind; payload } -> (
+            match Serve.Frame.decode_server ~kind payload with
+            | Ok f -> ( match Session.recv s f with Some r -> Some r | None -> frames ())
+            | Error e -> Alcotest.failf "undecodable server frame: %s" e)
+          | Serve.Wire.Awaiting -> None
+          | Serve.Wire.Corrupt e -> Alcotest.failf "corrupt server stream: %s" e
+        in
+        match frames () with
+        | Some (Ok v) -> Alcotest.(check bool) "decided" true (v.Serve.Client.status = Serve.Frame.Decided)
+        | Some (Error e) -> Alcotest.failf "session failed: %s" e
+        | None -> go (budget - 1))
+    in
+    go 50
+  in
+  run 1;
+  engine_side := 0.0;
+  for i = 2 to sessions + 1 do
+    run i
+  done;
+  let per_session = !engine_side /. float_of_int sessions in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f B per session (bound 450 kB)" per_session)
+    true (per_session <= 450_000.)
+
 (* ---------- selftest campaign ---------- *)
 
 let test_selftest_clean () =
@@ -1568,6 +1716,14 @@ let () =
           Alcotest.test_case "decode error strings" `Quick test_frame_decode_errors;
           Alcotest.test_case "seal and wire golden" `Quick test_seal_wire_golden;
           Alcotest.test_case "msg pad bits cleared" `Quick test_msg_pad_bits_cleared;
+        ] );
+      ( "receive path",
+        [
+          Alcotest.test_case "encode_client allocates its bytes" `Quick
+            test_encode_client_allocation;
+          Alcotest.test_case "views never alias" `Quick test_views_never_alias;
+          Alcotest.test_case "engine bytes per sketch session" `Quick
+            test_engine_allocation_per_session;
         ] );
       ( "registry",
         [
