@@ -1087,13 +1087,21 @@ let faults () =
 (* M1: metrics-overhead microbench                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Bytes allocated per call, counted in full: minor words plus major
+   words less promoted ones ([Gc.allocated_bytes] reads only part of what
+   is still in the minor heap on OCaml 5.1). *)
 let alloc_per_run ~reps f =
   ignore (f ());
-  let before = Gc.allocated_bytes () in
+  Gc.minor ();
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
   for _ = 1 to reps do
     ignore (f ())
   done;
-  (Gc.allocated_bytes () -. before) /. float_of_int reps
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  words *. float_of_int (Sys.word_size / 8) /. float_of_int reps
 
 let metrics_workload name n (plain : ?trace:Core.Trace.sink -> unit -> unit) live =
   let per t = 1e9 *. t /. float_of_int n in

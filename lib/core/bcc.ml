@@ -241,72 +241,36 @@ let run_source ?domains ?chunk ?(delivery = Simulator.In_order) ?(trace = Trace.
 
 (* ---------- hardening ---------- *)
 
+(* The ledger's rounds close when the referee must speak: at each
+   broadcast, and (through [Verdict.report]) at finish.  In a fault-free
+   run the engine absorbs every id every round, so nothing goes
+   missing. *)
 type 's bcc_hardened = {
-  bh_inner : 's;
-  bh_seen : bool array; (* this round's arrivals; reset at round close *)
-  mutable bh_missing : int list;
-  mutable bh_malformed : int list;
-  mutable bh_duplicated : int list;
+  bh_ledger : Verdict.ledger;
+  mutable bh_inner : 's;
   mutable bh_broke : bool; (* the inner broadcast raised *)
 }
 
-(* A round closes when the referee must speak (broadcast, or finish):
-   any id that never arrived this round is missing.  In a fault-free
-   run the engine absorbs every id every round, so the scan never
-   fires. *)
-let close_round ~n h =
-  for id = n downto 1 do
-    if not h.bh_seen.(id - 1) then h.bh_missing <- id :: h.bh_missing
-  done;
-  Array.fill h.bh_seen 0 n false
-
-let bcc_report h =
-  {
-    Verdict.missing = List.sort_uniq Stdlib.compare h.bh_missing;
-    malformed = List.sort_uniq Stdlib.compare h.bh_malformed;
-    duplicated = List.sort_uniq Stdlib.compare h.bh_duplicated;
-    undetermined = [];
-  }
-
-let harden_referee ?(malformed = Protocol.default_malformed) ?on_fault (Referee s) =
+let harden_referee ?on_fault (Referee s) =
   Referee
     {
       r_init =
-        (fun ~n ->
-          {
-            bh_inner = s.r_init ~n;
-            bh_seen = Array.make n false;
-            bh_missing = [];
-            bh_malformed = [];
-            bh_duplicated = [];
-            bh_broke = false;
-          });
+        (fun ~n -> { bh_ledger = Verdict.ledger ~n; bh_inner = s.r_init ~n; bh_broke = false });
       r_absorb =
         (fun ~n ~round h ~id msg ->
-          if id < 1 || id > n then begin
-            (* A sender id outside the network is itself channel
-               corruption; there is no slot to mark missing. *)
-            h.bh_malformed <- id :: h.bh_malformed;
-            h
-          end
-          else if h.bh_seen.(id - 1) then begin
-            h.bh_duplicated <- id :: h.bh_duplicated;
-            h
-          end
-          else begin
-            h.bh_seen.(id - 1) <- true;
-            match s.r_absorb ~n ~round h.bh_inner ~id msg with
-            | inner -> { h with bh_inner = inner }
-            | exception e when malformed e ->
-              h.bh_malformed <- id :: h.bh_malformed;
-              h
-          end);
+          (if Verdict.admit h.bh_ledger ~id then
+             match s.r_absorb ~n ~round h.bh_inner ~id msg with
+             | inner -> h.bh_inner <- inner
+             | exception e when Protocol.default_malformed e -> Verdict.reject h.bh_ledger ~id);
+          h);
       r_broadcast =
         (fun ~n ~round h ->
-          close_round ~n h;
+          Verdict.close_round h.bh_ledger;
           match s.r_broadcast ~n ~round h.bh_inner with
-          | inner, reply -> ({ h with bh_inner = inner }, reply)
-          | exception e when malformed e ->
+          | inner, reply ->
+            h.bh_inner <- inner;
+            (h, reply)
+          | exception e when Protocol.default_malformed e ->
             (* The inner referee choked on a faulted transcript; keep
                its last consistent state and broadcast nothing.  The
                run can no longer end [Decided]. *)
@@ -314,37 +278,21 @@ let harden_referee ?(malformed = Protocol.default_malformed) ?on_fault (Referee 
             (h, Message.empty));
       r_finish =
         (fun ~n h ->
-          close_round ~n h;
-          let report = bcc_report h in
+          let report = Verdict.report h.bh_ledger in
           if h.bh_broke then
             Verdict.Inconclusive
               ("the referee could not form a broadcast: " ^ Verdict.report_summary report)
-          else if Verdict.channel_clean report then
-            match s.r_finish ~n h.bh_inner with
-            | v -> Verdict.Decided v
-            | exception e when malformed e ->
-              Verdict.Inconclusive "the referee could not decode a clean transcript"
-          else begin
-            let partial =
-              match s.r_finish ~n h.bh_inner with
-              | v -> Some v
-              | exception e when malformed e -> None
-            in
-            match on_fault with
-            | Some f -> f report partial
-            | None ->
-              Verdict.Inconclusive ("channel faults detected: " ^ Verdict.report_summary report)
-          end);
+          else Protocol.settle ?on_fault report (fun () -> s.r_finish ~n h.bh_inner));
     }
 
-let harden ?malformed ?on_fault (p : 'a t) =
+let harden ?on_fault (p : 'a t) =
   {
     name = p.name ^ "+hardened";
     budget = p.budget;
     init = p.init;
     send = p.send;
     receive = p.receive;
-    referee = harden_referee ?malformed ?on_fault p.referee;
+    referee = harden_referee ?on_fault p.referee;
     audit = None;
   }
 

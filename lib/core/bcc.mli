@@ -167,17 +167,18 @@ val run_source :
   'a * transcript
 
 (** [harden_referee r] is the BCC analogue of
-    {!Protocol.harden_referee}: absorbs that raise a decoding exception
-    ([malformed], defaulting to {!Protocol.default_malformed}) are
-    contained and recorded, out-of-range senders and per-round
-    duplicates are recorded, and ids whose message never arrived in
-    some round are reported missing — so a crashed node degrades the
-    run to [Degraded]/[Inconclusive] instead of raising.  A clean
-    channel yields [Decided] of the inner answer.  [on_fault] receives
-    the accumulated report and the inner referee's salvage answer (or
-    [None] if finishing raised). *)
+    {!Protocol.harden_referee}, over one {!Verdict.ledger} for the whole
+    run: absorbs that raise a {!Protocol.default_malformed} exception
+    are contained and recorded, out-of-range senders and per-round
+    duplicates are recorded, and each broadcast closes a round
+    ({!Verdict.close_round}), so ids whose message never arrived in
+    some round are reported missing — a crashed node degrades the run
+    to [Degraded]/[Inconclusive] instead of raising.  A broadcast that
+    raises makes the run [Inconclusive].  Otherwise {!Protocol.settle}
+    decides: [Decided] of the inner answer on a clean channel, else
+    [on_fault] with the report and the inner referee's salvage answer
+    (or [None] if finishing raised). *)
 val harden_referee :
-  ?malformed:(exn -> bool) ->
   ?on_fault:(Verdict.fault_report -> 'a option -> 'a Verdict.t) ->
   'a referee ->
   'a Verdict.t referee
@@ -186,7 +187,6 @@ val harden_referee :
     name suffixed [+hardened], audit budget dropped (a hardened run is
     exempt from the bound audit, as for one-round protocols). *)
 val harden :
-  ?malformed:(exn -> bool) ->
   ?on_fault:(Verdict.fault_report -> 'a option -> 'a Verdict.t) ->
   'a t ->
   'a Verdict.t t

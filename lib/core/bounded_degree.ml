@@ -63,14 +63,9 @@ let reconstruct ~max_degree : Graph.t option Protocol.t =
 
 (* ---------- crash/corruption-tolerant variant ---------- *)
 
+(* A row per id: unknown until its sealed row arrives.  The channel
+   bookkeeping is {!Protocol.guarded}'s. *)
 type brow = B_unknown | B_overflow | B_nbrs of int list
-
-type bstate = {
-  rows : brow array;
-  b_seen : bool array;
-  mutable b_mal : int list;
-  mutable b_dup : int list;
-}
 
 (* Honest adjacency rows list neighbours strictly increasing, in range,
    never the sender itself, and fill the payload exactly — anything else
@@ -100,43 +95,16 @@ let parse_row ~max_degree ~n ~id payload =
 
 let hardened ~max_degree : Graph.t option Verdict.t Protocol.t =
   if max_degree < 0 then invalid_arg "Bounded_degree.hardened: negative bound";
-  let init ~n =
-    {
-      rows = Array.make n B_unknown;
-      b_seen = Array.make n false;
-      b_mal = [];
-      b_dup = [];
-    }
+  let init ~n = Array.make n B_unknown in
+  let absorb ~n rows ~id msg =
+    match Message.unseal ~n ~id msg with
+    | None -> raise Message.Malformed
+    | Some payload ->
+      rows.(id - 1) <- parse_row ~max_degree ~n ~id payload;
+      rows
   in
-  let absorb ~n st ~id msg =
-    if id < 1 || id > n then st.b_mal <- id :: st.b_mal
-    else if st.b_seen.(id - 1) then st.b_dup <- id :: st.b_dup
-    else begin
-      st.b_seen.(id - 1) <- true;
-      match Message.unseal ~n ~id msg with
-      | None -> st.b_mal <- id :: st.b_mal
-      | Some payload -> (
-        match parse_row ~max_degree ~n ~id payload with
-        | row -> st.rows.(id - 1) <- row
-        | exception (Message.Malformed | Bit_reader.Exhausted | Invalid_argument _) ->
-          st.b_mal <- id :: st.b_mal)
-    end;
-    st
-  in
-  let finish ~n st =
-    let missing = ref [] in
-    for id = n downto 1 do
-      if not st.b_seen.(id - 1) then missing := id :: !missing
-    done;
-    let report =
-      {
-        Verdict.missing = !missing;
-        malformed = List.sort_uniq Stdlib.compare st.b_mal;
-        duplicated = List.sort_uniq Stdlib.compare st.b_dup;
-        undetermined = [];
-      }
-    in
-    let overflow = Array.exists (function B_overflow -> true | _ -> false) st.rows in
+  let finish ~n report rows =
+    let overflow = Array.exists (function B_overflow -> true | _ -> false) rows in
     let union () =
       let b = Graph.Builder.create n in
       Array.iteri
@@ -144,7 +112,7 @@ let hardened ~max_degree : Graph.t option Verdict.t Protocol.t =
           match row with
           | B_nbrs nbrs -> List.iter (fun u -> Graph.Builder.add_edge b (i + 1) u) nbrs
           | B_overflow | B_unknown -> ())
-        st.rows;
+        rows;
       Graph.Builder.build b
     in
     if overflow then
@@ -164,17 +132,17 @@ let hardened ~max_degree : Graph.t option Verdict.t Protocol.t =
             | B_nbrs nbrs ->
               List.iter
                 (fun u ->
-                  match st.rows.(u - 1) with
+                  match rows.(u - 1) with
                   | B_nbrs unbrs -> if not (List.mem (i + 1) unbrs) then raise Exit
                   | B_overflow | B_unknown -> ())
                 nbrs
             | B_overflow | B_unknown -> ())
-          st.rows
+          rows
       with
       | () ->
         let undetermined = ref [] in
         for v = n downto 1 do
-          if st.rows.(v - 1) = B_unknown then undetermined := v :: !undetermined
+          if rows.(v - 1) = B_unknown then undetermined := v :: !undetermined
         done;
         Verdict.Degraded (Some (union ()), { report with Verdict.undetermined = !undetermined })
       | exception Exit -> Verdict.Inconclusive "authenticated messages are mutually inconsistent"
@@ -183,7 +151,7 @@ let hardened ~max_degree : Graph.t option Verdict.t Protocol.t =
   {
     name = Printf.sprintf "bounded-degree-%d+sealed" max_degree;
     local = (fun v -> Message.seal ~n:(View.n v) ~id:(View.id v) (local_row ~max_degree v));
-    referee = Protocol.streaming ~init ~absorb ~finish;
+    referee = Protocol.guarded ~init ~absorb ~finish;
     budget = None;
   }
 

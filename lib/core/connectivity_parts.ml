@@ -76,13 +76,6 @@ let decide : bool Coalition.t =
 
 (* ---------- crash/corruption-tolerant variant ---------- *)
 
-type cstate = {
-  c_uf : Union_find.t;
-  c_seen : bool array;
-  mutable c_mal : int list;
-  mutable c_dup : int list;
-}
-
 (* Fully parse an edge-share payload before unioning anything: an
    authentic share never fails these checks, so a mid-message failure
    means a forged seal and none of its edges can be believed. *)
@@ -105,39 +98,19 @@ let hardened : bool Verdict.t Coalition.t =
   let local ~n view =
     List.map (fun (id, m) -> (id, Message.seal ~n ~id m)) (spanning_forest_messages ~n view)
   in
-  let init ~n =
-    { c_uf = Union_find.create (max n 1); c_seen = Array.make n false; c_mal = []; c_dup = [] }
+  (* The state is the union-find; the channel bookkeeping is
+     {!Protocol.guarded}'s. *)
+  let init ~n = Union_find.create (max n 1) in
+  let absorb ~n uf ~id msg =
+    match Message.unseal ~n ~id msg with
+    | None -> raise Message.Malformed
+    | Some payload ->
+      let edges = parse_share ~n payload in
+      List.iter (fun (u, v) -> ignore (Union_find.union uf (u - 1) (v - 1))) edges;
+      uf
   in
-  let absorb ~n st ~id msg =
-    if id < 1 || id > n then st.c_mal <- id :: st.c_mal
-    else if st.c_seen.(id - 1) then st.c_dup <- id :: st.c_dup
-    else begin
-      st.c_seen.(id - 1) <- true;
-      match Message.unseal ~n ~id msg with
-      | None -> st.c_mal <- id :: st.c_mal
-      | Some payload -> (
-        match parse_share ~n payload with
-        | edges ->
-          List.iter (fun (u, v) -> ignore (Union_find.union st.c_uf (u - 1) (v - 1))) edges
-        | exception (Message.Malformed | Bit_reader.Exhausted | Invalid_argument _) ->
-          st.c_mal <- id :: st.c_mal)
-    end;
-    st
-  in
-  let finish ~n st =
-    let missing = ref [] in
-    for id = n downto 1 do
-      if not st.c_seen.(id - 1) then missing := id :: !missing
-    done;
-    let report =
-      {
-        Verdict.missing = !missing;
-        malformed = List.sort_uniq Stdlib.compare st.c_mal;
-        duplicated = List.sort_uniq Stdlib.compare st.c_dup;
-        undetermined = [];
-      }
-    in
-    let connected = n = 0 || Union_find.count st.c_uf <= 1 in
+  let finish ~n report uf =
+    let connected = n = 0 || Union_find.count uf <= 1 in
     if Verdict.channel_clean report then Verdict.Decided connected
     else if connected then
       (* Surviving shares carry only true edges, so if they already
@@ -150,7 +123,7 @@ let hardened : bool Verdict.t Coalition.t =
   {
     Coalition.name = "coalition-connectivity+sealed";
     local;
-    referee = Protocol.streaming ~init ~absorb ~finish;
+    referee = Protocol.guarded ~init ~absorb ~finish;
     budget = (fun ~parts:_ -> None);
   }
 

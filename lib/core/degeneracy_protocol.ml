@@ -42,8 +42,6 @@ let local ~layout ~k ~n ~id ~neighbors =
     done);
   Message.of_writer wr
 
-exception Malformed
-
 (* Streaming referee state: the (degree, power-sum encoding) tables,
    allocated once at [init]; each absorb decodes one message into its
    slot.  A malformed message poisons the state instead of raising, so
@@ -52,23 +50,24 @@ type state = { s_deg : int array; s_enc : Power_sum.encoding array; mutable s_ba
 
 let init ~n = { s_deg = Array.make n 0; s_enc = Array.make n [||]; s_bad = false }
 
-(* Decode one (id echo, degree, k power sums) row; raises [Malformed] on
-   any inconsistency with the declared sender and size. *)
+(* Decode one (id echo, degree, k power sums) row; raises
+   [Message.Malformed] on any inconsistency with the declared sender and
+   size. *)
 let parse ~layout ~k ~n ~id r =
   let w = Bounds.id_bits n in
-  if Codes.read_fixed r ~width:w <> id then raise Malformed;
+  if Codes.read_fixed r ~width:w <> id then raise Message.Malformed;
   match layout with
   | Fixed ->
     let d = Codes.read_fixed r ~width:w in
-    if d > n - 1 then raise Malformed;
+    if d > n - 1 then raise Message.Malformed;
     (d, Array.init k (fun p -> Nat_codec.read r ~width:(coord_width ~w p)))
   | Compact ->
     let d = Codes.read_nonneg r in
-    if d < 0 || d > n - 1 then raise Malformed;
+    if d < 0 || d > n - 1 then raise Message.Malformed;
     ( d,
       Array.init k (fun p ->
           let bits = Codes.read_nonneg r in
-          if bits < 0 || bits > coord_width ~w p then raise Malformed;
+          if bits < 0 || bits > coord_width ~w p then raise Message.Malformed;
           Nat_codec.read r ~width:bits) )
 
 let absorb ~layout ~k ~n st ~id msg =
@@ -77,7 +76,7 @@ let absorb ~layout ~k ~n st ~id msg =
      let d, enc = parse ~layout ~k ~n ~id (Message.reader msg) in
      st.s_deg.(i) <- d;
      st.s_enc.(i) <- enc
-   with Malformed | Bit_reader.Exhausted -> st.s_bad <- true);
+   with Message.Malformed | Bit_reader.Exhausted -> st.s_bad <- true);
   st
 
 let finish ~(decoder : decoder) ~k ~n st =
@@ -162,47 +161,23 @@ let reconstruct ?(decoder = newton_decoder) ?(layout = Fixed) ~k () :
 
 (* ---------- crash/corruption-tolerant variant ---------- *)
 
-type hstate = {
-  g_deg : int array;
-  g_enc : Power_sum.encoding array;
-  g_trusted : bool array;
-  g_seen : bool array;
-  mutable g_mal : int list;
-  mutable g_dup : int list;
-}
+(* The plain tables plus the rows that survived {!Message.unseal}; the
+   channel bookkeeping is {!Protocol.guarded}'s. *)
+type hstate = { rows : state; trusted : bool array }
 
-let hinit ~n =
-  {
-    g_deg = Array.make n 0;
-    g_enc = Array.make n [||];
-    g_trusted = Array.make n false;
-    g_seen = Array.make n false;
-    g_mal = [];
-    g_dup = [];
-  }
+let hinit ~n = { rows = init ~n; trusted = Array.make n false }
 
 let habsorb ~layout ~k ~n st ~id msg =
-  if id < 1 || id > n then st.g_mal <- id :: st.g_mal
-  else if st.g_seen.(id - 1) then st.g_dup <- id :: st.g_dup
-  else begin
-    st.g_seen.(id - 1) <- true;
-    match Message.unseal ~n ~id msg with
-    | None -> st.g_mal <- id :: st.g_mal
-    | Some payload -> (
-      match
-        let r = Message.reader payload in
-        let row = parse ~layout ~k ~n ~id r in
-        if Bit_reader.remaining r <> 0 then raise Malformed;
-        row
-      with
-      | d, enc ->
-        st.g_deg.(id - 1) <- d;
-        st.g_enc.(id - 1) <- enc;
-        st.g_trusted.(id - 1) <- true
-      | exception (Malformed | Bit_reader.Exhausted | Invalid_argument _) ->
-        st.g_mal <- id :: st.g_mal)
-  end;
-  st
+  match Message.unseal ~n ~id msg with
+  | None -> raise Message.Malformed
+  | Some payload ->
+    let r = Message.reader payload in
+    let d, enc = parse ~layout ~k ~n ~id r in
+    if Bit_reader.remaining r <> 0 then raise Message.Malformed;
+    st.rows.s_deg.(id - 1) <- d;
+    st.rows.s_enc.(id - 1) <- enc;
+    st.trusted.(id - 1) <- true;
+    st
 
 (* The Algorithm 4 prune restricted to authenticated rows.  Every edge
    recorded is asserted by an authentic row of residual degree <= k, so
@@ -211,7 +186,7 @@ let habsorb ~layout ~k ~n st ~id msg =
    another trusted row, is impossible for honest senders — forged seal —
    so the referee refuses. *)
 let partial_decode ~(decoder : decoder) ~k ~n st =
-  let deg = st.g_deg and enc = st.g_enc and trusted = st.g_trusted in
+  let deg = st.rows.s_deg and enc = st.rows.s_enc and trusted = st.trusted in
   let resolved = Array.make n false in
   let b = Graph.Builder.create n in
   let queue = Queue.create () in
@@ -259,21 +234,8 @@ let partial_decode ~(decoder : decoder) ~k ~n st =
     Some (Graph.Builder.build b, !undetermined)
   | exception (Exit | Invalid_argument _) -> None
 
-let hfinish ~(decoder : decoder) ~k ~n st =
-  let missing = ref [] in
-  for id = n downto 1 do
-    if not st.g_seen.(id - 1) then missing := id :: !missing
-  done;
-  let report =
-    {
-      Verdict.missing = !missing;
-      malformed = List.sort_uniq Stdlib.compare st.g_mal;
-      duplicated = List.sort_uniq Stdlib.compare st.g_dup;
-      undetermined = [];
-    }
-  in
-  if Verdict.channel_clean report then
-    Verdict.Decided (finish ~decoder ~k ~n { s_deg = st.g_deg; s_enc = st.g_enc; s_bad = false })
+let hfinish ~(decoder : decoder) ~k ~n report st =
+  if Verdict.channel_clean report then Verdict.Decided (finish ~decoder ~k ~n st.rows)
   else
     match partial_decode ~decoder ~k ~n st with
     | None -> Verdict.Inconclusive "authenticated messages are mutually inconsistent"
@@ -291,8 +253,8 @@ let hardened ?(decoder = newton_decoder) ?(layout = Fixed) ~k () :
         let n = View.n v and id = View.id v in
         Message.seal ~n ~id (local ~layout ~k ~n ~id ~neighbors:(View.neighbors v)));
     referee =
-      Protocol.streaming ~init:hinit
+      Protocol.guarded ~init:hinit
         ~absorb:(fun ~n st ~id msg -> habsorb ~layout ~k ~n st ~id msg)
-        ~finish:(fun ~n st -> hfinish ~decoder ~k ~n st);
+        ~finish:(fun ~n report st -> hfinish ~decoder ~k ~n report st);
     budget = None;
   }

@@ -13,8 +13,6 @@ let local v =
   Codes.write_fixed wr ~width:(2 * w) (View.fold_neighbors v 0 ( + ));
   Message.of_writer wr
 
-exception Malformed
-
 (* Streaming referee state: the (degree, neighbour-ID-sum) tables,
    allocated once at [init] — each absorb decodes one triple in place,
    so referee memory is O(n) words total and O(1) per message. *)
@@ -26,12 +24,12 @@ let absorb ~n st ~id msg =
   (try
      let w = Bounds.id_bits n in
      let r = Message.reader msg in
-     if Codes.read_fixed r ~width:w <> id then raise Malformed;
+     if Codes.read_fixed r ~width:w <> id then raise Message.Malformed;
      let d = Codes.read_fixed r ~width:w in
-     if d > n - 1 then raise Malformed;
+     if d > n - 1 then raise Message.Malformed;
      st.deg.(id - 1) <- d;
      st.sum.(id - 1) <- Codes.read_fixed r ~width:(2 * w)
-   with Malformed | Bit_reader.Exhausted -> st.bad <- true);
+   with Message.Malformed | Bit_reader.Exhausted -> st.bad <- true);
   st
 
 (* Leaf-prune over complete (degree, sum) tables; mutates them.  Each
@@ -109,52 +107,28 @@ let recognize : bool Protocol.t =
 
 (* ---------- crash/corruption-tolerant variant ---------- *)
 
-(* Same tables plus per-id channel bookkeeping.  [trusted] marks rows
-   that survived {!Message.unseal} — in the honest-senders fault model
-   an authenticated row is a true statement about the input. *)
-type hstate = {
-  hdeg : int array;
-  hsum : int array;
-  trusted : bool array;
-  hseen : bool array;
-  mutable hmal : int list;
-  mutable hdup : int list;
-}
+(* Same tables plus the rows that survived {!Message.unseal}: in the
+   honest-senders fault model an authenticated row is a true statement
+   about the input.  The channel bookkeeping is {!Protocol.guarded}'s. *)
+type hstate = { hdeg : int array; hsum : int array; trusted : bool array }
 
-let hinit ~n =
-  {
-    hdeg = Array.make n 0;
-    hsum = Array.make n 0;
-    trusted = Array.make n false;
-    hseen = Array.make n false;
-    hmal = [];
-    hdup = [];
-  }
+let hinit ~n = { hdeg = Array.make n 0; hsum = Array.make n 0; trusted = Array.make n false }
 
 let habsorb ~n st ~id msg =
-  if id < 1 || id > n then st.hmal <- id :: st.hmal
-  else if st.hseen.(id - 1) then st.hdup <- id :: st.hdup
-  else begin
-    st.hseen.(id - 1) <- true;
-    match Message.unseal ~n ~id msg with
-    | None -> st.hmal <- id :: st.hmal
-    | Some payload -> (
-      match
-        let w = Bounds.id_bits n in
-        if Message.bits payload <> message_bits n then raise Malformed;
-        let r = Message.reader payload in
-        if Codes.read_fixed r ~width:w <> id then raise Malformed;
-        let d = Codes.read_fixed r ~width:w in
-        if d > n - 1 then raise Malformed;
-        (d, Codes.read_fixed r ~width:(2 * w))
-      with
-      | d, s ->
-        st.hdeg.(id - 1) <- d;
-        st.hsum.(id - 1) <- s;
-        st.trusted.(id - 1) <- true
-      | exception (Malformed | Bit_reader.Exhausted) -> st.hmal <- id :: st.hmal)
-  end;
-  st
+  match Message.unseal ~n ~id msg with
+  | None -> raise Message.Malformed
+  | Some payload ->
+    let w = Bounds.id_bits n in
+    if Message.bits payload <> message_bits n then raise Message.Malformed;
+    let r = Message.reader payload in
+    if Codes.read_fixed r ~width:w <> id then raise Message.Malformed;
+    let d = Codes.read_fixed r ~width:w in
+    if d > n - 1 then raise Message.Malformed;
+    let s = Codes.read_fixed r ~width:(2 * w) in
+    st.hdeg.(id - 1) <- d;
+    st.hsum.(id - 1) <- s;
+    st.trusted.(id - 1) <- true;
+    st
 
 (* Leaf-prune restricted to trusted rows.  Every edge added is asserted
    by an authentic degree-1 row, so under crash-only plans the result is
@@ -199,19 +173,7 @@ let partial_prune ~n ~trusted deg sum =
     Some (Graph.Builder.build b, !undetermined)
   | exception (Exit | Invalid_argument _) -> None
 
-let hfinish ~n st =
-  let missing = ref [] in
-  for id = n downto 1 do
-    if not st.hseen.(id - 1) then missing := id :: !missing
-  done;
-  let report =
-    {
-      Verdict.missing = !missing;
-      malformed = List.sort_uniq Stdlib.compare st.hmal;
-      duplicated = List.sort_uniq Stdlib.compare st.hdup;
-      undetermined = [];
-    }
-  in
+let hfinish ~n report st =
   if Verdict.channel_clean report then Verdict.Decided (decode_tables ~n st.hdeg st.hsum)
   else
     match partial_prune ~n ~trusted:st.trusted st.hdeg st.hsum with
@@ -222,7 +184,7 @@ let hardened : Graph.t option Verdict.t Protocol.t =
   {
     name = "forest-reconstruct+sealed";
     local = (fun v -> Message.seal ~n:(View.n v) ~id:(View.id v) (local v));
-    referee = Protocol.streaming ~init:hinit ~absorb:habsorb ~finish:hfinish;
+    referee = Protocol.guarded ~init:hinit ~absorb:habsorb ~finish:hfinish;
     budget = None;
   }
 

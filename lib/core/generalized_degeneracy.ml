@@ -30,8 +30,6 @@ let local ~k ~n ~id ~neighbors =
   write (encode non_neighbors);
   Message.of_writer wr
 
-exception Malformed
-
 (* Streaming referee: both encoding tables allocated once at [init],
    one message decoded per absorb, malformed input poisons the state. *)
 type state = {
@@ -49,12 +47,12 @@ let absorb ~k ~n st ~id msg =
   (try
      let w = Bounds.id_bits n in
      let r = Message.reader msg in
-     if Codes.read_fixed r ~width:w <> id then raise Malformed;
+     if Codes.read_fixed r ~width:w <> id then raise Message.Malformed;
      st.s_deg.(i) <- Codes.read_fixed r ~width:w;
-     if st.s_deg.(i) > n - 1 then raise Malformed;
+     if st.s_deg.(i) > n - 1 then raise Message.Malformed;
      st.s_enc_n.(i) <- Array.init k (fun p -> Nat_codec.read r ~width:(coord_width ~w p));
      st.s_enc_c.(i) <- Array.init k (fun p -> Nat_codec.read r ~width:(coord_width ~w p))
-   with Malformed | Bit_reader.Exhausted -> st.s_bad <- true);
+   with Message.Malformed | Bit_reader.Exhausted -> st.s_bad <- true);
   st
 
 let finish ~(decoder : Degeneracy_protocol.decoder) ~k ~n st =

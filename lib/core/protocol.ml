@@ -55,82 +55,45 @@ let default_malformed = function
   | Invalid_argument _ | Failure _ -> true
   | _ -> false
 
-type 's hardened_state = {
-  h_inner : 's;
-  h_seen : bool array;
-  mutable h_malformed : int list; (* reversed *)
-  mutable h_duplicated : int list; (* reversed *)
-}
+(* The referee state behind a guard: the ledger next to the inner
+   state, replaced in place so an absorb allocates nothing of its own. *)
+type 's guarded = { ledger : Verdict.ledger; mutable inner : 's }
 
-let report_of ~n h =
-  let missing = ref [] in
-  for id = n downto 1 do
-    if not h.h_seen.(id - 1) then missing := id :: !missing
-  done;
-  {
-    Verdict.missing = !missing;
-    malformed = List.rev h.h_malformed;
-    duplicated = List.rev h.h_duplicated;
-    undetermined = [];
-  }
-
-let harden_referee ?(malformed = default_malformed) ?on_fault (Referee s) =
+let guarded ~init ~absorb ~finish =
   Referee
     {
-      init =
-        (fun ~n ->
-          {
-            h_inner = s.init ~n;
-            h_seen = Array.make n false;
-            h_malformed = [];
-            h_duplicated = [];
-          });
+      init = (fun ~n -> { ledger = Verdict.ledger ~n; inner = init ~n });
       absorb =
-        (fun ~n h ~id msg ->
-          if id < 1 || id > n then begin
-            (* A sender id outside the network is itself channel
-               corruption; there is no slot to mark missing. *)
-            h.h_malformed <- id :: h.h_malformed;
-            h
-          end
-          else if h.h_seen.(id - 1) then begin
-            h.h_duplicated <- id :: h.h_duplicated;
-            h
-          end
-          else begin
-            h.h_seen.(id - 1) <- true;
-            match s.absorb ~n h.h_inner ~id msg with
-            | inner -> { h with h_inner = inner }
-            | exception e when malformed e ->
-              h.h_malformed <- id :: h.h_malformed;
-              h
-          end);
-      finish =
-        (fun ~n h ->
-          let report = report_of ~n h in
-          if Verdict.channel_clean report then
-            match s.finish ~n h.h_inner with
-            | v -> Verdict.Decided v
-            | exception e when malformed e ->
-              Verdict.Inconclusive "the referee could not decode a clean transcript"
-          else begin
-            let partial =
-              match s.finish ~n h.h_inner with
-              | v -> Some v
-              | exception e when malformed e -> None
-            in
-            match on_fault with
-            | Some f -> f report partial
-            | None ->
-              Verdict.Inconclusive
-                ("channel faults detected: " ^ Verdict.report_summary report)
-          end);
+        (fun ~n g ~id msg ->
+          (if Verdict.admit g.ledger ~id then
+             match absorb ~n g.inner ~id msg with
+             | inner -> g.inner <- inner
+             | exception e when default_malformed e -> Verdict.reject g.ledger ~id);
+          g);
+      finish = (fun ~n g -> finish ~n (Verdict.report g.ledger) g.inner);
     }
 
-let harden ?malformed ?on_fault p =
+let settle ?on_fault report finish =
+  if Verdict.channel_clean report then
+    match finish () with
+    | v -> Verdict.Decided v
+    | exception e when default_malformed e ->
+      Verdict.Inconclusive "the referee could not decode a clean transcript"
+  else
+    match on_fault with
+    | None -> Verdict.Inconclusive ("channel faults detected: " ^ Verdict.report_summary report)
+    | Some f ->
+      let partial = match finish () with v -> Some v | exception e when default_malformed e -> None in
+      f report partial
+
+let harden_referee ?on_fault (Referee s) =
+  guarded ~init:s.init ~absorb:s.absorb ~finish:(fun ~n report st ->
+      settle ?on_fault report (fun () -> s.finish ~n st))
+
+let harden ?on_fault p =
   {
     name = p.name ^ "+hardened";
     local = p.local;
-    referee = harden_referee ?malformed ?on_fault p.referee;
+    referee = harden_referee ?on_fault p.referee;
     budget = None;
   }

@@ -113,28 +113,47 @@ val rename : string -> 'a t -> 'a t
     channel fault, and is re-raised. *)
 val default_malformed : exn -> bool
 
-(** [harden_referee ?malformed ?on_fault r] contains per-message decoding
-    failures of [r]: an [absorb] that raises an exception satisfying
-    [malformed] (default {!default_malformed}) marks the sender id
-    malformed and continues the fold instead of aborting it; repeated
-    ids are counted once and the extra copies dropped; ids outside
-    [1..n] are recorded as malformed.
+(** [guarded ~init ~absorb ~finish] is a hardened referee over a
+    {!Verdict.ledger}.  [absorb] sees only admitted ids: an id outside
+    [1..n] is recorded malformed and a repeat duplicated, and neither
+    reaches it.  An [absorb] that raises a {!default_malformed} exception
+    leaves the state as it was and marks the id malformed; it must not
+    have changed a mutable state before raising.  [finish ~n report st]
+    receives the ledger's {!Verdict.report} with the state and chooses
+    the verdict.  The sealed referees build on it directly: each keeps
+    only its unseal, its parse and its salvage policy. *)
+val guarded :
+  init:(n:int -> 's) ->
+  absorb:(n:int -> 's -> id:int -> Message.t -> 's) ->
+  finish:(n:int -> Verdict.fault_report -> 's -> 'a) ->
+  'a referee
 
-    [finish] then classifies the run ({!Verdict.t}): if the channel was
-    clean — every id absorbed exactly once, nothing malformed — the
-    inner output is returned as [Decided].  Otherwise [on_fault report
-    partial] chooses the verdict, where [partial] is the inner finish
-    result if it still computes ([None] if it too raises a malformed
-    exception).  The default [on_fault] returns [Inconclusive]; hardened
-    protocols that can salvage a sound partial answer pass a smarter
-    one. *)
+(** [settle ?on_fault report finish] is the generic verdict policy of a
+    hardened referee whose inner output is [finish ()].  On a clean
+    channel ({!Verdict.channel_clean}) the output is [Decided]
+    ([Inconclusive] if [finish] raises a {!default_malformed}
+    exception).  Otherwise [on_fault report partial] chooses, where
+    [partial] is [finish ()] if it still computes; without [on_fault]
+    the output is [Inconclusive], naming the report's counts, and
+    [finish] is not run. *)
+val settle :
+  ?on_fault:(Verdict.fault_report -> 'a option -> 'a Verdict.t) ->
+  Verdict.fault_report ->
+  (unit -> 'a) ->
+  'a Verdict.t
+
+(** [harden_referee ?on_fault r] is [r] under {!guarded}, finished by
+    {!settle}: per-message decoding failures of [r] mark the sender
+    malformed and the fold goes on; repeats are counted once and
+    dropped; ids outside [1..n] are malformed.  Hardened protocols that
+    can salvage a sound partial answer pass an [on_fault] smarter than
+    the default [Inconclusive]. *)
 val harden_referee :
-  ?malformed:(exn -> bool) ->
   ?on_fault:(Verdict.fault_report -> 'a option -> 'a Verdict.t) ->
   'a referee ->
   'a Verdict.t referee
 
-(** [harden ?malformed ?on_fault p] is [p] with {!harden_referee}
+(** [harden ?on_fault p] is [p] with {!harden_referee}
     applied, ["+hardened"] appended to the name and no budget.  The
     local function is unchanged — hardening is purely referee-side, so
     it composes with any protocol.  Note: without redundancy in the messages
@@ -144,7 +163,6 @@ val harden_referee :
     to a generic wrapper.  The shipped [*.hardened] protocols seal their
     messages precisely to close that gap. *)
 val harden :
-  ?malformed:(exn -> bool) ->
   ?on_fault:(Verdict.fault_report -> 'a option -> 'a Verdict.t) ->
   'a t ->
   'a Verdict.t t

@@ -14,6 +14,58 @@ let empty_report = { missing = []; malformed = []; duplicated = []; undetermined
 
 let channel_clean r = r.missing = [] && r.malformed = [] && r.duplicated = []
 
+(* One mark per id: bit 0 is "arrived this round", bit 1 "missed
+   some closed round".  An id is missing unless its mark is exactly 1. *)
+let seen = 1
+let missed = 2
+
+type ledger = {
+  marks : int array;
+  mutable malformed_ids : int list;
+  mutable duplicated_ids : int list;
+}
+
+let ledger ~n = { marks = Array.make n 0; malformed_ids = []; duplicated_ids = [] }
+
+let admit l ~id =
+  if id < 1 || id > Array.length l.marks then begin
+    (* A sender id outside the network is itself channel corruption;
+       there is no slot to mark missing. *)
+    l.malformed_ids <- id :: l.malformed_ids;
+    false
+  end
+  else begin
+    let m = l.marks.(id - 1) in
+    if m land seen <> 0 then begin
+      l.duplicated_ids <- id :: l.duplicated_ids;
+      false
+    end
+    else begin
+      l.marks.(id - 1) <- m lor seen;
+      true
+    end
+  end
+
+let reject l ~id = l.malformed_ids <- id :: l.malformed_ids
+
+let close_round l =
+  for i = 0 to Array.length l.marks - 1 do
+    let m = l.marks.(i) in
+    l.marks.(i) <- (if m land seen = 0 then missed else m land missed)
+  done
+
+let report l =
+  let missing = ref [] in
+  for i = Array.length l.marks - 1 downto 0 do
+    if l.marks.(i) <> seen then missing := (i + 1) :: !missing
+  done;
+  {
+    missing = !missing;
+    malformed = List.sort_uniq Int.compare l.malformed_ids;
+    duplicated = List.sort_uniq Int.compare l.duplicated_ids;
+    undetermined = [];
+  }
+
 let map f = function
   | Decided v -> Decided (f v)
   | Degraded (v, r) -> Degraded (f v, r)

@@ -21,7 +21,9 @@
     fault plan, a [Decided] output equals the fault-free output —
     detect or degrade, never lie. *)
 
-(** Who was hit, as seen from the referee's side of the channel. *)
+(** Who was hit, as seen from the referee's side of the channel.  Every
+    list is ascending and duplicate-free: an id delivered three times is
+    duplicated once. *)
 type fault_report = {
   missing : int list;  (** ids never absorbed (crashed, or spoofed away) *)
   malformed : int list;
@@ -43,6 +45,38 @@ val empty_report : fault_report
 (** [channel_clean r] — no missing, malformed or duplicated ids
     ([undetermined] is an output-side attribute and does not count). *)
 val channel_clean : fault_report -> bool
+
+(** {2 The channel ledger}
+
+    The referee knows which node sent each message (the paper's
+    Definition 1); a hardened referee uses that to check each sender id
+    and count each id once.  The ledger is that bookkeeping, shared by
+    every hardened referee ({!Protocol.guarded}, {!Bcc.harden_referee}).
+    It is mutable and belongs to one referee fold. *)
+type ledger
+
+(** [ledger ~n] expects ids [1..n], none arrived yet. *)
+val ledger : n:int -> ledger
+
+(** [admit l ~id] is [true] the first time [id] arrives in the current
+    round.  An id outside [1..n] is recorded malformed and a repeat is
+    recorded duplicated; both are [false], and the referee drops them. *)
+val admit : ledger -> id:int -> bool
+
+(** [reject l ~id] records an admitted id whose message failed its seal
+    or its parse. *)
+val reject : ledger -> id:int -> unit
+
+(** [close_round l] ends a round of a multi-round referee: ids that did
+    not arrive in it are missing for good, and every id may arrive once
+    more. *)
+val close_round : ledger -> unit
+
+(** [report l] is the fault report so far ([undetermined] empty): an id
+    is missing if it has not arrived in the current round or missed a
+    closed one.  It does not change [l], so a finish that reads it twice
+    reads the same report. *)
+val report : ledger -> fault_report
 
 (** [map f v] maps over the payload of [Decided]/[Degraded]. *)
 val map : ('a -> 'b) -> 'a t -> 'b t

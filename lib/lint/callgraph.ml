@@ -12,8 +12,9 @@
        enclosing handler context;
      - [Unix.*] syscall sites for the blocking pass;
      - referee roots: the [~init]/[~absorb]/[~finish] arguments of
-       [Protocol.streaming] applications and the [r_init]/[r_absorb]/
-       [r_broadcast]/[r_finish] fields of Bcc round-stream records.
+       [Protocol.streaming] and [Protocol.guarded] applications and the
+       [r_init]/[r_absorb]/[r_broadcast]/[r_finish] fields of Bcc
+       round-stream records.
 
    Name resolution is by module-qualified longident with a small
    alias tracker ([module G = Refnet_graph.Graph]): a reference
@@ -341,10 +342,11 @@ let make_iter b =
       | (("" | "Stdlib"), "invalid_arg") ->
         record_raise b e.pexp_loc "Invalid_argument";
         List.iter (fun (_, a) -> walk it a) args
-      | _, "streaming" ->
-        (* Protocol.streaming ~init ~absorb ~finish: each labelled
-           argument is a referee root.  The constructor itself does not
-           run them, so they do not feed the parent's may-raise set. *)
+      | _, ("streaming" | "guarded") ->
+        (* Protocol.streaming / Protocol.guarded ~init ~absorb ~finish:
+           each labelled argument is a referee root.  The constructor
+           itself does not run them, so they do not feed the parent's
+           may-raise set. *)
         note_ref b e.pexp_loc path;
         List.iter
           (fun (label, value) ->

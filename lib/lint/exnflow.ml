@@ -12,15 +12,17 @@
    table of partial stdlib primitives whose raising behaviour is
    modeled explicitly.
 
-   The prover then checks every referee root (streaming init/absorb/
-   finish, Bcc round functions): any escaping key outside the documented malformed
-   class ([allowed]) is an [Exn_escape] finding carrying the chain of
-   call sites from the root down to the offending raise. *)
+   The prover then checks every referee root (streaming and guarded
+   init/absorb/finish, Bcc round functions): any escaping key outside
+   the documented malformed class ([allowed]) is an [Exn_escape]
+   finding carrying the chain of call sites from the root down to the
+   offending raise. *)
 
 module SS = Set.Make (String)
 
-(* The documented malformed class: [Protocol.harden_referee] and
-   [Bcc.harden_referee]'s [default_malformed] absorb exactly these. *)
+(* The documented malformed class: [Protocol.default_malformed], the
+   guard of [Protocol.guarded] and [Bcc.harden_referee], absorbs exactly
+   these. *)
 let allowed = [ "Malformed"; "Exhausted"; "Invalid_argument"; "Failure" ]
 
 let allowed_set = SS.of_list allowed

@@ -15,9 +15,9 @@
     nothing. *)
 
 (** The documented malformed class — exactly what
-    [Protocol.harden_referee] / [Bcc.harden_referee] absorb by
-    default: [Malformed], [Exhausted], [Invalid_argument],
-    [Failure]. *)
+    [Protocol.guarded] (under every hardened one-round referee) and
+    [Bcc.harden_referee] absorb: [Malformed], [Exhausted],
+    [Invalid_argument], [Failure]. *)
 val allowed : string list
 
 (** [check g] is [(findings, roots_proven, roots_total)] over the

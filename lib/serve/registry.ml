@@ -40,21 +40,6 @@ let count_protocol : (int * int) Verdict.t Protocol.t =
       (View.deg v);
     Message.seal ~n:(View.n v) ~id:(View.id v) (Message.of_writer w)
   in
-  let referee =
-    Protocol.streaming
-      ~init:(fun ~n:_ -> (0, 0))
-      ~absorb:(fun ~n (nodes, degsum) ~id msg ->
-        match Message.unseal ~n ~id msg with
-        | None -> raise Message.Malformed
-        | Some m ->
-            let r = Message.reader m in
-            let d =
-              Refnet_bits.Codes.read_fixed r
-                ~width:(Refnet_bits.Codes.id_width n)
-            in
-            (nodes + 1, degsum + d))
-      ~finish:(fun ~n:_ acc -> acc)
-  in
   {
     Protocol.name = "serve-count+hardened";
     local;
@@ -62,14 +47,21 @@ let count_protocol : (int * int) Verdict.t Protocol.t =
        report attached — the census over absorbed nodes is sound, and
        the report says exactly how partial it is. *)
     referee =
-      Protocol.harden_referee
-        ~on_fault:(fun report partial ->
-          match partial with
-          | Some v -> Verdict.Degraded (v, report)
-          | None ->
-              Verdict.Inconclusive
-                ("channel faults detected: " ^ Verdict.report_summary report))
-        referee;
+      Protocol.guarded
+        ~init:(fun ~n:_ -> (0, 0))
+        ~absorb:(fun ~n (nodes, degsum) ~id msg ->
+          match Message.unseal ~n ~id msg with
+          | None -> raise Message.Malformed
+          | Some m ->
+              let r = Message.reader m in
+              let d =
+                Refnet_bits.Codes.read_fixed r
+                  ~width:(Refnet_bits.Codes.id_width n)
+              in
+              (nodes + 1, degsum + d))
+        ~finish:(fun ~n:_ report acc ->
+          if Verdict.channel_clean report then Verdict.Decided acc
+          else Verdict.Degraded (acc, report));
     budget = None;
   }
 

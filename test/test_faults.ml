@@ -329,7 +329,68 @@ let test_sketch_verdicts () =
       Alcotest.failf "trial %d: clean channel must be Decided" trial
   done
 
+(* ---------- one channel ledger: the same report from every referee ---------- *)
+
+(* Node 2 is delivered twice and node 3's message arrives under id 2, so
+   id 2 reaches the referee three times and id 3 never does.  Every
+   hardened one-round referee must name that channel the same way: 3
+   missing, 2 duplicated once, nothing malformed (the third copy is
+   dropped as a repeat before its seal is checked).  A referee that
+   only says Inconclusive carries the same counts in its reason. *)
+let test_triple_delivery_one_report () =
+  let n = 8 in
+  let plan = Core.Faults.of_list [ (2, Core.Faults.Duplicate); (3, Core.Faults.Spoof 2) ] in
+  let want = { Core.Verdict.empty_report with missing = [ 3 ]; duplicated = [ 2 ] } in
+  let check name (verdict : _ Core.Verdict.t) =
+    match verdict with
+    | Core.Verdict.Degraded (_, r) ->
+      Alcotest.(check (list int)) (name ^ ": missing") want.missing r.Core.Verdict.missing;
+      Alcotest.(check (list int)) (name ^ ": malformed") [] r.malformed;
+      Alcotest.(check (list int)) (name ^ ": duplicated") want.duplicated r.duplicated
+    | Core.Verdict.Inconclusive reason ->
+      Alcotest.(check string) (name ^ ": reason")
+        ("channel faults detected: " ^ Core.Verdict.report_summary want)
+        reason
+    | Core.Verdict.Decided _ -> Alcotest.failf "%s: a faulted channel stayed Decided" name
+  in
+  let path = Graph.of_edges 8 (List.init 7 (fun i -> (i + 1, i + 2))) in
+  let one_round name p = check name (fst (Core.Simulator.run ~delivery:(Core.Simulator.Faulty plan) p path)) in
+  List.iter
+    (fun spec ->
+      match Serve.Registry.lookup ~spec ~n with
+      | Ok (Serve.Registry.Entry { protocol; _ }) -> one_round spec protocol
+      | Error e -> Alcotest.fail e)
+    [ "count"; "sketch:7"; "forest"; "degeneracy:2"; "bounded:3" ];
+  one_round "harden recognize" (Core.Protocol.harden Core.Forest_protocol.recognize);
+  (* A star with singleton parts: node 3's share is empty, so the shares
+     that arrive still connect the graph and the verdict is Degraded. *)
+  let star = Graph.of_edges 8 (List.init 7 (fun i -> (1, i + 2))) in
+  let parts = Core.Coalition.partition_by_ranges ~n ~parts:n in
+  check "coalition"
+    (fst (Core.Coalition.run ~delivery:(Core.Simulator.Faulty plan) Core.Connectivity_parts.hardened star ~parts))
+
 (* ---------- generic harden combinator ---------- *)
+
+(* The ledger on its own, over two rounds: an id that missed a closed
+   round stays missing after it comes back, lists are ascending and
+   duplicate-free, and reading the report changes nothing. *)
+let test_ledger_rounds () =
+  let l = Core.Verdict.ledger ~n:4 in
+  let admit id = Core.Verdict.admit l ~id in
+  Alcotest.(check (list bool)) "round 1" [ true; true; false; true ] (List.map admit [ 3; 1; 3; 2 ]);
+  Core.Verdict.close_round l;
+  Alcotest.(check (list bool)) "round 2" [ true; true; true; false; true; false; false ]
+    (List.map admit [ 4; 3; 2; 9; 1; 3; 0 ]);
+  Core.Verdict.reject l ~id:2;
+  let r = Core.Verdict.report l in
+  Alcotest.(check (list int)) "missing" [ 4 ] r.Core.Verdict.missing;
+  Alcotest.(check (list int)) "malformed" [ 0; 2; 9 ] r.malformed;
+  Alcotest.(check (list int)) "duplicated" [ 3 ] r.duplicated;
+  Alcotest.(check bool) "report is read-only" true (Core.Verdict.report l = r);
+  Core.Verdict.close_round l;
+  Alcotest.(check (list bool)) "round 3" [ true; true; true; true ] (List.map admit [ 1; 2; 3; 4 ]);
+  Alcotest.(check (list int)) "a miss outlives its round" [ 4 ]
+    (Core.Verdict.report l).Core.Verdict.missing
 
 let test_harden_generic_wrapper () =
   (* The unsealed generic wrapper can only catch faults that break
@@ -401,9 +462,11 @@ let () =
           Alcotest.test_case "crash-only forest is exact" `Quick test_crash_only_forest_exact;
           Alcotest.test_case "coalition connectivity" `Quick test_coalition_crash_verdicts;
           Alcotest.test_case "sketch connectivity" `Quick test_sketch_verdicts;
+          Alcotest.test_case "triple delivery, one report" `Quick test_triple_delivery_one_report;
         ] );
       ( "combinator and traces",
         [
+          Alcotest.test_case "channel ledger" `Quick test_ledger_rounds;
           Alcotest.test_case "generic harden" `Quick test_harden_generic_wrapper;
           Alcotest.test_case "fault trace events" `Quick test_trace_fault_events;
         ] );

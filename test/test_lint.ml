@@ -122,6 +122,16 @@ let deep_exn_escape_fires () =
     "witness ends at the raise site" true
     (contains last.Lint.Finding.s_note "raise Overflow")
 
+(* [Protocol.guarded]'s arguments are referee roots like
+   [Protocol.streaming]'s: its guard absorbs only the malformed class. *)
+let deep_guarded_escape_fires () =
+  let d = deep_fixture "deep_bad_guarded_escape.ml" in
+  Alcotest.(check (list string)) "exactly one escape" [ "exn-escape" ] (deep_rules d);
+  Alcotest.(check int) "two of three roots proven" 2 d.Lint.Driver.deep_roots_proven;
+  Alcotest.(check int) "three referee roots" 3 d.Lint.Driver.deep_roots_total;
+  let f = List.hd d.Lint.Driver.deep_findings in
+  Alcotest.(check bool) "names Not_found" true (contains f.Lint.Finding.message "Not_found")
+
 let deep_exn_absorbed_is_clean () =
   let d = deep_fixture "deep_good_exn_absorbed.ml" in
   Alcotest.(check (list string)) "clean" [] (deep_rules d);
@@ -333,6 +343,7 @@ let () =
         [
           Alcotest.test_case "bad exn-escape" `Quick deep_exn_escape_fires;
           Alcotest.test_case "good exn-escape (absorbed)" `Quick deep_exn_absorbed_is_clean;
+          Alcotest.test_case "bad exn-escape (guarded absorb)" `Quick deep_guarded_escape_fires;
           Alcotest.test_case "bad parallel-race" `Quick deep_race_fires;
           Alcotest.test_case "good parallel-race (indexed)" `Quick deep_race_indexed_is_clean;
           Alcotest.test_case "bad blocking-call" `Quick deep_blocking_fires;

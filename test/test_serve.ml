@@ -1429,6 +1429,15 @@ let test_selftest_transcript () =
       ("sketch:7", 32, 120, 8, 0.3, 7, 256,
         {|{"protocol": "sketch:7", "n": 32, "sessions": 120, "decided": 78, "degraded": 0, "inconclusive": 17, "aborted": 25, "quarantines": 14, "quarantine_escapes": 0, "sheds": 0, "timeouts_idle": 9, "timeouts_deadline": 0, "late_frames": 0, "wrong_decided": 0, "clean_anomalies": 0, "unterminated": 0, "flight_recorded": 3667, "flight_dropped": 0, "flight_findings": 0, "flight_missing": 0, "faulty": 0.300, "wall_s": 0.000000, "rate_per_s": 0.0}|}
         ^ " frames=3461 bytes_in=3219461 conns=32 sessions=120");
+      ("forest", 32, 600, 8, 0.3, 7, 256,
+        {|{"protocol": "forest", "n": 32, "sessions": 600, "decided": 436, "degraded": 74, "inconclusive": 0, "aborted": 90, "quarantines": 36, "quarantine_escapes": 0, "sheds": 0, "timeouts_idle": 38, "timeouts_deadline": 0, "late_frames": 0, "wrong_decided": 0, "clean_anomalies": 0, "unterminated": 0, "flight_recorded": 19086, "flight_dropped": 0, "flight_findings": 0, "flight_missing": 0, "faulty": 0.300, "wall_s": 0.000000, "rate_per_s": 0.0}|}
+        ^ " frames=18000 bytes_in=517219 conns=98 sessions=600");
+      ("degeneracy:2", 32, 600, 8, 0.3, 7, 256,
+        {|{"protocol": "degeneracy:2", "n": 32, "sessions": 600, "decided": 436, "degraded": 74, "inconclusive": 0, "aborted": 90, "quarantines": 36, "quarantine_escapes": 0, "sheds": 0, "timeouts_idle": 38, "timeouts_deadline": 0, "late_frames": 0, "wrong_decided": 0, "clean_anomalies": 0, "unterminated": 0, "flight_recorded": 19086, "flight_dropped": 0, "flight_findings": 0, "flight_missing": 0, "faulty": 0.300, "wall_s": 0.000000, "rate_per_s": 0.0}|}
+        ^ " frames=18000 bytes_in=571041 conns=98 sessions=600");
+      ("bounded:3", 32, 600, 8, 0.3, 7, 256,
+        {|{"protocol": "bounded:3", "n": 32, "sessions": 600, "decided": 484, "degraded": 26, "inconclusive": 0, "aborted": 90, "quarantines": 36, "quarantine_escapes": 0, "sheds": 0, "timeouts_idle": 38, "timeouts_deadline": 0, "late_frames": 0, "wrong_decided": 0, "clean_anomalies": 0, "unterminated": 0, "flight_recorded": 19086, "flight_dropped": 0, "flight_findings": 0, "flight_missing": 0, "faulty": 0.300, "wall_s": 0.000000, "rate_per_s": 0.0}|}
+        ^ " frames=18000 bytes_in=512417 conns=98 sessions=600");
     ]
 
 (* ---------- over a real socket ---------- *)
