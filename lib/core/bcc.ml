@@ -121,7 +121,9 @@ let share ~history extra =
   | m :: rest, m' :: rest' when m == m' && rest == rest' -> history
   | _ -> extra
 
-let run_core ?domains ?chunk ~delivery ~trace ~metrics ~src (p : 'a t) source =
+let default_chunk = 65_536
+
+let run_core ?domains ?(chunk = default_chunk) ~delivery ~trace ~metrics ~src (p : 'a t) source =
   let n = Graph_source.order source in
   let limit = check_budget_fields p.budget ~n in
   let rounds = p.budget.rounds in
@@ -132,6 +134,9 @@ let run_core ?domains ?chunk ~delivery ~trace ~metrics ~src (p : 'a t) source =
      rebuilt from the source at its next send, and the referee's
      replies are delivered just before it, on the same pool domain. *)
   let extras = Array.make n [] in
+  (* Query deltas go from a node's task to its accounting only when
+     someone reads them. *)
+  let deltas = if quiet then [||] else Array.make n no_reads in
   let history = ref [] in
   let queries = Option.map (fun m -> Metrics.Histogram.histogram m "refnet_view_queries") metrics in
   let per_round_max = Array.make rounds 0 in
@@ -149,7 +154,9 @@ let run_core ?domains ?chunk ~delivery ~trace ~metrics ~src (p : 'a t) source =
         (* Node [i]'s turn, on a pool domain: round 1 (the only one
            with no reply yet) starts it with [init], later rounds hand
            it the previous reply, so [receive]'s reads count in the
-           round that follows it. *)
+           round that follows it.  The task keeps the node's stash in
+           [extras.(i)] — its own slot — and returns the bare
+           message. *)
         let send i =
           let v = Simulator.view_of source ~n i in
           let s, before =
@@ -162,20 +169,21 @@ let run_core ?domains ?chunk ~delivery ~trace ~metrics ~src (p : 'a t) source =
               (p.receive ~round:(round - 1) ~broadcast:reply s, no_reads)
           in
           let msg, s = p.send ~round s in
-          let delta = if quiet then no_reads else sub_counts (View.audit s.view) before in
-          (msg, share ~history:heard s.extra, delta)
+          extras.(i) <- share ~history:heard s.extra;
+          if not quiet then deltas.(i) <- sub_counts (View.audit s.view) before;
+          msg
         in
         (* Accounting runs in identifier order on the submitting
            domain: it checks the budget — so the first violation raised
            is the lowest offending id, at any width and chunk — and
            keeps the per-round stats. *)
-        let account i (msg, extra, delta) =
-          extras.(i) <- extra;
+        let account i msg =
           let bits = Message.bits msg in
           check_budget ~round ~id:(i + 1) ~limit bits;
           if bits > per_round_max.(round - 1) then per_round_max.(round - 1) <- bits;
           per_round_total.(round - 1) <- per_round_total.(round - 1) + bits;
           if not quiet then begin
+            let delta = deltas.(i) in
             if not (Trace.is_null trace) then
               Trace.emit trace (Trace.Node_local { id = i + 1; bits; queries = delta });
             Option.iter
@@ -183,15 +191,11 @@ let run_core ?domains ?chunk ~delivery ~trace ~metrics ~src (p : 'a t) source =
               queries
           end
         in
-        let senders =
-          {
-            Simulator.produce = Simulator.in_parallel ?domains ?metrics send;
-            message = (fun (msg, _, _) -> msg);
-            account;
-          }
+        let senders ~order ~base ~len =
+          { (Simulator.in_parallel ?domains ?metrics send ~order ~base ~len) with account }
         in
         let hit =
-          Simulator.uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs:false ~n senders
+          Simulator.uplink ~chunk ~delivery ~trace ~metrics ~sample_absorbs:false ~n senders
             ~absorb:(fun ~id msg -> rst := r.r_absorb ~n ~round !rst ~id msg)
         in
         faulted := List.rev_append hit !faulted;

@@ -137,6 +137,13 @@ type transcript = {
     measures what nodes {e sent}, the referee sees the post-fault
     deliveries, and an empty plan is bit-identical to [In_order].
     [Shuffled] draws fresh compute and arrival orders every round.
+
+    Under [In_order], each round runs in blocks of [chunk] nodes,
+    65,536 when [?chunk] is omitted (a smaller graph is one block);
+    the pool produces the next block while the referee absorbs this
+    one, and at most two blocks of messages are live.  The other
+    schedules run each round as one block.  The block size changes
+    neither the transcript nor any event.
     @raise Invalid_argument if [p.budget.rounds < 1] or
     [p.budget.bits_per_round n < 1], naming the offending field —
     checked before any message is produced, never reported as a
@@ -154,8 +161,9 @@ val run :
 
 (** [run_source p src] is {!run} over any backend; spans and metrics
     carry the [[src=<backend>]] decoration outermost (outside
-    [[round=r]]), and [?chunk] bounds live messages per round to
-    O(chunk) with a bit-identical transcript. *)
+    [[round=r]]), and [?chunk] (default 65,536, as for {!run})
+    bounds live messages per round to O(chunk) with a bit-identical
+    transcript. *)
 val run_source :
   ?domains:int ->
   ?chunk:int ->

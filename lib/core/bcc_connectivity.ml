@@ -32,7 +32,7 @@ let decide ~n st =
    faulted (empty) broadcast reads as "keep going". *)
 let resolved_of extra =
   match extra with
-  | b :: _ -> Message.bits b >= 1 && Bit_reader.read_bit (Message.reader b)
+  | b :: _ -> Message.bits b >= 1 && Bitvec.get b 0
   | [] -> false
 
 let protocol ~rounds ~bandwidth () : bool option Bcc.t =
@@ -49,26 +49,30 @@ let protocol ~rounds ~bandwidth () : bool option Bcc.t =
       (fun ~round s ->
         let v = Bcc.state_view s in
         let w = Bounds.id_bits (View.n v) in
+        (* Each message is one exact-size vector of [w]-bit fields. *)
         if round = 1 then begin
-          let wtr = Bit_writer.create () in
-          Codes.write_fixed wtr ~width:w (View.deg v);
-          (Message.of_writer wtr, s)
+          let m = Bitvec.create w in
+          Bitvec.set_bits m ~pos:0 ~width:w (View.deg v);
+          (m, s)
         end
         else if resolved_of (Bcc.state_extra s) then (Message.empty, s)
         else begin
           (* The next batch of up to [bandwidth] neighbours, smallest
              first; nothing once the list is exhausted. *)
           let start = (round - 2) * bandwidth in
-          let stop = start + bandwidth in
-          if start >= View.deg v then (Message.empty, s)
+          let stop = min (View.deg v) (start + bandwidth) in
+          if start >= stop then (Message.empty, s)
           else begin
-            let wtr = Bit_writer.create () in
+            let m = Bitvec.create ((stop - start) * w) in
+            (* The fold carries the bit position of neighbour [idx]
+               in [m]: negative before [start], past the end after
+               [stop]. *)
             let _ =
-              View.fold_neighbors v 0 (fun idx nb ->
-                  if idx >= start && idx < stop then Codes.write_fixed wtr ~width:w nb;
-                  idx + 1)
+              View.fold_neighbors v (-start * w) (fun pos nb ->
+                  if pos >= 0 && pos < Bitvec.length m then Bitvec.set_bits m ~pos ~width:w nb;
+                  pos + w)
             in
-            (Message.of_writer wtr, s)
+            (m, s)
           end
         end);
     receive = (fun ~round:_ ~broadcast s -> Bcc.push_extra s broadcast);
@@ -89,7 +93,7 @@ let protocol ~rounds ~bandwidth () : bool option Bcc.t =
               let bits = Message.bits msg in
               if round = 1 then begin
                 if bits <> w then raise Message.Malformed;
-                let d = Codes.read_fixed (Message.reader msg) ~width:w in
+                let d = Bitvec.get_bits msg ~pos:0 ~width:w in
                 if d > n - 1 then raise Message.Malformed;
                 st.degrees.(id - 1) <- d;
                 st
@@ -97,9 +101,8 @@ let protocol ~rounds ~bandwidth () : bool option Bcc.t =
               else begin
                 if w > 0 && bits mod w <> 0 then raise Message.Malformed;
                 let count = if w = 0 then 0 else bits / w in
-                let r = Message.reader msg in
-                for _ = 1 to count do
-                  let nb = Codes.read_fixed r ~width:w in
+                for k = 0 to count - 1 do
+                  let nb = Bitvec.get_bits msg ~pos:(k * w) ~width:w in
                   if nb < 1 || nb > n || nb = id then raise Message.Malformed;
                   ignore (Union_find.union st.uf (id - 1) (nb - 1))
                 done;

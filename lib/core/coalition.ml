@@ -74,10 +74,10 @@ let run_core ~delivery ~trace ~metrics ~label (p : 'a t) src ~parts =
   Trace.emit trace (Trace.Span_begin { label; n });
   (* Coalitions pool their views, so the whole vector is produced at
      once: never chunked, never split across the domain pool. *)
-  let pooled =
+  let pooled ~order:_ ~base:_ ~len:_ =
     {
-      Simulator.produce = (fun ~order:_ ~base:_ ~len:_ -> collect p src ~parts);
-      message = Fun.id;
+      Simulator.join = (fun () -> collect p src ~parts);
+      cancel = ignore;
       account = (fun _ _ -> ());
     }
   in

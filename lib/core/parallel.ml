@@ -135,88 +135,131 @@ let effective_width domains total =
   let w = match domains with Some d -> max 1 (min d width_cap) | None -> domain_count () in
   min w (max 1 total)
 
+(* A submitted batch.  [Pooled] holds the pool's [busy] flag until its
+   join; [Inline] (width 1, or a nested call) runs on the joining
+   domain, so a batch that cannot overlap is not started early. *)
+type state =
+  | Inline of int * (slot:int -> int -> int -> unit)  (* total, run_chunk *)
+  | Pooled of batch
+  | Joined
+
+type job = { mutable state : state; fold : unit -> unit }
+
 (* The chunk-level core: [run_chunk ~slot start stop] must process the
    items in [[start, stop)].  Chunk granularity is also the
-   instrumentation granularity — see [run_batch]. *)
-let run_batch_chunks ?domains ~total run_chunk =
-  if total > 0 then begin
-    let width = effective_width domains total in
-    if width = 1 || not (Atomic.compare_and_set busy false true) then
-      run_chunk ~slot:0 0 total
-    else
-      Fun.protect
-        ~finally:(fun () -> Atomic.set busy false)
-        (fun () ->
-          let p = Lazy.force pool in
-          ensure_workers p width;
-          let b =
-            {
-              run = run_chunk;
-              total;
-              chunk = max 1 (total / (width * 8));
-              width;
-              next = Atomic.make 0;
-              finished = Atomic.make 0;
-              cancelled = Atomic.make false;
-              error = None;
-            }
-          in
-          Mutex.lock p.mu;
-          p.current <- Some b;
-          p.generation <- p.generation + 1;
-          Condition.broadcast p.work;
-          Mutex.unlock p.mu;
-          execute p b ~slot:0;
-          Mutex.lock p.mu;
-          while Atomic.get b.finished < b.total do
-            Condition.wait p.done_ p.mu
-          done;
-          p.current <- None;
-          let err = b.error in
-          Mutex.unlock p.mu;
-          match err with Some e -> raise e | None -> ())
-  end
+   instrumentation granularity — see [submit_batch]. *)
+let submit_chunks ?domains ~total run_chunk =
+  let width = effective_width domains total in
+  if total <= 0 || width = 1 || not (Atomic.compare_and_set busy false true) then
+    Inline (total, run_chunk)
+  else
+    match
+      let p = Lazy.force pool in
+      ensure_workers p width;
+      let b =
+        {
+          run = run_chunk;
+          total;
+          chunk = max 1 (total / (width * 8));
+          width;
+          next = Atomic.make 0;
+          finished = Atomic.make 0;
+          cancelled = Atomic.make false;
+          error = None;
+        }
+      in
+      Mutex.lock p.mu;
+      p.current <- Some b;
+      p.generation <- p.generation + 1;
+      Condition.broadcast p.work;
+      Mutex.unlock p.mu;
+      b
+    with
+    | b -> Pooled b
+    | exception e ->
+      Atomic.set busy false;
+      raise e
+
+(* The submitting domain joins in: it claims what the workers have not,
+   then waits for the chunks in flight to retire before the pool is
+   released. *)
+let join_chunks = function
+  | Joined -> invalid_arg "Parallel.join: the batch was already joined"
+  | Inline (total, run_chunk) -> if total > 0 then run_chunk ~slot:0 0 total
+  | Pooled b ->
+    Fun.protect
+      ~finally:(fun () -> Atomic.set busy false)
+      (fun () ->
+        let p = Lazy.force pool in
+        execute p b ~slot:0;
+        Mutex.lock p.mu;
+        while Atomic.get b.finished < b.total do
+          Condition.wait p.done_ p.mu
+        done;
+        p.current <- None;
+        let err = b.error in
+        Mutex.unlock p.mu;
+        match err with Some e -> raise e | None -> ())
+
+let join j =
+  let st = j.state in
+  j.state <- Joined;
+  Fun.protect ~finally:j.fold (fun () -> join_chunks st)
+
+let cancel j =
+  match j.state with
+  | Inline _ ->
+    j.state <- Joined;
+    j.fold ()
+  | Pooled b ->
+    Atomic.set b.cancelled true;
+    (try join j with _ -> ())
+  | Joined -> join j
 
 (* Busy time is accumulated in a batch-local per-slot array — each slot
    is written by exactly one domain — and folded into the registry by
-   the submitting domain after the join, honouring the Metrics
-   single-writer discipline.  The clock is called from worker domains,
-   which {!Metrics.create} documents as a requirement on custom clocks.
-   Clocking happens once per {e chunk}, not per item, so instrumentation
-   stays off the per-item hot path (the [bench/main.exe metrics]
-   microbench holds live overhead under 5%). *)
-let run_batch ?domains ?metrics ~total run_item =
+   the joining domain, honouring the Metrics single-writer discipline.
+   The clock is called from worker domains, which {!Metrics.create}
+   documents as a requirement on custom clocks.  Clocking happens once
+   per {e chunk}, not per item, so instrumentation stays off the
+   per-item hot path (the [bench/main.exe metrics] microbench holds
+   live overhead under 5%). *)
+let submit_batch ?domains ?metrics ~total run_item =
   let run_chunk ~slot start stop =
     for i = start to stop - 1 do
       run_item ~slot i
     done
   in
   match metrics with
-  | None -> run_batch_chunks ?domains ~total run_chunk
-  | Some m ->
-    if total > 0 then begin
-      let busy = Array.make width_cap 0. in
-      let wall0 = Metrics.now m in
-      let instrumented ~slot start stop =
-        let s = Metrics.now m in
-        run_chunk ~slot start stop;
-        busy.(slot) <- busy.(slot) +. (Metrics.now m -. s)
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          let wall = Metrics.now m -. wall0 in
-          Metrics.Counter.incr (Metrics.Counter.counter m "refnet_pool_batches_total");
-          let tb = Metrics.Timer.timer m "refnet_pool_busy" in
-          let ti = Metrics.Timer.timer m "refnet_pool_idle" in
-          Array.iteri
-            (fun slot b ->
-              if b > 0. then begin
-                Metrics.Timer.add tb ~domain:slot b;
-                Metrics.Timer.add ti ~domain:slot (Float.max 0. (wall -. b))
-              end)
-            busy)
-        (fun () -> run_batch_chunks ?domains ~total instrumented)
-    end
+  | Some m when total > 0 ->
+    let busy = Array.make width_cap 0. in
+    let wall0 = Metrics.now m in
+    let instrumented ~slot start stop =
+      let s = Metrics.now m in
+      run_chunk ~slot start stop;
+      busy.(slot) <- busy.(slot) +. (Metrics.now m -. s)
+    in
+    let fold () =
+      let wall = Metrics.now m -. wall0 in
+      Metrics.Counter.incr (Metrics.Counter.counter m "refnet_pool_batches_total");
+      let tb = Metrics.Timer.timer m "refnet_pool_busy" in
+      let ti = Metrics.Timer.timer m "refnet_pool_idle" in
+      Array.iteri
+        (fun slot b ->
+          if b > 0. then begin
+            Metrics.Timer.add tb ~domain:slot b;
+            Metrics.Timer.add ti ~domain:slot (Float.max 0. (wall -. b))
+          end)
+        busy
+    in
+    { state = submit_chunks ?domains ~total instrumented; fold }
+  | _ -> { state = submit_chunks ?domains ~total run_chunk; fold = ignore }
+
+let run_batch ?domains ?metrics ~total run_item =
+  join (submit_batch ?domains ?metrics ~total run_item)
+
+let submit ?domains ?metrics n f =
+  submit_batch ?domains ?metrics ~total:n (fun ~slot:_ i -> f i)
 
 let init ?domains ?metrics n f =
   if n < 0 then invalid_arg "Parallel.init: negative length";
@@ -256,4 +299,4 @@ let map_array_ctx ?domains ?metrics mk f a =
     out
   end
 
-let iter_range ?domains ?metrics n f = run_batch ?domains ?metrics ~total:n (fun ~slot:_ i -> f i)
+let iter_range ?domains ?metrics n f = join (submit ?domains ?metrics n f)

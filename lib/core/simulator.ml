@@ -10,11 +10,12 @@ type transcript = {
 
 type delivery = In_order | Faulty of Faults.plan | Shuffled of Random.State.t
 
-type 'x producer = {
-  produce : order:int array option -> base:int -> len:int -> 'x array;
-  message : 'x -> Message.t;
-  account : int -> 'x -> unit;
+type block = {
+  join : unit -> Message.t array;
+  cancel : unit -> unit;
+  account : int -> Message.t -> unit;
 }
+type producer = order:int array option -> base:int -> len:int -> block
 
 let query_total (c : View.counts) = c.id_reads + c.n_reads + c.deg_reads + c.neighbor_reads
 
@@ -42,17 +43,25 @@ let view_of src ~n i =
   View.of_slice ~n ~id:(i + 1) nbrs ~off ~len
 
 let in_parallel ?domains ?metrics f ~order ~base ~len =
-  match order with
-  | None -> Parallel.init ?domains ?metrics len (fun i -> f (base + i))
-  | Some order ->
-    (* Compute in the drawn order, interleaved across domains; every
-       result still lands in its own node's slot. *)
-    let out = Array.make len None in
-    Parallel.iter_range ?domains ?metrics len (fun k ->
-        let i = order.(k) in
-        out.(i) <- Some (f i));
-    (* lint: allow referee-totality -- [order] is a permutation, so every slot was filled *)
-    Array.map (function Some x -> x | None -> assert false) out
+  let out = Array.make len Message.empty in
+  let job =
+    match order with
+    | None -> Parallel.submit ?domains ?metrics len (fun i -> out.(i) <- f (base + i))
+    | Some order ->
+      (* Compute in the drawn order, interleaved across domains; every
+         result still lands in its own node's slot. *)
+      Parallel.submit ?domains ?metrics len (fun k ->
+          let i = order.(k) in
+          out.(i) <- f i)
+  in
+  {
+    join =
+      (fun () ->
+        Parallel.join job;
+        out);
+    cancel = (fun () -> Parallel.cancel job);
+    account = (fun _ _ -> ());
+  }
 
 (* A uniformly random permutation of [0 .. n-1]: [n - 1] draws. *)
 let permutation rng n =
@@ -65,23 +74,30 @@ let permutation rng n =
   done;
   a
 
-(* Produce a block in parallel, then account for it in identifier order
-   on the submitting domain — so events, metrics and the transcript are
-   bit-identical at any pool width. *)
-let produce_block ~metrics e ~order ~base ~len =
-  let xs = e.produce ~order ~base ~len in
-  for i = 0 to len - 1 do
-    e.account (base + i) xs.(i)
-  done;
-  (match metrics with
+(* Account for a produced block in identifier order on the submitting
+   domain — so events, metrics and the transcript are bit-identical at
+   any pool width. *)
+let account_block ~metrics (blk : block) ~base xs =
+  Array.iteri (fun i x -> blk.account (base + i) x) xs;
+  match metrics with
   | None -> ()
   | Some m ->
-    Metrics.Counter.add (Metrics.Counter.counter m "refnet_messages_total") len;
+    Metrics.Counter.add (Metrics.Counter.counter m "refnet_messages_total") (Array.length xs);
     let bits = Metrics.Histogram.histogram m "refnet_message_bits" in
-    Array.iter (fun x -> Metrics.Histogram.observe bits (Message.bits (e.message x))) xs);
-  xs
+    Array.iter (fun x -> Metrics.Histogram.observe bits (Message.bits x)) xs
 
-let uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs ~n e ~absorb =
+(* [in_flight next f] is [f ()] while block [next] is on the pool: if
+   [f] raises, [next] is cancelled first, so no batch outlives the
+   round and the pool is released. *)
+let in_flight next f =
+  match f () with
+  | v -> v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Option.iter (fun (blk : block) -> blk.cancel ()) next;
+    Printexc.raise_with_backtrace e bt
+
+let uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs ~n produce ~absorb =
   let block =
     match (chunk, delivery) with
     | Some c, _ when c < 1 ->
@@ -101,14 +117,8 @@ let uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs ~n e ~absorb =
   in
   let order = match delivery with Shuffled rng -> Some (permutation rng n) | _ -> None in
   let faulted = ref [] in
-  (* At least one block, so an empty network still opens and closes its
-     phases. *)
-  let rec blocks b =
-    let len = min block (n - b) in
-    let xs =
-      maybe_time metrics "refnet_local_phase" (fun () ->
-          produce_block ~metrics e ~order ~base:b ~len)
-    in
+  let start b = produce ~order ~base:b ~len:(min block (n - b)) in
+  let deliver_block b xs =
     let absorbed = ref 0 in
     let deliver id msg =
       (match sampler with
@@ -121,69 +131,75 @@ let uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs ~n e ~absorb =
       if not (Trace.is_null trace) then
         Trace.emit trace (Trace.Referee_absorb { id; bits = Message.bits msg })
     in
-    maybe_time metrics "refnet_referee_phase" (fun () ->
-        match delivery with
-        | In_order ->
-          for i = 0 to len - 1 do
-            deliver (b + i + 1) (e.message xs.(i))
-          done
-        | Shuffled rng ->
-          Array.iter (fun i -> deliver (i + 1) (e.message xs.(i))) (permutation rng n)
-        | Faulty plan ->
-          let deliveries, injected = Faults.apply plan (Array.map e.message xs) in
-          (match metrics with
-          | Some m when injected <> [] ->
-            Metrics.Counter.add
-              (Metrics.Counter.counter m "refnet_faults_injected_total")
-              (List.length injected)
-          | _ -> ());
-          if not (Trace.is_null trace) then
-            List.iter
-              (fun (id, fault) -> Trace.emit trace (Trace.Fault_injected { id; fault }))
-              injected;
-          faulted := List.map fst injected;
-          List.iter (fun (id, msg) -> deliver id msg) deliveries);
-    (match metrics with
+    (match delivery with
+    | In_order -> Array.iteri (fun i msg -> deliver (b + i + 1) msg) xs
+    | Shuffled rng -> Array.iter (fun i -> deliver (i + 1) xs.(i)) (permutation rng n)
+    | Faulty plan ->
+      let deliveries, injected = Faults.apply plan xs in
+      (match metrics with
+      | Some m when injected <> [] ->
+        Metrics.Counter.add
+          (Metrics.Counter.counter m "refnet_faults_injected_total")
+          (List.length injected)
+      | _ -> ());
+      if not (Trace.is_null trace) then
+        List.iter
+          (fun (id, fault) -> Trace.emit trace (Trace.Fault_injected { id; fault }))
+          injected;
+      faulted := List.map fst injected;
+      List.iter (fun (id, msg) -> deliver id msg) deliveries);
+    match metrics with
     | Some m -> Metrics.Counter.add (Metrics.Counter.counter m "refnet_absorbs_total") !absorbed
-    | None -> ());
-    if b + len < n then blocks (b + len)
+    | None -> ()
   in
-  blocks 0;
+  (* Only [In_order] rounds have more than one block.  Block [k + 1] is
+     submitted to the pool as soon as block [k] is joined, and produced
+     while block [k] is accounted and absorbed here; a block that
+     cannot go to the pool is produced at its join, after block [k]'s
+     absorbs, as in a sequential run.  At least one block, so an empty
+     network still opens and closes its phases. *)
+  let rec blocks b (cur : block) =
+    let len = min block (n - b) in
+    let xs, next =
+      maybe_time metrics "refnet_local_phase" (fun () ->
+          let xs = cur.join () in
+          let next = if b + len < n then Some (start (b + len)) else None in
+          in_flight next (fun () -> account_block ~metrics cur ~base:b xs);
+          (xs, next))
+    in
+    in_flight next (fun () ->
+        maybe_time metrics "refnet_referee_phase" (fun () -> deliver_block b xs));
+    Option.iter (blocks (b + len)) next
+  in
+  blocks 0 (start 0);
   !faulted
 
 (* The one-round engine's side of the round: each node's view, and —
    when tracing or metrics are on — its [Node_local] event and query
    count.  The quiet producer keeps no views. *)
-let nodes ?domains ~trace ~metrics (p : 'a Protocol.t) src =
+let nodes ?domains ~trace ~metrics (p : 'a Protocol.t) src : producer =
   let n = Graph_source.order src in
-  let quiet = Trace.is_null trace && metrics = None in
-  (* The block's views outlive its parallel section, so their audit
-     tallies can be reported after it. *)
-  let views = ref [||] and first = ref 0 in
   let queries =
     Option.map (fun m -> Metrics.Histogram.histogram m "refnet_view_queries") metrics
   in
-  {
-    produce =
-      (fun ~order ~base ~len ->
-        if quiet then in_parallel ?domains (fun i -> p.local (view_of src ~n i)) ~order ~base ~len
-        else begin
-          let vs = Array.init len (fun i -> view_of src ~n (base + i)) in
-          views := vs;
-          first := base;
-          in_parallel ?domains ?metrics (fun i -> p.local vs.(i - base)) ~order ~base ~len
-        end);
-    message = Fun.id;
-    account =
-      (fun i msg ->
-        if not quiet then begin
-          let q = View.audit !views.(i - !first) in
-          if not (Trace.is_null trace) then
-            Trace.emit trace
-              (Trace.Node_local { id = i + 1; bits = Message.bits msg; queries = q });
-          Option.iter (fun h -> Metrics.Histogram.observe h (query_total q)) queries
-        end);
-  }
+  fun ~order ~base ~len ->
+    if Trace.is_null trace && metrics = None then
+      in_parallel ?domains (fun i -> p.local (view_of src ~n i)) ~order ~base ~len
+    else begin
+      (* The block's views outlive its parallel section, so their audit
+         tallies can be reported after it; they stay with the block. *)
+      let vs = Array.init len (fun i -> view_of src ~n (base + i)) in
+      {
+        (in_parallel ?domains ?metrics (fun i -> p.local vs.(i - base)) ~order ~base ~len) with
+        account =
+          (fun i msg ->
+            let q = View.audit vs.(i - base) in
+            if not (Trace.is_null trace) then
+              Trace.emit trace
+                (Trace.Node_local { id = i + 1; bits = Message.bits msg; queries = q });
+            Option.iter (fun h -> Metrics.Histogram.observe h (query_total q)) queries);
+      }
+    end
 
 let local_phase_source ?domains ?(trace = Trace.null) ?metrics (p : 'a Protocol.t) src =
   (* The model makes this phase embarrassingly parallel: each node's
@@ -192,21 +208,29 @@ let local_phase_source ?domains ?(trace = Trace.null) ?metrics (p : 'a Protocol.
      identifier, so the vector — and hence the transcript — is
      bit-identical to a sequential run at any domain count and over any
      backend presenting the same labelled graph. *)
-  produce_block ~metrics (nodes ?domains ~trace ~metrics p src) ~order:None ~base:0
-    ~len:(Graph_source.order src)
+  let blk = nodes ?domains ~trace ~metrics p src ~order:None ~base:0 ~len:(Graph_source.order src) in
+  let xs = blk.join () in
+  account_block ~metrics blk ~base:0 xs;
+  xs
 
 let local_phase ?domains ?trace ?metrics p g =
   local_phase_source ?domains ?trace ?metrics p (Graph_source.of_graph g)
 
-let referee_round ?chunk ~delivery ~trace ~metrics (Protocol.Referee s) ~n e =
+let referee_round ?chunk ~delivery ~trace ~metrics (Protocol.Referee s) ~n produce =
   let message_bits = Array.make n 0 in
   let st = ref (s.init ~n) in
-  let account i x =
-    message_bits.(i) <- Message.bits (e.message x);
-    e.account i x
+  let counted ~order ~base ~len =
+    let blk = produce ~order ~base ~len in
+    {
+      blk with
+      account =
+        (fun i msg ->
+          message_bits.(i) <- Message.bits msg;
+          blk.account i msg);
+    }
   in
   let faulted_ids =
-    uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs:true ~n { e with account }
+    uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs:true ~n counted
       ~absorb:(fun ~id msg -> st := s.absorb ~n !st ~id msg)
   in
   ( s.finish ~n !st,

@@ -135,28 +135,38 @@ val run_source :
     order, deliver it per the schedule, absorb, emit [Referee_absorb].
     Engines supply only what differs, as a {!producer}. *)
 
-(** An engine's side of an uplink round, over per-node items ['x]
-    (a message, or a message with the node's next state).
-    [produce ~order ~base ~len] computes the items of nodes
-    [base + 1 .. base + len], in the 0-based index [order] when one is
-    given (only under [Shuffled], with [base = 0] and [len = n]).
-    [message x] is the message item [x] carries.  [account i x] runs on
-    the submitting domain, in identifier order, for node [i + 1], after
-    its block is produced and before any of it is delivered. *)
-type 'x producer = {
-  produce : order:int array option -> base:int -> len:int -> 'x array;
-  message : 'x -> Message.t;
-  account : int -> 'x -> unit;
+(** One block of an uplink round, once its local phase is started.
+    [join ()] waits for the block's messages (slot [k] is node
+    [base + k + 1]'s); [cancel ()] gives the block up instead, as
+    {!Parallel.cancel}.  [account i msg] runs on the submitting domain,
+    in identifier order, for node [i + 1], after [join] and before any
+    of the block is delivered.  State the block needs for [account]
+    (the traced engine's views) lives in the block, never in the
+    producer, because two blocks may be live at once. *)
+type block = {
+  join : unit -> Message.t array;
+  cancel : unit -> unit;
+  account : int -> Message.t -> unit;
 }
+
+(** An engine's side of an uplink round.  [produce ~order ~base ~len]
+    starts the local phase of nodes [base + 1 .. base + len], in the
+    0-based index [order] when one is given (only under [Shuffled],
+    with [base = 0] and [len = n]). *)
+type producer = order:int array option -> base:int -> len:int -> block
 
 (** [uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs ~n e
     ~absorb] executes one uplink round of [n] nodes.  Per block (all
-    [n] nodes unless [In_order] with [chunk < n]) it produces and
-    accounts under timer [refnet_local_phase], then delivers under
-    timer [refnet_referee_phase], calling [absorb] and emitting
-    [Referee_absorb] per delivery.  With [sample_absorbs], an unchunked
-    round samples every 64th absorb into [refnet_absorb_ns].  Returns
-    the ids a [Faulty] plan hit ([[]] otherwise).
+    [n] nodes unless [In_order] with [chunk < n]) it joins and accounts
+    under timer [refnet_local_phase], then delivers under timer
+    [refnet_referee_phase], calling [absorb] and emitting
+    [Referee_absorb] per delivery.  When there is a next block, it is
+    started right after this block's join, so the pool produces it
+    while this one is accounted and absorbed; if accounting or
+    delivery raises, that block is cancelled before the exception
+    propagates.  With [sample_absorbs], an
+    unchunked round samples every 64th absorb into [refnet_absorb_ns].
+    Returns the ids a [Faulty] plan hit ([[]] otherwise).
     @raise Invalid_argument if [chunk < 1], naming the field. *)
 val uplink :
   ?chunk:int ->
@@ -165,21 +175,22 @@ val uplink :
   metrics:Metrics.t option ->
   sample_absorbs:bool ->
   n:int ->
-  'x producer ->
+  producer ->
   absorb:(id:int -> Message.t -> unit) ->
   int list
 
-(** [in_parallel ?domains ?metrics f] is the per-node producer over the
-    {!Parallel} pool: item [i] is [f i] (0-based), computed in [order]
-    when one is given, landing in its own slot either way. *)
+(** [in_parallel ?domains ?metrics f ~order ~base ~len] submits the
+    per-node messages to the {!Parallel} pool as a block that accounts
+    nothing: slot [k] is [f (base + k)] (0-based ids), computed in
+    [order] when one is given, landing in its own slot either way. *)
 val in_parallel :
   ?domains:int ->
   ?metrics:Metrics.t ->
-  (int -> 'x) ->
+  (int -> Message.t) ->
   order:int array option ->
   base:int ->
   len:int ->
-  'x array
+  block
 
 (** [referee_round ?chunk ~delivery ~trace ~metrics r ~n e] is one
     {!uplink} round into the one-round referee [r], with absorb
@@ -192,7 +203,7 @@ val referee_round :
   metrics:Metrics.t option ->
   'a Protocol.referee ->
   n:int ->
-  'x producer ->
+  producer ->
   'a * transcript
 
 (** [view_of src ~n i] is node [i + 1]'s view, backed directly by the

@@ -35,7 +35,7 @@
 open Parsetree
 
 type raise_site = {
-  rs_exn : string;  (* last longident component; "?" for a re-raised variable *)
+  rs_exn : string;  (* module-qualified key, see [exn_key]; "?" for a re-raised variable *)
   rs_line : int;
   rs_col : int;
   rs_caught : string list;
@@ -107,6 +107,36 @@ let def_display d =
   let file_mod = module_of_file d.d_file in
   file_mod ^ "." ^ String.concat "." d.d_path
 
+(* ---------- exception keys ---------- *)
+
+(* The exceptions [Stdlib] predefines, named unqualified everywhere. *)
+let predefined_exns =
+  [
+    "Not_found"; "Failure"; "Invalid_argument"; "Exit"; "End_of_file"; "Division_by_zero";
+    "Sys_error"; "Assert_failure"; "Match_failure"; "Out_of_memory"; "Stack_overflow";
+    "Sys_blocked_io"; "Undefined_recursive_module";
+  ]
+
+(* An exception's key is its module-qualified name, so two exceptions
+   that share a last component stay apart: after alias expansion, a
+   library-wrapper or [Stdlib] prefix is dropped ([Refnet_bits.Byte_io.
+   Malformed] is [Byte_io.Malformed]); an unqualified name is a
+   predefined exception, or else one of the raising file's own, keyed
+   under the file's module. *)
+let exn_key ~file_module ~aliases path =
+  let path =
+    match path with
+    | head :: rest -> (
+      match List.assoc_opt head aliases with Some target -> target @ rest | None -> path)
+    | [] -> path
+  in
+  match path with
+  | h :: (_ :: _ as t) when h = "Stdlib" || List.mem h library_wrappers ->
+    String.concat "." t
+  | [ c ] when List.mem c predefined_exns -> c
+  | [ c ] -> file_module ^ "." ^ c
+  | p -> String.concat "." p
+
 (* ---------- pattern helpers ---------- *)
 
 let rec pattern_name p =
@@ -118,19 +148,19 @@ let rec pattern_name p =
 (* The exception keys a handler case catches; [None] = catch-all.  A
    guarded case is conservatively treated as catching nothing: the
    guard may decline at runtime, so nothing is provably absorbed. *)
-let rec pattern_exn_keys p =
+let rec pattern_exn_keys ~key p =
   match p.ppat_desc with
   | Ppat_any | Ppat_var _ -> None
-  | Ppat_alias (p, _) | Ppat_constraint (p, _) -> pattern_exn_keys p
+  | Ppat_alias (p, _) | Ppat_constraint (p, _) -> pattern_exn_keys ~key p
   | Ppat_construct ({ txt; _ }, _) -> (
-    match last_comp (flatten txt) with Some c -> Some [ c ] | None -> Some [])
+    match flatten txt with [] -> Some [] | path -> Some [ key path ])
   | Ppat_or (a, b) -> (
-    match (pattern_exn_keys a, pattern_exn_keys b) with
+    match (pattern_exn_keys ~key a, pattern_exn_keys ~key b) with
     | Some ka, Some kb -> Some (ka @ kb)
     | _ -> None)
   | _ -> Some []
 
-let caught_of_cases ~exception_only cases =
+let caught_of_cases ~key ~exception_only cases =
   List.fold_left
     (fun (keys, all) case ->
       let pat =
@@ -145,7 +175,7 @@ let caught_of_cases ~exception_only cases =
       | None -> (keys, all)
       | Some _ when case.pc_guard <> None -> (keys, all)
       | Some p -> (
-        match pattern_exn_keys p with
+        match pattern_exn_keys ~key p with
         | None -> (keys, true)
         | Some ks -> (ks @ keys, all)))
     ([], false) cases
@@ -211,6 +241,9 @@ let new_def b ~name ~loc body =
 let pos_of (loc : Location.t) =
   let p = loc.loc_start in
   (p.pos_lnum, p.pos_cnum - p.pos_bol)
+
+let exn_key_of b path =
+  exn_key ~file_module:b.fi.fi_module ~aliases:b.fi.fi_aliases path
 
 let record_raise b loc key =
   let line, col = pos_of loc in
@@ -328,9 +361,9 @@ let make_iter b =
       | (("" | "Stdlib"), ("raise" | "raise_notrace")) -> (
         match args with
         | (_, { pexp_desc = Pexp_construct ({ txt = c; _ }, payload); _ }) :: rest ->
-          (match last_comp (flatten c) with
-          | Some key -> record_raise b e.pexp_loc key
-          | None -> record_raise b e.pexp_loc "?");
+          (match flatten c with
+          | [] -> record_raise b e.pexp_loc "?"
+          | path -> record_raise b e.pexp_loc (exn_key_of b path));
           Option.iter (walk it) payload;
           List.iter (fun (_, a) -> walk it a) rest
         | args ->
@@ -376,7 +409,7 @@ let make_iter b =
           | _ -> walk it value)
         fields
     | Pexp_try (body, cases) ->
-      let keys, all = caught_of_cases ~exception_only:false cases in
+      let keys, all = caught_of_cases ~key:(exn_key_of b) ~exception_only:false cases in
       let saved_c = b.b_caught and saved_a = b.b_catch_all in
       b.b_caught <- keys @ b.b_caught;
       b.b_catch_all <- b.b_catch_all || all;
@@ -389,7 +422,7 @@ let make_iter b =
           walk it c.pc_rhs)
         cases
     | Pexp_match (scrut, cases) when has_exception_case cases ->
-      let keys, all = caught_of_cases ~exception_only:true cases in
+      let keys, all = caught_of_cases ~key:(exn_key_of b) ~exception_only:true cases in
       let saved_c = b.b_caught and saved_a = b.b_catch_all in
       b.b_caught <- keys @ b.b_caught;
       b.b_catch_all <- b.b_catch_all || all;

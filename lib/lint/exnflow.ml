@@ -22,8 +22,8 @@ module SS = Set.Make (String)
 
 (* The documented malformed class: [Protocol.default_malformed], the
    guard of [Protocol.guarded] and [Bcc.harden_referee], absorbs exactly
-   these. *)
-let allowed = [ "Malformed"; "Exhausted"; "Invalid_argument"; "Failure" ]
+   these, keyed by module-qualified name ([Callgraph.exn_key]). *)
+let allowed = [ "Message.Malformed"; "Bit_reader.Exhausted"; "Invalid_argument"; "Failure" ]
 
 let allowed_set = SS.of_list allowed
 
@@ -36,8 +36,8 @@ let primitive_raises = function
   | "List", "nth" -> [ "Failure"; "Invalid_argument" ]
   | ("List" | "Hashtbl"), ("find" | "assoc") -> [ "Not_found" ]
   | "Option", "get" -> [ "Invalid_argument" ]
-  | "Queue", ("pop" | "peek" | "take") -> [ "Empty" ]
-  | "Stack", ("pop" | "top") -> [ "Empty" ]
+  | "Queue", ("pop" | "peek" | "take") -> [ "Queue.Empty" ]
+  | "Stack", ("pop" | "top") -> [ "Stack.Empty" ]
   | ("" | "Stdlib"), ("int_of_string" | "float_of_string" | "bool_of_string") ->
     [ "Failure" ]
   | _ -> []

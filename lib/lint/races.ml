@@ -27,7 +27,10 @@
 open Parsetree
 
 let entries =
-  [ "init"; "map_array"; "map_array_ctx"; "iter_range"; "run_batch"; "run_batch_chunks" ]
+  [
+    "init"; "map_array"; "map_array_ctx"; "iter_range"; "submit"; "run_batch"; "submit_batch";
+    "submit_chunks";
+  ]
 
 let flatten lid = try Longident.flatten lid with _ -> []
 

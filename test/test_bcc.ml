@@ -403,6 +403,118 @@ let test_transcript_equality () =
       Alcotest.check transcript_eq backend t0 t)
     sources
 
+(* ---------- the pipelined uplink ---------- *)
+
+(* A one-round protocol whose send is [misbehave id] for the node with
+   identifier [id]: [`Ok] sends nothing, [`Loud] ships twice the cap,
+   [`Raise] fails.  [sent] counts the sends that ran. *)
+let misbehaving ~sent misbehave : unit Core.Bcc.t =
+  {
+    Core.Bcc.name = "bcc-test-misbehaving";
+    budget = { Core.Bcc.rounds = 1; bits_per_round = Core.Bcc.log_budget ~c:1 };
+    init = Core.Bcc.make_state;
+    send =
+      (fun ~round:_ s ->
+        Atomic.incr sent;
+        let v = Core.Bcc.state_view s in
+        match misbehave (Core.View.id v) with
+        | `Ok -> (Core.Message.empty, s)
+        | `Loud -> (Bitvec.create (2 * Core.Bounds.id_bits (Core.View.n v)), s)
+        | `Raise -> failwith (Printf.sprintf "node %d" (Core.View.id v)));
+    receive = (fun ~round:_ ~broadcast:_ s -> s);
+    referee =
+      Core.Bcc.Referee
+        {
+          r_init = (fun ~n:_ -> ());
+          r_absorb = (fun ~n:_ ~round:_ () ~id:_ _ -> ());
+          r_broadcast = (fun ~n:_ ~round:_ () -> ((), Core.Message.empty));
+          r_finish = (fun ~n:_ () -> ());
+        };
+    audit = None;
+  }
+
+(* The pool is free again when a two-wide batch runs on two domains:
+   every task but the first (which [init] runs before submitting) waits
+   until two domains have joined in, or gives up after 5 s. *)
+let pool_released () =
+  let seen = Atomic.make [] in
+  let rec note d =
+    let l = Atomic.get seen in
+    if not (List.mem d l || Atomic.compare_and_set seen l (d :: l)) then note d
+  in
+  let ids =
+    Core.Parallel.init ~domains:2 64 (fun i ->
+        let d = (Domain.self () :> int) in
+        note d;
+        let t0 = Unix.gettimeofday () in
+        while i > 0 && List.length (Atomic.get seen) < 2 && Unix.gettimeofday () -. t0 < 5. do
+          Domain.cpu_relax ()
+        done;
+        d)
+  in
+  List.length (List.sort_uniq compare (Array.to_list ids)) = 2
+
+(* With [~chunk:7] at n = 40 there are six blocks, and at width > 1
+   block [k + 1] is on the pool while block [k] is accounted.  A budget
+   violation in block 1 (id 3) must still be the one raised when block 2
+   (id 12) breaks the cap too, and a local function that fails in block
+   3 must raise what it raises at width 1; either way the batch in
+   flight is drained, the pool released, and a rerun is unaffected. *)
+let test_pipelined_uplink_exceptions () =
+  let n = 40 and chunk = 7 in
+  let g = Generators.cycle n in
+  let reference = snd (Core.Bcc.run ~domains:1 ~chunk (Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:1 ()) g) in
+  let raised ~domains misbehave =
+    let sent = Atomic.make 0 in
+    match Core.Bcc.run ~domains ~chunk (misbehaving ~sent misbehave) g with
+    | _ -> Alcotest.fail "the run must raise"
+    | exception e -> (e, Atomic.get sent)
+  in
+  let loud id = if id = 3 || id = 12 then `Loud else `Ok in
+  let failing id = if id = 17 then `Raise else `Ok in
+  let width1 = fst (raised ~domains:1 failing) in
+  List.iter
+    (fun domains ->
+      let tag = Printf.sprintf "width %d" domains in
+      (match raised ~domains loud with
+      | Core.Bcc.Budget_exceeded { id; _ }, sent ->
+        Alcotest.(check int) (tag ^ ": lowest offender") 3 id;
+        (* Sequentially block 2 never starts; pipelined, it was on the
+           pool, and was cancelled part-way or after its last send. *)
+        if domains = 1 then Alcotest.(check int) (tag ^ ": sends run") chunk sent
+        else
+          Alcotest.(check bool) (Printf.sprintf "%s: %d sends run" tag sent) true
+            (sent >= chunk && sent <= 2 * chunk)
+      | e, _ -> Alcotest.failf "%s: unexpected %s" tag (Printexc.to_string e));
+      Alcotest.(check bool) (tag ^ ": pool released after the budget raise") true (pool_released ());
+      let e, _ = raised ~domains failing in
+      Alcotest.(check string) (tag ^ ": local failure as at width 1") (Printexc.to_string width1)
+        (Printexc.to_string e);
+      Alcotest.(check bool) (tag ^ ": pool released after the local raise") true (pool_released ());
+      let _, t = Core.Bcc.run ~domains ~chunk (Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:1 ()) g in
+      Alcotest.check transcript_eq (tag ^ ": rerun") reference t)
+    [ 1; 2; 4 ]
+
+(* Item 7's gate, counted in full: words allocated per node by a
+   three-round connectivity run at n = 2 * 10^5 (four blocks) on one
+   domain.  The window starts on an empty minor heap; minor words plus
+   what went straight to the major heap, as test_serve counts. *)
+let test_allocation_per_node () =
+  let n = 200_000 in
+  let src = Graph_source.parse (Printf.sprintf "implicit:regular:%d:4:1" n) in
+  let p = Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:2 () in
+  Gc.minor ();
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let out, _ = Core.Bcc.run_source ~domains:1 p src in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  let per_node = words /. float_of_int n in
+  Alcotest.(check bool) "decided" true (out <> None);
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per node (bound 120)" per_node) true
+    (per_node <= 120.)
+
 (* ---------- node-state semantics ---------- *)
 
 (* A probe that reads one view field per callback and ships its stash:
@@ -709,6 +821,8 @@ let () =
           Alcotest.test_case "budget validated at entry" `Quick test_budget_validated_at_entry;
           Alcotest.test_case "transcript equality" `Quick test_transcript_equality;
           Alcotest.test_case "node-state semantics" `Quick test_node_state_semantics;
+          Alcotest.test_case "pipelined uplink exceptions" `Quick test_pipelined_uplink_exceptions;
+          Alcotest.test_case "allocation per node" `Quick test_allocation_per_node;
         ] );
       ( "faults",
         [

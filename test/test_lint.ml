@@ -120,7 +120,7 @@ let deep_exn_escape_fires () =
   let last = List.nth f.Lint.Finding.trace 2 in
   Alcotest.(check bool)
     "witness ends at the raise site" true
-    (contains last.Lint.Finding.s_note "raise Overflow")
+    (contains last.Lint.Finding.s_note "raise Fixture.Overflow")
 
 (* [Protocol.guarded]'s arguments are referee roots like
    [Protocol.streaming]'s: its guard absorbs only the malformed class. *)
@@ -131,6 +131,17 @@ let deep_guarded_escape_fires () =
   Alcotest.(check int) "three referee roots" 3 d.Lint.Driver.deep_roots_total;
   let f = List.hd d.Lint.Driver.deep_findings in
   Alcotest.(check bool) "names Not_found" true (contains f.Lint.Finding.message "Not_found")
+
+(* Exceptions are keyed by module-qualified name: the wire codec's
+   [Byte_io.Malformed] is not the [Message.Malformed] the guards
+   absorb. *)
+let deep_foreign_malformed_fires () =
+  let d = deep_fixture "deep_bad_foreign_malformed.ml" in
+  Alcotest.(check (list string)) "exactly one escape" [ "exn-escape" ] (deep_rules d);
+  Alcotest.(check int) "two of three roots proven" 2 d.Lint.Driver.deep_roots_proven;
+  let f = List.hd d.Lint.Driver.deep_findings in
+  Alcotest.(check bool) "names Byte_io.Malformed" true
+    (contains f.Lint.Finding.message "exception Byte_io.Malformed")
 
 let deep_exn_absorbed_is_clean () =
   let d = deep_fixture "deep_good_exn_absorbed.ml" in
@@ -150,6 +161,14 @@ let deep_race_fires () =
         "trace: submission + write" 2
         (List.length f.Lint.Finding.trace))
     d.Lint.Driver.deep_findings
+
+(* A closure handed to [Parallel.submit] runs on the pool like one
+   handed to [iter_range]. *)
+let deep_submit_race_fires () =
+  let d = deep_fixture "deep_bad_submit_race.ml" in
+  Alcotest.(check (list string)) "the captured ref write" [ "parallel-race" ] (deep_rules d);
+  let f = List.hd d.Lint.Driver.deep_findings in
+  Alcotest.(check bool) "names the entry" true (contains f.Lint.Finding.message "Parallel.submit")
 
 let deep_race_indexed_is_clean () =
   Alcotest.(check (list string))
@@ -344,7 +363,10 @@ let () =
           Alcotest.test_case "bad exn-escape" `Quick deep_exn_escape_fires;
           Alcotest.test_case "good exn-escape (absorbed)" `Quick deep_exn_absorbed_is_clean;
           Alcotest.test_case "bad exn-escape (guarded absorb)" `Quick deep_guarded_escape_fires;
+          Alcotest.test_case "bad exn-escape (foreign Malformed)" `Quick
+            deep_foreign_malformed_fires;
           Alcotest.test_case "bad parallel-race" `Quick deep_race_fires;
+          Alcotest.test_case "bad parallel-race (submit)" `Quick deep_submit_race_fires;
           Alcotest.test_case "good parallel-race (indexed)" `Quick deep_race_indexed_is_clean;
           Alcotest.test_case "bad blocking-call" `Quick deep_blocking_fires;
           Alcotest.test_case "good blocking-call (poll point)" `Quick
