@@ -14,7 +14,6 @@ let normalize (c : Bigint.t array) : t =
   if !len = Array.length c then c else Array.sub c 0 !len
 
 let of_coeffs c = normalize (Array.copy c)
-let to_coeffs (p : t) = Array.copy p
 
 let degree (p : t) = Array.length p - 1
 
@@ -29,15 +28,6 @@ let equal (p : t) (q : t) =
   go 0
 
 let constant c = normalize [| c |]
-
-let monomial c i =
-  if i < 0 then invalid_arg "Poly.monomial: negative exponent";
-  if Bigint.is_zero c then zero
-  else begin
-    let r = Array.make (i + 1) Bigint.zero in
-    r.(i) <- c;
-    r
-  end
 
 let add (p : t) (q : t) : t =
   let n = max (Array.length p) (Array.length q) in

@@ -18,28 +18,20 @@ val one : t
 (** [of_coeffs c] builds a polynomial from little-endian coefficients. *)
 val of_coeffs : Bigint.t array -> t
 
-(** [to_coeffs p] is the canonical little-endian coefficient array. *)
-val to_coeffs : t -> Bigint.t array
-
 (** [degree p] is the degree, [-1] for the zero polynomial. *)
 val degree : t -> int
 
 (** [coeff p i] is the coefficient of [x^i] ([zero] beyond the degree). *)
 val coeff : t -> int -> Bigint.t
 
-val is_zero : t -> bool
 val equal : t -> t -> bool
 
 (** [constant c] is the degree-0 (or zero) polynomial [c]. *)
 val constant : Bigint.t -> t
 
-(** [monomial c i] is [c * x^i]. *)
-val monomial : Bigint.t -> int -> t
-
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val neg : t -> t
 
 (** [scale c p] multiplies every coefficient by [c]. *)
 val scale : Bigint.t -> t -> t

@@ -10,18 +10,9 @@ let make ~k ~n =
   in
   { k; n; rows }
 
-let k a = a.k
-let n a = a.n
-
-let entry a ~p ~i =
-  if p < 1 || p > a.k || i < 1 || i > a.n then invalid_arg "Vandermonde.entry: out of range";
-  a.rows.(p - 1).(i - 1)
-
 let apply a positions =
   List.iter
     (fun i -> if i < 1 || i > a.n then invalid_arg "Vandermonde.apply: position out of range")
     positions;
   Array.init a.k (fun p ->
       List.fold_left (fun acc i -> Nat.add acc (a.rows.(p).(i - 1))) Nat.zero positions)
-
-let max_entry a = a.rows.(a.k - 1).(a.n - 1)

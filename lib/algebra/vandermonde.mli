@@ -3,9 +3,7 @@
 
     {!Power_sum.encode} computes the product [A . x] without materializing
     the matrix; this module materializes it so tests can cross-check the
-    two, and so documentation-level experiments can inspect the entries
-    (they bound the message size in Lemma 2: every entry is at most
-    [n^k]). *)
+    two. *)
 
 open Refnet_bigint
 
@@ -14,18 +12,7 @@ type t
 (** [make ~k ~n] builds [A(k, n)].  Memory is [O(k n)] bigints. *)
 val make : k:int -> n:int -> t
 
-val k : t -> int
-val n : t -> int
-
-(** [entry a ~p ~i] is [i^p], for [1 <= p <= k] and [1 <= i <= n].
-    @raise Invalid_argument out of range. *)
-val entry : t -> p:int -> i:int -> Nat.t
-
 (** [apply a x] is the product [A . x] for an incidence vector [x] of
     length [n] over [{0,1}], given as the increasing list of set
     positions (1-based). *)
 val apply : t -> int list -> Nat.t array
-
-(** [max_entry a] is [n^k], the largest entry, governing Lemma 2's
-    per-coordinate bound of [(k+1) log n] bits. *)
-val max_entry : t -> Nat.t

@@ -6,19 +6,8 @@ let mk sign mag = if Nat.is_zero mag then { sign = 0; mag = Nat.zero } else { si
 
 let zero = { sign = 0; mag = Nat.zero }
 let one = { sign = 1; mag = Nat.one }
-let minus_one = { sign = -1; mag = Nat.one }
 
 let of_int v = if v >= 0 then mk 1 (Nat.of_int v) else mk (-1) (Nat.of_int (-v))
-
-let to_int_opt n =
-  match Nat.to_int_opt n.mag with
-  | Some v -> Some (n.sign * v)
-  | None -> None
-
-let to_int n =
-  match to_int_opt n with
-  | Some v -> v
-  | None -> failwith "Bigint.to_int: overflow" (* lint: allow referee-totality -- documented contract; use to_int_opt for the total variant *)
 
 let of_nat m = mk 1 m
 
@@ -51,9 +40,6 @@ let divmod a b =
   let q, r = Nat.divmod a.mag b.mag in
   (mk (a.sign * b.sign) q, mk a.sign r)
 
-let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
-
 let div_exact a b =
   let q, r = divmod a b in
   if not (Nat.is_zero r.mag) then invalid_arg "Bigint.div_exact: inexact division";
@@ -80,5 +66,3 @@ let of_string s =
 let to_string n = (if n.sign < 0 then "-" else "") ^ Nat.to_string n.mag
 
 let pp fmt n = Format.pp_print_string fmt (to_string n)
-
-let hash n = Hashtbl.hash (n.sign, Nat.hash n.mag)

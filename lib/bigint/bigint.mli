@@ -8,15 +8,8 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val of_int : int -> t
-
-(** [to_int n] converts to a native integer.
-    @raise Failure on overflow. *)
-val to_int : t -> int
-
-val to_int_opt : t -> int option
 
 (** [of_nat n] embeds a natural number. *)
 val of_nat : Nat.t -> t
@@ -40,9 +33,6 @@ val mul : t -> t -> t
     @raise Division_by_zero if [b] is zero. *)
 val divmod : t -> t -> t * t
 
-val div : t -> t -> t
-val rem : t -> t -> t
-
 (** [div_exact a b] is [a / b] when [b] divides [a].
     @raise Invalid_argument when the division has a remainder; used by the
     Newton decoder where divisibility is a correctness invariant. *)
@@ -58,4 +48,3 @@ val is_zero : t -> bool
 val of_string : string -> t
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
-val hash : t -> int

@@ -256,9 +256,6 @@ let divmod (a : t) (b : t) : t * t =
   end
   else divmod_knuth a b
 
-let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
-
 let pow b e =
   if e < 0 then invalid_arg "Nat.pow: negative exponent";
   let rec go acc b e =
@@ -301,8 +298,6 @@ let to_string n =
   end
 
 let pp fmt n = Format.pp_print_string fmt (to_string n)
-
-let hash (n : t) = Hashtbl.hash n
 
 let to_digits (n : t) = Array.copy n
 

@@ -39,9 +39,6 @@ val mul : t -> t -> t
     @raise Division_by_zero if [b] is zero. *)
 val divmod : t -> t -> t * t
 
-val div : t -> t -> t
-val rem : t -> t -> t
-
 (** [pow base e] is [base{^e}].  [pow zero 0] is [one]. *)
 val pow : t -> int -> t
 
@@ -62,9 +59,6 @@ val of_string : string -> t
 val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
-
-(** [hash n] is a structural hash compatible with [equal]. *)
-val hash : t -> int
 
 (** Smallest digits first; exposed for tests and for bit-exact message
     serialization. *)

@@ -270,5 +270,3 @@ let subset u v =
   go 0
 
 let to_string v = String.init v.len (fun i -> if get v i then '1' else '0')
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)

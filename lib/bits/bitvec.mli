@@ -52,10 +52,6 @@ val compare : t -> t -> int
     increasing order. *)
 val iter_set : t -> (int -> unit) -> unit
 
-(** [fold_set v init f] folds [f] over the indices of set bits in
-    increasing order. *)
-val fold_set : t -> 'a -> ('a -> int -> 'a) -> 'a
-
 (** [to_list v] is the increasing list of indices of set bits. *)
 val to_list : t -> int list
 
@@ -142,9 +138,6 @@ val fnv : ?h:int -> t -> len:int -> int
     bytes are copied, and pad bits set in [s] are cleared.
     @raise Invalid_argument if [len < 0] or [s] holds too few bytes. *)
 val of_packed : ?off:int -> len:int -> string -> t
-
-(** [pp] prints the vector as a ['0'/'1'] string, bit 0 leftmost. *)
-val pp : Format.formatter -> t -> unit
 
 (** [to_string v] is the ['0'/'1'] rendering of [v]. *)
 val to_string : t -> string

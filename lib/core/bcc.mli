@@ -174,23 +174,6 @@ val run_source :
   Graph_source.t ->
   'a * transcript
 
-(** [harden_referee r] is the BCC analogue of
-    {!Protocol.harden_referee}, over one {!Verdict.ledger} for the whole
-    run: absorbs that raise a {!Protocol.default_malformed} exception
-    are contained and recorded, out-of-range senders and per-round
-    duplicates are recorded, and each broadcast closes a round
-    ({!Verdict.close_round}), so ids whose message never arrived in
-    some round are reported missing — a crashed node degrades the run
-    to [Degraded]/[Inconclusive] instead of raising.  A broadcast that
-    raises makes the run [Inconclusive].  Otherwise {!Protocol.settle}
-    decides: [Decided] of the inner answer on a clean channel, else
-    [on_fault] with the report and the inner referee's salvage answer
-    (or [None] if finishing raised). *)
-val harden_referee :
-  ?on_fault:(Verdict.fault_report -> 'a option -> 'a Verdict.t) ->
-  'a referee ->
-  'a Verdict.t referee
-
 (** [harden p] wraps the whole protocol: referee hardened as above,
     name suffixed [+hardened], audit budget dropped (a hardened run is
     exempt from the bound audit, as for one-round protocols). *)

@@ -12,8 +12,6 @@ let table_decoder table : decoder =
 
 let message_bits = Bounds.degeneracy_message_bits
 
-let local_time_operations ~k n = k * n
-
 (* Power sum b_p is at most n * n^p = n^(p+1): width (p+1) * id_bits. *)
 let coord_width ~w p = (p + 2) * w
 (* p is 0-based here: coordinate p holds sums of (p+1)-th powers. *)

@@ -69,8 +69,3 @@ val hardened :
 (** [message_bits ~k n] is the exact message size at parameters [(k, n)]
     (equals {!Bounds.degeneracy_message_bits}). *)
 val message_bits : k:int -> int -> int
-
-(** [local_time_operations ~k n] is the paper's [O(n)] local-work claim
-    in concrete form: number of bigint additions the local phase
-    performs, [k * deg(x)] in the worst case [k * n]. *)
-val local_time_operations : k:int -> int -> int

@@ -41,9 +41,6 @@ val of_list : (int * fault) list -> plan
 (** [to_list plan] is the plan's entries in increasing id order. *)
 val to_list : plan -> (int * fault) list
 
-(** [find plan id] is node [id]'s fault, if any. *)
-val find : plan -> int -> fault option
-
 (** [ids plan] is the increasing list of ids the plan touches. *)
 val ids : plan -> int list
 
@@ -82,8 +79,6 @@ val apply : plan -> Message.t array -> (int * Message.t) list * (int * fault) li
 (** Compact single-token rendering, e.g. ["flip:2,5"] — used by the
     trace layer's JSONL schema. *)
 val fault_to_string : fault -> string
-
-val pp_fault : Format.formatter -> fault -> unit
 
 (** [pp] prints a whole plan, e.g. [{3->crash; 7->truncate:12}]. *)
 val pp : Format.formatter -> plan -> unit

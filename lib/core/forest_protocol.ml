@@ -187,5 +187,3 @@ let hardened : Graph.t option Verdict.t Protocol.t =
     referee = Protocol.guarded ~init:hinit ~absorb:habsorb ~finish:hfinish;
     budget = None;
   }
-
-let hardened_message_bits n = message_bits n + Message.digest_bits

@@ -33,6 +33,3 @@ val message_bits : int -> int
     [Decided]: corruption is either detected by the seal (up to the
     [2^-32] digest collision rate) or surfaces as missing rows. *)
 val hardened : Refnet_graph.Graph.t option Verdict.t Protocol.t
-
-(** [hardened_message_bits n] = [message_bits n + Message.digest_bits]. *)
-val hardened_message_bits : int -> int

@@ -26,64 +26,6 @@ let triangle g s t =
   let n = Graph.order g in
   Graph.add_edges (Graph.add_vertices g 1) [ (s, n + 1); (t, n + 1) ]
 
-(* Incremental gadget instantiation: a sweep over all O(n^2) vertex
-   pairs re-reads the same base graph every time, so the pair-independent
-   part (base edges, pendants, universal vertex) is loaded once into a
-   pre-sized builder and only the pair-specific edges are toggled around
-   each [build].  One [Batch.t] per domain makes the O(n^2) sweep safe to
-   distribute over the pool. *)
-module Batch = struct
-  type kind = Square | Diameter | Triangle
-
-  type t = { base : Graph.Builder.t; n : int; kind : kind }
-
-  let load b g =
-    Graph.iter_edges g (fun u v -> Graph.Builder.add_edge b u v)
-
-  let square g =
-    let n = Graph.order g in
-    let b = Graph.Builder.create (2 * n) in
-    load b g;
-    for i = 1 to n do
-      Graph.Builder.add_edge b i (n + i)
-    done;
-    { base = b; n; kind = Square }
-
-  let diameter g =
-    let n = Graph.order g in
-    let b = Graph.Builder.create (n + 3) in
-    load b g;
-    for v = 1 to n do
-      Graph.Builder.add_edge b v (n + 3)
-    done;
-    { base = b; n; kind = Diameter }
-
-  let triangle g =
-    let n = Graph.order g in
-    let b = Graph.Builder.create (n + 1) in
-    load b g;
-    { base = b; n; kind = Triangle }
-
-  let check_pair batch s t =
-    let n = batch.n in
-    if s < 1 || s > n || t < 1 || t > n || s = t then
-      invalid_arg "Gadgets.Batch.instantiate: bad vertex pair"
-
-  let with_edges b edges =
-    List.iter (fun (u, v) -> Graph.Builder.add_edge b u v) edges;
-    let g = Graph.Builder.build b in
-    List.iter (fun (u, v) -> Graph.Builder.remove_edge b u v) edges;
-    g
-
-  let instantiate batch ~s ~t =
-    check_pair batch s t;
-    let n = batch.n in
-    match batch.kind with
-    | Square -> with_edges batch.base [ (n + s, n + t) ]
-    | Diameter -> with_edges batch.base [ (s, n + 1); (t, n + 2) ]
-    | Triangle -> with_edges batch.base [ (s, n + 1); (t, n + 1) ]
-end
-
 let square_fictitious ~n ~s ~t j =
   if j <= n || j > 2 * n then invalid_arg "Gadgets.square_fictitious: not a fictitious vertex";
   if j = n + s then [ s; n + t ]

@@ -23,30 +23,6 @@ val diameter : Graph.t -> int -> int -> Graph.t
     contains a triangle iff [{s,t}] is an edge of [G]. *)
 val triangle : Graph.t -> int -> int -> Graph.t
 
-(** Incremental instantiation for O(n²) gadget sweeps.  A [Batch.t]
-    pre-loads everything pair-independent — the base graph, the square
-    gadget's pendants, the diameter gadget's universal vertex — into one
-    pre-sized builder; {!Batch.instantiate} then toggles only the
-    pair-specific edges around each build, so a full sweep costs one base
-    load instead of n² of them.
-
-    A batch is single-threaded mutable state: when sweeping across the
-    {!Parallel} pool, give each domain its own batch (e.g. via
-    [Parallel.map_array_ctx]).  Graphs built from the same batch are
-    equal to the corresponding {!square} / {!diameter} / {!triangle}
-    construction. *)
-module Batch : sig
-  type t
-
-  val square : Graph.t -> t
-  val diameter : Graph.t -> t
-  val triangle : Graph.t -> t
-
-  (** [instantiate batch ~s ~t] is the gadget [G'_{s,t}].
-      @raise Invalid_argument if [s = t] or out of range. *)
-  val instantiate : t -> s:int -> t:int -> Graph.t
-end
-
 (** Predicted neighbourhoods of the {e fictitious} vertices — what the
     referee computes locally when simulating an oracle on [G'_{s,t}]
     without seeing [G] (they depend only on [n], [s], [t]). *)

@@ -72,5 +72,3 @@ let unseal ~n ~id sealed =
   else None
 
 let equal = Bitvec.equal
-
-let pp = Bitvec.pp

@@ -80,4 +80,3 @@ val unseal : n:int -> id:int -> t -> t option
 val verify : n:int -> id:int -> t -> bool
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

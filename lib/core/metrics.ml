@@ -208,6 +208,15 @@ let time t name f =
   let sp = start_span t name in
   Fun.protect ~finally:(fun () -> stop_span t sp) f
 
+let allocated_words f =
+  Gc.minor ();
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
 (* ---------- snapshots ---------- *)
 
 type histogram_snapshot = {
@@ -416,23 +425,3 @@ let write_file m path =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc data;
       Out_channel.close oc)
-
-let pp_snapshot fmt s =
-  List.iter (fun (name, v) -> Format.fprintf fmt "counter   %-48s %d@." name v) s.counters;
-  List.iter (fun (name, v) -> Format.fprintf fmt "gauge     %-48s %g@." name v) s.gauges;
-  List.iter
-    (fun (name, h) ->
-      Format.fprintf fmt "histogram %-48s count=%d sum=%d max=%d p50=%d p90=%d p99=%d@." name
-        h.h_count h.h_sum h.h_max (snapshot_quantile h 0.5) (snapshot_quantile h 0.9)
-        (snapshot_quantile h 0.99);
-      List.iter
-        (fun (i, c) ->
-          let lo, hi = Histogram.bucket_range i in
-          Format.fprintf fmt "          [%d..%d] %d@." lo hi c)
-        h.h_buckets)
-    s.histograms;
-  List.iter
-    (fun (name, tm) ->
-      Format.fprintf fmt "timer     %-48s spans=%d total=%.6fs@." name tm.t_count tm.t_total;
-      List.iter (fun (d, sec) -> Format.fprintf fmt "          domain %d: %.6fs@." d sec) tm.t_by_domain)
-    s.timers

@@ -136,14 +136,12 @@ end
     bumped. *)
 val time : t -> string -> (unit -> 'a) -> 'a
 
-type span
-
-(** [start_span t name] opens a span by hand; {!stop_span} closes it
-    (attributing to [?domain], like {!Timer.add}) and bumps the span
-    count.  For the common case prefer {!time}. *)
-val start_span : t -> string -> span
-
-val stop_span : t -> ?domain:int -> span -> unit
+(** [allocated_words f] is [f ()] and the words it allocated on this
+    domain, counted in full: minor words plus major words less promoted
+    ones.  The window starts on an empty minor heap, so no promotion of
+    older data lands in it.  ([Gc.allocated_bytes] reads only an eighth
+    of the words still in the minor heap on OCaml 5.1.) *)
+val allocated_words : (unit -> 'a) -> 'a * float
 
 (** {1 Snapshots} *)
 
@@ -193,5 +191,3 @@ val to_prometheus : snapshot -> string
     snapshot both write through it.
     @raise Sys_error if [path] cannot be written. *)
 val write_file : t -> string -> unit
-
-val pp_snapshot : Format.formatter -> snapshot -> unit

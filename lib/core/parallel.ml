@@ -279,24 +279,4 @@ let map_array ?domains ?metrics f a =
     out
   end
 
-let map_array_ctx ?domains ?metrics mk f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    (* One context per participating domain, created lazily by the domain
-       itself; slots are never shared, so the array needs no locking. *)
-    let ctxs = Array.make width_cap None in
-    let ctx_of slot =
-      match ctxs.(slot) with
-      | Some c -> c
-      | None ->
-        let c = mk () in
-        ctxs.(slot) <- Some c;
-        c
-    in
-    let out = Array.make n (f (ctx_of 0) a.(0)) in
-    run_batch ?domains ?metrics ~total:(n - 1) (fun ~slot i -> out.(i + 1) <- f (ctx_of slot) a.(i + 1));
-    out
-  end
-
 let iter_range ?domains ?metrics n f = join (submit ?domains ?metrics n f)

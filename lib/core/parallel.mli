@@ -58,14 +58,6 @@ val init : ?domains:int -> ?metrics:Metrics.t -> int -> (int -> 'a) -> 'a array
 (** [map_array ?domains ?metrics f a] maps [f] over [a] across the pool. *)
 val map_array : ?domains:int -> ?metrics:Metrics.t -> ('a -> 'b) -> 'a array -> 'b array
 
-(** [map_array_ctx ?domains ?metrics mk f a] is [map_array] for tasks
-    needing mutable per-domain scratch (e.g. a pre-sized graph builder):
-    each participating domain lazily creates one context with [mk ()]
-    and reuses it for all its chunks.  [f] may mutate its context freely
-    but must stay pure with respect to everything else. *)
-val map_array_ctx :
-  ?domains:int -> ?metrics:Metrics.t -> (unit -> 'c) -> ('c -> 'a -> 'b) -> 'a array -> 'b array
-
 (** [iter_range ?domains ?metrics n f] runs [f i] for [i = 0 .. n - 1]
     across the pool. *)
 val iter_range : ?domains:int -> ?metrics:Metrics.t -> int -> (int -> unit) -> unit

@@ -94,9 +94,6 @@ val run_referee : 'a referee -> n:int -> Message.t array -> 'a
     vectors. *)
 val apply : 'a t -> n:int -> Message.t array -> 'a
 
-(** [map_referee f r] maps over the finished output. *)
-val map_referee : ('a -> 'b) -> 'a referee -> 'b referee
-
 (** [map_output f p] is [p] with [f] applied to the referee's result;
     the messages, and so the budget, are unchanged. *)
 val map_output : ('a -> 'b) -> 'a t -> 'b t

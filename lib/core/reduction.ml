@@ -79,15 +79,6 @@ let square ?metrics (oracle : bool Protocol.t) : Graph.t Protocol.t =
     budget = None;
   }
 
-(* Bundled messages: each part written as a gamma length prefix followed
-   by the raw bits, so the referee can split the bundle.  The framing
-   itself lives in {!Message}; these aliases keep the historical
-   spellings. *)
-let write_part = Message.write_framed
-let read_part = Message.read_framed
-let bundle = Message.bundle
-let unbundle = Message.unbundle
-
 let diameter ?metrics (oracle : bool Protocol.t) : Graph.t Protocol.t =
   let local v =
     let n = View.n v in
@@ -99,7 +90,7 @@ let diameter ?metrics (oracle : bool Protocol.t) : Graph.t Protocol.t =
     let m0 = oracle.local (oracle_view ~size ~id ~neighbors:(neighbors @ [ n + 3 ])) in
     let ms = oracle.local (oracle_view ~size ~id ~neighbors:(neighbors @ [ n + 1; n + 3 ])) in
     let mt = oracle.local (oracle_view ~size ~id ~neighbors:(neighbors @ [ n + 2; n + 3 ])) in
-    bundle [ m0; ms; mt ]
+    Message.bundle [ m0; ms; mt ]
   in
   let global ~n msgs =
     let size = n + 3 in
@@ -107,7 +98,7 @@ let diameter ?metrics (oracle : bool Protocol.t) : Graph.t Protocol.t =
        O(n^2)-probe sweep below, where a per-lookup list walk compounds
        into quadratic referee work. *)
     let parts =
-      Parallel.map_array ?metrics (fun m -> Array.of_list (unbundle ~count:3 m)) msgs
+      Parallel.map_array ?metrics (fun m -> Array.of_list (Message.unbundle ~count:3 m)) msgs
     in
     let part i j = parts.(i - 1).(j) in
     graph_of_probe ?metrics ~n (fun s t ->
@@ -140,12 +131,12 @@ let triangle ?metrics (oracle : bool Protocol.t) : Graph.t Protocol.t =
     let size = n + 1 in
     let plain = oracle.local (oracle_view ~size ~id ~neighbors) in
     let touched = oracle.local (oracle_view ~size ~id ~neighbors:(neighbors @ [ n + 1 ])) in
-    bundle [ plain; touched ]
+    Message.bundle [ plain; touched ]
   in
   let global ~n msgs =
     let size = n + 1 in
     let parts =
-      Parallel.map_array ?metrics (fun m -> Array.of_list (unbundle ~count:2 m)) msgs
+      Parallel.map_array ?metrics (fun m -> Array.of_list (Message.unbundle ~count:2 m)) msgs
     in
     let part i j = parts.(i - 1).(j) in
     graph_of_probe ?metrics ~n (fun s t ->

@@ -46,20 +46,3 @@ val triangle : ?metrics:Metrics.t -> bool Protocol.t -> Graph.t Protocol.t
 val square_oracle : bool Protocol.t
 val diameter3_oracle : bool Protocol.t
 val triangle_oracle : bool Protocol.t
-
-(** Message framing shared by reductions that bundle several oracle
-    messages into one: each part is written as a gamma-coded length
-    followed by the raw bits. *)
-
-(** [bundle parts] frames and concatenates. *)
-val bundle : Message.t list -> Message.t
-
-(** [unbundle ~count m] splits a bundle back into [count] parts. *)
-val unbundle : count:int -> Message.t -> Message.t list
-
-(** [write_part w m] appends one framed part to a writer. *)
-val write_part : Refnet_bits.Bit_writer.t -> Message.t -> unit
-
-(** [read_part r] reads one framed part. *)
-val read_part : Refnet_bits.Bit_reader.t -> Message.t
-

@@ -33,22 +33,6 @@ let emit_session sink ~session ev =
   | Emit f -> f ev
   | Emit_session f -> f (Some session) ev
 
-let pp_event fmt = function
-  | Span_begin { label; n } -> Format.fprintf fmt "begin %-12s n=%d" label n
-  | Span_end { label; n } -> Format.fprintf fmt "end   %-12s n=%d" label n
-  | Node_local { id; bits; queries = q } ->
-    Format.fprintf fmt "local node=%d bits=%d queries=[id:%d n:%d deg:%d nbrs:%d]" id bits
-      q.View.id_reads q.View.n_reads q.View.deg_reads q.View.neighbor_reads
-  | Referee_absorb { id; bits } -> Format.fprintf fmt "absorb node=%d bits=%d" id bits
-  | Fault_injected { id; fault } ->
-    Format.fprintf fmt "fault node=%d %s" id (Faults.fault_to_string fault)
-  | Referee_broadcast { round; bits } ->
-    Format.fprintf fmt "bcast round=%d bits=%d" round bits
-  | Referee_done { label; n; max_bits; total_bits; _ } ->
-    Format.fprintf fmt "done  %-12s n=%d max=%d bits total=%d bits" label n max_bits total_bits
-
-let pretty fmt = Emit (fun ev -> Format.fprintf fmt "[trace] %a@." pp_event ev)
-
 (* The done line's "budget": {"shape":TAG,"k":K,"c_max":C,"n_min":N},
    or null for a run with no theorem to audit.  %.17g round-trips. *)
 let budget_json = function

@@ -68,9 +68,6 @@ val emit : sink -> event -> unit
     {!jsonl} renders the id as a leading ["session_id"] field. *)
 val emit_session : sink -> session:int64 -> event -> unit
 
-(** [pretty fmt] renders events human-readably, one line each. *)
-val pretty : Format.formatter -> sink
-
 (** [jsonl oc] writes one JSON object per event per line.
 
     {b Flushing contract.} The sink flushes [oc] after every
@@ -90,8 +87,6 @@ val memory : unit -> sink * (unit -> event list)
     and matching pairs carry the same label, with nothing left open at
     the end. *)
 val balanced_spans : event list -> bool
-
-val pp_event : Format.formatter -> event -> unit
 
 (** [json_of_event ?session ev] is the single-line JSON rendering used
     by {!jsonl}.  With [~session], a ["session_id"] field (16 lowercase

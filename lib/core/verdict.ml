@@ -71,10 +71,6 @@ let map f = function
   | Degraded (v, r) -> Degraded (f v, r)
   | Inconclusive reason -> Inconclusive reason
 
-let to_option = function
-  | Decided v | Degraded (v, _) -> Some v
-  | Inconclusive _ -> None
-
 let is_decided = function Decided _ -> true | Degraded _ | Inconclusive _ -> false
 
 let report_summary r =

@@ -81,15 +81,10 @@ val report : ledger -> fault_report
 (** [map f v] maps over the payload of [Decided]/[Degraded]. *)
 val map : ('a -> 'b) -> 'a t -> 'b t
 
-(** [to_option v] is the payload when one exists. *)
-val to_option : 'a t -> 'a option
-
 (** [is_decided v] is true only for [Decided]. *)
 val is_decided : 'a t -> bool
 
 (** One-line count summary, e.g. ["2 missing, 1 malformed, ..."]. *)
 val report_summary : fault_report -> string
-
-val pp_report : Format.formatter -> fault_report -> unit
 
 val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

@@ -23,14 +23,6 @@ let iter_neighbors t v f =
     f t.col.(i)
   done
 
-let fold_neighbors t v init f =
-  check t v "fold_neighbors";
-  let acc = ref init in
-  for i = t.row.(v - 1) to t.row.(v) - 1 do
-    acc := f !acc t.col.(i)
-  done;
-  !acc
-
 let neighbors t v =
   check t v "neighbors";
   List.init (degree t v) (fun i -> t.col.(t.row.(v - 1) + i))

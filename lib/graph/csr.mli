@@ -10,7 +10,8 @@
     counted first, offsets are prefix sums, and endpoints are written
     straight into [col] (then each run is sorted and duplicates are
     collapsed, matching {!Graph.of_edges} semantics).  The two-pass
-    {!Builder} is the streaming entry point {!Gio.csr_of_file} feeds. *)
+    {!Builder} is the streaming entry point; {!Graph_source.to_csr}
+    feeds it from an implicit family. *)
 
 type t
 
@@ -69,8 +70,6 @@ val has_edge : t -> int -> int -> bool
     free. *)
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 
-val fold_neighbors : t -> int -> 'a -> ('a -> int -> 'a) -> 'a
-
 (** [neighbors t v] is the increasing neighbour list (allocates; compat
     accessor). *)
 val neighbors : t -> int -> int list
@@ -78,9 +77,6 @@ val neighbors : t -> int -> int list
 (** [neighbors_slice t v] is [(col, off, len)]: the neighbour run of [v]
     inside the shared column array.  Callers must not mutate it. *)
 val neighbors_slice : t -> int -> int array * int * int
-
-(** [iter_edges t f] applies [f u v] to each edge with [u < v]. *)
-val iter_edges : t -> (int -> int -> unit) -> unit
 
 (** [to_graph t] materializes (allocates the [n^2]-bit incidence
     matrix — small [n] only). *)

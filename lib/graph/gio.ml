@@ -42,100 +42,12 @@ let of_edge_list s =
       | _ -> invalid_arg "Gio.of_edge_list: expected two fields"
     in
     let n, m = parse_pair header in
-    let edges = List.map parse_pair rest in
-    if List.length edges <> m then invalid_arg "Gio.of_edge_list: edge count mismatch";
-    Graph.of_edges n edges
-
-(* ---------- streaming edge-list files ---------- *)
-
-(* One pass over [path]: header callback once, edge callback per line,
-   in file order.  Memory is one line at a time; errors carry
-   [path:line:] so a bad row in a million-line file is findable. *)
-let iter_edge_list_file path ~header ~edge =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lineno = ref 0 in
-      let parse_line line =
-        match fields line with
-        | [ a; b ] -> (
-          match (int_of_string_opt a, int_of_string_opt b) with
-          | Some a, Some b -> Some (a, b)
-          | _ -> invalid_arg (Printf.sprintf "%s:%d: expected two integers" path !lineno))
-        | [] -> None (* blank line *)
-        | _ -> invalid_arg (Printf.sprintf "%s:%d: expected two fields" path !lineno)
-      in
-      let next () =
-        match input_line ic with
-        | line ->
-          incr lineno;
-          Some line
-        | exception End_of_file -> None
-      in
-      let rec first_pair () =
-        match next () with
-        | None -> invalid_arg (Printf.sprintf "%s: empty input" path)
-        | Some line -> ( match parse_line line with Some p -> p | None -> first_pair ())
-      in
-      let n, m = first_pair () in
-      if n < 0 || m < 0 then
-        invalid_arg (Printf.sprintf "%s:%d: negative order or size in header" path !lineno);
-      header ~n ~m;
-      let edges = ref 0 in
-      let rec go () =
-        match next () with
-        | None -> ()
-        | Some line ->
-          (match parse_line line with
-          | Some (u, v) -> (
-            incr edges;
-            (* Re-anchor consumer rejections (range, self-loop) to the
-               offending line. *)
-            try edge u v
-            with Invalid_argument msg ->
-              invalid_arg (Printf.sprintf "%s:%d: %s" path !lineno msg))
-          | None -> ());
-          go ()
-      in
-      go ();
-      if !edges <> m then
-        invalid_arg
-          (Printf.sprintf "%s: edge count mismatch (header says %d, found %d)" path m !edges))
-
-let csr_of_file path =
-  (* Two streaming passes feed the CSR builder directly: no adjacency
-     sets, no edge list — peak extra memory is one input line plus one
-     row's sort scratch. *)
-  let builder = ref None in
-  iter_edge_list_file path
-    ~header:(fun ~n ~m:_ -> builder := Some (Csr.Builder.create n))
-    ~edge:(fun u v ->
-      match !builder with Some b -> Csr.Builder.count b u v | None -> ());
-  match !builder with
-  | None -> invalid_arg (Printf.sprintf "%s: empty input" path)
-  | Some b ->
-    Csr.Builder.freeze b;
-    iter_edge_list_file path ~header:(fun ~n:_ ~m:_ -> ()) ~edge:(Csr.Builder.fill b);
-    Csr.Builder.finish b
-
-let graph_of_file path =
-  let builder = ref None in
-  iter_edge_list_file path
-    ~header:(fun ~n ~m:_ -> builder := Some (Graph.Builder.create n))
-    ~edge:(fun u v ->
-      match !builder with Some b -> Graph.Builder.add_edge b u v | None -> ());
-  match !builder with
-  | None -> invalid_arg (Printf.sprintf "%s: empty input" path)
-  | Some b -> Graph.Builder.build b
-
-let to_edge_list_file path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc "%d %d\n" (Graph.order g) (Graph.size g);
-      Graph.iter_edges g (fun u v -> Printf.fprintf oc "%d %d\n" u v))
+    let g = Graph.of_edges n (List.map parse_pair rest) in
+    (* count edges, not lines: a repeated edge line must not make up
+       for a missing one *)
+    if Graph.size g <> m || List.length rest <> m then
+      invalid_arg "Gio.of_edge_list: edge count mismatch";
+    g
 
 let to_dot ?(name = "G") g =
   let buf = Buffer.create 256 in

@@ -9,37 +9,13 @@
     then one ["u v"] line per edge with [u < v]. *)
 val to_edge_list : Graph.t -> string
 
-(** [of_edge_list s] parses {!to_edge_list} output.
-    @raise Invalid_argument on malformed input. *)
+(** [of_edge_list s] parses {!to_edge_list} output.  Fields may be
+    separated by spaces, tabs or stray carriage returns; blank lines
+    are skipped.
+    @raise Invalid_argument on malformed input, including a header edge
+    count that differs from the number of edge lines or of distinct
+    edges (a repeated edge line). *)
 val of_edge_list : string -> Graph.t
-
-(** [iter_edge_list_file path ~header ~edge] streams an edge-list file
-    in one pass: [header ~n ~m] once for the first non-blank line, then
-    [edge u v] per edge line, in file order.  Memory is one line at a
-    time — no list of lines, no list of edges.  Malformed rows raise
-    with a [path:line:] prefix; [Invalid_argument] raised by [edge]
-    (range, self-loop) is re-anchored to the offending line; an edge
-    count disagreeing with the header raises at end of file.
-    @raise Invalid_argument on malformed input. *)
-val iter_edge_list_file :
-  string -> header:(n:int -> m:int -> unit) -> edge:(int -> int -> unit) -> unit
-
-(** [csr_of_file path] streams the file twice through {!Csr.Builder},
-    building the flat arrays directly — never an adjacency-set or
-    edge-list intermediate.  Peak memory beyond the final CSR is one
-    input line plus one row's sort scratch ([O(degree peak)]).
-    @raise Invalid_argument on malformed input (with [path:line:]). *)
-val csr_of_file : string -> Csr.t
-
-(** [graph_of_file path] streams once into a {!Graph.Builder} (the
-    [n^2]-bit incidence matrix is still allocated — prefer
-    {!csr_of_file} at large [n]).
-    @raise Invalid_argument on malformed input (with [path:line:]). *)
-val graph_of_file : string -> Graph.t
-
-(** [to_edge_list_file path g] writes {!to_edge_list} output directly to
-    [path] without building the intermediate string. *)
-val to_edge_list_file : string -> Graph.t -> unit
 
 (** [to_dot g] renders an undirected Graphviz graph. *)
 val to_dot : ?name:string -> Graph.t -> string

@@ -32,15 +32,6 @@ module Builder = struct
       b.m <- b.m + 1
     end
 
-  let remove_edge b u v =
-    check b u;
-    check b v;
-    if u <> v && Bitvec.get b.adj.(u - 1) (v - 1) then begin
-      Bitvec.clear b.adj.(u - 1) (v - 1);
-      Bitvec.clear b.adj.(v - 1) (u - 1);
-      b.m <- b.m - 1
-    end
-
   let build b =
     let adj = Array.map Bitvec.copy b.adj in
     (* Fill each neighbour array directly from its incidence row: size it

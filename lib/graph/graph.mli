@@ -27,13 +27,6 @@ module Builder : sig
   (** [has_edge b u v] tests membership during construction. *)
   val has_edge : t -> int -> int -> bool
 
-  (** [remove_edge b u v] deletes the edge [{u, v}]; deleting an absent
-      edge is a no-op.  Together with {!add_edge} this lets gadget sweeps
-      reuse one pre-sized builder across many [G'_{s,t}] instantiations
-      instead of rebuilding the base graph per vertex pair.
-      @raise Invalid_argument if a vertex is out of range. *)
-  val remove_edge : t -> int -> int -> unit
-
   (** [build b] freezes the buffer.  The builder may keep being used;
       later edges do not affect already-built graphs. *)
   val build : t -> graph

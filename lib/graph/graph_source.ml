@@ -30,23 +30,11 @@ let degree t v =
   | Csr c -> Csr.degree c v
   | Implicit i -> Implicit.degree i v
 
-let has_edge t u v =
-  match t with
-  | Materialized g -> Graph.has_edge g u v
-  | Csr c -> Csr.has_edge c u v
-  | Implicit i -> Implicit.has_edge i u v
-
 let iter_neighbors t v f =
   match t with
   | Materialized g -> Graph.iter_neighbors g v f
   | Csr c -> Csr.iter_neighbors c v f
   | Implicit i -> Implicit.iter_neighbors i v f
-
-let fold_neighbors t v init f =
-  match t with
-  | Materialized g -> Graph.fold_neighbors g v init f
-  | Csr c -> Csr.fold_neighbors c v init f
-  | Implicit i -> Implicit.fold_neighbors i v init f
 
 let neighbors t v =
   match t with

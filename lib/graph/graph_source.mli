@@ -35,12 +35,9 @@ val describe : t -> string
 val order : t -> int
 val size : t -> int
 val degree : t -> int -> int
-val has_edge : t -> int -> int -> bool
 
 (** [iter_neighbors t v f] applies [f] in strictly increasing order. *)
 val iter_neighbors : t -> int -> (int -> unit) -> unit
-
-val fold_neighbors : t -> int -> 'a -> ('a -> int -> 'a) -> 'a
 
 (** [neighbors t v] is the increasing neighbour list (allocates; compat
     accessor). *)

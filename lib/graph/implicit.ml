@@ -27,7 +27,6 @@ type t = {
   reg_half : bool; (* Regular with odd degree: include the antipodal offset *)
 }
 
-let family t = t.fam
 let order t = t.n
 
 (* ---------- Regular: seed-deterministic circulant offsets ---------- *)

@@ -44,7 +44,6 @@ type t
     @raise Invalid_argument when the family's side conditions fail. *)
 val make : family -> t
 
-val family : t -> family
 val order : t -> int
 
 (** [size t] is the number of edges, from the family's closed form. *)
@@ -56,8 +55,6 @@ val degree : t -> int -> int
 
 (** [iter_neighbors t v f] applies [f] in strictly increasing order. *)
 val iter_neighbors : t -> int -> (int -> unit) -> unit
-
-val fold_neighbors : t -> int -> 'a -> ('a -> int -> 'a) -> 'a
 
 (** [neighbors_array t v] is a fresh increasing array — each call
     allocates [degree t v] words and nothing else. *)

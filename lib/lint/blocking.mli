@@ -7,6 +7,4 @@
     [Unix.select] is the scheduler and never flagged.  Findings carry
     the call chain from the root. *)
 
-val tier_a : string list
-val tier_b : string list
 val check : Callgraph.t -> Finding.t list

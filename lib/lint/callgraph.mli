@@ -82,5 +82,8 @@ val roots : t -> root list
     module, with dune library wrappers ([Core.], ...) dropped. *)
 val resolve_in : ?from:string list -> t -> file:string -> string list -> def option
 
+(** ["lib/core/foo.ml"] is ["Foo"]. *)
+val module_of_file : string -> string
+
 (** ["Module.path.to.def"] for messages and trace steps. *)
 val def_display : def -> string

@@ -83,10 +83,10 @@ let finding_of_loc ~file (loc : Location.t) message =
   let p = loc.Location.loc_start in
   parse_error_finding ~file ~line:(max 1 p.pos_lnum) ~col:(max 0 (p.pos_cnum - p.pos_bol)) message
 
-let parse ~file source =
+let parse_with parser ~file source =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
+  match parser lexbuf with
   | ast -> Ok ast
   | exception Syntaxerr.Error err ->
     Error (finding_of_loc ~file (Syntaxerr.location_of_error err) "syntax error")
@@ -105,7 +105,7 @@ type loaded = {
 
 let load ~file source =
   let file = normalize file in
-  match parse ~file source with
+  match parse_with Parse.implementation ~file source with
   | Error finding -> { ld_file = file; ld_ast = None; ld_supps = []; ld_pre = [ finding ] }
   | Ok ast ->
     let supps, comment_errors = scan_suppressions ~file source in
@@ -174,6 +174,8 @@ let rec collect acc path =
   else if Filename.check_suffix path ".ml" then path :: acc
   else acc
 
+(* The sorted [.ml] files under [paths], skipping [_build] and
+   dot-directories; the per-file rules concern implementations only. *)
 let collect_files paths =
   List.sort String.compare (List.fold_left collect [] paths)
 
@@ -195,9 +197,15 @@ type deep = {
 (* Spelled by concatenation for the same reason as [marker]. *)
 let stale_hint = "(* lint:" ^ " allow stale-suppression -- reason *)"
 
-let deep_sources sources =
+let parse_interface ~file source =
+  let file = normalize file in
+  Result.map (fun sg -> (file, sg)) (parse_with Parse.interface ~file source)
+
+let deep_sources ?(oracles = Policy.test_oracles) sources =
   let t0 = Unix.gettimeofday () in
-  let loaded = List.map (fun (file, source) -> load ~file source) sources in
+  let mlis, mls = List.partition (fun (file, _) -> Filename.check_suffix file ".mli") sources in
+  let loaded = List.map (fun (file, source) -> load ~file source) mls in
+  let interfaces = List.map (fun (file, source) -> parse_interface ~file source) mlis in
   let parsed =
     List.filter_map (fun ld -> Option.map (fun a -> (ld.ld_file, a)) ld.ld_ast) loaded
   in
@@ -205,6 +213,13 @@ let deep_sources sources =
   let exn_findings, _raw_proven, total = Exnflow.check g in
   let race_findings = Races.check g parsed in
   let blocking_findings = Blocking.check g in
+  (* with no interface scanned there is no export to judge, and the
+     allowlist is not checked against an empty set *)
+  let export_findings =
+    match List.filter_map Result.to_option interfaces with
+    | [] -> []
+    | sigs -> Exports.check ~oracles g sigs
+  in
   let shallow =
     List.concat_map
       (fun ld ->
@@ -217,7 +232,7 @@ let deep_sources sources =
   let kept =
     List.filter
       (fun f -> not (suppressed supp_of_file f))
-      (shallow @ exn_findings @ race_findings @ blocking_findings)
+      (shallow @ exn_findings @ race_findings @ blocking_findings @ export_findings)
   in
   (* Stale suppressions: a comment no finding matched in this run.  The
      shallow CLI never reports these (a shallow run of one file cannot
@@ -248,7 +263,10 @@ let deep_sources sources =
       loaded
   in
   let stale_kept = List.filter (fun f -> not (suppressed supp_of_file f)) stale in
-  let pre = List.concat_map (fun ld -> ld.ld_pre) loaded in
+  let pre =
+    List.concat_map (fun ld -> ld.ld_pre) loaded
+    @ List.filter_map (function Error f -> Some f | Ok _ -> None) interfaces
+  in
   let findings = List.sort Finding.compare (pre @ kept @ stale_kept) in
   (* A root is proven when no escape finding against it survived the
      suppression filter: a justified per-line suppression is a reviewed
@@ -264,7 +282,7 @@ let deep_sources sources =
          kept)
   in
   {
-    deep_files = List.map (fun ld -> ld.ld_file) loaded;
+    deep_files = List.map (fun (file, _) -> normalize file) sources;
     deep_findings = findings;
     deep_roots_proven = total - List.length unproven_roots;
     deep_roots_total = total;
@@ -272,7 +290,13 @@ let deep_sources sources =
   }
 
 let deep_paths paths =
-  let files = collect_files paths in
+  let files =
+    List.concat_map
+      (fun ml ->
+        let mli = ml ^ "i" in
+        if Sys.file_exists mli then [ ml; mli ] else [ ml ])
+      (collect_files paths)
+  in
   let sources =
     List.map
       (fun path ->

@@ -23,14 +23,9 @@ val lint_source : file:string -> string -> Finding.t list
     [parse-error] finding. *)
 val lint_file : string -> Finding.t list
 
-(** [collect_files paths] expands files and directories into the sorted
-    list of [.ml] files to lint, recursing into directories and skipping
-    [_build] and dot-directories.  [.mli] files are not linted: every
-    rule concerns implementation behaviour. *)
-val collect_files : string list -> string list
-
-(** [lint_paths paths] is [collect_files] + [lint_file] over the lot:
-    the scanned files and all findings, sorted. *)
+(** [lint_paths paths] is {!lint_file} over every [.ml] file under
+    [paths] (recursing into directories, skipping [_build] and
+    dot-directories): the scanned files and all findings, sorted. *)
 val lint_paths : string list -> string list * Finding.t list
 
 (** Result of a deep run.  [deep_roots_proven] of [deep_roots_total]
@@ -44,10 +39,13 @@ type deep = {
   deep_wall_ms : int;
 }
 
-(** [deep_sources sources] runs shallow rules plus the three call-graph
+(** [deep_sources sources] runs shallow rules plus the call-graph
     passes over [(file, source)] pairs given in memory (the test
-    harness uses this to place fixtures at policy-relevant paths). *)
-val deep_sources : (string * string) list -> deep
+    harness uses this to place fixtures at policy-relevant paths).
+    [.mli] entries are interfaces for the {!Exports} pass, which judges
+    them against [oracles] (default {!Policy.test_oracles}). *)
+val deep_sources : ?oracles:(string * string) list -> (string * string) list -> deep
 
-(** [collect_files] + read + {!deep_sources}. *)
+(** The [.ml] files {!lint_paths} would scan plus each one's sibling
+    [.mli], read, then {!deep_sources}. *)
 val deep_paths : string list -> deep

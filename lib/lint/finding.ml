@@ -8,13 +8,14 @@ type rule =
   | Exn_escape
   | Parallel_race
   | Blocking_call
+  | Unused_export
   | Stale_suppression
   | Parse_error
 
 let all_rules =
   [
     View_boundary; Determinism; Referee_totality; Bit_accounting;
-    Exn_escape; Parallel_race; Blocking_call; Stale_suppression; Parse_error;
+    Exn_escape; Parallel_race; Blocking_call; Unused_export; Stale_suppression; Parse_error;
   ]
 
 let rule_name = function
@@ -25,6 +26,7 @@ let rule_name = function
   | Exn_escape -> "exn-escape"
   | Parallel_race -> "parallel-race"
   | Blocking_call -> "blocking-call"
+  | Unused_export -> "unused-export"
   | Stale_suppression -> "stale-suppression"
   | Parse_error -> "parse-error"
 

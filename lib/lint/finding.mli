@@ -38,6 +38,10 @@ type rule =
       (** deep: a blocking [Unix] call is reachable on the call graph
           from the serve daemon's select loop outside the allowlisted
           poll points — a slow client could stall the whole shard. *)
+  | Unused_export
+      (** deep: an interface exports a value that no other scanned file
+          calls (tests and perfbench are not scanned; the values they
+          keep alive are listed in {!Lint.Policy.test_oracles}). *)
   | Stale_suppression
       (** deep: a [(* lint: allow <rule> *)] comment whose rule no
           longer fires on that line; dead suppressions hide future
@@ -46,8 +50,6 @@ type rule =
   | Parse_error
       (** the file does not parse (or a suppression comment names an
           unknown rule) — reported as a finding, never as a crash. *)
-
-val all_rules : rule list
 
 (** [rule_name r] is the kebab-case name used in reports and in
     [(* lint: allow <rule> *)] suppressions. *)
@@ -75,10 +77,6 @@ val compare : t -> t -> int
 (** [to_string f] is ["file:line:col: [rule] message"], followed by one
     indented line per trace step for deep findings. *)
 val to_string : t -> string
-
-(** [to_json f] is one canonical JSON object (sorted keys, no
-    whitespace), including the ["trace"] array. *)
-val to_json : t -> string
 
 (** [report_json findings] is the full report document, schema v2:
     [{"findings":[...],"version":2}].  [?wall_ms] and [?files] append

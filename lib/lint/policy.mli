@@ -50,3 +50,8 @@ val poll_points : (string * string) list
 (** Modules exempt from the parallel-race pass (the domain pool
     itself). *)
 val race_ok : string list
+
+(** Exports kept alive by callers the deep pass does not scan (tests
+    and perfbench), as [(module, value-path)] pairs such as
+    [("Vandermonde", "apply")] or [("Metrics", "Histogram.count")]. *)
+val test_oracles : (string * string) list

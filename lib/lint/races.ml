@@ -28,7 +28,7 @@ open Parsetree
 
 let entries =
   [
-    "init"; "map_array"; "map_array_ctx"; "iter_range"; "submit"; "run_batch"; "submit_batch";
+    "init"; "map_array"; "iter_range"; "submit"; "run_batch"; "submit_batch";
     "submit_chunks";
   ]
 

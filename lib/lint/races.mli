@@ -9,7 +9,4 @@
     call graph.  [Atomic] operations and [Policy.race_ok] files are
     exempt; see DESIGN.md §16 for the heuristic's edges. *)
 
-(** The [Parallel] entry points whose function arguments are scanned. *)
-val entries : string list
-
 val check : Callgraph.t -> (string * Parsetree.structure) list -> Finding.t list

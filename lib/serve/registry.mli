@@ -28,10 +28,6 @@ type entry =
     [lookup] rejects a session above the cap. *)
 val lookup : spec:string -> n:int -> (entry, string) result
 
-(** [specs] is the list of accepted spec shapes, for error messages and
-    [--help]. *)
-val specs : string list
-
 (** [max_n spec] is the session-size cap the spec would be admitted
     under, if the spec is well-formed. *)
 val max_n : string -> int option

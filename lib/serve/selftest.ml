@@ -1,5 +1,6 @@
 open Core
 module Generators = Refnet_graph.Generators
+module Reader = Refnet_bits.Byte_io.Reader
 
 type cfg = {
   sessions : int;
@@ -156,15 +157,14 @@ let frame_limit j =
    are walked by the length in their wire header. *)
 let let_through j flight =
   let limit = frame_limit j in
-  let r = Refnet_bits.Byte_io.Reader.of_string flight in
+  let r = Reader.of_string flight in
   let rec walk () =
-    let open Refnet_bits.Byte_io.Reader in
-    if limit = max_int || remaining r = 0 then (flight, false)
+    if limit = max_int || Reader.remaining r = 0 then (flight, false)
     else begin
-      let off = pos r in
-      skip r 2 (* magic and kind *);
-      skip r (4 + u32 r) (* digest and payload *);
-      let len = pos r - off in
+      let off = Reader.pos r in
+      Reader.skip r 2 (* magic and kind *);
+      Reader.skip r (4 + Reader.u32 r) (* digest and payload *);
+      let len = Reader.pos r - off in
       j.j_frames <- j.j_frames + 1;
       if j.j_frames < limit then walk ()
       else

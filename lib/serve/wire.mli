@@ -26,7 +26,6 @@
     This is the invariant the frame fuzzer in [test_fuzz] locks down — arbitrary bytes produce [`Frame]/[`Awaiting]/[`Corrupt],
     never an exception. *)
 
-val magic : int
 val header_bytes : int
 
 (** [frame w ~kind payload] appends one frame to [w]: the header, then
@@ -53,9 +52,6 @@ val decoder : ?max_frame:int -> unit -> decoder
 
 (** [push d b ~off ~len] appends received bytes. *)
 val push : decoder -> bytes -> off:int -> len:int -> unit
-
-(** [buffered d] is the number of bytes held but not yet decoded. *)
-val buffered : decoder -> int
 
 (** What {!next} and {!next_view} return. *)
 type 'p next =

@@ -17,7 +17,6 @@ val bits : int
 val of_int : int -> t
 
 val zero : t
-val one : t
 val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t

@@ -1,3 +1,11 @@
+(* Graph products, as structural oracles for the generators
+   ([grid w h = path w □ path h], tori are cycle products, the
+   hypercube is an iterated [K2] product) and as a graph family for
+   protocol property tests.  Vertex [(a, b)] of a product of graphs
+   with [n1] and [n2] vertices is labelled [(b - 1) * n1 + a]. *)
+
+open Refnet_graph
+
 let pair_label ~n1 a b = ((b - 1) * n1) + a
 
 let unpair_label ~n1 v =

@@ -495,21 +495,16 @@ let test_pipelined_uplink_exceptions () =
       Alcotest.check transcript_eq (tag ^ ": rerun") reference t)
     [ 1; 2; 4 ]
 
-(* Item 7's gate, counted in full: words allocated per node by a
-   three-round connectivity run at n = 2 * 10^5 (four blocks) on one
-   domain.  The window starts on an empty minor heap; minor words plus
-   what went straight to the major heap, as test_serve counts. *)
+(* Item 7's gate, counted in full ([Metrics.allocated_words]): words
+   allocated per node by a three-round connectivity run at n = 2 * 10^5
+   (four blocks) on one domain. *)
 let test_allocation_per_node () =
   let n = 200_000 in
   let src = Graph_source.parse (Printf.sprintf "implicit:regular:%d:4:1" n) in
   let p = Core.Bcc_connectivity.protocol ~rounds:3 ~bandwidth:2 () in
-  Gc.minor ();
-  let _, promoted0, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  let out, _ = Core.Bcc.run_source ~domains:1 p src in
-  let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  let (out, _), words =
+    Core.Metrics.allocated_words (fun () -> Core.Bcc.run_source ~domains:1 p src)
+  in
   let per_node = words /. float_of_int n in
   Alcotest.(check bool) "decided" true (out <> None);
   Alcotest.(check bool) (Printf.sprintf "%.1f words per node (bound 120)" per_node) true

@@ -124,29 +124,6 @@ let test_real_vertex_neighborhoods () =
           (Graph.neighbors g' v)
       done)
 
-let test_batch_equivalence () =
-  (* A single reused Batch must produce, pair after pair, exactly the
-     graphs the one-shot constructors build — including after the toggled
-     pair edges are removed again. *)
-  let g = Generators.gnp (Random.State.make [| 11 |]) 9 0.3 in
-  let n = Graph.order g in
-  let sq = Core.Gadgets.Batch.square g in
-  let dm = Core.Gadgets.Batch.diameter g in
-  let tr = Core.Gadgets.Batch.triangle g in
-  all_pairs n (fun s t ->
-      Alcotest.(check bool)
-        (Printf.sprintf "square (%d,%d)" s t)
-        true
-        (Graph.equal (Core.Gadgets.Batch.instantiate sq ~s ~t) (Core.Gadgets.square g s t));
-      Alcotest.(check bool)
-        (Printf.sprintf "diameter (%d,%d)" s t)
-        true
-        (Graph.equal (Core.Gadgets.Batch.instantiate dm ~s ~t) (Core.Gadgets.diameter g s t));
-      Alcotest.(check bool)
-        (Printf.sprintf "triangle (%d,%d)" s t)
-        true
-        (Graph.equal (Core.Gadgets.Batch.instantiate tr ~s ~t) (Core.Gadgets.triangle g s t)))
-
 let prop_square_iff_random_trees =
   QCheck2.Test.make ~name:"square gadget equivalence on random trees" ~count:40
     QCheck2.Gen.(pair (int_range 2 12) int)
@@ -221,8 +198,6 @@ let () =
           Alcotest.test_case "fictitious neighbourhoods" `Quick test_fictitious_neighborhoods_match;
           Alcotest.test_case "real vertices (s,t)-independent" `Quick test_real_vertex_neighborhoods;
         ] );
-      ( "batch",
-        [ Alcotest.test_case "Batch = one-shot constructors" `Quick test_batch_equivalence ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [

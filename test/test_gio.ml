@@ -8,6 +8,9 @@ let test_edge_list_roundtrip () =
   let e = Graph.empty 4 in
   Alcotest.check graph "edgeless" e (Gio.of_edge_list (Gio.to_edge_list e))
 
+(* Every malformed input is rejected with [Invalid_argument]: bad
+   headers and rows, ids out of range, self-loops, and edge counts
+   that disagree with the header. *)
 let test_edge_list_malformed () =
   Alcotest.check_raises "empty" (Invalid_argument "Gio.of_edge_list: empty input") (fun () ->
       ignore (Gio.of_edge_list "  \n "));
@@ -15,7 +18,45 @@ let test_edge_list_malformed () =
     (Invalid_argument "Gio.of_edge_list: edge count mismatch") (fun () ->
       ignore (Gio.of_edge_list "3 2\n1 2\n"));
   Alcotest.check_raises "bad ints" (Invalid_argument "Gio.of_edge_list: bad integers")
-    (fun () -> ignore (Gio.of_edge_list "x y\n"))
+    (fun () -> ignore (Gio.of_edge_list "x y\n"));
+  List.iter
+    (fun (label, contents) ->
+      match Gio.of_edge_list contents with
+      | g -> Alcotest.failf "%s: parsed as %d edges" label (Graph.size g)
+      | exception Invalid_argument _ -> ())
+    [
+      ("empty", "");
+      ("bad integer row", "3 1\n1 2\nx y\n");
+      ("three fields", "3 1\n1 2 3\n");
+      ("negative header", "-1 0\n");
+      ("too few edges", "3 2\n1 2\n");
+      ("too many edges", "3 1\n1 2\n2 3\n");
+      ("duplicate edge line", "3 2\n1 2\n2 1\n");
+      ("repeated edge line", "3 2\n1 2\n1 2\n");
+      ("out-of-range id", "3 1\n1 9\n");
+      ("zero id", "3 1\n0 1\n");
+      ("self-loop", "3 1\n2 2\n");
+    ]
+
+(* Blank lines anywhere are skipped. *)
+let test_edge_list_blank_lines () =
+  Alcotest.check graph "blank lines skipped"
+    (Graph.of_edges 3 [ (1, 2); (2, 3) ])
+    (Gio.of_edge_list "3 2\n\n1 2\n   \n2 3\n")
+
+(* Edge lists written on other platforms: CRLF endings, tab separators,
+   runs of spaces and trailing blanks load identically to native ones. *)
+let test_edge_list_foreign_whitespace () =
+  let expected = Graph.of_edges 3 [ (1, 2); (2, 3) ] in
+  List.iter
+    (fun (label, contents) -> Alcotest.check graph label expected (Gio.of_edge_list contents))
+    [
+      ("crlf", "3 2\r\n1 2\r\n2 3\r\n");
+      ("tabs", "3\t2\n1\t2\n2\t3\n");
+      ("trailing blanks", "3 2  \n1 2 \n2 3\t\n");
+      ("mixed runs", "3 \t 2\r\n1  \t2  \r\n2 \t\t3\n");
+      ("no final newline", "3 2\r\n1 2\r\n2 3");
+    ]
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -82,97 +123,6 @@ let prop_graph6_length =
       let header = if n <= 62 then 1 else 4 in
       String.length (Gio.to_graph6 g) = header + ((n * (n - 1) / 2) + 5) / 6)
 
-(* ---------- streaming edge-list files ---------- *)
-
-let with_temp_file contents f =
-  let path = Filename.temp_file "refnet_gio" ".edges" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      (match contents with
-      | Some s ->
-        let oc = open_out path in
-        output_string oc s;
-        close_out oc
-      | None -> ());
-      f path)
-
-let expect_invalid_with ~needle f =
-  match f () with
-  | _ -> Alcotest.failf "expected Invalid_argument carrying %S" needle
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "message %S carries %S" msg needle)
-      true (contains ~needle msg)
-
-let test_file_roundtrip () =
-  List.iter
-    (fun g ->
-      with_temp_file None (fun path ->
-          Gio.to_edge_list_file path g;
-          Alcotest.check graph "graph_of_file" g (Gio.graph_of_file path);
-          Alcotest.check graph "csr_of_file" g (Csr.to_graph (Gio.csr_of_file path))))
-    [ Generators.grid 5 7; Generators.petersen (); Graph.empty 4 ]
-
-let test_file_blank_lines () =
-  with_temp_file (Some "3 2\n\n1 2\n   \n2 3\n") (fun path ->
-      Alcotest.check graph "blank lines skipped"
-        (Graph.of_edges 3 [ (1, 2); (2, 3) ])
-        (Gio.graph_of_file path))
-
-(* Edge lists written on other platforms: CRLF endings, tab separators,
-   runs of spaces and trailing blanks must load identically to native
-   files — both through the streaming loader and the string parser. *)
-let test_file_foreign_whitespace () =
-  let expected = Graph.of_edges 3 [ (1, 2); (2, 3) ] in
-  List.iter
-    (fun (label, contents) ->
-      with_temp_file (Some contents) (fun path ->
-          Alcotest.check graph (label ^ " (file)") expected (Gio.graph_of_file path);
-          Alcotest.check graph (label ^ " (csr)") expected
-            (Csr.to_graph (Gio.csr_of_file path)));
-      Alcotest.check graph (label ^ " (string)") expected (Gio.of_edge_list contents))
-    [
-      ("crlf", "3 2\r\n1 2\r\n2 3\r\n");
-      ("tabs", "3\t2\n1\t2\n2\t3\n");
-      ("trailing blanks", "3 2  \n1 2 \n2 3\t\n");
-      ("mixed runs", "3 \t 2\r\n1  \t2  \r\n2 \t\t3\n");
-      ("no final newline", "3 2\r\n1 2\r\n2 3");
-    ]
-
-(* Parse and consumer errors carry the offending file:line. *)
-let test_file_errors_carry_line_numbers () =
-  let cases =
-    [
-      ("3 1\n1 2\nx y\n", ":3: expected two integers");
-      ("3 1\n1 2 3\n", ":2: expected two fields");
-      ("-1 0\n", ":1: negative order or size in header");
-      ("3 2\n1 2\n", "edge count mismatch (header says 2, found 1)");
-      ("3 1\n1 9\n", ":2: ");
-      ("3 1\n2 2\n", ":2: ");
-      ("", "empty input");
-      (" \n\n", "empty input");
-    ]
-  in
-  List.iter
-    (fun (contents, needle) ->
-      with_temp_file (Some contents) (fun path ->
-          (* Both streaming consumers surface the same diagnostics. *)
-          expect_invalid_with ~needle (fun () -> ignore (Gio.graph_of_file path));
-          expect_invalid_with ~needle (fun () -> ignore (Gio.csr_of_file path))))
-    cases
-
-let test_file_csr_streaming_agrees () =
-  (* The two streaming loaders and the in-memory parser agree on a
-     random graph's file. *)
-  let g = Generators.gnp (Random.State.make [| 3; 14 |]) 60 0.1 in
-  with_temp_file None (fun path ->
-      Gio.to_edge_list_file path g;
-      let via_string = Gio.of_edge_list (Gio.to_edge_list g) in
-      Alcotest.check graph "string vs file" via_string (Gio.graph_of_file path);
-      Alcotest.check graph "file vs csr file" (Gio.graph_of_file path)
-        (Csr.to_graph (Gio.csr_of_file path)))
-
 let () =
   Alcotest.run "gio"
     [
@@ -180,6 +130,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_edge_list_roundtrip;
           Alcotest.test_case "malformed" `Quick test_edge_list_malformed;
+          Alcotest.test_case "blank lines" `Quick test_edge_list_blank_lines;
+          Alcotest.test_case "foreign whitespace" `Quick test_edge_list_foreign_whitespace;
           Alcotest.test_case "dot output" `Quick test_dot_output;
         ] );
       ( "graph6",
@@ -188,15 +140,6 @@ let () =
           Alcotest.test_case "family roundtrips" `Quick test_graph6_roundtrip_families;
           Alcotest.test_case "large n header" `Quick test_graph6_large_n_header;
           Alcotest.test_case "invalid input" `Quick test_graph6_invalid;
-        ] );
-      ( "streaming files",
-        [
-          Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
-          Alcotest.test_case "blank lines" `Quick test_file_blank_lines;
-          Alcotest.test_case "foreign whitespace" `Quick test_file_foreign_whitespace;
-          Alcotest.test_case "errors carry line numbers" `Quick
-            test_file_errors_carry_line_numbers;
-          Alcotest.test_case "csr loader agreement" `Quick test_file_csr_streaming_agrees;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -223,6 +223,52 @@ let deep_trace_step_suppression () =
   Alcotest.(check (list string)) "suppressed at the trace step" [] (deep_rules d);
   Alcotest.(check int) "justified roots count as proven" 3 d.Lint.Driver.deep_roots_proven
 
+(* ---------- unused exports ---------- *)
+
+(* The fixture pair at a lib path, plus a caller file that uses
+   [called] and [Nested.reached]. *)
+let export_sources =
+  [
+    ("lib/core/exported.ml", read_file (fixture "deep_unused_export.ml"));
+    ("lib/core/exported.mli", read_file (fixture "deep_unused_export.mli"));
+    ("bin/caller.ml", "let () = ignore (Exported.called 1 + Exported.Nested.reached ())\n");
+  ]
+
+let export_findings d =
+  List.filter_map
+    (fun f ->
+      if f.Lint.Finding.rule = Lint.Finding.Unused_export then
+        Some (f.Lint.Finding.file, f.Lint.Finding.line)
+      else None)
+    d.Lint.Driver.deep_findings
+
+let deep_unused_export_fires () =
+  let d = Lint.Driver.deep_sources ~oracles:[ ("Exported", "oracle") ] export_sources in
+  Alcotest.(check (list (pair string int)))
+    "helper and dead, not called, reached or the allowlisted oracle"
+    [ ("lib/core/exported.mli", 8); ("lib/core/exported.mli", 11) ]
+    (export_findings d);
+  Alcotest.(check (list (pair string int)))
+    "without the allowlist the oracle is dead too"
+    [ ("lib/core/exported.mli", 8); ("lib/core/exported.mli", 11); ("lib/core/exported.mli", 14) ]
+    (export_findings (Lint.Driver.deep_sources ~oracles:[] export_sources))
+
+let deep_stale_oracle_is_reported () =
+  let d =
+    Lint.Driver.deep_sources
+      ~oracles:[ ("Exported", "oracle"); ("Exported", "gone"); ("Missing", "f") ]
+      export_sources
+  in
+  let stale =
+    List.filter
+      (fun f -> f.Lint.Finding.file = "lib/lint/policy.ml")
+      d.Lint.Driver.deep_findings
+  in
+  Alcotest.(check (list bool)) "one finding per entry naming no export" [ true; true ]
+    (List.map2
+       (fun f name -> contains f.Lint.Finding.message (" lists " ^ name ^ ","))
+       stale [ "Exported.gone"; "Missing.f" ])
+
 (* ---------- stale suppressions (deep only) ---------- *)
 
 let stale_suppression_is_reported () =
@@ -374,6 +420,8 @@ let () =
           Alcotest.test_case "blocking root is path-gated" `Quick deep_blocking_is_root_gated;
           Alcotest.test_case "deep_paths reads files" `Quick deep_paths_reads_files;
           Alcotest.test_case "suppression covers trace steps" `Quick deep_trace_step_suppression;
+          Alcotest.test_case "bad/good unused-export" `Quick deep_unused_export_fires;
+          Alcotest.test_case "stale test-oracle entry" `Quick deep_stale_oracle_is_reported;
         ] );
       ( "policy gating",
         [

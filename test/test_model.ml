@@ -1,4 +1,4 @@
-(* Model-layer tests: Message, Nat_codec, Protocol, Simulator, Stats,
+(* Model-layer tests: Message, Nat_codec, Protocol, Simulator,
    Coalition, Bounds. *)
 open Refnet_bits
 open Refnet_bigint
@@ -83,17 +83,6 @@ let test_protocol_map_output () =
   let doubled = Core.Protocol.map_output (fun v -> 2 * v) degree_sum_protocol in
   let out, _ = Core.Simulator.run doubled (Generators.cycle 5) in
   Alcotest.(check int) "mapped" 20 out
-
-let test_stats_summary () =
-  let g = Generators.cycle 6 in
-  let ts = List.init 5 (fun _ -> snd (Core.Simulator.run degree_sum_protocol g)) in
-  let s = Core.Stats.summarize ts in
-  Alcotest.(check int) "runs" 5 s.Core.Stats.runs;
-  Alcotest.(check int) "max" 3 s.Core.Stats.max_bits;
-  Alcotest.(check (float 0.001)) "mean max" 3.0 s.Core.Stats.mean_max_bits;
-  Alcotest.(check (float 0.001)) "mean total" 18.0 s.Core.Stats.mean_total_bits;
-  Alcotest.check_raises "empty" (Invalid_argument "Stats.summarize: no transcripts") (fun () ->
-      ignore (Core.Stats.summarize []))
 
 let test_partition_by_ranges () =
   Alcotest.(check (list (list int))) "even" [ [ 1; 2 ]; [ 3; 4 ] ]
@@ -244,7 +233,6 @@ let () =
           Alcotest.test_case "async agrees" `Quick test_simulator_async_agrees;
           Alcotest.test_case "frugality" `Quick test_frugality_checks;
           Alcotest.test_case "map_output" `Quick test_protocol_map_output;
-          Alcotest.test_case "stats" `Quick test_stats_summary;
         ] );
       ( "coalition",
         [

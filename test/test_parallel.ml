@@ -58,21 +58,6 @@ let test_nested_calls_degrade () =
   in
   Alcotest.(check int) "nested sum" (Array.fold_left ( + ) 0 (Array.init 10 (fun j -> 63 + j))) out.(63)
 
-let test_ctx_per_domain () =
-  (* Contexts are mutable scratch; reusing them across chunks must not
-     leak state between items when the task resets per item. *)
-  let a = Array.init 2_000 (fun i -> i) in
-  let out =
-    Core.Parallel.map_array_ctx ~domains:4
-      (fun () -> Buffer.create 16)
-      (fun buf x ->
-        Buffer.clear buf;
-        Buffer.add_string buf (string_of_int x);
-        Buffer.contents buf)
-      a
-  in
-  Alcotest.(check string) "item 1234" "1234" out.(1234)
-
 (* --- Simulator determinism across widths --------------------------- *)
 
 let transcript_equal (t1 : Core.Simulator.transcript) (t2 : Core.Simulator.transcript) =
@@ -180,7 +165,6 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_exception_propagates;
           Alcotest.test_case "exception at index 0" `Quick test_exception_from_first_element;
           Alcotest.test_case "nested calls degrade" `Quick test_nested_calls_degrade;
-          Alcotest.test_case "per-domain contexts" `Quick test_ctx_per_domain;
         ] );
       ( "simulator determinism",
         [

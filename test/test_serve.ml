@@ -1217,21 +1217,9 @@ let sketch_deliveries ~n = deliveries "sketch:7" (Generators.random_tree (Random
 
 let encode_all frames = String.concat "" (List.map Serve.Frame.encode_client frames)
 
-(* Bytes allocated by [f ()] on this domain.  The window starts on an
-   empty minor heap, so no promotion of older data lands in it.  Minor
-   words come from [Gc.minor_words], which counts the words still in the
-   minor heap; on OCaml 5.1 [Gc.quick_stat] misses them until the next
-   collection and [Gc.allocated_bytes] counts an eighth of them.  The
-   counters' major words less the promoted ones are what went straight
-   to the major heap. *)
+(* Bytes allocated by [f ()] on this domain, counted in full. *)
 let allocated f =
-  Gc.minor ();
-  let _, promoted0, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  let r = f () in
-  let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  let r, words = Core.Metrics.allocated_words f in
   (r, words *. float_of_int (Sys.word_size / 8))
 
 let test_encode_client_allocation () =

@@ -121,18 +121,13 @@ let test_feed_equals_apply () =
    heap: a minor collection inside it would count the promotion of
    whatever the heap held before the window (once in 40 runs under
    load, n=4096 read 231 B/absorb instead of 7).  Allocation is counted
-   in full as minor words plus major words less promoted words:
-   [Gc.allocated_bytes] reads only part of what is still in the minor
-   heap on OCaml 5.1. *)
+   in full by [Metrics.allocated_words]. *)
 let bytes_per_absorb referee ~n msgs =
   let feed = ref (Core.Protocol.start referee ~n) in
-  Gc.minor ();
-  let _, promoted0, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  Array.iteri (fun i m -> feed := Core.Protocol.feed !feed ~id:(i + 1) m) msgs;
-  let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+  let (), words =
+    Core.Metrics.allocated_words (fun () ->
+        Array.iteri (fun i m -> feed := Core.Protocol.feed !feed ~id:(i + 1) m) msgs)
+  in
   (words *. float_of_int (Sys.word_size / 8) /. float_of_int n, Core.Protocol.finish !feed)
 
 let test_absorb_allocation_constant () =
