@@ -24,25 +24,37 @@ let fields line =
   in
   go 0 []
 
+(* Diagnostics name the offending line (1-based, blank lines counted)
+   the way compilers do, so a bad row in a large file is found without
+   bisecting it. *)
 let of_edge_list s =
   let lines =
     String.split_on_char '\n' s
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
+    |> List.mapi (fun i l -> (i + 1, String.trim l))
+    |> List.filter (fun (_, l) -> l <> "")
   in
+  let fail line msg = invalid_arg (Printf.sprintf "Gio.of_edge_list:%d: %s" line msg) in
   match lines with
   | [] -> invalid_arg "Gio.of_edge_list: empty input"
-  | header :: rest ->
-    let parse_pair line =
-      match fields line with
+  | (header_line, _) as header :: rest ->
+    let parse_pair (line, text) =
+      match fields text with
       | [ a; b ] -> (
         match (int_of_string_opt a, int_of_string_opt b) with
         | Some a, Some b -> (a, b)
-        | _ -> invalid_arg "Gio.of_edge_list: bad integers")
-      | _ -> invalid_arg "Gio.of_edge_list: expected two fields"
+        | _ -> fail line "expected two integers")
+      | _ -> fail line "expected two fields"
     in
     let n, m = parse_pair header in
-    let g = Graph.of_edges n (List.map parse_pair rest) in
+    if n < 0 || m < 0 then fail header_line "negative order or size in header";
+    let b = Graph.Builder.create n in
+    List.iter
+      (fun ((line, _) as row) ->
+        let u, v = parse_pair row in
+        (* re-anchor range and self-loop errors to their row *)
+        try Graph.Builder.add_edge b u v with Invalid_argument msg -> fail line msg)
+      rest;
+    let g = Graph.Builder.build b in
     (* count edges, not lines: a repeated edge line must not make up
        for a missing one *)
     if Graph.size g <> m || List.length rest <> m then

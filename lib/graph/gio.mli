@@ -14,7 +14,9 @@ val to_edge_list : Graph.t -> string
     are skipped.
     @raise Invalid_argument on malformed input, including a header edge
     count that differs from the number of edge lines or of distinct
-    edges (a repeated edge line). *)
+    edges (a repeated edge line).  A bad row, a vertex id out of range
+    or a self-loop is reported with a ["Gio.of_edge_list:LINE: "]
+    prefix, [LINE] counting from 1 and including blank lines. *)
 val of_edge_list : string -> Graph.t
 
 (** [to_dot g] renders an undirected Graphviz graph. *)

@@ -17,7 +17,8 @@ let test_edge_list_malformed () =
   Alcotest.check_raises "count mismatch"
     (Invalid_argument "Gio.of_edge_list: edge count mismatch") (fun () ->
       ignore (Gio.of_edge_list "3 2\n1 2\n"));
-  Alcotest.check_raises "bad ints" (Invalid_argument "Gio.of_edge_list: bad integers")
+  Alcotest.check_raises "bad ints"
+    (Invalid_argument "Gio.of_edge_list:1: expected two integers")
     (fun () -> ignore (Gio.of_edge_list "x y\n"));
   List.iter
     (fun (label, contents) ->
@@ -123,6 +124,37 @@ let prop_graph6_length =
       let header = if n <= 62 then 1 else 4 in
       String.length (Gio.to_graph6 g) = header + ((n * (n - 1) / 2) + 5) / 6)
 
+(* ---------- edge-list files ---------- *)
+
+let expect_invalid_with ~needle f =
+  match f () with
+  | _ -> Alcotest.failf "expected Invalid_argument carrying %S" needle
+  | exception Invalid_argument msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "message %S carries %S" msg needle)
+      true (contains ~needle msg)
+
+(* Parse errors, and the range and self-loop errors of the graph
+   builder, carry the offending line of the file's contents. *)
+let test_file_errors_carry_line_numbers () =
+  let cases =
+    [
+      ("3 1\n1 2\nx y\n", ":3: expected two integers");
+      ("3 1\n1 2 3\n", ":2: expected two fields");
+      ("-1 0\n", ":1: negative order or size in header");
+      ("3 2\n1 2\n", "edge count mismatch");
+      ("3 1\n1 9\n", ":2: ");
+      ("3 1\n2 2\n", ":2: ");
+      ("3 1\n\n\n2 2\n", ":4: ");
+      ("", "empty input");
+      (" \n\n", "empty input");
+    ]
+  in
+  List.iter
+    (fun (contents, needle) ->
+      expect_invalid_with ~needle (fun () -> ignore (Gio.of_edge_list contents)))
+    cases
+
 let () =
   Alcotest.run "gio"
     [
@@ -140,6 +172,11 @@ let () =
           Alcotest.test_case "family roundtrips" `Quick test_graph6_roundtrip_families;
           Alcotest.test_case "large n header" `Quick test_graph6_large_n_header;
           Alcotest.test_case "invalid input" `Quick test_graph6_invalid;
+        ] );
+      ( "streaming files",
+        [
+          Alcotest.test_case "errors carry line numbers" `Quick
+            test_file_errors_carry_line_numbers;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
