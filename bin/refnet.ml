@@ -756,31 +756,35 @@ let report_cmd =
    would produce.  Decode is total: malformed bytes become findings,
    which are reported, never raised. *)
 let flight dumps json_out =
+  let decoded =
+    List.map
+      (fun path ->
+        match Core.Flight.decode_file path with
+        | Ok d -> (path, d)
+        | Error msg ->
+          Printf.eprintf "refnet flight: %s\n" msg;
+          exit 2)
+      dumps
+  in
+  let sum field = List.fold_left (fun acc (_, d) -> acc + field d) 0 decoded in
+  let recorded = sum (fun d -> d.Core.Flight.d_recorded) in
+  let dropped = sum (fun d -> d.Core.Flight.d_dropped) in
+  let findings =
+    List.concat_map
+      (fun (path, d) -> List.map (fun f -> (path, f)) d.Core.Flight.d_findings)
+      decoded
+  in
+  let entries = List.concat_map (fun (_, d) -> d.Core.Flight.d_entries) decoded in
   let r = Core.Report.create () in
-  let recorded = ref 0 and dropped = ref 0 in
-  let findings = ref [] and items = ref 0 and notes = ref 0 in
-  let all_items = ref [] in
+  let notes = ref 0 in
   List.iter
-    (fun path ->
-      match Core.Flight.decode_file path with
-      | Error msg ->
-        Printf.eprintf "refnet flight: %s\n" msg;
-        exit 2
-      | Ok d ->
-        recorded := !recorded + d.Core.Flight.d_recorded;
-        dropped := !dropped + d.Core.Flight.d_dropped;
-        findings :=
-          !findings @ List.map (fun f -> (path, f)) d.Core.Flight.d_findings;
-        all_items := !all_items @ d.Core.Flight.d_items;
-        List.iter
-          (fun it ->
-            incr items;
-            match it.Core.Flight.i_line with
-            | Some line -> Core.Report.ingest_line r line
-            | None -> incr notes)
-          d.Core.Flight.d_items)
-    dumps;
-  let open_sessions = Core.Flight.open_traces !all_items in
+    (function
+      | Core.Flight.Event { trace; ev; _ } ->
+        Core.Report.ingest_line r (Core.Trace.json_of_event ~session:trace ev)
+      | Core.Flight.Note _ -> incr notes)
+    entries;
+  let items = List.length entries in
+  let open_sessions = Core.Flight.open_traces entries in
   (match json_out with
   | true ->
     let sessions_json =
@@ -796,20 +800,18 @@ let flight dumps json_out =
       "{\"files\": %d, \"flight_recorded\": %d, \"flight_drops_total\": %d, \
        \"flight_findings\": %d, \"items\": %d, \"notes\": %d, \
        \"open_sessions\": [%s], \"report\": %s}\n"
-      (List.length dumps) !recorded !dropped
-      (List.length !findings)
-      !items !notes sessions_json
+      (List.length dumps) recorded dropped (List.length findings) items !notes sessions_json
       (Core.Report.to_json r)
   | false ->
     Printf.printf "flight: %d file%s, %d recorded, %d dropped, %d items (%d notes)\n"
       (List.length dumps)
       (if List.length dumps = 1 then "" else "s")
-      !recorded !dropped !items !notes;
+      recorded dropped items !notes;
     List.iter
       (fun (path, f) ->
         Printf.printf "  finding %s@%d: %s\n" path f.Core.Flight.f_offset
           f.Core.Flight.f_reason)
-      !findings;
+      findings;
     List.iter
       (fun (trace, summary) ->
         Printf.printf "  open session %s: %s\n"
@@ -902,7 +904,7 @@ let search_cmd =
    tree (or all findings baselined), 1 on any new finding, 2 when the
    baseline file is unreadable. *)
 let lint paths json deep baseline =
-  let paths = match paths with [] -> [ "lib"; "bin"; "bench"; "examples" ] | ps -> ps in
+  let paths = match paths with [] -> Lint.Driver.program_roots | ps -> ps in
   (* lint: allow determinism -- lint wall-time for the report, not a model run *)
   let t0 = Unix.gettimeofday () in
   let files, findings, roots =
@@ -968,7 +970,8 @@ let lint_cmd =
           ~doc:
             "Also run the whole-repo call-graph passes: exception-escape totality over the \
              registered referees, Parallel capture races, blocking-call reachability from \
-             the serve loop, and stale-suppression detection.")
+             the serve loop, and stale-suppression detection.  They always analyse lib bin \
+             bench examples; only findings under the given PATHs are reported.")
   in
   let baseline =
     Arg.(
@@ -1245,7 +1248,7 @@ let serve_cmd =
     Arg.(
       value & opt int 65536
       & info [ "flight-capacity" ] ~docv:"N"
-          ~doc:"Flight recorder ring entries per domain (oldest entries overwrite beyond this).")
+          ~doc:"Flight recorder ring entries (oldest entries overwrite beyond this).")
   in
   Cmd.v
     (Cmd.info "serve"

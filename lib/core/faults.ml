@@ -145,6 +145,21 @@ let fault_to_string = function
   | Duplicate -> "duplicate"
   | Spoof j -> Printf.sprintf "spoof:%d" j
 
+(* Only the canonical spelling parses, so a decoded fault renders back
+   to the very string it came from. *)
+let fault_of_string s =
+  let parsed =
+    match String.split_on_char ':' s with
+    | [ "crash" ] -> Some Crash
+    | [ "duplicate" ] -> Some Duplicate
+    | [ "truncate"; k ] -> Option.map (fun k -> Truncate k) (int_of_string_opt k)
+    | [ "spoof"; j ] -> Option.map (fun j -> Spoof j) (int_of_string_opt j)
+    | [ "flip"; ps ] ->
+      Some (Flip (List.filter_map int_of_string_opt (String.split_on_char ',' ps)))
+    | _ -> None
+  in
+  Option.bind parsed (fun f -> if fault_to_string f = s then Some f else None)
+
 let pp_fault fmt f = Format.pp_print_string fmt (fault_to_string f)
 
 let pp fmt plan =

@@ -80,5 +80,9 @@ val apply : plan -> Message.t array -> (int * Message.t) list * (int * fault) li
     trace layer's JSONL schema. *)
 val fault_to_string : fault -> string
 
+(** [fault_of_string s] inverts {!fault_to_string}: [Some f] exactly
+    when [s] is [fault_to_string f], [None] for any other string. *)
+val fault_of_string : string -> fault option
+
 (** [pp] prints a whole plan, e.g. [{3->crash; 7->truncate:12}]. *)
 val pp : Format.formatter -> plan -> unit

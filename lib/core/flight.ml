@@ -1,5 +1,5 @@
-(* Per-domain ring buffers of binary-encoded trace events; see
-   flight.mli for the contract and DESIGN.md §15 for the byte format.
+(* One ring buffer of binary-encoded trace events; see flight.mli for
+   the contract and DESIGN.md §15 for the byte format.
 
    Layout of a dump:
 
@@ -21,59 +21,38 @@
 
 let magic = "RFLIGHT2"
 let max_record = 1 lsl 20
-let max_domains = 64
 let default_capacity = 4096
 
-type ev = E_event of Trace.event | E_note of string * string
-type entry = { e_seq : int; e_trace : int64; e_ev : ev }
+type entry =
+  | Event of { seq : int; trace : int64; ev : Trace.event }
+  | Note of { seq : int; trace : int64; code : string; detail : string }
 
-(* One ring per domain slot: single writer (its domain), so [written]
-   needs no atomicity — dumps read a snapshot of it.  Entries are
-   immutable records, so a concurrent reader sees either the old or the
-   new pointer, never a torn entry. *)
-type slot = { arr : entry option array; mutable written : int }
+(* One writer (the serve engine's thread; the deep lint's race pass
+   reports a recorder mutated inside a Parallel closure), so the
+   sequence number is the write count and ring order is sequence
+   order.  Slots past [written] hold [vacant], never read. *)
+type t = { ring : entry array; mutable written : int }
 
-type t = {
-  cap : int;
-  slots : slot option array;
-  seq : int Atomic.t;
-}
+let vacant = Note { seq = -1; trace = 0L; code = ""; detail = "" }
 
 let create ?(capacity = default_capacity) () =
-  let cap = max 16 capacity in
-  { cap; slots = Array.make max_domains None; seq = Atomic.make 0 }
+  { ring = Array.make (max 16 capacity) vacant; written = 0 }
 
-let slot_of t =
-  let i = (Domain.self () :> int) land (max_domains - 1) in
-  match t.slots.(i) with
-  | Some s -> s
-  | None ->
-    let s = { arr = Array.make t.cap None; written = 0 } in
-    t.slots.(i) <- Some s;
-    s
+let capacity t = Array.length t.ring
 
-let push t ~trace ev =
-  let seq = Atomic.fetch_and_add t.seq 1 in
-  let s = slot_of t in
-  s.arr.(s.written mod t.cap) <- Some { e_seq = seq; e_trace = trace; e_ev = ev };
-  s.written <- s.written + 1
+let push t e =
+  t.ring.(t.written mod Array.length t.ring) <- e;
+  t.written <- t.written + 1
 
-let record t ~trace event = push t ~trace (E_event event)
-let note t ~trace ~code ~detail = push t ~trace (E_note (code, detail))
-let recorded t = Atomic.get t.seq
-
-let fold_slots t f acc =
-  Array.fold_left
-    (fun acc -> function None -> acc | Some s -> f acc s)
-    acc t.slots
-
-let dropped t = fold_slots t (fun acc s -> acc + max 0 (s.written - t.cap)) 0
-let occupancy t = fold_slots t (fun acc s -> acc + min s.written t.cap) 0
-let capacity t = t.cap
+let record t ~trace ev = push t (Event { seq = t.written; trace; ev })
+let note t ~trace ~code ~detail = push t (Note { seq = t.written; trace; code; detail })
+let recorded t = t.written
+let dropped t = max 0 (t.written - capacity t)
+let occupancy t = min t.written (capacity t)
 
 let reset t =
-  Atomic.set t.seq 0;
-  Array.iteri (fun i _ -> t.slots.(i) <- None) t.slots
+  Array.fill t.ring 0 (capacity t) vacant;
+  t.written <- 0
 
 let hex_of_trace id = Printf.sprintf "%016Lx" id
 
@@ -98,39 +77,43 @@ let put_str w s = W.str w (if String.length s > 0xFFFF then String.sub s 0 0xFFF
 let put_int w v = W.u64 w (Int64.of_int v)
 
 let encode_body w e =
-  put_int w e.e_seq;
-  W.u64 w e.e_trace;
-  match e.e_ev with
-  | E_event (Trace.Span_begin { label; n }) ->
-    W.u8 w 1;
+  let event seq trace tag =
+    put_int w seq;
+    W.u64 w trace;
+    W.u8 w tag
+  in
+  match e with
+  | Event { seq; trace; ev = Trace.Span_begin { label; n } } ->
+    event seq trace 1;
     put_str w label;
     W.u32 w n
-  | E_event (Trace.Span_end { label; n }) ->
-    W.u8 w 2;
+  | Event { seq; trace; ev = Trace.Span_end { label; n } } ->
+    event seq trace 2;
     put_str w label;
     W.u32 w n
-  | E_event (Trace.Node_local { id; bits; queries = q }) ->
-    W.u8 w 3;
+  | Event { seq; trace; ev = Trace.Node_local { id; bits; queries = q } } ->
+    event seq trace 3;
     W.u32 w id;
     W.u32 w bits;
     W.u32 w q.View.id_reads;
     W.u32 w q.View.n_reads;
     W.u32 w q.View.deg_reads;
     W.u32 w q.View.neighbor_reads
-  | E_event (Trace.Referee_absorb { id; bits }) ->
-    W.u8 w 4;
+  | Event { seq; trace; ev = Trace.Referee_absorb { id; bits } } ->
+    event seq trace 4;
     W.u32 w id;
     W.u32 w bits
-  | E_event (Trace.Fault_injected { id; fault }) ->
-    W.u8 w 5;
+  | Event { seq; trace; ev = Trace.Fault_injected { id; fault } } ->
+    event seq trace 5;
     W.u32 w id;
     put_str w (Faults.fault_to_string fault)
-  | E_event (Trace.Referee_broadcast { round; bits }) ->
-    W.u8 w 6;
+  | Event { seq; trace; ev = Trace.Referee_broadcast { round; bits } } ->
+    event seq trace 6;
     W.u32 w round;
     W.u32 w bits
-  | E_event (Trace.Referee_done { label; n; max_bits; total_bits; budget }) -> (
-    W.u8 w 7;
+  | Event { seq; trace; ev = Trace.Referee_done { label; n; max_bits; total_bits; budget } }
+    -> (
+    event seq trace 7;
     put_str w label;
     W.u32 w n;
     W.u32 w max_bits;
@@ -144,35 +127,22 @@ let encode_body w e =
       W.u32 w k;
       W.u64 w (Int64.bits_of_float c_max);
       W.u32 w n_min)
-  | E_note (code, detail) ->
-    W.u8 w 8;
+  | Note { seq; trace; code; detail } ->
+    event seq trace 8;
     put_str w code;
     put_str w detail
 
+(* The ring walked oldest to newest is sequence order. *)
 let dump t =
-  let entries =
-    fold_slots t
-      (fun acc s ->
-        let w = s.written in
-        let lo = max 0 (w - t.cap) in
-        let acc = ref acc in
-        for k = lo to w - 1 do
-          match s.arr.(k mod t.cap) with
-          | Some e -> acc := e :: !acc
-          | None -> ()
-        done;
-        !acc)
-      []
-  in
-  let entries =
-    List.sort (fun a b -> compare a.e_seq b.e_seq) entries
-  in
+  let live = occupancy t in
   let w = W.create 4096 in
   W.raw w magic;
   put_int w (recorded t);
   put_int w (dropped t);
-  W.u32 w (List.length entries);
-  List.iter (fun e -> W.record w (fun w -> encode_body w e)) entries;
+  W.u32 w live;
+  for k = t.written - live to t.written - 1 do
+    W.record w (fun w -> encode_body w t.ring.(k mod capacity t))
+  done;
   W.take w
 
 let dump_to_file t path =
@@ -185,20 +155,12 @@ let dump_to_file t path =
 
 (* ---------- decoding ---------- *)
 
-type item = {
-  i_seq : int;
-  i_trace : int64;
-  i_kind : string;
-  i_line : string option;
-  i_note : (string * string) option;
-}
-
 type finding = { f_offset : int; f_reason : string }
 
 type decoded = {
   d_recorded : int;
   d_dropped : int;
-  d_items : item list;
+  d_entries : entry list;
   d_findings : finding list;
 }
 
@@ -210,27 +172,17 @@ let get_int r = Int64.to_int (R.u64 r)
 let decode_body r =
   let seq = get_int r in
   let trace = R.u64 r in
-  let tag = R.u8 r in
-  let session = trace in
-  let event_item kind ev =
-    {
-      i_seq = seq;
-      i_trace = trace;
-      i_kind = kind;
-      i_line = Some (Trace.json_of_event ~session ev);
-      i_note = None;
-    }
-  in
-  let item =
-    match tag with
+  let event ev = Event { seq; trace; ev } in
+  let entry =
+    match R.u8 r with
     | 1 ->
       let label = R.str r in
       let n = R.u32 r in
-      event_item "span_begin" (Trace.Span_begin { label; n })
+      event (Trace.Span_begin { label; n })
     | 2 ->
       let label = R.str r in
       let n = R.u32 r in
-      event_item "span_end" (Trace.Span_end { label; n })
+      event (Trace.Span_end { label; n })
     | 3 ->
       let id = R.u32 r in
       let bits = R.u32 r in
@@ -239,30 +191,21 @@ let decode_body r =
       let deg_reads = R.u32 r in
       let neighbor_reads = R.u32 r in
       let queries = { View.id_reads; n_reads; deg_reads; neighbor_reads } in
-      event_item "local" (Trace.Node_local { id; bits; queries })
+      event (Trace.Node_local { id; bits; queries })
     | 4 ->
       let id = R.u32 r in
       let bits = R.u32 r in
-      event_item "absorb" (Trace.Referee_absorb { id; bits })
-    | 5 ->
-      (* no parser back to Faults.fault exists; render the line with
-         the fault's string form, matching Trace.json_of_event *)
+      event (Trace.Referee_absorb { id; bits })
+    | 5 -> (
       let id = R.u32 r in
-      let fault = R.str r in
-      {
-        i_seq = seq;
-        i_trace = trace;
-        i_kind = "fault";
-        i_line =
-          Some
-            (Printf.sprintf {|{"session_id":"%s","event":"fault","id":%d,"fault":%s}|}
-               (hex_of_trace trace) id (Refnet_json.Json.string fault));
-        i_note = None;
-      }
+      let s = R.str r in
+      match Faults.fault_of_string s with
+      | Some fault -> event (Trace.Fault_injected { id; fault })
+      | None -> fail "unknown fault %S" s)
     | 6 ->
       let round = R.u32 r in
       let bits = R.u32 r in
-      event_item "broadcast" (Trace.Referee_broadcast { round; bits })
+      event (Trace.Referee_broadcast { round; bits })
     | 7 ->
       let label = R.str r in
       let n = R.u32 r in
@@ -281,21 +224,15 @@ let decode_body r =
           | None -> fail "unknown budget shape %S" tag)
         | f -> fail "bad budget flag %d" f
       in
-      event_item "done" (Trace.Referee_done { label; n; max_bits; total_bits; budget })
+      event (Trace.Referee_done { label; n; max_bits; total_bits; budget })
     | 8 ->
       let code = R.str r in
       let detail = R.str r in
-      {
-        i_seq = seq;
-        i_trace = trace;
-        i_kind = "note";
-        i_line = None;
-        i_note = Some (code, detail);
-      }
+      Note { seq; trace; code; detail }
     | t -> fail "unknown record tag %d" t
   in
   if R.remaining r > 0 then fail "trailing bytes in record body at %d" (R.pos r);
-  item
+  entry
 
 let decode s =
   let findings = ref [] in
@@ -304,17 +241,17 @@ let decode s =
   let r = R.of_string s in
   if String.length s < header_len then begin
     flag 0 (Printf.sprintf "truncated header: %d bytes, need %d" (String.length s) header_len);
-    { d_recorded = 0; d_dropped = 0; d_items = []; d_findings = List.rev !findings }
+    { d_recorded = 0; d_dropped = 0; d_entries = []; d_findings = List.rev !findings }
   end
   else if R.raw r (String.length magic) <> magic then begin
     flag 0 "bad magic: not a .flight file";
-    { d_recorded = 0; d_dropped = 0; d_items = []; d_findings = List.rev !findings }
+    { d_recorded = 0; d_dropped = 0; d_entries = []; d_findings = List.rev !findings }
   end
   else begin
     let d_recorded = get_int r in
     let d_dropped = get_int r in
     let count = R.u32 r in
-    let items = ref [] in
+    let entries = ref [] in
     let parsed = ref 0 in
     let stop = ref false in
     while (not !stop) && R.remaining r > 0 do
@@ -342,8 +279,8 @@ let decode s =
           if R.fnv body <> digest then flag frame_off "record digest mismatch"
           else
             match decode_body body with
-            | item ->
-              items := item :: !items;
+            | e ->
+              entries := e :: !entries;
               incr parsed
             | exception Refnet_bits.Byte_io.Malformed reason -> flag frame_off reason
         end
@@ -352,7 +289,7 @@ let decode s =
     if !parsed <> count then
       flag (String.length s)
         (Printf.sprintf "header declares %d records, decoded %d intact" count !parsed);
-    { d_recorded; d_dropped; d_items = List.rev !items; d_findings = List.rev !findings }
+    { d_recorded; d_dropped; d_entries = List.rev !entries; d_findings = List.rev !findings }
   end
 
 let decode_file path =
@@ -387,36 +324,40 @@ type probe = {
   mutable p_terminal : bool;
 }
 
-let open_traces items =
+let open_traces entries =
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun it ->
-      if not (Int64.equal it.i_trace 0L) then begin
+    (fun e ->
+      let seq, trace, last, absorbed, terminal =
+        match e with
+        | Event { seq; trace; ev } ->
+          ( seq,
+            trace,
+            Trace.event_name ev,
+            (match ev with Trace.Referee_absorb _ -> 1 | _ -> 0),
+            match ev with Trace.Referee_done _ -> true | _ -> false )
+        | Note { seq; trace; code; _ } -> (seq, trace, code, 0, terminal_note code)
+      in
+      if not (Int64.equal trace 0L) then begin
         let p =
-          match Hashtbl.find_opt tbl it.i_trace with
+          match Hashtbl.find_opt tbl trace with
           | Some p -> p
           | None ->
             let p =
               { p_events = 0; p_absorbed = 0; p_last = ""; p_last_seq = 0; p_terminal = false }
             in
-            Hashtbl.add tbl it.i_trace p;
+            Hashtbl.add tbl trace p;
             p
         in
         p.p_events <- p.p_events + 1;
-        if it.i_kind = "absorb" then p.p_absorbed <- p.p_absorbed + 1;
-        if it.i_seq >= p.p_last_seq then begin
-          p.p_last_seq <- it.i_seq;
-          p.p_last <-
-            (match it.i_note with
-            | Some (code, _) -> code
-            | None -> it.i_kind)
+        p.p_absorbed <- p.p_absorbed + absorbed;
+        if seq >= p.p_last_seq then begin
+          p.p_last_seq <- seq;
+          p.p_last <- last
         end;
-        (match it.i_note with
-        | Some (code, _) when terminal_note code -> p.p_terminal <- true
-        | _ -> ());
-        if it.i_kind = "done" then p.p_terminal <- true
+        if terminal then p.p_terminal <- true
       end)
-    items;
+    entries;
   Hashtbl.fold
     (fun trace p acc ->
       if p.p_terminal then acc

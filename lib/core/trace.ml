@@ -33,6 +33,15 @@ let emit_session sink ~session ev =
   | Emit f -> f ev
   | Emit_session f -> f (Some session) ev
 
+let event_name = function
+  | Span_begin _ -> "span_begin"
+  | Span_end _ -> "span_end"
+  | Node_local _ -> "local"
+  | Referee_absorb _ -> "absorb"
+  | Fault_injected _ -> "fault"
+  | Referee_broadcast _ -> "broadcast"
+  | Referee_done _ -> "done"
+
 (* The done line's "budget": {"shape":TAG,"k":K,"c_max":C,"n_min":N},
    or null for a run with no theorem to audit.  %.17g round-trips. *)
 let budget_json = function

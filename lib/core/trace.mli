@@ -88,6 +88,11 @@ val memory : unit -> sink * (unit -> event list)
     the end. *)
 val balanced_spans : event list -> bool
 
+(** [event_name ev] is the ["event"] field {!json_of_event} writes for
+    [ev]: ["span_begin"], ["span_end"], ["local"], ["absorb"],
+    ["fault"], ["broadcast"] or ["done"]. *)
+val event_name : event -> string
+
 (** [json_of_event ?session ev] is the single-line JSON rendering used
     by {!jsonl}.  With [~session], a ["session_id"] field (16 lowercase
     hex digits) leads the object — an {e extra} field, so

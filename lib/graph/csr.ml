@@ -97,6 +97,8 @@ let dedupe n row col =
   let col = if total = Array.length col then col else Array.sub col 0 total in
   { n; row = starts; col }
 
+(* Two-pass construction: degrees are counted, then endpoints filled
+   in a replay of the same pairs.  Private to [of_edges]. *)
 module Builder = struct
   type csr = t
 

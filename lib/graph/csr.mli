@@ -9,9 +9,7 @@
     Construction never builds an adjacency-set intermediate: degrees are
     counted first, offsets are prefix sums, and endpoints are written
     straight into [col] (then each run is sorted and duplicates are
-    collapsed, matching {!Graph.of_edges} semantics).  The two-pass
-    {!Builder} is the streaming entry point; {!Graph_source.to_csr}
-    feeds it from an implicit family. *)
+    collapsed, matching {!Graph.of_edges} semantics). *)
 
 type t
 
@@ -22,36 +20,6 @@ val of_graph : Graph.t -> t
     either orientation) collapse.
     @raise Invalid_argument on loops or out-of-range vertices. *)
 val of_edges : int -> (int * int) list -> t
-
-(** Two-pass construction for streaming producers: replay the same edge
-    sequence through {!Builder.count} and then {!Builder.fill}.  Peak
-    memory beyond the final arrays is [O(1)]. *)
-module Builder : sig
-  type csr := t
-  type t
-
-  (** [create n] starts counting degrees for a graph on [1..n].
-      @raise Invalid_argument if [n < 0]. *)
-  val create : int -> t
-
-  (** [count b u v] records one endpoint pair during the first pass.
-      @raise Invalid_argument on loops or out-of-range vertices. *)
-  val count : t -> int -> int -> unit
-
-  (** [freeze b] ends the counting pass: offsets become prefix sums and
-      [col] is allocated.  @raise Invalid_argument if called twice. *)
-  val freeze : t -> unit
-
-  (** [fill b u v] records the same pair during the second pass.
-      @raise Invalid_argument if the pair stream diverges from the
-      counting pass (more edges at a vertex than were counted). *)
-  val fill : t -> int -> int -> unit
-
-  (** [finish b] checks both passes agree, sorts each neighbour run and
-      collapses duplicates.  The builder must not be reused.
-      @raise Invalid_argument if some counted slot was never filled. *)
-  val finish : t -> csr
-end
 
 val order : t -> int
 

@@ -52,21 +52,6 @@ let neighbors_slice t v =
     let arr = Implicit.neighbors_array i v in
     (arr, 0, Array.length arr)
 
-let to_csr = function
-  | Materialized g -> Csr.of_graph g
-  | Csr c -> c
-  | Implicit i ->
-    let b = Csr.Builder.create (Implicit.order i) in
-    let each pass =
-      for v = 1 to Implicit.order i do
-        Implicit.iter_neighbors i v (fun u -> if v < u then pass v u)
-      done
-    in
-    each (Csr.Builder.count b);
-    Csr.Builder.freeze b;
-    each (Csr.Builder.fill b);
-    Csr.Builder.finish b
-
 let materialize = function
   | Materialized g -> g
   | Csr c -> Csr.to_graph c

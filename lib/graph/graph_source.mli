@@ -50,10 +50,6 @@ val neighbors : t -> int -> int list
     builds views from. *)
 val neighbors_slice : t -> int -> int array * int * int
 
-(** [to_csr t] converts without materializing: implicit backends stream
-    their edges through {!Csr.Builder} in two passes. *)
-val to_csr : t -> Csr.t
-
 (** [materialize t] builds the twin {!Graph.t} (allocates the [n^2]-bit
     incidence matrix — small [n] only). *)
 val materialize : t -> Graph.t

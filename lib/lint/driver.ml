@@ -289,13 +289,37 @@ let deep_sources ?(oracles = Policy.test_oracles) sources =
     deep_wall_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.);
   }
 
+let program_roots = [ "lib"; "bin"; "bench"; "examples" ]
+
+(* [file] lies under [path]: it is [path] or inside it. *)
+let under path file =
+  let path = normalize path in
+  let path =
+    if String.length path > 1 && String.ends_with ~suffix:"/" path then
+      String.sub path 0 (String.length path - 1)
+    else path
+  in
+  path = "." || file = path || String.starts_with ~prefix:(path ^ "/") file
+
 let deep_paths paths =
+  (* spelled relative to the working directory, as the roots are, so a
+     file named both ways is read once *)
+  let cwd = Sys.getcwd () ^ "/" in
+  let paths =
+    List.map
+      (fun p ->
+        if p ^ "/" = cwd || p = cwd then "."
+        else if String.starts_with ~prefix:cwd p then
+          String.sub p (String.length cwd) (String.length p - String.length cwd)
+        else p)
+      paths
+  in
   let files =
-    List.concat_map
-      (fun ml ->
-        let mli = ml ^ "i" in
-        if Sys.file_exists mli then [ ml; mli ] else [ ml ])
-      (collect_files paths)
+    List.sort_uniq String.compare
+      (List.map normalize (collect_files (program_roots @ paths)))
+    |> List.concat_map (fun ml ->
+           let mli = ml ^ "i" in
+           if Sys.file_exists mli then [ ml; mli ] else [ ml ])
   in
   let sources =
     List.map
@@ -311,14 +335,15 @@ let deep_paths paths =
       (function
         | Ok _ -> None
         | Error (path, msg) ->
-          Some
-            (parse_error_finding ~file:(normalize path)
-               (Printf.sprintf "cannot read file: %s" msg)))
+          Some (parse_error_finding ~file:path (Printf.sprintf "cannot read file: %s" msg)))
       sources
   in
   let d = deep_sources readable in
   {
     d with
-    deep_files = List.map normalize files;
-    deep_findings = List.sort Finding.compare (unreadable @ d.deep_findings);
+    deep_files = files;
+    deep_findings =
+      List.filter
+        (fun f -> List.exists (fun p -> under p f.Finding.file) paths)
+        (List.sort Finding.compare (unreadable @ d.deep_findings));
   }

@@ -46,6 +46,13 @@ type deep = {
     them against [oracles] (default {!Policy.test_oracles}). *)
 val deep_sources : ?oracles:(string * string) list -> (string * string) list -> deep
 
-(** The [.ml] files {!lint_paths} would scan plus each one's sibling
-    [.mli], read, then {!deep_sources}. *)
+(** The paths a lint run covers by default, relative to the working
+    directory: [lib bin bench examples]. *)
+val program_roots : string list
+
+(** [deep_paths paths] judges [paths] against the whole program: the
+    [.ml] files {!lint_paths} would scan under {!program_roots} and
+    [paths], each with its sibling [.mli], read, then {!deep_sources}.
+    Only findings located under [paths] are reported; the referee-root
+    counts are the whole program's. *)
 val deep_paths : string list -> deep

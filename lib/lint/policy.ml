@@ -195,7 +195,7 @@ let test_oracles =
       (* graph oracles and printer of the tests *)
       ("Graph", [ "fold_vertices"; "induced"; "remove_vertex"; "relabel"; "is_subgraph"; "pp" ]);
       (* backend cross-checks; perfbench *)
-      ("Graph_source", [ "of_csr"; "iter_neighbors"; "to_csr"; "materialize" ]);
+      ("Graph_source", [ "of_csr"; "iter_neighbors"; "materialize" ]);
       ("Implicit", [ "degenerate_window"; "make"; "has_edge" ]) (* test_graph_source *);
       ("Parameters", [ "average_degree"; "density"; "h_index"; "max_core" ]) (* test_parameters *);
       ("Spanning", [ "spanning_forest" ]) (* test_spanning *);

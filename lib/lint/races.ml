@@ -16,7 +16,8 @@
        variants) with a captured receiver and an index that mentions no
        closure-bound identifier
      - [Hashtbl.]/[Buffer.]/[Queue.]/[Stack.] mutating operations on a
-       captured structure
+       captured structure, and [Flight.record]/[note]/[reset] on a
+       captured recorder
      - [r.field <- v] on a captured record
 
    Reads are never flagged (racy reads of frozen inputs are the normal
@@ -89,6 +90,8 @@ let mutating_module_ops =
                  "add_buffer"; "clear"; "reset"; "truncate" ]);
     ("Queue", [ "push"; "add"; "pop"; "take"; "clear"; "transfer" ]);
     ("Stack", [ "push"; "pop"; "clear" ]);
+    (* one writer by contract (flight.mli): no lock, no atomic *)
+    ("Flight", [ "record"; "note"; "reset" ]);
   ]
 
 let indexed_setters =

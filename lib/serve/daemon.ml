@@ -168,7 +168,7 @@ let boot_scan dir =
       |> List.filter is_flight_file
       |> List.concat_map (fun name ->
              match Flight.decode_file (Filename.concat dir name) with
-             | Ok d -> Flight.open_traces d.Flight.d_items
+             | Ok d -> Flight.open_traces d.Flight.d_entries
              | Error _ -> [])
 
 let run opts =

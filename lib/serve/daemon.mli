@@ -55,7 +55,7 @@ type opts = {
           [refnet_flight_drops_total], [refnet_flight_occupancy] and
           [refnet_gc_*] gauges are refreshed when they are read: on
           each scrape and at exit. *)
-  flight_capacity : int option;  (** per-domain ring entries *)
+  flight_capacity : int option;  (** ring entries *)
   tick_interval_s : float;
   max_run_s : float option;
       (** stop (as if SIGTERM) after this long — used by CI smoke tests

@@ -339,11 +339,10 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
             let d = Flight.decode (Flight.dump f) in
             let verdict_notes =
               List.fold_left
-                (fun acc it ->
-                  match it.Flight.i_note with
-                  | Some ("verdict", _) -> acc + 1
+                (fun acc -> function
+                  | Flight.Note { code = "verdict"; _ } -> acc + 1
                   | _ -> acc)
-                0 d.Flight.d_items
+                0 d.Flight.d_entries
             in
             let expected =
               s.Engine.decided + s.Engine.degraded + s.Engine.inconclusive

@@ -362,7 +362,7 @@ let transcript_sources spec =
   [
     ("implicit", Graph_source.of_implicit fam);
     ("materialized", Graph_source.of_graph (Implicit.materialize fam));
-    ("csr", Graph_source.of_csr (Graph_source.to_csr (Graph_source.of_implicit fam)));
+    ("csr", Graph_source.of_csr (Csr.of_graph (Implicit.materialize fam)));
   ]
 
 let test_transcript_equality () =
@@ -592,7 +592,7 @@ let test_node_state_semantics () =
     [
       ("implicit", Graph_source.of_implicit fam);
       ("materialized", Graph_source.of_graph (Implicit.materialize fam));
-      ("csr", Graph_source.of_csr (Graph_source.to_csr (Graph_source.of_implicit fam)));
+      ("csr", Graph_source.of_csr (Csr.of_graph (Implicit.materialize fam)));
     ]
   in
   let _, reference = Core.Bcc.run_source p (List.assoc "implicit" sources) in

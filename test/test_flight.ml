@@ -21,6 +21,14 @@ let ev_absorb id bits = Core.Trace.Referee_absorb { id; bits }
 let ev_done label n =
   Core.Trace.Referee_done { label; n; max_bits = 7; total_bits = 7 * n; budget = None }
 
+let trace_of = function Core.Flight.Event { trace; _ } | Core.Flight.Note { trace; _ } -> trace
+
+(* The session-tagged JSONL line [refnet flight] feeds [Report] for an
+   event entry; notes have none. *)
+let report_line = function
+  | Core.Flight.Event { trace; ev; _ } -> Some (Core.Trace.json_of_event ~session:trace ev)
+  | Core.Flight.Note _ -> None
+
 (* ---------- ring discipline ---------- *)
 
 let test_ring_wrap_and_drop_counter () =
@@ -33,11 +41,11 @@ let test_ring_wrap_and_drop_counter () =
   Alcotest.(check int) "occupancy capped at capacity" 16 (Core.Flight.occupancy f);
   Alcotest.(check int) "overwrites counted as drops" 24 (Core.Flight.dropped f);
   let d = Core.Flight.decode (Core.Flight.dump f) in
-  Alcotest.(check int) "dump holds the newest entries" 16 (List.length d.Core.Flight.d_items);
+  Alcotest.(check int) "dump holds the newest entries" 16 (List.length d.Core.Flight.d_entries);
   Alcotest.(check int) "header carries recorded" 40 d.Core.Flight.d_recorded;
   Alcotest.(check int) "header carries dropped" 24 d.Core.Flight.d_dropped;
   (* oldest-first overwrite: the survivors are exactly traces 25..40 *)
-  let traces = List.map (fun i -> i.Core.Flight.i_trace) d.Core.Flight.d_items in
+  let traces = List.map trace_of d.Core.Flight.d_entries in
   Alcotest.(check bool) "survivors are the newest" true
     (traces = List.init 16 (fun i -> Int64.of_int (25 + i)));
   Core.Flight.reset f;
@@ -61,34 +69,35 @@ let test_roundtrip_events_and_notes () =
   let d = Core.Flight.decode (Core.Flight.dump f) in
   Alcotest.(check (list string)) "findings empty" []
     (List.map (fun fd -> fd.Core.Flight.f_reason) d.Core.Flight.d_findings);
-  let items = d.Core.Flight.d_items in
-  Alcotest.(check int) "all items back" 5 (List.length items);
-  let kinds = List.map (fun i -> i.Core.Flight.i_kind) items in
+  let entries = d.Core.Flight.d_entries in
+  Alcotest.(check int) "all entries back" 5 (List.length entries);
+  let kinds =
+    List.map
+      (function
+        | Core.Flight.Event { ev; _ } -> Core.Trace.event_name ev | Core.Flight.Note _ -> "note")
+      entries
+  in
   Alcotest.(check (list string)) "kinds in sequence order"
     [ "span_begin"; "absorb"; "note"; "done"; "span_begin" ]
     kinds;
   (* the note round-trips as a (code, detail) pair and has no JSONL line *)
-  (match List.filter (fun i -> i.Core.Flight.i_kind = "note") items with
-  | [ n ] ->
-    Alcotest.(check (option (pair string string))) "note payload"
-      (Some ("credit", "window overrun"))
-      n.Core.Flight.i_note;
-    Alcotest.(check bool) "note has no report line" true (n.Core.Flight.i_line = None)
+  (match List.filter (fun e -> report_line e = None) entries with
+  | [ Core.Flight.Note { code; detail; _ } ] ->
+    Alcotest.(check (pair string string)) "note payload" ("credit", "window overrun") (code, detail)
   | _ -> Alcotest.fail "exactly one note expected");
-  (* every event item carries a session-tagged JSONL line Report accepts *)
+  (* every event entry renders a session-tagged JSONL line Report accepts *)
   let r = Core.Report.create () in
   List.iter
-    (fun i ->
-      match i.Core.Flight.i_line with
+    (fun e ->
+      match report_line e with
       | Some line ->
         Alcotest.(check bool)
           ("line tagged with session_id: " ^ line)
           true
-          (i.Core.Flight.i_trace = 0L
-          || contains line (Core.Flight.hex_of_trace i.Core.Flight.i_trace));
+          (trace_of e = 0L || contains line (Core.Flight.hex_of_trace (trace_of e)));
         Core.Report.ingest_line r line
       | None -> ())
-    items;
+    entries;
   Alcotest.(check bool) "report ingested the events" true (Core.Report.events r > 0)
 
 (* ---------- byte determinism across domain widths ---------- *)
@@ -140,13 +149,13 @@ let sample_dump () =
 
 let test_truncated_dump_never_raises () =
   let dump = sample_dump () in
-  let full = List.length (Core.Flight.decode dump).Core.Flight.d_items in
+  let full = List.length (Core.Flight.decode dump).Core.Flight.d_entries in
   Alcotest.(check int) "full dump decodes everything" 9 full;
   for keep = 0 to String.length dump - 1 do
     let d = Core.Flight.decode (String.sub dump 0 keep) in
     (* a proper prefix can never yield MORE records, and a truncated
        tail must be reported as a finding rather than silently eaten *)
-    let n = List.length d.Core.Flight.d_items in
+    let n = List.length d.Core.Flight.d_entries in
     if n > full then Alcotest.failf "prefix %d decoded %d > %d items" keep n full;
     if keep > 24 && n < full && d.Core.Flight.d_findings = [] then
       Alcotest.failf "prefix %d lost records without a finding" keep
@@ -162,7 +171,7 @@ let test_corrupt_bytes_become_findings () =
         let b = Bytes.of_string dump in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
         let d = Core.Flight.decode (Bytes.to_string b) in
-        let intact = List.length d.Core.Flight.d_items in
+        let intact = List.length d.Core.Flight.d_entries in
         if d.Core.Flight.d_findings <> [] then incr caught
         else if intact <> 9 then
           Alcotest.failf "flip at %d dropped records without a finding" i
@@ -176,7 +185,7 @@ let test_garbage_decodes_totally () =
     let len = Random.State.int rng 512 in
     let s = String.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
     let d = Core.Flight.decode s in
-    ignore (List.length d.Core.Flight.d_items + List.length d.Core.Flight.d_findings)
+    ignore (List.length d.Core.Flight.d_entries + List.length d.Core.Flight.d_findings)
   done
 
 (* Records whose digests hold but whose bodies are random bytes: the
@@ -214,7 +223,7 @@ let test_random_bodies_decode_totally () =
     | d -> d
     | exception e -> Alcotest.failf "decode raised %s" (Printexc.to_string e)
   in
-  let items = List.length d.Core.Flight.d_items in
+  let items = List.length d.Core.Flight.d_entries in
   let at_records =
     List.filter
       (fun f -> List.mem f.Core.Flight.f_offset !offsets)
@@ -237,10 +246,120 @@ let test_long_note_is_cut () =
   Core.Flight.note f ~trace:5L ~code:"long" ~detail;
   let d = Core.Flight.decode (Core.Flight.dump f) in
   Alcotest.(check int) "no findings" 0 (List.length d.Core.Flight.d_findings);
-  match d.Core.Flight.d_items with
-  | [ { Core.Flight.i_note = Some ("long", got); _ } ] ->
+  match d.Core.Flight.d_entries with
+  | [ Core.Flight.Note { code = "long"; detail = got; _ } ] ->
     Alcotest.(check string) "detail keeps its first 65535 bytes" (String.sub detail 0 65535) got
   | _ -> Alcotest.fail "expected the one note"
+
+(* ---------- typed entries ---------- *)
+
+let every_fault = Core.Faults.[ Crash; Truncate 12; Flip [ 2; 5 ]; Flip []; Duplicate; Spoof 7 ]
+
+(* Every Trace.event constructor: each fault kind, and a done event
+   with no budget and one per Bound_audit shape. *)
+let every_event =
+  Core.Trace.
+    [
+      Span_begin { label = "count"; n = 8 };
+      Span_end { label = "count"; n = 8 };
+      Node_local
+        {
+          id = 3;
+          bits = 11;
+          queries = { Core.View.id_reads = 1; n_reads = 2; deg_reads = 3; neighbor_reads = 4 };
+        };
+      Referee_absorb { id = 3; bits = 11 };
+      Referee_broadcast { round = 2; bits = 40 };
+    ]
+  @ List.map (fun fault -> Core.Trace.Fault_injected { id = 5; fault }) every_fault
+  @ List.map
+      (fun budget ->
+        Core.Trace.Referee_done { label = "count"; n = 8; max_bits = 11; total_bits = 88; budget })
+      (None
+      :: List.map
+           (fun b_shape -> Some { Core.Bound_audit.b_shape; c_max = 2.5; n_min = 16 })
+           Core.Bound_audit.[ Log_n; K_log_n 3; K2_log_n 2; Log_sq; Linear ])
+
+let test_every_entry_roundtrips () =
+  let f = Core.Flight.create () in
+  List.iteri (fun i ev -> Core.Flight.record f ~trace:(Int64.of_int (i + 1)) ev) every_event;
+  Core.Flight.note f ~trace:99L ~code:"verdict" ~detail:"decided";
+  let expected =
+    List.mapi
+      (fun i ev -> Core.Flight.Event { seq = i; trace = Int64.of_int (i + 1); ev })
+      every_event
+    @ [
+        Core.Flight.Note
+          { seq = List.length every_event; trace = 99L; code = "verdict"; detail = "decided" };
+      ]
+  in
+  let d = Core.Flight.decode (Core.Flight.dump f) in
+  Alcotest.(check (list string)) "no findings" []
+    (List.map (fun fd -> fd.Core.Flight.f_reason) d.Core.Flight.d_findings);
+  Alcotest.(check int) "every entry back" (List.length expected)
+    (List.length d.Core.Flight.d_entries);
+  List.iter2
+    (fun want got ->
+      let name =
+        match report_line want with Some line -> line | None -> "the note"
+      in
+      Alcotest.(check bool) ("equal after decode: " ^ name) true (want = got))
+    expected d.Core.Flight.d_entries
+
+let test_fault_of_string_inverts () =
+  List.iter
+    (fun f ->
+      let s = Core.Faults.fault_to_string f in
+      Alcotest.(check bool) ("inverts " ^ s) true (Core.Faults.fault_of_string s = Some f))
+    every_fault;
+  List.iter
+    (fun s -> Alcotest.(check bool) ("refuses " ^ s) true (Core.Faults.fault_of_string s = None))
+    [ ""; "melt"; "Crash"; "crash:1"; "truncate"; "truncate:"; "truncate:x"; "truncate:007";
+      "spoof:+3"; "flip:1,,2"; "flip:1,x" ]
+
+(* A record whose digest holds but whose fault string no fault renders
+   to is a finding, like any other malformed body. *)
+let test_unparsable_fault_is_finding () =
+  let module W = Refnet_bits.Byte_io.Writer in
+  let w = W.create 64 in
+  W.raw w "RFLIGHT2";
+  W.u64 w 1L;
+  W.u64 w 0L;
+  W.u32 w 1;
+  let at = W.length w in
+  W.record w (fun w ->
+      W.u64 w 0L;
+      W.u64 w 7L;
+      W.u8 w 5;
+      W.u32 w 3;
+      W.str w "melt:9");
+  let d =
+    match Core.Flight.decode (W.take w) with
+    | d -> d
+    | exception e -> Alcotest.failf "decode raised %s" (Printexc.to_string e)
+  in
+  Alcotest.(check int) "no entry" 0 (List.length d.Core.Flight.d_entries);
+  match List.filter (fun f -> f.Core.Flight.f_offset = at) d.Core.Flight.d_findings with
+  | [ f ] ->
+    Alcotest.(check bool) ("names the fault: " ^ f.Core.Flight.f_reason) true
+      (contains f.Core.Flight.f_reason "melt:9")
+  | fs -> Alcotest.failf "expected one finding at the record, got %d" (List.length fs)
+
+(* One block per entry, counted in full: the entry itself (header and
+   three fields), nothing around it. *)
+let test_record_allocation () =
+  let f = Core.Flight.create ~capacity:1024 () in
+  let ev = ev_absorb 3 11 in
+  let calls = 100_000 in
+  let (), words =
+    Core.Metrics.allocated_words (fun () ->
+        for _ = 1 to calls do
+          Core.Flight.record f ~trace:0x1122334455667788L ev
+        done)
+  in
+  let per_call = words /. float_of_int calls in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per record (bound 4)" per_call) true
+    (per_call <= 4.)
 
 (* ---------- trace ids ---------- *)
 
@@ -274,7 +393,7 @@ let test_open_traces_semantics () =
   Core.Flight.record f ~trace:alive (ev_absorb 2 5);
   Core.Flight.record f ~trace:0L (ev_begin "noise" 2);
   let d = Core.Flight.decode (Core.Flight.dump f) in
-  match Core.Flight.open_traces d.Core.Flight.d_items with
+  match Core.Flight.open_traces d.Core.Flight.d_entries with
   | [ (t, summary) ] ->
     Alcotest.(check bool) "only the mid-flight trace" true (t = alive);
     Alcotest.(check bool) "summary says mid-flight" true
@@ -299,7 +418,7 @@ let test_trace_decoration_is_budget_transparent () =
     let d = Core.Flight.decode (Core.Flight.dump f) in
     Alcotest.(check int) "no findings" 0 (List.length d.Core.Flight.d_findings);
     let r = Core.Report.create () in
-    List.iter (fun i -> Option.iter (Core.Report.ingest_line r) i.Core.Flight.i_line) d.d_items;
+    List.iter (fun e -> Option.iter (Core.Report.ingest_line r) (report_line e)) d.d_entries;
     match Core.Report.verdicts r with
     | [ v ] -> Core.Bound_audit.verdict_json { v with v_label = "" }
     | vs -> Alcotest.failf "%s: expected one audited label, got %d" label (List.length vs)
@@ -338,18 +457,17 @@ let test_engine_quarantine_leaves_note () =
   let d = Core.Flight.decode (Core.Flight.dump fl) in
   let quarantine_notes =
     List.filter
-      (fun i ->
-        match i.Core.Flight.i_note with Some ("quarantine", _) -> true | _ -> false)
-      d.Core.Flight.d_items
+      (function Core.Flight.Note { code = "quarantine"; _ } -> true | _ -> false)
+      d.Core.Flight.d_entries
   in
   Alcotest.(check int) "quarantine left a decodable note" 1 (List.length quarantine_notes);
   (match quarantine_notes with
   | [ n ] ->
-    Alcotest.(check bool) "note carries the session trace" true (n.Core.Flight.i_trace <> 0L)
+    Alcotest.(check bool) "note carries the session trace" true (trace_of n <> 0L)
   | _ -> ());
   (* the quarantine note is terminal: the session's fate is on record,
      so a boot scan must NOT treat it as mid-flight *)
-  match Core.Flight.open_traces d.Core.Flight.d_items with
+  match Core.Flight.open_traces d.Core.Flight.d_entries with
   | [] -> ()
   | _ :: _ -> Alcotest.fail "quarantine note must count as a terminal mark"
 
@@ -372,6 +490,14 @@ let () =
             test_random_bodies_decode_totally;
           Alcotest.test_case "long note is cut" `Quick test_long_note_is_cut;
           Alcotest.test_case "hex trace roundtrip" `Quick test_hex_roundtrip;
+        ] );
+      ( "entries",
+        [
+          Alcotest.test_case "every entry roundtrips" `Quick test_every_entry_roundtrips;
+          Alcotest.test_case "fault_of_string inverts" `Quick test_fault_of_string_inverts;
+          Alcotest.test_case "unparsable fault is a finding" `Quick
+            test_unparsable_fault_is_finding;
+          Alcotest.test_case "record allocates one entry" `Quick test_record_allocation;
         ] );
       ( "determinism",
         [

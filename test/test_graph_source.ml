@@ -99,7 +99,7 @@ let test_regular_rows () =
             List.iter
               (fun seed ->
                 let t = Implicit.make (Implicit.Regular { n; d; seed }) in
-                let csr = Graph_source.to_csr (Graph_source.of_implicit t) in
+                let csr = Csr.of_graph (Implicit.materialize t) in
                 let g = Implicit.materialize t in
                 for v = 1 to n do
                   let tag what = Printf.sprintf "regular:%d:%d:%d row %d %s" n d seed v what in
@@ -219,7 +219,6 @@ let test_source_queries_agree () =
       ("materialized", Graph_source.of_graph g);
       ("csr", Graph_source.of_csr (Csr.of_graph g));
       ("implicit", Graph_source.of_implicit imp);
-      ("to_csr of implicit", Graph_source.of_csr (Graph_source.to_csr (Graph_source.of_implicit imp)));
     ]
   in
   List.iter

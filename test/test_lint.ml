@@ -175,6 +175,18 @@ let deep_race_indexed_is_clean () =
     "item-indexed writes are clean" []
     (deep_rules (deep_fixture "deep_good_parallel_race.ml"))
 
+(* A flight recorder has one writer: recording from the pool races. *)
+let deep_flight_race_fires () =
+  let d = deep_fixture "deep_bad_flight_race.ml" in
+  Alcotest.(check (list string)) "the pool-side record" [ "parallel-race" ] (deep_rules d);
+  let f = List.hd d.Lint.Driver.deep_findings in
+  Alcotest.(check bool) "names Flight.record" true (contains f.Lint.Finding.message "Flight.record")
+
+let deep_flight_after_join_is_clean () =
+  Alcotest.(check (list string))
+    "recording after the join is clean" []
+    (deep_rules (deep_fixture "deep_good_flight_race.ml"))
+
 let deep_blocking_fires () =
   let d = deep_fixture ~as_path:"lib/serve/daemon.ml" "deep_bad_blocking.ml" in
   Alcotest.(check (list string))
@@ -203,6 +215,47 @@ let deep_paths_reads_files () =
   let d = Lint.Driver.deep_paths [ fixture "deep_bad_exn_escape.ml" ] in
   Alcotest.(check (list string)) "same engine over files" [ "exn-escape" ] (deep_rules d);
   Alcotest.(check int) "scanned one file" 1 (List.length d.Lint.Driver.deep_files)
+
+(* A deep run over part of the tree judges that part against the whole
+   program under the working directory, and reports only what lies in
+   the part: [A.f]'s caller is outside [lib/core], and the dead allow
+   in [lib/serve] is not [lib/core]'s to report. *)
+let deep_paths_judges_part_against_program () =
+  let root = Filename.concat (Sys.getcwd ()) "deep_paths_tree" in
+  let write rel text =
+    let path = Filename.concat root rel in
+    let rec mkdirs d =
+      if not (Sys.file_exists d) then begin
+        mkdirs (Filename.dirname d);
+        Sys.mkdir d 0o755
+      end
+    in
+    mkdirs (Filename.dirname path);
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
+  in
+  write "lib/core/a.ml" "let f x = x + 1\n";
+  write "lib/core/a.mli" "val f : int -> int\n";
+  write "lib/serve/b.ml"
+    "let g = A.f 2\nlet unused = 1 (* lint: allow determinism -- nothing here *)\n";
+  let cwd = Sys.getcwd () in
+  Sys.chdir root;
+  Fun.protect
+    ~finally:(fun () -> Sys.chdir cwd)
+    (fun () ->
+      let core = Lint.Driver.deep_paths [ "lib/core" ] in
+      Alcotest.(check (list string)) "lib/core: the caller outside still counts" []
+        (deep_rules core);
+      Alcotest.(check int) "the whole program is scanned" 3 (List.length core.Lint.Driver.deep_files);
+      Alcotest.(check (list string)) "an absolute path names the same files"
+        core.Lint.Driver.deep_files
+        (Lint.Driver.deep_paths [ Filename.concat root "lib/core" ]).Lint.Driver.deep_files;
+      let serve = Lint.Driver.deep_paths [ "./lib/serve/" ] in
+      Alcotest.(check (list (pair string string)))
+        "lib/serve: its own dead allow"
+        [ ("stale-suppression", "lib/serve/b.ml") ]
+        (List.map
+           (fun f -> (Lint.Finding.rule_name f.Lint.Finding.rule, f.Lint.Finding.file))
+           serve.Lint.Driver.deep_findings))
 
 let deep_trace_step_suppression () =
   (* A deep finding is suppressed by a comment at any trace step, so
@@ -414,6 +467,11 @@ let () =
           Alcotest.test_case "bad parallel-race" `Quick deep_race_fires;
           Alcotest.test_case "bad parallel-race (submit)" `Quick deep_submit_race_fires;
           Alcotest.test_case "good parallel-race (indexed)" `Quick deep_race_indexed_is_clean;
+          Alcotest.test_case "part judged against the program" `Quick
+            deep_paths_judges_part_against_program;
+          Alcotest.test_case "bad parallel-race (flight)" `Quick deep_flight_race_fires;
+          Alcotest.test_case "good parallel-race (flight after join)" `Quick
+            deep_flight_after_join_is_clean;
           Alcotest.test_case "bad blocking-call" `Quick deep_blocking_fires;
           Alcotest.test_case "good blocking-call (poll point)" `Quick
             deep_blocking_poll_point_is_clean;

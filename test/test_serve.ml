@@ -761,8 +761,8 @@ let test_slow_consumer_quarantines () =
     (List.assoc_opt anomaly (Core.Metrics.snapshot metrics).Core.Metrics.counters);
   let notes =
     List.filter_map
-      (fun it -> it.Core.Flight.i_note)
-      (Core.Flight.decode (Core.Flight.dump flight)).Core.Flight.d_items
+      (function Core.Flight.Note { code; detail; _ } -> Some (code, detail) | _ -> None)
+      (Core.Flight.decode (Core.Flight.dump flight)).Core.Flight.d_entries
   in
   Alcotest.(check bool) "flight quarantine note" true
     (List.exists (fun (code, _) -> code = "quarantine") notes);
