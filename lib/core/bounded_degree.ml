@@ -120,33 +120,23 @@ let hardened ~max_degree : Graph.t option Verdict.t Protocol.t =
          [None] — the one verdict the referee may still [Decide] under a
          faulty channel. *)
       Verdict.Decided None
-    else if Verdict.channel_clean report then Verdict.Decided (Some (union ()))
-    else begin
-      (* Cross-check symmetry between pairs of trusted rows: honest rows
-         agree on shared edges, so a one-sided claim means a forged
-         seal. *)
-      match
-        Array.iteri
-          (fun i row ->
-            match row with
+    else
+      Verdict.salvage report
+        ~decide:(fun () -> Some (union ()))
+        ~partial:(fun () ->
+          (* Honest rows agree on shared edges, so a one-sided claim
+             between two trusted rows means a forged seal. *)
+          let symmetric v = function
             | B_nbrs nbrs ->
-              List.iter
-                (fun u ->
-                  match rows.(u - 1) with
-                  | B_nbrs unbrs -> if not (List.mem (i + 1) unbrs) then raise Exit
-                  | B_overflow | B_unknown -> ())
+              List.for_all
+                (fun u -> match rows.(u - 1) with B_nbrs us -> List.mem v us | _ -> true)
                 nbrs
-            | B_overflow | B_unknown -> ())
-          rows
-      with
-      | () ->
-        let undetermined = ref [] in
-        for v = n downto 1 do
-          if rows.(v - 1) = B_unknown then undetermined := v :: !undetermined
-        done;
-        Verdict.Degraded (Some (union ()), { report with Verdict.undetermined = !undetermined })
-      | exception Exit -> Verdict.Inconclusive "authenticated messages are mutually inconsistent"
-    end
+            | B_overflow | B_unknown -> true
+          in
+          let ids = List.init n (fun i -> i + 1) in
+          if List.for_all (fun v -> symmetric v rows.(v - 1)) ids then
+            Some (Some (union ()), List.filter (fun v -> rows.(v - 1) = B_unknown) ids)
+          else None)
   in
   {
     name = Printf.sprintf "bounded-degree-%d+sealed" max_degree;

@@ -77,58 +77,25 @@ let absorb ~layout ~k ~n st ~id msg =
    with Message.Malformed | Bit_reader.Exhausted -> st.s_bad <- true);
   st
 
-let finish ~(decoder : decoder) ~k ~n st =
-  if st.s_bad then None
-  else
-    let deg = st.s_deg and enc = st.s_enc in
-    let removed = Array.make n false in
-    let b = Graph.Builder.create n in
-    (* Queue of vertices whose degree dropped to at most k; entries may be
-       stale, the degree is rechecked on pop. *)
-    let queue = Queue.create () in
-    for v = 1 to n do
-      if deg.(v - 1) <= k then Queue.add v queue
-    done;
-    let processed = ref 0 in
-    let ok = ref true in
-    (try
-       while !ok && not (Queue.is_empty queue) do
-         let v = Queue.pop queue in (* lint: allow exn-escape -- pop guarded by is_empty in the loop condition *)
-         if not removed.(v - 1) then begin
-           (* A queued vertex's degree only decreases; it is still <= k. *)
-           let d = deg.(v - 1) in
-           let nbrs =
-             if d = 0 then Some []
-             else if d = 1 then begin
-               (* Fast path: b_1 is the single neighbour's identifier. *)
-               match Nat.to_int_opt enc.(v - 1).(0) with
-               | Some u when u >= 1 && u <= n -> Some [ u ]
-               | _ -> None
-             end
-             else decoder ~n ~deg:d enc.(v - 1)
-           in
-           match nbrs with
-           | None -> ok := false
-           | Some nbrs ->
-             List.iter
-               (fun u ->
-                 if u < 1 || u > n || u = v || removed.(u - 1) || deg.(u - 1) = 0 then
-                   ok := false
-                 else begin
-                   Graph.Builder.add_edge b v u;
-                   deg.(u - 1) <- deg.(u - 1) - 1;
-                   enc.(u - 1) <- Power_sum.subtract enc.(u - 1) ~id:v ~upto:k;
-                   if deg.(u - 1) <= k then Queue.add u queue
-                 end)
-               nbrs;
-             if !ok then begin
-               removed.(v - 1) <- true;
-               incr processed
-             end
-         end
-       done
-     with Invalid_argument _ -> ok := false);
-    if !ok && !processed = n then Some (Graph.Builder.build b) else None
+(* The rows as Algorithm 4 reads them ({!Leaf_prune}): degree d decodes
+   from the first d power sums (b_1 is the neighbour when d = 1), and a
+   removal subtracts powers ([Invalid_argument] below zero). *)
+let rows ~(decoder : decoder) ~k ~n { s_deg; s_enc; _ } =
+  {
+    Leaf_prune.deg = s_deg;
+    decode =
+      (fun v d nbrs ->
+        let e = s_enc.(v - 1) in
+        let us =
+          if d = 1 then Option.map (fun u -> [ u ]) (Nat.to_int_opt e.(0)) else decoder ~n ~deg:d e
+        in
+        match us with
+        | Some us when List.length us = d ->
+          List.iteri (fun i u -> nbrs.(i) <- u) us;
+          true
+        | Some _ | None -> false);
+    remove = (fun u v -> s_enc.(u - 1) <- Power_sum.subtract s_enc.(u - 1) ~id:v ~upto:k);
+  }
 
 let reconstruct ?(decoder = newton_decoder) ?(layout = Fixed) ~k () :
     Graph.t option Protocol.t =
@@ -142,7 +109,8 @@ let reconstruct ?(decoder = newton_decoder) ?(layout = Fixed) ~k () :
     referee =
       Protocol.streaming ~init
         ~absorb:(fun ~n st ~id msg -> absorb ~layout ~k ~n st ~id msg)
-        ~finish:(fun ~n st -> finish ~decoder ~k ~n st);
+        ~finish:(fun ~n st ->
+          if st.s_bad then None else Leaf_prune.reconstruct ~n ~k (rows ~decoder ~k ~n st));
     (* Theorem 5.  The fixed layout is (2 + k(k+3)/2) * id_bits, and
        (2 + k(k+3)/2) / k^2 <= 4 for every k >= 1 (equality at k = 1).
        The compact layout gamma-codes the power sums, which can exceed
@@ -159,11 +127,10 @@ let reconstruct ?(decoder = newton_decoder) ?(layout = Fixed) ~k () :
 
 (* ---------- crash/corruption-tolerant variant ---------- *)
 
-(* The plain tables plus the rows that survived {!Message.unseal}; the
-   channel bookkeeping is {!Protocol.guarded}'s. *)
-type hstate = { rows : state; trusted : bool array }
+(* The plain tables plus the rows that survived {!Message.unseal}. *)
+type hstate = { plain : state; trusted : bool array }
 
-let hinit ~n = { rows = init ~n; trusted = Array.make n false }
+let hinit ~n = { plain = init ~n; trusted = Array.make n false }
 
 let habsorb ~layout ~k ~n st ~id msg =
   match Message.unseal ~n ~id msg with
@@ -172,87 +139,22 @@ let habsorb ~layout ~k ~n st ~id msg =
     let r = Message.reader payload in
     let d, enc = parse ~layout ~k ~n ~id r in
     if Bit_reader.remaining r <> 0 then raise Message.Malformed;
-    st.rows.s_deg.(id - 1) <- d;
-    st.rows.s_enc.(id - 1) <- enc;
+    st.plain.s_deg.(id - 1) <- d;
+    st.plain.s_enc.(id - 1) <- enc;
     st.trusted.(id - 1) <- true;
     st
-
-(* The Algorithm 4 prune restricted to authenticated rows.  Every edge
-   recorded is asserted by an authentic row of residual degree <= k, so
-   the output is sound; ids whose row never resolved are reported
-   undetermined.  A trusted row that fails to decode, or that contradicts
-   another trusted row, is impossible for honest senders — forged seal —
-   so the referee refuses. *)
-let partial_decode ~(decoder : decoder) ~k ~n st =
-  let deg = st.rows.s_deg and enc = st.rows.s_enc and trusted = st.trusted in
-  let resolved = Array.make n false in
-  let b = Graph.Builder.create n in
-  let queue = Queue.create () in
-  for v = 1 to n do
-    if trusted.(v - 1) && deg.(v - 1) <= k then Queue.add v queue
-  done;
-  match
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in (* lint: allow exn-escape -- pop guarded by is_empty in the loop condition *)
-      if not resolved.(v - 1) then begin
-        let d = deg.(v - 1) in
-        let nbrs =
-          if d = 0 then Some []
-          else if d = 1 then begin
-            match Nat.to_int_opt enc.(v - 1).(0) with
-            | Some u when u >= 1 && u <= n -> Some [ u ]
-            | _ -> None
-          end
-          else decoder ~n ~deg:d enc.(v - 1)
-        in
-        match nbrs with
-        | None -> raise Exit
-        | Some nbrs ->
-          List.iter
-            (fun u ->
-              if u < 1 || u > n || u = v || Graph.Builder.has_edge b v u then raise Exit;
-              if trusted.(u - 1) then begin
-                if resolved.(u - 1) || deg.(u - 1) = 0 then raise Exit;
-                Graph.Builder.add_edge b v u;
-                deg.(u - 1) <- deg.(u - 1) - 1;
-                enc.(u - 1) <- Power_sum.subtract enc.(u - 1) ~id:v ~upto:k;
-                if deg.(u - 1) <= k then Queue.add u queue
-              end
-              else Graph.Builder.add_edge b v u)
-            nbrs;
-          resolved.(v - 1) <- true
-      end
-    done
-  with
-  | () ->
-    let undetermined = ref [] in
-    for v = n downto 1 do
-      if not resolved.(v - 1) then undetermined := v :: !undetermined
-    done;
-    Some (Graph.Builder.build b, !undetermined)
-  | exception (Exit | Invalid_argument _) -> None
-
-let hfinish ~(decoder : decoder) ~k ~n report st =
-  if Verdict.channel_clean report then Verdict.Decided (finish ~decoder ~k ~n st.rows)
-  else
-    match partial_decode ~decoder ~k ~n st with
-    | None -> Verdict.Inconclusive "authenticated messages are mutually inconsistent"
-    | Some (g, undetermined) -> Verdict.Degraded (Some g, { report with Verdict.undetermined })
 
 let hardened ?(decoder = newton_decoder) ?(layout = Fixed) ~k () :
     Graph.t option Verdict.t Protocol.t =
   if k < 1 then invalid_arg "Degeneracy_protocol.hardened: k must be positive";
+  let p = reconstruct ~decoder ~layout ~k () in
   {
-    name =
-      Printf.sprintf "degeneracy-%d-reconstruct%s+sealed" k
-        (match layout with Fixed -> "" | Compact -> "-compact");
-    local =
-      (fun v ->
-        let n = View.n v and id = View.id v in
-        Message.seal ~n ~id (local ~layout ~k ~n ~id ~neighbors:(View.neighbors v)));
+    name = p.name ^ "+sealed";
+    local = (fun v -> Message.seal ~n:(View.n v) ~id:(View.id v) (p.local v));
     referee =
       Protocol.guarded ~init:hinit
         ~absorb:(fun ~n st ~id msg -> habsorb ~layout ~k ~n st ~id msg)
-        ~finish:(fun ~n report st -> hfinish ~decoder ~k ~n report st);
+        ~finish:(fun ~n report { plain; trusted } ->
+          Leaf_prune.salvage ~n ~k ~trusted (rows ~decoder ~k ~n plain) report);
     budget = None;
   }

@@ -15,12 +15,14 @@
     the vertex by patching each neighbour's triple:
     [deg <- deg - 1], [b_p <- b_p - ID^p].  If no vertex of degree at
     most [k] remains, the graph has degeneracy exceeding [k] and the
-    referee rejects. *)
+    referee rejects.  The prune is {!Leaf_prune}, over power-sum rows;
+    {!Forest_protocol} is its [k = 1] case over int rows. *)
 
 open Refnet_algebra
 
 type decoder = n:int -> deg:int -> Power_sum.encoding -> int list option
-(** How the referee inverts a power-sum encoding. *)
+(** How the referee inverts a power-sum encoding: the [deg] ids it
+    encodes, ascending, or [None]. *)
 
 (** [newton_decoder] — Newton identities + integer root extraction; no
     precomputation, polynomial cost.  The default. *)
@@ -51,14 +53,9 @@ val reconstruct :
   ?decoder:decoder -> ?layout:layout -> k:int -> unit -> Refnet_graph.Graph.t option Protocol.t
 
 (** [hardened ?decoder ?layout ~k ()] is the crash/corruption-tolerant
-    variant: messages are {!Message.seal}ed, and the referee runs the
-    Algorithm 4 prune over authenticated rows only.  Clean channel:
-    [Decided] of {!reconstruct}'s answer.  Under faults: the prune
-    restricted to trusted rows records only edges asserted by authentic
-    messages — sound for {e any} input graph — and reports unresolved
-    ids as undetermined, giving [Degraded (Some partial, report)].
-    Trusted rows that cannot be decoded or contradict one another
-    (impossible for honest senders) yield [Inconclusive]. *)
+    variant: messages are {!Message.seal}ed, and the referee is
+    {!Leaf_prune.salvage} over the authenticated rows — sound for
+    {e any} input graph. *)
 val hardened :
   ?decoder:decoder ->
   ?layout:layout ->

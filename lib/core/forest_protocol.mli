@@ -5,7 +5,9 @@
     leaf: a degree-1 triple pins its unique neighbour (the sum {e is} the
     neighbour), and the neighbour's triple is patched as if the leaf had
     never existed.  If pruning stalls before the graph is exhausted, the
-    input contained a cycle. *)
+    input contained a cycle.  This is the [k = 1] case of
+    {!Degeneracy_protocol}: the same bits (the sum is [b_1]) and the same
+    {!Leaf_prune}, over int rows whose decoder is the sum itself. *)
 
 (** [reconstruct] outputs [Some g] when the input is a forest, [None]
     when it contains a cycle (or messages are inconsistent). *)
@@ -20,16 +22,10 @@ val recognize : bool Protocol.t
 val message_bits : int -> int
 
 (** [hardened] is the crash/corruption-tolerant variant: each node
-    {!Message.seal}s its triple, and the referee keeps only
-    authenticated rows.  On a clean channel the verdict is
-    [Decided (reconstruct's answer)].  Under faults it leaf-prunes the
-    trusted rows alone: senders are honest, so every surviving row is
-    true, and the pruned edges are {e exactly} the input edges incident
-    to a node the prune fully resolved (under crash-only plans); the
-    verdict is [Degraded (Some partial, report)] with the unresolved
-    ids in [report.undetermined].  Authenticated rows that contradict
-    each other — impossible for honest rows on any simple graph, hence
-    evidence of a forged seal — yield [Inconclusive].  Never a wrong
-    [Decided]: corruption is either detected by the seal (up to the
-    [2^-32] digest collision rate) or surfaces as missing rows. *)
+    {!Message.seal}s its triple and the referee is
+    {!Leaf_prune.salvage} over the authenticated rows.  Under crash-only
+    plans the degraded graph is {e exactly} the input edges incident to
+    a resolved node.  Never a wrong [Decided]: corruption is either
+    detected by the seal (up to the [2^-32] digest collision rate) or
+    surfaces as missing rows. *)
 val hardened : Refnet_graph.Graph.t option Verdict.t Protocol.t

@@ -14,6 +14,13 @@ let empty_report = { missing = []; malformed = []; duplicated = []; undetermined
 
 let channel_clean r = r.missing = [] && r.malformed = [] && r.duplicated = []
 
+let salvage report ~decide ~partial =
+  if channel_clean report then Decided (decide ())
+  else
+    match partial () with
+    | Some (v, undetermined) -> Degraded (v, { report with undetermined })
+    | None -> Inconclusive "authenticated messages are mutually inconsistent"
+
 (* One mark per id: bit 0 is "arrived this round", bit 1 "missed
    some closed round".  An id is missing unless its mark is exactly 1. *)
 let seen = 1

@@ -46,6 +46,13 @@ val empty_report : fault_report
     ([undetermined] is an output-side attribute and does not count). *)
 val channel_clean : fault_report -> bool
 
+(** [salvage report ~decide ~partial] is the sealed referees' policy:
+    [Decided (decide ())] on a clean channel, else [Degraded] with what
+    [partial ()] pins down and the ids it leaves undetermined, or
+    [Inconclusive] when authenticated messages contradict each other. *)
+val salvage :
+  fault_report -> decide:(unit -> 'a) -> partial:(unit -> ('a * int list) option) -> 'a t
+
 (** {2 The channel ledger}
 
     The referee knows which node sent each message (the paper's

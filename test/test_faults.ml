@@ -225,6 +225,70 @@ let test_bounded_detect_or_degrade () =
     (Core.Bounded_degree.hardened ~max_degree:3)
     (fun trial -> Generators.gnp (Random.State.make [| trial |]) ((trial mod 12) + 3) 0.3)
 
+(* ---------- forest is degeneracy at k = 1 ---------- *)
+
+(* Section III.A is the k = 1 case of Algorithm 4, and both referees run
+   the one leaf-prune: on random trees and cycles the two protocols send
+   bit-identical messages and reach equal verdicts, clean and sealed
+   under the same fault plan. *)
+let test_forest_is_degeneracy_1 () =
+  let plain = Core.Degeneracy_protocol.reconstruct ~k:1 () in
+  let sealed = Core.Degeneracy_protocol.hardened ~k:1 () in
+  let same_graph what a b =
+    if not (graph_opt_equal a b) then Alcotest.failf "%s: forest and degeneracy-1 differ" what
+  in
+  for trial = 1 to 120 do
+    let rng = Random.State.make [| 0xf0e57; trial |] in
+    let n = 3 + Random.State.int rng 40 in
+    let g = if trial mod 3 = 0 then Generators.cycle n else Generators.random_tree rng n in
+    let what = Printf.sprintf "trial %d (n=%d)" trial n in
+    let fm = Core.Simulator.local_phase Core.Forest_protocol.reconstruct g in
+    let dm = Core.Simulator.local_phase plain g in
+    Array.iteri
+      (fun i m ->
+        if not (Core.Message.equal m dm.(i)) then
+          Alcotest.failf "%s: node %d's messages differ" what (i + 1))
+      fm;
+    same_graph what
+      (fst (Core.Simulator.run Core.Forest_protocol.reconstruct g))
+      (fst (Core.Simulator.run plain g));
+    let faults = plan_for ~seed:trial ~n trial in
+    let run p = fst (Core.Simulator.run ~delivery:(Core.Simulator.Faulty faults) p g) in
+    match (run Core.Forest_protocol.hardened, run sealed) with
+    | Core.Verdict.Decided a, Core.Verdict.Decided b -> same_graph what a b
+    | Core.Verdict.Degraded (a, ra), Core.Verdict.Degraded (b, rb) ->
+      same_graph what a b;
+      Alcotest.(check (list int))
+        (what ^ ": undetermined") ra.Core.Verdict.undetermined rb.Core.Verdict.undetermined
+    | Core.Verdict.Inconclusive _, Core.Verdict.Inconclusive _ -> ()
+    | _ -> Alcotest.failf "%s: sealed verdicts differ in kind" what
+  done;
+  (* Authentic rows that contradict each other (a forged seal) with node
+     3 missing: an exhausted partner, a negative residual sum, an
+     out-of-range neighbour and a self-loop are Inconclusive for both. *)
+  let n = 5 in
+  let forged p rows =
+    let open Refnet_bits in
+    let w = Core.Bounds.id_bits n in
+    let feed = ref (Core.Protocol.start p.Core.Protocol.referee ~n) in
+    List.iter
+      (fun (id, d, sum) ->
+        let wr = Bit_writer.create () in
+        Codes.write_fixed wr ~width:w id;
+        Codes.write_fixed wr ~width:w d;
+        Codes.write_fixed wr ~width:(2 * w) sum;
+        feed := Core.Protocol.feed !feed ~id (Core.Message.seal ~n ~id (Core.Message.of_writer wr)))
+      rows;
+    Core.Protocol.finish !feed
+  in
+  List.iteri
+    (fun i row1 ->
+      let rows = [ row1; (2, (if i = 1 then 1 else 0), 0); (4, 0, 0); (5, 0, 0) ] in
+      match (forged Core.Forest_protocol.hardened rows, forged sealed rows) with
+      | Core.Verdict.Inconclusive _, Core.Verdict.Inconclusive _ -> ()
+      | _ -> Alcotest.failf "forged rows %d: both verdicts must be Inconclusive" i)
+    [ (1, 1, 2); (1, 1, 2); (1, 1, 9); (1, 1, 1) ]
+
 (* ---------- crash-only forest plans: exact partial semantics ---------- *)
 
 let test_crash_only_forest_exact () =
@@ -460,6 +524,7 @@ let () =
           Alcotest.test_case "degeneracy" `Quick test_degeneracy_detect_or_degrade;
           Alcotest.test_case "bounded degree" `Quick test_bounded_detect_or_degrade;
           Alcotest.test_case "crash-only forest is exact" `Quick test_crash_only_forest_exact;
+          Alcotest.test_case "forest is degeneracy at k = 1" `Quick test_forest_is_degeneracy_1;
           Alcotest.test_case "coalition connectivity" `Quick test_coalition_crash_verdicts;
           Alcotest.test_case "sketch connectivity" `Quick test_sketch_verdicts;
           Alcotest.test_case "triple delivery, one report" `Quick test_triple_delivery_one_report;

@@ -53,6 +53,23 @@ let test_relabelled_trees () =
   let h = Graph.relabel g [| 4; 2; 6; 1; 5; 3 |] in
   Alcotest.check graph_opt "relabelled" (Some h) (run h)
 
+(* The recognizer's finish on its own, counted in full
+   ([Metrics.allocated_words]): the prune's queue is one word per node,
+   and nothing else may grow with n — no incidence matrix, no box per
+   node.  This is the referee side of the Simulator forest node's word
+   budget; at n = 200,000 it reads about 1.0. *)
+let test_recognizer_finish_words () =
+  let n = 200_000 in
+  let p = Core.Forest_protocol.recognize in
+  let msgs = Core.Simulator.local_phase_source p (Graph_source.parse "implicit:path:200000") in
+  let feed = ref (Core.Protocol.start p.Core.Protocol.referee ~n) in
+  Array.iteri (fun i m -> feed := Core.Protocol.feed !feed ~id:(i + 1) m) msgs;
+  let ok, words = Core.Metrics.allocated_words (fun () -> Core.Protocol.finish !feed) in
+  Alcotest.(check bool) "a path is a forest" true ok;
+  let per_node = words /. float_of_int n in
+  if per_node > 4.0 then
+    Alcotest.failf "recognizer finish allocated %.2f words per node, over the 4.0 budget" per_node
+
 let prop_random_forests_roundtrip =
   QCheck2.Test.make ~name:"every random forest reconstructs exactly" ~count:150
     QCheck2.Gen.(triple (int_range 1 60) (int_range 1 5) int)
@@ -95,6 +112,7 @@ let () =
           Alcotest.test_case "single vertex" `Quick test_single_vertex;
           Alcotest.test_case "cycles rejected" `Quick test_cycle_rejected;
           Alcotest.test_case "recognizer" `Quick test_recognizer;
+          Alcotest.test_case "recognizer finish words" `Quick test_recognizer_finish_words;
           Alcotest.test_case "message size exact" `Quick test_message_size_exact;
           Alcotest.test_case "relabelled trees" `Quick test_relabelled_trees;
         ] );
