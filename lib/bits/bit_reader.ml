@@ -1,15 +1,20 @@
-type t = { bits : Bitvec.t; mutable pos : int }
+(* Reading stops at [limit]: the vector's length, or a prefix's. *)
+type t = { bits : Bitvec.t; mutable pos : int; limit : int }
 
 exception Exhausted
 
-let of_bitvec v = { bits = v; pos = 0 }
+let of_bitvec v = { bits = v; pos = 0; limit = Bitvec.length v }
 
-let remaining r = Bitvec.length r.bits - r.pos
+let prefix v ~len =
+  if len < 0 || len > Bitvec.length v then invalid_arg "Bit_reader.prefix: bad length";
+  { bits = v; pos = 0; limit = len }
+
+let remaining r = r.limit - r.pos
 
 let position r = r.pos
 
 let read_bit r =
-  if r.pos >= Bitvec.length r.bits then raise Exhausted;
+  if r.pos >= r.limit then raise Exhausted;
   let b = Bitvec.get r.bits r.pos in
   r.pos <- r.pos + 1;
   b
@@ -27,3 +32,8 @@ let read_bitvec r ~len =
   let v = Bitvec.sub r.bits ~pos:r.pos ~len in
   r.pos <- r.pos + len;
   v
+
+let unpack r ~width dst ~off ~count =
+  if count > 0 && remaining r < width * count then raise Exhausted;
+  Bitvec.unpack r.bits ~pos:r.pos ~width dst ~off ~count;
+  r.pos <- r.pos + (width * count)

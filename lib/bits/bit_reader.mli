@@ -8,6 +8,11 @@ exception Exhausted
 (** [of_bitvec v] reads [v] from bit 0. *)
 val of_bitvec : Bitvec.t -> t
 
+(** [prefix v ~len] reads the first [len] bits of [v] in place and ends
+    there: reading past them raises {!Exhausted}.
+    @raise Invalid_argument if [len] is out of [0 .. Bitvec.length v]. *)
+val prefix : Bitvec.t -> len:int -> t
+
 (** [remaining r] is the number of unread bits. *)
 val remaining : t -> int
 
@@ -25,3 +30,8 @@ val read_bits : t -> width:int -> int
 
 (** [read_bitvec r ~len] consumes [len] bits into a fresh vector. *)
 val read_bitvec : t -> len:int -> Bitvec.t
+
+(** [unpack r ~width dst ~off ~count] is [count] {!read_bits} into
+    [dst.(off) ..], with one range check ({!Bitvec.unpack}).
+    @raise Exhausted if fewer than [width * count] bits remain. *)
+val unpack : t -> width:int -> int array -> off:int -> count:int -> unit

@@ -143,6 +143,7 @@ let run_core ?domains ?(chunk = default_chunk) ~delivery ~trace ~metrics ~src (p
   let per_round_total = Array.make rounds 0 in
   let bcast = Array.make (max 0 (rounds - 1)) 0 in
   let faulted = ref [] in
+  let view = Simulator.view_of source ~n in
   let out =
     match p.referee with
     | Referee r ->
@@ -158,7 +159,7 @@ let run_core ?domains ?(chunk = default_chunk) ~delivery ~trace ~metrics ~src (p
            [extras.(i)] — its own slot — and returns the bare
            message. *)
         let send i =
-          let v = Simulator.view_of source ~n i in
+          let v = view i in
           let s, before =
             match heard with
             | [] ->
@@ -262,10 +263,10 @@ let harden_referee ?on_fault (Referee s) =
         (fun ~n -> { bh_ledger = Verdict.ledger ~n; bh_inner = s.r_init ~n; bh_broke = false });
       r_absorb =
         (fun ~n ~round h ~id msg ->
-          (if Verdict.admit h.bh_ledger ~id then
-             match s.r_absorb ~n ~round h.bh_inner ~id msg with
-             | inner -> h.bh_inner <- inner
-             | exception e when Protocol.default_malformed e -> Verdict.reject h.bh_ledger ~id);
+          h.bh_inner <-
+            Protocol.guard h.bh_ledger
+              (fun ~n st ~id msg -> s.r_absorb ~n ~round st ~id msg)
+              ~n h.bh_inner ~id msg;
           h);
       r_broadcast =
         (fun ~n ~round h ->

@@ -64,15 +64,14 @@ let reconstruct ~max_degree : Graph.t option Protocol.t =
 (* ---------- crash/corruption-tolerant variant ---------- *)
 
 (* A row per id: unknown until its sealed row arrives.  The channel
-   bookkeeping is {!Protocol.guarded}'s. *)
+   bookkeeping is {!Protocol.sealed}'s. *)
 type brow = B_unknown | B_overflow | B_nbrs of int list
 
 (* Honest adjacency rows list neighbours strictly increasing, in range,
    never the sender itself, and fill the payload exactly — anything else
    is channel damage (or a forged seal). *)
-let parse_row ~max_degree ~n ~id payload =
+let parse_row ~max_degree ~n ~id r =
   let w = Bounds.id_bits n in
-  let r = Message.reader payload in
   let tag = Codes.read_fixed r ~width:w in
   let row =
     if tag = 0 then B_overflow
@@ -96,14 +95,11 @@ let parse_row ~max_degree ~n ~id payload =
 let hardened ~max_degree : Graph.t option Verdict.t Protocol.t =
   if max_degree < 0 then invalid_arg "Bounded_degree.hardened: negative bound";
   let init ~n = Array.make n B_unknown in
-  let absorb ~n rows ~id msg =
-    match Message.unseal ~n ~id msg with
-    | None -> raise Message.Malformed
-    | Some payload ->
-      rows.(id - 1) <- parse_row ~max_degree ~n ~id payload;
-      rows
+  let absorb ~n rows ~id r =
+    rows.(id - 1) <- parse_row ~max_degree ~n ~id r;
+    rows
   in
-  let finish ~n report rows =
+  let finish ~n report ~trusted:_ rows =
     let overflow = Array.exists (function B_overflow -> true | _ -> false) rows in
     let union () =
       let b = Graph.Builder.create n in
@@ -138,12 +134,9 @@ let hardened ~max_degree : Graph.t option Verdict.t Protocol.t =
             Some (Some (union ()), List.filter (fun v -> rows.(v - 1) = B_unknown) ids)
           else None)
   in
-  {
-    name = Printf.sprintf "bounded-degree-%d+sealed" max_degree;
-    local = (fun v -> Message.seal ~n:(View.n v) ~id:(View.id v) (local_row ~max_degree v));
-    referee = Protocol.guarded ~init ~absorb ~finish;
-    budget = None;
-  }
+  Protocol.sealed
+    ~name:(Printf.sprintf "bounded-degree-%d+sealed" max_degree)
+    ~local:(local_row ~max_degree) ~init ~absorb ~finish
 
 let full_information : Graph.t Protocol.t =
   let local v =

@@ -79,9 +79,8 @@ let decide : bool Coalition.t =
 (* Fully parse an edge-share payload before unioning anything: an
    authentic share never fails these checks, so a mid-message failure
    means a forged seal and none of its edges can be believed. *)
-let parse_share ~n payload =
+let parse_share ~n r =
   let w = Bounds.id_bits n in
-  let r = Message.reader payload in
   let count = Codes.read_nonneg r in
   if count < 0 || count * 2 * w > Bit_reader.remaining r then raise Message.Malformed;
   let edges =
@@ -98,18 +97,14 @@ let hardened : bool Verdict.t Coalition.t =
   let local ~n view =
     List.map (fun (id, m) -> (id, Message.seal ~n ~id m)) (spanning_forest_messages ~n view)
   in
-  (* The state is the union-find; the channel bookkeeping is
-     {!Protocol.guarded}'s. *)
+  (* The state is the union-find; the seal check and the channel
+     bookkeeping are {!Protocol.sealed_referee}'s. *)
   let init ~n = Union_find.create (max n 1) in
-  let absorb ~n uf ~id msg =
-    match Message.unseal ~n ~id msg with
-    | None -> raise Message.Malformed
-    | Some payload ->
-      let edges = parse_share ~n payload in
-      List.iter (fun (u, v) -> ignore (Union_find.union uf (u - 1) (v - 1))) edges;
-      uf
+  let absorb ~n uf ~id:_ r =
+    List.iter (fun (u, v) -> ignore (Union_find.union uf (u - 1) (v - 1))) (parse_share ~n r);
+    uf
   in
-  let finish ~n report uf =
+  let finish ~n report ~trusted:_ uf =
     let connected = n = 0 || Union_find.count uf <= 1 in
     if Verdict.channel_clean report then Verdict.Decided connected
     else if connected then
@@ -123,7 +118,7 @@ let hardened : bool Verdict.t Coalition.t =
   {
     Coalition.name = "coalition-connectivity+sealed";
     local;
-    referee = Protocol.guarded ~init ~absorb ~finish;
+    referee = Protocol.sealed_referee ~init ~absorb ~finish;
     budget = (fun ~parts:_ -> None);
   }
 

@@ -68,12 +68,12 @@ let parse ~layout ~k ~n ~id r =
           if bits < 0 || bits > coord_width ~w p then raise Message.Malformed;
           Nat_codec.read r ~width:bits) )
 
+let store st ~id (d, enc) =
+  st.s_deg.(id - 1) <- d;
+  st.s_enc.(id - 1) <- enc
+
 let absorb ~layout ~k ~n st ~id msg =
-  let i = id - 1 in
-  (try
-     let d, enc = parse ~layout ~k ~n ~id (Message.reader msg) in
-     st.s_deg.(i) <- d;
-     st.s_enc.(i) <- enc
+  (try store st ~id (parse ~layout ~k ~n ~id (Message.reader msg))
    with Message.Malformed | Bit_reader.Exhausted -> st.s_bad <- true);
   st
 
@@ -127,34 +127,17 @@ let reconstruct ?(decoder = newton_decoder) ?(layout = Fixed) ~k () :
 
 (* ---------- crash/corruption-tolerant variant ---------- *)
 
-(* The plain tables plus the rows that survived {!Message.unseal}. *)
-type hstate = { plain : state; trusted : bool array }
-
-let hinit ~n = { plain = init ~n; trusted = Array.make n false }
-
-let habsorb ~layout ~k ~n st ~id msg =
-  match Message.unseal ~n ~id msg with
-  | None -> raise Message.Malformed
-  | Some payload ->
-    let r = Message.reader payload in
-    let d, enc = parse ~layout ~k ~n ~id r in
-    if Bit_reader.remaining r <> 0 then raise Message.Malformed;
-    st.plain.s_deg.(id - 1) <- d;
-    st.plain.s_enc.(id - 1) <- enc;
-    st.trusted.(id - 1) <- true;
-    st
-
+(* The plain tables, absorbed through {!Protocol.sealed}; the prune
+   reads only the rows the guard trusts. *)
 let hardened ?(decoder = newton_decoder) ?(layout = Fixed) ~k () :
     Graph.t option Verdict.t Protocol.t =
   if k < 1 then invalid_arg "Degeneracy_protocol.hardened: k must be positive";
   let p = reconstruct ~decoder ~layout ~k () in
-  {
-    name = p.name ^ "+sealed";
-    local = (fun v -> Message.seal ~n:(View.n v) ~id:(View.id v) (p.local v));
-    referee =
-      Protocol.guarded ~init:hinit
-        ~absorb:(fun ~n st ~id msg -> habsorb ~layout ~k ~n st ~id msg)
-        ~finish:(fun ~n report { plain; trusted } ->
-          Leaf_prune.salvage ~n ~k ~trusted (rows ~decoder ~k ~n plain) report);
-    budget = None;
-  }
+  Protocol.sealed ~name:(p.name ^ "+sealed") ~local:p.local ~init
+    ~absorb:(fun ~n st ~id r ->
+      let row = parse ~layout ~k ~n ~id r in
+      if Bit_reader.remaining r <> 0 then raise Message.Malformed;
+      store st ~id row;
+      st)
+    ~finish:(fun ~n report ~trusted st ->
+      Leaf_prune.salvage ~n ~k ~trusted (rows ~decoder ~k ~n st) report)

@@ -22,9 +22,8 @@ let init ~n = { deg = Array.make n 0; sum = Array.make n 0; bad = false }
 
 (* Read one (id echo, degree, sum) row into its slot; raises
    [Message.Malformed] if it disagrees with the sender or the size. *)
-let read_row ~n st ~id msg =
+let read_row ~n st ~id r =
   let w = Bounds.id_bits n in
-  let r = Message.reader msg in
   if Codes.read_fixed r ~width:w <> id then raise Message.Malformed;
   let d = Codes.read_fixed r ~width:w in
   if d > n - 1 then raise Message.Malformed;
@@ -32,7 +31,7 @@ let read_row ~n st ~id msg =
   st.sum.(id - 1) <- Codes.read_fixed r ~width:(2 * w)
 
 let absorb ~n st ~id msg =
-  (try read_row ~n st ~id msg with Message.Malformed | Bit_reader.Exhausted -> st.bad <- true);
+  (try read_row ~n st ~id (Message.reader msg) with Message.Malformed | Bit_reader.Exhausted -> st.bad <- true);
   st
 
 (* The rows as Algorithm 4 reads them at k = 1 ({!Leaf_prune}): a
@@ -83,29 +82,14 @@ let recognize : bool Protocol.t =
 
 (* ---------- crash/corruption-tolerant variant ---------- *)
 
-(* Same tables plus the rows that survived {!Message.unseal}: senders
-   are honest, so an authenticated row is a true statement about the
-   input. *)
-type hstate = { plain : state; trusted : bool array }
-
-let hinit ~n = { plain = init ~n; trusted = Array.make n false }
-
-let habsorb ~n st ~id msg =
-  match Message.unseal ~n ~id msg with
-  | None -> raise Message.Malformed
-  | Some payload ->
-    (* Full length first, so a rejected row writes nothing. *)
-    if Message.bits payload <> message_bits n then raise Message.Malformed;
-    read_row ~n st.plain ~id payload;
-    st.trusted.(id - 1) <- true;
-    st
-
-let hfinish ~n report { plain; trusted } = Leaf_prune.salvage ~n ~k:1 ~trusted (rows plain) report
-
+(* The same tables, absorbed through {!Protocol.sealed}: senders are
+   honest, so an authenticated row is a true statement about the input,
+   and the prune reads only the rows the guard trusts. *)
 let hardened : Graph.t option Verdict.t Protocol.t =
-  {
-    name = "forest-reconstruct+sealed";
-    local = (fun v -> Message.seal ~n:(View.n v) ~id:(View.id v) (local v));
-    referee = Protocol.guarded ~init:hinit ~absorb:habsorb ~finish:hfinish;
-    budget = None;
-  }
+  Protocol.sealed ~name:"forest-reconstruct+sealed" ~local ~init
+    ~absorb:(fun ~n st ~id r ->
+      (* Full length first, so a rejected row writes nothing. *)
+      if Bit_reader.remaining r <> message_bits n then raise Message.Malformed;
+      read_row ~n st ~id r;
+      st)
+    ~finish:(fun ~n report ~trusted st -> Leaf_prune.salvage ~n ~k:1 ~trusted (rows st) report)

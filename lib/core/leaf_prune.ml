@@ -56,7 +56,7 @@ let reconstruct ~n ~k rows =
 let salvage ~n ~k ~trusted rows report =
   let b = Graph.Builder.create n in
   let outcome =
-    run ~n ~k ~trusted:(fun v -> trusted.(v - 1)) ~edge:(Graph.Builder.add_edge b) rows
+    run ~n ~k ~trusted ~edge:(Graph.Builder.add_edge b) rows
   in
   let graph () = Some (Graph.Builder.build b) in
   Verdict.salvage report

@@ -37,14 +37,14 @@ val run : n:int -> k:int -> trusted:(int -> bool) -> edge:(int -> int -> unit) -
 val reconstruct : n:int -> k:int -> rows -> Refnet_graph.Graph.t option
 
 (** [salvage ~n ~k ~trusted rows report] is the sealed referee: [run]
-    over the authenticated rows ([trusted.(v - 1)]), read by
+    over the authenticated rows (those [trusted] holds for), read by
     {!Verdict.salvage} with the unpruned ids undetermined.  A clean
     channel authenticates every row, so its verdict is [Decided] of
     {!reconstruct}'s answer. *)
 val salvage :
   n:int ->
   k:int ->
-  trusted:bool array ->
+  trusted:(int -> bool) ->
   rows ->
   Verdict.fault_report ->
   Refnet_graph.Graph.t option Verdict.t

@@ -61,10 +61,13 @@ let seal ~n ~id payload =
   sealed
 
 (* The payload is the sealed vector's prefix, so the digest is taken
-   over [sealed] itself and the payload copied only when it matches. *)
+   over [sealed] itself, and the payload is read in place or copied
+   only when it matches. *)
 let verify ~n ~id sealed =
   let len = Bitvec.length sealed - digest_bits in
   len >= 0 && Bitvec.get_bits sealed ~pos:len ~width:digest_bits = digest ~n ~id sealed ~len
+
+let payload_reader sealed = Bit_reader.prefix sealed ~len:(Bitvec.length sealed - digest_bits)
 
 let unseal ~n ~id sealed =
   if verify ~n ~id sealed then

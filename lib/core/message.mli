@@ -53,30 +53,33 @@ val read_framed : Bit_reader.t -> t
 
 (** Integrity seals for the hardened (fault-tolerant) protocols.
 
-    A seal appends a {!digest_bits}-bit FNV-1a digest of [(n, id,
+    A seal appends a 32-bit FNV-1a digest of [(n, id,
     payload)] to the payload.  The digest binds the message to its
-    claimed sender, so a referee that [unseal]s with the {e delivery}
+    claimed sender, so a referee that checks it against the {e delivery}
     identifier detects bit flips, truncation and spoofed sender ids in
     one check.  This is an error-{e detecting} code against channel
     faults, not a MAC: collisions exist but are a [2^-32] event for the
-    fault model's oblivious corruptions. *)
-
-(** Number of digest bits appended by {!seal}. *)
-val digest_bits : int
+    fault model's oblivious corruptions.  The sealed protocols seal and
+    check through {!Protocol.sealed}, which reads each payload in place
+    with {!verify} and {!payload_reader}. *)
 
 (** [seal ~n ~id m] is [m] followed by its digest. *)
 val seal : n:int -> id:int -> t -> t
 
-(** [unseal ~n ~id m] recovers the payload when the digest matches the
-    claimed [(n, id)]; [None] when the message is too short or the
-    digest disagrees. *)
-val unseal : n:int -> id:int -> t -> t option
-
-(** [verify ~n ~id m] is [unseal ~n ~id m <> None], without the copy.
-    A referee that keeps [m] itself must then read only its first
-    [bits m - digest_bits] bits, and must check the exact length first:
-    a short message would otherwise read into the digest bits instead
-    of running out. *)
+(** [verify ~n ~id m] is true when [m] is long enough to hold a digest
+    and its digest matches the claimed [(n, id)].  It reads [m] in
+    place. *)
 val verify : n:int -> id:int -> t -> bool
+
+(** [payload_reader m] reads the payload of a sealed [m] in place: the
+    reader stops at the digest, so reading past the payload raises
+    {!Refnet_bits.Bit_reader.Exhausted} and never yields a digest bit.
+    Check the seal with {!verify} first.
+    @raise Invalid_argument if [m] is shorter than a digest. *)
+val payload_reader : t -> Bit_reader.t
+
+(** [unseal ~n ~id m] copies the payload out when [verify ~n ~id m]:
+    the reference the in-place path is measured and tested against. *)
+val unseal : n:int -> id:int -> t -> t option
 
 val equal : t -> t -> bool

@@ -55,6 +55,10 @@ let default_malformed = function
   | Invalid_argument _ | Failure _ -> true
   | _ -> false
 
+let guard ledger absorb ~n st ~id msg =
+  if not (Verdict.admit ledger ~id) then st
+  else try absorb ~n st ~id msg with e when default_malformed e -> Verdict.reject ledger ~id; st
+
 (* The referee state behind a guard: the ledger next to the inner
    state, replaced in place so an absorb allocates nothing of its own. *)
 type 's guarded = { ledger : Verdict.ledger; mutable inner : 's }
@@ -65,12 +69,9 @@ let guarded ~init ~absorb ~finish =
       init = (fun ~n -> { ledger = Verdict.ledger ~n; inner = init ~n });
       absorb =
         (fun ~n g ~id msg ->
-          (if Verdict.admit g.ledger ~id then
-             match absorb ~n g.inner ~id msg with
-             | inner -> g.inner <- inner
-             | exception e when default_malformed e -> Verdict.reject g.ledger ~id);
+          g.inner <- guard g.ledger absorb ~n g.inner ~id msg;
           g);
-      finish = (fun ~n g -> finish ~n (Verdict.report g.ledger) g.inner);
+      finish = (fun ~n g -> finish ~n g.ledger g.inner);
     }
 
 let settle ?on_fault report finish =
@@ -86,14 +87,23 @@ let settle ?on_fault report finish =
       let partial = match finish () with v -> Some v | exception e when default_malformed e -> None in
       f report partial
 
-let harden_referee ?on_fault (Referee s) =
-  guarded ~init:s.init ~absorb:s.absorb ~finish:(fun ~n report st ->
-      settle ?on_fault report (fun () -> s.finish ~n st))
+(* The seal is checked in place and the payload read through a reader
+   that ends at the digest: nothing is copied, and no absorb can read a
+   digest bit. *)
+let sealed_referee ~init ~absorb ~finish =
+  guarded ~init
+    ~absorb:(fun ~n st ~id msg ->
+      if not (Message.verify ~n ~id msg) then raise Message.Malformed;
+      absorb ~n st ~id (Message.payload_reader msg))
+    ~finish:(fun ~n ledger st ->
+      finish ~n (Verdict.report ledger) ~trusted:(Verdict.trusted ledger) st)
+
+let sealed ~name ~local ~init ~absorb ~finish =
+  let local v = Message.seal ~n:(View.n v) ~id:(View.id v) (local v) in
+  { name; local; referee = sealed_referee ~init ~absorb ~finish; budget = None }
 
 let harden ?on_fault p =
-  {
-    name = p.name ^ "+hardened";
-    local = p.local;
-    referee = harden_referee ?on_fault p.referee;
-    budget = None;
-  }
+  let (Referee s) = p.referee in
+  let finish ~n ledger st = settle ?on_fault (Verdict.report ledger) (fun () -> s.finish ~n st) in
+  let referee = guarded ~init:s.init ~absorb:s.absorb ~finish in
+  { name = p.name ^ "+hardened"; local = p.local; referee; budget = None }

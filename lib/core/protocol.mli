@@ -110,20 +110,13 @@ val rename : string -> 'a t -> 'a t
     channel fault, and is re-raised. *)
 val default_malformed : exn -> bool
 
-(** [guarded ~init ~absorb ~finish] is a hardened referee over a
-    {!Verdict.ledger}.  [absorb] sees only admitted ids: an id outside
-    [1..n] is recorded malformed and a repeat duplicated, and neither
-    reaches it.  An [absorb] that raises a {!default_malformed} exception
-    leaves the state as it was and marks the id malformed; it must not
-    have changed a mutable state before raising.  [finish ~n report st]
-    receives the ledger's {!Verdict.report} with the state and chooses
-    the verdict.  The sealed referees build on it directly: each keeps
-    only its unseal, its parse and its salvage policy. *)
-val guarded :
-  init:(n:int -> 's) ->
-  absorb:(n:int -> 's -> id:int -> Message.t -> 's) ->
-  finish:(n:int -> Verdict.fault_report -> 's -> 'a) ->
-  'a referee
+(** [guard ledger absorb ~n st ~id msg] is the one hardened absorb step
+    ({!harden}, {!sealed}, {!Bcc.harden}): [absorb] sees only ids the
+    {!Verdict.ledger} admits; one that raises a {!default_malformed}
+    exception leaves [st] as it was (it must not have changed a mutable
+    state first) and marks the id malformed. *)
+val guard :
+  Verdict.ledger -> (n:int -> 's -> id:int -> 'm -> 's) -> n:int -> 's -> id:int -> 'm -> 's
 
 (** [settle ?on_fault report finish] is the generic verdict policy of a
     hardened referee whose inner output is [finish ()].  On a clean
@@ -139,19 +132,33 @@ val settle :
   (unit -> 'a) ->
   'a Verdict.t
 
-(** [harden_referee ?on_fault r] is [r] under {!guarded}, finished by
-    {!settle}: per-message decoding failures of [r] mark the sender
-    malformed and the fold goes on; repeats are counted once and
-    dropped; ids outside [1..n] are malformed.  Hardened protocols that
-    can salvage a sound partial answer pass an [on_fault] smarter than
-    the default [Inconclusive]. *)
-val harden_referee :
-  ?on_fault:(Verdict.fault_report -> 'a option -> 'a Verdict.t) ->
-  'a referee ->
-  'a Verdict.t referee
+(** [sealed ~name ~local ~init ~absorb ~finish] is a sealed protocol,
+    the one path of every sealed protocol.  Each node sends
+    {!Message.seal}[ ~n ~id (local view)].  The referee absorbs through
+    {!guard}, checks each seal in place ({!Message.verify}) and hands
+    [absorb] the payload through {!Message.payload_reader}: nothing is
+    copied, and reading past the payload raises
+    {!Refnet_bits.Bit_reader.Exhausted}.  [finish ~n report ~trusted st]
+    gets the {!Verdict.report} and {!Verdict.trusted}: the ids whose
+    message was authenticated and parsed.  No budget. *)
+val sealed :
+  name:string ->
+  local:(View.t -> Message.t) ->
+  init:(n:int -> 's) ->
+  absorb:(n:int -> 's -> id:int -> Refnet_bits.Bit_reader.t -> 's) ->
+  finish:(n:int -> Verdict.fault_report -> trusted:(int -> bool) -> 's -> 'a) ->
+  'a t
 
-(** [harden ?on_fault p] is [p] with {!harden_referee}
-    applied, ["+hardened"] appended to the name and no budget.  The
+(** [sealed_referee] is {!sealed}'s referee alone, for {!Coalition}
+    locals that seal their own messages. *)
+val sealed_referee :
+  init:(n:int -> 's) ->
+  absorb:(n:int -> 's -> id:int -> Refnet_bits.Bit_reader.t -> 's) ->
+  finish:(n:int -> Verdict.fault_report -> trusted:(int -> bool) -> 's -> 'a) ->
+  'a referee
+
+(** [harden ?on_fault p] is [p] absorbing through {!guard} and finished
+    by {!settle}, ["+hardened"] appended to the name and no budget.  The
     local function is unchanged — hardening is purely referee-side, so
     it composes with any protocol.  Note: without redundancy in the messages
     themselves (see {!Message.seal}), a hardened referee can only

@@ -36,11 +36,12 @@ let close_run ~trace ~metrics ~label ~budget ~n ~max_bits ~total_bits =
   Trace.emit trace (Trace.Span_end { label; n })
 
 (* The engine-side view constructor: one view record per node, backed
-   directly by the source's neighbour slice — zero per-node copies for
-   materialized/CSR backends, one fresh run for implicit ones. *)
-let view_of src ~n i =
-  let nbrs, off, len = Graph_source.neighbors_slice src (i + 1) in
-  View.of_slice ~n ~id:(i + 1) nbrs ~off ~len
+   directly by the source's neighbour row — zero per-node copies for
+   materialized/CSR backends, one fresh run for implicit ones, and a row
+   callback built once per [view_of src ~n]. *)
+let view_of src ~n =
+  let view id nbrs off len = View.of_slice ~n ~id nbrs ~off ~len in
+  fun i -> Graph_source.with_row src (i + 1) view
 
 let in_parallel ?domains ?metrics f ~order ~base ~len =
   let out = Array.make len Message.empty in
@@ -182,13 +183,14 @@ let nodes ?domains ~trace ~metrics (p : 'a Protocol.t) src : producer =
   let queries =
     Option.map (fun m -> Metrics.Histogram.histogram m "refnet_view_queries") metrics
   in
+  let view = view_of src ~n in
   fun ~order ~base ~len ->
     if Trace.is_null trace && metrics = None then
-      in_parallel ?domains (fun i -> p.local (view_of src ~n i)) ~order ~base ~len
+      in_parallel ?domains (fun i -> p.local (view i)) ~order ~base ~len
     else begin
       (* The block's views outlive its parallel section, so their audit
          tallies can be reported after it; they stay with the block. *)
-      let vs = Array.init len (fun i -> view_of src ~n (base + i)) in
+      let vs = Array.init len (fun i -> view (base + i)) in
       {
         (in_parallel ?domains ?metrics (fun i -> p.local vs.(i - base)) ~order ~base ~len) with
         account =

@@ -207,8 +207,10 @@ val referee_round :
   'a * transcript
 
 (** [view_of src ~n i] is node [i + 1]'s view, backed directly by the
-    source's neighbour slice — the only place views of real nodes are
-    built. *)
+    source's neighbour row ({!Refnet_graph.Graph_source.with_row}) — the
+    only place views of real nodes are built.  Apply it to [src ~n] once
+    and the result to each [i]: each view then allocates only its
+    record. *)
 val view_of : Refnet_graph.Graph_source.t -> n:int -> int -> View.t
 
 (** [maybe_time metrics name f] is [f ()], timed under [name] when

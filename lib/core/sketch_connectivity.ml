@@ -28,13 +28,18 @@ let templates ~seed ~rounds ~levels =
   let rng = Random.State.make [| 0xa6e1; seed |] in
   Array.init rounds (fun _ -> L0_sampler.create ~rng ~levels)
 
-let protocol ~seed ?rounds ?levels () : bool Protocol.t =
-  let name = Printf.sprintf "sketch-connectivity(seed=%d)" seed in
-  let params n =
-    let r = match rounds with Some r -> r | None -> default_rounds n in
-    let l = match levels with Some l -> l | None -> default_levels n in
-    (max 1 r, max 1 l)
-  in
+(* The Borůvka phase and sampler level counts at size [n]: the given
+   ones, or the defaults. *)
+let params ~rounds ~levels n =
+  let r = match rounds with Some r -> r | None -> default_rounds n in
+  let l = match levels with Some l -> l | None -> default_levels n in
+  (max 1 r, max 1 l)
+
+let message_bits ~n ?rounds ?levels () =
+  let r, l = params ~rounds ~levels n in
+  r * L0_sampler.bits ~levels:l
+
+let local ~seed ~rounds ~levels =
   (* [local] runs once per view, on every domain of the pool, and the
      views of a run share [n]: keep the templates of the last [n] seen.
      The cache is one atomic cell holding an immutable pair, so racing
@@ -44,12 +49,12 @@ let protocol ~seed ?rounds ?levels () : bool Protocol.t =
     match Atomic.get cached with
     | Some (n', ts) when n' = n -> ts
     | _ ->
-      let r, l = params n in
+      let r, l = params ~rounds ~levels n in
       let ts = templates ~seed ~rounds:r ~levels:l in
       Atomic.set cached (Some (n, ts));
       ts
   in
-  let local view =
+  fun view ->
     let id = View.id view in
     let ts = local_templates (View.n view) in
     let run = 3 * L0_sampler.levels ts.(0) in
@@ -64,110 +69,92 @@ let protocol ~seed ?rounds ?levels () : bool Protocol.t =
     let m = Bitvec.create (Array.length bank * Field.bits) in
     Array.iteri (fun k x -> Bitvec.set_bits m ~pos:(k * Field.bits) ~width:Field.bits x) bank;
     m
-  in
-  (* Streaming referee: the state is the messages themselves, kept as
-     their bytes; the Borůvka phases run at finish, once all banks are
-     in (component structure is inherently global), and each phase
-     reads only its own round's column of every bank. *)
-  let init ~n =
-    let r, l = params n in
-    (templates ~seed ~rounds:r ~levels:l, Array.make n Message.empty)
-  in
-  let absorb ~n ((_, banks) as st) ~id msg =
-    (* a short bank raises what reading it field by field would *)
-    let r, l = params n in
-    if Message.bits msg < r * L0_sampler.bits ~levels:l then raise Bit_reader.Exhausted;
-    banks.(id - 1) <- msg;
-    st
-  in
-  let finish ~n (ts, banks) =
-    if n = 0 then true
-    else begin
-      let r, l = params n in
-      let run = 3 * l in
-      let uf = Union_find.create n in
-      (* sums.(root * run ..) is the summed column of a component whose
-         root is [root]; a sum starts as its first member's fields as
-         read, the way [L0_sampler.combine] folded onto the first one *)
-      let sums = Array.make (n * run) Field.zero and column = Array.make run Field.zero in
-      let started = Array.make n false in
-      (* Borůvka phases: one fresh sampler bank column per phase. *)
-      for round = 0 to r - 1 do
-        if Union_find.count uf > 1 then begin
-          Array.fill started 0 n false;
-          let pos = round * run * Field.bits in
-          for v = 0 to n - 1 do
-            let root = Union_find.find uf v in
-            let off = root * run in
-            if started.(root) then begin
-              Bitvec.unpack banks.(v) ~pos ~width:Field.bits column ~off:0 ~count:run;
-              for k = 0 to run - 1 do
-                sums.(off + k) <- Field.add sums.(off + k) column.(k)
-              done
-            end
-            else begin
-              started.(root) <- true;
-              Bitvec.unpack banks.(v) ~pos ~width:Field.bits sums ~off ~count:run
-            end
-          done;
-          (* Sample an outgoing edge per component and merge. *)
-          for root = 0 to n - 1 do
-            if started.(root) then
-              match L0_sampler.sample_fields ts.(round) sums ~off:(root * run) with
-              | Some (idx, value) when value = 1 || value = -1 ->
-                let u, v = edge_of_index idx in
-                if u >= 1 && v <= n then ignore (Union_find.union uf (u - 1) (v - 1))
-              | Some _ | None -> ()
-          done
-        end
-      done;
-      Union_find.count uf = 1
-    end
-  in
+
+(* Streaming referee: the state is the banks themselves, kept in place
+   behind their readers; the Borůvka phases run at finish, once all
+   banks are in (component structure is inherently global), and each
+   phase reads the next column of every bank. *)
+let init ~seed ~rounds ~levels ~n =
+  let r, l = params ~rounds ~levels n in
+  (templates ~seed ~rounds:r ~levels:l, Array.make n (Message.reader Message.empty))
+
+let absorb ~n:_ ((ts, banks) as st) ~id r =
+  (* a short bank raises what reading it field by field would *)
+  if Bit_reader.remaining r < Array.length ts * L0_sampler.bits ~levels:(L0_sampler.levels ts.(0))
+  then raise Bit_reader.Exhausted;
+  banks.(id - 1) <- r;
+  st
+
+let finish ~n (ts, banks) =
+  n = 0
+  ||
+  let run = 3 * L0_sampler.levels ts.(0) in
+  let uf = Union_find.create n in
+  (* sums.(root * run ..) is the summed column of a component whose
+     root is [root]; a sum starts as its first member's fields as
+     read, the way [L0_sampler.combine] folded onto the first one *)
+  let sums = Array.make (n * run) Field.zero and column = Array.make run Field.zero in
+  let started = Array.make n false in
+  (* Borůvka phases: each reads the next column of every bank. *)
+  Array.iter
+    (fun template ->
+      if Union_find.count uf > 1 then begin
+        Array.fill started 0 n false;
+        for v = 0 to n - 1 do
+          let root = Union_find.find uf v in
+          let off = root * run in
+          if started.(root) then begin
+            Bit_reader.unpack banks.(v) ~width:Field.bits column ~off:0 ~count:run;
+            for k = 0 to run - 1 do
+              sums.(off + k) <- Field.add sums.(off + k) column.(k)
+            done
+          end
+          else begin
+            started.(root) <- true;
+            Bit_reader.unpack banks.(v) ~width:Field.bits sums ~off ~count:run
+          end
+        done;
+        (* Sample an outgoing edge per component and merge. *)
+        for root = 0 to n - 1 do
+          if started.(root) then
+            match L0_sampler.sample_fields template sums ~off:(root * run) with
+            | Some (idx, value) when value = 1 || value = -1 ->
+              let u, v = edge_of_index idx in
+              if u >= 1 && v <= n then ignore (Union_find.union uf (u - 1) (v - 1))
+            | Some _ | None -> ()
+        done
+      end)
+    ts;
+  Union_find.count uf = 1
+
+let name seed = Printf.sprintf "sketch-connectivity(seed=%d)" seed
+
+let protocol ~seed ?rounds ?levels () : bool Protocol.t =
   {
-    name;
-    local;
-    referee = Protocol.streaming ~init ~absorb ~finish;
+    name = name seed;
+    local = local ~seed ~rounds ~levels;
+    referee =
+      Protocol.streaming
+        ~init:(fun ~n -> init ~seed ~rounds ~levels ~n)
+        ~absorb:(fun ~n st ~id msg -> absorb ~n st ~id (Message.reader msg))
+        ~finish;
     (* rounds * levels * 93 bits with rounds ~ log n + 2 and levels ~
        2 log n + 2 over a fixed 31-bit field, i.e. ~ 186 log^2 n plus
        lower-order terms; 256 absorbs the additive terms from n >= 8. *)
     budget = Some { Bound_audit.b_shape = Log_sq; c_max = 256.0; n_min = 8 };
   }
 
-let message_bits ~n ?rounds ?levels () =
-  let r = match rounds with Some r -> r | None -> default_rounds n in
-  let l = match levels with Some l -> l | None -> default_levels n in
-  max 1 r * L0_sampler.bits ~levels:(max 1 l)
-
 (* ---------- crash/corruption-tolerant variant ---------- *)
 
+(* Borůvka sums need {e every} member of a component for internal edges
+   to cancel, so there is no sound partial answer: {!Protocol.settle}'s
+   default — Decided on a clean channel, Inconclusive otherwise — is
+   exactly the right policy.  The banks stay in place behind their
+   payload readers, which end at the digest. *)
 let hardened ~seed ?rounds ?levels () : bool Verdict.t Protocol.t =
-  let plain = protocol ~seed ?rounds ?levels () in
-  (* Borůvka sums need {e every} member of a component for internal
-     edges to cancel, so there is no sound partial answer: the generic
-     {!Protocol.harden_referee} wrapper — Decided on a clean channel,
-     Inconclusive otherwise — is exactly the right policy.  The adapter
-     underneath pins each bank's exact size, then authenticates it and
-     stores it sealed: finish reads columns only from the payload
-     prefix, so the digest bits are never read and never copied off. *)
-  let referee =
-    match plain.referee with
-    | Protocol.Referee s ->
-      Protocol.harden_referee
-        (Protocol.Referee
-           {
-             s with
-             absorb =
-               (fun ~n st ~id msg ->
-                 if Message.bits msg <> message_bits ~n ?rounds ?levels () + Message.digest_bits
-                    || not (Message.verify ~n ~id msg)
-                 then raise Message.Malformed;
-                 s.absorb ~n st ~id msg);
-           })
-  in
-  {
-    Protocol.name = plain.name ^ "+sealed";
-    local = (fun v -> Message.seal ~n:(View.n v) ~id:(View.id v) (plain.local v));
-    referee;
-    budget = None;
-  }
+  Protocol.sealed
+    ~name:(name seed ^ "+sealed")
+    ~local:(local ~seed ~rounds ~levels)
+    ~init:(fun ~n -> init ~seed ~rounds ~levels ~n)
+    ~absorb
+    ~finish:(fun ~n report ~trusted:_ st -> Protocol.settle report (fun () -> finish ~n st))

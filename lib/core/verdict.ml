@@ -21,10 +21,12 @@ let salvage report ~decide ~partial =
     | Some (v, undetermined) -> Degraded (v, { report with undetermined })
     | None -> Inconclusive "authenticated messages are mutually inconsistent"
 
-(* One mark per id: bit 0 is "arrived this round", bit 1 "missed
-   some closed round".  An id is missing unless its mark is exactly 1. *)
+(* One mark per id: bit 0 is "arrived this round", bit 1 "missed some
+   closed round", bit 2 "rejected".  An id is missing unless its first
+   two bits read [seen], and trusted only when its whole mark does. *)
 let seen = 1
 let missed = 2
+let rejected = 4
 
 type ledger = {
   marks : int array;
@@ -53,18 +55,22 @@ let admit l ~id =
     end
   end
 
-let reject l ~id = l.malformed_ids <- id :: l.malformed_ids
+let reject l ~id =
+  l.marks.(id - 1) <- l.marks.(id - 1) lor rejected;
+  l.malformed_ids <- id :: l.malformed_ids
 
 let close_round l =
   for i = 0 to Array.length l.marks - 1 do
     let m = l.marks.(i) in
-    l.marks.(i) <- (if m land seen = 0 then missed else m land missed)
+    l.marks.(i) <- (m land (missed lor rejected)) lor (if m land seen = 0 then missed else 0)
   done
+
+let trusted l id = l.marks.(id - 1) = seen
 
 let report l =
   let missing = ref [] in
   for i = Array.length l.marks - 1 downto 0 do
-    if l.marks.(i) <> seen then missing := (i + 1) :: !missing
+    if l.marks.(i) land (seen lor missed) <> seen then missing := (i + 1) :: !missing
   done;
   {
     missing = !missing;

@@ -58,7 +58,8 @@ val salvage :
     The referee knows which node sent each message (the paper's
     Definition 1); a hardened referee uses that to check each sender id
     and count each id once.  The ledger is that bookkeeping, shared by
-    every hardened referee ({!Protocol.guarded}, {!Bcc.harden_referee}).
+    every hardened referee through {!Protocol.guard} ({!Protocol.sealed},
+    {!Protocol.harden}, {!Bcc.harden}).
     It is mutable and belongs to one referee fold. *)
 type ledger
 
@@ -73,6 +74,10 @@ val admit : ledger -> id:int -> bool
 (** [reject l ~id] records an admitted id whose message failed its seal
     or its parse. *)
 val reject : ledger -> id:int -> unit
+
+(** [trusted l id]: [id] (in [1..n]) arrived, missed no round and was
+    never rejected — its message passed its seal and its parse. *)
+val trusted : ledger -> int -> bool
 
 (** [close_round l] ends a round of a multi-round referee: ids that did
     not arrive in it are missing for good, and every id may arrive once

@@ -12,10 +12,10 @@ let degree t v =
   check t v "degree";
   t.row.(v) - t.row.(v - 1)
 
-let neighbors_slice t v =
-  check t v "neighbors_slice";
+let with_row t v f =
+  check t v "with_row";
   let off = t.row.(v - 1) in
-  (t.col, off, t.row.(v) - off)
+  f v t.col off (t.row.(v) - off)
 
 let iter_neighbors t v f =
   check t v "iter_neighbors";

@@ -42,9 +42,9 @@ val iter_neighbors : t -> int -> (int -> unit) -> unit
     accessor). *)
 val neighbors : t -> int -> int list
 
-(** [neighbors_slice t v] is [(col, off, len)]: the neighbour run of [v]
-    inside the shared column array.  Callers must not mutate it. *)
-val neighbors_slice : t -> int -> int array * int * int
+(** [with_row t v f] is [f v col off len]: the neighbour run of [v]
+    inside the shared column array.  [f] must not mutate it. *)
+val with_row : t -> int -> (int -> int array -> int -> int -> 'a) -> 'a
 
 (** [to_graph t] materializes (allocates the [n^2]-bit incidence
     matrix — small [n] only). *)

@@ -42,15 +42,15 @@ let neighbors t v =
   | Csr c -> Csr.neighbors c v
   | Implicit i -> Implicit.neighbors i v
 
-let neighbors_slice t v =
+let with_row t v f =
   match t with
   | Materialized g ->
     let row = Graph.neighbors_row g v in
-    (row, 0, Array.length row)
-  | Csr c -> Csr.neighbors_slice c v
+    f v row 0 (Array.length row)
+  | Csr c -> Csr.with_row c v f
   | Implicit i ->
-    let arr = Implicit.neighbors_array i v in
-    (arr, 0, Array.length arr)
+    let row = Implicit.neighbors_array i v in
+    f v row 0 (Array.length row)
 
 let materialize = function
   | Materialized g -> g

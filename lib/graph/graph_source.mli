@@ -43,12 +43,14 @@ val iter_neighbors : t -> int -> (int -> unit) -> unit
     accessor). *)
 val neighbors : t -> int -> int list
 
-(** [neighbors_slice t v] is [(arr, off, len)] describing the neighbour
-    run of [v].  For materialized and CSR backends the array is shared
-    storage — callers must not mutate it; for implicit backends it is a
-    fresh [len]-word array.  This is the allocation-lean path the engine
-    builds views from. *)
-val neighbors_slice : t -> int -> int array * int * int
+(** [with_row t v f] is [f v arr off len], where [arr.(off) .. arr.(off
+    + len - 1)] is the increasing neighbour run of [v].  For
+    materialized and CSR backends the array is shared storage — [f]
+    must not mutate it; for implicit backends it is a fresh [len]-word
+    array.  [f] gets [v] back so that one [f] serves every row: this is
+    the allocation-lean path the engine builds views from, with nothing
+    allocated per row beyond an implicit family's fresh run. *)
+val with_row : t -> int -> (int -> int array -> int -> int -> 'a) -> 'a
 
 (** [materialize t] builds the twin {!Graph.t} (allocates the [n^2]-bit
     incidence matrix — small [n] only). *)

@@ -12,7 +12,8 @@
        enclosing handler context;
      - [Unix.*] syscall sites for the blocking pass;
      - referee roots: the [~init]/[~absorb]/[~finish] arguments of
-       [Protocol.streaming] and [Protocol.guarded] applications and the
+       [Protocol.streaming], [Protocol.sealed], [Protocol.sealed_referee]
+       and (inside Protocol) [guarded] applications and the
        [r_init]/[r_absorb]/[r_broadcast]/[r_finish] fields of Bcc
        round-stream records.
 
@@ -375,11 +376,12 @@ let make_iter b =
       | (("" | "Stdlib"), "invalid_arg") ->
         record_raise b e.pexp_loc "Invalid_argument";
         List.iter (fun (_, a) -> walk it a) args
-      | _, ("streaming" | "guarded") ->
-        (* Protocol.streaming / Protocol.guarded ~init ~absorb ~finish:
-           each labelled argument is a referee root.  The constructor
-           itself does not run them, so they do not feed the parent's
-           may-raise set. *)
+      | _, ("streaming" | "guarded" | "sealed" | "sealed_referee") ->
+        (* Protocol.streaming / Protocol.sealed / Protocol.sealed_referee
+           (and the guard inside Protocol) ~init ~absorb ~finish: each
+           labelled argument is a referee root.  The constructor itself
+           does not run them, so they do not feed the parent's may-raise
+           set. *)
         note_ref b e.pexp_loc path;
         List.iter
           (fun (label, value) ->

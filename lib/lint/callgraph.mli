@@ -12,7 +12,8 @@
     counts as called, the sound over-approximation for reachability.
 
     Referee roots are the [~init]/[~absorb]/[~finish] arguments of
-    [*.streaming] and [*.guarded] applications, the [r_init]/[r_absorb]/[r_broadcast]/
+    [*.streaming], [*.sealed], [*.sealed_referee] and [*.guarded]
+    applications, the [r_init]/[r_absorb]/[r_broadcast]/
     [r_finish] fields of round-stream records, and record literals
     carrying at least two of [init]/[absorb]/[finish].  A fun-literal
     root becomes its own def with no parent edge (it runs when the

@@ -12,17 +12,18 @@
    table of partial stdlib primitives whose raising behaviour is
    modeled explicitly.
 
-   The prover then checks every referee root (streaming and guarded
-   init/absorb/finish, Bcc round functions): any escaping key outside
+   The prover then checks every referee root (streaming, sealed and
+   guarded init/absorb/finish, Bcc round functions): any escaping key outside
    the documented malformed class ([allowed]) is an [Exn_escape]
    finding carrying the chain of call sites from the root down to the
    offending raise. *)
 
 module SS = Set.Make (String)
 
-(* The documented malformed class: [Protocol.default_malformed], the
-   guard of [Protocol.guarded] and [Bcc.harden_referee], absorbs exactly
-   these, keyed by module-qualified name ([Callgraph.exn_key]). *)
+(* The documented malformed class: [Protocol.default_malformed], which
+   [Protocol.guard] — the absorb step of every sealed and hardened
+   referee, [Bcc.harden]'s included — absorbs exactly, keyed by
+   module-qualified name ([Callgraph.exn_key]). *)
 let allowed = [ "Message.Malformed"; "Bit_reader.Exhausted"; "Invalid_argument"; "Failure" ]
 
 let allowed_set = SS.of_list allowed

@@ -14,10 +14,10 @@
     [Division_by_zero]) are not modeled; guarded handlers absorb
     nothing. *)
 
-(** The documented malformed class — exactly what
-    [Protocol.guarded] (under every hardened one-round referee) and
-    [Bcc.harden_referee] absorb: [Malformed], [Exhausted],
-    [Invalid_argument], [Failure]. *)
+(** The documented malformed class — exactly what [Protocol.guard]
+    absorbs, the step under [Protocol.sealed], [Protocol.harden] and
+    [Bcc.harden]: [Malformed], [Exhausted], [Invalid_argument],
+    [Failure]. *)
 val allowed : string list
 
 (** [check g] is [(findings, roots_proven, roots_total)] over the

@@ -33,37 +33,25 @@ let render_bool b = if b then "connected" else "disconnected"
    sealed degree; the referee sums them.  Exercises the whole serve
    path — seals, hardening, verdicts — at O(log n) bits per message. *)
 let count_protocol : (int * int) Verdict.t Protocol.t =
-  let local v =
-    let w = Refnet_bits.Bit_writer.create () in
-    Refnet_bits.Codes.write_fixed w
-      ~width:(Refnet_bits.Codes.id_width (View.n v))
-      (View.deg v);
-    Message.seal ~n:(View.n v) ~id:(View.id v) (Message.of_writer w)
-  in
-  {
-    Protocol.name = "serve-count+hardened";
-    local;
+  Protocol.sealed ~name:"serve-count+hardened"
+    ~local:(fun v ->
+      let w = Refnet_bits.Bit_writer.create () in
+      Refnet_bits.Codes.write_fixed w
+        ~width:(Refnet_bits.Codes.id_width (View.n v))
+        (View.deg v);
+      Message.of_writer w)
+    ~init:(fun ~n:_ -> (0, 0))
+    ~absorb:(fun ~n (nodes, degsum) ~id:_ r ->
+      let d =
+        Refnet_bits.Codes.read_fixed r ~width:(Refnet_bits.Codes.id_width n)
+      in
+      (nodes + 1, degsum + d))
     (* A faulted channel degrades to the partial census with the fault
        report attached — the census over absorbed nodes is sound, and
        the report says exactly how partial it is. *)
-    referee =
-      Protocol.guarded
-        ~init:(fun ~n:_ -> (0, 0))
-        ~absorb:(fun ~n (nodes, degsum) ~id msg ->
-          match Message.unseal ~n ~id msg with
-          | None -> raise Message.Malformed
-          | Some m ->
-              let r = Message.reader m in
-              let d =
-                Refnet_bits.Codes.read_fixed r
-                  ~width:(Refnet_bits.Codes.id_width n)
-              in
-              (nodes + 1, degsum + d))
-        ~finish:(fun ~n:_ report acc ->
-          if Verdict.channel_clean report then Verdict.Decided acc
-          else Verdict.Degraded (acc, report));
-    budget = None;
-  }
+    ~finish:(fun ~n:_ report ~trusted:_ acc ->
+      if Verdict.channel_clean report then Verdict.Decided acc
+      else Verdict.Degraded (acc, report))
 
 let render_count (nodes, degsum) =
   Printf.sprintf "nodes=%d;degsum=%d" nodes degsum

@@ -1,5 +1,5 @@
-(* BAD (deep): Not_found escapes the absorb of a guarded referee.  The
-   guard marks a sender malformed only for the documented malformed
+(* BAD (deep): Not_found escapes the absorb of a guarded referee (the
+   guard Protocol builds [harden] and [sealed] on).  The guard marks a sender malformed only for the documented malformed
    class, so a lookup miss on a hostile id would crash the referee
    instead. *)
 

@@ -495,9 +495,11 @@ let test_pipelined_uplink_exceptions () =
       Alcotest.check transcript_eq (tag ^ ": rerun") reference t)
     [ 1; 2; 4 ]
 
-(* Item 7's gate, counted in full ([Metrics.allocated_words]): words
-   allocated per node by a three-round connectivity run at n = 2 * 10^5
-   (four blocks) on one domain. *)
+(* Words allocated per node by a three-round connectivity run at n =
+   2 * 10^5 (four blocks) on one domain, counted in full
+   ([Metrics.allocated_words]).  It read 111 while each view took its
+   row through a 3-tuple, 99 since the engine reads rows tuple-free
+   ([Graph_source.with_row]). *)
 let test_allocation_per_node () =
   let n = 200_000 in
   let src = Graph_source.parse (Printf.sprintf "implicit:regular:%d:4:1" n) in
@@ -507,8 +509,8 @@ let test_allocation_per_node () =
   in
   let per_node = words /. float_of_int n in
   Alcotest.(check bool) "decided" true (out <> None);
-  Alcotest.(check bool) (Printf.sprintf "%.1f words per node (bound 120)" per_node) true
-    (per_node <= 120.)
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per node (bound 100)" per_node) true
+    (per_node <= 100.)
 
 (* ---------- node-state semantics ---------- *)
 

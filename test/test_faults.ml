@@ -123,6 +123,61 @@ let test_verify_agrees_with_unseal () =
     Alcotest.(check bool) "too short" false (Core.Message.verify ~n:16 ~id:7 v)
   done
 
+(* The sealed receive path reads each payload in place: for payloads of
+   0 to 64 bits the reader yields exactly the payload, and one bit more
+   raises [Exhausted] instead of a digest bit.  A sealed absorb sees the
+   payload's length as [remaining]. *)
+let test_payload_reader () =
+  let open Refnet_bits in
+  let rng = Random.State.make [| 0x9a71 |] in
+  let n = 65 in
+  let payloads =
+    Array.init 65 (fun len ->
+        let v = Bitvec.create len in
+        for i = 0 to len - 1 do
+          Bitvec.assign v i (Random.State.bool rng)
+        done;
+        v)
+  in
+  let exhausted what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: read past the payload" what
+    | exception Bit_reader.Exhausted -> ()
+  in
+  Array.iteri
+    (fun len payload ->
+      let id = len + 1 in
+      let sealed = Core.Message.seal ~n ~id payload in
+      Alcotest.(check bool) "verifies" true (Core.Message.verify ~n ~id sealed);
+      let what = Printf.sprintf "%d-bit payload" len in
+      let r = Core.Message.payload_reader sealed in
+      Alcotest.(check int) (what ^ ": remaining") len (Bit_reader.remaining r);
+      for i = 0 to len - 1 do
+        Alcotest.(check bool) (what ^ ": bit") (Bitvec.get payload i) (Bit_reader.read_bit r)
+      done;
+      exhausted (what ^ ": read_bit") (fun () -> Bit_reader.read_bit r);
+      exhausted (what ^ ": read_bits") (fun () -> Bit_reader.read_bits r ~width:1);
+      let r = Core.Message.payload_reader sealed in
+      exhausted (what ^ ": read_bitvec") (fun () -> Bit_reader.read_bitvec r ~len:(len + 1));
+      exhausted (what ^ ": unpack") (fun () ->
+          Bit_reader.unpack r ~width:1 (Array.make (len + 1) 0) ~off:0 ~count:(len + 1)))
+    payloads;
+  let seen = Array.make n (-1) in
+  let p =
+    Core.Protocol.sealed ~name:"remaining" ~local:(fun _ -> Core.Message.empty)
+      ~init:(fun ~n:_ -> ())
+      ~absorb:(fun ~n:_ () ~id r -> seen.(id - 1) <- Bit_reader.remaining r)
+      ~finish:(fun ~n:_ report ~trusted:_ () -> report)
+  in
+  let feed = ref (Core.Protocol.start p.Core.Protocol.referee ~n) in
+  Array.iteri
+    (fun len payload ->
+      feed := Core.Protocol.feed !feed ~id:(len + 1) (Core.Message.seal ~n ~id:(len + 1) payload))
+    payloads;
+  Alcotest.(check bool) "clean channel" true
+    (Core.Verdict.channel_clean (Core.Protocol.finish !feed));
+  Alcotest.(check (array int)) "absorb sees the payload length" (Array.init n Fun.id) seen
+
 (* ---------- empty plan == run, bit for bit ---------- *)
 
 let test_empty_plan_bit_identical () =
@@ -433,6 +488,91 @@ let test_triple_delivery_one_report () =
   check "coalition"
     (fst (Core.Coalition.run ~delivery:(Core.Simulator.Faulty plan) Core.Connectivity_parts.hardened star ~parts))
 
+(* ---------- pinned sealed verdicts ---------- *)
+
+(* Six sealed referees, each at four seeded plans mixing every fault
+   kind: the rendered verdict, fault report included, is pinned string
+   for string, so a change to the sealed receive path that moves any
+   verdict, report or rendered output fails here. *)
+let pinned_verdicts =
+  [
+    "forest seed 1: degraded graph:M_??_@?@???????O? missing=8 malformed=1,4,10,11,12 duplicated=7 undetermined=1,3,4,5,8,10,11,12,13";
+    "forest seed 2: degraded graph:M???`@?D@?@??A?O? missing=2,13 malformed=5,6 duplicated=1,7,11 undetermined=1,2,5,6,13";
+    "forest seed 3: degraded graph:M???_@?D??@?A??O? missing=- malformed=2,8,13 duplicated=4,10,12 undetermined=1,2,3,8,11,13";
+    "forest seed 4: degraded graph:M???_??D???????O? missing=1,6,8,12 malformed=5,9,13 duplicated=13 undetermined=1,2,3,5,6,8,9,11,12,13";
+    "degeneracy:2 seed 1: degraded graph:K?????a????? missing=5,7,10 malformed=6,8,11,12 duplicated=3,4,12 undetermined=1,2,3,4,5,6,7,8,10,11,12";
+    "degeneracy:2 seed 2: degraded graph:K??????????? missing=3,5 malformed=4,7,8,9,10,11,12 duplicated=12 undetermined=1,2,3,4,5,6,7,8,9,10,11,12";
+    "degeneracy:2 seed 3: degraded graph:K???AC?E???? missing=1,4,7,9 malformed=2,6,11,12 duplicated=12 undetermined=1,2,3,4,5,6,7,9,11,12";
+    "degeneracy:2 seed 4: degraded graph:K???AC?????? missing=2 malformed=6,7,9,10,12 duplicated=4,12 undetermined=1,2,3,4,5,6,7,9,10,11,12";
+    "bounded:3 seed 1: degraded graph:IhEGHC?_? missing=2,4,8 malformed=9,10 duplicated=5,9 undetermined=2,4,8,9,10";
+    "bounded:3 seed 2: degraded graph:IhEGH??_G missing=8 malformed=7,9 duplicated=1,2 undetermined=7,8,9";
+    "bounded:3 seed 3: degraded graph:IhEGHC@_G missing=4 malformed=1,8 duplicated=5,10 undetermined=1,4,8";
+    "bounded:3 seed 4: degraded graph:IhEGH?@?G missing=1,5,7,10 malformed=8 duplicated=2 undetermined=1,5,7,8,10";
+    "sketch:7 seed 1: inconclusive channel faults detected: 3 missing, 2 malformed, 2 duplicated, 0 undetermined";
+    "sketch:7 seed 2: inconclusive channel faults detected: 1 missing, 2 malformed, 2 duplicated, 0 undetermined";
+    "sketch:7 seed 3: inconclusive channel faults detected: 1 missing, 2 malformed, 2 duplicated, 0 undetermined";
+    "sketch:7 seed 4: inconclusive channel faults detected: 4 missing, 2 malformed, 1 duplicated, 0 undetermined";
+    "count seed 1: degraded nodes=5;degsum=13 missing=1,8 malformed=2,9 duplicated=7,9 undetermined=-";
+    "count seed 2: degraded nodes=6;degsum=21 missing=2 malformed=1,5 duplicated=5 undetermined=-";
+    "count seed 3: degraded nodes=2;degsum=6 missing=3,7 malformed=1,2,4,6,8 duplicated=5 undetermined=-";
+    "count seed 4: degraded nodes=8;degsum=25 missing=- malformed=5 duplicated=3,8,9 undetermined=-";
+    "coalition-connectivity+sealed seed 1: degraded connected missing=5,7,10 malformed=8,12 duplicated=3,4,12 undetermined=-";
+    "coalition-connectivity+sealed seed 2: degraded connected missing=3,5 malformed=4,7,8,11,12 duplicated=12 undetermined=-";
+    "coalition-connectivity+sealed seed 3: inconclusive lost edge shares may hide the connecting edges";
+    "coalition-connectivity+sealed seed 4: degraded connected missing=2 malformed=6,9,10,12 duplicated=4,12 undetermined=-";
+  ]
+
+let test_pinned_sealed_verdicts () =
+  let mixed ~seed ~n =
+    Core.Faults.random ~seed ~n ~crash:0.1 ~truncate:0.1 ~flip:0.1 ~flip_bits:2 ~duplicate:0.1
+      ~spoof:0.1 ()
+  in
+  let render render v =
+    let ids l = if l = [] then "-" else String.concat "," (List.map string_of_int l) in
+    match v with
+    | Core.Verdict.Decided x -> "decided " ^ render x
+    | Core.Verdict.Degraded (x, r) ->
+      Printf.sprintf "degraded %s missing=%s malformed=%s duplicated=%s undetermined=%s"
+        (render x) (ids r.Core.Verdict.missing) (ids r.malformed) (ids r.duplicated)
+        (ids r.undetermined)
+    | Core.Verdict.Inconclusive reason -> "inconclusive " ^ reason
+  in
+  let rng = Random.State.make [| 0x5ea1 |] in
+  let graphs =
+    [
+      ("forest", Generators.random_forest rng 14 ~trees:2);
+      ("degeneracy:2", Generators.random_k_degenerate rng 12 ~k:2);
+      ("bounded:3", Graph.of_edges 10 ((1, 6) :: (3, 8) :: List.init 10 (fun i -> (i + 1, ((i + 1) mod 10) + 1))));
+      ("sketch:7", Generators.random_tree rng 10);
+      ("count", Generators.gnp rng 9 0.4);
+    ]
+  in
+  let one_round =
+    List.concat_map
+      (fun (spec, g) ->
+        let n = Graph.order g in
+        match Serve.Registry.lookup ~spec ~n with
+        | Error e -> Alcotest.fail e
+        | Ok (Serve.Registry.Entry { protocol; render = r }) ->
+          List.init 4 (fun i ->
+              let delivery = Core.Simulator.Faulty (mixed ~seed:(i + 1) ~n) in
+              Printf.sprintf "%s seed %d: %s" spec (i + 1)
+                (render r (fst (Core.Simulator.run ~delivery protocol g)))))
+      graphs
+  in
+  (* A star split into singletons: only the hub's share holds edges, so
+     a plan that spares the hub still connects the graph. *)
+  let g = Graph.of_edges 12 (List.init 11 (fun i -> (1, i + 2))) in
+  let parts = Core.Coalition.partition_by_ranges ~n:12 ~parts:12 in
+  let coalition =
+    List.init 4 (fun i ->
+        let delivery = Core.Simulator.Faulty (mixed ~seed:(i + 1) ~n:12) in
+        Printf.sprintf "coalition-connectivity+sealed seed %d: %s" (i + 1)
+          (render (fun b -> if b then "connected" else "disconnected")
+             (fst (Core.Coalition.run ~delivery Core.Connectivity_parts.hardened g ~parts))))
+  in
+  Alcotest.(check (list string)) "verdicts" pinned_verdicts (one_round @ coalition)
+
 (* ---------- generic harden combinator ---------- *)
 
 (* The ledger on its own, over two rounds: an id that missed a closed
@@ -512,6 +652,7 @@ let () =
         [
           Alcotest.test_case "single flips detected" `Quick test_seal_detects_any_single_flip;
           Alcotest.test_case "verify agrees with unseal" `Quick test_verify_agrees_with_unseal;
+          Alcotest.test_case "payload reader stops at the digest" `Quick test_payload_reader;
         ] );
       ( "empty plan identity",
         [
@@ -528,6 +669,7 @@ let () =
           Alcotest.test_case "coalition connectivity" `Quick test_coalition_crash_verdicts;
           Alcotest.test_case "sketch connectivity" `Quick test_sketch_verdicts;
           Alcotest.test_case "triple delivery, one report" `Quick test_triple_delivery_one_report;
+          Alcotest.test_case "pinned sealed verdicts" `Quick test_pinned_sealed_verdicts;
         ] );
       ( "combinator and traces",
         [

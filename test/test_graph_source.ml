@@ -114,8 +114,9 @@ let test_regular_rows () =
                     row;
                   Alcotest.(check (list int)) (tag "= iter_neighbors") (List.rev !visited)
                     (Array.to_list row);
-                  let arr, off, len = Csr.neighbors_slice csr v in
-                  Alcotest.(check (array int)) (tag "= csr") (Array.sub arr off len) row;
+                  Alcotest.(check (array int)) (tag "= csr")
+                    (Csr.with_row csr v (fun _ arr off len -> Array.sub arr off len))
+                    row;
                   Alcotest.(check (array int)) (tag "= materialized") (Graph.neighbors_row g v) row
                 done;
                 List.iter
@@ -232,11 +233,12 @@ let test_source_queries_agree () =
             (name ^ ": neighbors")
             (Graph.neighbors g v)
             (Graph_source.neighbors src v);
-          let arr, off, len = Graph_source.neighbors_slice src v in
           Alcotest.(check (list int))
-            (name ^ ": slice")
+            (name ^ ": row")
             (Graph.neighbors g v)
-            (Array.to_list (Array.sub arr off len)))
+            (Graph_source.with_row src v (fun u arr off len ->
+                 Alcotest.(check int) (name ^ ": row id") v u;
+                 Array.to_list (Array.sub arr off len))))
         (Graph.vertices g))
     sources
 

@@ -132,6 +132,23 @@ let deep_guarded_escape_fires () =
   let f = List.hd d.Lint.Driver.deep_findings in
   Alcotest.(check bool) "names Not_found" true (contains f.Lint.Finding.message "Not_found")
 
+(* [Protocol.sealed]'s arguments are referee roots too: a sealed absorb
+   may raise [Message.Malformed] (the guard marks the sender), never
+   [Not_found]. *)
+let deep_sealed_escape_fires () =
+  let d = deep_fixture "deep_bad_sealed_escape.ml" in
+  Alcotest.(check (list string)) "exactly one escape" [ "exn-escape" ] (deep_rules d);
+  Alcotest.(check int) "two of three roots proven" 2 d.Lint.Driver.deep_roots_proven;
+  Alcotest.(check int) "three referee roots" 3 d.Lint.Driver.deep_roots_total;
+  let f = List.hd d.Lint.Driver.deep_findings in
+  Alcotest.(check bool) "names Not_found" true (contains f.Lint.Finding.message "Not_found")
+
+let deep_sealed_malformed_is_clean () =
+  let d = deep_fixture "deep_good_sealed_malformed.ml" in
+  Alcotest.(check (list string)) "clean" [] (deep_rules d);
+  Alcotest.(check int) "all roots proven" 3 d.Lint.Driver.deep_roots_proven;
+  Alcotest.(check int) "three referee roots" 3 d.Lint.Driver.deep_roots_total
+
 (* Exceptions are keyed by module-qualified name: the wire codec's
    [Byte_io.Malformed] is not the [Message.Malformed] the guards
    absorb. *)
@@ -462,6 +479,9 @@ let () =
           Alcotest.test_case "bad exn-escape" `Quick deep_exn_escape_fires;
           Alcotest.test_case "good exn-escape (absorbed)" `Quick deep_exn_absorbed_is_clean;
           Alcotest.test_case "bad exn-escape (guarded absorb)" `Quick deep_guarded_escape_fires;
+          Alcotest.test_case "bad exn-escape (sealed absorb)" `Quick deep_sealed_escape_fires;
+          Alcotest.test_case "good exn-escape (sealed absorb, Malformed)" `Quick
+            deep_sealed_malformed_is_clean;
           Alcotest.test_case "bad exn-escape (foreign Malformed)" `Quick
             deep_foreign_malformed_fires;
           Alcotest.test_case "bad parallel-race" `Quick deep_race_fires;
