@@ -192,8 +192,8 @@ let run_core ?domains ?(chunk = default_chunk) ~delivery ~trace ~metrics ~src (p
               queries
           end
         in
-        let senders ~order ~base ~len =
-          { (Simulator.in_parallel ?domains ?metrics send ~order ~base ~len) with account }
+        let senders ~order ~base ~len ~spare =
+          { (Simulator.in_parallel ?domains ?metrics send ~order ~base ~len ~spare) with account }
         in
         let hit =
           Simulator.uplink ~chunk ~delivery ~trace ~metrics ~sample_absorbs:false ~n senders

@@ -74,7 +74,7 @@ let run_core ~delivery ~trace ~metrics ~label (p : 'a t) src ~parts =
   Trace.emit trace (Trace.Span_begin { label; n });
   (* Coalitions pool their views, so the whole vector is produced at
      once: never chunked, never split across the domain pool. *)
-  let pooled ~order:_ ~base:_ ~len:_ =
+  let pooled ~order:_ ~base:_ ~len:_ ~spare:_ =
     {
       Simulator.join = (fun () -> collect p src ~parts);
       cancel = ignore;

@@ -15,7 +15,8 @@ type block = {
   cancel : unit -> unit;
   account : int -> Message.t -> unit;
 }
-type producer = order:int array option -> base:int -> len:int -> block
+type producer =
+  order:int array option -> base:int -> len:int -> spare:Message.t array -> block
 
 let query_total (c : View.counts) = c.id_reads + c.n_reads + c.deg_reads + c.neighbor_reads
 
@@ -43,8 +44,10 @@ let view_of src ~n =
   let view id nbrs off len = View.of_slice ~n ~id nbrs ~off ~len in
   fun i -> Graph_source.with_row src (i + 1) view
 
-let in_parallel ?domains ?metrics f ~order ~base ~len =
-  let out = Array.make len Message.empty in
+let in_parallel ?domains ?metrics f ~order ~base ~len ~spare =
+  (* every slot is written below, so a spare of the right length needs
+     no clearing *)
+  let out = if Array.length spare = len then spare else Array.make len Message.empty in
   let job =
     match order with
     | None -> Parallel.submit ?domains ?metrics len (fun i -> out.(i) <- f (base + i))
@@ -118,7 +121,10 @@ let uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs ~n produce ~absorb =
   in
   let order = match delivery with Shuffled rng -> Some (permutation rng n) | _ -> None in
   let faulted = ref [] in
-  let start b = produce ~order ~base:b ~len:(min block (n - b)) in
+  (* Two block arrays per run: block [k + 1] is produced into block
+     [k - 1]'s, which has been delivered by then. *)
+  let spare = ref [||] in
+  let start b = produce ~order ~base:b ~len:(min block (n - b)) ~spare:!spare in
   let deliver_block b xs =
     let absorbed = ref 0 in
     let deliver id msg =
@@ -170,6 +176,7 @@ let uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs ~n produce ~absorb =
     in
     in_flight next (fun () ->
         maybe_time metrics "refnet_referee_phase" (fun () -> deliver_block b xs));
+    spare := xs;
     Option.iter (blocks (b + len)) next
   in
   blocks 0 (start 0);
@@ -184,15 +191,15 @@ let nodes ?domains ~trace ~metrics (p : 'a Protocol.t) src : producer =
     Option.map (fun m -> Metrics.Histogram.histogram m "refnet_view_queries") metrics
   in
   let view = view_of src ~n in
-  fun ~order ~base ~len ->
+  fun ~order ~base ~len ~spare ->
     if Trace.is_null trace && metrics = None then
-      in_parallel ?domains (fun i -> p.local (view i)) ~order ~base ~len
+      in_parallel ?domains (fun i -> p.local (view i)) ~order ~base ~len ~spare
     else begin
       (* The block's views outlive its parallel section, so their audit
          tallies can be reported after it; they stay with the block. *)
       let vs = Array.init len (fun i -> view (base + i)) in
       {
-        (in_parallel ?domains ?metrics (fun i -> p.local vs.(i - base)) ~order ~base ~len) with
+        (in_parallel ?domains ?metrics (fun i -> p.local vs.(i - base)) ~order ~base ~len ~spare) with
         account =
           (fun i msg ->
             let q = View.audit vs.(i - base) in
@@ -210,7 +217,10 @@ let local_phase_source ?domains ?(trace = Trace.null) ?metrics (p : 'a Protocol.
      identifier, so the vector — and hence the transcript — is
      bit-identical to a sequential run at any domain count and over any
      backend presenting the same labelled graph. *)
-  let blk = nodes ?domains ~trace ~metrics p src ~order:None ~base:0 ~len:(Graph_source.order src) in
+  let blk =
+    nodes ?domains ~trace ~metrics p src ~order:None ~base:0 ~len:(Graph_source.order src)
+      ~spare:[||]
+  in
   let xs = blk.join () in
   account_block ~metrics blk ~base:0 xs;
   xs
@@ -221,8 +231,8 @@ let local_phase ?domains ?trace ?metrics p g =
 let referee_round ?chunk ~delivery ~trace ~metrics (Protocol.Referee s) ~n produce =
   let message_bits = Array.make n 0 in
   let st = ref (s.init ~n) in
-  let counted ~order ~base ~len =
-    let blk = produce ~order ~base ~len in
+  let counted ~order ~base ~len ~spare =
+    let blk = produce ~order ~base ~len ~spare in
     {
       blk with
       account =

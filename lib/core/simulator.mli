@@ -149,11 +149,15 @@ type block = {
   account : int -> Message.t -> unit;
 }
 
-(** An engine's side of an uplink round.  [produce ~order ~base ~len]
-    starts the local phase of nodes [base + 1 .. base + len], in the
-    0-based index [order] when one is given (only under [Shuffled],
-    with [base = 0] and [len = n]). *)
-type producer = order:int array option -> base:int -> len:int -> block
+(** An engine's side of an uplink round.  [produce ~order ~base ~len
+    ~spare] starts the local phase of nodes [base + 1 .. base + len],
+    in the 0-based index [order] when one is given (only under
+    [Shuffled], with [base = 0] and [len = n]).  [spare] is an earlier
+    block's array, already delivered, that the block may fill and
+    return from [join] instead of a fresh one ([[||]] when there is
+    none), so a chunked round keeps two block arrays in all. *)
+type producer =
+  order:int array option -> base:int -> len:int -> spare:Message.t array -> block
 
 (** [uplink ?chunk ~delivery ~trace ~metrics ~sample_absorbs ~n e
     ~absorb] executes one uplink round of [n] nodes.  Per block (all
@@ -179,10 +183,12 @@ val uplink :
   absorb:(id:int -> Message.t -> unit) ->
   int list
 
-(** [in_parallel ?domains ?metrics f ~order ~base ~len] submits the
-    per-node messages to the {!Parallel} pool as a block that accounts
-    nothing: slot [k] is [f (base + k)] (0-based ids), computed in
-    [order] when one is given, landing in its own slot either way. *)
+(** [in_parallel ?domains ?metrics f ~order ~base ~len ~spare] submits
+    the per-node messages to the {!Parallel} pool as a block that
+    accounts nothing: slot [k] is [f (base + k)] (0-based ids), computed
+    in [order] when one is given, landing in its own slot either way.
+    The slots are [spare]'s when it has length [len], else a fresh
+    array's. *)
 val in_parallel :
   ?domains:int ->
   ?metrics:Metrics.t ->
@@ -190,6 +196,7 @@ val in_parallel :
   order:int array option ->
   base:int ->
   len:int ->
+  spare:Message.t array ->
   block
 
 (** [referee_round ?chunk ~delivery ~trace ~metrics r ~n e] is one

@@ -18,7 +18,7 @@ module Session = struct
 
   type stage =
     | Opening
-    | Streaming of int (* the server's session id *)
+    | Streaming of int (* the session's address *)
     | Finished of int (* Finish queued; waiting for the verdict *)
     | Ended
 
@@ -36,10 +36,12 @@ module Session = struct
      fifth of its sessions/s. *)
   let flight_cap = 1024
 
-  let start ~open_id ?(trace = 0L) ~protocol ~n msgs =
+  let start ~open_id ?credit ?(trace = 0L) ~protocol ~n msgs =
     let out = W.create flight_cap in
     Frame.write_client out (Frame.Open { open_id; protocol; n; trace });
-    { open_id; rest = msgs; window = 0; stage = Opening; out }
+    match credit with
+    | None -> { open_id; rest = msgs; window = 0; stage = Opening; out }
+    | Some window -> { open_id; rest = msgs; window; stage = Streaming open_id; out }
 
   let flight t =
     (match t.stage with
@@ -75,7 +77,10 @@ module Session = struct
         t.stage <- Streaming session;
         t.window <- credit;
         None
-    | Opening, Frame.Rejected { reason; retry_after_ms; detail; _ } ->
+    | (Streaming _ | Finished _), Frame.Opened { open_id; _ } when open_id = t.open_id ->
+        None
+    | _, Frame.Rejected { open_id; reason; retry_after_ms; detail; _ }
+      when open_id = t.open_id ->
         ended
           (Error
              (Printf.sprintf "rejected: %s (retry after %d ms)%s"
@@ -103,6 +108,7 @@ type t = {
   decoder : Wire.decoder;
   rbuf : Bytes.t;
   mutable next_open_id : int;
+  mutable credit : int option; (* from a v3 Welcome: sessions pipeline *)
 }
 
 let connect spec =
@@ -116,6 +122,7 @@ let connect spec =
           decoder = Wire.decoder ();
           rbuf = Bytes.create 65536;
           next_open_id = 1;
+          credit = None;
         }
   | exception Unix.Unix_error (err, _, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -157,14 +164,16 @@ let handshake c =
   let* () = send_all c (Frame.encode_client (Frame.Hello { version = Frame.version })) in
   let* frame = recv_frame c in
   match frame with
-  | Frame.Welcome _ -> Ok ()
+  | Frame.Welcome { version; credit; _ } ->
+      if version >= 3 then c.credit <- Some credit;
+      Ok ()
   | Frame.Error { code; detail } -> server_error code detail
   | _ -> Error "expected Welcome"
 
 let run_session c ?trace ~protocol ~n msgs =
   let open_id = c.next_open_id in
   c.next_open_id <- open_id + 1;
-  let s = Session.start ~open_id ?trace ~protocol ~n msgs in
+  let s = Session.start ~open_id ?credit:c.credit ?trace ~protocol ~n msgs in
   let rec go () =
     match Session.flight s with
     | Some bytes ->

@@ -46,6 +46,7 @@ type finish_cause = Client_finish | Idle_expire | Deadline_expire
 
 type session = {
   sid : int;
+  s_addr : int; (* what its frames carry: [sid] on v2, the [open_id] on v3 *)
   s_conn : conn_id;
   s_trace : int64;
   s_label : string;
@@ -68,6 +69,9 @@ type conn = {
   decoder : Wire.decoder;
   out : W.t; (* egress: frames are encoded straight into it *)
   mutable c_trace : int64; (* minted at Hello; 0L before the handshake *)
+  mutable c_version : int; (* the Hello's; 0 before the handshake *)
+  c_opened_at : float;
+  c_opens : (int, session) Hashtbl.t; (* v3: live sessions by [open_id] *)
   mutable c_sessions : int list;
   mutable quarantined : bool;
   mutable close_after_flush : bool;
@@ -91,6 +95,7 @@ type stats = {
   late_frames : int;
   timeouts_idle : int;
   timeouts_deadline : int;
+  handshake_timeouts : int;
   frames : int;
   bytes_in : int;
   live_sessions : int;
@@ -111,6 +116,9 @@ type instruments = {
   i_late : Metrics.Counter.counter;
   i_timeout_idle : Metrics.Counter.counter;
   i_timeout_deadline : Metrics.Counter.counter;
+  i_handshake : Metrics.Counter.counter Lazy.t;
+      (* made at the first timeout, so a run without one exports the
+         same series as before the counter existed *)
   i_frames : Metrics.Counter.counter;
   i_bytes : Metrics.Counter.counter;
   i_live : Metrics.Gauge.gauge;
@@ -133,6 +141,7 @@ type t = {
          client echoing one in [Open.trace] is refused with the summary *)
   trace_seed : int64;
   conns : (conn_id, conn) Hashtbl.t;
+  mutable greeting : conn list; (* may not have sent Hello yet *)
   sessions : (int, session) Hashtbl.t;
   mutable trace_ctr : int;
   mutable next_cid : int;
@@ -169,6 +178,7 @@ let make_instruments m =
     i_late = c "refnet_serve_late_frames_total";
     i_timeout_idle = timeout "idle";
     i_timeout_deadline = timeout "deadline";
+    i_handshake = lazy (c "refnet_serve_handshake_timeouts_total");
     i_frames = c "refnet_serve_frames_total";
     i_bytes = c "refnet_serve_bytes_total";
     i_live = Metrics.Gauge.gauge m "refnet_serve_sessions_live";
@@ -199,6 +209,7 @@ let create ?clock ?(trace = Trace.null) ?metrics ?flight cfg =
     evidence = Hashtbl.create 16;
     trace_seed = mix64 (Int64.of_float (clock () *. 1e6));
     conns = Hashtbl.create 64;
+    greeting = [];
     sessions = Hashtbl.create 256;
     trace_ctr = 0;
     next_cid = 1;
@@ -254,7 +265,9 @@ let retire t s =
   Hashtbl.remove t.sessions s.sid;
   match conn_of t s with
   | None -> ()
-  | Some c -> c.c_sessions <- List.filter (fun sid -> sid <> s.sid) c.c_sessions
+  | Some c ->
+      Hashtbl.remove c.c_opens s.s_addr;
+      c.c_sessions <- List.filter (fun sid -> sid <> s.sid) c.c_sessions
 
 let abort t s =
   if Hashtbl.mem t.sessions s.sid then begin
@@ -316,7 +329,7 @@ let verdict_frame s ~timeout (v : string Verdict.t) =
   in
   Frame.Verdict
     {
-      session = s.sid;
+      session = s.s_addr;
       status;
       timeout;
       payload;
@@ -336,16 +349,22 @@ let open_conn t =
   else begin
     let cid = t.next_cid in
     t.next_cid <- cid + 1;
-    Hashtbl.replace t.conns cid
+    let conn =
       {
         cid;
         decoder = Wire.decoder ~max_frame:t.cfg.max_frame_bytes ();
         out = W.create 256;
         c_trace = 0L;
+        c_version = 0;
+        c_opened_at = t.clock ();
+        c_opens = Hashtbl.create 8;
         c_sessions = [];
         quarantined = false;
         close_after_flush = false;
-      };
+      }
+    in
+    Hashtbl.replace t.conns cid conn;
+    t.greeting <- conn :: t.greeting;
     Ok cid
   end
 
@@ -400,6 +419,11 @@ let reject t conn ~open_id ?(trace = 0L) ?(detail = "") reason =
        { open_id; reason; retry_after_ms = t.cfg.retry_after_ms; trace; detail })
 
 let handle_open t conn ~open_id ~protocol ~n ~trace:req_trace =
+  let v3 = conn.c_version >= 3 in
+  if v3 && Hashtbl.mem conn.c_opens open_id then
+    quarantine t conn Frame.Protocol_violation
+      (Printf.sprintf "open %d reused while its session is live" open_id)
+  else
   match
     if Int64.equal req_trace 0L then None
     else Hashtbl.find_opt t.evidence req_trace
@@ -431,9 +455,11 @@ let handle_open t conn ~open_id ~protocol ~n ~trace:req_trace =
         let s_trace =
           if Int64.equal req_trace 0L then conn.c_trace else req_trace
         in
+        let s_addr = if v3 then open_id else sid in
         let s =
           {
             sid;
+            s_addr;
             s_conn = conn.cid;
             s_trace;
             s_label = p.Protocol.name;
@@ -452,37 +478,49 @@ let handle_open t conn ~open_id ~protocol ~n ~trace:req_trace =
           }
         in
         Hashtbl.replace t.sessions sid s;
+        if v3 then Hashtbl.replace conn.c_opens open_id s;
         conn.c_sessions <- sid :: conn.c_sessions;
         count t.inst.i_sessions;
         fl_note t ~trace:s_trace ~code:"open"
           ~detail:(Printf.sprintf "%s n=%d sid=%d" s.s_label n sid);
         fl_event t ~trace:s_trace (Trace.Span_begin { label = s.s_label; n });
         send t conn
-          (Frame.Opened { open_id; session = sid; credit = t.cfg.session_credit })
+          (Frame.Opened { open_id; session = s_addr; credit = t.cfg.session_credit })
 
 let late t = count t.inst.i_late
 
 (* The one session lookup for Msg, Finish and Abort: a frame for a
-   session that is gone (it raced a server-side verdict) is late, one
-   for another connection's session is a protocol violation. *)
-let with_session t conn sid f =
-  match Hashtbl.find_opt t.sessions sid with
+   session that is gone (it raced a server-side verdict, or its open was
+   rejected) is late, one for another connection's session is a protocol
+   violation.  A v3 address is the connection's own [open_id]. *)
+let with_session t conn addr f =
+  match
+    if conn.c_version >= 3 then Hashtbl.find_opt conn.c_opens addr
+    else Hashtbl.find_opt t.sessions addr
+  with
   | None -> late t
   | Some s when s.s_conn <> conn.cid ->
       quarantine t conn Frame.Protocol_violation
-        (Printf.sprintf "session %d belongs to another connection" sid)
+        (Printf.sprintf "session %d belongs to another connection" addr)
   | Some s -> f s
 
 let handle_frame t conn frame =
   match frame with
   | Frame.Hello { version } ->
-      if version <> Frame.version then
+      if version <> 2 && version <> Frame.version then
         quarantine t conn Frame.Protocol_violation
           (Printf.sprintf "unsupported protocol version %d" version)
+      else if conn.c_version <> 0 && version <> conn.c_version then
+        (* the live sessions' addresses would change meaning *)
+        quarantine t conn Frame.Protocol_violation
+          (Printf.sprintf "version %d Hello on a version %d connection" version
+             conn.c_version)
       else begin
         let trace = mint_trace t in
         conn.c_trace <- trace;
-        send t conn (Frame.Welcome { version = Frame.version; trace })
+        conn.c_version <- version;
+        send t conn
+          (Frame.Welcome { version; trace; credit = t.cfg.session_credit })
       end
   | Frame.Ping { token } -> send t conn (Frame.Pong { token })
   | Frame.Bye ->
@@ -657,8 +695,30 @@ let finish_session t s cause v =
     retire t s
   end
 
+(* A connection that has not said Hello within [idle_timeout_s] gets a
+   typed error and is closed, so an idle connect cannot hold its fd for
+   good.  This is a timeout, not a quarantine: nothing it sent was
+   wrong. *)
+let expire_greetings t now =
+  t.greeting <-
+    List.filter
+      (fun c ->
+        if c.c_version <> 0 || c.close_after_flush || not (Hashtbl.mem t.conns c.cid)
+        then false
+        else if now -. c.c_opened_at < t.cfg.idle_timeout_s then true
+        else begin
+          count (Lazy.force t.inst.i_handshake);
+          send t c
+            (Frame.Error
+               { code = Frame.Protocol_violation; detail = "no Hello before the idle timeout" });
+          c.close_after_flush <- true;
+          false
+        end)
+      t.greeting
+
 let tick_body t =
   let now = t.clock () in
+  if t.greeting <> [] then expire_greetings t now;
   (* 1. timeouts: force a finish cause onto expired sessions *)
   Hashtbl.iter
     (fun _ s ->
@@ -711,7 +771,7 @@ let tick_body t =
             s.window <- s.window + absorbed;
             Option.iter
               (fun conn ->
-                send t conn (Frame.Credit { session = s.sid; credit = absorbed }))
+                send t conn (Frame.Credit { session = s.s_addr; credit = absorbed }))
               (conn_of t s)
           end
       | Finished (cause, v) -> finish_session t s cause v
@@ -758,6 +818,8 @@ let stats t =
     late_frames = v i.i_late;
     timeouts_idle = v i.i_timeout_idle;
     timeouts_deadline = v i.i_timeout_deadline;
+    handshake_timeouts =
+      (if Lazy.is_val i.i_handshake then v (Lazy.force i.i_handshake) else 0);
     frames = v i.i_frames;
     bytes_in = v i.i_bytes;
     live_sessions = Hashtbl.length t.sessions;

@@ -39,7 +39,9 @@ type config = {
       (** egress cap per connection; a client that stops reading is
           quarantined as a slow consumer instead of growing the buffer *)
   deadline_s : float;  (** wall-clock budget for a whole session *)
-  idle_timeout_s : float;  (** max quiet gap before a forced verdict *)
+  idle_timeout_s : float;
+      (** max quiet gap before a forced verdict, and before a
+          connection that has not sent [Hello] is closed *)
   retry_after_ms : int;  (** suggestion carried in [Overloaded] sheds *)
   domains : int option;  (** [Parallel] pool width override *)
 }
@@ -156,9 +158,14 @@ type stats = {
   quarantines : int;
   quarantine_escapes : int;  (** exceptions caught by the outermost
                                  shell — must be zero *)
-  late_frames : int;  (** frames for already-finished sessions *)
+  late_frames : int;
+      (** frames for already-finished sessions, and on v3 for an open
+          that was rejected *)
   timeouts_idle : int;
   timeouts_deadline : int;
+  handshake_timeouts : int;
+      (** connections closed by {!tick} for sending no [Hello] within
+          [idle_timeout_s]; neither sheds nor quarantines *)
   frames : int;
   bytes_in : int;
   live_sessions : int;

@@ -3,8 +3,12 @@
 
 (* v2: Open/Welcome/Verdict/Rejected carry a 64-bit session trace id,
    Rejected carries an evidence detail string, and the Evidence reject
-   reason exists (refuse-with-evidence after a crash). *)
-let version = 2
+   reason exists (refuse-with-evidence after a crash).
+   v3: Welcome carries the session credit, and Msg/Finish/Abort and the
+   server's Credit/Verdict address a session by its [open_id], so a
+   client can send Open, its first window and Finish in one flight.
+   A daemon speaks whichever of v2 and v3 the Hello asks for. *)
+let version = 3
 
 type client =
   | Hello of { version : int }
@@ -34,7 +38,7 @@ type status = Decided | Degraded | Inconclusive
 type timeout_kind = No_timeout | Idle_timeout | Deadline_timeout
 
 type server =
-  | Welcome of { version : int; trace : int64 }
+  | Welcome of { version : int; trace : int64; credit : int }
   | Opened of { open_id : int; session : int; credit : int }
   | Credit of { session : int; credit : int }
   | Verdict of {
@@ -140,10 +144,11 @@ let write_client w = function
   | Bye -> Wire.frame w ~kind:k_bye ignore
 
 let write_server w = function
-  | Welcome { version; trace } ->
+  | Welcome { version; trace; credit } ->
       Wire.frame w ~kind:k_welcome (fun w ->
           W.u16 w version;
-          W.u64 w trace)
+          W.u64 w trace;
+          if version >= 3 then W.u32 w credit)
   | Opened { open_id; session; credit } ->
       Wire.frame w ~kind:k_opened (fun w ->
           W.u32 w open_id;
@@ -233,7 +238,8 @@ let decode_server ~kind payload =
       if kind = k_welcome then
         let version = R.u16 r in
         let trace = R.u64 r in
-        Welcome { version; trace }
+        let credit = if version >= 3 then R.u32 r else 0 in
+        Welcome { version; trace; credit }
       else if kind = k_opened then
         let open_id = R.u32 r in
         let session = R.u32 r in
@@ -285,8 +291,8 @@ let pp_client ppf = function
   | Bye -> Format.fprintf ppf "bye"
 
 let pp_server ppf = function
-  | Welcome { version; trace } ->
-      Format.fprintf ppf "welcome v%d trace=%016Lx" version trace
+  | Welcome { version; trace; credit } ->
+      Format.fprintf ppf "welcome v%d trace=%016Lx credit=%d" version trace credit
   | Opened { open_id; session; credit } ->
       Format.fprintf ppf "opened #%d s%d credit=%d" open_id session credit
   | Credit { session; credit } ->

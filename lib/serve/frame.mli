@@ -12,9 +12,17 @@
 
 type client =
   | Hello of { version : int }
+      (** 2 or 3 ({!version}); any other version, or a later [Hello]
+          for another version than the connection's first, is a
+          [Protocol_violation]. *)
   | Open of { open_id : int; protocol : string; n : int; trace : int64 }
       (** [open_id] is a client-chosen correlation token echoed in
-          [Opened]/[Rejected], letting a client pipeline opens.
+          [Opened]/[Rejected].  On a v3 connection it is also the
+          session's address: the client's [Msg]/[Finish]/[Abort] and
+          the server's [Credit]/[Verdict] carry it in [session], so
+          they may follow the [Open] before any reply.  Frames for an
+          open that was [Rejected] are dropped as late; reusing the
+          [open_id] of a live session is a [Protocol_violation].
           [trace] is the session trace id to run under: [0L] adopts the
           id the server minted at [Hello] (the normal path); a non-zero
           id resumes a previous session's identity, which a freshly
@@ -48,12 +56,17 @@ type status = Decided | Degraded | Inconclusive
 type timeout_kind = No_timeout | Idle_timeout | Deadline_timeout
 
 type server =
-  | Welcome of { version : int; trace : int64 }
-      (** [trace] is the 64-bit session trace id minted for this
-          connection — every span, credit stall and quarantine the
-          connection's sessions produce shares it, in jsonl traces,
-          flight dumps and metrics alike. *)
+  | Welcome of { version : int; trace : int64; credit : int }
+      (** [version] echoes the [Hello]'s.  [trace] is the 64-bit
+          session trace id minted for this connection — every span,
+          credit stall and quarantine the connection's sessions produce
+          shares it, in jsonl traces, flight dumps and metrics alike.
+          [credit] is every session's first send window; it is on the
+          wire from version 3 only, and reads 0 below it. *)
   | Opened of { open_id : int; session : int; credit : int }
+      (** [session] is the address of the session's later frames: a
+          server-wide id on v2, the [open_id] itself on v3, where a
+          client may ignore [Opened]. *)
   | Credit of { session : int; credit : int }
       (** grants [credit] further [Msg] frames on the session; the sum
           of outstanding grants is the client's send window. *)
@@ -82,6 +95,7 @@ type server =
       (** always followed by the server closing the connection *)
   | Pong of { token : int }
 
+(** The newest wire version, 3.  A daemon also accepts 2. *)
 val version : int
 
 (** [write_client w f] appends the full wire bytes of [f] (header and

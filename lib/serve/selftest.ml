@@ -99,11 +99,13 @@ type job = {
   mutable j_frames : int; (* frames let through so far, the Open included *)
 }
 
-(* One client connection; it runs its jobs one after another. *)
+(* One client connection; it runs its jobs one after another.  On v3
+   a job starts once [Welcome] has given [l_credit]. *)
 type lane = {
   mutable l_conn : Engine.conn_id option;
   mutable l_decoder : Wire.decoder;
   mutable l_job : job option;
+  mutable l_credit : int option;
 }
 
 let tick_dt = 0.002
@@ -116,7 +118,7 @@ let default_engine_cfg =
     max_sessions = 8192;
   }
 
-let job_for cfg templates index =
+let job_for cfg templates ?credit index =
   let st = Random.State.make [| cfg.seed; (2 * index) + 1 |] in
   let b = behaviour_of st cfg.faulty in
   let t = templates.(index mod Array.length templates) in
@@ -136,7 +138,7 @@ let job_for cfg templates index =
     j_behaviour = b;
     j_template = t;
     j_session =
-      Client.Session.start ~open_id:index ~protocol:cfg.protocol ~n:cfg.n msgs;
+      Client.Session.start ~open_id:index ?credit ~protocol:cfg.protocol ~n:cfg.n msgs;
     j_frames = 0;
   }
 
@@ -185,7 +187,7 @@ let feed_str engine cid s =
     ~len:(String.length s)
 
 let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg)
-    cfg =
+    ?(version = Frame.version) cfg =
   match Registry.lookup ~spec:cfg.protocol ~n:cfg.n with
   | Error msg -> invalid_arg ("Selftest.run: " ^ msg)
   | Ok entry ->
@@ -200,7 +202,7 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
       let terminal = ref 0 and wrong = ref 0 and clean_anomalies = ref 0 in
       let lanes =
         Array.init cfg.conns (fun _ ->
-            { l_conn = None; l_decoder = Wire.decoder (); l_job = None })
+            { l_conn = None; l_decoder = Wire.decoder (); l_job = None; l_credit = None })
       in
       (* [job_terminal l v] ends the lane's job; [v] is [None] when its
          session ended without a verdict.  A clean session must end
@@ -225,7 +227,8 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
         | Some cid -> Engine.close_conn engine cid
         | None -> ());
         l.l_conn <- None;
-        l.l_decoder <- Wire.decoder ()
+        l.l_decoder <- Wire.decoder ();
+        l.l_credit <- None
       in
       let handle_server_frames l =
         match l.l_conn with
@@ -248,7 +251,10 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
                   | Error _ ->
                       job_terminal l None;
                       drop_conn l
-                  | Ok (Frame.Welcome _ | Frame.Pong _) -> go ()
+                  | Ok (Frame.Welcome { version; credit; _ }) ->
+                      if version >= 3 then l.l_credit <- Some credit;
+                      go ()
+                  | Ok (Frame.Pong _) -> go ()
                   | Ok frame -> (
                       (match l.l_job with
                       | None -> ()
@@ -283,25 +289,26 @@ let run ?(trace = Trace.null) ?metrics ?flight ?(engine_cfg = default_engine_cfg
               | _ -> ())
       in
       let step l =
-        if l.l_job = None && !next_job < cfg.sessions then begin
-          l.l_job <- Some (job_for cfg templates !next_job);
+        if l.l_conn = None then begin
+          match Engine.open_conn engine with
+          | Ok cid ->
+              l.l_conn <- Some cid;
+              l.l_decoder <- Wire.decoder ();
+              feed_str engine cid
+                (Frame.encode_client (Frame.Hello { version }));
+              (* the engine answers Hello at once: read its Welcome *)
+              handle_server_frames l
+          | Error _ -> ()
+        end;
+        if l.l_job = None && !next_job < cfg.sessions
+           && (version < 3 || l.l_credit <> None)
+        then begin
+          l.l_job <- Some (job_for cfg templates ?credit:l.l_credit !next_job);
           incr next_job
         end;
-        (match l.l_job with
-        | None -> ()
-        | Some j -> (
-            if l.l_conn = None then begin
-              match Engine.open_conn engine with
-              | Ok cid ->
-                  l.l_conn <- Some cid;
-                  l.l_decoder <- Wire.decoder ();
-                  feed_str engine cid
-                    (Frame.encode_client (Frame.Hello { version = Frame.version }))
-              | Error _ -> ()
-            end;
-            match l.l_conn with
-            | Some cid when j.j_frames < frame_limit j -> pump l cid j
-            | _ -> ()));
+        (match (l.l_job, l.l_conn) with
+        | Some j, Some cid when j.j_frames < frame_limit j -> pump l cid j
+        | _ -> ());
         handle_server_frames l
       in
       let t0 = Unix.gettimeofday () in

@@ -68,9 +68,12 @@ type outcome = {
   o_rate : float;  (** terminal sessions per wall-clock second *)
 }
 
-(** [run ?trace ?metrics ?flight ?engine_cfg cfg] executes the
+(** [run ?trace ?metrics ?flight ?engine_cfg ?version cfg] executes the
     campaign.  The engine config defaults to {!Engine.default_config}
-    tightened with short (virtual) timeouts.  When [flight] is given
+    tightened with short (virtual) timeouts.  [version] (default
+    {!Frame.version}) is what each connection's [Hello] asks for: on 3
+    a session starts once [Welcome] has announced its credit and sends
+    [Open] with its first window; on 2 [Open] travels alone.  When [flight] is given
     the engine records into it and the post-run outcome audits the
     dump: it must decode without findings, and (drop-free runs) every
     verdict must have left a terminal note — the refuse-with-evidence
@@ -80,6 +83,7 @@ val run :
   ?metrics:Core.Metrics.t ->
   ?flight:Core.Flight.t ->
   ?engine_cfg:Engine.config ->
+  ?version:int ->
   cfg ->
   outcome
 

@@ -499,7 +499,8 @@ let test_pipelined_uplink_exceptions () =
    2 * 10^5 (four blocks) on one domain, counted in full
    ([Metrics.allocated_words]).  It read 111 while each view took its
    row through a 3-tuple, 99 since the engine reads rows tuple-free
-   ([Graph_source.with_row]). *)
+   ([Graph_source.with_row]), and 98.0 since each round produces its
+   blocks into two arrays in turn instead of a fresh one per block. *)
 let test_allocation_per_node () =
   let n = 200_000 in
   let src = Graph_source.parse (Printf.sprintf "implicit:regular:%d:4:1" n) in
@@ -509,8 +510,8 @@ let test_allocation_per_node () =
   in
   let per_node = words /. float_of_int n in
   Alcotest.(check bool) "decided" true (out <> None);
-  Alcotest.(check bool) (Printf.sprintf "%.1f words per node (bound 100)" per_node) true
-    (per_node <= 100.)
+  Alcotest.(check bool) (Printf.sprintf "%.1f words per node (bound 98.5)" per_node) true
+    (per_node <= 98.5)
 
 (* ---------- node-state semantics ---------- *)
 

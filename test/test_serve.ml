@@ -140,7 +140,8 @@ let test_frame_roundtrips () =
     ];
   List.iter roundtrip_server
     [
-      Serve.Frame.Welcome { version = Serve.Frame.version; trace = 0xfeedfaceL };
+      Serve.Frame.Welcome { version = Serve.Frame.version; trace = 0xfeedfaceL; credit = 256 };
+      Serve.Frame.Welcome { version = 2; trace = 0xfeedfaceL; credit = 0 };
       Serve.Frame.Opened { open_id = 42; session = 7; credit = 256 };
       Serve.Frame.Credit { session = 7; credit = 16 };
       Serve.Frame.Verdict
@@ -881,7 +882,7 @@ let engine_golden_lines ~domains =
     feed engine p f;
     collect ()
   in
-  let hello p = send p (Serve.Frame.Hello { version = Serve.Frame.version }) in
+  let hello p = send p (Serve.Frame.Hello { version = 2 }) in
   let open_ ?(trace = 0L) p open_id protocol n =
     send p (Serve.Frame.Open { open_id; protocol; n; trace })
   in
@@ -1206,10 +1207,123 @@ let test_session_error_strings () =
         Serve.Frame.Credit { session = 6; credit = 1 },
         "unexpected frame mid-session" );
       ("another session's Verdict", true, verdict 6, "unexpected frame mid-session");
-      ("Welcome mid-session", true, Serve.Frame.Welcome { version = 2; trace = 0L },
+      ("Welcome mid-session", true, Serve.Frame.Welcome { version = 2; trace = 0L; credit = 0 },
         "unexpected frame mid-session");
       ("own Verdict", true, verdict 5, "verdict");
     ]
+
+(* ---------- wire v3: sessions addressed by open_id ---------- *)
+
+(* A v3 handshake; returns the credit Welcome announced. *)
+let hello_v3 engine p =
+  feed engine p (Serve.Frame.Hello { version = 3 });
+  match recv engine p with
+  | [ Serve.Frame.Welcome { version = 3; credit; _ } ] -> credit
+  | fs -> Alcotest.failf "v3 hello got [%s]" (String.concat "; " (List.map pp_server fs))
+
+(* Every flight [s] hands out goes to the engine in one [feed_bytes];
+   then one tick, and every frame of one [take_output] goes to [s]. *)
+let one_round_trip engine p s =
+  let rec drain acc = match Session.flight s with Some f -> drain (acc ^ f) | None -> acc in
+  feed_raw engine p (drain "");
+  Serve.Engine.tick engine;
+  List.find_map (Session.recv s) (recv engine p)
+
+let test_v3_count_is_one_flight () =
+  let msgs = deliveries "count" (Generators.cycle 8) in
+  let engine = engine_with (ref 0.0) in
+  let p = connect engine in
+  let credit = hello_v3 engine p in
+  let start () = Session.start ~open_id:5 ~credit ~protocol:"count" ~n:8 msgs in
+  Alcotest.(check (list string)) "Open, 8 Msg and Finish in one flight" [ "OMMMMMMMMF" ]
+    (flights (start ()));
+  (match one_round_trip engine p (start ()) with
+  | Some (Ok v) ->
+    Alcotest.(check bool) "decided" true (v.Serve.Client.status = Serve.Frame.Decided);
+    Alcotest.(check string) "count verdict" "nodes=8;degsum=16" v.Serve.Client.payload
+  | Some (Error e) -> Alcotest.failf "session failed: %s" e
+  | None -> Alcotest.fail "no verdict after one feed, one tick and one read");
+  Alcotest.(check int) "nothing late" 0 (Serve.Engine.stats engine).Serve.Engine.late_frames
+
+let test_v3_rejected_open_drops_pipeline () =
+  let msgs = deliveries "count" (Generators.cycle 8) in
+  let engine = engine_with (ref 0.0) in
+  let p = connect engine in
+  let credit = hello_v3 engine p in
+  let doomed = Session.start ~open_id:1 ~credit ~protocol:"nosuch" ~n:8 msgs in
+  (match one_round_trip engine p doomed with
+  | Some (Error e) ->
+    Alcotest.(check string) "typed reject" "rejected: unknown-protocol (retry after 250 ms)" e
+  | _ -> Alcotest.fail "a pipelined open of an unknown protocol must end rejected");
+  let s = Serve.Engine.stats engine in
+  Alcotest.(check int) "8 Msg and Finish dropped as late" 9 s.Serve.Engine.late_frames;
+  Alcotest.(check int) "no quarantine" 0 s.Serve.Engine.quarantines;
+  (match one_round_trip engine p (Session.start ~open_id:2 ~credit ~protocol:"count" ~n:8 msgs) with
+  | Some (Ok v) -> Alcotest.(check bool) "next open decides" true (v.Serve.Client.status = Serve.Frame.Decided)
+  | _ -> Alcotest.fail "the next open must decide")
+
+let test_v3_live_open_id_reuse_quarantines () =
+  let engine = engine_with (ref 0.0) in
+  let p = connect engine in
+  ignore (hello_v3 engine p);
+  let open_ id = feed engine p (Serve.Frame.Open { open_id = id; protocol = "count"; n = 4; trace = 0L }) in
+  (* reuse after the session ended is fine *)
+  open_ 1;
+  feed engine p (Serve.Frame.Abort { session = 1 });
+  open_ 1;
+  Serve.Engine.tick engine;
+  (match recv engine p with
+  | [ Serve.Frame.Opened { session = 1; _ }; Serve.Frame.Verdict { session = 1; _ };
+      Serve.Frame.Opened { session = 1; _ } ] -> ()
+  | fs -> Alcotest.failf "open, abort, open got [%s]" (String.concat "; " (List.map pp_server fs)));
+  open_ 1;
+  (match recv engine p with
+  | [ Serve.Frame.Error { code = Serve.Frame.Protocol_violation; _ } ] -> ()
+  | fs -> Alcotest.failf "live reuse got [%s]" (String.concat "; " (List.map pp_server fs)));
+  Alcotest.(check bool) "closing" true (Serve.Engine.wants_close engine p.c);
+  Alcotest.(check int) "one quarantine" 1 (Serve.Engine.stats engine).Serve.Engine.quarantines
+
+(* A second Hello may not switch versions: a live v2 session would lose
+   its address. *)
+let test_hello_cannot_switch_version () =
+  let engine = engine_with (ref 0.0) in
+  let p = connect engine in
+  feed engine p (Serve.Frame.Hello { version = 2 });
+  feed engine p (Serve.Frame.Open { open_id = 7; protocol = "count"; n = 2; trace = 0L });
+  ignore (recv engine p);
+  feed engine p (Serve.Frame.Hello { version = 3 });
+  (match recv engine p with
+  | [ Serve.Frame.Error { code = Serve.Frame.Protocol_violation; _ } ] -> ()
+  | fs -> Alcotest.failf "switch got [%s]" (String.concat "; " (List.map pp_server fs)));
+  Alcotest.(check int) "session aborted, not orphaned" 0
+    (Serve.Engine.stats engine).Serve.Engine.live_sessions
+
+(* A connect that never says Hello is closed at the idle timeout with a
+   typed error, counted apart from sheds and quarantines. *)
+let test_idle_connect_closes () =
+  let clock = ref 0.0 in
+  let metrics = Core.Metrics.create ~clock:(fun () -> 0.) () in
+  let cfg = { Serve.Engine.default_config with idle_timeout_s = 0.5 } in
+  let engine = Serve.Engine.create ~clock:(fun () -> !clock) ~metrics cfg in
+  let silent = connect engine and greeted = connect engine in
+  ignore (hello_trace engine greeted);
+  clock := 0.4;
+  Serve.Engine.tick engine;
+  Alcotest.(check bool) "open before the timeout" false (Serve.Engine.wants_close engine silent.c);
+  clock := 0.6;
+  Serve.Engine.tick engine;
+  (match recv engine silent with
+  | [ Serve.Frame.Error { code = Serve.Frame.Protocol_violation; _ } ] -> ()
+  | fs -> Alcotest.failf "silent connect got [%s]" (String.concat "; " (List.map pp_server fs)));
+  Alcotest.(check bool) "silent connect closes" true (Serve.Engine.wants_close engine silent.c);
+  Alcotest.(check bool) "greeted connect stays" false (Serve.Engine.wants_close engine greeted.c);
+  let s = Serve.Engine.stats engine in
+  Alcotest.(check int) "one handshake timeout" 1 s.Serve.Engine.handshake_timeouts;
+  Alcotest.(check int) "not a quarantine" 0 s.Serve.Engine.quarantines;
+  Alcotest.(check int) "not a shed" 0 s.Serve.Engine.sheds;
+  Alcotest.(check (option int)) "exported" (Some 1)
+    (List.assoc_opt "refnet_serve_handshake_timeouts_total"
+       (Core.Metrics.snapshot metrics).Core.Metrics.counters)
 
 (* ---------- receive path: views, copies and allocation ---------- *)
 
@@ -1379,9 +1493,11 @@ let test_selftest_chaos () =
    Every figure depends on which bytes reached [Engine.feed_bytes] before
    each tick, so a change to how the selftest builds or paces its client
    frames shows here.  Each run must print the same line at pool widths
-   1 and 4.  Credit 3 breaks count sessions into several flights. *)
+   1 and 4.  Credit 3 breaks count sessions into several flights.  The
+   v2 rows send Open alone; the v3 rows pipeline it with the first
+   window. *)
 let test_selftest_transcript () =
-  List.iter
+  List.iter (fun (version, rows) -> List.iter
     (fun (protocol, n, sessions, conns, faulty, seed, credit, want) ->
       List.iter
         (fun domains ->
@@ -1396,7 +1512,7 @@ let test_selftest_transcript () =
             }
           in
           let flight = Core.Flight.create ~capacity:65536 () in
-          let o = Serve.Selftest.run ~flight ~engine_cfg cfg in
+          let o = Serve.Selftest.run ~flight ~engine_cfg ~version cfg in
           let s = o.Serve.Selftest.o_stats in
           let got =
             Printf.sprintf "%s frames=%d bytes_in=%d conns=%d sessions=%d"
@@ -1404,10 +1520,11 @@ let test_selftest_transcript () =
               s.Serve.Engine.frames s.bytes_in s.conns_opened s.sessions_opened
           in
           Alcotest.(check string)
-            (Printf.sprintf "%s n=%d credit=%d width %d" protocol n credit domains)
+            (Printf.sprintf "v%d %s n=%d credit=%d width %d" version protocol n credit domains)
             want got)
         [ 1; 4 ])
-    [
+    rows)
+  [ (2, [
       ("count", 8, 600, 16, 0.2, 7, 256,
         {|{"protocol": "count", "n": 8, "sessions": 600, "decided": 486, "degraded": 47, "inconclusive": 0, "aborted": 67, "quarantines": 25, "quarantine_escapes": 0, "sheds": 0, "timeouts_idle": 23, "timeouts_deadline": 0, "late_frames": 0, "wrong_decided": 0, "clean_anomalies": 0, "unterminated": 0, "flight_recorded": 6641, "flight_dropped": 0, "flight_findings": 0, "flight_missing": 0, "faulty": 0.200, "wall_s": 0.000000, "rate_per_s": 0.0}|}
         ^ " frames=5542 bytes_in=146260 conns=82 sessions=600");
@@ -1426,7 +1543,15 @@ let test_selftest_transcript () =
       ("bounded:3", 32, 600, 8, 0.3, 7, 256,
         {|{"protocol": "bounded:3", "n": 32, "sessions": 600, "decided": 484, "degraded": 26, "inconclusive": 0, "aborted": 90, "quarantines": 36, "quarantine_escapes": 0, "sheds": 0, "timeouts_idle": 38, "timeouts_deadline": 0, "late_frames": 0, "wrong_decided": 0, "clean_anomalies": 0, "unterminated": 0, "flight_recorded": 19086, "flight_dropped": 0, "flight_findings": 0, "flight_missing": 0, "faulty": 0.300, "wall_s": 0.000000, "rate_per_s": 0.0}|}
         ^ " frames=18000 bytes_in=512417 conns=98 sessions=600");
-    ]
+    ]);
+    (3, [
+      ("count", 8, 600, 16, 0.2, 7, 256,
+        {|{"protocol": "count", "n": 8, "sessions": 600, "decided": 486, "degraded": 47, "inconclusive": 0, "aborted": 67, "quarantines": 25, "quarantine_escapes": 0, "sheds": 0, "timeouts_idle": 23, "timeouts_deadline": 0, "late_frames": 0, "wrong_decided": 0, "clean_anomalies": 0, "unterminated": 0, "flight_recorded": 6641, "flight_dropped": 0, "flight_findings": 0, "flight_missing": 0, "faulty": 0.200, "wall_s": 0.000000, "rate_per_s": 0.0}|}
+        ^ " frames=5542 bytes_in=146260 conns=82 sessions=600");
+      ("sketch:7", 32, 120, 8, 0.3, 7, 256,
+        {|{"protocol": "sketch:7", "n": 32, "sessions": 120, "decided": 78, "degraded": 0, "inconclusive": 17, "aborted": 25, "quarantines": 14, "quarantine_escapes": 0, "sheds": 0, "timeouts_idle": 9, "timeouts_deadline": 0, "late_frames": 0, "wrong_decided": 0, "clean_anomalies": 0, "unterminated": 0, "flight_recorded": 3667, "flight_dropped": 0, "flight_findings": 0, "flight_missing": 0, "faulty": 0.300, "wall_s": 0.000000, "rate_per_s": 0.0}|}
+        ^ " frames=3461 bytes_in=3219461 conns=32 sessions=120");
+    ]) ]
 
 (* ---------- over a real socket ---------- *)
 
@@ -1748,6 +1873,8 @@ let () =
             test_undeliverable_verdict_aborts;
           Alcotest.test_case "queue depth gauge" `Quick test_queue_depth_gauge;
           Alcotest.test_case "engine golden" `Quick test_engine_golden;
+          Alcotest.test_case "idle connect closes" `Quick test_idle_connect_closes;
+          Alcotest.test_case "hello cannot switch version" `Quick test_hello_cannot_switch_version;
         ] );
       ( "tracing",
         [
@@ -1764,6 +1891,11 @@ let () =
             test_session_large_frames_one_per_flight;
           Alcotest.test_case "early verdict" `Quick test_session_early_verdict;
           Alcotest.test_case "error strings" `Quick test_session_error_strings;
+          Alcotest.test_case "v3 count n=8 is one flight" `Quick test_v3_count_is_one_flight;
+          Alcotest.test_case "v3 rejected open drops its pipeline" `Quick
+            test_v3_rejected_open_drops_pipeline;
+          Alcotest.test_case "v3 live open_id reuse quarantines" `Quick
+            test_v3_live_open_id_reuse_quarantines;
         ] );
       ( "socket",
         [
